@@ -154,6 +154,11 @@ pub struct RiceNic {
     tx_inflight_bytes: u32,
     /// Round-robin cursor for fair TX service across contexts.
     rr_cursor: usize,
+    /// Bit `i` set when context `i` may have TX work (a doorbell moved
+    /// its producer past its fetch cursor, or it has staged
+    /// descriptors). Cleared when the pump finds the context idle, so
+    /// the pump walks only these slots.
+    tx_pending: u32,
     /// Origin context of each frame handed to the MAC, in wire order —
     /// how the firmware attributes completions (real hardware knows the
     /// originating context of every buffer; frame contents are opaque).
@@ -189,6 +194,7 @@ impl RiceNic {
             coal_rx,
             tx_inflight_bytes: 0,
             rr_cursor: 0,
+            tx_pending: 0,
             wire_fifo: VecDeque::new(),
             promiscuous_ctx: None,
             iommu: None,
@@ -296,6 +302,7 @@ impl RiceNic {
         });
         self.mailboxes[ctx.0 as usize] = MailboxPage::new();
         self.events.clear_context(ctx);
+        self.tx_pending &= !(1 << ctx.0);
         Ok(())
     }
 
@@ -304,6 +311,7 @@ impl RiceNic {
     /// Returns the number of staged/in-flight operations dropped.
     pub fn detach_context(&mut self, ctx: ContextId) -> usize {
         self.events.clear_context(ctx);
+        self.tx_pending &= !(1 << ctx.0);
         match self.ctxs[ctx.0 as usize].take() {
             Some(dev) => dev.staged.len() + dev.inflight.len(),
             None => 0,
@@ -403,6 +411,9 @@ impl RiceNic {
             };
             if embox == Mailbox::TxProducer.index() {
                 dev.tx_seen_producer = dev.tx_seen_producer.max(value);
+                if dev.tx_fetch_cursor < dev.tx_seen_producer {
+                    self.tx_pending |= 1 << ectx.0;
+                }
             } else if embox == Mailbox::RxProducer.index() {
                 dev.rx_posted = dev.rx_posted.max(value);
             }
@@ -601,17 +612,27 @@ impl RiceNic {
         self.vectors.has_pending()
     }
 
+    /// The attached context whose MAC is `mac`. The last octet of a
+    /// context MAC is its slot (see [`RiceNic::mac_for`]), so the lookup
+    /// decodes the slot and checks the full address against it; MACs of
+    /// other hosts, other NICs and detached contexts miss.
     fn ctx_by_mac(&self, mac: MacAddr) -> Option<ContextId> {
-        self.ctxs.iter().enumerate().find_map(|(i, c)| {
-            c.as_ref()
-                .filter(|d| d.mac == mac)
-                .map(|_| ContextId(i as u8))
-        })
+        let slot = mac.0[5];
+        self.ctxs
+            .get(slot as usize)?
+            .as_ref()
+            .filter(|d| d.mac == mac)
+            .map(|_| ContextId(slot))
     }
 
     /// Fairly services every context with pending TX descriptors:
     /// fetch+validate in batches, then emit one frame per context per
     /// round while the global packet buffer has room.
+    ///
+    /// Each round visits the [`RiceNic::tx_pending`] slots in
+    /// round-robin order from `rr_cursor`. When the packet buffer fills,
+    /// the cursor moves to the slot after the last emitter, so the next
+    /// pump resumes there; otherwise it stays put.
     fn pump_tx(
         &mut self,
         now: SimTime,
@@ -619,20 +640,26 @@ impl RiceNic {
         bus: &mut PciBus,
         activity: &mut Activity,
     ) {
+        const _: () = assert!(
+            CTX_COUNT == u32::BITS as usize,
+            "tx_pending is one bit per slot"
+        );
+        if self.tx_inflight_bytes >= self.cfg.tx_buffer_bytes {
+            return;
+        }
         loop {
             let mut progressed = false;
-            for off in 0..CTX_COUNT {
+            // Offsets from the cursor of the slots to visit this round;
+            // visiting slot i only changes bit i, so a snapshot is exact.
+            let mut round = self.tx_pending.rotate_right(self.rr_cursor as u32);
+            while round != 0 {
+                let off = round.trailing_zeros() as usize;
+                round &= round - 1;
                 let i = (self.rr_cursor + off) % CTX_COUNT;
-                if self.tx_inflight_bytes >= self.cfg.tx_buffer_bytes {
-                    self.rr_cursor = i;
-                    return;
-                }
-                let Some(dev) = self.ctxs[i].as_mut() else {
+                let Some(dev) = self.ctxs[i].as_mut().filter(|d| !d.faulted) else {
+                    self.tx_pending &= !(1 << i);
                     continue;
                 };
-                if dev.faulted {
-                    continue;
-                }
                 let ctx = ContextId(i as u8);
                 // Refill the staging queue with a batch of descriptors.
                 if dev.staged.is_empty() && dev.tx_fetch_cursor < dev.tx_seen_producer {
@@ -710,6 +737,13 @@ impl RiceNic {
                     });
                     progressed = true;
                 }
+                if dev.staged.is_empty() && dev.tx_fetch_cursor >= dev.tx_seen_producer {
+                    self.tx_pending &= !(1 << i);
+                }
+                if self.tx_inflight_bytes >= self.cfg.tx_buffer_bytes {
+                    self.rr_cursor = (i + 1) % CTX_COUNT;
+                    return;
+                }
             }
             if !progressed {
                 return;
@@ -737,10 +771,14 @@ mod tests {
     }
 
     fn fix() -> Fix {
+        fix_with(RiceNicConfig::default())
+    }
+
+    fn fix_with(cfg: RiceNicConfig) -> Fix {
         let mut rings = RingTable::new();
         let tx_ring = rings.create(PhysAddr(0x100_000), 16);
         let rx_ring = rings.create(PhysAddr(0x200_000), 16);
-        let mut nic = RiceNic::new(0, RiceNicConfig::default());
+        let mut nic = RiceNic::new(0, cfg);
         let ctx = ContextId(1);
         nic.attach_context(ctx, tx_ring, rx_ring, true, &rings)
             .unwrap();
@@ -971,6 +1009,56 @@ mod tests {
     }
 
     #[test]
+    fn mac_demux_checks_the_whole_address() {
+        let mut f = fix();
+        let own = f.nic.mac_for(f.ctx);
+        assert_eq!(f.nic.ctx_by_mac(own), Some(f.ctx));
+        // Same slot octet, but another rack host or another NIC.
+        assert_eq!(
+            f.nic.ctx_by_mac(MacAddr::for_host_context(1, 0, f.ctx.0)),
+            None
+        );
+        assert_eq!(f.nic.ctx_by_mac(MacAddr::for_context(1, f.ctx.0)), None);
+        // Last octets that name no slot, or an empty one.
+        assert_eq!(f.nic.ctx_by_mac(MacAddr::for_vif(200)), None);
+        assert_eq!(f.nic.ctx_by_mac(MacAddr::for_context(0, 9)), None);
+        assert_eq!(f.nic.ctx_by_mac(MacAddr::BROADCAST), None);
+        // A detached context's address stops matching.
+        f.nic.detach_context(f.ctx);
+        assert_eq!(f.nic.ctx_by_mac(own), None);
+    }
+
+    #[test]
+    fn unmatched_macs_fall_back_to_the_promiscuous_context() {
+        let mut f = fix();
+        write_rx(&mut f, 0);
+        f.nic
+            .mailbox_write(
+                SimTime::ZERO,
+                f.ctx,
+                Mailbox::RxProducer.index(),
+                1,
+                &f.rings,
+                &mut f.bus,
+            )
+            .unwrap();
+        f.nic.set_promiscuous_ctx(Some(f.ctx));
+        // A vif address (bridge mode) whose last octet is out of slot
+        // range still reaches the promiscuous context.
+        let frame = Frame::tcp_data(
+            MacAddr::for_peer(0),
+            MacAddr::for_vif(200),
+            1460,
+            FlowId::new(0, 0),
+            0,
+        );
+        let act = f
+            .nic
+            .frame_from_wire(SimTime::ZERO, frame, &f.rings, &mut f.bus);
+        assert_eq!(act.delivered.expect("delivered").ctx, f.ctx);
+    }
+
+    #[test]
     fn rx_without_posted_buffer_drops() {
         let mut f = fix();
         let frame = Frame::tcp_data(
@@ -1077,6 +1165,80 @@ mod tests {
             srcs.contains(&f.nic.mac_for(ctx2)),
             "second context starved"
         );
+
+        // A packet buffer that fills mid-round. Three 1514-byte frames
+        // fit; ctx1 fills it with one descriptor left staged, so the
+        // cursor moves to slot 2. ctx2 and ctx3 ring while it is full.
+        let mut f = fix_with(RiceNicConfig {
+            tx_buffer_bytes: 3 * 1514,
+            ..RiceNicConfig::default()
+        });
+        let mut rings_for = vec![(f.ctx, f.tx_ring)];
+        for (slot, base) in [(2u8, 0x300_000u64), (3, 0x320_000)] {
+            let tx = f.rings.create(PhysAddr(base), 16);
+            let rx = f.rings.create(PhysAddr(base + 0x10_000), 16);
+            f.nic
+                .attach_context(ContextId(slot), tx, rx, true, &f.rings)
+                .unwrap();
+            rings_for.push((ContextId(slot), tx));
+        }
+        let queue = |f: &mut Fix, (ctx, ring): (ContextId, RingId), n: u64, payload: u32| {
+            for i in 0..n {
+                let meta = FrameMeta {
+                    dst: MacAddr::for_peer(0),
+                    src: f.nic.mac_for(ctx),
+                    tcp_payload: payload,
+                    flow: FlowId::new(ctx.0 as u16, 0),
+                    seq: i * 1460,
+                };
+                let mut d = DmaDescriptor::tx(
+                    BufferSlice::new(PhysAddr(0x900_000 + i * 4096), 1514),
+                    DescFlags::END_OF_PACKET,
+                    meta,
+                );
+                d.seq = i as u32;
+                f.rings.get_mut(ring).unwrap().write_at(i, d);
+            }
+        };
+        let ring = |f: &mut Fix, ctx: ContextId, n: u64| {
+            f.nic
+                .mailbox_write(
+                    SimTime::ZERO,
+                    ctx,
+                    Mailbox::TxProducer.index(),
+                    n,
+                    &f.rings,
+                    &mut f.bus,
+                )
+                .unwrap()
+                .emissions
+        };
+        let slots =
+            |em: &[TxEmission]| -> Vec<u8> { em.iter().map(|e| e.frame.src.0[5]).collect() };
+        queue(&mut f, rings_for[0], 4, 1460);
+        let first = ring(&mut f, ContextId(1), 4);
+        assert_eq!(slots(&first), [1, 1, 1]);
+        assert_eq!(f.nic.rr_cursor, 2);
+        queue(&mut f, rings_for[1], 1, 500);
+        queue(&mut f, rings_for[2], 1, 1460);
+        assert!(ring(&mut f, ContextId(2), 1).is_empty());
+        assert!(ring(&mut f, ContextId(3), 1).is_empty());
+        assert_eq!(f.nic.rr_cursor, 2, "a full buffer leaves the cursor alone");
+        // One completion frees 1514 bytes: ctx2 (554 B) and ctx3 (1514 B)
+        // go out from the cursor, the buffer fills at ctx3, and ctx1's
+        // staged frame waits with the cursor just past ctx3.
+        let sent = f
+            .nic
+            .tx_frame_sent(SimTime::from_us(20), &first[0].frame, &f.rings, &mut f.bus);
+        assert_eq!(slots(&sent.emissions), [2, 3]);
+        assert_eq!(f.nic.rr_cursor, 4);
+        // The next completion resumes there and wraps to ctx1.
+        let sent = f
+            .nic
+            .tx_frame_sent(SimTime::from_us(40), &first[1].frame, &f.rings, &mut f.bus);
+        assert_eq!(slots(&sent.emissions), [1]);
+        assert_eq!(f.nic.rr_cursor, 2);
+        assert_eq!(f.nic.tx_pending, 0, "every ring drained");
     }
 
     #[test]

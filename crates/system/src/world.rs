@@ -54,6 +54,11 @@ pub enum Event {
         reason: IrqReason,
     },
     /// A previously emitted frame may start serializing onto the wire.
+    ///
+    /// The world never schedules this itself: frames reserve the wire
+    /// when the NIC hands them over (see DESIGN.md §10). The variant
+    /// stays so external harnesses that match every kind keep compiling;
+    /// handling it takes the same reservation path.
     EmissionDue {
         /// NIC index.
         nic: usize,
@@ -67,14 +72,17 @@ pub enum Event {
         /// The frame.
         frame: Frame,
     },
-    /// A peer frame's last bit arrived at the NIC.
+    /// A switch-forwarded frame's last bit arrived at the NIC (rack
+    /// uplinks and inter-VM hairpins; peer traffic lands at
+    /// [`Event::PeerPump`]).
     WireRxArrive {
         /// NIC index.
         nic: usize,
         /// The frame.
         frame: Frame,
     },
-    /// The peer generates its next receive-direction frame.
+    /// The peer's frame in flight on this NIC's link finished arriving:
+    /// it lands, and the peer starts serializing its next frame.
     PeerPump {
         /// NIC index.
         nic: usize,
@@ -306,8 +314,16 @@ pub struct SystemWorld {
     pub meters: Meters,
     /// Per-NIC peer traffic sources (receive direction).
     pub peers: Vec<Option<crate::PeerSource>>,
-    /// flow → destination MAC for peer-generated traffic.
-    flow_dst: std::collections::BTreeMap<FlowId, MacAddr>,
+    /// Destination MAC of peer-generated traffic, indexed by
+    /// `guest * conns_per_guest + conn`.
+    flow_dst: Vec<MacAddr>,
+    /// Per-NIC frame the peer is serializing; it lands at the next
+    /// [`Event::PeerPump`] on that NIC.
+    peer_inflight: Vec<Option<Frame>>,
+    /// Per-NIC start of the latest transmit wire reservation. Frames
+    /// reserve the wire at hand-off, which is order-exact only because
+    /// these never decrease (bus DMA completions are monotone per NIC).
+    tx_reserved_from: Vec<SimTime>,
     /// MACs that terminate on this host; `Some` marks the world as one
     /// host of a rack whose non-local frames leave through the uplink
     /// (see [`SystemWorld::enable_uplink`]).
@@ -356,7 +372,10 @@ impl World for SystemWorld {
         match event {
             Event::CpuDispatch => self.on_cpu_dispatch(now, sched),
             Event::PhysIrq { nic, reason } => self.on_phys_irq(now, sched, nic, reason),
-            Event::EmissionDue { nic, frame } => self.on_emission_due(now, sched, nic, frame),
+            Event::EmissionDue { nic, frame } => {
+                let done = self.reserve_tx(now, nic, now, &frame);
+                sched.at(now, done, Event::WireTxDone { nic, frame });
+            }
             Event::WireTxDone { nic, frame } => self.on_wire_tx_done(now, sched, nic, frame),
             Event::WireRxArrive { nic, frame } => self.on_wire_rx_arrive(now, sched, nic, frame),
             Event::PeerPump { nic } => self.on_peer_pump(now, sched, nic),
@@ -627,7 +646,9 @@ impl SystemWorld {
             domains,
             meters: Meters::default(),
             peers: Vec::new(),
-            flow_dst: std::collections::BTreeMap::new(),
+            flow_dst: Vec::new(),
+            peer_inflight: (0..nic_total).map(|_| None).collect(),
+            tx_reserved_from: vec![SimTime::ZERO; nic_total as usize],
             local_macs: None,
             remote_dst: Vec::new(),
             egress: Vec::new(),
@@ -784,10 +805,9 @@ impl SystemWorld {
         for g in 0..guests {
             for c in 0..self.cfg.conns_per_guest {
                 let nic = (c % self.cfg.nics as u16) as usize;
-                let flow = FlowId::new(g, c);
-                per_nic[nic].push(flow);
+                per_nic[nic].push(FlowId::new(g, c));
                 let dst = self.rx_dst_mac(g, nic);
-                self.flow_dst.insert(flow, dst);
+                self.flow_dst.push(dst);
             }
         }
         for (nic, flows) in per_nic.into_iter().enumerate() {
@@ -860,9 +880,10 @@ impl SystemWorld {
         let mut events = Vec::new();
         self.faults.extend(act.faults.iter().copied());
         for e in act.emissions.drain(..) {
+            let done = self.reserve_tx(now, nic, e.ready_at, &e.frame);
             events.push((
-                e.ready_at.max(now),
-                Event::EmissionDue {
+                done,
+                Event::WireTxDone {
                     nic,
                     frame: e.frame,
                 },
@@ -1380,9 +1401,9 @@ impl SystemWorld {
         self.domains[idx] = state;
     }
 
-    /// Schedules NIC activity produced by a device call. Drains the
-    /// vector in place so the caller can hand the emptied activity back
-    /// to the device for reuse.
+    /// Puts frames the NIC handed to its MAC on the wire and schedules
+    /// their completions. Drains the vector in place so the caller can
+    /// hand the emptied activity back to the device for reuse.
     fn schedule_emissions(
         &mut self,
         now: SimTime,
@@ -1391,15 +1412,40 @@ impl SystemWorld {
         emissions: &mut Vec<TxEmission>,
     ) {
         for e in emissions.drain(..) {
+            let done = self.reserve_tx(now, nic, e.ready_at, &e.frame);
             sched.at(
                 now,
-                e.ready_at.max(now),
-                Event::EmissionDue {
+                done,
+                Event::WireTxDone {
                     nic,
                     frame: e.frame,
                 },
             );
         }
+    }
+
+    /// Reserves `nic`'s transmit wire for `frame` from `ready_at` (or
+    /// `now`, if later) behind every frame already reserved, and returns
+    /// when its last bit leaves. Reserving at hand-off gives the times
+    /// a separate "may start serializing" event would, because each
+    /// NIC's hand-off times never decrease, so reservation order is
+    /// start-time order.
+    fn reserve_tx(
+        &mut self,
+        now: SimTime,
+        nic: usize,
+        ready_at: SimTime,
+        frame: &Frame,
+    ) -> SimTime {
+        let start = ready_at.max(now);
+        debug_assert!(
+            start >= self.tx_reserved_from[nic],
+            "nic {nic}: wire reservation at {start} precedes one at {}",
+            self.tx_reserved_from[nic]
+        );
+        self.tx_reserved_from[nic] = start;
+        let gap = self.tx_gap_bytes(nic);
+        self.wires[nic].transfer(start, WireDirection::Transmit, frame.wire_bytes() + gap)
     }
 
     /// Hands a drained RiceNIC activity back to the device so its
@@ -2360,18 +2406,6 @@ impl SystemWorld {
         self.kick_cpu(now, sched);
     }
 
-    fn on_emission_due(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Event>,
-        nic: usize,
-        frame: Frame,
-    ) {
-        let gap = self.tx_gap_bytes(nic);
-        let done = self.wires[nic].transfer(now, WireDirection::Transmit, frame.wire_bytes() + gap);
-        sched.at(now, done, Event::WireTxDone { nic, frame });
-    }
-
     fn tx_gap_bytes(&self, nic: usize) -> u32 {
         match &self.nics[nic] {
             NicSlot::Rice(dev) => (dev.config().mac_tx_gap.as_ns() / 8) as u32,
@@ -2496,16 +2530,25 @@ impl SystemWorld {
         }
     }
 
+    /// The peer link as a one-frame pipeline: land the frame that has
+    /// just finished arriving, then start serializing the next one. The
+    /// arrival and the next start share an instant, so one event does
+    /// both (an arrival event and a pump event at the same time would
+    /// sit on adjacent sequence numbers, with nothing between them).
     fn on_peer_pump(&mut self, now: SimTime, sched: &mut Scheduler<Event>, nic: usize) {
+        if let Some(frame) = self.peer_inflight[nic].take() {
+            self.on_wire_rx_arrive(now, sched, nic, frame);
+        }
         let gap = self.rx_gap_bytes(nic);
         let Some(peer) = &mut self.peers[nic] else {
             return;
         };
         let (flow, seq) = peer.next_frame(framing::MSS);
-        let dst = *self.flow_dst.get(&flow).expect("flow destination known");
+        let conns = self.cfg.conns_per_guest as usize;
+        let dst = self.flow_dst[flow.guest as usize * conns + flow.conn as usize];
         let frame = Frame::tcp_data(MacAddr::for_peer(nic as u8), dst, framing::MSS, flow, seq);
         let done = self.wires[nic].transfer(now, WireDirection::Receive, frame.wire_bytes() + gap);
-        sched.at(now, done, Event::WireRxArrive { nic, frame });
+        self.peer_inflight[nic] = Some(frame);
         sched.at(now, done, Event::PeerPump { nic });
     }
 
@@ -2729,6 +2772,78 @@ mod tests {
             .count();
         assert_eq!(starts, 1);
         assert_eq!(dispatches, 1);
+    }
+
+    /// A device activity handing one frame from guest `g`'s context to
+    /// NIC 0's MAC at `ready_at`.
+    fn hand_off(w: &SystemWorld, g: usize, ready_at: SimTime) -> Activity {
+        let NicSlot::Rice(dev) = &w.nics[0] else {
+            unreachable!("CDNA uses RiceNICs")
+        };
+        let frame = Frame::tcp_data(
+            dev.mac_for(w.ctx_of[g][0]),
+            MacAddr::for_peer(0),
+            framing::MSS,
+            FlowId::new(g as u16, 0),
+            0,
+        );
+        Activity {
+            emissions: vec![TxEmission {
+                frame,
+                ready_at,
+                desc_idx: 0,
+            }],
+            ..Activity::default()
+        }
+    }
+
+    fn cdna_tx_world() -> SystemWorld {
+        SystemWorld::build(cfg(
+            IoModel::Cdna {
+                policy: DmaPolicy::Validated,
+            },
+            2,
+            Direction::Transmit,
+        ))
+    }
+
+    #[test]
+    fn hand_offs_reserve_the_wire_in_fifo_order() {
+        let mut w = cdna_tx_world();
+        // Two doorbells on NIC 0; the second frame is ready while the
+        // first is still serializing, so it queues behind it.
+        let (ready_a, ready_b) = (SimTime::from_us(10), SimTime::from_us(11));
+        let a = hand_off(&w, 0, ready_a);
+        let b = hand_off(&w, 1, ready_b);
+        let src = |act: &Activity| act.emissions[0].frame.src;
+        let (src_a, src_b) = (src(&a), src(&b));
+        let ser =
+            SimTime::from_ns(u64::from(a.emissions[0].frame.wire_bytes() + w.tx_gap_bytes(0)) * 8);
+        let done = |events: Vec<(SimTime, Event)>| match events.as_slice() {
+            [(at, Event::WireTxDone { nic: 0, frame })] => (*at, frame.src),
+            other => panic!("expected one WireTxDone, got {other:?}"),
+        };
+        let first = done(w.absorb_nic_activity(SimTime::from_us(5), 0, a));
+        let second = done(w.absorb_nic_activity(SimTime::from_us(6), 0, b));
+        assert_eq!(first, (ready_a + ser, src_a));
+        assert_eq!(
+            second,
+            (ready_a + ser + ser, src_b),
+            "FIFO behind the first"
+        );
+        assert_eq!(w.wires[0].busy_until(WireDirection::Transmit), second.0);
+        assert!(w.wires[1].is_idle(SimTime::ZERO, WireDirection::Transmit));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "wire reservation")]
+    fn reservations_out_of_start_order_trip_the_debug_check() {
+        let mut w = cdna_tx_world();
+        let late = hand_off(&w, 0, SimTime::from_us(20));
+        let early = hand_off(&w, 1, SimTime::from_us(10));
+        w.absorb_nic_activity(SimTime::ZERO, 0, late);
+        w.absorb_nic_activity(SimTime::ZERO, 0, early);
     }
 
     #[test]

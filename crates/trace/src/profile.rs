@@ -62,6 +62,12 @@ pub struct ProfileLedger {
     window_end: Option<u64>,
     recording: bool,
     cursor: u64,
+    /// Offset in `slices` of the cursor's slice row, valid while the
+    /// cursor is before `row_end`; charges index it directly instead
+    /// of dividing the cursor by the slice width.
+    row: usize,
+    /// End of the slice `row` belongs to, ns.
+    row_end: u64,
     /// Flattened `slices × buckets` charge matrix.
     slices: Vec<u64>,
     totals: Vec<u64>,
@@ -84,6 +90,8 @@ impl ProfileLedger {
             window_end: None,
             recording: false,
             cursor: 0,
+            row: 0,
+            row_end: slice_ns,
             slices: Vec::new(),
             totals: vec![0; buckets],
         }
@@ -105,6 +113,8 @@ impl ProfileLedger {
         self.window_end = None;
         self.recording = true;
         self.cursor = now_ns;
+        self.row = 0;
+        self.row_end = now_ns.saturating_add(self.slice_ns);
         self.slices.clear();
         self.totals.iter_mut().for_each(|t| *t = 0);
     }
@@ -144,12 +154,17 @@ impl ProfileLedger {
         if !self.recording || dt_ns == 0 {
             return;
         }
-        let slice = ((self.cursor.saturating_sub(self.window_start)) / self.slice_ns) as usize;
-        let needed = (slice + 1) * self.buckets;
+        if self.cursor >= self.row_end {
+            // The cursor left the cached slice: locate its row once.
+            let slice = (self.cursor - self.window_start) / self.slice_ns;
+            self.row = slice as usize * self.buckets;
+            self.row_end = self.window_start + (slice + 1) * self.slice_ns;
+        }
+        let needed = self.row + self.buckets;
         if self.slices.len() < needed {
             self.slices.resize(needed, 0);
         }
-        self.slices[slice * self.buckets + bucket] += dt_ns;
+        self.slices[self.row + bucket] += dt_ns;
         self.totals[bucket] += dt_ns;
     }
 
@@ -281,6 +296,52 @@ mod tests {
         led.close_window(11_000);
         assert_eq!(led.total(0), 0);
         assert_eq!(led.window_ns(), Some(1000));
+    }
+
+    #[test]
+    fn cached_row_follows_slice_boundaries() {
+        // Charges at both edges of each boundary, a skipped slice, and
+        // repeated charges within one slice must land exactly where the
+        // division `(cursor - start) / slice` puts them.
+        let mut led = ProfileLedger::new(2, 1000);
+        led.start_window(500);
+        for (at, bucket, dt) in [
+            (500, 0, 1),
+            (1499, 1, 2),
+            (1499, 0, 3),
+            (1500, 0, 4),
+            (2499, 1, 5),
+            (4500, 1, 6),
+            (4501, 0, 7),
+        ] {
+            led.advance_to(at);
+            led.charge(bucket, dt);
+        }
+        led.close_window(5000);
+        let rows: Vec<Vec<u64>> = led.samples().into_iter().map(|s| s.charged_ns).collect();
+        assert_eq!(
+            rows,
+            vec![vec![4, 2], vec![4, 5], vec![0, 0], vec![0, 0], vec![7, 6]]
+        );
+    }
+
+    #[test]
+    fn cached_row_resets_on_window_restart() {
+        // A restart must drop the cached row: the first charge of the new
+        // window goes to its slice 0 even though the old window's row
+        // was further along.
+        let mut led = ProfileLedger::new(1, 1000);
+        led.start_window(0);
+        led.advance_to(3500);
+        led.charge(0, 9);
+        led.start_window(3600);
+        led.charge(0, 1);
+        led.advance_to(4700);
+        led.charge(0, 2);
+        led.close_window(5000);
+        let rows: Vec<u64> = led.samples().iter().map(|s| s.charged_ns[0]).collect();
+        assert_eq!(rows, vec![1, 2]);
+        assert_eq!(led.total(0), 3);
     }
 
     #[test]

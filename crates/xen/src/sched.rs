@@ -32,6 +32,9 @@ use cdna_mem::DomainId;
 #[derive(Debug, Clone, Default)]
 pub struct RunQueue {
     queue: VecDeque<DomainId>,
+    /// `queued[d]` is whether domain id `d` is in `queue` (grown on
+    /// demand), so wake-ups test membership without scanning.
+    queued: Vec<bool>,
     last: Option<DomainId>,
     switches: u64,
     activations: u64,
@@ -45,7 +48,12 @@ impl RunQueue {
 
     /// Makes `dom` runnable (idempotent while queued).
     pub fn wake(&mut self, dom: DomainId) {
-        if !self.queue.contains(&dom) {
+        let i = dom.0 as usize;
+        if i >= self.queued.len() {
+            self.queued.resize(i + 1, false);
+        }
+        if !self.queued[i] {
+            self.queued[i] = true;
             self.queue.push_back(dom);
         }
     }
@@ -54,6 +62,7 @@ impl RunQueue {
     /// domain switch (used to charge world-switch cost).
     pub fn pick(&mut self) -> Option<DomainId> {
         let dom = self.queue.pop_front()?;
+        self.queued[dom.0 as usize] = false;
         self.activations += 1;
         if self.last != Some(dom) {
             self.switches += 1;
@@ -74,7 +83,7 @@ impl RunQueue {
 
     /// Whether `dom` is queued.
     pub fn is_queued(&self, dom: DomainId) -> bool {
-        self.queue.contains(&dom)
+        self.queued.get(dom.0 as usize).copied().unwrap_or(false)
     }
 
     /// Number of runnable domains.
@@ -144,6 +153,32 @@ mod tests {
         rq.wake(DomainId::guest(1));
         rq.pick();
         assert_eq!(rq.switches(), 2);
+    }
+
+    #[test]
+    fn membership_tracks_pick_requeue_and_wake() {
+        let mut rq = RunQueue::new();
+        let (a, b) = (DomainId::guest(0), DomainId::guest(5));
+        assert!(!rq.is_queued(a), "never-seen domain is not queued");
+        rq.wake(a);
+        rq.wake(b);
+        assert!(rq.is_queued(a) && rq.is_queued(b));
+        assert_eq!(rq.pick(), Some(a));
+        assert!(!rq.is_queued(a), "picked domain leaves the queue");
+        assert!(rq.is_queued(b));
+        // Requeue after a batch goes behind b; a second wake is a no-op.
+        rq.requeue(a);
+        rq.wake(a);
+        assert_eq!(rq.len(), 2);
+        assert_eq!(rq.pick(), Some(b));
+        assert_eq!(rq.pick(), Some(a));
+        assert!(!rq.is_queued(a) && !rq.is_queued(b));
+        assert!(rq.is_empty());
+        // A woken-again domain is queued exactly once more.
+        rq.wake(b);
+        rq.wake(b);
+        assert_eq!(rq.len(), 1);
+        assert!(rq.is_queued(b));
     }
 
     #[test]

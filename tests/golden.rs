@@ -18,7 +18,8 @@ use cdna_rack::{run_rack, RackConfig, RackWorkload};
 use cdna_sim::{par, QueueKind};
 use cdna_system::{run_experiment, Direction, IoModel, NicKind, TestbedConfig};
 
-/// One golden: its file stem and the run that produces it.
+/// The run that produces one golden.
+#[allow(clippy::large_enum_variant)] // a couple dozen values, built once
 enum Case {
     Testbed(TestbedConfig),
     Rack(RackConfig),

@@ -11,20 +11,23 @@
 use cdna_mem::mutation::{self, MutationKind};
 use cdna_model::{default_matrix, explore, explore_parallel, ExploreConfig};
 
-/// The standard matrix at a 30 µs window: small enough that the rx
-/// cells exhaust in a couple hundred schedules, big enough that the
-/// trees branch at many depths (so sharding actually happens).
+/// The standard matrix at a 300 µs window: small enough that the rx
+/// cells exhaust in a few hundred schedules, big enough that the trees
+/// branch at many depths (so sharding actually happens). One event per
+/// frame leaves fewer same-instant ties than the old two-event frame
+/// path did, so the window is longer than it once needed to be (see
+/// DESIGN.md §11).
 fn cell(index: usize) -> ExploreConfig {
-    let matrix = default_matrix(30, 20_000, 64, 2_000);
+    let matrix = default_matrix(300, 20_000, 64, 2_000);
     matrix
         .into_iter()
         .nth(index)
         .unwrap_or_else(|| unreachable!("matrix has 8 cells"))
 }
 
-/// CDNA, 2 guests, receive — 192 schedules, branching to depth 8.
+/// CDNA, 2 guests, receive — 540 schedules, branching to depth 11.
 const CDNA_RX: usize = 1;
-/// Xen bridged, 2 guests, receive — 128 schedules, depth 7.
+/// Xen bridged, 2 guests, receive — 166 schedules, depth 9.
 const XEN_RX: usize = 5;
 
 #[test]

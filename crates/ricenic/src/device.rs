@@ -154,10 +154,10 @@ pub struct RiceNic {
     tx_inflight_bytes: u32,
     /// Round-robin cursor for fair TX service across contexts.
     rr_cursor: usize,
-    /// Bit `i` set when context `i` may have TX work (a doorbell moved
-    /// its producer past its fetch cursor, or it has staged
-    /// descriptors). Cleared when the pump finds the context idle, so
-    /// the pump walks only these slots.
+    /// Bit `i` set when context `i` may have TX work: a doorbell moved
+    /// its producer past its fetch cursor, or it has staged descriptors.
+    /// The pump walks only these slots and clears the bit of any it
+    /// finds idle, detached or faulted.
     tx_pending: u32,
     /// Origin context of each frame handed to the MAC, in wire order —
     /// how the firmware attributes completions (real hardware knows the
@@ -302,7 +302,6 @@ impl RiceNic {
         });
         self.mailboxes[ctx.0 as usize] = MailboxPage::new();
         self.events.clear_context(ctx);
-        self.tx_pending &= !(1 << ctx.0);
         Ok(())
     }
 
@@ -311,7 +310,6 @@ impl RiceNic {
     /// Returns the number of staged/in-flight operations dropped.
     pub fn detach_context(&mut self, ctx: ContextId) -> usize {
         self.events.clear_context(ctx);
-        self.tx_pending &= !(1 << ctx.0);
         match self.ctxs[ctx.0 as usize].take() {
             Some(dev) => dev.staged.len() + dev.inflight.len(),
             None => 0,

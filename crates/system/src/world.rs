@@ -320,9 +320,8 @@ pub struct SystemWorld {
     /// Per-NIC frame the peer is serializing; it lands at the next
     /// [`Event::PeerPump`] on that NIC.
     peer_inflight: Vec<Option<Frame>>,
-    /// Per-NIC start of the latest transmit wire reservation. Frames
-    /// reserve the wire at hand-off, which is order-exact only because
-    /// these never decrease (bus DMA completions are monotone per NIC).
+    /// Per-NIC start of the latest transmit wire reservation, which
+    /// must never decrease (see [`SystemWorld::reserve_tx`]).
     tx_reserved_from: Vec<SimTime>,
     /// MACs that terminate on this host; `Some` marks the world as one
     /// host of a rack whose non-local frames leave through the uplink
@@ -1428,8 +1427,8 @@ impl SystemWorld {
     /// `now`, if later) behind every frame already reserved, and returns
     /// when its last bit leaves. Reserving at hand-off gives the times
     /// a separate "may start serializing" event would, because each
-    /// NIC's hand-off times never decrease, so reservation order is
-    /// start-time order.
+    /// NIC's hand-off times never decrease (its bus DMA completions are
+    /// monotone), so reservation order is start-time order.
     fn reserve_tx(
         &mut self,
         now: SimTime,

@@ -77,6 +77,76 @@ fn cases() -> Vec<(String, Case)> {
             .quick(),
         ),
     ));
+    // Table 1: six NICs and twelve connections per guest, which drives
+    // the multi-NIC loops of the native OS and the driver domain.
+    for (name, io) in [
+        (
+            "native-intel",
+            IoModel::Native {
+                nic: NicKind::Intel,
+            },
+        ),
+        (
+            "xen-intel",
+            IoModel::XenBridged {
+                nic: NicKind::Intel,
+            },
+        ),
+    ] {
+        for (dir_name, dir) in [("tx", Direction::Transmit), ("rx", Direction::Receive)] {
+            let mut cfg = TestbedConfig::new(io, 1, dir).with_nics(6).quick();
+            cfg.conns_per_guest = 12;
+            out.push((format!("table1-{name}-{dir_name}"), Case::Testbed(cfg)));
+        }
+    }
+    // Single-guest rows of Tables 2/3 and 4 not already covered by the
+    // perf entries (Xen/Intel and CDNA Validated at 1 guest).
+    for (name, io) in [
+        (
+            "xen-ricenic",
+            IoModel::XenBridged {
+                nic: NicKind::RiceNic,
+            },
+        ),
+        (
+            "cdna-iommu",
+            IoModel::Cdna {
+                policy: DmaPolicy::Iommu,
+            },
+        ),
+        (
+            "cdna-noprot",
+            IoModel::Cdna {
+                policy: DmaPolicy::Unprotected,
+            },
+        ),
+    ] {
+        for (dir_name, dir) in [("tx", Direction::Transmit), ("rx", Direction::Receive)] {
+            out.push((
+                format!("{name}-{dir_name}-1g"),
+                Case::Testbed(TestbedConfig::new(io, 1, dir).quick()),
+            ));
+        }
+    }
+    let cdna = IoModel::Cdna {
+        policy: DmaPolicy::Validated,
+    };
+    out.push((
+        "cdna-shadow-rx-4g".to_string(),
+        Case::Testbed(
+            TestbedConfig::new(cdna, 4, Direction::Receive)
+                .with_shadow_check()
+                .quick(),
+        ),
+    ));
+    // One descriptor per hypercall: the validated receive-post loop
+    // runs once per buffer.
+    let mut unbatched = TestbedConfig::new(cdna, 2, Direction::Receive).quick();
+    unbatched.hypercall_batch = 1;
+    out.push((
+        "cdna-hcbatch1-rx-2g".to_string(),
+        Case::Testbed(unbatched),
+    ));
     out.push((
         "rack-xhost-3h4g".to_string(),
         Case::Rack(RackConfig::new(3, 4, RackWorkload::XHost).quick()),

@@ -33,7 +33,7 @@ use cdna_net::{framing, FlowId, MacAddr, PciBus};
 use cdna_nic::{DescFlags, DmaDescriptor, FrameMeta};
 use cdna_ricenic::DeviceError;
 use cdna_sim::{SimRng, SimTime, Simulation};
-use cdna_system::{victim_digest, Direction, IoModel, NicSlot, SystemWorld, TestbedConfig};
+use cdna_system::{victim_digest, Direction, IoModel, SystemWorld, TestbedConfig};
 use cdna_xen::adversary::{
     flood_batch, foreign_page_rx, foreign_page_tx, legal_tx, out_of_range_tx, AdversarialCaller,
     ProbeOutcome,
@@ -322,7 +322,7 @@ fn bootstrap_lap(sim: &mut Simulation<SystemWorld>, pages: &Pages, rng: &mut Sim
             domain: attacker_domain(),
             ctx,
         };
-        let mac = rice(w, nic).mac_for(ctx);
+        let mac = w.nics[nic].rice().mac_for(ctx);
         for _batch in 0..2 {
             let reqs: Vec<_> = (0..RING / 2)
                 .map(|_| legal_tx(pages.own(rng), mac, nic as u8, rng))
@@ -333,33 +333,23 @@ fn bootstrap_lap(sim: &mut Simulation<SystemWorld>, pages: &Pages, rng: &mut Sim
         // Doorbell over the REAL bus: this is benign foreground work,
         // and both runs charge its DMA to the shared segment equally.
         let act = {
-            let (nics, rings, buses) = (&mut w.nics, &w.rings, &mut w.buses);
-            let NicSlot::Rice(dev) = &mut nics[nic] else {
-                unreachable!("episodes run CDNA NICs");
-            };
-            dev.adversarial_mailbox_write(
-                t,
-                ctx,
-                Mailbox::TxProducer.index(),
-                u64::from(RING),
-                rings,
-                &mut buses[nic],
-            )
-            .expect("bootstrap doorbell") // cdna-check: allow(panic): rig invariant
+            w.nics[nic]
+                .rice_mut()
+                .adversarial_mailbox_write(
+                    t,
+                    ctx,
+                    Mailbox::TxProducer.index(),
+                    u64::from(RING),
+                    &w.rings,
+                    &mut w.buses[nic],
+                )
+                .expect("bootstrap doorbell") // cdna-check: allow(panic): rig invariant
         };
         let events = w.absorb_nic_activity(t, nic, act);
         for (at, e) in events {
             sim.schedule(at, e);
         }
     }
-}
-
-/// Immutable RiceNIC view for one slot.
-fn rice(w: &SystemWorld, nic: usize) -> &cdna_ricenic::RiceNic {
-    let NicSlot::Rice(dev) = &w.nics[nic] else {
-        unreachable!("episodes run CDNA NICs");
-    };
-    dev
 }
 
 /// Writes one adversarial mailbox word through the device's test-only
@@ -375,13 +365,9 @@ fn poke(
     scratch: &mut PciBus,
 ) -> String {
     let w = sim.world_mut();
-    let res = {
-        let (nics, rings) = (&mut w.nics, &w.rings);
-        let NicSlot::Rice(dev) = &mut nics[nic] else {
-            unreachable!("episodes run CDNA NICs");
-        };
-        dev.adversarial_mailbox_write(now, ctx, mailbox, value, rings, scratch)
-    };
+    let res = w.nics[nic]
+        .rice_mut()
+        .adversarial_mailbox_write(now, ctx, mailbox, value, &w.rings, scratch);
     match res {
         Err(DeviceError::Unattached(_)) => "unattached".to_string(),
         Err(DeviceError::BadMailbox(_)) => "bad-mailbox".to_string(),
@@ -438,8 +424,8 @@ fn inject_one(
             let w = sim.world_mut();
             let ctx = w.ctx_of[VICTIMS as usize][nic];
             let caller = AdversarialCaller { domain: dom, ctx };
-            let mac = rice(w, nic).mac_for(ctx);
-            let consumer = rice(w, nic).tx_consumer(ctx);
+            let mac = w.nics[nic].rice().mac_for(ctx);
+            let consumer = w.nics[nic].rice().tx_consumer(ctx);
             let total = w.mem.total_pages();
             let (reqs, must_reject) = match rng.below(4) {
                 0 => (
@@ -470,7 +456,7 @@ fn inject_one(
             let w = sim.world_mut();
             let ctx = w.ctx_of[VICTIMS as usize][nic];
             let caller = AdversarialCaller { domain: dom, ctx };
-            let real_consumer = rice(w, nic).rx_consumer(ctx);
+            let real_consumer = w.nics[nic].rice().rx_consumer(ctx);
             let producer = w.engines[nic].producers(ctx).map(|(_, r)| r).unwrap_or(0);
             // Shape 0 presents the NIC's true consumer index (the
             // posted ring is still full → ring-full); shapes 1-2 replay
@@ -510,7 +496,7 @@ fn inject_one(
                         _ => ContextId(255),   // out of range entirely
                     };
                     let own_ctx = w.ctx_of[VICTIMS as usize][nic];
-                    let mac = rice(w, nic).mac_for(own_ctx);
+                    let mac = w.nics[nic].rice().mac_for(own_ctx);
                     let caller = AdversarialCaller {
                         domain: dom,
                         ctx: forged_ctx,
@@ -628,7 +614,7 @@ fn inject_one(
                     .state(ctx)
                     .expect("attacker context assigned") // cdna-check: allow(panic): rig invariant
                     .tx_ring;
-                let mac = rice(w, nic).mac_for(ctx);
+                let mac = w.nics[nic].rice().mac_for(ctx);
                 let len = 60 + rng.below(1200) as u32;
                 let meta = FrameMeta {
                     dst: MacAddr::for_peer(nic as u8),

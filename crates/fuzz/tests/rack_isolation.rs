@@ -15,7 +15,7 @@ use cdna_mem::DomainId;
 use cdna_net::PciBus;
 use cdna_rack::{RackConfig, RackWorkload, RackWorld};
 use cdna_sim::Simulation;
-use cdna_system::{NicSlot, RunReport, SystemWorld};
+use cdna_system::{RunReport, SystemWorld};
 use cdna_xen::adversary::{out_of_range_tx, AdversarialCaller};
 
 /// Rounds of the epoch loop that inject attacks (the ghost faults on
@@ -47,21 +47,16 @@ fn attack_hook(
                 .assign_context(DomainId::guest(64), DmaPolicy::Validated, 64, rings, mem)
                 .expect("ghost context");
             let st = engines[0].contexts().state(ctx).expect("assigned");
-            let (nics, rings) = (&mut w.nics, &w.rings);
-            let NicSlot::Rice(dev) = &mut nics[0] else {
-                unreachable!("rack runs CDNA NICs");
-            };
-            dev.attach_context(ctx, st.tx_ring, st.rx_ring, true, rings)
+            w.nics[0]
+                .rice_mut()
+                .attach_context(ctx, st.tx_ring, st.rx_ring, true, &w.rings)
                 .expect("attach ghost");
             *slot = Some(ctx);
         }
         let ctx = slot.expect("ghost assigned");
         let mut scratch = PciBus::new_64bit_66mhz();
         let act = {
-            let (nics, rings) = (&mut w.nics, &w.rings);
-            let NicSlot::Rice(dev) = &mut nics[0] else {
-                unreachable!("rack runs CDNA NICs");
-            };
+            let (dev, rings) = (w.nics[0].rice_mut(), &w.rings);
             // Producer overrun on the ghost's never-written ring: faults
             // the ghost context on the first pump, then becomes a no-op.
             let act = dev

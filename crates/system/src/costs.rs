@@ -24,6 +24,7 @@
 //!   ~1.9 % hypervisor time (Table 4), which pins the interrupt-dispatch
 //!   share.
 
+use cdna_core::EnqueueOutcome;
 use cdna_sim::SimTime;
 
 /// Nanosecond helper for the table below.
@@ -175,6 +176,21 @@ impl Default for CostModel {
             virq_upcall: ns(1500),
             native_isr: ns(1200),
         }
+    }
+}
+
+impl CostModel {
+    /// One validated enqueue hypercall: entry/exit, plus validating
+    /// each descriptor it enqueued and reaping each one it completed.
+    pub fn enqueue_hypercall(&self, out: &EnqueueOutcome) -> SimTime {
+        self.hyp_hypercall_fixed
+            + self.hyp_validate_desc * u64::from(out.enqueued)
+            + self.hyp_reap_desc * u64::from(out.reaped)
+    }
+
+    /// One IOMMU hypercall: entry/exit, plus mapping `mapped` pages.
+    pub fn iommu_hypercall(&self, mapped: u32) -> SimTime {
+        self.hyp_hypercall_fixed + self.hyp_iommu_map * u64::from(mapped)
     }
 }
 

@@ -28,7 +28,6 @@ use cdna_mem::{BufferSlice, DomainId, PageId, PhysMem};
 use cdna_net::{framing, FlowId, Frame, GigabitWire, MacAddr, PciBus, WireDirection};
 use cdna_nic::{
     ConventionalNic, FrameMeta, IrqReason, NicConfig, RingTable, RxDisposition, TxActivity,
-    TxEmission,
 };
 use cdna_ricenic::{Activity, RiceNic};
 use cdna_sim::{RateMeter, Scheduler, SimRng, SimTime, World};
@@ -101,6 +100,56 @@ pub enum NicSlot {
     Conventional(ConventionalNic),
     /// RiceNIC running CDNA firmware.
     Rice(RiceNic),
+}
+
+impl NicSlot {
+    /// The RiceNIC in this slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds a conventional NIC.
+    pub fn rice(&self) -> &RiceNic {
+        match self {
+            NicSlot::Rice(dev) => dev,
+            NicSlot::Conventional(_) => panic!("NIC slot holds a conventional NIC, not a RiceNIC"),
+        }
+    }
+
+    /// Mutable [`NicSlot::rice`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds a conventional NIC.
+    pub fn rice_mut(&mut self) -> &mut RiceNic {
+        match self {
+            NicSlot::Rice(dev) => dev,
+            NicSlot::Conventional(_) => panic!("NIC slot holds a conventional NIC, not a RiceNIC"),
+        }
+    }
+
+    /// The conventional NIC in this slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds a RiceNIC.
+    pub fn conventional(&self) -> &ConventionalNic {
+        match self {
+            NicSlot::Conventional(dev) => dev,
+            NicSlot::Rice(_) => panic!("NIC slot holds a RiceNIC, not a conventional NIC"),
+        }
+    }
+
+    /// Mutable [`NicSlot::conventional`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds a RiceNIC.
+    pub fn conventional_mut(&mut self) -> &mut ConventionalNic {
+        match self {
+            NicSlot::Conventional(dev) => dev,
+            NicSlot::Rice(_) => panic!("NIC slot holds a RiceNIC, not a conventional NIC"),
+        }
+    }
 }
 
 /// A frame delivered by a NIC into some domain's host buffer, awaiting
@@ -356,9 +405,8 @@ pub struct SystemWorld {
 
     cpu_busy_until: SimTime,
     dispatch_pending: bool,
-    pending_irqs: VecDeque<(usize, IrqReason)>,
-    dispatch_cost: SimTime,
-    nic_irq_count: u64,
+    /// NICs whose raised interrupt awaits service, in arrival order.
+    pending_irqs: VecDeque<usize>,
 }
 
 impl World for SystemWorld {
@@ -379,45 +427,37 @@ impl World for SystemWorld {
             Event::WireRxArrive { nic, frame } => self.on_wire_rx_arrive(now, sched, nic, frame),
             Event::PeerPump { nic } => self.on_peer_pump(now, sched, nic),
             Event::StartMeasure => {
-                if let Some(t) = sched.tracer_mut() {
-                    t.instant(
-                        "start_measure",
-                        "measure",
-                        now.as_ns(),
-                        trace::PID_CPU,
-                        0,
-                        None,
-                    );
-                }
+                cpu_mark(sched, now, "start_measure", "measure", None);
                 self.on_start_measure(now);
             }
             Event::StopMeasure => {
-                if let Some(t) = sched.tracer_mut() {
-                    t.instant(
-                        "stop_measure",
-                        "measure",
-                        now.as_ns(),
-                        trace::PID_CPU,
-                        0,
-                        None,
-                    );
-                }
+                cpu_mark(sched, now, "stop_measure", "measure", None);
                 self.on_stop_measure(now);
                 if self.shadow.is_some() {
-                    let new = self.shadow_sync();
-                    if let Some(t) = sched.tracer_mut() {
-                        t.instant(
-                            "shadow_audit",
-                            "check",
-                            now.as_ns(),
-                            trace::PID_CPU,
-                            0,
-                            Some(("violations", new as u64)),
-                        );
-                    }
+                    let new = self.shadow_sync() as u64;
+                    cpu_mark(
+                        sched,
+                        now,
+                        "shadow_audit",
+                        "check",
+                        Some(("violations", new)),
+                    );
                 }
             }
         }
+    }
+}
+
+/// Records instant `name` on the CPU track of the attached trace, if any.
+fn cpu_mark(
+    sched: &mut Scheduler<Event>,
+    now: SimTime,
+    name: &'static str,
+    cat: &'static str,
+    arg: Option<(&'static str, u64)>,
+) {
+    if let Some(t) = sched.tracer_mut() {
+        t.instant(name, cat, now.as_ns(), trace::PID_CPU, 0, arg);
     }
 }
 
@@ -490,31 +530,16 @@ impl SystemWorld {
                             // dom0 owns one CDNA context; guests have none.
                             let mut dev = RiceNic::new(i as u8, cfg.ricenic.clone());
                             let mut engine = ProtectionEngine::new();
-                            let ctx = engine
-                                .assign_context(
-                                    DomainId::DRIVER,
-                                    DmaPolicy::Validated,
-                                    cfg.ring_size,
-                                    &mut rings,
-                                    &mut mem,
-                                )
-                                .expect("context assignment");
-                            let st = engine.contexts().state(ctx).expect("assigned");
-                            dev.attach_context(ctx, st.tx_ring, st.rx_ring, true, &rings)
-                                .expect("attach");
-                            dev.set_promiscuous_ctx(Some(ctx));
-                            let drv = CdnaGuestDriver::new(
+                            let drv = build_cdna_context(
+                                &mut dev,
+                                &mut engine,
                                 DomainId::DRIVER,
-                                ctx,
                                 DmaPolicy::Validated,
-                                st.tx_ring,
-                                st.rx_ring,
-                                cfg.ring_size,
-                                cfg.ring_size + cfg.batch_limit + 16,
-                                cfg.ring_size + cfg.batch_limit + 16,
+                                &cfg,
                                 &mut mem,
-                            )
-                            .expect("driver alloc");
+                                &mut rings,
+                            );
+                            dev.set_promiscuous_ctx(Some(drv.ctx()));
                             // dom0's context MAC stands in for the port;
                             // the device must also accept guests' vif MACs,
                             // which the CDNA firmware demuxes per context —
@@ -574,44 +599,18 @@ impl SystemWorld {
                 for g in 0..guests {
                     let dom = DomainId::guest(g);
                     let mut drivers = Vec::new();
-                    for i in 0..nic_count {
-                        let ctx = engines[i]
-                            .assign_context(dom, policy, cfg.ring_size, &mut rings, &mut mem)
-                            .expect("context assignment");
-                        let st = engines[i].contexts().state(ctx).expect("assigned");
-                        let NicSlot::Rice(dev) = &mut nics[i] else {
-                            unreachable!("CDNA mode uses RiceNICs");
-                        };
-                        dev.attach_context(
-                            ctx,
-                            st.tx_ring,
-                            st.rx_ring,
-                            policy == DmaPolicy::Validated,
-                            &rings,
-                        )
-                        .expect("attach");
-                        if policy == DmaPolicy::Iommu {
-                            if dev.iommu().is_none() {
-                                dev.install_iommu();
-                            }
-                            dev.iommu_mut().expect("installed").enable(ctx);
-                        }
-                        ctx_of[g as usize].push(ctx);
-                        let pool = cfg.ring_size + cfg.batch_limit + 16;
-                        drivers.push(
-                            CdnaGuestDriver::new(
-                                dom,
-                                ctx,
-                                policy,
-                                st.tx_ring,
-                                st.rx_ring,
-                                cfg.ring_size,
-                                pool,
-                                pool,
-                                &mut mem,
-                            )
-                            .expect("driver alloc"),
+                    for (dev, engine) in nics.iter_mut().zip(&mut engines) {
+                        let drv = build_cdna_context(
+                            dev.rice_mut(),
+                            engine,
+                            dom,
+                            policy,
+                            &cfg,
+                            &mut mem,
+                            &mut rings,
                         );
+                        ctx_of[g as usize].push(drv.ctx());
+                        drivers.push(drv);
                     }
                     domains.push(DomainState {
                         id: dom,
@@ -662,8 +661,6 @@ impl SystemWorld {
             cpu_busy_until: SimTime::ZERO,
             dispatch_pending: false,
             pending_irqs: VecDeque::new(),
-            dispatch_cost: SimTime::ZERO,
-            nic_irq_count: 0,
         };
         if world.cfg.inter_guest {
             assert!(
@@ -674,9 +671,7 @@ impl SystemWorld {
             // the external switch: record which destination MACs hairpin.
             if matches!(world.cfg.io_model, IoModel::Cdna { .. }) {
                 for nic in 0..nic_total as usize {
-                    let NicSlot::Rice(dev) = &world.nics[nic] else {
-                        unreachable!()
-                    };
+                    let dev = world.nics[nic].rice();
                     for g in 0..guests as usize {
                         let mac = dev.mac_for(world.ctx_of[g][nic]);
                         world.hairpin_macs[nic].insert(mac);
@@ -691,36 +686,25 @@ impl SystemWorld {
 
     /// Primes every receive path: rx descriptors posted, credits ready.
     fn initial_rx_posting(&mut self) {
-        let now = SimTime::ZERO;
+        let ring = self.cfg.ring_size;
         for d in 0..self.domains.len() {
             let mut dom = std::mem::replace(&mut self.domains[d], DomainState::placeholder());
             match &mut dom.role {
                 Role::NativeOs { drivers } => {
                     for (i, drv) in drivers.iter_mut().enumerate() {
-                        let posted = drv.post_rx(self.cfg.ring_size, &mut self.rings).unwrap();
-                        if posted > 0 {
-                            if let NicSlot::Conventional(dev) = &mut self.nics[i] {
-                                dev.rx_doorbell(drv.rx_producer());
-                            }
-                        }
+                        self.post_conventional_rx(i, drv, ring);
                     }
                 }
                 Role::DriverXen { drivers } => {
                     for (i, drv) in drivers.iter_mut().enumerate() {
                         match drv {
                             PhysDriver::Native(n) => {
-                                let posted =
-                                    n.post_rx(self.cfg.ring_size, &mut self.rings).unwrap();
-                                if posted > 0 {
-                                    if let NicSlot::Conventional(dev) = &mut self.nics[i] {
-                                        dev.rx_doorbell(n.rx_producer());
-                                    }
-                                }
+                                self.post_conventional_rx(i, n, ring);
                             }
                             PhysDriver::Cdna(c) => {
                                 let outcome = c
                                     .post_rx_validated(
-                                        self.cfg.ring_size,
+                                        ring,
                                         &mut self.engines[i],
                                         0,
                                         &mut self.rings,
@@ -728,16 +712,7 @@ impl SystemWorld {
                                     )
                                     .expect("initial rx post");
                                 if let Some(out) = outcome {
-                                    if let NicSlot::Rice(dev) = &mut self.nics[i] {
-                                        let _ = dev.mailbox_write(
-                                            now,
-                                            c.ctx(),
-                                            Mailbox::RxProducer.index(),
-                                            out.producer,
-                                            &self.rings,
-                                            &mut self.buses[i],
-                                        );
-                                    }
+                                    self.prime_rice_rx(i, c.ctx(), out.producer);
                                 }
                             }
                         }
@@ -748,7 +723,7 @@ impl SystemWorld {
                         let producer = match drv.policy() {
                             DmaPolicy::Validated => drv
                                 .post_rx_validated(
-                                    self.cfg.ring_size,
+                                    ring,
                                     &mut self.engines[i],
                                     0,
                                     &mut self.rings,
@@ -757,28 +732,14 @@ impl SystemWorld {
                                 .expect("initial rx post")
                                 .map(|o| o.producer),
                             DmaPolicy::Iommu => {
-                                let NicSlot::Rice(dev) = &mut self.nics[i] else {
-                                    unreachable!()
-                                };
-                                let iommu = dev.iommu_mut().expect("installed");
-                                drv.post_rx_iommu(self.cfg.ring_size, iommu, &mut self.rings)
+                                let iommu = self.nics[i].rice_mut().iommu_mut().expect("installed");
+                                drv.post_rx_iommu(ring, iommu, &mut self.rings)
                                     .map(|(p, _)| p)
                             }
-                            DmaPolicy::Unprotected => {
-                                drv.post_rx_direct(self.cfg.ring_size, &mut self.rings)
-                            }
+                            DmaPolicy::Unprotected => drv.post_rx_direct(ring, &mut self.rings),
                         };
                         if let Some(p) = producer {
-                            if let NicSlot::Rice(dev) = &mut self.nics[i] {
-                                let _ = dev.mailbox_write(
-                                    now,
-                                    drv.ctx(),
-                                    Mailbox::RxProducer.index(),
-                                    p,
-                                    &self.rings,
-                                    &mut self.buses[i],
-                                );
-                            }
+                            self.prime_rice_rx(i, drv.ctx(), p);
                         }
                     }
                 }
@@ -867,31 +828,16 @@ impl SystemWorld {
     /// This is the injection seam for adversarial harnesses
     /// (`cdna-fuzz`): a persona drives a device mailbox directly between
     /// `run_until` steps and this method routes the consequences through
-    /// exactly the same scheduling rules the event loop uses
-    /// (`schedule_emissions` / `schedule_irq`), so an injected run and
-    /// an event-loop run handle device activity identically.
+    /// the same RiceNIC interpreter the event loop uses, so an injected
+    /// run and an event-loop run handle device activity identically.
     pub fn absorb_nic_activity(
         &mut self,
         now: SimTime,
         nic: usize,
-        mut act: Activity,
+        act: Activity,
     ) -> Vec<(SimTime, Event)> {
         let mut events = Vec::new();
-        self.faults.extend(act.faults.iter().copied());
-        for e in act.emissions.drain(..) {
-            let done = self.reserve_tx(now, nic, e.ready_at, &e.frame);
-            events.push((
-                done,
-                Event::WireTxDone {
-                    nic,
-                    frame: e.frame,
-                },
-            ));
-        }
-        if let Some((at, reason)) = act.irq_at {
-            events.push((at.max(now), Event::PhysIrq { nic, reason }));
-        }
-        self.recycle_rice(nic, act);
+        self.apply_rice(now, nic, act, |at, e| events.push((at, e)));
         events
     }
 
@@ -908,13 +854,9 @@ impl SystemWorld {
         let partner = (g + 1) % guests;
         match self.cfg.io_model {
             IoModel::XenBridged { .. } => MacAddr::for_vif(partner),
-            IoModel::Cdna { .. } => {
-                let ctx = self.ctx_of[partner as usize][nic];
-                let NicSlot::Rice(dev) = &self.nics[nic] else {
-                    unreachable!()
-                };
-                dev.mac_for(ctx)
-            }
+            IoModel::Cdna { .. } => self.nics[nic]
+                .rice()
+                .mac_for(self.ctx_of[partner as usize][nic]),
             IoModel::Native { .. } => unreachable!("inter-VM needs a VMM"),
         }
     }
@@ -932,13 +874,9 @@ impl SystemWorld {
                 // we model by addressing the vif through dom0's context.
                 NicKind::RiceNic => MacAddr::for_vif(guest),
             },
-            IoModel::Cdna { .. } => {
-                let ctx = self.ctx_of[guest as usize][nic];
-                match &self.nics[nic] {
-                    NicSlot::Rice(dev) => dev.mac_for(ctx),
-                    NicSlot::Conventional(_) => unreachable!("CDNA uses RiceNICs"),
-                }
-            }
+            IoModel::Cdna { .. } => self.nics[nic]
+                .rice()
+                .mac_for(self.ctx_of[guest as usize][nic]),
         }
     }
 
@@ -1244,11 +1182,6 @@ impl SystemWorld {
     // CPU machinery
     // ------------------------------------------------------------------
 
-    fn charge(&mut self, cat: ExecCategory, dt: SimTime) {
-        self.ledger.charge(cat, dt);
-        self.dispatch_cost += dt;
-    }
-
     fn kick_cpu(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         if self.dispatch_pending {
             return;
@@ -1261,27 +1194,30 @@ impl SystemWorld {
         self.dispatch_pending = true;
     }
 
+    /// Runs one work item on the CPU. The dispatch lasts exactly as long
+    /// as the CPU time charged to the ledger while it runs.
     fn on_cpu_dispatch(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         self.dispatch_pending = false;
         debug_assert!(now >= self.cpu_busy_until, "CPU dispatched while busy");
-        self.dispatch_cost = SimTime::ZERO;
+        self.ledger.begin_dispatch();
 
         let (span_name, span_tid);
-        if let Some((nic, reason)) = self.pending_irqs.pop_front() {
-            self.service_irq(now, sched, nic, reason);
+        if let Some(nic) = self.pending_irqs.pop_front() {
+            self.service_irq(nic);
             (span_name, span_tid) = ("service_irq", 0u32);
         } else if self.runq.has_runnable() {
             let prev = self.runq.last_run();
             let dom = self.runq.pick().expect("runnable");
-            let pick = self.cfg.costs.hyp_sched_pick;
+            let costs = &self.cfg.costs;
             if self.cfg.is_virtualized() {
-                self.charge(ExecCategory::Hypervisor, pick);
+                self.ledger
+                    .charge(ExecCategory::Hypervisor, costs.hyp_sched_pick);
                 if prev != Some(dom) {
                     self.registry.inc(self.hot.world_switches);
-                    let sw = self.cfg.costs.hyp_domain_switch;
-                    let cp = self.cfg.costs.switch_cache_penalty;
-                    self.charge(ExecCategory::Hypervisor, sw);
-                    self.charge(ExecCategory::Kernel(dom), cp);
+                    self.ledger
+                        .charge(ExecCategory::Hypervisor, costs.hyp_domain_switch);
+                    self.ledger
+                        .charge(ExecCategory::Kernel(dom), costs.switch_cache_penalty);
                 }
             }
             self.run_domain(now, sched, dom);
@@ -1290,14 +1226,15 @@ impl SystemWorld {
             return; // idle; events will re-kick
         }
 
-        self.cpu_busy_until = now + self.dispatch_cost;
-        if self.dispatch_cost > SimTime::ZERO {
+        let cost = self.ledger.dispatch_charged();
+        self.cpu_busy_until = now + cost;
+        if cost > SimTime::ZERO {
             if let Some(t) = sched.tracer_mut() {
                 t.span(
                     span_name,
                     "cpu",
                     now.as_ns(),
-                    self.dispatch_cost.as_ns(),
+                    cost.as_ns(),
                     trace::PID_CPU,
                     span_tid,
                     None,
@@ -1308,53 +1245,52 @@ impl SystemWorld {
     }
 
     /// The hypervisor-level (or native ISR) part of interrupt handling.
-    fn service_irq(
-        &mut self,
-        _now: SimTime,
-        sched: &mut Scheduler<Event>,
-        nic: usize,
-        _reason: IrqReason,
-    ) {
-        let costs = self.cfg.costs.clone();
+    fn service_irq(&mut self, nic: usize) {
+        let costs = &self.cfg.costs;
         match self.cfg.io_model {
             IoModel::Native { .. } => {
                 let os = self.domains[self.host_domain_index()].id;
-                self.charge(ExecCategory::Kernel(os), costs.native_isr);
+                self.ledger
+                    .charge(ExecCategory::Kernel(os), costs.native_isr);
                 self.runq.wake(os);
             }
             IoModel::XenBridged { .. } => {
-                self.charge(ExecCategory::Hypervisor, costs.hyp_isr_conventional);
+                self.ledger
+                    .charge(ExecCategory::Hypervisor, costs.hyp_isr_conventional);
                 // CDNA-firmware NICs in softvirt mode deliver through the
-                // bit-vector ring even though only dom0 has a context.
+                // bit-vector ring even though only dom0 has a context,
+                // which owns every flagged context.
                 if matches!(self.nics[nic], NicSlot::Rice(_)) {
-                    let vector = self.vec_rings[nic].drain();
-                    let _ = vector; // dom0 owns every flagged context
+                    self.vec_rings[nic].drain();
                 }
                 self.meters.driver_virq.add(1);
                 self.registry.inc(self.hot.driver_virq);
                 if self.evt.send(DomainId::DRIVER, VirtualIrq::NicPhys) {
-                    self.charge(ExecCategory::Hypervisor, costs.hyp_evtchn_send);
+                    self.ledger
+                        .charge(ExecCategory::Hypervisor, costs.hyp_evtchn_send);
                 }
                 self.runq.wake(DomainId::DRIVER);
             }
             IoModel::Cdna { .. } => {
-                self.charge(ExecCategory::Hypervisor, costs.hyp_isr_cdna);
+                self.ledger
+                    .charge(ExecCategory::Hypervisor, costs.hyp_isr_cdna);
                 let vector = self.vec_rings[nic].drain();
                 for ctx in vector.iter() {
                     let Some(owner) = self.engines[nic].contexts().owner_of(ctx) else {
                         continue;
                     };
-                    self.charge(ExecCategory::Hypervisor, costs.hyp_cdna_vint);
+                    self.ledger
+                        .charge(ExecCategory::Hypervisor, costs.hyp_cdna_vint);
                     self.meters.guest_virq.add(1);
                     self.registry.inc(self.hot.guest_virq);
                     if self.evt.send(owner, VirtualIrq::Cdna) {
-                        self.charge(ExecCategory::Hypervisor, costs.hyp_evtchn_send);
+                        self.ledger
+                            .charge(ExecCategory::Hypervisor, costs.hyp_evtchn_send);
                     }
                     self.runq.wake(owner);
                 }
             }
         }
-        let _ = sched;
     }
 
     // ------------------------------------------------------------------
@@ -1374,23 +1310,34 @@ impl SystemWorld {
     fn run_domain(&mut self, now: SimTime, sched: &mut Scheduler<Event>, dom: DomainId) {
         let idx = self.domain_index(dom);
         let mut state = std::mem::replace(&mut self.domains[idx], DomainState::placeholder());
-        let costs = self.cfg.costs.clone();
+        let costs = &self.cfg.costs;
 
-        self.charge(ExecCategory::Kernel(dom), costs.activation_fixed);
+        self.ledger
+            .charge(ExecCategory::Kernel(dom), costs.activation_fixed);
         let virqs = self.evt.collect(dom);
         for v in virqs.iter() {
             let c = match (&state.role, v) {
                 (Role::DriverXen { .. }, VirtualIrq::NicPhys) => costs.drv_isr,
                 _ => costs.virq_upcall,
             };
-            self.charge(ExecCategory::Kernel(dom), c);
+            self.ledger.charge(ExecCategory::Kernel(dom), c);
         }
 
-        let still_runnable = match &mut state.role {
-            Role::GuestCdna { .. } => self.run_guest_cdna(now, sched, &mut state),
-            Role::GuestXen { .. } => self.run_guest_xen(now, sched, &mut state),
-            Role::DriverXen { .. } => self.run_driver_xen(now, sched, &mut state),
-            Role::NativeOs { .. } => self.run_native_os(now, sched, &mut state),
+        let DomainState {
+            role,
+            rx_host,
+            workload,
+            ..
+        } = &mut state;
+        let still_runnable = match role {
+            Role::GuestCdna { drivers } => {
+                self.run_guest_cdna(now, sched, dom, drivers, rx_host, workload)
+            }
+            Role::GuestXen { tx_pool } => self.run_guest_xen(dom, tx_pool, workload),
+            Role::DriverXen { drivers } => self.run_driver_xen(now, sched, dom, drivers, rx_host),
+            Role::NativeOs { drivers } => {
+                self.run_native_os(now, sched, dom, drivers, rx_host, workload)
+            }
             Role::DriverIdle => false,
         };
 
@@ -1398,29 +1345,6 @@ impl SystemWorld {
             self.runq.requeue(dom);
         }
         self.domains[idx] = state;
-    }
-
-    /// Puts frames the NIC handed to its MAC on the wire and schedules
-    /// their completions. Drains the vector in place so the caller can
-    /// hand the emptied activity back to the device for reuse.
-    fn schedule_emissions(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Event>,
-        nic: usize,
-        emissions: &mut Vec<TxEmission>,
-    ) {
-        for e in emissions.drain(..) {
-            let done = self.reserve_tx(now, nic, e.ready_at, &e.frame);
-            sched.at(
-                now,
-                done,
-                Event::WireTxDone {
-                    nic,
-                    frame: e.frame,
-                },
-            );
-        }
     }
 
     /// Reserves `nic`'s transmit wire for `frame` from `ready_at` (or
@@ -1447,30 +1371,186 @@ impl SystemWorld {
         self.wires[nic].transfer(start, WireDirection::Transmit, frame.wire_bytes() + gap)
     }
 
-    /// Hands a drained RiceNIC activity back to the device so its
-    /// buffers back the next operation (allocation-free steady state).
-    fn recycle_rice(&mut self, nic: usize, act: Activity) {
-        if let NicSlot::Rice(dev) = &mut self.nics[nic] {
-            dev.recycle(act);
+    /// The one interpreter of RiceNIC activity: records its faults,
+    /// queues a delivered frame for the owning domain, reserves the wire
+    /// for each emitted frame, and hands `push` the `WireTxDone` and
+    /// interrupt events to schedule, in that order. The drained activity
+    /// goes back to the device, so the steady state does not allocate.
+    fn apply_rice(
+        &mut self,
+        now: SimTime,
+        nic: usize,
+        mut act: Activity,
+        mut push: impl FnMut(SimTime, Event),
+    ) {
+        self.faults.extend_from_slice(&act.faults);
+        if let Some(d) = act.delivered.take() {
+            let owner = self.engines[nic]
+                .contexts()
+                .owner_of(d.ctx)
+                .expect("delivery to assigned context");
+            let idx = self.domain_index(owner);
+            self.domains[idx].rx_host.push_back(HostRx {
+                nic,
+                frame: d.frame,
+                buf: d.buf,
+            });
         }
+        for e in act.emissions.drain(..) {
+            let done = self.reserve_tx(now, nic, e.ready_at, &e.frame);
+            push(
+                done,
+                Event::WireTxDone {
+                    nic,
+                    frame: e.frame,
+                },
+            );
+        }
+        if let Some((at, reason)) = act.irq_at {
+            push(at.max(now), Event::PhysIrq { nic, reason });
+        }
+        self.nics[nic].rice_mut().recycle(act);
     }
 
-    /// As [`SystemWorld::recycle_rice`], for the conventional NIC.
-    fn recycle_conventional(&mut self, nic: usize, act: TxActivity) {
-        if let NicSlot::Conventional(dev) = &mut self.nics[nic] {
-            dev.recycle(act);
-        }
-    }
-
-    fn schedule_irq(
+    /// The one interpreter of conventional-NIC transmit activity, as
+    /// [`SystemWorld::apply_rice`]: wire reservations, completions, the
+    /// transmit interrupt, and the activity handed back for reuse.
+    fn apply_conventional(
         &mut self,
         now: SimTime,
         sched: &mut Scheduler<Event>,
         nic: usize,
-        irq_at: Option<(SimTime, IrqReason)>,
+        mut act: TxActivity,
     ) {
-        if let Some((at, reason)) = irq_at {
+        for e in act.emissions.drain(..) {
+            let done = self.reserve_tx(now, nic, e.ready_at, &e.frame);
+            sched.at(
+                now,
+                done,
+                Event::WireTxDone {
+                    nic,
+                    frame: e.frame,
+                },
+            );
+        }
+        if let Some(at) = act.irq_at {
+            let reason = IrqReason::Tx;
             sched.at(now, at.max(now), Event::PhysIrq { nic, reason });
+        }
+        self.nics[nic].conventional_mut().recycle(act);
+    }
+
+    /// Writes a new producer index into `ctx`'s `mailbox` on RiceNIC
+    /// `nic` and schedules what the device does in response.
+    fn rice_doorbell(
+        &mut self,
+        now: SimTime,
+        sched: &mut Scheduler<Event>,
+        nic: usize,
+        ctx: ContextId,
+        mailbox: Mailbox,
+        producer: u64,
+    ) {
+        let act = self.nics[nic]
+            .rice_mut()
+            .mailbox_write(
+                now,
+                ctx,
+                mailbox.index(),
+                producer,
+                &self.rings,
+                &mut self.buses[nic],
+            )
+            .expect("mailbox write");
+        self.apply_rice(now, nic, act, |at, e| sched.at(now, at, e));
+    }
+
+    /// Rings RiceNIC `nic`'s receive doorbell for `ctx` while the machine
+    /// is being built. No scheduler exists yet, so the device must want
+    /// nothing scheduled; any fault it raises still counts.
+    fn prime_rice_rx(&mut self, nic: usize, ctx: ContextId, producer: u64) {
+        let act = self.nics[nic]
+            .rice_mut()
+            .mailbox_write(
+                SimTime::ZERO,
+                ctx,
+                Mailbox::RxProducer.index(),
+                producer,
+                &self.rings,
+                &mut self.buses[nic],
+            )
+            .expect("mailbox write");
+        debug_assert!(
+            act.emissions.is_empty() && act.irq_at.is_none(),
+            "nic {nic}: receive priming wants events before the run starts"
+        );
+        self.apply_rice(SimTime::ZERO, nic, act, |_, _| {});
+    }
+
+    /// `dom` rings conventional NIC `nic`'s transmit doorbell with
+    /// `drv`'s producer index; schedules what the device does in response.
+    fn conventional_doorbell(
+        &mut self,
+        now: SimTime,
+        sched: &mut Scheduler<Event>,
+        dom: DomainId,
+        nic: usize,
+        drv: &mut NativeDriver,
+    ) {
+        self.ledger
+            .charge(ExecCategory::Kernel(dom), self.cfg.costs.pio_write);
+        drv.note_doorbell();
+        let act = self.nics[nic]
+            .conventional_mut()
+            .tx_doorbell(now, drv.tx_producer(), &self.rings, &mut self.buses[nic])
+            .expect("doorbell");
+        self.apply_conventional(now, sched, nic, act);
+    }
+
+    /// Posts up to `max` receive buffers from `drv` and rings conventional
+    /// NIC `nic`'s receive doorbell. Returns whether anything was posted
+    /// (the caller charges the doorbell write).
+    fn post_conventional_rx(&mut self, nic: usize, drv: &mut NativeDriver, max: u32) -> bool {
+        let posted = drv.post_rx(max, &mut self.rings).expect("rx post");
+        if posted > 0 {
+            self.nics[nic]
+                .conventional_mut()
+                .rx_doorbell(drv.rx_producer());
+        }
+        posted > 0
+    }
+
+    /// Charges the network stack's send path for one packet: kernel
+    /// (plus `drv_cost` for the driver) and user time.
+    fn charge_tx_stack(&mut self, dom: DomainId, drv_cost: SimTime) {
+        let costs = &self.cfg.costs;
+        self.ledger
+            .charge(ExecCategory::Kernel(dom), costs.stack_tx_kernel + drv_cost);
+        self.ledger
+            .charge(ExecCategory::User(dom), costs.stack_tx_user);
+    }
+
+    /// Hands one received frame to `dom`'s application: the stack's
+    /// receive costs (plus `drv_cost` for the driver), the window's
+    /// receive meters, and the workload's per-connection record.
+    fn deliver_rx(
+        &mut self,
+        dom: DomainId,
+        drv_cost: SimTime,
+        workload: &mut Option<crate::GuestWorkload>,
+        frame: &Frame,
+    ) {
+        let costs = &self.cfg.costs;
+        self.ledger
+            .charge(ExecCategory::Kernel(dom), costs.stack_rx_kernel + drv_cost);
+        self.ledger
+            .charge(ExecCategory::User(dom), costs.stack_rx_user);
+        if self.meters.in_window {
+            self.meters.rx_payload.add(frame.tcp_payload as u64);
+            self.meters.packets += 1;
+        }
+        if let Some(w) = workload {
+            w.record_rx(frame.flow.conn, frame.tcp_payload);
         }
     }
 
@@ -1478,22 +1558,19 @@ impl SystemWorld {
         &mut self,
         now: SimTime,
         sched: &mut Scheduler<Event>,
-        state: &mut DomainState,
+        dom: DomainId,
+        drivers: &mut [CdnaGuestDriver],
+        rx_host: &mut VecDeque<HostRx>,
+        workload: &mut Option<crate::GuestWorkload>,
     ) -> bool {
-        let dom = state.id;
         let costs = self.cfg.costs.clone();
-        let Role::GuestCdna { drivers } = &mut state.role else {
-            unreachable!()
-        };
         let mut budget = self.cfg.batch_limit;
 
         // Reclaim transmit completions (consumer writebacks are in host
         // memory; reading them is part of driver cost already). Under the
         // IOMMU policy reclaiming also unmaps the completed buffers.
         for (i, drv) in drivers.iter_mut().enumerate() {
-            let NicSlot::Rice(dev) = &mut self.nics[i] else {
-                unreachable!()
-            };
+            let dev = self.nics[i].rice_mut();
             let consumer = dev.tx_consumer(drv.ctx());
             if drv.policy() == DmaPolicy::Iommu {
                 let iommu = dev.iommu_mut().expect("installed");
@@ -1502,7 +1579,6 @@ impl SystemWorld {
                     ExecCategory::Hypervisor,
                     costs.hyp_iommu_unmap * unmapped as u64,
                 );
-                self.dispatch_cost += costs.hyp_iommu_unmap * unmapped as u64;
             } else {
                 let (_freed, _ext) = drv.reclaim_tx(consumer);
             }
@@ -1511,32 +1587,23 @@ impl SystemWorld {
         // Receive processing.
         let mut rx_done = 0u32;
         while budget > 0 {
-            let Some(rx) = state.rx_host.pop_front() else {
+            let Some(rx) = rx_host.pop_front() else {
                 break;
             };
             let drv = &mut drivers[rx.nic];
             let page = drv.rx_delivered(rx.buf);
             drv.release_rx_page(page);
-            if drv.policy() == DmaPolicy::Iommu {
-                let NicSlot::Rice(dev) = &mut self.nics[rx.nic] else {
-                    unreachable!()
-                };
-                if dev.iommu_mut().expect("installed").unmap(drv.ctx(), page) {
-                    self.charge(ExecCategory::Hypervisor, costs.hyp_iommu_unmap);
-                }
+            if drv.policy() == DmaPolicy::Iommu
+                && self.nics[rx.nic]
+                    .rice_mut()
+                    .iommu_mut()
+                    .expect("installed")
+                    .unmap(drv.ctx(), page)
+            {
+                self.ledger
+                    .charge(ExecCategory::Hypervisor, costs.hyp_iommu_unmap);
             }
-            self.charge(
-                ExecCategory::Kernel(dom),
-                costs.stack_rx_kernel + costs.cdna_drv_rx,
-            );
-            self.charge(ExecCategory::User(dom), costs.stack_rx_user);
-            if self.meters.in_window {
-                self.meters.rx_payload.add(rx.frame.tcp_payload as u64);
-                self.meters.packets += 1;
-            }
-            if let Some(w) = &mut state.workload {
-                w.record_rx(rx.frame.flow.conn, rx.frame.tcp_payload);
-            }
+            self.deliver_rx(dom, costs.cdna_drv_rx, workload, &rx.frame);
             rx_done += 1;
             budget -= 1;
         }
@@ -1544,15 +1611,10 @@ impl SystemWorld {
         // Replenish receive buffers when some were consumed. Posts go
         // through the enqueue hypercall in driver-batch-sized chunks.
         if rx_done > 0 {
-            #[allow(clippy::needless_range_loop)] // `i` also indexes self.nics/engines
-            for i in 0..drivers.len() {
-                let drv = &mut drivers[i];
-                let NicSlot::Rice(dev) = &self.nics[i] else {
-                    unreachable!()
-                };
-                let rx_consumer = dev.rx_consumer(drv.ctx());
+            for (i, drv) in drivers.iter_mut().enumerate() {
                 let producer = match drv.policy() {
                     DmaPolicy::Validated => {
+                        let rx_consumer = self.nics[i].rice().rx_consumer(drv.ctx());
                         let mut last = None;
                         loop {
                             match drv.post_rx_validated(
@@ -1565,13 +1627,8 @@ impl SystemWorld {
                                 Ok(Some(out)) => {
                                     self.ledger.charge(
                                         ExecCategory::Hypervisor,
-                                        costs.hyp_hypercall_fixed
-                                            + costs.hyp_validate_desc * out.enqueued as u64
-                                            + costs.hyp_reap_desc * out.reaped as u64,
+                                        costs.enqueue_hypercall(&out),
                                     );
-                                    self.dispatch_cost += costs.hyp_hypercall_fixed
-                                        + costs.hyp_validate_desc * out.enqueued as u64
-                                        + costs.hyp_reap_desc * out.reaped as u64;
                                     last = Some(out.producer);
                                     if out.enqueued < self.cfg.hypercall_batch {
                                         break;
@@ -1584,70 +1641,42 @@ impl SystemWorld {
                         last
                     }
                     DmaPolicy::Iommu => {
-                        let NicSlot::Rice(dev) = &mut self.nics[i] else {
-                            unreachable!()
-                        };
-                        let iommu = dev.iommu_mut().expect("installed");
-                        match drv.post_rx_iommu(self.cfg.batch_limit, iommu, &mut self.rings) {
-                            Some((p, mapped)) => {
+                        let iommu = self.nics[i].rice_mut().iommu_mut().expect("installed");
+                        drv.post_rx_iommu(self.cfg.batch_limit, iommu, &mut self.rings)
+                            .map(|(p, mapped)| {
                                 self.ledger.charge(
                                     ExecCategory::Hypervisor,
-                                    costs.hyp_hypercall_fixed + costs.hyp_iommu_map * mapped as u64,
+                                    costs.iommu_hypercall(mapped),
                                 );
-                                self.dispatch_cost +=
-                                    costs.hyp_hypercall_fixed + costs.hyp_iommu_map * mapped as u64;
-                                Some(p)
-                            }
-                            None => None,
-                        }
+                                p
+                            })
                     }
                     DmaPolicy::Unprotected => {
                         drv.post_rx_direct(self.cfg.batch_limit, &mut self.rings)
                     }
                 };
                 if let Some(p) = producer {
-                    self.charge(ExecCategory::Kernel(dom), costs.pio_write);
+                    self.ledger
+                        .charge(ExecCategory::Kernel(dom), costs.pio_write);
                     drv.note_pio();
-                    let NicSlot::Rice(dev) = &mut self.nics[i] else {
-                        unreachable!()
-                    };
-                    let mut act = dev
-                        .mailbox_write(
-                            now,
-                            drv.ctx(),
-                            Mailbox::RxProducer.index(),
-                            p,
-                            &self.rings,
-                            &mut self.buses[i],
-                        )
-                        .expect("mailbox write");
-                    self.faults.extend(act.faults.iter().copied());
-                    let irq = act.irq_at;
-                    self.schedule_emissions(now, sched, i, &mut act.emissions);
-                    self.schedule_irq(now, sched, i, irq);
-                    self.recycle_rice(i, act);
+                    self.rice_doorbell(now, sched, i, drv.ctx(), Mailbox::RxProducer, p);
                 }
             }
         }
 
         // Transmit generation.
-        let mut queued_any = false;
         if self.cfg.direction == Direction::Transmit {
             let mut failures = 0u32;
             while budget > 0 && failures < self.cfg.conns_per_guest as u32 {
-                let Some(w) = &mut state.workload else { break };
+                let Some(w) = workload.as_mut() else { break };
                 // Peek the next unit; only commit if it queues (a full
                 // ring on one NIC must not starve the others).
                 let unit = w.next_tx();
                 let nic = unit.nic;
                 let drv = &mut drivers[nic];
-                let src = match &self.nics[nic] {
-                    NicSlot::Rice(dev) => dev.mac_for(drv.ctx()),
-                    NicSlot::Conventional(_) => unreachable!(),
-                };
                 let meta = FrameMeta {
                     dst: self.tx_dst_mac(unit.flow.guest, nic),
-                    src,
+                    src: self.nics[nic].rice().mac_for(drv.ctx()),
                     tcp_payload: framing::MSS,
                     flow: unit.flow,
                     seq: unit.seq,
@@ -1658,33 +1687,27 @@ impl SystemWorld {
                 }
                 failures = 0;
                 w.commit_tx(unit, framing::MSS);
-                self.charge(
-                    ExecCategory::Kernel(dom),
-                    costs.stack_tx_kernel + costs.cdna_drv_tx,
-                );
-                self.charge(ExecCategory::User(dom), costs.stack_tx_user);
-                queued_any = true;
+                self.charge_tx_stack(dom, costs.cdna_drv_tx);
                 budget -= 1;
                 if drv.pending_tx() as u32 >= self.cfg.hypercall_batch {
-                    self.flush_cdna_tx(now, sched, dom, drivers, nic);
+                    self.flush_cdna_tx(now, sched, dom, drv, nic);
                 }
             }
             // Flush stragglers on every NIC.
-            for nic in 0..drivers.len() {
-                if drivers[nic].pending_tx() > 0 {
-                    self.flush_cdna_tx(now, sched, dom, drivers, nic);
+            for (nic, drv) in drivers.iter_mut().enumerate() {
+                if drv.pending_tx() > 0 {
+                    self.flush_cdna_tx(now, sched, dom, drv, nic);
                 }
             }
         }
-        let _ = queued_any;
 
         // Still runnable? Pending receive work or transmit headroom.
-        let more_rx = !state.rx_host.is_empty();
+        let more_rx = !rx_host.is_empty();
         // A workload-less (idle) guest has nothing to transmit: without
         // the workload check it would requeue forever once an interrupt
         // wakes it, spinning the CPU for the rest of the run.
         let more_tx = self.cfg.direction == Direction::Transmit
-            && state.workload.is_some()
+            && workload.is_some()
             && drivers.iter().any(|d| d.can_queue_tx());
         more_rx || more_tx
     }
@@ -1694,122 +1717,64 @@ impl SystemWorld {
         now: SimTime,
         sched: &mut Scheduler<Event>,
         dom: DomainId,
-        drivers: &mut [CdnaGuestDriver],
+        drv: &mut CdnaGuestDriver,
         nic: usize,
     ) {
-        let costs = self.cfg.costs.clone();
-        let drv = &mut drivers[nic];
-        let NicSlot::Rice(dev) = &mut self.nics[nic] else {
-            unreachable!()
-        };
+        let dev = self.nics[nic].rice_mut();
+        let costs = &self.cfg.costs;
         let producer = match drv.policy() {
-            DmaPolicy::Validated => {
-                let engine = if self.engines.len() > nic {
-                    &mut self.engines[nic]
-                } else {
-                    unreachable!("validated context without engine")
-                };
-                match drv.flush_tx_validated(
-                    engine,
-                    dev.tx_consumer(drv.ctx()),
-                    &mut self.rings,
-                    &mut self.mem,
-                ) {
-                    Ok(Some(out)) => {
-                        self.ledger.charge(
-                            ExecCategory::Hypervisor,
-                            costs.hyp_hypercall_fixed
-                                + costs.hyp_validate_desc * out.enqueued as u64
-                                + costs.hyp_reap_desc * out.reaped as u64,
-                        );
-                        self.dispatch_cost += costs.hyp_hypercall_fixed
-                            + costs.hyp_validate_desc * out.enqueued as u64
-                            + costs.hyp_reap_desc * out.reaped as u64;
-                        Some(out.producer)
-                    }
-                    Ok(None) => None,
-                    Err(e) => panic!("benign tx flush rejected: {e}"),
+            DmaPolicy::Validated => match drv.flush_tx_validated(
+                &mut self.engines[nic],
+                dev.tx_consumer(drv.ctx()),
+                &mut self.rings,
+                &mut self.mem,
+            ) {
+                Ok(Some(out)) => {
+                    self.ledger
+                        .charge(ExecCategory::Hypervisor, costs.enqueue_hypercall(&out));
+                    Some(out.producer)
                 }
-            }
+                Ok(None) => None,
+                Err(e) => panic!("benign tx flush rejected: {e}"),
+            },
             DmaPolicy::Iommu => {
                 let iommu = dev.iommu_mut().expect("installed");
-                match drv.flush_tx_iommu(iommu, &mut self.rings) {
-                    Some((p, mapped)) => {
-                        self.ledger.charge(
-                            ExecCategory::Hypervisor,
-                            costs.hyp_hypercall_fixed + costs.hyp_iommu_map * mapped as u64,
-                        );
-                        self.dispatch_cost +=
-                            costs.hyp_hypercall_fixed + costs.hyp_iommu_map * mapped as u64;
-                        Some(p)
-                    }
-                    None => None,
-                }
+                drv.flush_tx_iommu(iommu, &mut self.rings)
+                    .map(|(p, mapped)| {
+                        self.ledger
+                            .charge(ExecCategory::Hypervisor, costs.iommu_hypercall(mapped));
+                        p
+                    })
             }
             DmaPolicy::Unprotected => drv.flush_tx_direct(&mut self.rings),
         };
         if let Some(p) = producer {
             self.ledger
                 .charge(ExecCategory::Kernel(dom), costs.pio_write);
-            self.dispatch_cost += costs.pio_write;
             drv.note_pio();
-            let mut act = dev
-                .mailbox_write(
-                    now,
-                    drv.ctx(),
-                    Mailbox::TxProducer.index(),
-                    p,
-                    &self.rings,
-                    &mut self.buses[nic],
-                )
-                .expect("mailbox write");
-            self.faults.extend(act.faults.iter().copied());
-            let irq = act.irq_at;
-            self.schedule_emissions(now, sched, nic, &mut act.emissions);
-            self.schedule_irq(now, sched, nic, irq);
-            self.recycle_rice(nic, act);
+            self.rice_doorbell(now, sched, nic, drv.ctx(), Mailbox::TxProducer, p);
         }
     }
 
     fn run_guest_xen(
         &mut self,
-        _now: SimTime,
-        sched: &mut Scheduler<Event>,
-        state: &mut DomainState,
+        dom: DomainId,
+        tx_pool: &mut Vec<PageId>,
+        workload: &mut Option<crate::GuestWorkload>,
     ) -> bool {
-        let dom = state.id;
         let costs = self.cfg.costs.clone();
         let guest_index = (dom.0 - 1) as usize;
-        let Role::GuestXen { tx_pool } = &mut state.role else {
-            unreachable!()
-        };
         let mut budget = self.cfg.batch_limit;
         let chan = &mut self.channels[guest_index];
 
         // Reclaim transmit completions.
-        for page in chan.front_take_tx_done() {
-            tx_pool.push(page);
-        }
+        tx_pool.extend(chan.front_take_tx_done());
 
         // Receive processing: consume delivered packets, repost pages as
         // credit.
         let pkts = chan.front_rx_take(budget as usize);
         for pkt in pkts {
-            self.ledger.charge(
-                ExecCategory::Kernel(dom),
-                costs.stack_rx_kernel + costs.netfront_rx,
-            );
-            self.dispatch_cost += costs.stack_rx_kernel + costs.netfront_rx;
-            self.ledger
-                .charge(ExecCategory::User(dom), costs.stack_rx_user);
-            self.dispatch_cost += costs.stack_rx_user;
-            if self.meters.in_window {
-                self.meters.rx_payload.add(pkt.frame.tcp_payload as u64);
-                self.meters.packets += 1;
-            }
-            if let Some(w) = &mut state.workload {
-                w.record_rx(pkt.frame.flow.conn, pkt.frame.tcp_payload);
-            }
+            self.deliver_rx(dom, costs.netfront_rx, workload, &pkt.frame);
             self.channels[guest_index].front_post_rx_credit(pkt.page);
             budget -= 1;
             if budget == 0 {
@@ -1818,18 +1783,16 @@ impl SystemWorld {
         }
 
         // Transmit generation.
-        let mut pushed = 0u32;
         if self.cfg.direction == Direction::Transmit {
+            let mut pushed = 0u32;
             while budget > 0 {
-                let Some(w) = &mut state.workload else { break };
-                let chan = &mut self.channels[guest_index];
-                if chan.tx_free() == 0 || tx_pool.is_empty() {
+                let Some(w) = workload.as_mut() else { break };
+                if self.channels[guest_index].tx_free() == 0 || tx_pool.is_empty() {
                     break;
                 }
                 let unit = w.next_tx();
                 let guest_no = w.guest();
                 let dst = self.tx_dst_mac(guest_no, unit.nic);
-                let chan = &mut self.channels[guest_index];
                 let frame = Frame::tcp_data(
                     MacAddr::for_vif(guest_no),
                     dst,
@@ -1838,31 +1801,28 @@ impl SystemWorld {
                     unit.seq,
                 );
                 let page = tx_pool.pop().expect("checked");
-                chan.front_tx_push(PvPacket { frame, page })
+                self.channels[guest_index]
+                    .front_tx_push(PvPacket { frame, page })
                     .expect("checked free slot");
                 w.commit_tx(unit, framing::MSS);
-                self.charge(
-                    ExecCategory::Kernel(dom),
-                    costs.stack_tx_kernel + costs.netfront_tx,
-                );
-                self.charge(ExecCategory::User(dom), costs.stack_tx_user);
+                self.charge_tx_stack(dom, costs.netfront_tx);
                 pushed += 1;
                 budget -= 1;
             }
             if pushed > 0 {
-                self.charge(ExecCategory::Hypervisor, costs.hyp_evtchn_send);
+                self.ledger
+                    .charge(ExecCategory::Hypervisor, costs.hyp_evtchn_send);
                 self.meters.driver_virq.add(1);
                 self.registry.inc(self.hot.driver_virq);
                 self.evt.send(DomainId::DRIVER, VirtualIrq::Netback);
                 self.runq.wake(DomainId::DRIVER);
             }
         }
-        let _ = sched;
 
         let chan = &self.channels[guest_index];
         let more_rx = chan.rx_pending() > 0;
         let more_tx = self.cfg.direction == Direction::Transmit
-            && state.workload.is_some()
+            && workload.is_some()
             && chan.tx_free() > 0
             && !tx_pool.is_empty();
         more_rx || more_tx
@@ -1872,22 +1832,18 @@ impl SystemWorld {
         &mut self,
         now: SimTime,
         sched: &mut Scheduler<Event>,
-        state: &mut DomainState,
+        dom: DomainId,
+        drivers: &mut [PhysDriver],
+        rx_host: &mut VecDeque<HostRx>,
     ) -> bool {
-        let dom = state.id;
         let costs = self.cfg.costs.clone();
-        let Role::DriverXen { drivers } = &mut state.role else {
-            unreachable!()
-        };
         let mut budget = self.cfg.batch_limit;
 
         // Reap completed CDNA descriptors first so delivered receive
         // pages are unpinned before netback flips them to guests.
         for (i, drv) in drivers.iter_mut().enumerate() {
             if let PhysDriver::Cdna(c) = drv {
-                let NicSlot::Rice(dev) = &self.nics[i] else {
-                    unreachable!()
-                };
+                let dev = self.nics[i].rice();
                 let reaped = self.engines[i]
                     .reap(
                         c.ctx(),
@@ -1900,7 +1856,6 @@ impl SystemWorld {
                     ExecCategory::Hypervisor,
                     costs.hyp_reap_desc * reaped as u64,
                 );
-                self.dispatch_cost += costs.hyp_reap_desc * reaped as u64;
             }
         }
 
@@ -1910,7 +1865,7 @@ impl SystemWorld {
         // remainder at the end of the pass.
         let mut pending_notify: Vec<u32> = vec![0; self.channels.len()];
         while budget > 0 {
-            let Some(rx) = state.rx_host.pop_front() else {
+            let Some(rx) = rx_host.pop_front() else {
                 break;
             };
             budget -= 1;
@@ -1919,44 +1874,34 @@ impl SystemWorld {
                 PhysDriver::Native(n) => (n.rx_delivered(rx.buf), costs.native_drv_rx),
                 PhysDriver::Cdna(c) => (c.rx_delivered(rx.buf), costs.cdna_dom0_drv_rx),
             };
-            self.charge(
+            self.ledger.charge(
                 ExecCategory::Kernel(dom),
                 drv_cost + costs.bridge_per_packet + costs.netback_rx,
             );
-            let dst = self.bridge.lookup(rx.frame.dst);
-            match dst {
+            // A flip hands the driver the guest's credit page in exchange;
+            // a drop (unknown destination, guest out of credits) hands
+            // back its own page.
+            let credit = match self.bridge.lookup(rx.frame.dst) {
                 Some(BridgePort::Frontend(guest)) => {
                     let gidx = (guest.0 - 1) as usize;
-                    match self.channels[gidx].back_rx_push(rx.frame.clone(), page, &mut self.mem) {
-                        Ok(credit) => {
-                            self.charge(ExecCategory::Hypervisor, costs.hyp_page_flip);
-                            match &mut drivers[rx.nic] {
-                                PhysDriver::Native(n) => n.donate_rx_page(credit),
-                                PhysDriver::Cdna(c) => c.release_rx_page(credit),
-                            }
-                            pending_notify[gidx] += 1;
-                            if pending_notify[gidx] >= self.cfg.notify_batch {
-                                pending_notify[gidx] = 0;
-                                self.notify_frontend(guest);
-                            }
-                        }
-                        Err(_) => {
-                            // Guest out of credits: drop, reuse the page.
-                            self.rx_credit_drops += 1;
-                            match &mut drivers[rx.nic] {
-                                PhysDriver::Native(n) => n.release_rx_page(page),
-                                PhysDriver::Cdna(c) => c.release_rx_page(page),
-                            }
-                        }
+                    let flip = self.channels[gidx].back_rx_push(rx.frame, page, &mut self.mem);
+                    if flip.is_ok() {
+                        self.ledger
+                            .charge(ExecCategory::Hypervisor, costs.hyp_page_flip);
+                        self.batch_notify(&mut pending_notify, gidx);
+                    } else {
+                        self.rx_credit_drops += 1;
                     }
+                    flip.ok()
                 }
-                _ => {
-                    // Unknown destination: drop.
-                    match &mut drivers[rx.nic] {
-                        PhysDriver::Native(n) => n.release_rx_page(page),
-                        PhysDriver::Cdna(c) => c.release_rx_page(page),
-                    }
-                }
+                _ => None,
+            };
+            match &mut drivers[rx.nic] {
+                PhysDriver::Native(n) => match credit {
+                    Some(credit) => n.donate_rx_page(credit),
+                    None => n.release_rx_page(page),
+                },
+                PhysDriver::Cdna(c) => c.release_rx_page(credit.unwrap_or(page)),
             }
         }
         // Replenish physical receive rings.
@@ -1969,7 +1914,7 @@ impl SystemWorld {
         let mut doorbell_nics: Vec<usize> = Vec::new();
         if guest_count > 0 {
             // Netback scans every frontend ring each pass.
-            self.charge(
+            self.ledger.charge(
                 ExecCategory::Kernel(dom),
                 costs.netback_scan_per_channel * guest_count as u64,
             );
@@ -1979,10 +1924,9 @@ impl SystemWorld {
                     break;
                 }
                 let take = share.min(budget as usize);
-                let pkts = match self.channels[g].back_tx_take(take, &mut self.mem) {
-                    Ok(p) => p,
-                    Err(e) => panic!("trusted frontend failed grant map: {e}"),
-                };
+                let pkts = self.channels[g]
+                    .back_tx_take(take, &mut self.mem)
+                    .unwrap_or_else(|e| panic!("trusted frontend failed grant map: {e}"));
                 for pkt in pkts {
                     budget -= 1;
                     let nic = match self.bridge.lookup(pkt.frame.dst) {
@@ -1992,27 +1936,24 @@ impl SystemWorld {
                             // the packet in host memory — copy into a
                             // fresh dom0 page, flip it to the destination,
                             // and complete the source immediately.
-                            self.charge(
+                            self.ledger.charge(
                                 ExecCategory::Kernel(dom),
                                 costs.netback_tx + costs.bridge_per_packet + costs.netback_rx,
                             );
                             let dst_idx = (dst_dom.0 - 1) as usize;
                             if let Ok(page) = self.mem.alloc(DomainId::DRIVER) {
                                 match self.channels[dst_idx].back_rx_push(
-                                    pkt.frame.clone(),
+                                    pkt.frame,
                                     page,
                                     &mut self.mem,
                                 ) {
                                     Ok(credit) => {
-                                        self.charge(ExecCategory::Hypervisor, costs.hyp_page_flip);
+                                        self.ledger
+                                            .charge(ExecCategory::Hypervisor, costs.hyp_page_flip);
                                         self.mem
                                             .free(DomainId::DRIVER, credit)
                                             .expect("fresh credit page");
-                                        pending_notify[dst_idx] += 1;
-                                        if pending_notify[dst_idx] >= self.cfg.notify_batch {
-                                            pending_notify[dst_idx] = 0;
-                                            self.notify_frontend(dst_dom);
-                                        }
+                                        self.batch_notify(&mut pending_notify, dst_idx);
                                     }
                                     Err(_) => {
                                         // Destination out of credits: drop.
@@ -2021,12 +1962,7 @@ impl SystemWorld {
                                 }
                             }
                             self.channels[g].back_tx_complete_page(pkt.page, &mut self.mem);
-                            pending_notify[g] += 1;
-                            if pending_notify[g] >= self.cfg.notify_batch {
-                                pending_notify[g] = 0;
-                                let src_dom = self.channels[g].guest();
-                                self.notify_frontend(src_dom);
-                            }
+                            self.batch_notify(&mut pending_notify, g);
                             continue;
                         }
                         None => continue, // unknown: drop
@@ -2035,12 +1971,13 @@ impl SystemWorld {
                     // the pinning, so no separate grant-map charge.
                     let drv_cost = match &drivers[nic] {
                         PhysDriver::Native(_) => {
-                            self.charge(ExecCategory::Hypervisor, costs.hyp_grant_map);
+                            self.ledger
+                                .charge(ExecCategory::Hypervisor, costs.hyp_grant_map);
                             costs.native_drv_tx
                         }
                         PhysDriver::Cdna(_) => costs.cdna_dom0_drv_tx,
                     };
-                    self.charge(
+                    self.ledger.charge(
                         ExecCategory::Kernel(dom),
                         costs.netback_tx + costs.bridge_per_packet + drv_cost,
                     );
@@ -2065,101 +2002,37 @@ impl SystemWorld {
                 }
             }
         }
-        // Ring doorbells for NICs with new work.
+        // Ring doorbells for NICs with new work; dom0's CDNA context
+        // flushes through the hypervisor.
         for nic in doorbell_nics {
-            self.charge(ExecCategory::Kernel(dom), costs.pio_write);
             match &mut drivers[nic] {
-                PhysDriver::Native(n) => {
-                    n.note_doorbell();
-                    let NicSlot::Conventional(dev) = &mut self.nics[nic] else {
-                        unreachable!()
-                    };
-                    let mut act = dev
-                        .tx_doorbell(now, n.tx_producer(), &self.rings, &mut self.buses[nic])
-                        .expect("doorbell");
-                    let irq = act.irq_at.map(|t| (t, IrqReason::Tx));
-                    self.schedule_emissions(now, sched, nic, &mut act.emissions);
-                    self.schedule_irq(now, sched, nic, irq);
-                    self.recycle_conventional(nic, act);
-                }
-                PhysDriver::Cdna(c) => {
-                    // dom0's CDNA context: flush through the hypervisor.
-                    let NicSlot::Rice(dev) = &mut self.nics[nic] else {
-                        unreachable!()
-                    };
-                    match c.flush_tx_validated(
-                        &mut self.engines[nic],
-                        dev.tx_consumer(c.ctx()),
-                        &mut self.rings,
-                        &mut self.mem,
-                    ) {
-                        Ok(Some(out)) => {
-                            self.ledger.charge(
-                                ExecCategory::Hypervisor,
-                                costs.hyp_hypercall_fixed
-                                    + costs.hyp_validate_desc * out.enqueued as u64
-                                    + costs.hyp_reap_desc * out.reaped as u64,
-                            );
-                            self.dispatch_cost += costs.hyp_hypercall_fixed
-                                + costs.hyp_validate_desc * out.enqueued as u64
-                                + costs.hyp_reap_desc * out.reaped as u64;
-                            c.note_pio();
-                            let mut act = dev
-                                .mailbox_write(
-                                    now,
-                                    c.ctx(),
-                                    Mailbox::TxProducer.index(),
-                                    out.producer,
-                                    &self.rings,
-                                    &mut self.buses[nic],
-                                )
-                                .expect("mailbox write");
-                            self.faults.extend(act.faults.iter().copied());
-                            let irq = act.irq_at;
-                            self.schedule_emissions(now, sched, nic, &mut act.emissions);
-                            self.schedule_irq(now, sched, nic, irq);
-                            self.recycle_rice(nic, act);
-                        }
-                        Ok(None) => {}
-                        Err(e) => panic!("dom0 tx flush rejected: {e}"),
-                    }
-                }
+                PhysDriver::Native(n) => self.conventional_doorbell(now, sched, dom, nic, n),
+                PhysDriver::Cdna(c) => self.flush_cdna_tx(now, sched, dom, c, nic),
             }
         }
 
         // --- Transmit completion reclaim ---
-        #[allow(clippy::needless_range_loop)] // `nic` also indexes self.nics
-        for nic in 0..drivers.len() {
-            let (extern_done, unmap_charges) = match &mut drivers[nic] {
+        for (nic, drv) in drivers.iter_mut().enumerate() {
+            let (extern_done, unmap_charges) = match drv {
                 PhysDriver::Native(n) => {
-                    let NicSlot::Conventional(dev) = &self.nics[nic] else {
-                        unreachable!()
-                    };
-                    let done = n.reclaim_tx(dev.tx_consumer());
+                    let done = n.reclaim_tx(self.nics[nic].conventional().tx_consumer());
                     let c = done.len() as u64;
                     (done, c)
                 }
                 PhysDriver::Cdna(c) => {
-                    let NicSlot::Rice(dev) = &self.nics[nic] else {
-                        unreachable!()
-                    };
-                    let (_pool, done) = c.reclaim_tx(dev.tx_consumer(c.ctx()));
+                    let (_pool, done) = c.reclaim_tx(self.nics[nic].rice().tx_consumer(c.ctx()));
                     // Unpinning happened through the engine reap above.
                     (done, 0)
                 }
             };
-            self.charge(
+            self.ledger.charge(
                 ExecCategory::Hypervisor,
                 costs.hyp_grant_unmap * unmap_charges,
             );
             for guest in extern_done {
                 let gidx = (guest.0 - 1) as usize;
                 self.channels[gidx].back_tx_complete(1, &mut self.mem);
-                pending_notify[gidx] += 1;
-                if pending_notify[gidx] >= self.cfg.notify_batch {
-                    pending_notify[gidx] = 0;
-                    self.notify_frontend(guest);
-                }
+                self.batch_notify(&mut pending_notify, gidx);
             }
         }
 
@@ -2170,7 +2043,7 @@ impl SystemWorld {
             }
         }
 
-        let more_rx = !state.rx_host.is_empty();
+        let more_rx = !rx_host.is_empty();
         let more_tx = self.channels.iter().any(|c| c.tx_pending() > 0);
         more_rx || more_tx
     }
@@ -2183,25 +2056,16 @@ impl SystemWorld {
         driver: &mut PhysDriver,
         nic: usize,
     ) {
-        let costs = self.cfg.costs.clone();
+        let costs = &self.cfg.costs;
         match driver {
             PhysDriver::Native(n) => {
-                let posted = n
-                    .post_rx(self.cfg.batch_limit, &mut self.rings)
-                    .expect("rx post");
-                if posted > 0 {
-                    self.charge(ExecCategory::Kernel(dom), costs.pio_write);
-                    let NicSlot::Conventional(dev) = &mut self.nics[nic] else {
-                        unreachable!()
-                    };
-                    dev.rx_doorbell(n.rx_producer());
+                if self.post_conventional_rx(nic, n, self.cfg.batch_limit) {
+                    self.ledger
+                        .charge(ExecCategory::Kernel(dom), self.cfg.costs.pio_write);
                 }
             }
             PhysDriver::Cdna(c) => {
-                let NicSlot::Rice(dev) = &mut self.nics[nic] else {
-                    unreachable!()
-                };
-                let rx_consumer = dev.rx_consumer(c.ctx());
+                let rx_consumer = self.nics[nic].rice().rx_consumer(c.ctx());
                 match c.post_rx_validated(
                     self.cfg.batch_limit,
                     &mut self.engines[nic],
@@ -2210,33 +2074,12 @@ impl SystemWorld {
                     &mut self.mem,
                 ) {
                     Ok(Some(out)) => {
-                        self.ledger.charge(
-                            ExecCategory::Hypervisor,
-                            costs.hyp_hypercall_fixed
-                                + costs.hyp_validate_desc * out.enqueued as u64
-                                + costs.hyp_reap_desc * out.reaped as u64,
-                        );
-                        self.dispatch_cost += costs.hyp_hypercall_fixed
-                            + costs.hyp_validate_desc * out.enqueued as u64
-                            + costs.hyp_reap_desc * out.reaped as u64;
+                        self.ledger
+                            .charge(ExecCategory::Hypervisor, costs.enqueue_hypercall(&out));
                         self.ledger
                             .charge(ExecCategory::Kernel(dom), costs.pio_write);
-                        self.dispatch_cost += costs.pio_write;
-                        let mut act = dev
-                            .mailbox_write(
-                                now,
-                                c.ctx(),
-                                Mailbox::RxProducer.index(),
-                                out.producer,
-                                &self.rings,
-                                &mut self.buses[nic],
-                            )
-                            .expect("mailbox write");
-                        self.faults.extend(act.faults.iter().copied());
-                        let irq = act.irq_at;
-                        self.schedule_emissions(now, sched, nic, &mut act.emissions);
-                        self.schedule_irq(now, sched, nic, irq);
-                        self.recycle_rice(nic, act);
+                        let ctx = c.ctx();
+                        self.rice_doorbell(now, sched, nic, ctx, Mailbox::RxProducer, out.producer);
                     }
                     Ok(None) => {}
                     Err(e) => panic!("dom0 rx post rejected: {e}"),
@@ -2245,11 +2088,21 @@ impl SystemWorld {
         }
     }
 
+    /// Counts one unit of new work for guest `gidx`'s frontend, notifying
+    /// it once `notify_batch` units have accumulated since the last one.
+    fn batch_notify(&mut self, pending: &mut [u32], gidx: usize) {
+        pending[gidx] += 1;
+        if pending[gidx] >= self.cfg.notify_batch {
+            pending[gidx] = 0;
+            self.notify_frontend(DomainId::guest(gidx as u16));
+        }
+    }
+
     /// Netback notifies a frontend of new receive packets or transmit
     /// completions.
     fn notify_frontend(&mut self, guest: DomainId) {
-        let send = self.cfg.costs.hyp_evtchn_send;
-        self.charge(ExecCategory::Hypervisor, send);
+        self.ledger
+            .charge(ExecCategory::Hypervisor, self.cfg.costs.hyp_evtchn_send);
         self.meters.guest_virq.add(1);
         self.registry.inc(self.hot.guest_virq);
         self.evt.send(guest, VirtualIrq::Netfront);
@@ -2260,58 +2113,37 @@ impl SystemWorld {
         &mut self,
         now: SimTime,
         sched: &mut Scheduler<Event>,
-        state: &mut DomainState,
+        dom: DomainId,
+        drivers: &mut [NativeDriver],
+        rx_host: &mut VecDeque<HostRx>,
+        workload: &mut Option<crate::GuestWorkload>,
     ) -> bool {
-        let dom = state.id;
         let costs = self.cfg.costs.clone();
-        let Role::NativeOs { drivers } = &mut state.role else {
-            unreachable!()
-        };
         let mut budget = self.cfg.batch_limit;
 
         // Reclaim transmit completions.
         for (i, drv) in drivers.iter_mut().enumerate() {
-            let NicSlot::Conventional(dev) = &self.nics[i] else {
-                unreachable!()
-            };
-            let _ = drv.reclaim_tx(dev.tx_consumer());
+            let _ = drv.reclaim_tx(self.nics[i].conventional().tx_consumer());
         }
 
         // Receive.
         let mut rx_done = 0;
         while budget > 0 {
-            let Some(rx) = state.rx_host.pop_front() else {
+            let Some(rx) = rx_host.pop_front() else {
                 break;
             };
             let drv = &mut drivers[rx.nic];
             let page = drv.rx_delivered(rx.buf);
             drv.release_rx_page(page);
-            self.charge(
-                ExecCategory::Kernel(dom),
-                costs.stack_rx_kernel + costs.native_drv_rx,
-            );
-            self.charge(ExecCategory::User(dom), costs.stack_rx_user);
-            if self.meters.in_window {
-                self.meters.rx_payload.add(rx.frame.tcp_payload as u64);
-                self.meters.packets += 1;
-            }
-            if let Some(w) = &mut state.workload {
-                w.record_rx(rx.frame.flow.conn, rx.frame.tcp_payload);
-            }
+            self.deliver_rx(dom, costs.native_drv_rx, workload, &rx.frame);
             rx_done += 1;
             budget -= 1;
         }
         if rx_done > 0 {
             for (i, drv) in drivers.iter_mut().enumerate() {
-                let posted = drv
-                    .post_rx(self.cfg.batch_limit, &mut self.rings)
-                    .expect("rx post");
-                if posted > 0 {
-                    self.charge(ExecCategory::Kernel(dom), costs.pio_write);
-                    let NicSlot::Conventional(dev) = &mut self.nics[i] else {
-                        unreachable!()
-                    };
-                    dev.rx_doorbell(drv.rx_producer());
+                if self.post_conventional_rx(i, drv, self.cfg.batch_limit) {
+                    self.ledger
+                        .charge(ExecCategory::Kernel(dom), costs.pio_write);
                 }
             }
         }
@@ -2321,7 +2153,7 @@ impl SystemWorld {
             let mut doorbells: Vec<usize> = Vec::new();
             let mut failures = 0u32;
             while budget > 0 && failures < self.cfg.conns_per_guest as u32 {
-                let Some(w) = &mut state.workload else { break };
+                let Some(w) = workload.as_mut() else { break };
                 let unit = w.next_tx();
                 let nic = unit.nic;
                 let drv = &mut drivers[nic];
@@ -2330,46 +2162,27 @@ impl SystemWorld {
                     continue;
                 }
                 failures = 0;
-                let NicSlot::Conventional(dev) = &self.nics[nic] else {
-                    unreachable!()
-                };
                 let meta = FrameMeta {
                     dst: MacAddr::for_peer(nic as u8),
-                    src: dev.mac(),
+                    src: self.nics[nic].conventional().mac(),
                     tcp_payload: framing::MSS,
                     flow: unit.flow,
                     seq: unit.seq,
                 };
                 drv.queue_tx(meta, &mut self.rings).expect("checked");
                 w.commit_tx(unit, framing::MSS);
-                self.charge(
-                    ExecCategory::Kernel(dom),
-                    costs.stack_tx_kernel + costs.native_drv_tx,
-                );
-                self.charge(ExecCategory::User(dom), costs.stack_tx_user);
+                self.charge_tx_stack(dom, costs.native_drv_tx);
                 budget -= 1;
                 if !doorbells.contains(&nic) {
                     doorbells.push(nic);
                 }
             }
             for nic in doorbells {
-                self.charge(ExecCategory::Kernel(dom), costs.pio_write);
-                let drv = &mut drivers[nic];
-                drv.note_doorbell();
-                let NicSlot::Conventional(dev) = &mut self.nics[nic] else {
-                    unreachable!()
-                };
-                let mut act = dev
-                    .tx_doorbell(now, drv.tx_producer(), &self.rings, &mut self.buses[nic])
-                    .expect("doorbell");
-                let irq = act.irq_at.map(|t| (t, IrqReason::Tx));
-                self.schedule_emissions(now, sched, nic, &mut act.emissions);
-                self.schedule_irq(now, sched, nic, irq);
-                self.recycle_conventional(nic, act);
+                self.conventional_doorbell(now, sched, dom, nic, &mut drivers[nic]);
             }
         }
 
-        let more_rx = !state.rx_host.is_empty();
+        let more_rx = !rx_host.is_empty();
         let more_tx = self.cfg.direction == Direction::Transmit
             && drivers.iter().any(|d| d.can_queue_tx(&self.rings));
         more_rx || more_tx
@@ -2395,13 +2208,12 @@ impl SystemWorld {
                 let _ = dev.irq_fired(now, reason, &mut self.vec_rings[nic], &mut self.buses[nic]);
             }
         }
-        self.nic_irq_count += 1;
         self.meters.nic_irq.add(1);
         self.registry.inc(self.hot.phys_irq);
         if let Some(t) = sched.tracer_mut() {
             t.instant("phys_irq", "irq", now.as_ns(), trace::pid_nic(nic), 0, None);
         }
-        self.pending_irqs.push_back((nic, reason));
+        self.pending_irqs.push_back(nic);
         self.kick_cpu(now, sched);
     }
 
@@ -2459,21 +2271,14 @@ impl SystemWorld {
         }
         match &mut self.nics[nic] {
             NicSlot::Conventional(dev) => {
-                let mut act = dev
+                let act = dev
                     .tx_frame_sent(now, &frame, &self.rings, &mut self.buses[nic])
                     .expect("completion");
-                let irq = act.irq_at.map(|t| (t, IrqReason::Tx));
-                self.schedule_emissions(now, sched, nic, &mut act.emissions);
-                self.schedule_irq(now, sched, nic, irq);
-                self.recycle_conventional(nic, act);
+                self.apply_conventional(now, sched, nic, act);
             }
             NicSlot::Rice(dev) => {
-                let mut act = dev.tx_frame_sent(now, &frame, &self.rings, &mut self.buses[nic]);
-                self.faults.extend(act.faults.iter().copied());
-                let irq = act.irq_at;
-                self.schedule_emissions(now, sched, nic, &mut act.emissions);
-                self.schedule_irq(now, sched, nic, irq);
-                self.recycle_rice(nic, act);
+                let act = dev.tx_frame_sent(now, &frame, &self.rings, &mut self.buses[nic]);
+                self.apply_rice(now, nic, act, |at, e| sched.at(now, at, e));
             }
         }
     }
@@ -2501,7 +2306,10 @@ impl SystemWorld {
                         self.domains[host]
                             .rx_host
                             .push_back(HostRx { nic, frame, buf });
-                        self.schedule_irq(now, sched, nic, irq_at.map(|t| (t, IrqReason::Rx)));
+                        if let Some(at) = irq_at {
+                            let reason = IrqReason::Rx;
+                            sched.at(now, at.max(now), Event::PhysIrq { nic, reason });
+                        }
                     }
                     RxDisposition::Filtered
                     | RxDisposition::DroppedNoBuffer
@@ -2510,21 +2318,7 @@ impl SystemWorld {
             }
             NicSlot::Rice(dev) => {
                 let act = dev.frame_from_wire(now, frame, &self.rings, &mut self.buses[nic]);
-                self.faults.extend(act.faults.iter().copied());
-                if let Some(d) = act.delivered {
-                    // Route to the context's owner.
-                    let owner = self.engines[nic]
-                        .contexts()
-                        .owner_of(d.ctx)
-                        .expect("delivery to assigned context");
-                    let idx = self.domain_index(owner);
-                    self.domains[idx].rx_host.push_back(HostRx {
-                        nic,
-                        frame: d.frame,
-                        buf: d.buf,
-                    });
-                }
-                self.schedule_irq(now, sched, nic, act.irq_at);
+                self.apply_rice(now, nic, act, |at, e| sched.at(now, at, e));
             }
         }
     }
@@ -2610,9 +2404,7 @@ impl SystemWorld {
         let idx = self.domain_index(dom);
         let mut dropped = 0;
         for (nic, &ctx) in self.ctx_of[g as usize].iter().enumerate() {
-            let NicSlot::Rice(dev) = &mut self.nics[nic] else {
-                unreachable!("CDNA uses RiceNICs")
-            };
+            let dev = self.nics[nic].rice_mut();
             dropped += dev.detach_context(ctx);
             if let Some(iommu) = dev.iommu_mut() {
                 iommu.disable(ctx);
@@ -2629,6 +2421,51 @@ impl SystemWorld {
         self.domains[idx].rx_host.clear();
         dropped
     }
+}
+
+/// Assigns `dom` a CDNA context on `dev` under `policy`, attaches it to
+/// the device (enabling the device's IOMMU for it under
+/// [`DmaPolicy::Iommu`]), and builds the domain's driver for it.
+fn build_cdna_context(
+    dev: &mut RiceNic,
+    engine: &mut ProtectionEngine,
+    dom: DomainId,
+    policy: DmaPolicy,
+    cfg: &TestbedConfig,
+    mem: &mut PhysMem,
+    rings: &mut RingTable,
+) -> CdnaGuestDriver {
+    let ctx = engine
+        .assign_context(dom, policy, cfg.ring_size, rings, mem)
+        .expect("context assignment");
+    let st = engine.contexts().state(ctx).expect("assigned");
+    dev.attach_context(
+        ctx,
+        st.tx_ring,
+        st.rx_ring,
+        policy == DmaPolicy::Validated,
+        rings,
+    )
+    .expect("attach");
+    if policy == DmaPolicy::Iommu {
+        if dev.iommu().is_none() {
+            dev.install_iommu();
+        }
+        dev.iommu_mut().expect("installed").enable(ctx);
+    }
+    let pool = cfg.ring_size + cfg.batch_limit + 16;
+    CdnaGuestDriver::new(
+        dom,
+        ctx,
+        policy,
+        st.tx_ring,
+        st.rx_ring,
+        cfg.ring_size,
+        pool,
+        pool,
+        mem,
+    )
+    .expect("driver alloc")
 }
 
 fn build_conventional(
@@ -2672,6 +2509,7 @@ fn build_conventional(
 mod tests {
     use super::*;
     use cdna_core::DmaPolicy;
+    use cdna_nic::TxEmission;
     use cdna_sim::Simulation;
 
     fn cfg(io: IoModel, guests: u16, dir: Direction) -> TestbedConfig {
@@ -2722,9 +2560,7 @@ mod tests {
             assert_eq!(e.contexts().assigned_count(), 2);
         }
         for nic in &w.nics {
-            let NicSlot::Rice(dev) = nic else {
-                panic!("CDNA uses RiceNICs")
-            };
+            let dev = nic.rice();
             for g in 0..2 {
                 let ctx = w.ctx_of[g][dev.index() as usize];
                 assert_eq!(
@@ -2776,11 +2612,8 @@ mod tests {
     /// A device activity handing one frame from guest `g`'s context to
     /// NIC 0's MAC at `ready_at`.
     fn hand_off(w: &SystemWorld, g: usize, ready_at: SimTime) -> Activity {
-        let NicSlot::Rice(dev) = &w.nics[0] else {
-            unreachable!("CDNA uses RiceNICs")
-        };
         let frame = Frame::tcp_data(
-            dev.mac_for(w.ctx_of[g][0]),
+            w.nics[0].rice().mac_for(w.ctx_of[g][0]),
             MacAddr::for_peer(0),
             framing::MSS,
             FlowId::new(g as u16, 0),
@@ -2855,7 +2688,7 @@ mod tests {
             Direction::Transmit,
         ));
         for nic in &w.nics {
-            let NicSlot::Rice(dev) = nic else { panic!() };
+            let dev = nic.rice();
             let iommu = dev.iommu().expect("IOMMU installed");
             for g in 0..2usize {
                 let ctx = w.ctx_of[g][dev.index() as usize];
@@ -2884,6 +2717,44 @@ mod tests {
         assert!(w.meters.packets > 1_000);
         assert!(w.faults.is_empty());
         assert!(!w.ledger.recording(), "window closed");
+    }
+
+    /// Every charge lands in the ledger and lengthens its own dispatch:
+    /// each dispatch occupies the CPU for exactly what it charged, and
+    /// over a window open from the first dispatch on, those lengths sum
+    /// to the ledger's busy time.
+    #[test]
+    fn dispatches_last_exactly_what_they_charge() {
+        for io in [
+            IoModel::XenBridged {
+                nic: NicKind::Intel,
+            },
+            IoModel::Cdna {
+                policy: DmaPolicy::Validated,
+            },
+        ] {
+            let mut c = cfg(io, 2, Direction::Transmit);
+            c.warmup = SimTime::ZERO;
+            let stop = c.measure;
+            let mut sim = Simulation::new(SystemWorld::build(c));
+            for (t, e) in sim.world_mut().prime() {
+                sim.schedule(t, e);
+            }
+            let mut dispatched = SimTime::ZERO;
+            while sim.now() < stop || sim.world().ledger.recording() {
+                let busy_before = sim.world().cpu_busy_until;
+                assert!(sim.step());
+                let w = sim.world();
+                if w.cpu_busy_until != busy_before {
+                    let length = w.cpu_busy_until - sim.now();
+                    assert_eq!(length, w.ledger.dispatch_charged());
+                    dispatched += length;
+                }
+            }
+            let w = sim.world();
+            assert!(dispatched > SimTime::ZERO);
+            assert_eq!(dispatched, w.ledger.total_busy(), "{io:?}");
+        }
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! (hypervisor / driver-domain user / driver-domain kernel / guest user /
 //! guest kernel / idle).
 //!
+//! The ledger is also the CPU's single charge owner: besides the
+//! windowed totals it keeps an always-on sum of everything charged
+//! since the current dispatch began ([`CpuLedger::begin_dispatch`],
+//! [`CpuLedger::dispatch_charged`]), which is how long that dispatch
+//! occupies the CPU. Charges outside the window still count there.
+//!
 //! Internally the ledger is built on [`cdna_trace::ProfileLedger`], a
 //! time-sliced sampler: every charge lands both in a per-category map
 //! (for [`CpuLedger::charged`]) and in the sampler's per-slice bucket
@@ -99,6 +105,9 @@ pub struct CpuLedger {
     window_start: SimTime,
     window_end: Option<SimTime>,
     recording: bool,
+    /// Everything charged since [`CpuLedger::begin_dispatch`], window
+    /// or not.
+    dispatch: SimTime,
 }
 
 impl Default for CpuLedger {
@@ -122,6 +131,7 @@ impl CpuLedger {
             window_start: SimTime::ZERO,
             window_end: None,
             recording: false,
+            dispatch: SimTime::ZERO,
         }
     }
 
@@ -152,9 +162,12 @@ impl CpuLedger {
         self.sampler.advance_to(now.as_ns());
     }
 
-    /// Charges `dt` of CPU time to `cat` (ignored outside the window).
+    /// Charges `dt` of CPU time to `cat`. The current dispatch always
+    /// lengthens by `dt`; the window totals and profile only count it
+    /// while a window is open.
     #[inline]
     pub fn charge(&mut self, cat: ExecCategory, dt: SimTime) {
+        self.dispatch += dt;
         if self.recording && dt > SimTime::ZERO {
             let idx = dense_index(cat);
             if idx >= self.charges.len() {
@@ -163,6 +176,19 @@ impl CpuLedger {
             self.charges[idx] += dt;
             self.sampler.charge(bucket_of(cat), dt.as_ns());
         }
+    }
+
+    /// Starts a CPU dispatch: the dispatch accumulator restarts at zero.
+    #[inline]
+    pub fn begin_dispatch(&mut self) {
+        self.dispatch = SimTime::ZERO;
+    }
+
+    /// Everything charged since the last [`CpuLedger::begin_dispatch`],
+    /// whether or not a window was open: the length of the dispatch.
+    #[inline]
+    pub fn dispatch_charged(&self) -> SimTime {
+        self.dispatch
     }
 
     /// Whether a window is currently open.
@@ -351,6 +377,49 @@ mod tests {
         assert!((p.hypervisor_frac - 0.10).abs() < 1e-9);
         assert!((p.guest_kernel_frac - 0.20).abs() < 1e-9);
         assert!((p.idle_frac - 0.70).abs() < 1e-9);
+    }
+
+    #[test]
+    fn charges_outside_window_still_lengthen_the_dispatch() {
+        let mut l = CpuLedger::new();
+        l.begin_dispatch();
+        l.charge(ExecCategory::Hypervisor, SimTime::from_ms(5));
+        assert_eq!(l.dispatch_charged(), SimTime::from_ms(5));
+        l.start_window(SimTime::from_ms(10));
+        l.close_window(SimTime::from_ms(110));
+        l.charge(
+            ExecCategory::Kernel(DomainId::guest(0)),
+            SimTime::from_ms(7),
+        );
+        assert_eq!(l.dispatch_charged(), SimTime::from_ms(12));
+        assert_eq!(l.charged(ExecCategory::Hypervisor), SimTime::ZERO);
+        assert_eq!(
+            l.charged(ExecCategory::Kernel(DomainId::guest(0))),
+            SimTime::ZERO
+        );
+        assert_eq!(l.total_busy(), SimTime::ZERO);
+        assert!((l.profile().idle_frac - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dispatch_accumulator_sums_every_charge_and_resets() {
+        let mut l = CpuLedger::new();
+        l.start_window(SimTime::ZERO);
+        l.begin_dispatch();
+        for (cat, us) in [
+            (ExecCategory::Hypervisor, 3),
+            (ExecCategory::Kernel(DomainId::guest(1)), 11),
+            (ExecCategory::User(DomainId::guest(1)), 2),
+        ] {
+            l.charge(cat, SimTime::from_us(us));
+        }
+        assert_eq!(l.dispatch_charged(), SimTime::from_us(16));
+        l.begin_dispatch();
+        assert_eq!(l.dispatch_charged(), SimTime::ZERO);
+        l.charge(ExecCategory::Hypervisor, SimTime::from_us(4));
+        assert_eq!(l.dispatch_charged(), SimTime::from_us(4));
+        // The window saw both dispatches.
+        assert_eq!(l.total_busy(), SimTime::from_us(20));
     }
 
     #[test]

@@ -143,10 +143,7 @@ fn cases() -> Vec<(String, Case)> {
     // runs once per buffer.
     let mut unbatched = TestbedConfig::new(cdna, 2, Direction::Receive).quick();
     unbatched.hypercall_batch = 1;
-    out.push((
-        "cdna-hcbatch1-rx-2g".to_string(),
-        Case::Testbed(unbatched),
-    ));
+    out.push(("cdna-hcbatch1-rx-2g".to_string(), Case::Testbed(unbatched)));
     out.push((
         "rack-xhost-3h4g".to_string(),
         Case::Rack(RackConfig::new(3, 4, RackWorkload::XHost).quick()),

@@ -353,6 +353,31 @@ fn benign_full_system_runs_never_fault() {
     }
 }
 
+/// Priming the receive rings at build time goes through the device's
+/// mailbox; under every policy it must raise no fault and (debug builds
+/// assert this) want nothing scheduled before the run starts.
+#[test]
+fn priming_receive_rings_at_build_time_never_faults() {
+    use cdna_system::{Direction, IoModel, NicKind, SystemWorld, TestbedConfig};
+    let policies = [
+        DmaPolicy::Validated,
+        DmaPolicy::Iommu,
+        DmaPolicy::Unprotected,
+    ];
+    let ios = policies
+        .map(|policy| IoModel::Cdna { policy })
+        .into_iter()
+        .chain([IoModel::XenBridged {
+            nic: NicKind::RiceNic,
+        }]);
+    for io in ios {
+        for dir in [Direction::Transmit, Direction::Receive] {
+            let w = SystemWorld::build(TestbedConfig::new(io, 4, dir).quick());
+            assert!(w.faults.is_empty(), "{io:?} {dir:?}: {:?}", w.faults);
+        }
+    }
+}
+
 #[test]
 fn iommu_policy_blocks_foreign_dma_at_the_device() {
     // Under DmaPolicy::Iommu the hypervisor never sees descriptors; the

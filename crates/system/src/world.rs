@@ -1374,8 +1374,9 @@ impl SystemWorld {
     /// The one interpreter of RiceNIC activity: records its faults,
     /// queues a delivered frame for the owning domain, reserves the wire
     /// for each emitted frame, and hands `push` the `WireTxDone` and
-    /// interrupt events to schedule, in that order. The drained activity
-    /// goes back to the device, so the steady state does not allocate.
+    /// interrupt events to schedule, in that order. A drained activity
+    /// that owns buffers goes back to the device, so the steady state
+    /// does not allocate.
     fn apply_rice(
         &mut self,
         now: SimTime,
@@ -1409,7 +1410,11 @@ impl SystemWorld {
         if let Some((at, reason)) = act.irq_at {
             push(at.max(now), Event::PhysIrq { nic, reason });
         }
-        self.nics[nic].rice_mut().recycle(act);
+        // Most activities (every received frame's among them) own no
+        // buffer; handing those back measurably slows the receive path.
+        if act.emissions.capacity() > 0 || act.faults.capacity() > 0 {
+            self.nics[nic].rice_mut().recycle(act);
+        }
     }
 
     /// The one interpreter of conventional-NIC transmit activity, as

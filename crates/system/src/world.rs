@@ -1258,8 +1258,8 @@ impl SystemWorld {
                 self.ledger
                     .charge(ExecCategory::Hypervisor, costs.hyp_isr_conventional);
                 // CDNA-firmware NICs in softvirt mode deliver through the
-                // bit-vector ring even though only dom0 has a context,
-                // which owns every flagged context.
+                // bit-vector ring even though only dom0 has a context:
+                // every flagged context is dom0's, so draining is enough.
                 if matches!(self.nics[nic], NicSlot::Rice(_)) {
                     self.vec_rings[nic].drain();
                 }

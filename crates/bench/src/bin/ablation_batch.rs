@@ -11,6 +11,7 @@ use cdna_core::DmaPolicy;
 use cdna_system::{Direction, IoModel, TestbedConfig};
 
 fn main() {
+    cdna_bench::check_args();
     header("Ablation — CDNA hypercall batch size (1 guest, transmit)");
     println!(
         "{:>6} | {:>12} {:>12} {:>14} {:>12}",

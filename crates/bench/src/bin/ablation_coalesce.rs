@@ -9,6 +9,7 @@ use cdna_sim::SimTime;
 use cdna_system::{Direction, IoModel, TestbedConfig};
 
 fn main() {
+    cdna_bench::check_args();
     header("Ablation — CDNA interrupt coalescing interval (4 guests, transmit)");
     println!(
         "{:>10} | {:>12} {:>12} {:>14} {:>12}",

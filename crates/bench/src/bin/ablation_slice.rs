@@ -8,6 +8,7 @@ use cdna_core::DmaPolicy;
 use cdna_system::{Direction, IoModel, TestbedConfig};
 
 fn main() {
+    cdna_bench::check_args();
     header("Ablation — activation batch limit (8 guests, transmit, CDNA)");
     println!(
         "{:>6} | {:>12} {:>12} {:>14}",

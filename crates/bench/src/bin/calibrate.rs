@@ -5,6 +5,7 @@ use cdna_core::DmaPolicy;
 use cdna_system::{run_experiment, Direction, IoModel, NicKind, TestbedConfig};
 
 fn main() {
+    cdna_bench::check_args();
     let cases = [
         (
             IoModel::Native {

@@ -7,6 +7,7 @@ use cdna_core::DmaPolicy;
 use cdna_system::{Direction, IoModel, NicKind, TestbedConfig};
 
 fn main() {
+    cdna_bench::check_args();
     header("Figure 4 — receive throughput vs guest count (2 NICs)");
     println!(
         "{:>6} | {:>13} {:>13} | {:>13} {:>12} {:>12}",

@@ -34,8 +34,6 @@
 //! while `aggregate.wall_ms_parallel` is the whole suite's elapsed
 //! wall-clock, the number the fan-out actually improves.
 
-use std::time::Instant;
-
 use cdna_bench::{perf_suite, take_jobs_flag, PerfEntry};
 use cdna_sim::{par, QueueKind};
 use cdna_system::{run_experiment, Direction};
@@ -78,7 +76,12 @@ fn measure(entry: PerfEntry, reps: u32) -> Measured {
     let mut walls: Vec<f64> = Vec::with_capacity(reps.max(1) as usize);
     let mut outcome: Option<(u64, f64, u64)> = None;
     for _ in 0..reps.max(1) {
-        let start = Instant::now();
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::disallowed_types,
+            reason = "perf measures host wall time per simulated run"
+        )]
+        let start = std::time::Instant::now();
         let report = run_experiment(cfg.clone());
         walls.push(start.elapsed().as_secs_f64() * 1e3);
         let this = (
@@ -217,7 +220,10 @@ fn write_json(
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // One shared scanner owns the `--jobs` syntax across all binaries.
-    let jobs_flag = take_jobs_flag(&mut args);
+    let jobs_flag = take_jobs_flag(&mut args).unwrap_or_else(|e| {
+        eprintln!("perf: {e}");
+        usage()
+    });
     let mut quick = false;
     let mut reps = DEFAULT_REPS;
     let mut queue = QueueKind::default();
@@ -266,7 +272,12 @@ fn main() {
     let entries = perf_suite(quick, queue);
     let jobs = par::resolve_jobs(jobs_flag, entries.len());
     eprintln!("running {} entries on {} worker(s)", entries.len(), jobs);
-    let suite_start = Instant::now();
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the suite's elapsed wall time is what --jobs improves"
+    )]
+    let suite_start = std::time::Instant::now();
     let results = par::run_indexed(jobs, entries, |_, entry| measure(entry, reps));
     let wall_ms_parallel = suite_start.elapsed().as_secs_f64() * 1e3;
     for m in &results {

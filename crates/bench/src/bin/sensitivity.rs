@@ -55,6 +55,7 @@ fn scenario_configs(scale_switch: f64, scale_validate: f64) -> [TestbedConfig; 3
 }
 
 fn main() {
+    cdna_bench::check_args();
     header("Sensitivity — headline results vs cost-constant perturbation");
     println!(
         "{:>14} {:>14} | {:>16} {:>16} {:>14}",

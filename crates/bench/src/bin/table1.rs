@@ -6,6 +6,7 @@ use cdna_bench::{compare_line, header, paper};
 use cdna_system::{Direction, IoModel, NicKind, TestbedConfig};
 
 fn main() {
+    cdna_bench::check_args();
     header("Table 1 — native Linux vs Xen guest (6 NICs)");
     let cases = [
         (

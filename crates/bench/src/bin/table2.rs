@@ -8,6 +8,7 @@ use cdna_core::DmaPolicy;
 use cdna_system::{Direction, IoModel, NicKind, TestbedConfig};
 
 fn main() {
+    cdna_bench::check_args();
     header("Table 2 — single-guest transmit, 2 NICs");
     let ios = [
         IoModel::XenBridged {

@@ -7,6 +7,7 @@ use cdna_core::DmaPolicy;
 use cdna_system::{Direction, IoModel, NicKind, TestbedConfig};
 
 fn main() {
+    cdna_bench::check_args();
     header("Table 3 — single-guest receive, 2 NICs");
     let ios = [
         IoModel::XenBridged {

@@ -7,6 +7,7 @@ use cdna_core::DmaPolicy;
 use cdna_system::{Direction, IoModel, TestbedConfig};
 
 fn main() {
+    cdna_bench::check_args();
     header("Table 4 — CDNA with vs without DMA memory protection");
     let cases = [
         (Direction::Transmit, DmaPolicy::Validated, &paper::TABLE4[0]),

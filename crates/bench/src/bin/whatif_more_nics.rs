@@ -13,6 +13,7 @@ use cdna_core::DmaPolicy;
 use cdna_system::{Direction, IoModel, TestbedConfig};
 
 fn main() {
+    cdna_bench::check_args();
     header("What-if (§5.4) — CDNA transmit with more NICs");
     let guest_counts = [1u16, 2, 4, 8, 12, 16, 20, 24];
     let nic_counts = [2u8, 4, 6];

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 //! Benchmark harness regenerating every table and figure of the CDNA
 //! paper, plus the paper's reported values for comparison.
@@ -27,25 +27,32 @@ use cdna_system::{run_experiment, Direction, IoModel, NicKind, RunReport, Testbe
 
 /// Extracts the last `--jobs N` / `--jobs=N` occurrence from `args`,
 /// ignoring every other argument. This is the one place the flag's
-/// syntax lives; every fan-out binary resolves it here.
-pub fn jobs_flag_in(args: &[String]) -> Option<usize> {
+/// syntax lives; every fan-out binary resolves it here. A missing or
+/// non-numeric value is an error, never silently "no flag".
+pub fn jobs_flag_in(args: &[String]) -> Result<Option<usize>, String> {
+    let parse = |v: Option<&str>| {
+        let v = v.unwrap_or_default();
+        v.parse()
+            .map(Some)
+            .map_err(|_| format!("--jobs expects a worker count, got `{v}`"))
+    };
     let mut requested = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--jobs" {
-            requested = it.next().and_then(|v| v.parse().ok());
+            requested = parse(it.next().map(String::as_str))?;
         } else if let Some(v) = a.strip_prefix("--jobs=") {
-            requested = v.parse().ok();
+            requested = parse(Some(v))?;
         }
     }
-    requested
+    Ok(requested)
 }
 
 /// Like [`jobs_flag_in`], but removes every `--jobs` occurrence (and
 /// its value) from `args`, so binaries with their own argument parsers
 /// (`perf`, `rack`) can strip the flag before handling the rest.
-pub fn take_jobs_flag(args: &mut Vec<String>) -> Option<usize> {
-    let requested = jobs_flag_in(args);
+pub fn take_jobs_flag(args: &mut Vec<String>) -> Result<Option<usize>, String> {
+    let requested = jobs_flag_in(args)?;
     let mut i = 0;
     while i < args.len() {
         if args[i] == "--jobs" {
@@ -56,14 +63,30 @@ pub fn take_jobs_flag(args: &mut Vec<String>) -> Option<usize> {
             i += 1;
         }
     }
-    requested
+    Ok(requested)
 }
 
-/// [`jobs_flag_in`] applied to this process's argv (the table/figure
-/// binaries otherwise take no flags).
+/// [`jobs_flag_in`] applied to this process's argv. The table/figure
+/// binaries take no other argument, so a malformed value or any other
+/// argument prints a usage line and exits 2.
 pub fn jobs_flag_from_argv() -> Option<usize> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    jobs_flag_in(&args)
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = take_jobs_flag(&mut args).and_then(|jobs| match args.first() {
+        None => Ok(jobs),
+        Some(other) => Err(format!("unknown argument `{other}`")),
+    });
+    parsed.unwrap_or_else(|e| {
+        let bin = std::env::args().next().unwrap_or_default();
+        let bin = bin.rsplit(['/', '\\']).next().unwrap_or_default();
+        eprintln!("{bin}: {e}\nusage: {bin} [--jobs N]");
+        std::process::exit(2)
+    })
+}
+
+/// Validates this process's argv (see [`jobs_flag_from_argv`]) before a
+/// table/figure binary prints or runs anything.
+pub fn check_args() {
+    jobs_flag_from_argv();
 }
 
 /// Worker count for a fan-out of `tasks` items: `--jobs` argv flag,
@@ -167,15 +190,31 @@ mod tests {
     #[test]
     fn jobs_flag_variants_parse() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_flag_in(&args(&["--jobs", "4"])), Some(4));
-        assert_eq!(jobs_flag_in(&args(&["--jobs=7"])), Some(7));
+        assert_eq!(jobs_flag_in(&args(&["--jobs", "4"])), Ok(Some(4)));
+        assert_eq!(jobs_flag_in(&args(&["--jobs=7"])), Ok(Some(7)));
         assert_eq!(
             jobs_flag_in(&args(&["--quick", "--jobs", "2", "x"])),
-            Some(2)
+            Ok(Some(2))
         );
-        assert_eq!(jobs_flag_in(&args(&["--jobs", "2", "--jobs=3"])), Some(3));
-        assert_eq!(jobs_flag_in(&args(&["--quick"])), None);
-        assert_eq!(jobs_flag_in(&args(&["--jobs", "zero"])), None);
+        assert_eq!(
+            jobs_flag_in(&args(&["--jobs", "2", "--jobs=3"])),
+            Ok(Some(3))
+        );
+        assert_eq!(jobs_flag_in(&args(&["--quick"])), Ok(None));
+    }
+
+    #[test]
+    fn malformed_jobs_values_are_errors() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for bad in [
+            &["--jobs", "zero"][..],
+            &["--jobs=0x"],
+            &["--jobs="],
+            &["--quick", "--jobs"],
+            &["--jobs", "-1"],
+        ] {
+            assert!(jobs_flag_in(&args(bad)).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -184,9 +223,9 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(take_jobs_flag(&mut args), Some(3));
+        assert_eq!(take_jobs_flag(&mut args), Ok(Some(3)));
         assert_eq!(args, ["--quick", "--out", "x"]);
-        assert_eq!(take_jobs_flag(&mut args), None);
+        assert_eq!(take_jobs_flag(&mut args), Ok(None));
     }
 
     #[test]

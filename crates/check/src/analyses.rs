@@ -1,6 +1,6 @@
 //! The interprocedural analyses: `layering`, `must-pair`,
 //! `exhaustive-fault`, and the whole-workspace pipeline that runs them
-//! together with the token rules and the `unused-allow` audit.
+//! together with the dataflow passes and the `unused-allow` audit.
 //!
 //! # Layering
 //!
@@ -51,7 +51,7 @@
 use crate::graph::{GraphFile, ManifestDep, Pass, SymbolGraph};
 use crate::lexer::{scrub, test_lines, tokenize, Allows};
 use crate::parse::parse_file;
-use crate::rules::{token_rule_diags, Diagnostic, FileKind};
+use crate::rules::{Diagnostic, FileKind};
 use std::collections::BTreeMap;
 
 /// Crate layer assignments (see module docs). Lower = more fundamental.
@@ -297,8 +297,8 @@ pub struct SourceFile {
 /// Output of [`analyze`].
 #[derive(Debug, Default)]
 pub struct Analysis {
-    /// Suppression-filtered diagnostics from every rule (token rules,
-    /// graph passes, manifests, and `unused-allow`), sorted.
+    /// Suppression-filtered diagnostics from every rule (graph and
+    /// dataflow passes, manifests, and `unused-allow`), sorted.
     pub diagnostics: Vec<Diagnostic>,
     /// Total `cdna-check: allow` annotations found.
     pub allow_count: usize,
@@ -360,22 +360,19 @@ fn manifest_dep_edges(rel: &str, text: &str) -> Vec<ManifestDep> {
 /// demands of every other fan-out in the workspace.
 struct FileScan {
     rel: String,
-    diags: Vec<Diagnostic>,
     graph_file: GraphFile,
     allows: Allows,
 }
 
-/// The per-file half of the pipeline: scrub, tokenize, token rules,
-/// symbol parse, allow harvest. Pure function of the file — safe to
-/// run on any worker.
+/// The per-file half of the pipeline: scrub, tokenize, symbol parse,
+/// allow harvest. Pure function of the file — safe to run on any
+/// worker.
 fn scan_file(f: &SourceFile) -> FileScan {
     let scrubbed = scrub(&f.text);
     let tokens = tokenize(&scrubbed.masked);
     let tests = test_lines(&tokens);
-    let diags = token_rule_diags(&f.rel, f.kind, &f.text, &tokens, &tests);
     FileScan {
         rel: f.rel.clone(),
-        diags,
         graph_file: GraphFile {
             symbols: parse_file(&f.rel, &tokens),
             kind: f.kind,
@@ -386,9 +383,9 @@ fn scan_file(f: &SourceFile) -> FileScan {
     }
 }
 
-/// Runs the complete pipeline over in-memory sources: token rules,
-/// symbol-graph passes, manifest checks, allow suppression with "used"
-/// accounting, and the `unused-allow` audit — on a single worker.
+/// Runs the complete pipeline over in-memory sources: symbol-graph and
+/// dataflow passes (manifests feed `layering`), allow suppression with
+/// "used" accounting, and the `unused-allow` audit — on a single worker.
 ///
 /// `manifests` are `(repo-relative path, text)` pairs.
 pub fn analyze(files: &[SourceFile], manifests: &[(String, String)]) -> Analysis {
@@ -403,7 +400,6 @@ pub fn analyze(files: &[SourceFile], manifests: &[(String, String)]) -> Analysis
 /// passes stay on the caller's thread: they need every file at once
 /// and are a small share of the wall time.
 pub fn analyze_jobs(files: &[SourceFile], manifests: &[(String, String)], jobs: usize) -> Analysis {
-    let mut raw: Vec<Diagnostic> = Vec::new();
     let mut graph_files: Vec<GraphFile> = Vec::new();
     let mut per_file_allows: BTreeMap<String, (Allows, Vec<bool>)> = BTreeMap::new();
     let mut allow_count = 0usize;
@@ -413,18 +409,16 @@ pub fn analyze_jobs(files: &[SourceFile], manifests: &[(String, String)], jobs: 
             scan_file(&files[i])
         });
     for scan in scans {
-        raw.extend(scan.diags);
         graph_files.push(scan.graph_file);
         allow_count += scan.allows.count();
         let used = vec![false; scan.allows.count()];
         per_file_allows.insert(scan.rel, (scan.allows, used));
     }
 
-    let mut manifest_deps = Vec::new();
-    for (rel, text) in manifests {
-        raw.extend(crate::rules::check_manifest(rel, text));
-        manifest_deps.extend(manifest_dep_edges(rel, text));
-    }
+    let manifest_deps = manifests
+        .iter()
+        .flat_map(|(rel, text)| manifest_dep_edges(rel, text))
+        .collect();
 
     let graph = SymbolGraph::build(graph_files, manifest_deps);
     let passes: [&dyn Pass; 10] = [
@@ -439,7 +433,7 @@ pub fn analyze_jobs(files: &[SourceFile], manifests: &[(String, String)], jobs: 
         &crate::determinism::JobsLeakPass,
         &crate::determinism::FloatAccumPass,
     ];
-    raw.extend(crate::graph::run_passes(&graph, &passes));
+    let raw = crate::graph::run_passes(&graph, &passes);
 
     // Apply allows, crediting the entry that fired.
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
@@ -550,7 +544,7 @@ mod tests {
 
     #[test]
     fn paired_pin_is_clean_and_panic_exits_exempt() {
-        let src = "//! Doc.\nfn ok(m: &mut M) -> Result<(), E> {\n    m.pin_run(s, l)?;\n    let r = table.get(k).expect(\"present\"); // cdna-check: allow(panic): fixture\n    m.unpin_run(s, l);\n    Ok(())\n}\nfn ledger(m: &mut M) -> Result<(), E> {\n    m.pin_run(s, l)?;\n    pinned.push_back((s, l));\n    Ok(())\n}\n";
+        let src = "//! Doc.\nfn ok(m: &mut M) -> Result<(), E> {\n    m.pin_run(s, l)?;\n    let r = table.get(k).expect(\"present\");\n    m.unpin_run(s, l);\n    Ok(())\n}\nfn ledger(m: &mut M) -> Result<(), E> {\n    m.pin_run(s, l)?;\n    pinned.push_back((s, l));\n    Ok(())\n}\n";
         let a = analyze(&[pin_defs(), lib("crates/core/src/x.rs", src)], &[]);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
     }
@@ -581,9 +575,21 @@ mod tests {
 
     #[test]
     fn unused_allow_warns_and_used_allow_does_not() {
-        let src = "//! Doc.\nfn f() {\n    x.unwrap(); // cdna-check: allow(panic): fine\n    y(); // cdna-check: allow(panic): stale\n}\n";
+        let src = "//! Doc.\nfn f(k: FaultKind) -> u32 {\n    match k {\n        FaultKind::EmptySlot { index } => index,\n        _ => 0, // cdna-check: allow(exhaustive-fault): fine\n    }\n}\nfn g() {\n    y(); // cdna-check: allow(exhaustive-fault): stale\n}\n";
         let a = analyze(&[lib("crates/core/src/x.rs", src)], &[]);
-        assert_eq!(rules_of(&a), [("unused-allow", 4)], "{:?}", a.diagnostics);
+        assert_eq!(rules_of(&a), [("unused-allow", 9)], "{:?}", a.diagnostics);
+        assert_eq!(a.allow_count, 2);
+    }
+
+    #[test]
+    fn multi_rule_allow_credits_each_rule_separately() {
+        // One annotation naming two rules is two entries: `layering`
+        // suppresses the back-edge below it, `exhaustive-fault` has
+        // nothing to suppress and is reported as unused.
+        let src = "//! Doc.\n// cdna-check: allow(layering, exhaustive-fault): both\nuse cdna_system::X;\n";
+        let a = analyze(&[lib("crates/sim/src/bad.rs", src)], &[]);
+        assert_eq!(rules_of(&a), [("unused-allow", 2)], "{:?}", a.diagnostics);
+        assert!(a.diagnostics[0].message.contains("exhaustive-fault"));
         assert_eq!(a.allow_count, 2);
     }
 

@@ -185,7 +185,7 @@ mod tests {
     fn fixture_parsing_rejects_misplaced_markers() {
         assert!(parse_fixture("pub fn a() {}\n").is_err());
         assert!(
-            parse_fixture("// cdna-fixture-file: a.rs\n// cdna-expect: panic a.rs:1\n").is_err()
+            parse_fixture("// cdna-fixture-file: a.rs\n// cdna-expect: layering a.rs:1\n").is_err()
         );
         assert!(parse_fixture("").is_err());
     }

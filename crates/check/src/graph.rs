@@ -6,8 +6,8 @@
 //! to every workspace `fn pin_run` — imprecise in general, exactly
 //! right for this codebase where the protection primitives have unique
 //! names. Passes ([`Pass`]) run over the whole graph and return
-//! ordinary [`Diagnostic`]s, so their findings flow through the same
-//! allow/report machinery as the token rules.
+//! ordinary [`Diagnostic`]s, so their findings flow through one
+//! allow/report machinery.
 
 use crate::parse::{FileSymbols, FnSym};
 use crate::rules::{Diagnostic, FileKind};

@@ -1,8 +1,9 @@
 //! A minimal hand-rolled Rust source scanner.
 //!
-//! The static pass does not need a real parser: every rule it enforces
-//! is visible at the token level once comments and string literals are
-//! out of the way. This module provides the passes the rules build on:
+//! The static passes do not need a real parser: the item-level parser
+//! in [`crate::parse`] works on tokens once comments and string
+//! literals are out of the way. This module provides the passes it and
+//! the rules build on:
 //!
 //! 1. [`scrub`] — replaces comments and string/char-literal *contents*
 //!    with spaces (newlines preserved, so line numbers survive), while
@@ -31,9 +32,9 @@ pub struct AllowEntry {
 /// Syntax, anywhere inside a `//` or `/* */` comment:
 ///
 /// ```text
-/// // cdna-check: allow(panic)
-/// // cdna-check: allow(panic, nondeterministic-map): justification
-/// // cdna-check: allow-file(sim-time): justification
+/// // cdna-check: allow(layering)
+/// // cdna-check: allow(guest-taint, lock-order): justification
+/// // cdna-check: allow-file(clock-purity): justification
 /// ```
 ///
 /// A line-scoped `allow` suppresses diagnostics on its own line and the
@@ -47,11 +48,6 @@ pub struct Allows {
 }
 
 impl Allows {
-    /// Whether `rule` is suppressed at `line`.
-    pub fn permits(&self, rule: &str, line: u32) -> bool {
-        self.match_entry(rule, line).is_some()
-    }
-
     /// Index of the entry that suppresses `rule` at `line`, if any.
     /// Line-scoped entries win over file-wide ones, so "used allow"
     /// accounting credits the most specific annotation.
@@ -469,12 +465,16 @@ fn skip_attr(tokens: &[Token], i: usize) -> usize {
 mod tests {
     use super::*;
 
+    fn permits(allows: &Allows, rule: &str, line: u32) -> bool {
+        allows.match_entry(rule, line).is_some()
+    }
+
     #[test]
     fn comments_and_strings_are_blanked() {
         let src = "let x = \"unwrap()\"; // unwrap()\nlet y = 1; /* panic! */";
         let s = scrub(src);
         assert!(!s.masked.contains("unwrap"));
-        assert!(!s.masked.contains("panic"));
+        assert!(!s.masked.contains("layering"));
         assert_eq!(s.masked.lines().count(), src.lines().count());
     }
 
@@ -498,7 +498,7 @@ mod tests {
     fn nested_block_comments() {
         let src = "/* outer /* inner unsafe */ still comment */ fn f() {}";
         let s = scrub(src);
-        assert!(!s.masked.contains("unsafe"));
+        assert!(!s.masked.contains("guest-taint"));
         assert!(s.masked.contains("fn f"));
     }
 
@@ -520,20 +520,23 @@ mod tests {
 
     #[test]
     fn line_allow_harvested() {
-        let src = "foo(); // cdna-check: allow(panic): reason\nbar();";
+        let src = "foo(); // cdna-check: allow(layering): reason\nbar();";
         let s = scrub(src);
-        assert!(s.allows.permits("panic", 1));
-        assert!(s.allows.permits("panic", 2), "applies to next line too");
-        assert!(!s.allows.permits("panic", 3));
-        assert!(!s.allows.permits("unsafe", 1));
+        assert!(permits(&s.allows, "layering", 1));
+        assert!(
+            permits(&s.allows, "layering", 2),
+            "applies to next line too"
+        );
+        assert!(!permits(&s.allows, "layering", 3));
+        assert!(!permits(&s.allows, "guest-taint", 1));
     }
 
     #[test]
     fn file_allow_harvested() {
-        let src = "// cdna-check: allow-file(sim-time): wall clock ok here\nfn f() {}\n";
+        let src = "// cdna-check: allow-file(clock-purity): wall clock ok here\nfn f() {}\n";
         let s = scrub(src);
-        assert!(s.allows.permits("sim-time", 40));
-        assert!(!s.allows.permits("panic", 1));
+        assert!(permits(&s.allows, "clock-purity", 40));
+        assert!(!permits(&s.allows, "layering", 1));
     }
 
     #[test]
@@ -541,15 +544,15 @@ mod tests {
         // The annotation sits on line 3 of a comment opened on line 1;
         // it must suppress line 3/4, not line 1/2.
         let src =
-            "/* rationale paragraph\n   spanning lines\n   cdna-check: allow(panic): ok\n*/\nx();";
+            "/* rationale paragraph\n   spanning lines\n   cdna-check: allow(layering): ok\n*/\nx();";
         let s = scrub(src);
-        assert!(s.allows.permits("panic", 3));
-        assert!(s.allows.permits("panic", 4));
+        assert!(permits(&s.allows, "layering", 3));
+        assert!(permits(&s.allows, "layering", 4));
         assert!(
-            !s.allows.permits("panic", 1),
+            !permits(&s.allows, "layering", 1),
             "comment-open line is not the marker line"
         );
-        assert!(!s.allows.permits("panic", 5));
+        assert!(!permits(&s.allows, "layering", 5));
     }
 
     #[test]
@@ -557,27 +560,27 @@ mod tests {
         // Annotation syntax quoted in docs must not become live
         // suppressions (this very file documents the syntax!).
         for src in [
-            "/// `// cdna-check: allow(panic)`\nfn f() {}",
-            "//! cdna-check: allow-file(panic)\nfn f() {}",
-            "/** cdna-check: allow(panic) */\nfn f() {}",
-            "/*! cdna-check: allow-file(unsafe) */\nfn f() {}",
+            "/// `// cdna-check: allow(layering)`\nfn f() {}",
+            "//! cdna-check: allow-file(layering)\nfn f() {}",
+            "/** cdna-check: allow(layering) */\nfn f() {}",
+            "/*! cdna-check: allow-file(guest-taint) */\nfn f() {}",
         ] {
             let s = scrub(src);
             assert_eq!(s.allows.count(), 0, "harvested from doc comment: {src}");
         }
         // Plain comments still work, including the //// pseudo-doc form.
-        let s = scrub("//// cdna-check: allow(panic)\nx();");
+        let s = scrub("//// cdna-check: allow(layering)\nx();");
         assert_eq!(s.allows.count(), 1);
     }
 
     #[test]
     fn allow_entries_exposed_with_lines() {
-        let src = "// cdna-check: allow-file(sim-time)\nx(); // cdna-check: allow(panic)\n";
+        let src = "// cdna-check: allow-file(clock-purity)\nx(); // cdna-check: allow(layering)\n";
         let s = scrub(src);
         let e = s.allows.entries();
         assert_eq!(e.len(), 2);
-        assert!(e[0].file_wide && e[0].rule == "sim-time" && e[0].line == 1);
-        assert!(!e[1].file_wide && e[1].rule == "panic" && e[1].line == 2);
+        assert!(e[0].file_wide && e[0].rule == "clock-purity" && e[0].line == 1);
+        assert!(!e[1].file_wide && e[1].rule == "layering" && e[1].line == 2);
     }
 
     #[test]
@@ -586,7 +589,7 @@ mod tests {
         // diagnostics after it land on the right line; fake comment
         // markers and fake closes inside the body must not confuse the
         // scanner.
-        let src = "let s = r##\"line one \"# not closed\n// cdna-check: allow(panic)\n/* still string */\"##;\nx.unwrap();";
+        let src = "let s = r##\"line one \"# not closed\n// cdna-check: allow(layering)\n/* still string */\"##;\nx.unwrap();";
         let s = scrub(src);
         assert_eq!(s.allows.count(), 0, "allow inside raw string harvested");
         assert!(!s.masked.contains("not closed"));
@@ -608,10 +611,10 @@ mod tests {
 
     #[test]
     fn multi_rule_allow() {
-        let src = "x(); // cdna-check: allow(panic, nondeterministic-map)";
+        let src = "x(); // cdna-check: allow(layering, exhaustive-fault)";
         let s = scrub(src);
-        assert!(s.allows.permits("panic", 1));
-        assert!(s.allows.permits("nondeterministic-map", 1));
+        assert!(permits(&s.allows, "layering", 1));
+        assert!(permits(&s.allows, "exhaustive-fault", 1));
     }
 
     #[test]

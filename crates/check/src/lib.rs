@@ -7,14 +7,15 @@
 //! `cdna-core`'s protection engine and `cdna-mem`'s page pool. This
 //! crate makes them mechanically checkable, twice over:
 //!
-//! * **Static pass** ([`rules`], on top of [`lexer`]): a hand-rolled
-//!   token scanner that walks the workspace and enforces the repo's
-//!   correctness rules — no wall-clock time in simulation code, no
-//!   nondeterministic map iteration, no panics in library code, no
-//!   `unsafe`, no external-registry dependencies, no undocumented
-//!   public items. Violations can be suppressed in-source with
+//! * **Repository walker** ([`rules`], on top of [`lexer`]): a
+//!   hand-rolled token scanner that walks the workspace and feeds the
+//!   passes below. Violations can be suppressed in-source with
 //!   `// cdna-check: allow(<rule>)` annotations; an annotation that
-//!   suppresses nothing is itself a `unused-allow` warning.
+//!   suppresses nothing is itself a `unused-allow` warning. Rules the
+//!   compiler already has — no `unsafe`, no undocumented public items,
+//!   no panics in library code, no wall clock or hash-ordered maps —
+//!   are rustc and clippy lints configured in the workspace manifest
+//!   and `clippy.toml`, not rules here.
 //! * **Symbol-graph pass** ([`parse`], [`graph`], [`analyses`]): an
 //!   item-level parser extracts per-crate symbols (`use` edges, `fn`
 //!   call sites, `match` summaries) and three interprocedural rules run
@@ -40,7 +41,7 @@
 //! (`cargo run -p cdna-check`), which exits non-zero on any violation
 //! and can emit a machine-readable JSON report ([`report`]).
 
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod analyses;
 pub mod calibrate;
@@ -59,8 +60,7 @@ pub use analyses::{analyze, analyze_jobs, Analysis, SourceFile};
 pub use report::render_json;
 pub use rules::check_repo_jobs;
 pub use rules::{
-    check_manifest, check_repo, check_source, rule_code, rule_severity, Diagnostic, FileKind,
-    StaticReport, RULE_NAMES,
+    check_repo, rule_code, rule_severity, Diagnostic, FileKind, StaticReport, RULE_NAMES,
 };
 pub use shadow::{DmaShadow, ShadowDir, ShadowState, ShadowViolation, ViolationKind};
 

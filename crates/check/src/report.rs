@@ -13,11 +13,11 @@
 //!   "files_scanned": 42,
 //!   "manifests_scanned": 11,
 //!   "allow_annotations": 9,
-//!   "counts": { "panic": 2, "unsafe": 1 },
+//!   "counts": { "exhaustive-fault": 2, "layering": 1 },
 //!   "diagnostics": [
-//!     { "rule": "panic", "code": "CDNA003", "severity": "error",
+//!     { "rule": "exhaustive-fault", "code": "CDNA010", "severity": "error",
 //!       "file": "crates/x/src/y.rs", "line": 17,
-//!       "message": "`.unwrap()` can panic in library code; ..." }
+//!       "message": "wildcard arm in a match on `FaultKind`; ..." }
 //!   ]
 //! }
 //! ```
@@ -26,9 +26,10 @@
 //! across runs — diffable in CI artifacts — and, because the scan
 //! itself merges per-file work in path order, byte-identical at any
 //! `--jobs` count (the worker count is deliberately *not* a report
-//! field; CDNA016 would flag it). Rule codes (`CDNA001`…) are
-//! append-only: a rule rename never reassigns a code, so report diffs
-//! across PRs stay meaningful.
+//! field; CDNA016 would flag it). Rule codes (`CDNA007`…) are
+//! append-only: a rule rename never reassigns a code, and the retired
+//! CDNA001–006 (now compiler and clippy lints) stay unassigned, so
+//! report diffs across PRs stay meaningful.
 
 use crate::rules::{rule_code, rule_severity, StaticReport};
 use cdna_trace::json::JsonWriter;
@@ -39,7 +40,7 @@ use std::collections::BTreeMap;
 pub const SCHEMA_VERSION: u64 = 4;
 
 /// Renders a [`StaticReport`] as GitHub workflow-command annotation
-/// lines (`::error file=…,line=…::CDNA003 message`), one per
+/// lines (`::error file=…,line=…::CDNA010 message`), one per
 /// diagnostic, so CI surfaces violations inline on the PR diff. The
 /// JSON artifact remains the machine-readable record; this is the
 /// human-facing overlay. Newlines inside messages are escaped per the
@@ -300,13 +301,13 @@ mod tests {
         let r = StaticReport {
             diagnostics: vec![
                 Diagnostic {
-                    rule: "panic",
+                    rule: "exhaustive-fault",
                     file: "a.rs".into(),
                     line: 5,
                     message: "boom \"quoted\"".into(),
                 },
                 Diagnostic {
-                    rule: "panic",
+                    rule: "exhaustive-fault",
                     file: "b.rs".into(),
                     line: 1,
                     message: "again".into(),
@@ -318,8 +319,8 @@ mod tests {
         };
         let json = render_json(&r);
         assert!(json.contains(r#""clean":false"#));
-        assert!(json.contains(r#""panic":2"#));
-        assert!(json.contains(r#""code":"CDNA003""#));
+        assert!(json.contains(r#""exhaustive-fault":2"#));
+        assert!(json.contains(r#""code":"CDNA010""#));
         assert!(json.contains(r#""severity":"error""#));
         assert!(json.contains(r#""line":5"#));
         assert!(json.contains(r#"\"quoted\""#), "message must be escaped");
@@ -365,7 +366,9 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), RULE_NAMES.len(), "duplicate code: {codes:?}");
-        assert_eq!(rule_code("sim-time"), "CDNA001");
+        assert_eq!(RULE_NAMES.len(), 11);
+        assert_eq!(rule_code("unused-allow"), "CDNA007");
+        assert_eq!(rule_code("layering"), "CDNA008");
         assert_eq!(rule_code("exhaustive-fault"), "CDNA010");
         assert_eq!(rule_code("guest-taint"), "CDNA011");
         assert_eq!(rule_code("lock-order"), "CDNA012");
@@ -422,11 +425,11 @@ mod tests {
     #[test]
     fn baseline_tolerates_whitespace_and_rejects_garbage() {
         let ok = r#"{ "diagnostics": [
-            { "file": "a.rs", "line": 3, "rule": "panic", "extra": "x" }
+            { "file": "a.rs", "line": 3, "rule": "layering", "extra": "x" }
         ] }"#;
         assert_eq!(
             parse_baseline(ok).expect("parse"),
-            vec![("panic".to_string(), "a.rs".to_string(), 3)]
+            vec![("layering".to_string(), "a.rs".to_string(), 3)]
         );
         assert!(parse_baseline("{}").is_err(), "missing key must error");
         assert!(

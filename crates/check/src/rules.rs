@@ -1,16 +1,10 @@
-//! The static rule set and the repository walker that applies it.
+//! The static rule registry and the repository walker.
 //!
 //! Each rule has a stable kebab-case name, used both in diagnostics and
 //! in `// cdna-check: allow(<rule>)` suppression annotations:
 //!
 //! | rule | code | meaning |
 //! |------|------|---------|
-//! | `sim-time` | CDNA001 | wall-clock time (`std::time`) in simulation library code |
-//! | `nondeterministic-map` | CDNA002 | `HashMap`/`HashSet` in library code (use `BTreeMap`) |
-//! | `panic` | CDNA003 | `unwrap()`/`expect()`/`panic!` in non-test library code |
-//! | `unsafe` | CDNA004 | any `unsafe` token anywhere |
-//! | `hermetic-deps` | CDNA005 | external-registry dependency edge in a `Cargo.toml` |
-//! | `missing-docs` | CDNA006 | public item without a `///` doc comment |
 //! | `unused-allow` | CDNA007 | an `allow(...)` escape that suppresses nothing |
 //! | `layering` | CDNA008 | crate dependency edge against the layer order |
 //! | `must-pair` | CDNA009 | pin acquired but not released on a non-panic path |
@@ -23,25 +17,25 @@
 //! | `jobs-leak` | CDNA016 | worker count/index or thread identity in compared serialization |
 //! | `float-accum` | CDNA017 | order-unstable data fed into an `f64` reduction |
 //!
+//! CDNA001–006 were token-level copies of compiler lints and are
+//! retired; their codes are never reassigned. The workspace lint table
+//! (`unsafe_code`, `missing_docs`), the crate-root clippy lints
+//! (`unwrap_used`, `expect_used`, `panic`), `clippy.toml`'s disallowed
+//! wall-clock and hash-map types, and the `Cargo.lock` guard in
+//! `tests/manifest_policy.rs` enforce what they did.
+//!
 //! CDNA007–010 are produced by the symbol-graph passes in
 //! [`crate::analyses`], CDNA011–013 by the dataflow passes in
 //! [`crate::taint`] and [`crate::locks`], CDNA014–017 by the
 //! determinism-soundness passes in [`crate::determinism`]; this module
-//! owns the token-level rules, the rule registry (names, codes,
-//! severities), and the repository walker.
+//! owns the rule registry (names, codes, severities) and the repository
+//! walker.
 
 use crate::analyses::SourceFile;
-use crate::lexer::{scrub, test_lines, tokenize, Token};
 use std::path::{Path, PathBuf};
 
 /// Names of every static rule, in report order.
-pub const RULE_NAMES: [&str; 17] = [
-    "sim-time",
-    "nondeterministic-map",
-    "panic",
-    "unsafe",
-    "hermetic-deps",
-    "missing-docs",
+pub const RULE_NAMES: [&str; 11] = [
     "unused-allow",
     "layering",
     "must-pair",
@@ -55,16 +49,10 @@ pub const RULE_NAMES: [&str; 17] = [
     "float-accum",
 ];
 
-/// Stable machine-readable code for a rule (`CDNA001`…), used by the
+/// Stable machine-readable code for a rule (`CDNA007`…), used by the
 /// JSON report so CI diffs survive rule renames.
 pub fn rule_code(rule: &str) -> &'static str {
     match rule {
-        "sim-time" => "CDNA001",
-        "nondeterministic-map" => "CDNA002",
-        "panic" => "CDNA003",
-        "unsafe" => "CDNA004",
-        "hermetic-deps" => "CDNA005",
-        "missing-docs" => "CDNA006",
         "unused-allow" => "CDNA007",
         "layering" => "CDNA008",
         "must-pair" => "CDNA009",
@@ -93,12 +81,12 @@ pub fn rule_severity(rule: &str) -> &'static str {
 /// How a source file is classified, which decides the rules applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
-    /// Library code under `src/`: all rules apply.
+    /// Library code under `src/`: every pass applies.
     Library,
-    /// `tests/` and `examples/`: only the `unsafe` rule applies.
+    /// `tests/` and `examples/`: only the crate-wide `layering` rule.
     TestOrExample,
-    /// Binary entry points (`main.rs`, `src/bin/`): `unsafe` only —
-    /// binaries may print, exit, and read the wall clock.
+    /// Binary entry points (`main.rs`, `src/bin/`): `layering`, plus the
+    /// determinism passes that follow values into serialized output.
     Binary,
 }
 
@@ -145,290 +133,6 @@ impl StaticReport {
     }
 }
 
-/// Runs every static rule over one file's source text.
-///
-/// `rel` is the repo-relative path used in diagnostics; `kind` selects
-/// the applicable rule subset. Returns the diagnostics plus the number
-/// of allow annotations found (even unused ones), so callers can report
-/// suppression totals.
-pub fn check_source(rel: &str, kind: FileKind, src: &str) -> (Vec<Diagnostic>, usize) {
-    let scrubbed = scrub(src);
-    let tokens = tokenize(&scrubbed.masked);
-    let in_test = test_lines(&tokens);
-    let raw = token_rule_diags(rel, kind, src, &tokens, &in_test);
-    let out = raw
-        .into_iter()
-        .filter(|d| !scrubbed.allows.permits(d.rule, d.line))
-        .collect();
-    (out, scrubbed.allows.count())
-}
-
-/// Runs the token-level rules over one scrubbed file, *without* allow
-/// suppression — the whole-workspace pipeline
-/// ([`crate::analyses::analyze`]) filters
-/// later so it can tell which allows were actually used.
-pub(crate) fn token_rule_diags(
-    rel: &str,
-    kind: FileKind,
-    src: &str,
-    tokens: &[Token],
-    in_test: &std::collections::BTreeSet<u32>,
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut push = |rule: &'static str, line: u32, message: String| {
-        out.push(Diagnostic {
-            rule,
-            file: rel.to_string(),
-            line,
-            message,
-        });
-    };
-
-    for (i, t) in tokens.iter().enumerate() {
-        if !t.is_ident {
-            continue;
-        }
-        let next = |k: usize| tokens.get(i + k).map(|t| t.text.as_str());
-        let prev = |k: usize| i.checked_sub(k).map(|j| tokens[j].text.as_str());
-        let lib = kind == FileKind::Library && !in_test.contains(&t.line);
-
-        match t.text.as_str() {
-            "unsafe" => push(
-                "unsafe",
-                t.line,
-                "`unsafe` is forbidden in this workspace".to_string(),
-            ),
-            "SystemTime" if lib => push(
-                "sim-time",
-                t.line,
-                "wall-clock `SystemTime` in simulation code; use cdna-sim time".to_string(),
-            ),
-            "Instant"
-                if lib
-                    && prev(1) == Some(":")
-                    && prev(2) == Some(":")
-                    && prev(3) == Some("time") =>
-            {
-                push(
-                    "sim-time",
-                    t.line,
-                    "wall-clock `time::Instant` in simulation code; use cdna-sim time".to_string(),
-                )
-            }
-            "use"
-                if lib
-                    && next(1) == Some("std")
-                    && next(2) == Some(":")
-                    && next(3) == Some(":")
-                    && next(4) == Some("time") =>
-            {
-                push(
-                    "sim-time",
-                    t.line,
-                    "`use std::time` in simulation code; use cdna-sim time".to_string(),
-                )
-            }
-            "HashMap" | "HashSet" if lib => push(
-                "nondeterministic-map",
-                t.line,
-                format!(
-                    "`{}` iterates in nondeterministic order; use BTreeMap/BTreeSet",
-                    t.text
-                ),
-            ),
-            "unwrap" | "expect" if lib && next(1) == Some("(") && prev(1) == Some(".") => push(
-                "panic",
-                t.line,
-                format!(
-                    "`.{}()` can panic in library code; propagate a Result",
-                    t.text
-                ),
-            ),
-            "panic" if lib && next(1) == Some("!") => push(
-                "panic",
-                t.line,
-                "`panic!` in library code; return an error instead".to_string(),
-            ),
-            "pub" if lib => {
-                if let Some((item_line, what, name)) = public_item(tokens, i) {
-                    if !has_doc_comment(src, item_line) {
-                        push(
-                            "missing-docs",
-                            item_line,
-                            format!("public {what} `{name}` has no `///` doc comment"),
-                        );
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    out
-}
-
-/// If token `i` is a `pub` introducing a fully-public named item,
-/// returns (line, item kind, name). Restricted visibility (`pub(crate)`)
-/// and re-exports (`pub use`) are skipped.
-fn public_item(tokens: &[Token], i: usize) -> Option<(u32, &'static str, String)> {
-    let mut j = i + 1;
-    if tokens.get(j)?.text == "(" {
-        return None; // pub(crate) etc. — not public API
-    }
-    // Skip qualifiers between `pub` and the item keyword. `const` is
-    // only a qualifier when followed by `fn` (`pub const fn`); in
-    // `pub const NAME` it is the item keyword itself.
-    loop {
-        match tokens.get(j)?.text.as_str() {
-            "async" | "unsafe" | "extern" | "\"" => j += 1,
-            "const" if tokens.get(j + 1).map(|t| t.text.as_str()) == Some("fn") => j += 1,
-            _ => break,
-        }
-    }
-    let what = match tokens.get(j)?.text.as_str() {
-        "fn" => "fn",
-        "struct" => "struct",
-        "enum" => "enum",
-        "trait" => "trait",
-        "type" => "type alias",
-        "const" => "const",
-        "static" => "static",
-        "mod" => "module",
-        "union" => "union",
-        _ => return None, // pub use, pub impl-in-macro, etc.
-    };
-    let name = tokens.get(j + 1).filter(|t| t.is_ident)?.text.clone();
-    if what == "module" && tokens.get(j + 2).map(|t| t.text.as_str()) == Some(";") {
-        return None; // out-of-line module: documented by its file's `//!`
-    }
-    Some((tokens[i].line, what, name))
-}
-
-/// Whether the item starting at 1-based `line` has a doc comment (or a
-/// `#[doc]` attribute) directly above it, skipping attribute lines.
-fn has_doc_comment(src: &str, line: u32) -> bool {
-    let lines: Vec<&str> = src.lines().collect();
-    let mut j = line as usize; // lines[j - 1] is the item; start above it
-    while j > 1 {
-        let above = lines.get(j - 2).map(|l| l.trim_start()).unwrap_or("");
-        if above.starts_with("///")
-            || above.starts_with("/**")
-            || above.starts_with("#![doc")
-            || above.starts_with("//!")
-        {
-            return true;
-        }
-        if above.starts_with("#[")
-            || above.starts_with(")]")
-            || above.starts_with("]")
-            || above.starts_with("//")
-        {
-            // Attributes (possibly multi-line) and plain comments sit
-            // between a doc comment and its item without detaching it.
-            j -= 1;
-        } else {
-            return false;
-        }
-    }
-    false
-}
-
-/// Checks one `Cargo.toml` for external-registry dependency edges.
-///
-/// Every entry in a dependency section must be a path dependency or a
-/// `workspace = true` reference; bare version strings (`foo = "1.0"`)
-/// and registry tables without `path` are violations.
-pub fn check_manifest(rel: &str, src: &str) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut in_dep_section = false;
-    // A `[dependencies.foo]` subsection being accumulated:
-    let mut subsection: Option<(u32, String, bool)> = None; // (line, name, saw path/workspace)
-
-    let is_dep_kind = |s: &str| {
-        matches!(
-            s,
-            "dependencies" | "dev-dependencies" | "build-dependencies"
-        )
-    };
-
-    let flush_subsection = |sub: &mut Option<(u32, String, bool)>, out: &mut Vec<Diagnostic>| {
-        if let Some((line, name, ok)) = sub.take() {
-            if !ok {
-                out.push(Diagnostic {
-                    rule: "hermetic-deps",
-                    file: rel.to_string(),
-                    line,
-                    message: format!("dependency `{name}` has no `path`/`workspace` source"),
-                });
-            }
-        }
-    };
-
-    for (idx, raw) in src.lines().enumerate() {
-        let line = idx as u32 + 1;
-        let l = raw.trim();
-        if l.starts_with('#') || l.is_empty() {
-            continue;
-        }
-        if l.starts_with('[') {
-            flush_subsection(&mut subsection, &mut out);
-            in_dep_section = false;
-            let inner = l.trim_matches(|c| c == '[' || c == ']');
-            let parts: Vec<&str> = inner.split('.').collect();
-            if parts.last().map(|p| is_dep_kind(p)).unwrap_or(false) {
-                // `[dependencies]`, `[workspace.dependencies]`,
-                // `[target.'cfg'.dependencies]` — a plain dep table.
-                in_dep_section = true;
-            } else if parts.iter().rev().skip(1).any(|p| is_dep_kind(p)) {
-                // `[dependencies.foo]` — one dependency as a subsection;
-                // it must contain a `path` or `workspace` key.
-                if let Some(name) = parts.last() {
-                    subsection = Some((line, name.to_string(), false));
-                }
-            }
-            continue;
-        }
-        if let Some((_, _, ok)) = subsection.as_mut() {
-            let key = l.split('=').next().unwrap_or("").trim();
-            if key == "path" || key == "workspace" {
-                *ok = true;
-            }
-            continue;
-        }
-        if !in_dep_section {
-            continue;
-        }
-        let Some((name, value)) = l.split_once('=') else {
-            continue;
-        };
-        let name = name.trim();
-        let value = value.trim();
-        if name.ends_with(".workspace") {
-            continue; // `foo.workspace = true`
-        }
-        if value.starts_with('"') || value.starts_with('\'') {
-            out.push(Diagnostic {
-                rule: "hermetic-deps",
-                file: rel.to_string(),
-                line,
-                message: format!(
-                    "dependency `{name}` pulls from a registry; use a path/workspace dep"
-                ),
-            });
-        } else if value.starts_with('{') && !value.contains("path") && !value.contains("workspace")
-        {
-            out.push(Diagnostic {
-                rule: "hermetic-deps",
-                file: rel.to_string(),
-                line,
-                message: format!("dependency `{name}` has no `path`/`workspace` source"),
-            });
-        }
-    }
-    flush_subsection(&mut subsection, &mut out);
-    out
-}
-
 /// Classifies a repo-relative path, or returns `None` if the file is
 /// exempt from scanning (e.g. the seeded-violation corpus).
 pub fn classify(rel: &str) -> Option<FileKind> {
@@ -449,8 +153,8 @@ pub fn classify(rel: &str) -> Option<FileKind> {
 }
 
 /// Walks the repository at `root` and applies every static rule: the
-/// token rules, the symbol-graph passes (`layering`, `must-pair`,
-/// `exhaustive-fault`), and the `unused-allow` audit.
+/// symbol-graph passes (`layering`, `must-pair`, `exhaustive-fault`),
+/// the dataflow and determinism passes, and the `unused-allow` audit.
 ///
 /// Scans `src/`, `tests/`, `examples/` at the root and under each
 /// `crates/*`, plus every `Cargo.toml`. Paths are sorted so output is
@@ -460,7 +164,7 @@ pub fn check_repo(root: &Path) -> std::io::Result<StaticReport> {
     check_repo_jobs(root, Some(1))
 }
 
-/// [`check_repo`], with per-file lex/parse/token-rule work sharded over
+/// [`check_repo`], with per-file lex/parse work sharded over
 /// `jobs` workers of the `cdna_sim::par` pool (`None` resolves the
 /// worker count like every other binary: `CDNA_JOBS`, then available
 /// parallelism). The scanner self-hosts the guarantee it checks: the
@@ -555,111 +259,24 @@ fn rel_path(root: &Path, path: &Path) -> String {
 mod tests {
     use super::*;
 
-    fn diags(kind: FileKind, src: &str) -> Vec<Diagnostic> {
-        check_source("x.rs", kind, src).0
-    }
-
-    #[test]
-    fn unwrap_flagged_in_library() {
-        let d = diags(FileKind::Library, "fn f() { x.unwrap(); }");
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "panic");
-    }
-
-    #[test]
-    fn unwrap_or_not_flagged() {
-        let d = diags(
-            FileKind::Library,
-            "fn f() { x.unwrap_or(0); x.unwrap_or_else(y); }",
-        );
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn unwrap_in_test_mod_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n fn t() { x.unwrap(); }\n}";
-        assert!(diags(FileKind::Library, src).is_empty());
-    }
-
     #[test]
     fn allow_annotation_suppresses() {
-        let src = "fn f() {\n // cdna-check: allow(panic): startup only\n x.unwrap();\n}";
-        assert!(diags(FileKind::Library, src).is_empty());
-    }
-
-    #[test]
-    fn hashmap_flagged_instant_in_enum_not() {
-        let d = diags(
-            FileKind::Library,
-            "fn f() { let m: HashMap<u32, u32> = x; }",
-        );
-        assert_eq!(d[0].rule, "nondeterministic-map");
-        // A bare `Instant` ident (e.g. an enum variant) is NOT sim-time.
-        let d = diags(FileKind::Library, "fn g() -> Phase { Phase::Instant }");
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn std_time_flagged() {
-        let d = diags(FileKind::Library, "use std::time::Instant;\nfn f() {}");
-        assert!(d.iter().any(|d| d.rule == "sim-time"));
-        let d = diags(
-            FileKind::Library,
-            "fn f() { let t = std::time::Instant::now(); }",
-        );
-        assert!(d.iter().any(|d| d.rule == "sim-time"));
-    }
-
-    #[test]
-    fn unsafe_flagged_even_in_tests() {
-        let d = diags(FileKind::TestOrExample, "fn f() { unsafe { boom() } }");
-        assert_eq!(d[0].rule, "unsafe");
-    }
-
-    #[test]
-    fn binary_may_panic() {
-        assert!(diags(FileKind::Binary, "fn main() { x.unwrap(); }").is_empty());
-    }
-
-    #[test]
-    fn missing_docs_on_pub_fn() {
-        let d = diags(FileKind::Library, "pub fn naked() {}\n");
-        assert_eq!(d[0].rule, "missing-docs");
-        let d = diags(FileKind::Library, "/// Documented.\npub fn fine() {}\n");
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn missing_docs_skips_attrs_and_restricted() {
-        let src = "/// Doc above attrs.\n#[derive(Debug)]\n#[repr(C)]\npub struct S;\n";
-        assert!(diags(FileKind::Library, src).is_empty());
-        assert!(diags(FileKind::Library, "pub(crate) fn hidden() {}\n").is_empty());
-        assert!(diags(FileKind::Library, "pub use foo::Bar;\n").is_empty());
-    }
-
-    #[test]
-    fn manifest_registry_dep_flagged() {
-        let toml = "[package]\nname = \"x\"\n[dependencies]\nserde = \"1.0\"\n";
-        let d = check_manifest("Cargo.toml", toml);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "hermetic-deps");
-        assert_eq!(d[0].line, 4);
-    }
-
-    #[test]
-    fn manifest_path_and_workspace_ok() {
-        let toml = "[dependencies]\na.workspace = true\nb = { path = \"../b\" }\n\
-                    [workspace.dependencies]\nc = { path = \"crates/c\" }\n";
-        assert!(check_manifest("Cargo.toml", toml).is_empty());
-    }
-
-    #[test]
-    fn manifest_subsection_without_path_flagged() {
-        let toml = "[dependencies.serde]\nversion = \"1\"\nfeatures = [\"derive\"]\n";
-        let d = check_manifest("Cargo.toml", toml);
-        assert_eq!(d.len(), 1);
-        let toml = "[dependencies.local]\npath = \"../local\"\n";
-        assert!(check_manifest("Cargo.toml", toml).is_empty());
+        let src = "fn f(k: FaultKind) -> u32 {\n    match k {\n        FaultKind::EmptySlot { index } => index,\n        // cdna-check: allow(exhaustive-fault): fixture\n        _ => 0,\n    }\n}\n";
+        let analyze = |text: String| {
+            let file = SourceFile {
+                rel: "crates/core/src/x.rs".into(),
+                kind: FileKind::Library,
+                text,
+            };
+            crate::analyses::analyze(&[file], &[])
+        };
+        let a = analyze(src.to_string());
+        assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
+        assert_eq!(a.allow_count, 1);
+        // Without the annotation the wildcard arm fires.
+        let a = analyze(src.replace("// cdna-check: allow(exhaustive-fault): fixture", ""));
+        assert_eq!(a.diagnostics.len(), 1, "{:?}", a.diagnostics);
+        assert_eq!(a.diagnostics[0].rule, "exhaustive-fault");
     }
 
     #[test]

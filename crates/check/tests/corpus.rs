@@ -1,11 +1,13 @@
-//! Seeded-violation corpus: proves every static rule and every
-//! `DmaShadow` violation class actually fires.
+//! Lexer corpus and `DmaShadow` violation classes: proves comment and
+//! raw-string scrubbing keep spans exact under a real rule, and that
+//! every shadow violation class actually fires. (The dataflow rules'
+//! seeded fixtures run through the calibration harness instead.)
 //!
 //! The fixtures live in `tests/corpus/` (a plain directory, so cargo
 //! does not compile them and the repo-wide scan skips them).
 
 use cdna_check::shadow::{DmaShadow, ShadowDir, ViolationKind};
-use cdna_check::{check_manifest, check_source, FileKind};
+use cdna_check::{analyze, Analysis, FileKind, SourceFile};
 use cdna_core::ContextId;
 use cdna_mem::{DomainId, PageId};
 
@@ -19,132 +21,40 @@ fn corpus(name: &str) -> String {
     }
 }
 
-fn rules_fired(name: &str, kind: FileKind) -> Vec<&'static str> {
-    let (diags, _) = check_source(name, kind, &corpus(name));
-    diags.iter().map(|d| d.rule).collect()
+fn analyze_one(name: &str, kind: FileKind) -> Analysis {
+    let file = SourceFile {
+        rel: format!("crates/core/src/{name}"),
+        kind,
+        text: corpus(name),
+    };
+    analyze(&[file], &[])
+}
+
+fn fired(a: &Analysis) -> Vec<(&'static str, u32)> {
+    a.diagnostics.iter().map(|d| (d.rule, d.line)).collect()
 }
 
 #[test]
-fn sim_time_rule_fires() {
-    let fired = rules_fired("sim_time.rs", FileKind::Library);
-    // `use std::time::Instant`, `time::Instant` path use, `SystemTime`,
-    // and the struct field type all hit.
-    assert!(fired.iter().filter(|r| **r == "sim-time").count() >= 3);
-}
-
-#[test]
-fn nondeterministic_map_rule_fires() {
-    let fired = rules_fired("nondet_map.rs", FileKind::Library);
-    assert!(
-        fired
-            .iter()
-            .filter(|r| **r == "nondeterministic-map")
-            .count()
-            >= 3,
-        "import + two field types: {fired:?}"
-    );
-}
-
-#[test]
-fn panic_rule_fires_with_exemptions() {
-    let (diags, allows) = check_source("panics.rs", FileKind::Library, &corpus("panics.rs"));
-    let panics: Vec<_> = diags.iter().filter(|d| d.rule == "panic").collect();
-    // unwrap + expect + panic! in `lookup` fire; the annotated unwrap in
-    // `allowed_lookup` and the unwrap inside #[cfg(test)] do not.
-    assert_eq!(panics.len(), 3, "{panics:?}");
-    assert!(panics.iter().all(|d| d.line <= 12));
-    assert_eq!(allows, 1, "the suppression annotation is counted");
-}
-
-#[test]
-fn unsafe_rule_fires_even_in_test_code() {
-    let (diags, _) = check_source(
-        "unsafe_code.rs",
-        FileKind::Library,
-        &corpus("unsafe_code.rs"),
-    );
-    let lines: Vec<u32> = diags
-        .iter()
-        .filter(|d| d.rule == "unsafe")
-        .map(|d| d.line)
-        .collect();
-    assert_eq!(lines.len(), 2, "library + test-module unsafe: {lines:?}");
-}
-
-#[test]
-fn missing_docs_rule_fires() {
-    let (diags, _) = check_source(
-        "missing_docs.rs",
-        FileKind::Library,
-        &corpus("missing_docs.rs"),
-    );
-    let named: Vec<&str> = diags
-        .iter()
-        .filter(|d| d.rule == "missing-docs")
-        .map(|d| d.message.as_str())
-        .collect();
-    assert_eq!(named.len(), 2, "{named:?}");
-    assert!(named.iter().any(|m| m.contains("naked_function")));
-    assert!(named.iter().any(|m| m.contains("NakedStruct")));
-}
-
-#[test]
-fn hermetic_deps_rule_fires() {
-    let diags = check_manifest("bad_manifest.toml", &corpus("bad_manifest.toml"));
-    let names: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
-    // serde, tokio (registry table), rand (subsection), criterion — but
-    // not local-ok (path) or workspace-ok (workspace = true).
-    assert_eq!(diags.len(), 4, "{names:?}");
-    assert!(names.iter().any(|m| m.contains("`serde`")));
-    assert!(names.iter().any(|m| m.contains("`tokio`")));
-    assert!(names.iter().any(|m| m.contains("`rand`")));
-    assert!(names.iter().any(|m| m.contains("`criterion`")));
-}
-
-#[test]
-fn tests_and_examples_exempt_from_panic_and_map_rules() {
-    let (diags, _) = check_source("panics.rs", FileKind::TestOrExample, &corpus("panics.rs"));
-    assert!(diags.is_empty(), "{diags:?}");
-    let (diags, _) = check_source(
-        "nondet_map.rs",
-        FileKind::TestOrExample,
-        &corpus("nondet_map.rs"),
-    );
-    assert!(diags.is_empty(), "{diags:?}");
+fn tests_and_examples_exempt_from_library_rules() {
+    let a = analyze_one("raw_strings.rs", FileKind::TestOrExample);
+    assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
 }
 
 #[test]
 fn raw_strings_do_not_fire_and_spans_survive() {
-    let (diags, _) = check_source(
-        "raw_strings.rs",
-        FileKind::Library,
-        &corpus("raw_strings.rs"),
-    );
-    let panics: Vec<u32> = diags
-        .iter()
-        .filter(|d| d.rule == "panic")
-        .map(|d| d.line)
-        .collect();
-    // Only the real unwrap after the raw string fires, at its true line.
-    assert_eq!(panics, [14], "{diags:?}");
+    let a = analyze_one("raw_strings.rs", FileKind::Library);
+    // Only the real wildcard arm after the raw string fires, at its
+    // true line.
+    assert_eq!(fired(&a), [("exhaustive-fault", 16)], "{:?}", a.diagnostics);
 }
 
 #[test]
 fn nested_block_comments_scrubbed_with_correct_spans() {
-    let (diags, allows) = check_source(
-        "nested_comments.rs",
-        FileKind::Library,
-        &corpus("nested_comments.rs"),
-    );
-    let panics: Vec<u32> = diags
-        .iter()
-        .filter(|d| d.rule == "panic")
-        .map(|d| d.line)
-        .collect();
-    // The unwrap mentioned inside the nested comment is scrubbed; the
-    // allowed expect is suppressed; only the final unwrap fires.
-    assert_eq!(panics, [14], "{diags:?}");
-    assert_eq!(allows, 1);
+    let a = analyze_one("nested_comments.rs", FileKind::Library);
+    // The match mentioned inside the nested comment is scrubbed; the
+    // allowed wildcard is suppressed; only the final wildcard fires.
+    assert_eq!(fired(&a), [("exhaustive-fault", 19)], "{:?}", a.diagnostics);
+    assert_eq!(a.allow_count, 1);
 }
 
 // --- DmaShadow violation classes -----------------------------------------

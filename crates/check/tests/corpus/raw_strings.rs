@@ -1,15 +1,18 @@
 //! Raw-string fixture: text inside raw strings is data, not code, and
 //! spans after a multi-line raw string with `#` delimiters stay exact.
 
-/// Returns a shader-like blob full of rule-bait.
+/// Returns a blob full of rule-bait.
 pub fn blob() -> &'static str {
     r##"
-        .unwrap() inside a raw string must not fire the panic rule;
-        neither should "quoted # text" or unsafe { blocks } in here.
+        match k { FaultKind::EmptySlot { index } => 1, _ => 0 }
+        neither should "quoted # text" or a stray } brace in here.
     "##
 }
 
 /// A real violation after the raw string, for span checking.
-pub fn after(v: Option<u32>) -> u32 {
-    v.unwrap()
+pub fn after(k: FaultKind) -> u32 {
+    match k {
+        FaultKind::EmptySlot { index } => index,
+        _ => 0,
+    }
 }

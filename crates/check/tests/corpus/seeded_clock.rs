@@ -1,7 +1,6 @@
 // cdna-expect: clock-purity crates/bench/src/timing.rs:12
 // cdna-expect: clock-purity crates/bench/src/timing.rs:20
 // cdna-expect: clock-purity crates/bench/src/timing.rs:30
-// cdna-expect: sim-time crates/bench/src/timing.rs:2
 // cdna-fixture-file: crates/trace/src/json.rs
 //! JSON writer stub: arms the serialization sinks.
 /// Minimal writer (fixture stub).

@@ -1,8 +1,6 @@
 // cdna-expect: merge-order crates/model/src/merge.rs:13
 // cdna-expect: merge-order crates/model/src/merge.rs:20
 // cdna-expect: merge-order crates/model/src/merge.rs:31
-// cdna-expect: nondeterministic-map crates/model/src/merge.rs:2
-// cdna-expect: nondeterministic-map crates/model/src/merge.rs:26
 // cdna-fixture-file: crates/sim/src/par.rs
 //! Worker-pool stubs for the merge-order fixture.
 use std::sync::{Mutex, MutexGuard};

@@ -196,10 +196,14 @@ impl DescriptorFormat {
             });
         }
         let get = |off: u32, n: usize| &bytes[off as usize..off as usize + n];
-        let addr = u64::from_le_bytes(get(self.addr_offset, 8).try_into().expect("8 bytes")); // cdna-check: allow(panic): length fixed by format geometry
-        let len = u32::from_le_bytes(get(self.len_offset, 4).try_into().expect("4 bytes")); // cdna-check: allow(panic): length fixed by format geometry
-        let flags = u16::from_le_bytes(get(self.flags_offset, 2).try_into().expect("2 bytes")); // cdna-check: allow(panic): length fixed by format geometry
-        let seq = u32::from_le_bytes(get(self.seq_offset, 4).try_into().expect("4 bytes")); // cdna-check: allow(panic): length fixed by format geometry
+        #[expect(clippy::expect_used, reason = "length fixed by format geometry")]
+        let addr = u64::from_le_bytes(get(self.addr_offset, 8).try_into().expect("8 bytes"));
+        #[expect(clippy::expect_used, reason = "length fixed by format geometry")]
+        let len = u32::from_le_bytes(get(self.len_offset, 4).try_into().expect("4 bytes"));
+        #[expect(clippy::expect_used, reason = "length fixed by format geometry")]
+        let flags = u16::from_le_bytes(get(self.flags_offset, 2).try_into().expect("2 bytes"));
+        #[expect(clippy::expect_used, reason = "length fixed by format geometry")]
+        let seq = u32::from_le_bytes(get(self.seq_offset, 4).try_into().expect("4 bytes"));
         let mut desc = DmaDescriptor::rx(BufferSlice::new(PhysAddr(addr), len.max(1)));
         desc.flags = DescFlags(flags);
         desc.seq = seq;

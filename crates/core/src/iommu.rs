@@ -118,9 +118,10 @@ impl PerContextIommu {
     /// Panics if enforcement is not enabled for `ctx` (mapping into a
     /// disabled table is a hypervisor bug).
     pub fn map(&mut self, ctx: ContextId, page: PageId) -> bool {
+        #[expect(clippy::expect_used, reason = "caller enables the context first")]
         let table = self.tables[ctx.0 as usize]
             .as_mut()
-            .expect("mapping into disabled IOMMU context"); // cdna-check: allow(panic): caller enables the context first
+            .expect("mapping into disabled IOMMU context");
         let new = table.insert(page);
         if new {
             self.stats.maps += 1;

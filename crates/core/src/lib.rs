@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 //! The CDNA architecture — the primary contribution of *Concurrent
 //! Direct Network Access for Virtual Machine Monitors* (HPCA 2007).

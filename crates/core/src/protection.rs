@@ -360,11 +360,11 @@ impl ProtectionEngine {
         let state = self.precheck(ctx, caller)?;
         // Rings are created at assign_context and never destroyed, and a
         // precheck-passing ctx always has its CtxProtection slot filled.
-        // cdna-check: allow(panic): internal invariant, see comment above
+        #[expect(clippy::expect_used, reason = "internal invariant, see comment above")]
         let ring_size = rings.get(state.tx_ring).expect("ring exists").size();
         self.stats.hypercalls += 1;
 
-        // cdna-check: allow(panic): internal invariant, see comment above
+        #[expect(clippy::expect_used, reason = "internal invariant, see comment above")]
         let prot = self.ctxs[ctx.0 as usize].as_mut().expect("assigned");
         let reaped = prot.tx.reap(nic_consumer, mem)?;
 
@@ -421,10 +421,8 @@ impl ProtectionEngine {
         })
         .map_err(ProtectionError::Mem)?;
 
-        let ring = rings
-            .get_mut(state.tx_ring)
-            // cdna-check: allow(panic): ring created at assign_context
-            .expect("ring exists");
+        #[expect(clippy::expect_used, reason = "ring created at assign_context")]
+        let ring = rings.get_mut(state.tx_ring).expect("ring exists");
         let mut pages = 0;
         for req in reqs {
             pages += req.buf.page_count();
@@ -470,11 +468,11 @@ impl ProtectionEngine {
         let state = self.precheck(ctx, caller)?;
         // Same internal invariants as enqueue_tx (rings and slots are
         // created at assign_context and outlive the context).
-        // cdna-check: allow(panic): internal invariant, see comment above
+        #[expect(clippy::expect_used, reason = "internal invariant, see comment above")]
         let ring_size = rings.get(state.rx_ring).expect("ring exists").size();
         self.stats.hypercalls += 1;
 
-        // cdna-check: allow(panic): internal invariant, see comment above
+        #[expect(clippy::expect_used, reason = "internal invariant, see comment above")]
         let prot = self.ctxs[ctx.0 as usize].as_mut().expect("assigned");
         let reaped = prot.rx.reap(nic_consumer, mem)?;
 
@@ -499,10 +497,8 @@ impl ProtectionEngine {
         })
         .map_err(ProtectionError::Mem)?;
 
-        let ring = rings
-            .get_mut(state.rx_ring)
-            // cdna-check: allow(panic): ring created at assign_context
-            .expect("ring exists");
+        #[expect(clippy::expect_used, reason = "ring created at assign_context")]
+        let ring = rings.get_mut(state.rx_ring).expect("ring exists");
         let mut pages = 0;
         for req in reqs {
             pages += req.buf.page_count();
@@ -541,7 +537,7 @@ impl ProtectionEngine {
         mem: &mut PhysMem,
     ) -> Result<u32, ProtectionError> {
         self.table.state(ctx)?;
-        // cdna-check: allow(panic): slot filled while the ctx is assigned
+        #[expect(clippy::expect_used, reason = "slot filled while the ctx is assigned")]
         let prot = self.ctxs[ctx.0 as usize].as_mut().expect("assigned");
         Ok(prot.tx.reap(nic_tx_consumer, mem)? + prot.rx.reap(nic_rx_consumer, mem)?)
     }

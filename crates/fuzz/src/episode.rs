@@ -158,10 +158,12 @@ struct Pages {
 
 impl Pages {
     fn alloc(world: &mut SystemWorld) -> Pages {
+        #[expect(clippy::expect_used, reason = "rig invariant")]
         let own = (0..8)
-            .map(|_| world.mem.alloc(attacker_domain()).expect("attacker page")) // cdna-check: allow(panic): rig invariant
+            .map(|_| world.mem.alloc(attacker_domain()).expect("attacker page"))
             .collect();
-        let victim = world.mem.alloc(DomainId::guest(0)).expect("victim page"); // cdna-check: allow(panic): rig invariant
+        #[expect(clippy::expect_used, reason = "rig invariant")]
+        let victim = world.mem.alloc(DomainId::guest(0)).expect("victim page");
         Pages { own, victim }
     }
 
@@ -332,6 +334,7 @@ fn bootstrap_lap(sim: &mut Simulation<SystemWorld>, pages: &Pages, rng: &mut Sim
         }
         // Doorbell over the REAL bus: this is benign foreground work,
         // and both runs charge its DMA to the shared segment equally.
+        #[expect(clippy::expect_used, reason = "rig invariant")]
         let act = {
             w.nics[nic]
                 .rice_mut()
@@ -343,7 +346,7 @@ fn bootstrap_lap(sim: &mut Simulation<SystemWorld>, pages: &Pages, rng: &mut Sim
                     &w.rings,
                     &mut w.buses[nic],
                 )
-                .expect("bootstrap doorbell") // cdna-check: allow(panic): rig invariant
+                .expect("bootstrap doorbell")
         };
         let events = w.absorb_nic_activity(t, nic, act);
         for (at, e) in events {
@@ -609,10 +612,11 @@ fn inject_one(
             let (ctx, value) = {
                 let w = sim.world_mut();
                 let ctx = w.ctx_of[VICTIMS as usize][nic];
+                #[expect(clippy::expect_used, reason = "rig invariant")]
                 let ring_id = w.engines[nic]
                     .contexts()
                     .state(ctx)
-                    .expect("attacker context assigned") // cdna-check: allow(panic): rig invariant
+                    .expect("attacker context assigned")
                     .tx_ring;
                 let mac = w.nics[nic].rice().mac_for(ctx);
                 let len = 60 + rng.below(1200) as u32;
@@ -632,9 +636,10 @@ fn inject_one(
                     meta,
                 );
                 let idx = st.iommu_written[nic];
+                #[expect(clippy::expect_used, reason = "rig invariant")]
                 w.rings
                     .get_mut(ring_id)
-                    .expect("attacker ring exists") // cdna-check: allow(panic): rig invariant
+                    .expect("attacker ring exists")
                     .write_at(idx, desc);
                 st.iommu_written[nic] = idx + 1;
                 (ctx, idx + 1)

@@ -26,8 +26,7 @@
 //! Everything is a pure function of the campaign seed: reports and
 //! corpora are byte-identical across `--jobs` values and across runs.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod campaign;
 pub mod episode;

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 //! cdna-model: bounded exhaustive schedule exploration for the CDNA
 //! DMA protection protocol.

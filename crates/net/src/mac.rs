@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn context_addresses_are_unique_per_nic_and_ctx() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for nic in 0..2 {
             for ctx in 0..32 {
                 assert!(seen.insert(MacAddr::for_context(nic, ctx)));

@@ -299,7 +299,8 @@ impl ConventionalNic {
             debug_assert!(head.frames_left > 0);
             head.frames_left -= 1;
             if head.frames_left == 0 {
-                let done = self.inflight.pop_front().expect("nonempty"); // cdna-check: allow(panic): guarded by frames_left
+                #[expect(clippy::expect_used, reason = "guarded by frames_left")]
+                let done = self.inflight.pop_front().expect("nonempty");
                 self.tx_completed = done.idx + 1;
                 completed_any = true;
                 // Consumer-index writeback to host memory.
@@ -396,13 +397,14 @@ impl ConventionalNic {
             let desc = rings.read(self.tx_ring, idx)?;
             self.tx_fetched += 1;
 
+            #[expect(clippy::expect_used, reason = "tx descriptors always carry meta")]
             let meta = desc
                 .meta
-                .expect("transmit descriptor without frame metadata"); // cdna-check: allow(panic): tx descriptors always carry meta
-                                                                       // Segment in place rather than materializing a per-descriptor
-                                                                       // segment list: a TSO super-buffer becomes MSS-sized chunks
-                                                                       // plus a remainder, a plain descriptor exactly one frame
-                                                                       // (even a zero-payload pure ACK).
+                .expect("transmit descriptor without frame metadata");
+            // Segment in place rather than materializing a per-descriptor
+            // segment list: a TSO super-buffer becomes MSS-sized chunks
+            // plus a remainder, a plain descriptor exactly one frame
+            // (even a zero-payload pure ACK).
             let is_tso = desc.flags.contains(DescFlags::TSO);
             let frames = if is_tso {
                 assert!(self.cfg.tso, "TSO descriptor on non-TSO device");

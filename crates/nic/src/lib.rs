@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 //! Generic network-interface substrate for the CDNA reproduction.
 //!

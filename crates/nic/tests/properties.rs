@@ -66,7 +66,7 @@ fn ring_is_last_write_wins_memory() {
         let size = 1u32 << rng.range_u64(2..6);
 
         let mut ring = DescRing::new(PhysAddr(0), size);
-        let mut model: std::collections::HashMap<u64, u64> = Default::default();
+        let mut model: std::collections::BTreeMap<u64, u64> = Default::default();
         for &(idx, addr) in &writes {
             let desc = DmaDescriptor::rx(BufferSlice::new(PhysAddr(addr * 4096 + 1), 100));
             ring.write_at(idx, desc);

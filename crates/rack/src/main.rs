@@ -16,8 +16,6 @@
 //! the suite file, which is what the CI equality guard diffs across
 //! worker counts.
 
-use std::time::Instant;
-
 use cdna_bench::take_jobs_flag;
 use cdna_rack::{run_rack, RackConfig, RackReport, RackWorkload};
 use cdna_sim::par;
@@ -41,7 +39,12 @@ struct Measured {
 }
 
 fn measure(cfg: RackConfig, jobs: usize) -> Measured {
-    let t0 = Instant::now();
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the rack suite reports host wall time per cell"
+    )]
+    let t0 = std::time::Instant::now();
     let report = run_rack(cfg, jobs);
     Measured {
         report,
@@ -101,7 +104,10 @@ fn write_suite_json(results: &[Measured], quick: bool, jobs: usize) -> String {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs_flag = take_jobs_flag(&mut args);
+    let jobs_flag = take_jobs_flag(&mut args).unwrap_or_else(|e| {
+        eprintln!("rack: {e}");
+        usage()
+    });
     let mut quick = false;
     let mut stdout = false;
     let mut out: Option<String> = None;

@@ -277,10 +277,11 @@ impl RiceNic {
         rings: &RingTable,
     ) -> Result<(), DeviceError> {
         assert!(ctx.is_valid(), "context {ctx} out of range");
+        #[expect(clippy::expect_used, reason = "format is a validated constant")]
         self.cfg
             .desc_format
             .validate()
-            .expect("device advertises a well-formed descriptor format"); // cdna-check: allow(panic): format is a validated constant
+            .expect("device advertises a well-formed descriptor format");
         let tx_size = rings.get(tx_ring)?.size();
         let rx_size = rings.get(rx_ring)?.size();
         let mac = self.mac_for(ctx);
@@ -503,7 +504,8 @@ impl RiceNic {
             activity.rx_dropped = true;
             return activity;
         };
-        let dev = self.ctxs[ctx.0 as usize].as_mut().expect("attached"); // cdna-check: allow(panic): slot filled while attached
+        #[expect(clippy::expect_used, reason = "slot filled while attached")]
+        let dev = self.ctxs[ctx.0 as usize].as_mut().expect("attached");
         if dev.faulted || dev.rx_used >= dev.rx_posted {
             self.stats.rx_dropped += 1;
             activity.rx_dropped = true;
@@ -512,7 +514,7 @@ impl RiceNic {
         // Fetch the next receive descriptor and verify it.
         let fetch = bus.dma(now, self.cfg.desc_format.size);
         let idx = dev.rx_used;
-        // cdna-check: allow(panic): ring created at attach
+        #[expect(clippy::expect_used, reason = "ring created at attach")]
         let desc = match rings.get(dev.rx_ring).expect("ring exists").read_at(idx) {
             Some(d) => d,
             None => {
@@ -667,7 +669,7 @@ impl RiceNic {
                     let fetch = bus.dma(now, batch * self.cfg.desc_format.size);
                     for _ in 0..batch {
                         let idx = dev.tx_fetch_cursor;
-                        // cdna-check: allow(panic): ring created at attach
+                        #[expect(clippy::expect_used, reason = "ring created at attach")]
                         let desc = match rings.get(dev.tx_ring).expect("ring exists").read_at(idx) {
                             Some(d) => d,
                             None => {
@@ -716,7 +718,8 @@ impl RiceNic {
                 // Emit one frame from this context, then move on (fair
                 // interleaving across contexts, paper §3.1).
                 if let Some((idx, desc)) = dev.staged.pop_front() {
-                    let meta = desc.meta.expect("tx descriptor carries metadata"); // cdna-check: allow(panic): tx descriptors always carry meta
+                    #[expect(clippy::expect_used, reason = "tx descriptors always carry meta")]
+                    let meta = desc.meta.expect("tx descriptor carries metadata");
                     assert!(
                         meta.tcp_payload <= framing::MSS,
                         "RiceNIC has no TSO; driver must segment"

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 //! RiceNIC device model running the CDNA firmware (paper §4).
 //!

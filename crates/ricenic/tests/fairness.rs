@@ -85,7 +85,7 @@ fn three_contexts_with_deep_backlogs_share_the_buffer_fairly() {
     // ctx1's head start (it was alone when it doorbelled, and the packet
     // buffer holds 128 KB); fairness is a steady-state property, so count
     // the 300 frames after that warm-up.
-    let mut counts = std::collections::HashMap::new();
+    let mut counts = std::collections::BTreeMap::new();
     let mut drained = 0;
     while let Some(e) = queue.pop_front() {
         drained += 1;

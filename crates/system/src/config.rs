@@ -261,7 +261,7 @@ mod tests {
             }
             .label(),
         ];
-        let set: std::collections::HashSet<_> = labels.iter().collect();
+        let set: std::collections::BTreeSet<_> = labels.iter().collect();
         assert_eq!(set.len(), labels.len());
     }
 

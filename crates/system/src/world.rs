@@ -14,8 +14,11 @@
 //! here (a lost mailbox, an unassigned context in the run queue) means
 //! the simulated machine itself is inconsistent. Those states abort the
 //! run immediately rather than produce a silently wrong benchmark.
-// cdna-check: allow-file(panic): simulation top level — invariant
-// breaks abort the run; there is no caller to return an error to.
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "simulation top level — invariant breaks abort the run; there is no caller to return an error to"
+)]
 
 use std::collections::VecDeque;
 

@@ -194,7 +194,11 @@ impl ProfileLedger {
     /// Panics if the window is still open or was never opened.
     pub fn samples(&self) -> Vec<ProfileSample> {
         assert!(!self.recording, "samples requested while window open");
-        let end = self.window_end.expect("window was never opened"); // cdna-check: allow(panic): documented precondition, asserted above
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition, asserted above"
+        )]
+        let end = self.window_end.expect("window was never opened");
         let n_slices = self.slices.len() / self.buckets;
         (0..n_slices)
             .map(|i| {

@@ -238,7 +238,11 @@ impl CpuLedger {
     /// the boundary tolerance.
     pub fn profile(&self) -> ExecutionProfile {
         assert!(!self.recording, "profile requested while window open");
-        let end = self.window_end.expect("window was never opened"); // cdna-check: allow(panic): documented precondition, asserted above
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition, asserted above"
+        )]
+        let end = self.window_end.expect("window was never opened");
         let span = end - self.window_start;
         let span_s = span.as_secs_f64();
         assert!(span_s > 0.0, "empty measurement window");

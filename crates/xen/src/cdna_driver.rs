@@ -150,7 +150,8 @@ impl CdnaGuestDriver {
         if !self.can_queue_tx() {
             return false;
         }
-        let page = self.tx_pool.pop().expect("checked nonempty"); // cdna-check: allow(panic): checked nonempty above
+        #[expect(clippy::expect_used, reason = "checked nonempty above")]
+        let page = self.tx_pool.pop().expect("checked nonempty");
         let needed = meta.tcp_payload + cdna_net::framing::ETH_HEADER_BYTES + 40;
         debug_assert!(needed as u64 <= PAGE_SIZE, "CDNA buffers are single pages");
         self.pending_tx.push(TxRequest {
@@ -254,7 +255,8 @@ impl CdnaGuestDriver {
         if self.pending_tx.is_empty() {
             return None;
         }
-        let ring = rings.get_mut(self.tx_ring).expect("ring exists"); // cdna-check: allow(panic): ring created at attach
+        #[expect(clippy::expect_used, reason = "ring created at attach")]
+        let ring = rings.get_mut(self.tx_ring).expect("ring exists");
         for (req, origin) in self
             .pending_tx
             .drain(..)
@@ -294,7 +296,8 @@ impl CdnaGuestDriver {
         for req in &self.pending_tx {
             mapped += iommu.map_slice(self.ctx, &req.buf);
         }
-        let ring = rings.get_mut(self.tx_ring).expect("ring exists"); // cdna-check: allow(panic): ring created at attach
+        #[expect(clippy::expect_used, reason = "ring created at attach")]
+        let ring = rings.get_mut(self.tx_ring).expect("ring exists");
         for (req, origin) in self
             .pending_tx
             .drain(..)
@@ -351,7 +354,8 @@ impl CdnaGuestDriver {
             return None;
         }
         let mut mapped = 0;
-        let ring = rings.get_mut(self.rx_ring).expect("ring exists"); // cdna-check: allow(panic): ring created at attach
+        #[expect(clippy::expect_used, reason = "ring created at attach")]
+        let ring = rings.get_mut(self.rx_ring).expect("ring exists");
         for (req, &page) in reqs.iter().zip(&pages) {
             mapped += iommu.map_slice(self.ctx, &req.buf);
             ring.write_at(self.rx_prod, DmaDescriptor::rx(req.buf));
@@ -437,7 +441,8 @@ impl CdnaGuestDriver {
             self.recycle_rx_batch(reqs, pages);
             return None;
         }
-        let ring = rings.get_mut(self.rx_ring).expect("ring exists"); // cdna-check: allow(panic): ring created at attach
+        #[expect(clippy::expect_used, reason = "ring created at attach")]
+        let ring = rings.get_mut(self.rx_ring).expect("ring exists");
         for (req, &page) in reqs.iter().zip(&pages) {
             // Deliberately unvalidated (see flush_tx_direct).
             // cdna-check: allow(guest-taint): DmaPolicy::Direct ablation
@@ -457,10 +462,14 @@ impl CdnaGuestDriver {
     /// Panics on out-of-order delivery (the NIC consumes receive
     /// descriptors in order).
     pub fn rx_delivered(&mut self, buf: BufferSlice) -> PageId {
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol invariant: delivery follows post"
+        )]
         let page = self
             .rx_posted
             .pop_front()
-            .expect("delivery without posted buffer"); // cdna-check: allow(panic): protocol invariant: delivery follows post
+            .expect("delivery without posted buffer");
         assert_eq!(page, buf.addr.page(), "out-of-order receive delivery");
         page
     }
@@ -500,7 +509,8 @@ impl CdnaGuestDriver {
         reqs.reserve(n);
         pages.reserve(n);
         for _ in 0..n {
-            let page = self.rx_pool.pop().expect("checked"); // cdna-check: allow(panic): checked nonempty above
+            #[expect(clippy::expect_used, reason = "checked nonempty above")]
+            let page = self.rx_pool.pop().expect("checked");
             reqs.push(RxRequest {
                 buf: BufferSlice::new(page.base_addr(), PAGE_SIZE as u32),
             });

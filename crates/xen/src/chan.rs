@@ -192,11 +192,13 @@ impl FrontBackChannel {
     /// Panics if more completions are signalled than packets in flight.
     pub fn back_tx_complete(&mut self, n: usize, mem: &mut PhysMem) {
         for _ in 0..n {
+            #[expect(clippy::expect_used, reason = "documented # Panics contract")]
             let page = self
                 .tx_inflight
                 .pop_front()
-                .expect("completion without in-flight packet"); // cdna-check: allow(panic): documented # Panics contract
-            mem.unpin(page).expect("grant-mapped page must unpin"); // cdna-check: allow(panic): documented # Panics contract
+                .expect("completion without in-flight packet");
+            #[expect(clippy::expect_used, reason = "documented # Panics contract")]
+            mem.unpin(page).expect("grant-mapped page must unpin");
             self.tx_done.push(page);
         }
     }
@@ -210,13 +212,15 @@ impl FrontBackChannel {
     ///
     /// Panics if `page` is not in flight.
     pub fn back_tx_complete_page(&mut self, page: PageId, mem: &mut PhysMem) {
+        #[expect(clippy::expect_used, reason = "documented # Panics contract")]
         let pos = self
             .tx_inflight
             .iter()
             .position(|&p| p == page)
-            .expect("completion for a page not in flight"); // cdna-check: allow(panic): documented # Panics contract
+            .expect("completion for a page not in flight");
         self.tx_inflight.remove(pos);
-        mem.unpin(page).expect("grant-mapped page must unpin"); // cdna-check: allow(panic): documented # Panics contract
+        #[expect(clippy::expect_used, reason = "documented # Panics contract")]
+        mem.unpin(page).expect("grant-mapped page must unpin");
         self.tx_done.push(page);
     }
 
@@ -254,8 +258,9 @@ impl FrontBackChannel {
         mem.transfer(packet_page, DomainId::DRIVER, self.guest)?;
         if let Err(e) = mem.transfer(credit, self.guest, DomainId::DRIVER) {
             // Roll the first transfer back to keep the exchange atomic.
+            #[expect(clippy::expect_used, reason = "documented # Panics contract")]
             mem.transfer(packet_page, self.guest, DomainId::DRIVER)
-                .expect("rollback of fresh transfer"); // cdna-check: allow(panic): documented # Panics contract
+                .expect("rollback of fresh transfer");
             self.rx_credit.push_front(credit);
             return Err(e.into());
         }

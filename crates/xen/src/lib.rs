@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 //! Paravirtualizing hypervisor substrate (Xen-like), as required by the
 //! CDNA paper's baseline and by CDNA itself.

@@ -226,7 +226,8 @@ impl NativeDriver {
                 DriverError::TxRingFull
             });
         }
-        let buf = self.tx_pool.pop().expect("checked nonempty"); // cdna-check: allow(panic): checked nonempty above
+        #[expect(clippy::expect_used, reason = "checked nonempty above")]
+        let buf = self.tx_pool.pop().expect("checked nonempty");
         let needed = meta.tcp_payload + framing::ETH_HEADER_BYTES + 40;
         if needed > buf.len {
             self.tx_pool.push(buf);
@@ -311,7 +312,8 @@ impl NativeDriver {
         let mut posted = 0;
         while posted < max && !self.rx_pool.is_empty() && (self.rx_posted.len() as u64) < ring_size
         {
-            let page = self.rx_pool.pop().expect("checked nonempty"); // cdna-check: allow(panic): checked nonempty above
+            #[expect(clippy::expect_used, reason = "checked nonempty above")]
+            let page = self.rx_pool.pop().expect("checked nonempty");
             let desc = DmaDescriptor::rx(BufferSlice::new(page.base_addr(), PAGE_SIZE as u32));
             rings.get_mut(self.rx_ring)?.write_at(self.rx_prod, desc);
             self.rx_posted.push_back(page);
@@ -333,10 +335,14 @@ impl NativeDriver {
     /// Panics if deliveries do not match posting order (the NIC consumes
     /// receive descriptors strictly in order).
     pub fn rx_delivered(&mut self, buf: BufferSlice) -> PageId {
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol invariant: delivery follows post"
+        )]
         let page = self
             .rx_posted
             .pop_front()
-            .expect("delivery without posted buffer"); // cdna-check: allow(panic): protocol invariant: delivery follows post
+            .expect("delivery without posted buffer");
         assert_eq!(page, buf.addr.page(), "out-of-order receive delivery");
         page
     }

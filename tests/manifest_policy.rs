@@ -1,0 +1,78 @@
+//! The workspace's build policy, checked on the manifests themselves:
+//! every dependency is in this repository, and every crate inherits the
+//! workspace lint table (`unsafe_code = "forbid"`, `missing_docs =
+//! "deny"`), so a new crate cannot opt out of either by omission.
+
+use std::path::{Path, PathBuf};
+
+fn root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// The `key = value` lines of the TOML table headed `[name]`.
+fn table<'a>(manifest: &'a str, name: &str) -> Vec<&'a str> {
+    let header = format!("[{name}]");
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect()
+}
+
+fn member_manifests() -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = std::fs::read_dir(root().join("crates"))
+        .expect("crates/ is readable")
+        .filter_map(|e| e.ok())
+        .map(|e| e.path().join("Cargo.toml"))
+        .filter(|p| p.is_file())
+        .collect();
+    out.sort();
+    out.push(root().join("Cargo.toml"));
+    out
+}
+
+#[test]
+fn cargo_lock_has_no_registry_sources() {
+    // Path packages carry no `source` key; any registry or git package
+    // does, however deep in the graph it sits.
+    let lock = read(&root().join("Cargo.lock"));
+    let external: Vec<&str> = lock
+        .lines()
+        .filter(|l| l.trim_start().starts_with("source ="))
+        .collect();
+    assert!(external.is_empty(), "external packages: {external:?}");
+    assert!(
+        lock.contains("name = \"cdna-sim\""),
+        "lock file looks empty"
+    );
+}
+
+#[test]
+fn every_manifest_inherits_the_workspace_lints() {
+    let manifests = member_manifests();
+    assert!(manifests.len() >= 15, "missing crate manifests");
+    for path in manifests {
+        let text = read(&path);
+        assert_eq!(
+            table(&text, "lints"),
+            ["workspace = true"],
+            "{} must inherit `[lints] workspace = true`",
+            path.display()
+        );
+    }
+}
+
+#[test]
+fn workspace_lints_forbid_unsafe_and_deny_missing_docs() {
+    let text = read(&root().join("Cargo.toml"));
+    let rust = table(&text, "workspace.lints.rust");
+    assert!(rust.contains(&"unsafe_code = \"forbid\""), "{rust:?}");
+    assert!(rust.contains(&"missing_docs = \"deny\""), "{rust:?}");
+}

@@ -16,10 +16,13 @@
 //! engine did and what the invariants allow surfaces as a
 //! [`ShadowViolation`] instead of silent corruption.
 //!
-//! The shadow is deliberately independent: it keeps its own
-//! `BTreeMap`-backed mirror rather than querying `PhysMem`, and the
-//! periodic [`DmaShadow::audit_mem`] / [`DmaShadow::audit_pinned`]
-//! passes cross-check mirror against reality.
+//! The shadow is deliberately independent: it keeps its own page
+//! mirror rather than querying `PhysMem`, and the periodic
+//! [`DmaShadow::audit_mem`] / [`DmaShadow::audit_pinned`] passes
+//! cross-check mirror against reality. The mirror is flat storage
+//! indexed by page number, grown on demand to the highest page it has
+//! seen, so a per-page event is an index and an audit is one ascending
+//! scan.
 
 use cdna_core::ContextId;
 use cdna_mem::{DomainId, PageId, PhysMem};
@@ -190,6 +193,59 @@ struct PageMirror {
     pending_free: bool,
 }
 
+/// The page mirror: slot `i` mirrors `PageId(i)`, `None` marks an
+/// untracked page. Grows to the highest page seen, never to the whole
+/// pool up front; iteration is in ascending page order.
+#[derive(Debug, Default)]
+struct PageMirrors {
+    slots: Vec<Option<PageMirror>>,
+    /// Number of `Some` slots.
+    tracked: usize,
+}
+
+impl PageMirrors {
+    /// The entry for `page`, if tracked.
+    fn get(&self, page: PageId) -> Option<&PageMirror> {
+        self.slots.get(page.0 as usize).and_then(Option::as_ref)
+    }
+
+    /// The entry for `page`, if tracked, mutably.
+    fn get_mut(&mut self, page: PageId) -> Option<&mut PageMirror> {
+        self.slots.get_mut(page.0 as usize).and_then(Option::as_mut)
+    }
+
+    /// The entry for `page`, tracking it (owner-less, unpinned) first
+    /// if it is not.
+    fn track(&mut self, page: PageId) -> &mut PageMirror {
+        let i = page.0 as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        let slot = &mut self.slots[i];
+        if slot.is_none() {
+            self.tracked += 1;
+        }
+        slot.get_or_insert_with(PageMirror::default)
+    }
+
+    /// Stops tracking `page` (it is back on the free list).
+    fn untrack(&mut self, page: PageId) {
+        if let Some(slot) = self.slots.get_mut(page.0 as usize) {
+            if slot.take().is_some() {
+                self.tracked -= 1;
+            }
+        }
+    }
+
+    /// Every tracked page, ascending.
+    fn iter(&self) -> impl Iterator<Item = (PageId, &PageMirror)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, m)| Some((PageId(i as u32), m.as_ref()?)))
+    }
+}
+
 /// Per-(context, direction) expected-sequence tracker.
 #[derive(Debug, Clone)]
 struct SeqShadow {
@@ -214,11 +270,12 @@ fn record(
 
 /// The shadow checker. See the module docs for the model.
 ///
-/// All storage is `BTreeMap`-backed so violation reports iterate in
-/// deterministic order regardless of event arrival interleaving.
+/// Every scan walks its storage in ascending key order (page number,
+/// then stream), so violation reports are deterministic regardless of
+/// event arrival interleaving.
 #[derive(Debug, Default)]
 pub struct DmaShadow {
-    pages: BTreeMap<PageId, PageMirror>,
+    pages: PageMirrors,
     seqs: BTreeMap<(u16, u8, ShadowDir), SeqShadow>,
     violations: Vec<ShadowViolation>,
     events: u64,
@@ -232,7 +289,7 @@ impl DmaShadow {
 
     /// The lifecycle state the mirror currently assigns to `page`.
     pub fn state(&self, page: PageId) -> ShadowState {
-        match self.pages.get(&page) {
+        match self.pages.get(page) {
             None => ShadowState::Free,
             Some(m) if m.owner.is_none() => ShadowState::Free,
             Some(m) if m.inflight > 0 => ShadowState::InFlight,
@@ -259,20 +316,25 @@ impl DmaShadow {
 
     /// Number of pages the mirror currently tracks.
     pub fn pages_tracked(&self) -> usize {
-        self.pages.len()
+        self.pages.tracked
     }
 
     /// The owner the mirror currently records for `page`, if tracked.
     pub fn owner(&self, page: PageId) -> Option<DomainId> {
-        self.pages.get(&page).and_then(|m| m.owner)
+        self.pages.get(page).and_then(|m| m.owner)
     }
 
     /// A page left the free list with `owner`.
     pub fn on_alloc(&mut self, owner: DomainId, page: PageId) {
         self.events += 1;
-        let m = self.pages.entry(page).or_default();
-        if m.owner.is_some() {
-            let detail = format!("alloc of page {} already owned by {:?}", page.0, m.owner);
+        let m = self.pages.track(page);
+        let prev = m.owner;
+        *m = PageMirror {
+            owner: Some(owner),
+            ..PageMirror::default()
+        };
+        if prev.is_some() {
+            let detail = format!("alloc of page {} already owned by {prev:?}", page.0);
             record(
                 &mut self.violations,
                 None,
@@ -280,10 +342,6 @@ impl DmaShadow {
                 ViolationKind::MirrorDivergence { detail },
             );
         }
-        *self.pages.entry(page).or_default() = PageMirror {
-            owner: Some(owner),
-            ..PageMirror::default()
-        };
     }
 
     /// The owner asked to free `page`. Mirrors `PhysMem::free`'s
@@ -292,7 +350,7 @@ impl DmaShadow {
     /// otherwise arms `pending_free`.
     pub fn on_free(&mut self, owner: DomainId, page: PageId) {
         self.events += 1;
-        let Some(m) = self.pages.get_mut(&page) else {
+        let Some(m) = self.pages.get_mut(page) else {
             let detail = format!("free of untracked page {}", page.0);
             record(
                 &mut self.violations,
@@ -326,7 +384,7 @@ impl DmaShadow {
         if m.pins > 0 {
             m.pending_free = true; // deferred free: completes at last unpin
         } else {
-            self.pages.remove(&page);
+            self.pages.untrack(page);
         }
     }
 
@@ -334,7 +392,7 @@ impl DmaShadow {
     /// transfer). Illegal while pinned or in flight.
     pub fn on_transfer(&mut self, page: PageId, from: DomainId, to: DomainId) {
         self.events += 1;
-        let m = self.pages.entry(page).or_default();
+        let m = self.pages.track(page);
         if m.pins > 0 || m.inflight > 0 {
             record(
                 &mut self.violations,
@@ -361,7 +419,7 @@ impl DmaShadow {
     /// The protection path pinned `page` for an upcoming DMA.
     pub fn on_pin(&mut self, page: PageId) {
         self.events += 1;
-        let m = self.pages.entry(page).or_default();
+        let m = self.pages.track(page);
         if m.owner.is_none() {
             record(
                 &mut self.violations,
@@ -387,7 +445,7 @@ impl DmaShadow {
     /// The protection path dropped one pin of `page`.
     pub fn on_unpin(&mut self, page: PageId) {
         self.events += 1;
-        let Some(m) = self.pages.get_mut(&page) else {
+        let Some(m) = self.pages.get_mut(page) else {
             record(
                 &mut self.violations,
                 None,
@@ -409,7 +467,7 @@ impl DmaShadow {
         if m.pins == 0 {
             m.completed = false;
             if m.pending_free {
-                self.pages.remove(&page); // deferred free completes
+                self.pages.untrack(page); // deferred free completes
             }
         }
     }
@@ -418,7 +476,7 @@ impl DmaShadow {
     /// `ctx`.
     pub fn on_dma_start(&mut self, ctx: ContextId, page: PageId) {
         self.events += 1;
-        let m = self.pages.entry(page).or_default();
+        let m = self.pages.track(page);
         if m.pins == 0 {
             record(
                 &mut self.violations,
@@ -434,7 +492,7 @@ impl DmaShadow {
     /// until the lazy reap unpins).
     pub fn on_dma_complete(&mut self, ctx: ContextId, page: PageId) {
         self.events += 1;
-        let m = self.pages.entry(page).or_default();
+        let m = self.pages.track(page);
         if m.inflight == 0 {
             let detail = format!("completion for page {} with no in-flight DMA", page.0);
             record(
@@ -549,7 +607,7 @@ impl DmaShadow {
         let before = self.violations.len();
         let mut mirror_pins: u64 = 0;
         let mut divergences: Vec<(PageId, String)> = Vec::new();
-        for (&page, m) in &self.pages {
+        for (page, m) in self.pages.iter() {
             mirror_pins += u64::from(m.pins);
             match mem.info(page) {
                 Ok(real) => {
@@ -605,7 +663,7 @@ impl DmaShadow {
     pub fn audit_pinned(&mut self, ctx: ContextId, pinned_pages: &[PageId]) -> usize {
         let before = self.violations.len();
         for &page in pinned_pages {
-            let ok = self.pages.get(&page).map(|m| m.pins > 0).unwrap_or(false);
+            let ok = self.pages.get(page).is_some_and(|m| m.pins > 0);
             if !ok {
                 let detail = format!(
                     "engine holds page {} pinned for ctx {} but mirror shows no pin",
@@ -795,6 +853,93 @@ mod tests {
             s.violations()[0].kind,
             ViolationKind::MirrorDivergence { .. }
         ));
+    }
+
+    #[test]
+    fn pages_beyond_the_tracked_range_start_untracked() {
+        let mut s = DmaShadow::new();
+        s.on_alloc(guest(), PageId(3));
+        // Far past anything tracked: reads see an untracked page.
+        assert_eq!(s.state(PageId(40_000)), ShadowState::Free);
+        assert_eq!(s.owner(PageId(u32::MAX)), None);
+        s.on_unpin(PageId(50_000));
+        assert_eq!(s.violations()[0].kind, ViolationKind::UnpinUnderflow);
+        assert_eq!(s.pages_tracked(), 1, "a failed unpin tracks nothing");
+        s.on_alloc(guest(), PageId(40_000));
+        s.on_pin(PageId(40_000));
+        assert_eq!(s.state(PageId(40_000)), ShadowState::Pinned);
+        assert_eq!(s.state(PageId(3)), ShadowState::Owned);
+        assert_eq!(s.pages_tracked(), 2);
+        assert_eq!(s.violations().len(), 1);
+    }
+
+    #[test]
+    fn free_then_realloc_is_clean_and_takes_the_new_owner() {
+        let mut s = DmaShadow::new();
+        let p = PageId(11);
+        let other = DomainId::guest(1);
+        s.on_alloc(guest(), p);
+        s.on_free(guest(), p);
+        assert_eq!(s.owner(p), None);
+        s.on_alloc(other, p);
+        assert_eq!(s.owner(p), Some(other));
+        s.on_pin(p);
+        s.on_unpin(p);
+        s.on_free(other, p);
+        assert!(s.violations().is_empty(), "{:?}", s.violations());
+        // Allocating a page the mirror still holds is a divergence.
+        s.on_alloc(guest(), p);
+        s.on_alloc(other, p);
+        assert_eq!(s.violations().len(), 1);
+        assert_eq!(s.owner(p), Some(other));
+    }
+
+    #[test]
+    fn pages_tracked_counts_live_mirror_entries() {
+        let mut s = DmaShadow::new();
+        assert_eq!(s.pages_tracked(), 0);
+        for p in [5, 1, 9] {
+            s.on_alloc(guest(), PageId(p));
+        }
+        s.on_alloc(guest(), PageId(5)); // re-alloc: same entry
+        assert_eq!(s.pages_tracked(), 3);
+        s.on_free(guest(), PageId(1));
+        assert_eq!(s.pages_tracked(), 2);
+        // A deferred free leaves the entry until the last unpin.
+        s.on_pin(PageId(9));
+        s.on_free(guest(), PageId(9));
+        assert_eq!(s.pages_tracked(), 2);
+        s.on_unpin(PageId(9));
+        assert_eq!(s.pages_tracked(), 1);
+        // A pin of an unowned page tracks it (and is flagged).
+        s.on_pin(PageId(2));
+        assert_eq!(s.pages_tracked(), 2);
+        assert_eq!(s.violations().len(), 2, "re-alloc and pin-without-owner");
+    }
+
+    #[test]
+    fn audit_mem_reports_divergences_in_ascending_page_order() {
+        let mut mem = PhysMem::new(16);
+        let mut s = DmaShadow::new();
+        let pages: Vec<PageId> = (0..8)
+            .map(|_| mem.alloc(guest()).unwrap_or_else(|e| unreachable!("{e}")))
+            .collect();
+        // Mirror the pages in descending order, pinning every other one
+        // for real only: the mirror's arrival order must not leak.
+        for &p in pages.iter().rev() {
+            s.on_alloc(guest(), p);
+        }
+        for &p in pages.iter().rev().step_by(2) {
+            assert!(mem.pin(p).is_ok());
+        }
+        let found = s.audit_mem(&mem);
+        let diverged: Vec<Option<PageId>> = s.violations().iter().map(|v| v.page).collect();
+        let mut want: Vec<Option<PageId>> =
+            pages.iter().rev().step_by(2).map(|&p| Some(p)).collect();
+        want.sort();
+        want.push(Some(PageId(0))); // the aggregate pin count comes last
+        assert_eq!(found, want.len());
+        assert_eq!(diverged, want);
     }
 
     #[test]

@@ -552,19 +552,15 @@ impl ProtectionEngine {
 
     /// Audit view for external invariant checkers (cdna-check's
     /// `DmaShadow`): every page the engine currently holds pinned for
-    /// `ctx`, across both directions, in ring order.
-    pub fn pinned_pages(&self, ctx: ContextId) -> Vec<PageId> {
+    /// `ctx`, across both directions, in ring order. Empty for an
+    /// unassigned context.
+    pub fn pinned_pages(&self, ctx: ContextId) -> impl Iterator<Item = PageId> + '_ {
         self.ctxs
             .get(ctx.0 as usize)
             .and_then(|slot| slot.as_ref())
-            .map(|p| {
-                p.tx.pinned
-                    .iter()
-                    .chain(p.rx.pinned.iter())
-                    .flat_map(|(_, buf)| buf.pages())
-                    .collect()
-            })
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|p| p.tx.pinned.iter().chain(p.rx.pinned.iter()))
+            .flat_map(|(_, buf)| buf.pages())
     }
 
     /// Audit view: the (tx, rx) producer indices for `ctx`, or `None`

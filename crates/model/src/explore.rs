@@ -113,12 +113,12 @@ pub fn check_invariants(world: &SystemWorld) -> Vec<String> {
         let engine_pins: u64 = world
             .engines
             .iter()
-            .map(|e| {
-                (0..=u8::MAX)
-                    .filter(|&c| e.contexts().state(cdna_core::ContextId(c)).is_ok())
-                    .map(|c| e.pinned_pages(cdna_core::ContextId(c)).len() as u64)
-                    .sum::<u64>()
+            .flat_map(|e| {
+                e.contexts()
+                    .assigned()
+                    .map(|(c, _)| e.pinned_pages(c).count())
             })
+            .map(|n| n as u64)
             .sum();
         let pool_pins = world.mem.outstanding_pins();
         if pool_pins != engine_pins {

@@ -124,7 +124,7 @@ fn write_engine_state(w: &mut JsonWriter, world: &SystemWorld, nic: usize, ctx: 
         w.number_u64(rx_p);
     }
     w.key("engine_pinned");
-    w.number_u64(engine.pinned_pages(ctx).len() as u64);
+    w.number_u64(engine.pinned_pages(ctx).count() as u64);
 }
 
 /// Device-side state for one victim context.

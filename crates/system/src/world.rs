@@ -283,10 +283,41 @@ struct ShadowHarness {
     shadow: DmaShadow,
     /// Next unread descriptor-ring index per (nic, ctx, dir).
     cursors: std::collections::BTreeMap<(usize, u8, ShadowDir), u64>,
-    /// The engines' pinned-page multiset as of the last sync.
-    pinned_view: std::collections::BTreeMap<PageId, u32>,
+    /// The engines' pinned-page multiset as of the last sync: one
+    /// `(page, pins)` entry per pinned page, ascending by page.
+    pinned_view: Vec<(PageId, u32)>,
+    /// Engine-pinned pages gathered by the current sync (reused).
+    gathered: Vec<PageId>,
     /// Violations already surfaced as protection faults.
     reported: usize,
+}
+
+/// Calls `f(page, before, after)` for every page whose count differs
+/// between two `(page, count)` multisets sorted ascending by page (a
+/// page absent from one side counts 0 there), in ascending page order.
+fn for_each_changed_count(
+    before: &[(PageId, u32)],
+    after: &[(PageId, u32)],
+    mut f: impl FnMut(PageId, u32, u32),
+) {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let heads = before.get(i).into_iter().chain(after.get(j));
+        let Some(page) = heads.map(|&(p, _)| p).min() else {
+            return;
+        };
+        let take = |side: &[(PageId, u32)], k: &mut usize| match side.get(*k) {
+            Some(&(p, n)) if p == page => {
+                *k += 1;
+                n
+            }
+            _ => 0,
+        };
+        let (have, want) = (take(before, &mut i), take(after, &mut j));
+        if have != want {
+            f(page, have, want);
+        }
+    }
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -965,15 +996,11 @@ impl SystemWorld {
         };
         let modulus = (self.cfg.ring_size * 2).max(4);
         // One pass over every assigned context: gather the engine-side
-        // pinned lists and replay newly produced descriptors.
-        let mut pinned_lists: Vec<(ContextId, Vec<PageId>)> = Vec::new();
+        // pinned pages and replay newly produced descriptors.
+        h.gathered.clear();
         for (nic, engine) in self.engines.iter().enumerate() {
-            for c in 0..=u8::MAX {
-                let ctx = ContextId(c);
-                let Ok(st) = engine.contexts().state(ctx) else {
-                    continue;
-                };
-                pinned_lists.push((ctx, engine.pinned_pages(ctx)));
+            for (ctx, st) in engine.contexts().assigned() {
+                h.gathered.extend(engine.pinned_pages(ctx));
                 // Only the hypervisor stamps sequence numbers
                 // (Validated policy); direct and IOMMU descriptors
                 // carry seq 0 and are not stream-checked.
@@ -987,7 +1014,7 @@ impl SystemWorld {
                     (ShadowDir::Tx, st.tx_ring, txp),
                     (ShadowDir::Rx, st.rx_ring, rxp),
                 ] {
-                    let cur = h.cursors.entry((nic, c, dir)).or_insert(0);
+                    let cur = h.cursors.entry((nic, ctx.0, dir)).or_insert(0);
                     // Only the last ring-size descriptors still exist;
                     // older slots have been overwritten by later laps.
                     // If the ring wrapped past the cursor since the
@@ -1008,50 +1035,52 @@ impl SystemWorld {
                 }
             }
         }
-        // Reconcile the engines' pinned multiset into the page mirror.
-        let mut desired: std::collections::BTreeMap<PageId, u32> = Default::default();
-        for (_, pages) in &pinned_lists {
-            for &page in pages {
-                *desired.entry(page).or_insert(0) += 1;
+        // Reconcile the engines' pinned multiset into the page mirror:
+        // count the sorted pages into runs, then merge-walk them against
+        // the last sync's view. Only pages whose pin count changed reach
+        // the shadow, in ascending page order.
+        h.gathered.sort_unstable();
+        let mut view: Vec<(PageId, u32)> = Vec::with_capacity(h.pinned_view.len());
+        for &page in &h.gathered {
+            match view.last_mut() {
+                Some((last, pins)) if *last == page => *pins += 1,
+                _ => view.push((page, 1)),
             }
         }
-        let keys: std::collections::BTreeSet<PageId> = h
-            .pinned_view
-            .keys()
-            .chain(desired.keys())
-            .copied()
-            .collect();
-        for page in keys {
-            let have = h.pinned_view.get(&page).copied().unwrap_or(0);
-            let want = desired.get(&page).copied().unwrap_or(0);
-            if want > have && h.shadow.state(page) == ShadowState::Free {
+        let shadow = &mut h.shadow;
+        for_each_changed_count(&h.pinned_view, &view, |page, have, want| {
+            if want > have && shadow.state(page) == ShadowState::Free {
                 // First sighting: seed ownership from the live pool. An
                 // unowned page stays untracked and the pin below is
                 // flagged as pin-without-owner — a real violation.
                 if let Ok(info) = self.mem.info(page) {
                     if let Some(owner) = info.owner {
-                        h.shadow.on_alloc(owner, page);
+                        shadow.on_alloc(owner, page);
                     }
                 }
             }
             for _ in have..want {
-                h.shadow.on_pin(page);
+                shadow.on_pin(page);
             }
             for _ in want..have {
-                h.shadow.on_unpin(page);
+                shadow.on_unpin(page);
             }
             if want == 0 {
                 // Fully reaped: retire the mirror entry so the mirror
                 // tracks exactly the engine-pinned set.
-                if let Some(owner) = h.shadow.owner(page) {
-                    h.shadow.on_free(owner, page);
+                if let Some(owner) = shadow.owner(page) {
+                    shadow.on_free(owner, page);
                 }
             }
-        }
-        h.pinned_view = desired;
-        // Mirror-vs-reality audits.
-        for (ctx, pages) in &pinned_lists {
-            h.shadow.audit_pinned(*ctx, pages);
+        });
+        h.pinned_view = view;
+        // Mirror-vs-reality audits, per context in gather order.
+        for engine in &self.engines {
+            for (ctx, _) in engine.contexts().assigned() {
+                h.gathered.clear();
+                h.gathered.extend(engine.pinned_pages(ctx));
+                h.shadow.audit_pinned(ctx, &h.gathered);
+            }
         }
         if matches!(self.cfg.io_model, IoModel::Cdna { .. }) {
             h.shadow.audit_mem(&self.mem);
@@ -2522,6 +2551,34 @@ mod tests {
 
     fn cfg(io: IoModel, guests: u16, dir: Direction) -> TestbedConfig {
         TestbedConfig::new(io, guests, dir).quick()
+    }
+
+    #[test]
+    fn changed_counts_walk_both_views_in_page_order() {
+        let before = [
+            (PageId(1), 1),
+            (PageId(3), 2),
+            (PageId(5), 1),
+            (PageId(9), 4),
+        ];
+        let after = [
+            (PageId(2), 1),
+            (PageId(3), 2),
+            (PageId(5), 3),
+            (PageId(7), 1),
+        ];
+        let mut seen = Vec::new();
+        for_each_changed_count(&before, &after, |p, have, want| {
+            seen.push((p.0, have, want))
+        });
+        assert_eq!(
+            seen,
+            [(1, 1, 0), (2, 0, 1), (5, 1, 3), (7, 0, 1), (9, 4, 0)],
+            "unchanged page 3 is skipped"
+        );
+        seen.clear();
+        for_each_changed_count(&after, &after, |p, have, want| seen.push((p.0, have, want)));
+        assert!(seen.is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use cdna_check::{check_repo, workspace_root};
 use cdna_core::{DmaPolicy, FaultKind};
-use cdna_mem::DomainId;
+use cdna_mem::{DomainId, PageId};
 use cdna_sim::Simulation;
 use cdna_system::{run_experiment, Direction, IoModel, SystemWorld, TestbedConfig};
 
@@ -86,10 +86,21 @@ fn shadow_sync_detects_a_pin_outside_the_protection_path() {
         world.shadow().map(|s| s.violations())
     );
 
-    let rogue = world.mem.alloc(DomainId::guest(0)).expect("page");
-    world.mem.pin(rogue).expect("pin");
+    // Pin several non-adjacent engine-pinned pages a second time,
+    // highest first, plus one page no engine holds at all.
+    let ctx = world.ctx_of[0][0];
+    let mut held: Vec<PageId> = world.engines[0].pinned_pages(ctx).collect();
+    held.sort();
+    let mut rogue: Vec<PageId> = held.iter().step_by(7).take(4).copied().collect();
+    assert_eq!(rogue.len(), 4, "receive ring posts enough buffers");
+    for &page in rogue.iter().rev() {
+        world.mem.pin(page).expect("pin");
+    }
+    let stray = world.mem.alloc(DomainId::guest(0)).expect("page");
+    world.mem.pin(stray).expect("pin");
+
     let new = world.shadow_sync();
-    assert!(new >= 1, "rogue pin not detected");
+    assert_eq!(new, rogue.len() + 1, "one per page plus the aggregate");
     assert!(
         world
             .faults
@@ -98,6 +109,52 @@ fn shadow_sync_detects_a_pin_outside_the_protection_path() {
         "expected a mirror-divergence protection fault: {:?}",
         world.faults
     );
+    let diverged: Vec<Option<PageId>> = world
+        .shadow()
+        .expect("shadow enabled")
+        .violations()
+        .iter()
+        .filter(|v| v.kind.code() == 9)
+        .map(|v| v.page)
+        .collect();
+    rogue.push(PageId(0)); // the aggregate pin count is reported last
+    assert_eq!(diverged, rogue.into_iter().map(Some).collect::<Vec<_>>());
+}
+
+#[test]
+fn a_second_shadow_sync_with_nothing_new_records_no_events() {
+    // The reconcile feeds the mirror only what changed since the last
+    // pass: with no simulated event in between, a sync replays no
+    // descriptor, moves no pin and finds nothing — but still audits.
+    let cfg = cdna_cfg(DmaPolicy::Validated, 2, Direction::Receive).with_shadow_check();
+    let end = cfg.warmup + cfg.measure;
+    let mut sim = Simulation::new(SystemWorld::build(cfg));
+    let primed = sim.world_mut().prime();
+    for (t, e) in primed {
+        sim.schedule(t, e);
+    }
+    sim.run_until(end);
+    let mut world = sim.into_world();
+    assert_eq!(world.shadow_sync(), 0);
+    let shadow = world.shadow().expect("shadow enabled");
+    let (events, tracked) = (shadow.events(), shadow.pages_tracked());
+    assert!(tracked > 0, "posted receive buffers are mirrored");
+    assert_eq!(world.shadow_sync(), 0);
+    let shadow = world.shadow().expect("shadow enabled");
+    assert_eq!(shadow.events(), events);
+    assert_eq!(shadow.pages_tracked(), tracked);
+    assert!(shadow.violations().is_empty(), "{:?}", shadow.violations());
+
+    // The audits still run on the quiet pass: a pin the engines never
+    // made is caught even though no page's engine count changed.
+    let ctx = world.ctx_of[0][0];
+    let page = world.engines[0]
+        .pinned_pages(ctx)
+        .next()
+        .expect("a pinned page");
+    world.mem.pin(page).expect("pin");
+    assert_eq!(world.shadow_sync(), 2, "page and aggregate divergence");
+    assert_eq!(world.shadow().expect("shadow enabled").events(), events);
 }
 
 #[test]

@@ -15,10 +15,13 @@
 //! the `cdna-sim` worker pool; on exhausted trees the report is
 //! byte-identical to a sequential run.
 //!
+//! `--window-us` and `--per-config` must be positive: a zero window
+//! or schedule budget explores nothing and would report clean.
+//!
 //! Exit status: 0 on a clean exploration (or, with `--expect-caught`,
 //! when the seeded mutation WAS caught); 1 when an invariant is
 //! violated without a mutation, when an expected mutation escapes, or
-//! on bad usage.
+//! when the report cannot be written; 2 on bad usage.
 
 use std::process::ExitCode;
 
@@ -67,6 +70,14 @@ fn names() -> Vec<&'static str> {
     mutation::ALL.iter().map(|m| m.name()).collect()
 }
 
+/// Parses a count that must be at least 1, or exits with usage.
+fn positive(v: String) -> u64 {
+    match v.parse() {
+        Ok(n) if n > 0 => n,
+        _ => usage(),
+    }
+}
+
 fn parse_args() -> Options {
     let mut opts = Options::default();
     let mut args = std::env::args().skip(1);
@@ -79,12 +90,8 @@ fn parse_args() -> Options {
         };
         match arg.as_str() {
             "--out" => opts.out = Some(value("--out")),
-            "--window-us" => {
-                opts.window_us = value("--window-us").parse().unwrap_or_else(|_| usage())
-            }
-            "--per-config" => {
-                opts.per_config = value("--per-config").parse().unwrap_or_else(|_| usage())
-            }
+            "--window-us" => opts.window_us = positive(value("--window-us")),
+            "--per-config" => opts.per_config = positive(value("--per-config")),
             "--max-depth" => {
                 opts.max_depth = value("--max-depth").parse().unwrap_or_else(|_| usage())
             }

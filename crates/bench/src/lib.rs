@@ -163,6 +163,23 @@ pub fn perf_suite(quick: bool, queue: QueueKind) -> Vec<PerfEntry> {
     entries
 }
 
+/// The Figure 3 (transmit) or Figure 4 (receive) sweep: for each of
+/// [`paper::FIG_GUESTS`], a Xen/Intel config followed by a CDNA
+/// (validated) config. The `fig3`/`fig4` targets and the golden corpus
+/// both build their runs here.
+pub fn figure_configs(direction: Direction) -> Vec<TestbedConfig> {
+    let xen = IoModel::XenBridged {
+        nic: NicKind::Intel,
+    };
+    let cdna = IoModel::Cdna {
+        policy: DmaPolicy::Validated,
+    };
+    paper::FIG_GUESTS
+        .iter()
+        .flat_map(|&g| [xen, cdna].map(|io| TestbedConfig::new(io, g, direction)))
+        .collect()
+}
+
 /// Runs one configuration and prints its table row.
 pub fn run_and_print(cfg: TestbedConfig) -> RunReport {
     let r = run_experiment(cfg);

@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use cdna_bench::perf_suite;
+use cdna_bench::{figure_configs, perf_suite};
 use cdna_core::DmaPolicy;
 use cdna_rack::{run_rack, RackConfig, RackWorkload};
 use cdna_sim::{par, QueueKind};
@@ -144,6 +144,22 @@ fn cases() -> Vec<(String, Case)> {
     let mut unbatched = TestbedConfig::new(cdna, 2, Direction::Receive).quick();
     unbatched.hypercall_batch = 1;
     out.push(("cdna-hcbatch1-rx-2g".to_string(), Case::Testbed(unbatched)));
+    // Figures 3/4 at the guest counts the perf entries do not cover.
+    for (fig, dir) in [("fig3", Direction::Transmit), ("fig4", Direction::Receive)] {
+        for cfg in figure_configs(dir) {
+            if [1, 8, 24].contains(&cfg.guests) {
+                continue;
+            }
+            let io = match cfg.io_model {
+                IoModel::Cdna { .. } => "cdna",
+                _ => "xen-intel",
+            };
+            out.push((
+                format!("{fig}-{io}-{}g", cfg.guests),
+                Case::Testbed(cfg.quick()),
+            ));
+        }
+    }
     out.push((
         "rack-xhost-3h4g".to_string(),
         Case::Rack(RackConfig::new(3, 4, RackWorkload::XHost).quick()),

@@ -1,6 +1,7 @@
-//! `cdna-perf` — wall-clock performance harness for the simulator itself.
+//! `cdna-bench perf` — wall-clock performance harness for the simulator
+//! itself.
 //!
-//! Where every other bench binary measures the *simulated* system (Mb/s,
+//! Where every other target measures the *simulated* system (Mb/s,
 //! interrupt rates), this one measures the *simulator*: how many
 //! scheduler events per wall-clock second the engine sustains across a
 //! fixed, seeded suite of testbed configs. Wall-clock time is legal
@@ -12,9 +13,9 @@
 //! provably clock-free.
 //!
 //! ```sh
-//! cargo run --release -p cdna-bench --bin perf            # full suite
-//! cargo run --release -p cdna-bench --bin perf -- --quick # CI smoke
-//! cargo run --release -p cdna-bench --bin perf -- --jobs 8 # fan out
+//! cargo run --release -p cdna-bench -- perf            # full suite
+//! cargo run --release -p cdna-bench -- perf --quick    # CI smoke
+//! cargo run --release -p cdna-bench -- perf --jobs 8   # fan out
 //! ```
 //!
 //! The suite is {CDNA, Xen-softvirt} × {TX, RX} × {1, 8, 24} guests,
@@ -33,8 +34,11 @@
 //! meaningful for relative comparisons but contended at `jobs > 1` —
 //! while `aggregate.wall_ms_parallel` is the whole suite's elapsed
 //! wall-clock, the number the fan-out actually improves.
+//!
+//! The event queue is always the timer wheel; `BENCH.json` keeps naming
+//! it in its `queue` field so the `cdna-bench/1` schema stays valid.
 
-use cdna_bench::{perf_suite, take_jobs_flag, PerfEntry};
+use cdna_bench::{perf_suite, PerfEntry};
 use cdna_sim::{par, QueueKind};
 use cdna_system::{run_experiment, Direction};
 use cdna_trace::json::JsonWriter;
@@ -46,12 +50,8 @@ const SCHEMA: &str = "cdna-bench/1";
 /// Default repetitions per config; wall time is the best of these.
 const DEFAULT_REPS: u32 = 3;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: perf [--quick] [--reps N] [--jobs N] [--queue heap|wheel] [--out PATH] [--stdout]"
-    );
-    std::process::exit(2);
-}
+/// Flag synopsis for the usage text.
+pub const FLAGS: &str = "[--quick] [--reps N] [--out PATH] [--stdout]";
 
 struct Measured {
     entry: PerfEntry,
@@ -73,9 +73,9 @@ fn measure(entry: PerfEntry, reps: u32) -> Measured {
     let sim_ms = (cfg.warmup + cfg.measure).as_ns() as f64 / 1e6;
     let seed = cfg.seed;
 
-    let mut walls: Vec<f64> = Vec::with_capacity(reps.max(1) as usize);
+    let mut walls: Vec<f64> = Vec::with_capacity(reps as usize);
     let mut outcome: Option<(u64, f64, u64)> = None;
-    for _ in 0..reps.max(1) {
+    for _ in 0..reps {
         #[expect(
             clippy::disallowed_methods,
             clippy::disallowed_types,
@@ -122,7 +122,6 @@ fn write_json(
     results: &[Measured],
     quick: bool,
     reps: u32,
-    queue: QueueKind,
     jobs: usize,
     wall_ms_parallel: f64,
 ) -> String {
@@ -133,7 +132,7 @@ fn write_json(
     w.key("suite");
     w.string(if quick { "quick" } else { "full" });
     w.key("queue");
-    w.string(queue.name());
+    w.string(QueueKind::default().name());
     w.key("reps");
     w.number_u64(reps as u64);
     w.key("jobs");
@@ -217,50 +216,24 @@ fn write_json(
     w.finish()
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // One shared scanner owns the `--jobs` syntax across all binaries.
-    let jobs_flag = take_jobs_flag(&mut args).unwrap_or_else(|e| {
-        eprintln!("perf: {e}");
-        usage()
-    });
+/// Runs the suite on `jobs` workers and writes `BENCH.json`.
+pub fn main(args: &[String], jobs: usize) -> Result<(), String> {
     let mut quick = false;
     let mut reps = DEFAULT_REPS;
-    let mut queue = QueueKind::default();
     let mut out: Option<String> = None;
     let mut stdout = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--reps" => {
-                reps = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--queue" => {
-                queue = match args.get(i + 1).map(String::as_str) {
-                    Some("heap") => QueueKind::BinaryHeap,
-                    Some("wheel") => QueueKind::TimerWheel,
-                    _ => usage(),
-                };
-                i += 2;
-            }
-            "--out" => {
-                out = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
-            }
-            "--stdout" => {
-                stdout = true;
-                i += 1;
-            }
-            _ => usage(),
+    let mut flags = args.iter();
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--quick" => quick = true,
+            "--reps" => reps = crate::flag_value(flag, flags.next())?,
+            "--out" => out = Some(crate::flag_value(flag, flags.next())?),
+            "--stdout" => stdout = true,
+            other => return Err(format!("unknown flag `{other}`")),
         }
+    }
+    if reps == 0 {
+        return Err("`--reps` must be at least 1".to_string());
     }
 
     // Default output lands at the repo root regardless of the cwd
@@ -269,8 +242,8 @@ fn main() {
         format!("{}/../../BENCH.json", env!("CARGO_MANIFEST_DIR")) // bench artifact location
     });
 
-    let entries = perf_suite(quick, queue);
-    let jobs = par::resolve_jobs(jobs_flag, entries.len());
+    let entries = perf_suite(quick);
+    let jobs = jobs.min(entries.len());
     eprintln!("running {} entries on {} worker(s)", entries.len(), jobs);
     #[expect(
         clippy::disallowed_methods,
@@ -298,7 +271,7 @@ fn main() {
         jobs,
         results.iter().map(|m| m.wall_ms).sum::<f64>(),
     );
-    let json = write_json(&results, quick, reps, queue, jobs, wall_ms_parallel);
+    let json = write_json(&results, quick, reps, jobs, wall_ms_parallel);
     if stdout {
         println!("{json}");
     } else {
@@ -308,4 +281,5 @@ fn main() {
         });
         eprintln!("wrote {out}");
     }
+    Ok(())
 }

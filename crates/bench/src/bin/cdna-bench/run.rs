@@ -1,14 +1,15 @@
-//! Parameterized experiment runner — explore any configuration from the
-//! command line.
+//! `cdna-bench run` — explore any configuration from the command line.
 //!
 //! ```sh
-//! cargo run --release -p cdna-bench --bin run -- cdna 8 tx
-//! cargo run --release -p cdna-bench --bin run -- xen-intel 24 rx --nics 2 --json
-//! cargo run --release -p cdna-bench --bin run -- cdna-noprot 1 tx --seed 7
-//! cargo run --release -p cdna-bench --bin run -- --trace /tmp/t.json --metrics
+//! cargo run --release -p cdna-bench -- run cdna 8 tx
+//! cargo run --release -p cdna-bench -- run xen-intel 24 rx --nics 2 --json
+//! cargo run --release -p cdna-bench -- run cdna-noprot 1 tx --seed 7
+//! cargo run --release -p cdna-bench -- run --trace /tmp/t.json --metrics
 //! ```
 //!
-//! The three positionals default to `cdna 1 tx` when omitted.
+//! The three positionals default to `cdna 1 tx` when omitted. A run needs
+//! at least one guest, NIC and connection per guest; a CDNA run at most
+//! one guest per assignable hardware context.
 //!
 //! IO models: `native`, `xen-intel`, `xen-ricenic`, `cdna`, `cdna-iommu`,
 //! `cdna-noprot`.
@@ -20,21 +21,17 @@
 //! in the `global/check/*` counters and as a `shadow_audit` trace
 //! instant).
 
-use cdna_core::DmaPolicy;
+use cdna_core::{DmaPolicy, CTX_COUNT};
 use cdna_system::{run_instrumented, Direction, Instrumentation, IoModel, NicKind, TestbedConfig};
 
 /// Ring capacity for `--trace`: large enough to hold the whole
 /// measurement window of a quick run; older events fall off first.
 const TRACE_CAPACITY: usize = 1 << 20;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: run [native|xen-intel|xen-ricenic|cdna|cdna-iommu|cdna-noprot] \
-         [guests] [tx|rx] [--nics N] [--seed S] [--conns C] [--json] \
-         [--trace PATH] [--metrics] [--shadow]"
-    );
-    std::process::exit(2);
-}
+/// Flag synopsis for the usage text.
+pub const FLAGS: &str = "[native|xen-intel|xen-ricenic|cdna|cdna-iommu|cdna-noprot] \
+                         [guests] [tx|rx] [--nics N] [--seed S] [--conns C] [--json] \
+                         [--trace PATH] [--metrics] [--shadow]";
 
 fn parse_io(name: &str) -> Option<IoModel> {
     Some(match name {
@@ -60,9 +57,8 @@ fn parse_io(name: &str) -> Option<IoModel> {
     })
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-
+/// Runs one configuration and prints its report.
+pub fn main(args: &[String], _jobs: usize) -> Result<(), String> {
     // Positionals (all optional, defaulting to `cdna 1 tx`) come before
     // the first `--flag`.
     let n_pos = args
@@ -70,83 +66,46 @@ fn main() {
         .position(|a| a.starts_with("--"))
         .unwrap_or(args.len());
     if n_pos > 3 {
-        eprintln!("too many positional arguments");
-        usage();
+        return Err("too many positional arguments".to_string());
     }
     let positional = &args[..n_pos];
 
     let io = match positional.first() {
-        Some(name) => parse_io(name).unwrap_or_else(|| {
-            eprintln!("unknown io model `{name}`");
-            usage();
-        }),
+        Some(name) => parse_io(name).ok_or_else(|| format!("unknown io model `{name}`"))?,
         None => IoModel::Cdna {
             policy: DmaPolicy::Validated,
         },
     };
     let guests: u16 = match positional.get(1) {
-        Some(v) => v.parse().unwrap_or_else(|_| usage()),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("guest count expects a number, got `{v}`"))?,
         None => 1,
     };
     let direction = match positional.get(2).map(String::as_str) {
         Some("tx") | None => Direction::Transmit,
         Some("rx") => Direction::Receive,
-        Some(other) => {
-            eprintln!("unknown direction `{other}`");
-            usage();
-        }
+        Some(other) => return Err(format!("unknown direction `{other}`")),
     };
 
     let mut cfg = TestbedConfig::new(io, guests, direction);
     let mut json = false;
     let mut trace_path: Option<String> = None;
     let mut metrics = false;
-    let mut i = n_pos;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--nics" => {
-                cfg.nics = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--seed" => {
-                cfg.seed = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--conns" => {
-                cfg.conns_per_guest = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--trace" => {
-                trace_path = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
-            }
-            "--metrics" => {
-                metrics = true;
-                i += 1;
-            }
-            "--shadow" => {
-                cfg.shadow_check = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
+    let mut flags = args[n_pos..].iter();
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--nics" => cfg.nics = crate::flag_value(flag, flags.next())?,
+            "--seed" => cfg.seed = crate::flag_value(flag, flags.next())?,
+            "--conns" => cfg.conns_per_guest = crate::flag_value(flag, flags.next())?,
+            "--trace" => trace_path = Some(crate::flag_value(flag, flags.next())?),
+            "--json" => json = true,
+            "--metrics" => metrics = true,
+            "--shadow" => cfg.shadow_check = true,
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    check(&cfg)?;
 
     let instr = Instrumentation {
         trace_capacity: trace_path.as_ref().map(|_| TRACE_CAPACITY),
@@ -164,5 +123,29 @@ fn main() {
             std::process::exit(1);
         });
         eprintln!("trace written to {path} (open at https://ui.perfetto.dev)");
+    }
+    Ok(())
+}
+
+/// Rejects a configuration the testbed cannot build, before it runs.
+fn check(cfg: &TestbedConfig) -> Result<(), String> {
+    // Each CDNA guest takes one hardware context per NIC; context 0 is
+    // the hypervisor's.
+    let max_guests = match cfg.io_model {
+        IoModel::Cdna { .. } => CTX_COUNT - 1,
+        _ => usize::from(u16::MAX),
+    };
+    if cfg.guests == 0 || usize::from(cfg.guests) > max_guests {
+        Err(format!(
+            "guest count must be 1..={max_guests} for {}, got {}",
+            cfg.io_model.label(),
+            cfg.guests
+        ))
+    } else if cfg.nics == 0 {
+        Err("`--nics` must be at least 1".to_string())
+    } else if cfg.conns_per_guest == 0 {
+        Err("`--conns` must be at least 1".to_string())
+    } else {
+        Ok(())
     }
 }

@@ -3,31 +3,31 @@
 //! Benchmark harness regenerating every table and figure of the CDNA
 //! paper, plus the paper's reported values for comparison.
 //!
-//! Each binary (`table1` … `table4`, `fig3`, `fig4`, `ablation_*`)
-//! runs the corresponding experiment and prints the paper's value next
-//! to the simulated one. `EXPERIMENTS.md` in the repository root records
-//! the outcomes.
+//! The `cdna-bench` binary runs one target per table, figure or
+//! ablation (`cdna-bench table2`, `cdna-bench fig3`, …) and prints the
+//! paper's value next to the simulated one; `perf` and `run` are its
+//! simulator-speed harness and free-form runner. `EXPERIMENTS.md` in the
+//! repository root records the outcomes.
 //!
 //! # Parallel fan-out
 //!
-//! Every bench binary fans its configuration matrix out over the
-//! [`cdna_sim::par`] worker pool. Each simulation is single-threaded,
-//! seeded, and self-contained, so parallelism changes wall-clock time
-//! and nothing else — `tests/parallel.rs` proves `jobs=1` and `jobs=N`
-//! produce byte-identical reports. The worker count comes from a
-//! `--jobs N` argv flag (every fan-out binary accepts it), then the
-//! `CDNA_JOBS` environment variable, then `min(cores, entries)`.
+//! Every target fans its configuration matrix out over the
+//! [`cdna_sim::par`] worker pool through [`run_parallel_jobs`]. Each
+//! simulation is single-threaded, seeded, and self-contained, so
+//! parallelism changes wall-clock time and nothing else —
+//! `tests/parallel.rs` proves `jobs=1` and `jobs=N` produce
+//! byte-identical reports. The binary parses `--jobs N` once (else
+//! `CDNA_JOBS`, else the core count) and passes the count down.
 
 pub mod paper;
 
 use cdna_core::DmaPolicy;
 use cdna_sim::par;
-use cdna_sim::QueueKind;
 use cdna_system::{run_experiment, Direction, IoModel, NicKind, RunReport, TestbedConfig};
 
 /// Extracts the last `--jobs N` / `--jobs=N` occurrence from `args`,
 /// ignoring every other argument. This is the one place the flag's
-/// syntax lives; every fan-out binary resolves it here. A missing or
+/// syntax lives; `cdna-bench` and `rack` resolve it here. A missing or
 /// non-numeric value is an error, never silently "no flag".
 pub fn jobs_flag_in(args: &[String]) -> Result<Option<usize>, String> {
     let parse = |v: Option<&str>| {
@@ -49,8 +49,8 @@ pub fn jobs_flag_in(args: &[String]) -> Result<Option<usize>, String> {
 }
 
 /// Like [`jobs_flag_in`], but removes every `--jobs` occurrence (and
-/// its value) from `args`, so binaries with their own argument parsers
-/// (`perf`, `rack`) can strip the flag before handling the rest.
+/// its value) from `args`, so a binary can strip the flag before
+/// parsing the rest.
 pub fn take_jobs_flag(args: &mut Vec<String>) -> Result<Option<usize>, String> {
     let requested = jobs_flag_in(args)?;
     let mut i = 0;
@@ -66,52 +66,16 @@ pub fn take_jobs_flag(args: &mut Vec<String>) -> Result<Option<usize>, String> {
     Ok(requested)
 }
 
-/// [`jobs_flag_in`] applied to this process's argv. The table/figure
-/// binaries take no other argument, so a malformed value or any other
-/// argument prints a usage line and exits 2.
-pub fn jobs_flag_from_argv() -> Option<usize> {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = take_jobs_flag(&mut args).and_then(|jobs| match args.first() {
-        None => Ok(jobs),
-        Some(other) => Err(format!("unknown argument `{other}`")),
-    });
-    parsed.unwrap_or_else(|e| {
-        let bin = std::env::args().next().unwrap_or_default();
-        let bin = bin.rsplit(['/', '\\']).next().unwrap_or_default();
-        eprintln!("{bin}: {e}\nusage: {bin} [--jobs N]");
-        std::process::exit(2)
-    })
-}
-
-/// Validates this process's argv (see [`jobs_flag_from_argv`]) before a
-/// table/figure binary prints or runs anything.
-pub fn check_args() {
-    jobs_flag_from_argv();
-}
-
-/// Worker count for a fan-out of `tasks` items: `--jobs` argv flag,
-/// else `CDNA_JOBS`, else `min(cores, tasks)` (see
-/// [`cdna_sim::par::resolve_jobs`]).
-pub fn jobs_for(tasks: usize) -> usize {
-    par::resolve_jobs(jobs_flag_from_argv(), tasks)
-}
-
-/// Runs several configurations across the worker pool (each simulation
-/// is single-threaded and deterministic; the sweep parallelism only
-/// affects wall-clock time, never results). Reports come back in input
-/// order. The worker count follows [`jobs_for`].
-pub fn run_parallel(configs: Vec<TestbedConfig>) -> Vec<RunReport> {
-    let jobs = jobs_for(configs.len());
-    run_parallel_jobs(configs, jobs)
-}
-
-/// [`run_parallel`] with an explicit worker count (clamped to
+/// Runs several configurations across `jobs` workers (clamped to
 /// `1..=configs.len()`; `jobs=1` runs inline on the caller's thread).
+/// Each simulation is single-threaded and deterministic, so the worker
+/// count affects wall-clock time, never results. Reports come back in
+/// input order.
 pub fn run_parallel_jobs(configs: Vec<TestbedConfig>, jobs: usize) -> Vec<RunReport> {
     par::run_indexed(jobs, configs, |_, cfg| run_experiment(cfg))
 }
 
-/// One entry of the `cdna-perf` wall-clock suite.
+/// One entry of the `perf` target's wall-clock suite.
 #[derive(Debug, Clone)]
 pub struct PerfEntry {
     /// Stable identifier, e.g. `cdna-tx-24g`.
@@ -126,12 +90,12 @@ pub struct PerfEntry {
     pub cfg: TestbedConfig,
 }
 
-/// The `cdna-perf` suite: {CDNA, Xen-softvirt} × {TX, RX} × {1, 8, 24}
-/// guests at the default seed, all on `queue`. `quick` shrinks the
-/// simulated window for CI smoke runs. Shared between the `perf` binary
-/// and the `tests/parallel.rs` differential test so both always measure
+/// The `perf` suite: {CDNA, Xen-softvirt} × {TX, RX} × {1, 8, 24}
+/// guests at the default seed. `quick` shrinks the simulated window for
+/// CI smoke runs. Shared between the `perf` target, the golden corpus
+/// and the `tests/parallel.rs` differential test so all of them measure
 /// the same matrix.
-pub fn perf_suite(quick: bool, queue: QueueKind) -> Vec<PerfEntry> {
+pub fn perf_suite(quick: bool) -> Vec<PerfEntry> {
     let cdna = IoModel::Cdna {
         policy: DmaPolicy::Validated,
     };
@@ -150,7 +114,6 @@ pub fn perf_suite(quick: bool, queue: QueueKind) -> Vec<PerfEntry> {
             if quick {
                 cfg = cfg.quick();
             }
-            cfg.queue = queue;
             entries.push(PerfEntry {
                 id: format!("{io_name}-{dir_name}-{guests}g"),
                 io_name,
@@ -178,13 +141,6 @@ pub fn figure_configs(direction: Direction) -> Vec<TestbedConfig> {
         .iter()
         .flat_map(|&g| [xen, cdna].map(|io| TestbedConfig::new(io, g, direction)))
         .collect()
-}
-
-/// Runs one configuration and prints its table row.
-pub fn run_and_print(cfg: TestbedConfig) -> RunReport {
-    let r = run_experiment(cfg);
-    println!("{}", r.table_row());
-    r
 }
 
 /// Formats a paper-vs-simulated line.
@@ -255,7 +211,7 @@ mod tests {
 
     #[test]
     fn perf_suite_is_the_twelve_entry_matrix() {
-        let suite = perf_suite(true, QueueKind::default());
+        let suite = perf_suite(true);
         assert_eq!(suite.len(), 12);
         let ids: Vec<&str> = suite.iter().map(|e| e.id.as_str()).collect();
         assert!(ids.contains(&"cdna-tx-1g"));

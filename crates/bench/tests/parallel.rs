@@ -1,43 +1,25 @@
 //! Differential proof that the parallel fan-out changes wall-clock
 //! time and nothing else: the full 12-entry perf matrix run at `jobs=1`
-//! (inline, on the calling thread) and at `jobs=4` (worker pool) must
-//! produce byte-identical serialized reports, entry for entry.
+//! (inline, on the calling thread) and on the worker pool must produce
+//! byte-identical serialized reports, entry for entry.
 
 use cdna_bench::{perf_suite, run_parallel_jobs};
-use cdna_sim::QueueKind;
 
 #[test]
 fn parallel_vs_sequential_bench_identical() {
-    let configs = |queue| {
-        perf_suite(true, queue)
-            .into_iter()
-            .map(|e| e.cfg)
-            .collect::<Vec<_>>()
-    };
-    let sequential = run_parallel_jobs(configs(QueueKind::default()), 1);
-    let parallel = run_parallel_jobs(configs(QueueKind::default()), 4);
+    let configs: Vec<_> = perf_suite(true).into_iter().map(|e| e.cfg).collect();
+    let sequential = run_parallel_jobs(configs.clone(), 1);
     assert_eq!(sequential.len(), 12);
-    assert_eq!(parallel.len(), 12);
-    for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
-        assert_eq!(
-            s.to_json(),
-            p.to_json(),
-            "entry {i}: jobs=4 diverged from jobs=1"
-        );
-    }
-}
-
-#[test]
-fn parallel_preserves_input_order_across_queue_kinds() {
-    // The wheel queue must see the same determinism guarantee; also
-    // exercises a jobs value that does not divide the entry count.
-    let configs: Vec<_> = perf_suite(true, QueueKind::TimerWheel)
-        .into_iter()
-        .map(|e| e.cfg)
-        .collect();
-    let a = run_parallel_jobs(configs.clone(), 1);
-    let b = run_parallel_jobs(configs, 5);
-    for (s, p) in a.iter().zip(&b) {
-        assert_eq!(s.to_json(), p.to_json());
+    // jobs = 5 does not divide the entry count.
+    for jobs in [4, 5] {
+        let parallel = run_parallel_jobs(configs.clone(), jobs);
+        assert_eq!(parallel.len(), 12);
+        for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
+            assert_eq!(
+                s.to_json(),
+                p.to_json(),
+                "entry {i}: jobs={jobs} diverged from jobs=1"
+            );
+        }
     }
 }

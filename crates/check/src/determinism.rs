@@ -670,9 +670,7 @@ fn field_stores(
 const JOBS_SOURCE_FNS: &[(&str, &[&str])] = &[
     ("resolve_jobs", &["sim"]),
     ("available_jobs", &["sim"]),
-    ("jobs_for", &["bench"]),
     ("jobs_flag_in", &["bench"]),
-    ("jobs_flag_from_argv", &["bench"]),
     ("take_jobs_flag", &["bench"]),
 ];
 

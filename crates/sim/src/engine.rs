@@ -21,9 +21,9 @@ pub trait World {
 /// The pending-event queue, exposed to handlers for scheduling follow-ups.
 ///
 /// Events at equal times are delivered in the order they were scheduled
-/// (FIFO), which keeps runs deterministic. The backing store is one of
-/// the [`crate::queue`] implementations — a timer wheel by default, the
-/// original binary heap for differential testing.
+/// (FIFO), which keeps runs deterministic. The backing store is the
+/// [`crate::queue::TimerWheel`] unless the simulation was built with
+/// [`Simulation::with_event_queue`].
 #[derive(Debug)]
 pub struct Scheduler<E> {
     queue: QueueImpl<E>,
@@ -116,9 +116,8 @@ impl<W: World> Simulation<W> {
         Simulation::with_queue(world, QueueKind::default())
     }
 
-    /// Creates a simulation at time zero with an explicit event-queue
-    /// implementation (used by the golden regression tests and the perf
-    /// harness to compare queue kinds on otherwise identical runs).
+    /// Creates a simulation at time zero on the built-in queue `kind`
+    /// (the field [`QueueKind`] names in testbed configs).
     pub fn with_queue(world: W, kind: QueueKind) -> Self {
         Simulation {
             world,
@@ -319,14 +318,18 @@ mod tests {
 
     #[test]
     fn both_queue_kinds_run_the_same_simulation() {
-        for kind in [QueueKind::BinaryHeap, QueueKind::TimerWheel] {
-            let mut sim = Simulation::with_queue(Recorder::default(), kind);
+        let wheel = Simulation::with_queue(Recorder::default(), QueueKind::TimerWheel);
+        let heap = Simulation::with_event_queue(
+            Recorder::default(),
+            Box::new(crate::queue::HeapQueue::new()),
+        );
+        for (name, mut sim) in [("wheel", wheel), ("heap", heap)] {
             sim.schedule(SimTime::from_us(30), 3);
             sim.schedule(SimTime::from_us(10), 1);
             sim.schedule(SimTime::from_us(10), 2);
             sim.run_to_completion();
             let order: Vec<u32> = sim.world().seen.iter().map(|&(_, e)| e).collect();
-            assert_eq!(order, vec![1, 2, 3], "{kind:?}");
+            assert_eq!(order, vec![1, 2, 3], "{name}");
         }
     }
 

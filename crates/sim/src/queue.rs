@@ -1,12 +1,13 @@
-//! Pluggable event queues: the original binary heap and a hierarchical
-//! timer wheel.
+//! Event queues: the hierarchical timer wheel every simulation runs on,
+//! and the binary heap kept as its reference oracle.
 //!
-//! Both implementations deliver events in identical order — ascending
-//! `(time, seq)`, so equal-time events fire strictly FIFO — which the
-//! differential tests in `tests/differential.rs` verify against hundreds
-//! of randomized schedules. The [`TimerWheel`] is the default: inserts
-//! into the near-future wheel are O(1) and pops come off a small
-//! active-epoch heap instead of one global heap holding every pending
+//! Both deliver events in identical order — ascending `(time, seq)`, so
+//! equal-time events fire strictly FIFO — which the differential tests
+//! in `tests/differential.rs` verify against hundreds of randomized
+//! schedules, feeding the [`HeapQueue`] in through
+//! [`crate::Simulation::with_event_queue`]. In the [`TimerWheel`],
+//! inserts into the near-future wheel are O(1) and pops come off a small
+//! active-epoch buffer instead of one global heap holding every pending
 //! timer.
 //!
 //! # Timer wheel determinism argument
@@ -123,7 +124,8 @@ pub trait EventQueue<E> {
     }
 }
 
-/// The original queue: one global binary heap ordered by `(time, seq)`.
+/// One global binary heap ordered by `(time, seq)`: the queue the wheel
+/// replaced, kept as the differential tests' reference oracle.
 #[derive(Debug)]
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Reverse<Queued<E>>>,
@@ -348,41 +350,37 @@ impl<E> EventQueue<E> for TimerWheel<E> {
     }
 }
 
-/// Which queue implementation a [`crate::Scheduler`] uses.
+/// Which built-in queue a [`crate::Scheduler`] uses. The timer wheel is
+/// the only one; the type stays so configs can name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
-    /// The original single binary heap (kept for differential testing
-    /// and as a perf baseline).
-    BinaryHeap,
-    /// The hierarchical timer wheel (default).
+    /// The hierarchical timer wheel.
     #[default]
     TimerWheel,
 }
 
 impl QueueKind {
-    /// Stable lower-case name, as used in `BENCH.json` and CLI flags.
+    /// Stable lower-case name, as used in `BENCH.json`.
     pub fn name(self) -> &'static str {
         match self {
-            QueueKind::BinaryHeap => "heap",
             QueueKind::TimerWheel => "wheel",
         }
     }
 }
 
-/// Enum dispatch over the two queue kinds — avoids both genericizing
-/// `Scheduler` (which would ripple a type parameter through `World`
-/// implementations) and a `dyn` indirection on the hot path. The
-/// `Custom` variant is the escape hatch for externally supplied queues
-/// (the `cdna-model` schedule explorer swaps in a permutation queue that
-/// deliberately reorders same-time ties); it pays the `dyn` cost, but
-/// only runs under the model checker, never on the perf path.
+/// The built-in wheel or an externally supplied queue. The enum avoids
+/// both genericizing `Scheduler` (which would ripple a type parameter
+/// through `World` implementations) and a `dyn` indirection on the hot
+/// path. `Custom` holds the `cdna-model` schedule explorer's permutation
+/// queue, which deliberately reorders same-time ties, and the
+/// differential tests' heap oracle; it pays the `dyn` cost, but never
+/// runs on the perf path.
 ///
 /// The custom box is `Send` so that a `Simulation` over a `Send` world
 /// is itself `Send` regardless of queue kind — `cdna-rack` migrates
 /// whole per-host simulations across the [`crate::par`] worker pool at
 /// every epoch barrier.
 pub(crate) enum QueueImpl<E> {
-    Heap(HeapQueue<E>),
     Wheel(TimerWheel<E>),
     Custom(Box<dyn EventQueue<E> + Send>),
 }
@@ -390,7 +388,6 @@ pub(crate) enum QueueImpl<E> {
 impl<E: std::fmt::Debug> std::fmt::Debug for QueueImpl<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            QueueImpl::Heap(q) => f.debug_tuple("Heap").field(q).finish(),
             QueueImpl::Wheel(q) => f.debug_tuple("Wheel").field(q).finish(),
             QueueImpl::Custom(q) => f.debug_struct("Custom").field("len", &q.len()).finish(),
         }
@@ -400,7 +397,6 @@ impl<E: std::fmt::Debug> std::fmt::Debug for QueueImpl<E> {
 impl<E> QueueImpl<E> {
     pub(crate) fn new(kind: QueueKind) -> Self {
         match kind {
-            QueueKind::BinaryHeap => QueueImpl::Heap(HeapQueue::new()),
             QueueKind::TimerWheel => QueueImpl::Wheel(TimerWheel::new()),
         }
     }
@@ -410,7 +406,6 @@ impl<E> EventQueue<E> for QueueImpl<E> {
     #[inline]
     fn push(&mut self, at: SimTime, seq: u64, event: E) {
         match self {
-            QueueImpl::Heap(q) => q.push(at, seq, event),
             QueueImpl::Wheel(q) => q.push(at, seq, event),
             QueueImpl::Custom(q) => q.push(at, seq, event),
         }
@@ -419,7 +414,6 @@ impl<E> EventQueue<E> for QueueImpl<E> {
     #[inline]
     fn pop(&mut self) -> Option<(SimTime, u64, E)> {
         match self {
-            QueueImpl::Heap(q) => q.pop(),
             QueueImpl::Wheel(q) => q.pop(),
             QueueImpl::Custom(q) => q.pop(),
         }
@@ -428,7 +422,6 @@ impl<E> EventQueue<E> for QueueImpl<E> {
     #[inline]
     fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
         match self {
-            QueueImpl::Heap(q) => q.pop_due(deadline),
             QueueImpl::Wheel(q) => q.pop_due(deadline),
             QueueImpl::Custom(q) => q.pop_due(deadline),
         }
@@ -437,7 +430,6 @@ impl<E> EventQueue<E> for QueueImpl<E> {
     #[inline]
     fn len(&self) -> usize {
         match self {
-            QueueImpl::Heap(q) => q.len(),
             QueueImpl::Wheel(q) => q.len(),
             QueueImpl::Custom(q) => q.len(),
         }
@@ -542,7 +534,6 @@ mod tests {
 
     #[test]
     fn queue_kind_names_are_stable() {
-        assert_eq!(QueueKind::BinaryHeap.name(), "heap");
         assert_eq!(QueueKind::TimerWheel.name(), "wheel");
         assert_eq!(QueueKind::default(), QueueKind::TimerWheel);
     }

@@ -1,9 +1,10 @@
 //! Differential test: the timer wheel must be observationally identical
-//! to the binary heap it replaced.
+//! to the binary heap it replaced, kept here as the reference oracle.
 //!
 //! Several hundred `SimRng`-seeded random schedules are driven through
-//! both queue implementations — directly at the queue level and through
-//! full `Simulation` runs — and the delivery order, timestamps, and
+//! both queues — directly at the queue level and through full
+//! `Simulation` runs, where the heap comes in through
+//! `Simulation::with_event_queue` — and the delivery order, timestamps, and
 //! final clock must match exactly. The schedules deliberately stress the
 //! wheel's structural boundaries: equal-time bursts (FIFO ties),
 //! zero-delay self-chains (re-push into the active epoch), far-future
@@ -11,7 +12,7 @@
 //! landing in the middle of a wheel bucket.
 
 use cdna_sim::queue::{EventQueue, HeapQueue, TimerWheel, EPOCH_NS, WHEEL_SLOTS};
-use cdna_sim::{QueueKind, Scheduler, SimRng, SimTime, Simulation, World};
+use cdna_sim::{Scheduler, SimRng, SimTime, Simulation, World};
 
 /// Picks a schedule time at-or-after `now`, biased to cover every wheel
 /// structure: the active epoch, near-future buckets, the exact wheel
@@ -135,14 +136,17 @@ impl World for Chaos {
     }
 }
 
-fn run_chaos(seed: u64, kind: QueueKind) -> (Vec<(SimTime, u32)>, SimTime, u64) {
+fn run_chaos(
+    seed: u64,
+    with_queue: fn(Chaos) -> Simulation<Chaos>,
+) -> (Vec<(SimTime, u32)>, SimTime, u64) {
     let world = Chaos {
         rng: SimRng::seed_from(seed),
         seen: Vec::new(),
         budget: 300,
         next_id: 1_000_000,
     };
-    let mut sim = Simulation::with_queue(world, kind);
+    let mut sim = with_queue(world);
     let mut rng = SimRng::seed_from(!seed);
     // Seed primordial events, with equal-time bursts.
     let mut t = 0u64;
@@ -170,8 +174,10 @@ fn run_chaos(seed: u64, kind: QueueKind) -> (Vec<(SimTime, u32)>, SimTime, u64) 
 #[test]
 fn simulations_agree_between_heap_and_wheel() {
     for seed in 0..100u64 {
-        let (seen_h, now_h, n_h) = run_chaos(seed, QueueKind::BinaryHeap);
-        let (seen_w, now_w, n_w) = run_chaos(seed, QueueKind::TimerWheel);
+        let (seen_h, now_h, n_h) = run_chaos(seed, |w| {
+            Simulation::with_event_queue(w, Box::new(HeapQueue::new()))
+        });
+        let (seen_w, now_w, n_w) = run_chaos(seed, Simulation::new);
         assert_eq!(n_h, n_w, "seed {seed}: events processed diverged");
         assert_eq!(now_h, now_w, "seed {seed}: final clock diverged");
         assert_eq!(seen_h, seen_w, "seed {seed}: delivery order diverged");

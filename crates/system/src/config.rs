@@ -134,9 +134,8 @@ pub struct TestbedConfig {
     /// RiceNIC firmware configuration (override for ablations, e.g. the
     /// interrupt bit-vector coalescing interval).
     pub ricenic: RiceNicConfig,
-    /// Event-queue implementation for the simulation engine. Simulated
-    /// outcomes are identical for every kind (proven by the golden
-    /// regression tests); only wall-clock speed differs.
+    /// Event queue for the simulation engine (the timer wheel, the only
+    /// built-in kind).
     pub queue: QueueKind,
 }
 

@@ -7,8 +7,8 @@
 //! curves (Figures 3/4). This crate is the instrumentation layer those
 //! views are derived from:
 //!
-//! * [`Registry`] — a table of cheap monotonic counters and
-//!   [`Histogram`]s keyed by `(domain, component, metric)`. Hot-path
+//! * [`Registry`] — a table of cheap monotonic counters keyed by
+//!   `(domain, component, metric)`. Hot-path
 //!   increments go through pre-interned handles and never allocate.
 //! * [`ProfileLedger`] — a time-sliced execution-profile sampler in the
 //!   style of Xenoprof: CPU time is charged to numbered buckets and
@@ -27,12 +27,10 @@
 
 pub mod json;
 
-mod histogram;
 mod profile;
 mod registry;
 mod tracer;
 
-pub use histogram::Histogram;
 pub use profile::{ProfileLedger, ProfileSample};
-pub use registry::{CounterId, Domain, HistogramId, MetricKey, Registry};
+pub use registry::{CounterId, Domain, MetricKey, Registry};
 pub use tracer::{Phase, TraceEvent, Tracer};

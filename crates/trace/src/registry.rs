@@ -1,8 +1,8 @@
-//! The counter/histogram registry.
+//! The counter registry.
 //!
 //! Metrics are keyed by `(domain, component, metric[, instance])`.
 //! Consumers intern a key once at setup time and hold the returned
-//! [`CounterId`]/[`HistogramId`]; increments through a handle are a
+//! [`CounterId`]; increments through a handle are a
 //! bounds-checked array add — no hashing, no allocation — so they are
 //! safe on the simulation's hot paths.
 
@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::json::JsonWriter;
-use crate::Histogram;
 
 /// Which part of the machine a metric belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -98,10 +97,6 @@ impl fmt::Display for MetricKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
 
-/// Handle to an interned histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
 /// The metric table.
 ///
 /// # Example
@@ -120,9 +115,6 @@ pub struct Registry {
     counter_index: BTreeMap<MetricKey, usize>,
     counter_keys: Vec<MetricKey>,
     counters: Vec<u64>,
-    hist_index: BTreeMap<MetricKey, usize>,
-    hist_keys: Vec<MetricKey>,
-    hists: Vec<Histogram>,
 }
 
 impl Registry {
@@ -143,18 +135,6 @@ impl Registry {
         CounterId(i)
     }
 
-    /// Interns (or finds) the histogram for `key`.
-    pub fn histogram(&mut self, key: MetricKey) -> HistogramId {
-        if let Some(&i) = self.hist_index.get(&key) {
-            return HistogramId(i);
-        }
-        let i = self.hists.len();
-        self.hist_index.insert(key, i);
-        self.hist_keys.push(key);
-        self.hists.push(Histogram::new());
-        HistogramId(i)
-    }
-
     /// Adds 1 to a counter. No allocation.
     #[inline]
     pub fn inc(&mut self, id: CounterId) {
@@ -170,17 +150,6 @@ impl Registry {
     /// Current value of a counter.
     pub fn value(&self, id: CounterId) -> u64 {
         self.counters[id.0]
-    }
-
-    /// Records an observation into a histogram. No allocation.
-    #[inline]
-    pub fn record(&mut self, id: HistogramId, value: u64) {
-        self.hists[id.0].record(value);
-    }
-
-    /// Read access to a histogram.
-    pub fn hist(&self, id: HistogramId) -> &Histogram {
-        &self.hists[id.0]
     }
 
     /// Convenience: interns on the fly and adds `n` (slow path — use
@@ -219,18 +188,6 @@ impl Registry {
         out
     }
 
-    /// All histograms in key order.
-    pub fn histograms_sorted(&self) -> Vec<(MetricKey, &Histogram)> {
-        let mut out: Vec<(MetricKey, &Histogram)> = self
-            .hist_keys
-            .iter()
-            .zip(&self.hists)
-            .map(|(&k, h)| (k, h))
-            .collect();
-        out.sort_by_key(|e| e.0);
-        out
-    }
-
     /// Renders the per-domain counter table the bench binaries print
     /// under `--metrics`: one section per domain, one line per counter.
     pub fn table(&self) -> String {
@@ -250,15 +207,6 @@ impl Registry {
                 format!("{}[{}]/{}", key.component, key.instance, key.metric)
             };
             out.push_str(&format!("  {name:<40} {value:>16}\n"));
-        }
-        for (key, h) in self.histograms_sorted() {
-            out.push_str(&format!(
-                "  {key} count={} p50={} p99={} max={}\n",
-                h.count(),
-                h.percentile(50.0),
-                h.percentile(99.0),
-                h.max().unwrap_or(0),
-            ));
         }
         out
     }
@@ -351,16 +299,5 @@ mod tests {
         let mut w = JsonWriter::new();
         reg.write_json(&mut w);
         assert_eq!(w.finish(), r#"{"global/sim/events":99}"#);
-    }
-
-    #[test]
-    fn histograms_register_and_record() {
-        let mut reg = Registry::new();
-        let h = reg.histogram(MetricKey::new(Domain::Global, "dma", "bytes"));
-        for v in [1u64, 10, 100] {
-            reg.record(h, v);
-        }
-        assert_eq!(reg.hist(h).count(), 3);
-        assert!(reg.table().contains("dma/bytes"));
     }
 }

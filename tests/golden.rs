@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use cdna_bench::{figure_configs, perf_suite};
 use cdna_core::DmaPolicy;
 use cdna_rack::{run_rack, RackConfig, RackWorkload};
-use cdna_sim::{par, QueueKind};
+use cdna_sim::par;
 use cdna_system::{run_experiment, Direction, IoModel, NicKind, TestbedConfig};
 
 /// The run that produces one golden.
@@ -26,7 +26,7 @@ enum Case {
 }
 
 fn cases() -> Vec<(String, Case)> {
-    let mut out: Vec<(String, Case)> = perf_suite(true, QueueKind::default())
+    let mut out: Vec<(String, Case)> = perf_suite(true)
         .into_iter()
         .map(|e| (format!("perf-{}", e.id), Case::Testbed(e.cfg)))
         .collect();

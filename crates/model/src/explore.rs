@@ -1,22 +1,20 @@
 //! Depth-first schedule exploration over rebuilt worlds, plus the
 //! invariant suite every explored schedule must satisfy.
 //!
-//! Exploration comes in two shapes: [`explore`] is the sequential
-//! reference, and [`explore_parallel`] fans the same decision tree out
-//! over the [`cdna_sim::par`] worker pool by partitioning it into
-//! disjoint subtree *shards* (see [`explore_parallel`] for the
-//! decomposition argument). On an exhausted tree the two produce
-//! identical [`Exploration`]s — proven by `tests/parallel.rs`.
+//! [`explore`] searches one configuration's decision tree depth-first;
+//! [`explore_matrix`] runs a whole configuration matrix, one cell per
+//! worker of the [`cdna_sim::par`] pool. Each cell is searched by the
+//! same sequential [`explore`], so a matrix report does not depend on
+//! the worker count — proven by `tests/parallel.rs`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cdna_core::{DmaPolicy, FaultKind};
 use cdna_sim::{par, SimTime, Simulation};
 use cdna_system::{Direction, Event, IoModel, NicKind, SystemWorld, TestbedConfig};
 
-use crate::queue::{lock, Controller, Decision, PermutationQueue};
+use crate::queue::{lock, Controller, PermutationQueue};
 
 /// One exploration job: a testbed configuration plus bounds.
 #[derive(Debug, Clone)]
@@ -39,7 +37,7 @@ pub struct ExploreConfig {
 /// The outcome of exploring one [`ExploreConfig`].
 ///
 /// `PartialEq` compares every field; the differential tests use it to
-/// pin [`explore_parallel`] against [`explore`].
+/// pin [`explore_matrix`] at one worker against several.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Exploration {
     /// The job's label.
@@ -208,226 +206,22 @@ pub fn explore(job: &ExploreConfig) -> Exploration {
     result
 }
 
-/// Frontier-splitting rounds [`explore_parallel`] performs before
-/// handing whole subtrees to the workers. Each round runs the first
-/// schedule of every pending shard and replaces the shard with its
-/// sub-shards, multiplying the pieces available for work stealing;
-/// after the last round each remaining shard is explored to completion
-/// by one worker. Three rounds comfortably out-produces any realistic
-/// worker count on the matrices this repo explores while keeping the
-/// (sequentially merged) bookkeeping cheap.
-const FRONTIER_ROUNDS: usize = 3;
-
-/// One disjoint subtree of the decision tree: replay `prefix`, then
-/// search depth-first without ever backtracking above `fixed_len`
-/// decisions (see [`Controller::next_prefix_from`]).
-#[derive(Debug, Clone)]
-struct Shard {
-    prefix: Vec<usize>,
-    fixed_len: usize,
-}
-
-/// What one executed schedule contributes to an [`Exploration`].
-#[derive(Debug)]
-struct RunStats {
-    violations: Vec<String>,
-    events: u64,
-    decisions: usize,
-    depth_truncated: bool,
-}
-
-/// An ordered fragment of the exploration: schedules already executed
-/// (in sequential-DFS order) or a subtree still to be explored.
-#[derive(Debug)]
-enum Piece {
-    Done(Vec<RunStats>),
-    Todo(Shard),
-}
-
-/// Takes one schedule from the shared budget; `false` once
-/// `max_schedules` runs have been claimed fleet-wide.
-fn take_token(budget: &AtomicU64) -> bool {
-    budget
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| b.checked_sub(1))
-        .is_ok()
-}
-
-/// The sub-shards of a finished schedule, in the exact order the
-/// sequential DFS would visit them: deepest decision first, and within
-/// a decision the untried candidates ascending. Decisions above
-/// `fixed_len` belong to an enclosing shard and are not forked here.
-fn subshards(record: &[Decision], fixed_len: usize) -> Vec<Shard> {
-    let mut out = Vec::new();
-    for d in (fixed_len..record.len()).rev() {
-        let dec = &record[d];
-        if let Some(pos) = dec.candidates.iter().position(|&c| c == dec.chosen) {
-            for &c in &dec.candidates[pos + 1..] {
-                let mut p: Vec<usize> = record[..d].iter().map(|x| x.chosen).collect();
-                p.push(c);
-                out.push(Shard {
-                    prefix: p,
-                    fixed_len: d + 1,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Runs one schedule and packages its contribution.
-fn run_stats(job: &ExploreConfig, prefix: Vec<usize>) -> (RunStats, Arc<Mutex<Controller>>) {
-    let (ctrl, violations, events) = run_schedule(job, prefix);
-    let stats = {
-        let c = lock(&ctrl);
-        RunStats {
-            violations,
-            events,
-            decisions: c.record.len(),
-            depth_truncated: c.depth_truncated,
-        }
-    };
-    (stats, ctrl)
-}
-
-/// Explores one shard's whole subtree depth-first, claiming one budget
-/// token per schedule. Returns the executed schedules in sequential-DFS
-/// order (possibly empty if the budget ran dry before the first run).
-fn run_shard_dfs(job: &ExploreConfig, shard: Shard, budget: &AtomicU64) -> Vec<RunStats> {
-    let mut out = Vec::new();
-    let mut prefix = shard.prefix;
-    loop {
-        if !take_token(budget) {
-            break;
-        }
-        let (stats, ctrl) = run_stats(job, prefix);
-        out.push(stats);
-        let next = lock(&ctrl).next_prefix_from(shard.fixed_len);
-        match next {
-            Some(p) => prefix = p,
-            None => break,
-        }
-    }
-    out
-}
-
-/// [`explore`], fanned out over `jobs` workers of the [`par`] pool.
+/// Explores every cell of `matrix` with [`explore`] on `jobs` workers of
+/// the [`par`] pool, one cell per task, and returns the runs in matrix
+/// order.
 ///
-/// The decision tree is partitioned into disjoint subtree shards: after
-/// running one schedule, every decision depth `d` with untried
-/// candidates spawns a shard that replays the first `d` choices plus
-/// one untried candidate and then searches with a backtracking floor of
-/// `d + 1` ([`Controller::next_prefix_from`]). Enumerating those shards
-/// deepest-first (candidates ascending) is exactly the order the
-/// sequential search visits the same subtrees, so concatenating the
-/// shard results reproduces the sequential schedule order — the merge
-/// is deterministic no matter which worker ran what when.
-/// [`FRONTIER_ROUNDS`] rounds of recursive splitting keep the shard
-/// queue well ahead of the worker count.
-///
-/// A shared token budget caps total schedules at `max_schedules`, so
-/// the *count* always matches [`explore`]; on a tree the budget
-/// exhausts, which schedules run (and thus `events`, `sample`, …) can
-/// differ from sequential. On an exhausted tree — the interesting case
-/// for verification, and what `tests/parallel.rs` pins — every field of
-/// the returned [`Exploration`] is identical to the sequential one.
-///
-/// The active [`cdna_mem::mutation`] switch (a thread-local) is
-/// mirrored from the calling thread onto every worker, so seeded-bug
-/// calibration runs shard identically to clean ones. `jobs <= 1` simply
-/// runs [`explore`].
-pub fn explore_parallel(job: &ExploreConfig, jobs: usize) -> Exploration {
-    if jobs <= 1 {
-        return explore(job);
-    }
-    // `max_schedules == 0` still runs one schedule sequentially (the
-    // loop tests the bound only after the first run); mirror that.
-    let budget = AtomicU64::new(job.max_schedules.max(1));
+/// Parallelism stops at the cell boundary: each decision tree is still
+/// searched sequentially, so every [`Exploration`] — exhausted or cut
+/// at `max_schedules` — is the same at any worker count. The active
+/// [`cdna_mem::mutation`] switch (a thread-local) is mirrored from the
+/// calling thread onto every worker, so seeded-bug calibration runs
+/// explore the same mutated build at any worker count.
+pub fn explore_matrix(matrix: Vec<ExploreConfig>, jobs: usize) -> MatrixReport {
     let mutation = cdna_mem::mutation::active();
     let init = move || cdna_mem::mutation::set_active(mutation);
-
-    let mut pieces: Vec<Piece> = vec![Piece::Todo(Shard {
-        prefix: Vec::new(),
-        fixed_len: 0,
-    })];
-    for round in 0..=FRONTIER_ROUNDS {
-        let split = round < FRONTIER_ROUNDS;
-        let todo: Vec<(usize, Shard)> = pieces
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| match p {
-                Piece::Todo(s) => Some((i, s.clone())),
-                Piece::Done(_) => None,
-            })
-            .collect();
-        if todo.is_empty() {
-            break;
-        }
-        let results = par::run_indexed_init(jobs, todo, init, |_, (pos, shard)| {
-            if split {
-                if !take_token(&budget) {
-                    return (pos, Vec::new(), Vec::new());
-                }
-                let (stats, ctrl) = run_stats(job, shard.prefix.clone());
-                let subs = subshards(&lock(&ctrl).record, shard.fixed_len);
-                (pos, vec![stats], subs)
-            } else {
-                (pos, run_shard_dfs(job, shard, &budget), Vec::new())
-            }
-        });
-        // Splice each shard's first run and sub-shards back in place;
-        // `results` is index-ordered, so walking both lists in step
-        // keeps the piece order canonical.
-        let mut results = results.into_iter();
-        let mut next_pieces = Vec::new();
-        for (i, piece) in pieces.into_iter().enumerate() {
-            match piece {
-                Piece::Done(runs) => next_pieces.push(Piece::Done(runs)),
-                Piece::Todo(_) => {
-                    let (pos, runs, subs) = results
-                        .next()
-                        .unwrap_or_else(|| (i, Vec::new(), Vec::new()));
-                    debug_assert_eq!(pos, i, "shard results out of order");
-                    if !runs.is_empty() {
-                        next_pieces.push(Piece::Done(runs));
-                    }
-                    next_pieces.extend(subs.into_iter().map(Piece::Todo));
-                }
-            }
-        }
-        pieces = next_pieces;
+    MatrixReport {
+        runs: par::run_indexed_init(jobs, matrix, init, |_, job| explore(&job)),
     }
-
-    let mut result = Exploration {
-        label: job.label.clone(),
-        schedules: 0,
-        events: 0,
-        max_decisions: 0,
-        violations: 0,
-        sample: Vec::new(),
-        exhausted: false,
-        depth_truncated: false,
-    };
-    for piece in pieces {
-        if let Piece::Done(runs) = piece {
-            for r in runs {
-                result.schedules += 1;
-                result.events += r.events;
-                result.violations += r.violations.len() as u64;
-                for v in r.violations {
-                    if result.sample.len() < SAMPLE_CAP {
-                        result.sample.push(format!("{}: {v}", result.label));
-                    }
-                }
-                result.max_decisions = result.max_decisions.max(r.decisions);
-                result.depth_truncated |= r.depth_truncated;
-            }
-        }
-    }
-    // Sequential semantics: `exhausted` means the tree ran dry *before*
-    // the schedule bound was reached. A denied token implies exactly
-    // `max_schedules` runs happened, so the comparison covers all cases.
-    result.exhausted = result.schedules < job.max_schedules;
-    result
 }
 
 /// Aggregated results of exploring a whole configuration matrix.

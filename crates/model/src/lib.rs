@@ -29,7 +29,11 @@
 //!   zero `DmaShadow` violations (pin lifecycle, sequence continuity),
 //!   zero protection faults, event-channel conservation
 //!   (`sent == collected + pending`), and CDNA pin balance (pool pins
-//!   == protection-engine pinned pages).
+//!   == protection-engine pinned pages);
+//! * [`explore_matrix`] runs a whole configuration matrix on the
+//!   [`cdna_sim::par`] worker pool, one cell per task. Each cell's tree
+//!   is searched by the same sequential [`explore`], so the report is
+//!   identical at any worker count.
 //!
 //! # What the bounds do and don't prove
 //!
@@ -45,7 +49,7 @@ pub mod explore;
 pub mod queue;
 
 pub use explore::{
-    check_invariants, default_matrix, explore, explore_parallel, Exploration, ExploreConfig,
+    check_invariants, default_matrix, explore, explore_matrix, Exploration, ExploreConfig,
     MatrixReport,
 };
 pub use queue::{dependent, Controller, Decision, PermutationQueue};

@@ -10,13 +10,17 @@
 //!            [--mutation NAME [--expect-caught]]
 //! ```
 //!
-//! `--jobs N` (or the `CDNA_JOBS` environment variable; default
-//! `min(cores, 8)`) fans each configuration's decision tree out over
-//! the `cdna-sim` worker pool; on exhausted trees the report is
-//! byte-identical to a sequential run.
+//! `--jobs N` (or the `CDNA_JOBS` environment variable; default: one
+//! worker per core, at most one per configuration) explores that many
+//! configurations at once on the `cdna-sim` worker pool. Each
+//! configuration's tree is still searched sequentially, so the report
+//! is byte-identical at any worker count apart from `bounds.jobs`.
+//! With `--expect-caught` every configuration runs, and the report
+//! ends at the first one that caught the mutation.
 //!
-//! `--window-us` and `--per-config` must be positive: a zero window
-//! or schedule budget explores nothing and would report clean.
+//! `--window-us`, `--per-config` and `--max-depth` must be positive: a
+//! zero window, schedule budget or decision depth explores nothing
+//! (beyond the default schedule) and would report clean.
 //!
 //! Exit status: 0 on a clean exploration (or, with `--expect-caught`,
 //! when the seeded mutation WAS caught); 1 when an invariant is
@@ -26,7 +30,7 @@
 use std::process::ExitCode;
 
 use cdna_mem::mutation::{self, MutationKind};
-use cdna_model::{default_matrix, explore_parallel, MatrixReport};
+use cdna_model::{default_matrix, explore_matrix, MatrixReport};
 use cdna_sim::par;
 use cdna_trace::json::JsonWriter;
 
@@ -92,9 +96,7 @@ fn parse_args() -> Options {
             "--out" => opts.out = Some(value("--out")),
             "--window-us" => opts.window_us = positive(value("--window-us")),
             "--per-config" => opts.per_config = positive(value("--per-config")),
-            "--max-depth" => {
-                opts.max_depth = value("--max-depth").parse().unwrap_or_else(|_| usage())
-            }
+            "--max-depth" => opts.max_depth = positive(value("--max-depth")) as usize,
             "--tie-window-ns" => {
                 opts.tie_window_ns = value("--tie-window-ns").parse().unwrap_or_else(|_| usage())
             }
@@ -196,20 +198,19 @@ fn render(report: &MatrixReport, opts: &Options, jobs: usize) -> String {
 fn main() -> ExitCode {
     let opts = parse_args();
     mutation::set_active(opts.mutation);
-    // Shards are split dynamically per decision tree, so the worker
-    // count is not bounded by an item count; cap the default at 8.
-    let jobs = par::resolve_jobs(opts.jobs, 8);
-    eprintln!("exploring with {jobs} worker(s) per configuration");
-
     let matrix = default_matrix(
         opts.window_us,
         opts.per_config,
         opts.max_depth,
         opts.tie_window_ns,
     );
-    let mut report = MatrixReport::default();
-    for job in &matrix {
-        let run = explore_parallel(job, jobs);
+    let jobs = par::resolve_jobs(opts.jobs, matrix.len());
+    eprintln!(
+        "exploring {} configurations on {jobs} worker(s)",
+        matrix.len()
+    );
+    let mut report = explore_matrix(matrix, jobs);
+    for run in &report.runs {
         eprintln!(
             "{:24} {:>7} schedules  {:>9} events  depth<={:<3} {} violations{}{}",
             run.label,
@@ -224,11 +225,12 @@ fn main() -> ExitCode {
                 ""
             },
         );
-        let caught = run.violations > 0;
-        report.runs.push(run);
-        // Calibration runs only need one catching config; stop early.
-        if opts.expect_caught && caught {
-            break;
+    }
+    // Calibration runs only need one catching config: the report ends
+    // at the first.
+    if opts.expect_caught {
+        if let Some(first) = report.runs.iter().position(|r| r.violations > 0) {
+            report.runs.truncate(first + 1);
         }
     }
     mutation::set_active(None);

@@ -108,18 +108,7 @@ impl Controller {
     /// deepest decision with an untried candidate after `chosen`.
     /// `None` when the bounded tree is exhausted.
     pub fn next_prefix(&self) -> Option<Vec<usize>> {
-        self.next_prefix_from(0)
-    }
-
-    /// Like [`Controller::next_prefix`], but never backtracks above
-    /// decision depth `min_len`: the first `min_len` choices are treated
-    /// as a fixed shard prefix. This is what lets `explore_parallel`
-    /// hand disjoint subtrees to independent workers — each worker's
-    /// depth-first search stays inside its shard, and the shards
-    /// together cover exactly the subtrees the sequential search would
-    /// have visited (in the same order).
-    pub fn next_prefix_from(&self, min_len: usize) -> Option<Vec<usize>> {
-        for d in (min_len..self.record.len()).rev() {
+        for d in (0..self.record.len()).rev() {
             let dec = &self.record[d];
             let pos = dec.candidates.iter().position(|&c| c == dec.chosen);
             if let Some(pos) = pos {
@@ -305,25 +294,6 @@ mod tests {
         let ctrl = lock(&c);
         assert_eq!(ctrl.record.len(), 1, "only the first decision recorded");
         assert!(ctrl.depth_truncated);
-    }
-
-    #[test]
-    fn next_prefix_from_respects_the_shard_floor() {
-        // Two dependent ties in sequence: decisions at depths 0 and 1.
-        let c = ctrl(vec![]);
-        let mut q = PermutationQueue::new(Arc::clone(&c));
-        q.push(SimTime::from_ns(5), 0, nic_event(0));
-        q.push(SimTime::from_ns(5), 1, nic_event(0));
-        q.push(SimTime::from_ns(9), 2, nic_event(0));
-        q.push(SimTime::from_ns(9), 3, nic_event(0));
-        while q.pop().is_some() {}
-        let ctrl = lock(&c);
-        assert_eq!(ctrl.record.len(), 2);
-        // Unrestricted backtracking finds the deeper branch first…
-        assert_eq!(ctrl.next_prefix(), Some(vec![0, 1]));
-        assert_eq!(ctrl.next_prefix_from(1), Some(vec![0, 1]));
-        // …but a floor of 2 pins both decisions: subtree exhausted.
-        assert_eq!(ctrl.next_prefix_from(2), None);
     }
 
     #[test]

@@ -21,6 +21,7 @@ fn bad_arguments_exit_2_with_usage() {
         &["--per-config", "0"][..],
         &["--window-us", "0"],
         &["--window-us", "ten"],
+        &["--max-depth", "0"],
         &["--per-config"],
         &["--jobs", "zero"],
         &["--mutation", "no-such-mutation"],

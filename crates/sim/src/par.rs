@@ -2,7 +2,7 @@
 //!
 //! Every fan-out in this repository — the `cdna-perf` bench matrix, the
 //! paper figure/table sweeps, the sensitivity and ablation grids, and
-//! `cdna-model`'s schedule-tree shards — is *embarrassingly parallel*:
+//! `cdna-model`'s configuration matrix — is *embarrassingly parallel*:
 //! each task is a self-contained, seeded simulation whose outcome
 //! depends only on its own inputs. Parallelism therefore affects
 //! wall-clock time and nothing else, the same per-tenant independence
@@ -109,7 +109,7 @@ where
 /// This is the seam for thread-local state that must follow the fan-out:
 /// `cdna-model` uses it to mirror the active protocol mutation (a
 /// `thread_local` switch in `cdna-mem`) onto each worker, so a mutated
-/// exploration behaves identically whether sharded or not. On the
+/// exploration behaves identically at any worker count. On the
 /// `jobs == 1` inline path `init` runs on the caller's thread, which by
 /// construction already carries its own thread-local state — callers
 /// must keep `init` idempotent there.

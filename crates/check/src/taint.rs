@@ -40,7 +40,9 @@ use crate::rules::Diagnostic;
 /// guest-controlled.
 const ROOTS: &[(&str, &[&str])] = &[
     ("mailbox_write", &["ricenic"]),
+    ("mailbox_write_into", &["ricenic"]),
     ("frame_from_wire", &["ricenic"]),
+    ("frame_from_wire_into", &["ricenic"]),
     ("enqueue_tx", &["core"]),
     ("enqueue_rx", &["core"]),
     ("queue_tx", &["xen"]),

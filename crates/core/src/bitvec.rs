@@ -33,6 +33,7 @@ impl InterruptBitVector {
     /// # Panics
     ///
     /// Panics if `ctx` is out of hardware range.
+    #[inline]
     pub fn set(&mut self, ctx: ContextId) {
         assert!(ctx.is_valid(), "context {ctx} out of range");
         self.0 |= 1 << ctx.0;
@@ -115,6 +116,7 @@ impl BitVectorRing {
 
     /// NIC side: pushes a vector. Returns `false` (vector not stored)
     /// when the ring is full.
+    #[inline]
     pub fn push(&mut self, v: InterruptBitVector) -> bool {
         if self.is_full() {
             return false;
@@ -137,6 +139,7 @@ impl BitVectorRing {
 
     /// Hypervisor side: drains every pending vector into their union —
     /// what the ISR does before scheduling virtual interrupts.
+    #[inline]
     pub fn drain(&mut self) -> InterruptBitVector {
         let mut all = InterruptBitVector::EMPTY;
         while let Some(v) = self.pop() {
@@ -171,6 +174,7 @@ impl VectorPort {
     }
 
     /// Records a state update for `ctx`.
+    #[inline]
     pub fn note_update(&mut self, ctx: ContextId) {
         self.pending.set(ctx);
     }
@@ -184,6 +188,7 @@ impl VectorPort {
     /// `true` if a vector was written (the caller should DMA it and
     /// raise a physical interrupt), `false` if there was nothing to
     /// flush or the ring was full.
+    #[inline]
     pub fn flush(&mut self, ring: &mut BitVectorRing) -> bool {
         if self.pending.is_empty() {
             return false;

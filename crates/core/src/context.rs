@@ -20,6 +20,7 @@ impl ContextId {
     pub const PRIVILEGED: ContextId = ContextId(0);
 
     /// Whether this id is within the NIC's context range.
+    #[inline]
     pub fn is_valid(self) -> bool {
         (self.0 as usize) < CTX_COUNT
     }
@@ -161,6 +162,7 @@ impl ContextTable {
     }
 
     /// The owner of `ctx`, or `None` if unassigned/invalid.
+    #[inline]
     pub fn owner_of(&self, ctx: ContextId) -> Option<DomainId> {
         self.slots
             .get(ctx.0 as usize)

@@ -423,14 +423,15 @@ impl ProtectionEngine {
 
         #[expect(clippy::expect_used, reason = "ring created at assign_context")]
         let ring = rings.get_mut(state.tx_ring).expect("ring exists");
+        // The switch is thread-local, so it cannot change inside one call.
+        #[cfg(feature = "mutations")]
+        let seq_skip = cdna_mem::mutation::is_active(cdna_mem::mutation::MutationKind::SeqSkip);
         let mut pages = 0;
         for req in reqs {
             pages += req.buf.page_count();
             let mut desc = DmaDescriptor::tx(req.buf, req.flags, req.meta);
             #[cfg(feature = "mutations")]
-            if cdna_mem::mutation::is_active(cdna_mem::mutation::MutationKind::SeqSkip)
-                && prot.tx.producer % 8 == 3
-            {
+            if seq_skip && prot.tx.producer % 8 == 3 {
                 // Seeded bug: burn a stamp, leaving a gap in the stream.
                 let _ = prot.tx.stamper.next();
             }
@@ -499,14 +500,15 @@ impl ProtectionEngine {
 
         #[expect(clippy::expect_used, reason = "ring created at assign_context")]
         let ring = rings.get_mut(state.rx_ring).expect("ring exists");
+        // The switch is thread-local, so it cannot change inside one call.
+        #[cfg(feature = "mutations")]
+        let seq_skip = cdna_mem::mutation::is_active(cdna_mem::mutation::MutationKind::SeqSkip);
         let mut pages = 0;
         for req in reqs {
             pages += req.buf.page_count();
             let mut desc = DmaDescriptor::rx(req.buf);
             #[cfg(feature = "mutations")]
-            if cdna_mem::mutation::is_active(cdna_mem::mutation::MutationKind::SeqSkip)
-                && prot.rx.producer % 8 == 3
-            {
+            if seq_skip && prot.rx.producer % 8 == 3 {
                 // Seeded bug: burn a stamp, leaving a gap in the stream.
                 let _ = prot.rx.stamper.next();
             }

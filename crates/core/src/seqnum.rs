@@ -49,9 +49,14 @@ impl SeqStamper {
     // Deliberately named like the hardware operation; SeqStamper is not
     // an Iterator (the stream is infinite and infallible).
     #[allow(clippy::should_implement_trait)]
+    #[inline]
     pub fn next(&mut self) -> u32 {
         let v = self.next;
-        self.next = (self.next + 1) % self.modulus;
+        // Compare-and-reset rather than `%`: one stamp per descriptor.
+        self.next += 1;
+        if self.next == self.modulus {
+            self.next = 0;
+        }
         v
     }
 
@@ -101,6 +106,7 @@ impl SeqChecker {
     /// Returns [`FaultKind::StaleSequence`] (without advancing) when the
     /// number is not the expected successor — the NIC refuses the
     /// descriptor and reports a guest-specific protection fault.
+    #[inline]
     pub fn check(&mut self, seq: u32) -> Result<(), FaultKind> {
         if seq != self.expected {
             return Err(FaultKind::StaleSequence {
@@ -108,7 +114,11 @@ impl SeqChecker {
                 found: seq,
             });
         }
-        self.expected = (self.expected + 1) % self.modulus;
+        // Compare-and-reset rather than `%`: one check per descriptor.
+        self.expected += 1;
+        if self.expected == self.modulus {
+            self.expected = 0;
+        }
         self.checked += 1;
         Ok(())
     }

@@ -31,7 +31,7 @@ use cdna_core::{layout::Mailbox, ContextId, FaultKind, RxRequest};
 use cdna_mem::{BufferSlice, DomainId, PageId};
 use cdna_net::{framing, FlowId, MacAddr, PciBus};
 use cdna_nic::{DescFlags, DmaDescriptor, FrameMeta};
-use cdna_ricenic::DeviceError;
+use cdna_ricenic::{Activity, DeviceError};
 use cdna_sim::{SimRng, SimTime, Simulation};
 use cdna_system::{victim_digest, Direction, IoModel, SystemWorld, TestbedConfig};
 use cdna_xen::adversary::{
@@ -334,21 +334,21 @@ fn bootstrap_lap(sim: &mut Simulation<SystemWorld>, pages: &Pages, rng: &mut Sim
         }
         // Doorbell over the REAL bus: this is benign foreground work,
         // and both runs charge its DMA to the shared segment equally.
+        let mut act = Activity::default();
         #[expect(clippy::expect_used, reason = "rig invariant")]
-        let act = {
-            w.nics[nic]
-                .rice_mut()
-                .adversarial_mailbox_write(
-                    t,
-                    ctx,
-                    Mailbox::TxProducer.index(),
-                    u64::from(RING),
-                    &w.rings,
-                    &mut w.buses[nic],
-                )
-                .expect("bootstrap doorbell")
-        };
-        let events = w.absorb_nic_activity(t, nic, act);
+        w.nics[nic]
+            .rice_mut()
+            .adversarial_mailbox_write(
+                t,
+                ctx,
+                Mailbox::TxProducer.index(),
+                u64::from(RING),
+                &w.rings,
+                &mut w.buses[nic],
+                &mut act,
+            )
+            .expect("bootstrap doorbell");
+        let events = w.absorb_nic_activity(t, nic, &mut act);
         for (at, e) in events {
             sim.schedule(at, e);
         }
@@ -368,19 +368,20 @@ fn poke(
     scratch: &mut PciBus,
 ) -> String {
     let w = sim.world_mut();
+    let mut act = Activity::default();
     let res = w.nics[nic]
         .rice_mut()
-        .adversarial_mailbox_write(now, ctx, mailbox, value, &w.rings, scratch);
+        .adversarial_mailbox_write(now, ctx, mailbox, value, &w.rings, scratch, &mut act);
     match res {
         Err(DeviceError::Unattached(_)) => "unattached".to_string(),
         Err(DeviceError::BadMailbox(_)) => "bad-mailbox".to_string(),
         Err(DeviceError::Ring(_)) => "ring-error".to_string(),
-        Ok(act) => {
+        Ok(()) => {
             // Faults are labeled by the post-run scan, not here: the TX
             // pump defers while the victims keep the device's transmit
             // buffer full, so a poke's fault usually surfaces in a later
             // activity on the normal simulation path.
-            let events = w.absorb_nic_activity(now, nic, act);
+            let events = w.absorb_nic_activity(now, nic, &mut act);
             for (at, e) in events {
                 sim.schedule(at, e);
             }

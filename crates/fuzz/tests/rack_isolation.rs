@@ -14,6 +14,7 @@ use cdna_core::{layout::Mailbox, ContextId, DmaPolicy};
 use cdna_mem::DomainId;
 use cdna_net::PciBus;
 use cdna_rack::{RackConfig, RackWorkload, RackWorld};
+use cdna_ricenic::Activity;
 use cdna_sim::Simulation;
 use cdna_system::{RunReport, SystemWorld};
 use cdna_xen::adversary::{out_of_range_tx, AdversarialCaller};
@@ -55,20 +56,21 @@ fn attack_hook(
         }
         let ctx = slot.expect("ghost assigned");
         let mut scratch = PciBus::new_64bit_66mhz();
-        let act = {
+        let mut act = Activity::default();
+        {
             let (dev, rings) = (w.nics[0].rice_mut(), &w.rings);
             // Producer overrun on the ghost's never-written ring: faults
             // the ghost context on the first pump, then becomes a no-op.
-            let act = dev
-                .adversarial_mailbox_write(
-                    now,
-                    ctx,
-                    Mailbox::TxProducer.index(),
-                    round + 1,
-                    rings,
-                    &mut scratch,
-                )
-                .expect("ghost poke");
+            dev.adversarial_mailbox_write(
+                now,
+                ctx,
+                Mailbox::TxProducer.index(),
+                round + 1,
+                rings,
+                &mut scratch,
+                &mut act,
+            )
+            .expect("ghost poke");
             // A context nobody attached must fail, not absorb.
             assert!(dev
                 .adversarial_mailbox_write(
@@ -77,7 +79,8 @@ fn attack_hook(
                     Mailbox::TxProducer.index(),
                     1,
                     rings,
-                    &mut scratch
+                    &mut scratch,
+                    &mut act,
                 )
                 .is_err());
             // An out-of-range mailbox word must fail, not absorb.
@@ -88,12 +91,12 @@ fn attack_hook(
                     24 + (round as usize % 40),
                     0,
                     rings,
-                    &mut scratch
+                    &mut scratch,
+                    &mut act,
                 )
                 .is_err());
-            act
-        };
-        let scheduled = w.absorb_nic_activity(now, 0, act);
+        }
+        let scheduled = w.absorb_nic_activity(now, 0, &mut act);
         assert!(scheduled.is_empty(), "ghost poke scheduled an event");
         // A hypercall claiming a victim's context must be rejected.
         let victim_ctx = w.ctx_of[0][0];

@@ -34,6 +34,7 @@ impl BufferSlice {
     ///
     /// Panics if `len` is zero — zero-length DMA buffers are always a
     /// driver bug and the real NIC would reject them.
+    #[inline]
     pub fn new(addr: PhysAddr, len: u32) -> Self {
         assert!(len > 0, "zero-length buffer slice");
         BufferSlice { addr, len }
@@ -52,6 +53,7 @@ impl BufferSlice {
     }
 
     /// Number of distinct pages the slice touches.
+    #[inline]
     pub fn page_count(&self) -> u32 {
         let first = self.addr.page().0;
         let last = self.addr.offset(self.len as u64 - 1).page().0;
@@ -62,6 +64,7 @@ impl BufferSlice {
     /// The batched validation/pinning paths work in runs so a
     /// multi-descriptor hypercall touches pool state once per run
     /// instead of once per page.
+    #[inline]
     pub fn page_run(&self) -> (PageId, u32) {
         (self.addr.page(), self.page_count())
     }

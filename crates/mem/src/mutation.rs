@@ -72,11 +72,13 @@ pub fn set_active(m: Option<MutationKind>) {
 }
 
 /// The currently active mutation, if any.
+#[inline]
 pub fn active() -> Option<MutationKind> {
     ACTIVE.with(|a| a.get())
 }
 
 /// Whether `m` specifically is active.
+#[inline]
 pub fn is_active(m: MutationKind) -> bool {
     active() == Some(m)
 }

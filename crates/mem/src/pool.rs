@@ -211,6 +211,7 @@ impl PhysMem {
     ///
     /// Fails if `from` is not the owner or the page is pinned (a page
     /// with in-flight DMA cannot change hands).
+    #[inline]
     pub fn transfer(&mut self, page: PageId, from: DomainId, to: DomainId) -> Result<(), MemError> {
         self.check_owner(page, from)?;
         if self.pages[page.0 as usize].pins > 0 {
@@ -222,6 +223,7 @@ impl PhysMem {
     }
 
     /// Verifies that `owner` owns every page under `slice`.
+    #[inline]
     pub fn validate_slice(&self, owner: DomainId, slice: &BufferSlice) -> Result<(), MemError> {
         let (start, len) = slice.page_run();
         self.validate_run(owner, start, len)
@@ -236,6 +238,7 @@ impl PhysMem {
     /// [`MemError::NoSuchPage`] (naming the first page beyond the pool)
     /// if the run exceeds the pool; [`MemError::NotOwner`] naming the
     /// first page not owned by `owner`.
+    #[inline]
     pub fn validate_run(&self, owner: DomainId, start: PageId, len: u32) -> Result<(), MemError> {
         let slab = self
             .pages
@@ -276,6 +279,7 @@ impl PhysMem {
     /// ownership check (callers validate first — this is the second
     /// phase of a validate-then-pin batch); one bounds check and one
     /// pass for the whole run.
+    #[inline]
     pub fn pin_run(&mut self, start: PageId, len: u32) -> Result<(), MemError> {
         let total = self.pages.len() as u32;
         let slab = self

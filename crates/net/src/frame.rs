@@ -84,6 +84,7 @@ pub struct Frame {
 
 impl Frame {
     /// A data segment carrying `tcp_payload` bytes from `src` to `dst`.
+    #[inline]
     pub fn tcp_data(src: MacAddr, dst: MacAddr, tcp_payload: u32, flow: FlowId, seq: u64) -> Self {
         Frame {
             dst,
@@ -130,12 +131,14 @@ impl Frame {
     }
 
     /// Byte times this frame occupies on a link (incl. preamble/IFG).
+    #[inline]
     pub fn wire_bytes(&self) -> u32 {
         framing::wire_bytes(self.l2_payload)
     }
 
     /// Bytes of host memory the frame occupies in a NIC buffer or DMA
     /// transfer (Ethernet header + payload; no preamble/FCS/IFG).
+    #[inline]
     pub fn buffer_bytes(&self) -> u32 {
         framing::ETH_HEADER_BYTES + self.l2_payload
     }

@@ -45,12 +45,14 @@ pub const PER_FRAME_WIRE_OVERHEAD: u32 = PREAMBLE_BYTES + ETH_HEADER_BYTES + FCS
 /// // Tiny frames are padded to the 46-byte Ethernet minimum.
 /// assert_eq!(wire_bytes(1), 46 + PER_FRAME_WIRE_OVERHEAD);
 /// ```
+#[inline]
 pub fn wire_bytes(l2_payload: u32) -> u32 {
     l2_payload.max(MIN_ETH_PAYLOAD) + PER_FRAME_WIRE_OVERHEAD
 }
 
 /// Ethernet (L2) payload bytes for a TCP segment carrying `tcp_payload`
 /// bytes of application data.
+#[inline]
 pub fn l2_payload_for_tcp(tcp_payload: u32) -> u32 {
     tcp_payload + IP_HEADER_BYTES + TCP_HEADER_BYTES
 }

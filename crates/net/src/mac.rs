@@ -62,6 +62,7 @@ impl MacAddr {
     }
 
     /// True if this is the broadcast address.
+    #[inline]
     pub fn is_broadcast(&self) -> bool {
         *self == MacAddr::BROADCAST
     }

@@ -67,6 +67,7 @@ impl PciBus {
 
     /// Performs a DMA of `bytes` starting no earlier than `now`, queueing
     /// behind any transfer already on the bus.
+    #[inline]
     pub fn dma(&mut self, now: SimTime, bytes: u32) -> PciTransfer {
         let start = self.busy_until.max(now);
         let move_ns = (bytes as u64 * 1_000_000_000).div_ceil(self.bytes_per_sec);

@@ -58,6 +58,7 @@ impl GigabitWire {
 
     /// Enqueues a frame of `wire_bytes` byte times in `dir` at time `now`
     /// and returns the time its last bit arrives at the far end.
+    #[inline]
     pub fn transfer(&mut self, now: SimTime, dir: WireDirection, wire_bytes: u32) -> SimTime {
         let ser = SimTime::from_ns(wire_bytes as u64 * NS_PER_BYTE);
         let busy = match dir {

@@ -53,6 +53,7 @@ impl Coalescer {
     /// (possibly in the future), or `None` if one is already pending and
     /// this request coalesced into it. The caller must invoke
     /// [`Coalescer::fired`] when the scheduled interrupt is delivered.
+    #[inline]
     pub fn request(&mut self, now: SimTime) -> Option<SimTime> {
         if self.pending {
             self.coalesced += 1;

@@ -116,7 +116,8 @@ pub enum RxDisposition {
     },
 }
 
-/// Result of pumping the transmit path.
+/// Result of pumping the transmit path, appended to an activity the
+/// caller owns and clears between operations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TxActivity {
     /// Frames ready for the wire.
@@ -182,8 +183,6 @@ pub struct ConventionalNic {
     coal_tx: Coalescer,
     coal_rx: Coalescer,
     stats: NicStats,
-    /// Recycled [`TxActivity`] capacity (see [`ConventionalNic::recycle`]).
-    scratch: TxActivity,
 }
 
 impl ConventionalNic {
@@ -207,17 +206,7 @@ impl ConventionalNic {
             coal_tx,
             coal_rx,
             stats: NicStats::default(),
-            scratch: TxActivity::default(),
         }
-    }
-
-    /// Returns a processed [`TxActivity`] so its emission vector's
-    /// capacity can back the next doorbell or completion. Purely an
-    /// allocation optimization — skipping it changes nothing but speed.
-    pub fn recycle(&mut self, mut act: TxActivity) {
-        act.emissions.clear();
-        act.irq_at = None;
-        self.scratch = act;
     }
 
     /// The device MAC address.
@@ -243,6 +232,7 @@ impl ConventionalNic {
 
     /// Monotonic count of fully transmitted descriptors; the driver
     /// reads this (via the DMA'd writeback) to reclaim buffers.
+    #[inline]
     pub fn tx_consumer(&self) -> u64 {
         self.tx_completed
     }
@@ -262,34 +252,43 @@ impl ConventionalNic {
         self.stats
     }
 
-    /// Driver doorbell: new transmit descriptors up to `producer`.
+    /// Driver doorbell: new transmit descriptors up to `producer`. The
+    /// frames this readies are appended to `act`.
     ///
     /// # Errors
     ///
     /// Fails if the ring id is stale or a fetched slot was never written
     /// (a driver bug this model surfaces loudly; a real conventional NIC
     /// would silently transmit garbage).
+    #[inline]
     pub fn tx_doorbell(
         &mut self,
         now: SimTime,
         producer: u64,
         rings: &RingTable,
         bus: &mut PciBus,
-    ) -> Result<TxActivity, RingError> {
+        act: &mut TxActivity,
+    ) -> Result<(), RingError> {
         debug_assert!(producer >= self.tx_seen_producer, "producer went backwards");
         self.tx_seen_producer = self.tx_seen_producer.max(producer);
-        self.pump_tx(now, rings, bus)
+        self.pump_tx(now, rings, bus, act)
     }
 
     /// A frame previously emitted has finished serializing onto the wire.
-    /// Completes descriptors and may fetch more (buffer space freed).
+    /// Completes descriptors and may fetch more (buffer space freed);
+    /// the new frames and any interrupt request are appended to `act`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ConventionalNic::tx_doorbell`].
     pub fn tx_frame_sent(
         &mut self,
         now: SimTime,
         frame: &Frame,
         rings: &RingTable,
         bus: &mut PciBus,
-    ) -> Result<TxActivity, RingError> {
+        act: &mut TxActivity,
+    ) -> Result<(), RingError> {
         self.tx_inflight_bytes = self.tx_inflight_bytes.saturating_sub(frame.buffer_bytes());
         self.stats.tx_frames += 1;
         self.stats.tx_payload_bytes += frame.tcp_payload as u64;
@@ -308,16 +307,17 @@ impl ConventionalNic {
             }
         }
 
-        let mut activity = self.pump_tx(now, rings, bus)?;
+        self.pump_tx(now, rings, bus, act)?;
         if completed_any {
             if let Some(at) = self.coal_tx.request(now) {
-                activity.irq_at = Some(at);
+                act.irq_at = Some(at);
             }
         }
-        Ok(activity)
+        Ok(())
     }
 
     /// Driver doorbell: receive descriptors posted up to `producer`.
+    #[inline]
     pub fn rx_doorbell(&mut self, producer: u64) {
         debug_assert!(producer >= self.rx_posted, "rx producer went backwards");
         self.rx_posted = self.rx_posted.max(producer);
@@ -379,8 +379,8 @@ impl ConventionalNic {
         now: SimTime,
         rings: &RingTable,
         bus: &mut PciBus,
-    ) -> Result<TxActivity, RingError> {
-        let mut activity = std::mem::take(&mut self.scratch);
+        act: &mut TxActivity,
+    ) -> Result<(), RingError> {
         while self.tx_fetched < self.tx_seen_producer
             && self.tx_inflight_bytes < self.cfg.tx_buffer_bytes
         {
@@ -438,14 +438,14 @@ impl ConventionalNic {
                 // cdna-check: allow(guest-taint): unprotected-baseline NIC
                 let xfer = bus.dma(ready_floor, frame.buffer_bytes());
                 let ready_at = xfer.done + self.cfg.fw_tx_per_frame;
-                activity.emissions.push(TxEmission {
+                act.emissions.push(TxEmission {
                     frame,
                     ready_at,
                     desc_idx: idx,
                 });
             }
         }
-        Ok(activity)
+        Ok(())
     }
 }
 
@@ -485,7 +485,9 @@ mod tests {
         let (mut rings, mut bus, mut nic) = setup();
         tx_desc(&mut rings, nic.tx_ring(), 0, 1460, DescFlags::END_OF_PACKET);
         tx_desc(&mut rings, nic.tx_ring(), 1, 1000, DescFlags::END_OF_PACKET);
-        let act = nic.tx_doorbell(SimTime::ZERO, 2, &rings, &mut bus).unwrap();
+        let mut act = TxActivity::default();
+        nic.tx_doorbell(SimTime::ZERO, 2, &rings, &mut bus, &mut act)
+            .unwrap();
         assert_eq!(act.emissions.len(), 2);
         assert_eq!(act.emissions[0].frame.tcp_payload, 1460);
         assert!(act.emissions[0].ready_at > SimTime::ZERO, "DMA takes time");
@@ -502,7 +504,9 @@ mod tests {
             framing::MSS * 3 + 10,
             DescFlags::END_OF_PACKET | DescFlags::TSO,
         );
-        let act = nic.tx_doorbell(SimTime::ZERO, 1, &rings, &mut bus).unwrap();
+        let mut act = TxActivity::default();
+        nic.tx_doorbell(SimTime::ZERO, 1, &rings, &mut bus, &mut act)
+            .unwrap();
         assert_eq!(act.emissions.len(), 4);
         let total: u32 = act.emissions.iter().map(|e| e.frame.tcp_payload).sum();
         assert_eq!(total, framing::MSS * 3 + 10);
@@ -512,13 +516,25 @@ mod tests {
             assert_eq!(e.desc_idx, 0);
         }
         for e in &act.emissions[..3] {
-            nic.tx_frame_sent(e.ready_at, &e.frame, &rings, &mut bus)
-                .unwrap();
+            nic.tx_frame_sent(
+                e.ready_at,
+                &e.frame,
+                &rings,
+                &mut bus,
+                &mut TxActivity::default(),
+            )
+            .unwrap();
             assert_eq!(nic.tx_consumer(), 0);
         }
         let last = &act.emissions[3];
-        nic.tx_frame_sent(last.ready_at, &last.frame, &rings, &mut bus)
-            .unwrap();
+        nic.tx_frame_sent(
+            last.ready_at,
+            &last.frame,
+            &rings,
+            &mut bus,
+            &mut TxActivity::default(),
+        )
+        .unwrap();
         assert_eq!(nic.tx_consumer(), 1);
     }
 
@@ -526,10 +542,12 @@ mod tests {
     fn completion_requests_interrupt() {
         let (mut rings, mut bus, mut nic) = setup();
         tx_desc(&mut rings, nic.tx_ring(), 0, 500, DescFlags::END_OF_PACKET);
-        let act = nic.tx_doorbell(SimTime::ZERO, 1, &rings, &mut bus).unwrap();
+        let mut act = TxActivity::default();
+        nic.tx_doorbell(SimTime::ZERO, 1, &rings, &mut bus, &mut act)
+            .unwrap();
         let e = &act.emissions[0];
-        let done = nic
-            .tx_frame_sent(e.ready_at, &e.frame, &rings, &mut bus)
+        let mut done = TxActivity::default();
+        nic.tx_frame_sent(e.ready_at, &e.frame, &rings, &mut bus, &mut done)
             .unwrap();
         assert!(done.irq_at.is_some());
         nic.irq_fired(done.irq_at.unwrap(), IrqReason::Tx);
@@ -625,8 +643,8 @@ mod tests {
         for i in 0..200 {
             tx_desc(&mut rings, nic.tx_ring(), i, 1460, DescFlags::END_OF_PACKET);
         }
-        let act = nic
-            .tx_doorbell(SimTime::ZERO, 200, &rings, &mut bus)
+        let mut act = TxActivity::default();
+        nic.tx_doorbell(SimTime::ZERO, 200, &rings, &mut bus, &mut act)
             .unwrap();
         let queued: u32 = act.emissions.iter().map(|e| e.frame.buffer_bytes()).sum();
         assert!(
@@ -636,8 +654,8 @@ mod tests {
         assert!(act.emissions.len() < 200);
         // Draining one frame lets the NIC fetch more.
         let e = act.emissions[0].clone();
-        let more = nic
-            .tx_frame_sent(e.ready_at, &e.frame, &rings, &mut bus)
+        let mut more = TxActivity::default();
+        nic.tx_frame_sent(e.ready_at, &e.frame, &rings, &mut bus, &mut more)
             .unwrap();
         assert!(!more.emissions.is_empty());
     }
@@ -646,7 +664,13 @@ mod tests {
     fn stale_empty_slot_is_an_error() {
         let (rings, mut bus, mut nic) = setup();
         // Doorbell claims a descriptor exists but nothing was written.
-        let err = nic.tx_doorbell(SimTime::ZERO, 1, &rings, &mut bus);
+        let err = nic.tx_doorbell(
+            SimTime::ZERO,
+            1,
+            &rings,
+            &mut bus,
+            &mut TxActivity::default(),
+        );
         assert!(matches!(err, Err(RingError::EmptySlot { .. })));
     }
 }

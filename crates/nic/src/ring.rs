@@ -98,6 +98,13 @@ impl DescRing {
         }
     }
 
+    /// The slot of monotonic index `idx`: `idx % size`, taken as a mask
+    /// because the size is a power of two (no division per descriptor).
+    #[inline]
+    fn slot(&self, idx: u64) -> usize {
+        (idx & (u64::from(self.size) - 1)) as usize
+    }
+
     /// Number of slots.
     pub fn size(&self) -> u32 {
         self.size
@@ -119,8 +126,9 @@ impl DescRing {
     }
 
     /// Writes the descriptor at monotonic index `idx` (slot `idx % size`).
+    #[inline]
     pub fn write_at(&mut self, idx: u64, desc: DmaDescriptor) {
-        let slot = (idx % self.size as u64) as usize;
+        let slot = self.slot(idx);
         self.slots[slot] = Some(desc);
         self.writes += 1;
     }
@@ -129,8 +137,9 @@ impl DescRing {
     ///
     /// Returns whatever the slot currently holds — including a stale
     /// descriptor left by an earlier write, exactly like real memory.
+    #[inline]
     pub fn read_at(&self, idx: u64) -> Option<DmaDescriptor> {
-        let slot = (idx % self.size as u64) as usize;
+        let slot = self.slot(idx);
         self.slots[slot]
     }
 

@@ -430,7 +430,7 @@ impl RackWorld {
                                 deliver,
                                 Event::WireRxArrive {
                                     nic: dst_port % nics,
-                                    frame: ef.frame,
+                                    frame: Box::new(ef.frame),
                                 },
                             );
                         }

@@ -59,6 +59,10 @@ pub struct RxDelivery {
 }
 
 /// Everything that resulted from one device input.
+///
+/// The device operations append to an activity the caller owns; the
+/// caller interprets it and clears it before the next operation, so its
+/// vectors' capacity is reused and nothing moves the whole struct.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Activity {
     /// Frames ready for the wire.
@@ -74,10 +78,20 @@ pub struct Activity {
 }
 
 impl Activity {
+    #[inline]
     fn merge_irq(&mut self, irq: Option<(SimTime, IrqReason)>) {
         if self.irq_at.is_none() {
             self.irq_at = irq;
         }
+    }
+
+    /// Empties every field, keeping the vectors' capacity.
+    pub fn clear(&mut self) {
+        self.emissions.clear();
+        self.irq_at = None;
+        self.delivered = None;
+        self.faults.clear();
+        self.rx_dropped = false;
     }
 }
 
@@ -139,8 +153,8 @@ struct CtxDev {
 /// The hypervisor attaches contexts through the privileged management
 /// interface ([`RiceNic::attach_context`]); guests then drive their
 /// context purely through mailbox PIO writes
-/// ([`RiceNic::mailbox_write`]). The system harness feeds wire and bus
-/// events in and interprets the returned [`Activity`].
+/// ([`RiceNic::mailbox_write_into`]). The system harness feeds wire and
+/// bus events in and interprets the [`Activity`] each one appends to.
 #[derive(Debug, Clone)]
 pub struct RiceNic {
     index: u8,
@@ -172,10 +186,6 @@ pub struct RiceNic {
     iommu: Option<PerContextIommu>,
     pending_faults: Vec<ProtectionFault>,
     stats: RiceNicStats,
-    /// Recycled [`Activity`] capacity: callers hand processed activities
-    /// back via [`RiceNic::recycle`], so the per-event emission vectors
-    /// stop allocating once the device reaches steady state.
-    scratch: Activity,
 }
 
 impl RiceNic {
@@ -200,20 +210,15 @@ impl RiceNic {
             iommu: None,
             pending_faults: Vec::new(),
             stats: RiceNicStats::default(),
-            scratch: Activity::default(),
         }
     }
 
-    /// Returns a processed [`Activity`] so its vector capacity can back
-    /// the next device operation. Purely an allocation optimization —
-    /// skipping it changes nothing but speed.
-    pub fn recycle(&mut self, mut act: Activity) {
-        act.emissions.clear();
-        act.faults.clear();
-        act.irq_at = None;
-        act.delivered = None;
-        act.rx_dropped = false;
-        self.scratch = act;
+    /// Drops `act`. The in-place operations write into an activity the
+    /// caller owns and clears, so there is nothing to hand back; this
+    /// stays for callers of the by-value [`RiceNic::mailbox_write`] and
+    /// [`RiceNic::frame_from_wire`] (`simbench`'s RX microbenchmark).
+    pub fn recycle(&mut self, act: Activity) {
+        drop(act);
     }
 
     /// Routes frames whose destination matches no context MAC to `ctx`
@@ -246,6 +251,7 @@ impl RiceNic {
     }
 
     /// The configuration in force.
+    #[inline]
     pub fn config(&self) -> &RiceNicConfig {
         &self.cfg
     }
@@ -257,6 +263,7 @@ impl RiceNic {
 
     /// The MAC address the device uses for `ctx`, namespaced by the
     /// configured rack host (host 0 reproduces the single-host layout).
+    #[inline]
     pub fn mac_for(&self, ctx: ContextId) -> MacAddr {
         MacAddr::for_host_context(self.cfg.mac_host, self.index, ctx.0)
     }
@@ -331,6 +338,7 @@ impl RiceNic {
     }
 
     /// The DMA-written-back transmit consumer index of `ctx`.
+    #[inline]
     pub fn tx_consumer(&self, ctx: ContextId) -> u64 {
         self.ctxs[ctx.0 as usize]
             .as_ref()
@@ -339,6 +347,7 @@ impl RiceNic {
     }
 
     /// The DMA-written-back receive consumer index of `ctx`.
+    #[inline]
     pub fn rx_consumer(&self, ctx: ContextId) -> u64 {
         self.ctxs[ctx.0 as usize]
             .as_ref()
@@ -370,7 +379,28 @@ impl RiceNic {
         std::mem::take(&mut self.pending_faults)
     }
 
-    /// A guest PIO write to mailbox `mailbox` of `ctx`.
+    /// [`RiceNic::mailbox_write_into`] into a fresh [`Activity`]: the
+    /// by-value form `simbench`'s RX microbenchmark builds against.
+    ///
+    /// # Errors
+    ///
+    /// As [`RiceNic::mailbox_write_into`].
+    pub fn mailbox_write(
+        &mut self,
+        now: SimTime,
+        ctx: ContextId,
+        mailbox: usize,
+        value: u64,
+        rings: &RingTable,
+        bus: &mut PciBus,
+    ) -> Result<Activity, DeviceError> {
+        let mut act = Activity::default();
+        self.mailbox_write_into(now, ctx, mailbox, value, rings, bus, &mut act)?;
+        Ok(act)
+    }
+
+    /// A guest PIO write to mailbox `mailbox` of `ctx`; what the device
+    /// does in response is appended to `act`.
     ///
     /// The hardware event unit records the write; the firmware decodes
     /// it and acts (producer updates pump the TX path or extend the RX
@@ -382,7 +412,8 @@ impl RiceNic {
     /// can never reach another guest's partition — the hypervisor only
     /// maps its own — so those failures indicate harness bugs, not
     /// attacks.)
-    pub fn mailbox_write(
+    #[allow(clippy::too_many_arguments)] // the write's inputs plus the caller's activity
+    pub fn mailbox_write_into(
         &mut self,
         now: SimTime,
         ctx: ContextId,
@@ -390,7 +421,8 @@ impl RiceNic {
         value: u64,
         rings: &RingTable,
         bus: &mut PciBus,
-    ) -> Result<Activity, DeviceError> {
+        act: &mut Activity,
+    ) -> Result<(), DeviceError> {
         if !ctx.is_valid() || self.ctxs[ctx.0 as usize].is_none() {
             return Err(DeviceError::Unattached(ctx));
         }
@@ -401,7 +433,6 @@ impl RiceNic {
 
         // Firmware decodes the event hierarchy and handles the event.
         let fw_ready = now + self.cfg.mailbox_event_cost;
-        let mut activity = std::mem::take(&mut self.scratch);
         while let Some((ectx, embox)) = self.events.pop_event() {
             let value = self.mailboxes[ectx.0 as usize].read(embox).unwrap_or(0);
             let dev = match self.ctxs[ectx.0 as usize].as_mut() {
@@ -418,12 +449,12 @@ impl RiceNic {
             }
             // Enable/Reset mailboxes need no data-path action in the model.
         }
-        self.pump_tx(fw_ready, rings, bus, &mut activity);
-        Ok(activity)
+        self.pump_tx(fw_ready, rings, bus, act);
+        Ok(())
     }
 
     /// Raw adversarial mailbox write: identical to
-    /// [`RiceNic::mailbox_write`], but reachable for *any* context and
+    /// [`RiceNic::mailbox_write_into`], but reachable for *any* context and
     /// value — the seam `cdna-fuzz` personas use to model a guest that
     /// scribbles on its mapped mailbox partition (replayed producer
     /// indices, doorbell storms, garbage words). The device-side
@@ -440,7 +471,8 @@ impl RiceNic {
     ///
     /// # Errors
     ///
-    /// As [`RiceNic::mailbox_write`].
+    /// As [`RiceNic::mailbox_write_into`].
+    #[allow(clippy::too_many_arguments)] // the write's inputs plus the caller's activity
     pub fn adversarial_mailbox_write(
         &mut self,
         now: SimTime,
@@ -449,25 +481,27 @@ impl RiceNic {
         value: u64,
         rings: &RingTable,
         bus: &mut PciBus,
-    ) -> Result<Activity, DeviceError> {
+        act: &mut Activity,
+    ) -> Result<(), DeviceError> {
         // Arming is a harness configuration error, not a runtime
         // condition, so a hard assert is the right failure mode.
         assert!(
             self.cfg.adversarial,
             "adversarial mailbox seam used without RiceNicConfig::adversarial"
         );
-        self.mailbox_write(now, ctx, mailbox, value, rings, bus)
+        self.mailbox_write_into(now, ctx, mailbox, value, rings, bus, act)
     }
 
-    /// A previously emitted frame finished serializing onto the wire.
+    /// A previously emitted frame finished serializing onto the wire;
+    /// what the device does in response is appended to `act`.
     pub fn tx_frame_sent(
         &mut self,
         now: SimTime,
         frame: &Frame,
         rings: &RingTable,
         bus: &mut PciBus,
-    ) -> Activity {
-        let mut activity = std::mem::take(&mut self.scratch);
+        act: &mut Activity,
+    ) {
         self.tx_inflight_bytes = self.tx_inflight_bytes.saturating_sub(frame.buffer_bytes());
         self.stats.tx_frames += 1;
         self.stats.tx_payload_bytes += frame.tcp_payload as u64;
@@ -481,16 +515,15 @@ impl RiceNic {
                     // Consumer-pointer writeback to host memory (paper §3.2).
                     bus.dma(now, 8);
                     self.vectors.note_update(ctx);
-                    activity.merge_irq(self.coal_tx.request(now).map(|t| (t, IrqReason::Tx)));
+                    act.merge_irq(self.coal_tx.request(now).map(|t| (t, IrqReason::Tx)));
                 }
             }
         }
-        self.pump_tx(now, rings, bus, &mut activity);
-        activity
+        self.pump_tx(now, rings, bus, act);
     }
 
-    /// A frame arrived from the wire: demultiplex by destination MAC and
-    /// deliver into the owning guest's posted buffer.
+    /// [`RiceNic::frame_from_wire_into`] into a fresh [`Activity`]: the
+    /// by-value form `simbench`'s RX microbenchmark builds against.
     pub fn frame_from_wire(
         &mut self,
         now: SimTime,
@@ -498,18 +531,33 @@ impl RiceNic {
         rings: &RingTable,
         bus: &mut PciBus,
     ) -> Activity {
-        let mut activity = std::mem::take(&mut self.scratch);
+        let mut act = Activity::default();
+        self.frame_from_wire_into(now, frame, rings, bus, &mut act);
+        act
+    }
+
+    /// A frame arrived from the wire: demultiplex by destination MAC and
+    /// deliver into the owning guest's posted buffer. The delivery, drop
+    /// or fault is recorded in `act`.
+    pub fn frame_from_wire_into(
+        &mut self,
+        now: SimTime,
+        frame: Frame,
+        rings: &RingTable,
+        bus: &mut PciBus,
+        act: &mut Activity,
+    ) {
         let Some(ctx) = self.ctx_by_mac(frame.dst).or(self.promiscuous_ctx) else {
             self.stats.rx_dropped += 1;
-            activity.rx_dropped = true;
-            return activity;
+            act.rx_dropped = true;
+            return;
         };
         #[expect(clippy::expect_used, reason = "slot filled while attached")]
         let dev = self.ctxs[ctx.0 as usize].as_mut().expect("attached");
         if dev.faulted || dev.rx_used >= dev.rx_posted {
             self.stats.rx_dropped += 1;
-            activity.rx_dropped = true;
-            return activity;
+            act.rx_dropped = true;
+            return;
         }
         // Fetch the next receive descriptor and verify it.
         let fetch = bus.dma(now, self.cfg.desc_format.size);
@@ -525,10 +573,10 @@ impl RiceNic {
                 dev.faulted = true;
                 self.stats.faults += 1;
                 self.pending_faults.push(fault);
-                activity.faults.push(fault);
+                act.faults.push(fault);
                 self.stats.rx_dropped += 1;
-                activity.rx_dropped = true;
-                return activity;
+                act.rx_dropped = true;
+                return;
             }
         };
         if dev.check_seq {
@@ -537,10 +585,10 @@ impl RiceNic {
                 dev.faulted = true;
                 self.stats.faults += 1;
                 self.pending_faults.push(fault);
-                activity.faults.push(fault);
+                act.faults.push(fault);
                 self.stats.rx_dropped += 1;
-                activity.rx_dropped = true;
-                return activity;
+                act.rx_dropped = true;
+                return;
             }
         }
         if let Some(iommu) = self.iommu.as_mut() {
@@ -552,17 +600,17 @@ impl RiceNic {
                 dev.faulted = true;
                 self.stats.faults += 1;
                 self.pending_faults.push(fault);
-                activity.faults.push(fault);
+                act.faults.push(fault);
                 self.stats.rx_dropped += 1;
-                activity.rx_dropped = true;
-                return activity;
+                act.rx_dropped = true;
+                return;
             }
         }
         if desc.buf.len < frame.buffer_bytes() {
             dev.rx_used += 1;
             self.stats.rx_dropped += 1;
-            activity.rx_dropped = true;
-            return activity;
+            act.rx_dropped = true;
+            return;
         }
         dev.rx_used += 1;
         let xfer = bus.dma(fetch.done, frame.buffer_bytes());
@@ -571,14 +619,13 @@ impl RiceNic {
         self.stats.rx_frames += 1;
         self.stats.rx_payload_bytes += frame.tcp_payload as u64;
         self.vectors.note_update(ctx);
-        activity.merge_irq(self.coal_rx.request(at).map(|t| (t, IrqReason::Rx)));
-        activity.delivered = Some(RxDelivery {
+        act.merge_irq(self.coal_rx.request(at).map(|t| (t, IrqReason::Rx)));
+        act.delivered = Some(RxDelivery {
             ctx,
             frame,
             buf: desc.buf,
             at,
         });
-        activity
     }
 
     /// The scheduled physical interrupt fires: flush the accumulated
@@ -633,13 +680,7 @@ impl RiceNic {
     /// round-robin order from `rr_cursor`. When the packet buffer fills,
     /// the cursor moves to the slot after the last emitter, so the next
     /// pump resumes there; otherwise it stays put.
-    fn pump_tx(
-        &mut self,
-        now: SimTime,
-        rings: &RingTable,
-        bus: &mut PciBus,
-        activity: &mut Activity,
-    ) {
+    fn pump_tx(&mut self, now: SimTime, rings: &RingTable, bus: &mut PciBus, act: &mut Activity) {
         const _: () = assert!(
             CTX_COUNT == u32::BITS as usize,
             "tx_pending is one bit per slot"
@@ -681,7 +722,7 @@ impl RiceNic {
                                 dev.staged.clear();
                                 self.stats.faults += 1;
                                 self.pending_faults.push(fault);
-                                activity.faults.push(fault);
+                                act.faults.push(fault);
                                 break;
                             }
                         };
@@ -692,7 +733,7 @@ impl RiceNic {
                                 dev.staged.clear();
                                 self.stats.faults += 1;
                                 self.pending_faults.push(fault);
-                                activity.faults.push(fault);
+                                act.faults.push(fault);
                                 break;
                             }
                         }
@@ -706,7 +747,7 @@ impl RiceNic {
                                 dev.staged.clear();
                                 self.stats.faults += 1;
                                 self.pending_faults.push(fault);
-                                activity.faults.push(fault);
+                                act.faults.push(fault);
                                 break;
                             }
                         }
@@ -731,7 +772,7 @@ impl RiceNic {
                     let ready_at = xfer.done + self.cfg.fw_tx_per_frame;
                     dev.inflight.push_back(idx);
                     self.wire_fifo.push_back(ctx);
-                    activity.emissions.push(TxEmission {
+                    act.emissions.push(TxEmission {
                         frame,
                         ready_at,
                         desc_idx: idx,
@@ -769,6 +810,41 @@ mod tests {
         tx_ring: RingId,
         rx_ring: RingId,
         seq: u32,
+    }
+
+    impl Fix {
+        /// Writes `value` into `mailbox` of `ctx`; the device's activity.
+        fn write(&mut self, now: SimTime, ctx: ContextId, mailbox: usize, value: u64) -> Activity {
+            let mut act = Activity::default();
+            self.nic
+                .mailbox_write_into(
+                    now,
+                    ctx,
+                    mailbox,
+                    value,
+                    &self.rings,
+                    &mut self.bus,
+                    &mut act,
+                )
+                .unwrap();
+            act
+        }
+
+        /// Completes `frame` on the wire; the device's activity.
+        fn sent(&mut self, now: SimTime, frame: &Frame) -> Activity {
+            let mut act = Activity::default();
+            self.nic
+                .tx_frame_sent(now, frame, &self.rings, &mut self.bus, &mut act);
+            act
+        }
+
+        /// Delivers `frame` from the wire; the device's activity.
+        fn arrive(&mut self, now: SimTime, frame: Frame) -> Activity {
+            let mut act = Activity::default();
+            self.nic
+                .frame_from_wire_into(now, frame, &self.rings, &mut self.bus, &mut act);
+            act
+        }
     }
 
     fn fix() -> Fix {
@@ -823,17 +899,7 @@ mod tests {
         let mut f = fix();
         write_tx(&mut f, 0, 1460);
         write_tx(&mut f, 1, 1000);
-        let act = f
-            .nic
-            .mailbox_write(
-                SimTime::ZERO,
-                f.ctx,
-                Mailbox::TxProducer.index(),
-                2,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
+        let act = f.write(SimTime::ZERO, f.ctx, Mailbox::TxProducer.index(), 2);
         assert_eq!(act.emissions.len(), 2);
         assert!(act.faults.is_empty());
         assert!(act.emissions[0].ready_at > SimTime::ZERO);
@@ -844,17 +910,7 @@ mod tests {
         let mut f = fix();
         write_tx(&mut f, 0, 1460);
         // Claim two descriptors while only one was (hypervisor-)written.
-        let act = f
-            .nic
-            .mailbox_write(
-                SimTime::ZERO,
-                f.ctx,
-                Mailbox::TxProducer.index(),
-                2,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
+        let act = f.write(SimTime::ZERO, f.ctx, Mailbox::TxProducer.index(), 2);
         assert_eq!(act.faults.len(), 1);
         assert!(matches!(act.faults[0].kind, FaultKind::EmptySlot { .. }));
         assert!(f.nic.is_faulted(f.ctx));
@@ -869,35 +925,14 @@ mod tests {
         for i in 0..16 {
             write_tx(&mut f, i, 1460);
         }
-        let act = f
-            .nic
-            .mailbox_write(
-                SimTime::ZERO,
-                f.ctx,
-                Mailbox::TxProducer.index(),
-                16,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
+        let act = f.write(SimTime::ZERO, f.ctx, Mailbox::TxProducer.index(), 16);
         assert_eq!(act.emissions.len(), 16);
         for e in &act.emissions {
-            f.nic
-                .tx_frame_sent(e.ready_at, &e.frame, &f.rings, &mut f.bus);
+            f.sent(e.ready_at, &e.frame);
         }
         // The driver now overruns by one lap: slot 0 holds the stale
         // descriptor with seq 0 while 16 is expected.
-        let act = f
-            .nic
-            .mailbox_write(
-                SimTime::from_ms(1),
-                f.ctx,
-                Mailbox::TxProducer.index(),
-                17,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
+        let act = f.write(SimTime::from_ms(1), f.ctx, Mailbox::TxProducer.index(), 17);
         assert_eq!(act.faults.len(), 1);
         assert!(matches!(
             act.faults[0].kind,
@@ -919,17 +954,7 @@ mod tests {
             .attach_context(ctx2, tx2, rx2, true, &f.rings)
             .unwrap();
         // Fault context 1 by overrunning.
-        let _ = f
-            .nic
-            .mailbox_write(
-                SimTime::ZERO,
-                f.ctx,
-                Mailbox::TxProducer.index(),
-                1,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
+        let _ = f.write(SimTime::ZERO, f.ctx, Mailbox::TxProducer.index(), 1);
         assert!(f.nic.is_faulted(f.ctx));
         assert!(!f.nic.is_faulted(ctx2));
         // Context 2 still transmits.
@@ -947,17 +972,7 @@ mod tests {
         );
         d.seq = 0;
         f.rings.get_mut(tx2).unwrap().write_at(0, d);
-        let act = f
-            .nic
-            .mailbox_write(
-                SimTime::from_us(1),
-                ctx2,
-                Mailbox::TxProducer.index(),
-                1,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
+        let act = f.write(SimTime::from_us(1), ctx2, Mailbox::TxProducer.index(), 1);
         assert_eq!(act.emissions.len(), 1);
     }
 
@@ -965,16 +980,7 @@ mod tests {
     fn rx_demux_by_mac_and_delivery() {
         let mut f = fix();
         write_rx(&mut f, 0);
-        f.nic
-            .mailbox_write(
-                SimTime::ZERO,
-                f.ctx,
-                Mailbox::RxProducer.index(),
-                1,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
+        f.write(SimTime::ZERO, f.ctx, Mailbox::RxProducer.index(), 1);
         let frame = Frame::tcp_data(
             MacAddr::for_peer(0),
             f.nic.mac_for(f.ctx),
@@ -982,9 +988,7 @@ mod tests {
             FlowId::new(0, 0),
             0,
         );
-        let act = f
-            .nic
-            .frame_from_wire(SimTime::from_us(5), frame, &f.rings, &mut f.bus);
+        let act = f.arrive(SimTime::from_us(5), frame);
         let d = act.delivered.expect("delivered");
         assert_eq!(d.ctx, f.ctx);
         assert!(d.at > SimTime::from_us(5));
@@ -1002,9 +1006,7 @@ mod tests {
             FlowId::new(0, 0),
             0,
         );
-        let act = f
-            .nic
-            .frame_from_wire(SimTime::ZERO, frame, &f.rings, &mut f.bus);
+        let act = f.arrive(SimTime::ZERO, frame);
         assert!(act.rx_dropped);
         assert_eq!(f.nic.stats().rx_dropped, 1);
     }
@@ -1033,16 +1035,7 @@ mod tests {
     fn unmatched_macs_fall_back_to_the_promiscuous_context() {
         let mut f = fix();
         write_rx(&mut f, 0);
-        f.nic
-            .mailbox_write(
-                SimTime::ZERO,
-                f.ctx,
-                Mailbox::RxProducer.index(),
-                1,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
+        f.write(SimTime::ZERO, f.ctx, Mailbox::RxProducer.index(), 1);
         f.nic.set_promiscuous_ctx(Some(f.ctx));
         // A vif address (bridge mode) whose last octet is out of slot
         // range still reaches the promiscuous context.
@@ -1053,9 +1046,7 @@ mod tests {
             FlowId::new(0, 0),
             0,
         );
-        let act = f
-            .nic
-            .frame_from_wire(SimTime::ZERO, frame, &f.rings, &mut f.bus);
+        let act = f.arrive(SimTime::ZERO, frame);
         assert_eq!(act.delivered.expect("delivered").ctx, f.ctx);
     }
 
@@ -1069,9 +1060,7 @@ mod tests {
             FlowId::new(0, 0),
             0,
         );
-        let act = f
-            .nic
-            .frame_from_wire(SimTime::ZERO, frame, &f.rings, &mut f.bus);
+        let act = f.arrive(SimTime::ZERO, frame);
         assert!(act.rx_dropped);
     }
 
@@ -1079,21 +1068,9 @@ mod tests {
     fn interrupt_flushes_bit_vector_before_delivery() {
         let mut f = fix();
         write_tx(&mut f, 0, 1460);
-        let act = f
-            .nic
-            .mailbox_write(
-                SimTime::ZERO,
-                f.ctx,
-                Mailbox::TxProducer.index(),
-                1,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
+        let act = f.write(SimTime::ZERO, f.ctx, Mailbox::TxProducer.index(), 1);
         let e = &act.emissions[0];
-        let done = f
-            .nic
-            .tx_frame_sent(e.ready_at, &e.frame, &f.rings, &mut f.bus);
+        let done = f.sent(e.ready_at, &e.frame);
         let (irq_at, reason) = done.irq_at.expect("completion requests irq");
         let mut ring = BitVectorRing::new(8);
         assert!(f.nic.irq_fired(irq_at, reason, &mut ring, &mut f.bus));
@@ -1135,27 +1112,8 @@ mod tests {
             d.seq = i as u32;
             f.rings.get_mut(tx2).unwrap().write_at(i, d);
         }
-        f.nic
-            .mailbox_write(
-                SimTime::ZERO,
-                f.ctx,
-                Mailbox::TxProducer.index(),
-                4,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
-        let act2 = f
-            .nic
-            .mailbox_write(
-                SimTime::ZERO,
-                ctx2,
-                Mailbox::TxProducer.index(),
-                4,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
+        f.write(SimTime::ZERO, f.ctx, Mailbox::TxProducer.index(), 4);
+        let act2 = f.write(SimTime::ZERO, ctx2, Mailbox::TxProducer.index(), 4);
         // After the second doorbell both contexts have pending frames;
         // the emission order must interleave them rather than draining
         // one context first. (The first doorbell already emitted ctx1's
@@ -1202,16 +1160,7 @@ mod tests {
             }
         };
         let ring = |f: &mut Fix, ctx: ContextId, n: u64| {
-            f.nic
-                .mailbox_write(
-                    SimTime::ZERO,
-                    ctx,
-                    Mailbox::TxProducer.index(),
-                    n,
-                    &f.rings,
-                    &mut f.bus,
-                )
-                .unwrap()
+            f.write(SimTime::ZERO, ctx, Mailbox::TxProducer.index(), n)
                 .emissions
         };
         let slots =
@@ -1228,15 +1177,11 @@ mod tests {
         // One completion frees 1514 bytes: ctx2 (554 B) and ctx3 (1514 B)
         // go out from the cursor, the buffer fills at ctx3, and ctx1's
         // staged frame waits with the cursor just past ctx3.
-        let sent = f
-            .nic
-            .tx_frame_sent(SimTime::from_us(20), &first[0].frame, &f.rings, &mut f.bus);
+        let sent = f.sent(SimTime::from_us(20), &first[0].frame);
         assert_eq!(slots(&sent.emissions), [2, 3]);
         assert_eq!(f.nic.rr_cursor, 4);
         // The next completion resumes there and wraps to ctx1.
-        let sent = f
-            .nic
-            .tx_frame_sent(SimTime::from_us(40), &first[1].frame, &f.rings, &mut f.bus);
+        let sent = f.sent(SimTime::from_us(40), &first[1].frame);
         assert_eq!(slots(&sent.emissions), [1]);
         assert_eq!(f.nic.rr_cursor, 2);
         assert_eq!(f.nic.tx_pending, 0, "every ring drained");
@@ -1248,29 +1193,20 @@ mod tests {
         for i in 0..4 {
             write_tx(&mut f, i, 1460);
         }
-        let act = f
-            .nic
-            .mailbox_write(
-                SimTime::ZERO,
-                f.ctx,
-                Mailbox::TxProducer.index(),
-                4,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
+        let act = f.write(SimTime::ZERO, f.ctx, Mailbox::TxProducer.index(), 4);
         assert!(!act.emissions.is_empty());
         let dropped = f.nic.detach_context(f.ctx);
         assert!(dropped > 0);
         assert!(!f.nic.is_attached(f.ctx));
         // Mailbox writes now fail.
-        let err = f.nic.mailbox_write(
+        let err = f.nic.mailbox_write_into(
             SimTime::ZERO,
             f.ctx,
             Mailbox::TxProducer.index(),
             5,
             &f.rings,
             &mut f.bus,
+            &mut Activity::default(),
         );
         assert_eq!(err, Err(DeviceError::Unattached(f.ctx)));
     }
@@ -1299,17 +1235,7 @@ mod tests {
         );
         d.seq = 777;
         f.rings.get_mut(tx2).unwrap().write_at(0, d);
-        let act = f
-            .nic
-            .mailbox_write(
-                SimTime::ZERO,
-                ctx2,
-                Mailbox::TxProducer.index(),
-                1,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
+        let act = f.write(SimTime::ZERO, ctx2, Mailbox::TxProducer.index(), 1);
         assert!(act.faults.is_empty());
         assert_eq!(act.emissions.len(), 1);
     }

@@ -4,15 +4,42 @@
 
 use cdna_core::{layout::Mailbox, ContextId};
 use cdna_mem::{BufferSlice, PhysAddr};
-use cdna_net::{FlowId, MacAddr, PciBus};
+use cdna_net::{FlowId, Frame, MacAddr, PciBus};
 use cdna_nic::{DescFlags, DmaDescriptor, FrameMeta, RingId, RingTable};
-use cdna_ricenic::{RiceNic, RiceNicConfig};
+use cdna_ricenic::{Activity, RiceNic, RiceNicConfig};
 use cdna_sim::SimTime;
 
 struct Fix {
     rings: RingTable,
     bus: PciBus,
     nic: RiceNic,
+}
+
+impl Fix {
+    /// Writes `value` into `mailbox` of `ctx`; the device's activity.
+    fn write(&mut self, now: SimTime, ctx: ContextId, mailbox: usize, value: u64) -> Activity {
+        let mut act = Activity::default();
+        self.nic
+            .mailbox_write_into(
+                now,
+                ctx,
+                mailbox,
+                value,
+                &self.rings,
+                &mut self.bus,
+                &mut act,
+            )
+            .unwrap();
+        act
+    }
+
+    /// Completes `frame` on the wire; the device's activity.
+    fn sent(&mut self, now: SimTime, frame: &Frame) -> Activity {
+        let mut act = Activity::default();
+        self.nic
+            .tx_frame_sent(now, frame, &self.rings, &mut self.bus, &mut act);
+        act
+    }
 }
 
 fn fix() -> Fix {
@@ -68,17 +95,7 @@ fn three_contexts_with_deep_backlogs_share_the_buffer_fairly() {
     for &c in &ctxs {
         let (tx, _rx) = attach(&mut f, c, 256);
         fill_tx(&mut f, c, tx, 200, 256, 1460);
-        let act = f
-            .nic
-            .mailbox_write(
-                SimTime::ZERO,
-                c,
-                Mailbox::TxProducer.index(),
-                200,
-                &f.rings,
-                &mut f.bus,
-            )
-            .unwrap();
+        let act = f.write(SimTime::ZERO, c, Mailbox::TxProducer.index(), 200);
         queue.extend(act.emissions);
     }
     // Drain in wire order, collecting refills. The first ~86 frames are
@@ -92,9 +109,7 @@ fn three_contexts_with_deep_backlogs_share_the_buffer_fairly() {
         if drained > 90 {
             *counts.entry(e.frame.src).or_insert(0u32) += 1;
         }
-        let act = f
-            .nic
-            .tx_frame_sent(e.ready_at, &e.frame, &f.rings, &mut f.bus);
+        let act = f.sent(e.ready_at, &e.frame);
         queue.extend(act.emissions);
         if drained == 390 {
             break;
@@ -119,28 +134,8 @@ fn global_tx_buffer_bounds_total_prefetch_across_contexts() {
     let (tx_b, _) = attach(&mut f, b, 256);
     fill_tx(&mut f, a, tx_a, 200, 256, 1460);
     fill_tx(&mut f, b, tx_b, 200, 256, 1460);
-    let act_a = f
-        .nic
-        .mailbox_write(
-            SimTime::ZERO,
-            a,
-            Mailbox::TxProducer.index(),
-            200,
-            &f.rings,
-            &mut f.bus,
-        )
-        .unwrap();
-    let act_b = f
-        .nic
-        .mailbox_write(
-            SimTime::ZERO,
-            b,
-            Mailbox::TxProducer.index(),
-            200,
-            &f.rings,
-            &mut f.bus,
-        )
-        .unwrap();
+    let act_a = f.write(SimTime::ZERO, a, Mailbox::TxProducer.index(), 200);
+    let act_b = f.write(SimTime::ZERO, b, Mailbox::TxProducer.index(), 200);
     let queued: u32 = act_a
         .emissions
         .iter()
@@ -155,9 +150,7 @@ fn global_tx_buffer_bounds_total_prefetch_across_contexts() {
     // Draining frames releases buffer space and pumps more.
     let mut refill = 0usize;
     for e in act_a.emissions.iter().take(20) {
-        let act = f
-            .nic
-            .tx_frame_sent(e.ready_at, &e.frame, &f.rings, &mut f.bus);
+        let act = f.sent(e.ready_at, &e.frame);
         refill += act.emissions.len();
     }
     assert!(refill > 0, "completions must refill the pipeline");
@@ -172,28 +165,8 @@ fn backlogged_context_does_not_starve_a_light_one() {
     let (tx_l, _) = attach(&mut f, light, 256);
     fill_tx(&mut f, heavy, tx_h, 100, 256, 1460);
     fill_tx(&mut f, light, tx_l, 2, 256, 1460);
-    let heavy_act = f
-        .nic
-        .mailbox_write(
-            SimTime::ZERO,
-            heavy,
-            Mailbox::TxProducer.index(),
-            100,
-            &f.rings,
-            &mut f.bus,
-        )
-        .unwrap();
-    let light_act = f
-        .nic
-        .mailbox_write(
-            SimTime::ZERO,
-            light,
-            Mailbox::TxProducer.index(),
-            2,
-            &f.rings,
-            &mut f.bus,
-        )
-        .unwrap();
+    let heavy_act = f.write(SimTime::ZERO, heavy, Mailbox::TxProducer.index(), 100);
+    let light_act = f.write(SimTime::ZERO, light, Mailbox::TxProducer.index(), 2);
     // The heavy doorbell filled the 128 KB packet buffer (~86 frames), so
     // the light frames wait for drain — but round-robin service must emit
     // them among the first few refills, not after heavy's whole backlog.
@@ -211,9 +184,7 @@ fn backlogged_context_does_not_starve_a_light_one() {
                 break;
             }
         }
-        let refills = f
-            .nic
-            .tx_frame_sent(e.ready_at, &e.frame, &f.rings, &mut f.bus);
+        let refills = f.sent(e.ready_at, &e.frame);
         refills_after_light_doorbell += refills.emissions.len();
         queue.extend(refills.emissions);
         if refills_after_light_doorbell > 20 {

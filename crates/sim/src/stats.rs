@@ -131,6 +131,7 @@ impl RateMeter {
     }
 
     /// Records `n` occurrences (ignored while the meter is not running).
+    #[inline]
     pub fn add(&mut self, n: u64) {
         if self.running {
             self.events += n;

@@ -29,6 +29,8 @@ pub struct GuestWorkload {
     conns: u16,
     nics: u8,
     next_conn: u16,
+    /// `next_conn % nics`, kept alongside the cursor.
+    next_nic: u8,
     /// Per-connection transmitted byte counts (sequence offsets).
     tx_seq: Vec<u64>,
     /// Per-connection received byte counts (integrity checking).
@@ -60,6 +62,7 @@ impl GuestWorkload {
             conns,
             nics,
             next_conn: 0,
+            next_nic: 0,
             tx_seq: vec![0; conns as usize],
             rx_seen: vec![0; conns as usize],
         }
@@ -73,13 +76,20 @@ impl GuestWorkload {
     /// Produces the next transmit unit of `payload` bytes, rotating
     /// fairly across connections.
     pub fn next_tx(&mut self) -> TxUnit {
-        let conn = self.next_conn;
-        self.next_conn = (self.next_conn + 1) % self.conns;
-        let seq = self.tx_seq[conn as usize];
+        let (conn, nic) = (self.next_conn, self.next_nic);
+        // Compare-and-reset rather than `%`: this runs once per frame.
+        self.next_conn += 1;
+        self.next_nic += 1;
+        if self.next_conn == self.conns {
+            self.next_conn = 0;
+            self.next_nic = 0;
+        } else if self.next_nic == self.nics {
+            self.next_nic = 0;
+        }
         TxUnit {
             flow: FlowId::new(self.guest, conn),
-            nic: (conn % self.nics as u16) as usize,
-            seq,
+            nic: nic as usize,
+            seq: self.tx_seq[conn as usize],
         }
     }
 
@@ -144,7 +154,10 @@ impl PeerSource {
     /// The next (flow, sequence) to send; advances the rotation.
     pub fn next_frame(&mut self, bytes: u32) -> (FlowId, u64) {
         let i = self.next;
-        self.next = (self.next + 1) % self.targets.len();
+        self.next += 1;
+        if self.next == self.targets.len() {
+            self.next = 0;
+        }
         let seq = self.seqs[i];
         self.seqs[i] += bytes as u64;
         (self.targets[i], seq)
@@ -178,6 +191,18 @@ mod tests {
         let _b = w.next_tx(); // conn 1, untouched
         let c = w.next_tx(); // conn 0 again
         assert_eq!(c.seq, 1000);
+    }
+
+    #[test]
+    fn cursor_wraps_like_the_modulus() {
+        for (conns, nics) in [(1, 1), (1, 2), (3, 2), (4, 2), (5, 3), (24, 2)] {
+            let mut w = GuestWorkload::new(0, conns, nics);
+            for i in 0..3 * conns {
+                let u = w.next_tx();
+                assert_eq!(u.flow.conn, i % conns, "{conns} conns");
+                assert_eq!(u.nic, usize::from(u.flow.conn % u16::from(nics)));
+            }
+        }
     }
 
     #[test]

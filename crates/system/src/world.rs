@@ -43,8 +43,11 @@ use cdna_xen::{
 use crate::{Direction, IoModel, NicKind, TestbedConfig};
 
 /// Events driving the machine.
+///
+/// The per-frame events carry indices, not frames: a transmitted frame
+/// waits in its NIC's in-flight slot ring until its [`Event::WireTxDone`]
+/// takes it back by id, and the rare frame-carrying events box theirs.
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // Frame-carrying events dominate traffic anyway
 pub enum Event {
     /// The CPU is free to run the next pending work item.
     CpuDispatch,
@@ -64,15 +67,16 @@ pub enum Event {
     EmissionDue {
         /// NIC index.
         nic: usize,
-        /// The frame.
-        frame: Frame,
+        /// The frame, boxed so the variant stays as small as the rest.
+        frame: Box<Frame>,
     },
     /// A transmitted frame's last bit left the NIC (arrived at peer).
     WireTxDone {
         /// NIC index.
         nic: usize,
-        /// The frame.
-        frame: Frame,
+        /// The frame's id in the NIC's in-flight slot ring, handed out
+        /// when the frame reserved the wire.
+        id: u64,
     },
     /// A switch-forwarded frame's last bit arrived at the NIC (rack
     /// uplinks and inter-VM hairpins; peer traffic lands at
@@ -80,8 +84,8 @@ pub enum Event {
     WireRxArrive {
         /// NIC index.
         nic: usize,
-        /// The frame.
-        frame: Frame,
+        /// The frame, boxed so the variant stays as small as the rest.
+        frame: Box<Frame>,
     },
     /// The peer's frame in flight on this NIC's link finished arriving:
     /// it lands, and the peer starts serializing its next frame.
@@ -93,6 +97,44 @@ pub enum Event {
     StartMeasure,
     /// Close the measurement window.
     StopMeasure,
+}
+
+// Every push and pop of the event queue copies a whole entry (time,
+// sequence number and event), so the event must stay this small.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+
+/// One NIC's frames on the transmit wire, each under the id its
+/// [`Event::WireTxDone`] carries. Ids rise by one per reservation and the
+/// ring spans the oldest uncompleted id onward, so a completion takes
+/// its own frame by id in whatever order completions are delivered
+/// (`cdna-model` reorders same-NIC events inside its tie window).
+#[derive(Debug, Default)]
+struct TxSlots {
+    /// Id of `slots[0]`.
+    base: u64,
+    slots: VecDeque<Option<Frame>>,
+}
+
+impl TxSlots {
+    /// Stores `frame` and returns its id.
+    fn put(&mut self, frame: Frame) -> u64 {
+        self.slots.push_back(Some(frame));
+        self.base + self.slots.len() as u64 - 1
+    }
+
+    /// Takes back the frame stored under `id`.
+    fn take(&mut self, id: u64) -> Frame {
+        let frame = id
+            .checked_sub(self.base)
+            .and_then(|i| self.slots.get_mut(i as usize))
+            .and_then(Option::take)
+            .expect("wire completion of a frame in flight");
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        frame
+    }
 }
 
 /// A physical NIC plus its link.
@@ -406,6 +448,13 @@ pub struct SystemWorld {
     /// Per-NIC start of the latest transmit wire reservation, which
     /// must never decrease (see [`SystemWorld::reserve_tx`]).
     tx_reserved_from: Vec<SimTime>,
+    /// Per-NIC frames serializing onto the transmit wire.
+    tx_inflight: Vec<TxSlots>,
+    /// What the last RiceNIC operation did, written in place by the
+    /// device and cleared by [`SystemWorld::apply_rice`].
+    rice_act: Activity,
+    /// As `rice_act`, for the conventional NICs.
+    conv_act: TxActivity,
     /// MACs that terminate on this host; `Some` marks the world as one
     /// host of a rack whose non-local frames leave through the uplink
     /// (see [`SystemWorld::enable_uplink`]).
@@ -454,11 +503,11 @@ impl World for SystemWorld {
             Event::CpuDispatch => self.on_cpu_dispatch(now, sched),
             Event::PhysIrq { nic, reason } => self.on_phys_irq(now, sched, nic, reason),
             Event::EmissionDue { nic, frame } => {
-                let done = self.reserve_tx(now, nic, now, &frame);
-                sched.at(now, done, Event::WireTxDone { nic, frame });
+                let (done, id) = self.reserve_tx(now, nic, now, *frame);
+                sched.at(now, done, Event::WireTxDone { nic, id });
             }
-            Event::WireTxDone { nic, frame } => self.on_wire_tx_done(now, sched, nic, frame),
-            Event::WireRxArrive { nic, frame } => self.on_wire_rx_arrive(now, sched, nic, frame),
+            Event::WireTxDone { nic, id } => self.on_wire_tx_done(now, sched, nic, id),
+            Event::WireRxArrive { nic, frame } => self.on_wire_rx_arrive(now, sched, nic, *frame),
             Event::PeerPump { nic } => self.on_peer_pump(now, sched, nic),
             Event::StartMeasure => {
                 cpu_mark(sched, now, "start_measure", "measure", None);
@@ -681,6 +730,9 @@ impl SystemWorld {
             flow_dst: Vec::new(),
             peer_inflight: (0..nic_total).map(|_| None).collect(),
             tx_reserved_from: vec![SimTime::ZERO; nic_total as usize],
+            tx_inflight: (0..nic_total).map(|_| TxSlots::default()).collect(),
+            rice_act: Activity::default(),
+            conv_act: TxActivity::default(),
             local_macs: None,
             remote_dst: Vec::new(),
             egress: Vec::new(),
@@ -854,9 +906,9 @@ impl SystemWorld {
     }
 
     /// Folds a RiceNIC [`Activity`] produced *outside* the event loop
-    /// back into the world: faults are recorded, the activity's buffers
-    /// are recycled, and the emissions/interrupt it wants scheduled are
-    /// returned as `(time, event)` pairs for the caller to hand to
+    /// back into the world and clears it: faults are recorded, and the
+    /// emissions/interrupt it wants scheduled are returned as
+    /// `(time, event)` pairs for the caller to hand to
     /// [`cdna_sim::Simulation::schedule`].
     ///
     /// This is the injection seam for adversarial harnesses
@@ -868,10 +920,12 @@ impl SystemWorld {
         &mut self,
         now: SimTime,
         nic: usize,
-        act: Activity,
+        act: &mut Activity,
     ) -> Vec<(SimTime, Event)> {
         let mut events = Vec::new();
-        self.apply_rice(now, nic, act, |at, e| events.push((at, e)));
+        std::mem::swap(&mut self.rice_act, act);
+        self.apply_rice(now, nic, |at, e| events.push((at, e)));
+        std::mem::swap(&mut self.rice_act, act);
         events
     }
 
@@ -1380,18 +1434,20 @@ impl SystemWorld {
     }
 
     /// Reserves `nic`'s transmit wire for `frame` from `ready_at` (or
-    /// `now`, if later) behind every frame already reserved, and returns
-    /// when its last bit leaves. Reserving at hand-off gives the times
-    /// a separate "may start serializing" event would, because each
-    /// NIC's hand-off times never decrease (its bus DMA completions are
-    /// monotone), so reservation order is start-time order.
+    /// `now`, if later) behind every frame already reserved, stores the
+    /// frame in the NIC's in-flight slot ring, and returns when its last
+    /// bit leaves plus the id its [`Event::WireTxDone`] must carry.
+    /// Reserving at hand-off gives the times a separate "may start
+    /// serializing" event would, because each NIC's hand-off times never
+    /// decrease (its bus DMA completions are monotone), so reservation
+    /// order is start-time order.
     fn reserve_tx(
         &mut self,
         now: SimTime,
         nic: usize,
         ready_at: SimTime,
-        frame: &Frame,
-    ) -> SimTime {
+        frame: Frame,
+    ) -> (SimTime, u64) {
         let start = ready_at.max(now);
         debug_assert!(
             start >= self.tx_reserved_from[nic],
@@ -1400,24 +1456,23 @@ impl SystemWorld {
         );
         self.tx_reserved_from[nic] = start;
         let gap = self.tx_gap_bytes(nic);
-        self.wires[nic].transfer(start, WireDirection::Transmit, frame.wire_bytes() + gap)
+        let done =
+            self.wires[nic].transfer(start, WireDirection::Transmit, frame.wire_bytes() + gap);
+        (done, self.tx_inflight[nic].put(frame))
     }
 
-    /// The one interpreter of RiceNIC activity: records its faults,
-    /// queues a delivered frame for the owning domain, reserves the wire
-    /// for each emitted frame, and hands `push` the `WireTxDone` and
-    /// interrupt events to schedule, in that order. A drained activity
-    /// that owns buffers goes back to the device, so the steady state
-    /// does not allocate.
-    fn apply_rice(
-        &mut self,
-        now: SimTime,
-        nic: usize,
-        mut act: Activity,
-        mut push: impl FnMut(SimTime, Event),
-    ) {
-        self.faults.extend_from_slice(&act.faults);
-        if let Some(d) = act.delivered.take() {
+    /// The one interpreter of RiceNIC activity: reads `rice_act` field
+    /// by field — records its faults, queues a delivered frame for the
+    /// owning domain, reserves the wire for each emitted frame, and
+    /// hands `push` the `WireTxDone` and interrupt events to schedule, in
+    /// that order — and leaves it clear for the next device operation,
+    /// its vectors' capacity kept so the steady state does not allocate.
+    fn apply_rice(&mut self, now: SimTime, nic: usize, mut push: impl FnMut(SimTime, Event)) {
+        if !self.rice_act.faults.is_empty() {
+            self.faults.extend_from_slice(&self.rice_act.faults);
+            self.rice_act.faults.clear();
+        }
+        if let Some(d) = self.rice_act.delivered.take() {
             let owner = self.engines[nic]
                 .contexts()
                 .owner_of(d.ctx)
@@ -1429,52 +1484,36 @@ impl SystemWorld {
                 buf: d.buf,
             });
         }
-        for e in act.emissions.drain(..) {
-            let done = self.reserve_tx(now, nic, e.ready_at, &e.frame);
-            push(
-                done,
-                Event::WireTxDone {
-                    nic,
-                    frame: e.frame,
-                },
-            );
+        if !self.rice_act.emissions.is_empty() {
+            let mut emissions = std::mem::take(&mut self.rice_act.emissions);
+            for e in emissions.drain(..) {
+                let (done, id) = self.reserve_tx(now, nic, e.ready_at, e.frame);
+                push(done, Event::WireTxDone { nic, id });
+            }
+            self.rice_act.emissions = emissions;
         }
-        if let Some((at, reason)) = act.irq_at {
+        if let Some((at, reason)) = self.rice_act.irq_at.take() {
             push(at.max(now), Event::PhysIrq { nic, reason });
         }
-        // Most activities (every received frame's among them) own no
-        // buffer; handing those back measurably slows the receive path.
-        if act.emissions.capacity() > 0 || act.faults.capacity() > 0 {
-            self.nics[nic].rice_mut().recycle(act);
-        }
+        self.rice_act.rx_dropped = false;
     }
 
     /// The one interpreter of conventional-NIC transmit activity, as
-    /// [`SystemWorld::apply_rice`]: wire reservations, completions, the
-    /// transmit interrupt, and the activity handed back for reuse.
-    fn apply_conventional(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Event>,
-        nic: usize,
-        mut act: TxActivity,
-    ) {
-        for e in act.emissions.drain(..) {
-            let done = self.reserve_tx(now, nic, e.ready_at, &e.frame);
-            sched.at(
-                now,
-                done,
-                Event::WireTxDone {
-                    nic,
-                    frame: e.frame,
-                },
-            );
+    /// [`SystemWorld::apply_rice`] over `conv_act`: wire reservations,
+    /// completions and the transmit interrupt.
+    fn apply_conventional(&mut self, now: SimTime, sched: &mut Scheduler<Event>, nic: usize) {
+        if !self.conv_act.emissions.is_empty() {
+            let mut emissions = std::mem::take(&mut self.conv_act.emissions);
+            for e in emissions.drain(..) {
+                let (done, id) = self.reserve_tx(now, nic, e.ready_at, e.frame);
+                sched.at(now, done, Event::WireTxDone { nic, id });
+            }
+            self.conv_act.emissions = emissions;
         }
-        if let Some(at) = act.irq_at {
+        if let Some(at) = self.conv_act.irq_at.take() {
             let reason = IrqReason::Tx;
             sched.at(now, at.max(now), Event::PhysIrq { nic, reason });
         }
-        self.nics[nic].conventional_mut().recycle(act);
     }
 
     /// Writes a new producer index into `ctx`'s `mailbox` on RiceNIC
@@ -1488,40 +1527,42 @@ impl SystemWorld {
         mailbox: Mailbox,
         producer: u64,
     ) {
-        let act = self.nics[nic]
+        self.nics[nic]
             .rice_mut()
-            .mailbox_write(
+            .mailbox_write_into(
                 now,
                 ctx,
                 mailbox.index(),
                 producer,
                 &self.rings,
                 &mut self.buses[nic],
+                &mut self.rice_act,
             )
             .expect("mailbox write");
-        self.apply_rice(now, nic, act, |at, e| sched.at(now, at, e));
+        self.apply_rice(now, nic, |at, e| sched.at(now, at, e));
     }
 
     /// Rings RiceNIC `nic`'s receive doorbell for `ctx` while the machine
     /// is being built. No scheduler exists yet, so the device must want
     /// nothing scheduled; any fault it raises still counts.
     fn prime_rice_rx(&mut self, nic: usize, ctx: ContextId, producer: u64) {
-        let act = self.nics[nic]
+        self.nics[nic]
             .rice_mut()
-            .mailbox_write(
+            .mailbox_write_into(
                 SimTime::ZERO,
                 ctx,
                 Mailbox::RxProducer.index(),
                 producer,
                 &self.rings,
                 &mut self.buses[nic],
+                &mut self.rice_act,
             )
             .expect("mailbox write");
         debug_assert!(
-            act.emissions.is_empty() && act.irq_at.is_none(),
+            self.rice_act.emissions.is_empty() && self.rice_act.irq_at.is_none(),
             "nic {nic}: receive priming wants events before the run starts"
         );
-        self.apply_rice(SimTime::ZERO, nic, act, |_, _| {});
+        self.apply_rice(SimTime::ZERO, nic, |_, _| {});
     }
 
     /// `dom` rings conventional NIC `nic`'s transmit doorbell with
@@ -1537,11 +1578,17 @@ impl SystemWorld {
         self.ledger
             .charge(ExecCategory::Kernel(dom), self.cfg.costs.pio_write);
         drv.note_doorbell();
-        let act = self.nics[nic]
+        self.nics[nic]
             .conventional_mut()
-            .tx_doorbell(now, drv.tx_producer(), &self.rings, &mut self.buses[nic])
+            .tx_doorbell(
+                now,
+                drv.tx_producer(),
+                &self.rings,
+                &mut self.buses[nic],
+                &mut self.conv_act,
+            )
             .expect("doorbell");
-        self.apply_conventional(now, sched, nic, act);
+        self.apply_conventional(now, sched, nic);
     }
 
     /// Posts up to `max` receive buffers from `drv` and rings conventional
@@ -1600,7 +1647,6 @@ impl SystemWorld {
         rx_host: &mut VecDeque<HostRx>,
         workload: &mut Option<crate::GuestWorkload>,
     ) -> bool {
-        let costs = self.cfg.costs.clone();
         let mut budget = self.cfg.batch_limit;
 
         // Reclaim transmit completions (consumer writebacks are in host
@@ -1614,7 +1660,7 @@ impl SystemWorld {
                 let (_freed, unmapped) = drv.reclaim_tx_iommu(consumer, iommu);
                 self.ledger.charge(
                     ExecCategory::Hypervisor,
-                    costs.hyp_iommu_unmap * unmapped as u64,
+                    self.cfg.costs.hyp_iommu_unmap * unmapped as u64,
                 );
             } else {
                 let (_freed, _ext) = drv.reclaim_tx(consumer);
@@ -1638,9 +1684,9 @@ impl SystemWorld {
                     .unmap(drv.ctx(), page)
             {
                 self.ledger
-                    .charge(ExecCategory::Hypervisor, costs.hyp_iommu_unmap);
+                    .charge(ExecCategory::Hypervisor, self.cfg.costs.hyp_iommu_unmap);
             }
-            self.deliver_rx(dom, costs.cdna_drv_rx, workload, &rx.frame);
+            self.deliver_rx(dom, self.cfg.costs.cdna_drv_rx, workload, &rx.frame);
             rx_done += 1;
             budget -= 1;
         }
@@ -1664,7 +1710,7 @@ impl SystemWorld {
                                 Ok(Some(out)) => {
                                     self.ledger.charge(
                                         ExecCategory::Hypervisor,
-                                        costs.enqueue_hypercall(&out),
+                                        self.cfg.costs.enqueue_hypercall(&out),
                                     );
                                     last = Some(out.producer);
                                     if out.enqueued < self.cfg.hypercall_batch {
@@ -1683,7 +1729,7 @@ impl SystemWorld {
                             .map(|(p, mapped)| {
                                 self.ledger.charge(
                                     ExecCategory::Hypervisor,
-                                    costs.iommu_hypercall(mapped),
+                                    self.cfg.costs.iommu_hypercall(mapped),
                                 );
                                 p
                             })
@@ -1694,7 +1740,7 @@ impl SystemWorld {
                 };
                 if let Some(p) = producer {
                     self.ledger
-                        .charge(ExecCategory::Kernel(dom), costs.pio_write);
+                        .charge(ExecCategory::Kernel(dom), self.cfg.costs.pio_write);
                     drv.note_pio();
                     self.rice_doorbell(now, sched, i, drv.ctx(), Mailbox::RxProducer, p);
                 }
@@ -1724,7 +1770,7 @@ impl SystemWorld {
                 }
                 failures = 0;
                 w.commit_tx(unit, framing::MSS);
-                self.charge_tx_stack(dom, costs.cdna_drv_tx);
+                self.charge_tx_stack(dom, self.cfg.costs.cdna_drv_tx);
                 budget -= 1;
                 if drv.pending_tx() as u32 >= self.cfg.hypercall_batch {
                     self.flush_cdna_tx(now, sched, dom, drv, nic);
@@ -1799,7 +1845,6 @@ impl SystemWorld {
         tx_pool: &mut Vec<PageId>,
         workload: &mut Option<crate::GuestWorkload>,
     ) -> bool {
-        let costs = self.cfg.costs.clone();
         let guest_index = (dom.0 - 1) as usize;
         let mut budget = self.cfg.batch_limit;
         let chan = &mut self.channels[guest_index];
@@ -1811,7 +1856,7 @@ impl SystemWorld {
         // credit.
         let pkts = chan.front_rx_take(budget as usize);
         for pkt in pkts {
-            self.deliver_rx(dom, costs.netfront_rx, workload, &pkt.frame);
+            self.deliver_rx(dom, self.cfg.costs.netfront_rx, workload, &pkt.frame);
             self.channels[guest_index].front_post_rx_credit(pkt.page);
             budget -= 1;
             if budget == 0 {
@@ -1842,13 +1887,13 @@ impl SystemWorld {
                     .front_tx_push(PvPacket { frame, page })
                     .expect("checked free slot");
                 w.commit_tx(unit, framing::MSS);
-                self.charge_tx_stack(dom, costs.netfront_tx);
+                self.charge_tx_stack(dom, self.cfg.costs.netfront_tx);
                 pushed += 1;
                 budget -= 1;
             }
             if pushed > 0 {
                 self.ledger
-                    .charge(ExecCategory::Hypervisor, costs.hyp_evtchn_send);
+                    .charge(ExecCategory::Hypervisor, self.cfg.costs.hyp_evtchn_send);
                 self.meters.driver_virq.add(1);
                 self.registry.inc(self.hot.driver_virq);
                 self.evt.send(DomainId::DRIVER, VirtualIrq::Netback);
@@ -1873,7 +1918,6 @@ impl SystemWorld {
         drivers: &mut [PhysDriver],
         rx_host: &mut VecDeque<HostRx>,
     ) -> bool {
-        let costs = self.cfg.costs.clone();
         let mut budget = self.cfg.batch_limit;
 
         // Reap completed CDNA descriptors first so delivered receive
@@ -1891,7 +1935,7 @@ impl SystemWorld {
                     .expect("dom0 reap");
                 self.ledger.charge(
                     ExecCategory::Hypervisor,
-                    costs.hyp_reap_desc * reaped as u64,
+                    self.cfg.costs.hyp_reap_desc * reaped as u64,
                 );
             }
         }
@@ -1908,12 +1952,12 @@ impl SystemWorld {
             budget -= 1;
             // Native/CDNA driver releases the posted page.
             let (page, drv_cost) = match &mut drivers[rx.nic] {
-                PhysDriver::Native(n) => (n.rx_delivered(rx.buf), costs.native_drv_rx),
-                PhysDriver::Cdna(c) => (c.rx_delivered(rx.buf), costs.cdna_dom0_drv_rx),
+                PhysDriver::Native(n) => (n.rx_delivered(rx.buf), self.cfg.costs.native_drv_rx),
+                PhysDriver::Cdna(c) => (c.rx_delivered(rx.buf), self.cfg.costs.cdna_dom0_drv_rx),
             };
             self.ledger.charge(
                 ExecCategory::Kernel(dom),
-                drv_cost + costs.bridge_per_packet + costs.netback_rx,
+                drv_cost + self.cfg.costs.bridge_per_packet + self.cfg.costs.netback_rx,
             );
             // A flip hands the driver the guest's credit page in exchange;
             // a drop (unknown destination, guest out of credits) hands
@@ -1924,7 +1968,7 @@ impl SystemWorld {
                     let flip = self.channels[gidx].back_rx_push(rx.frame, page, &mut self.mem);
                     if flip.is_ok() {
                         self.ledger
-                            .charge(ExecCategory::Hypervisor, costs.hyp_page_flip);
+                            .charge(ExecCategory::Hypervisor, self.cfg.costs.hyp_page_flip);
                         self.batch_notify(&mut pending_notify, gidx);
                     } else {
                         self.rx_credit_drops += 1;
@@ -1953,7 +1997,7 @@ impl SystemWorld {
             // Netback scans every frontend ring each pass.
             self.ledger.charge(
                 ExecCategory::Kernel(dom),
-                costs.netback_scan_per_channel * guest_count as u64,
+                self.cfg.costs.netback_scan_per_channel * guest_count as u64,
             );
             let share = (budget as usize / guest_count).max(1);
             for g in 0..guest_count {
@@ -1975,7 +2019,9 @@ impl SystemWorld {
                             // and complete the source immediately.
                             self.ledger.charge(
                                 ExecCategory::Kernel(dom),
-                                costs.netback_tx + costs.bridge_per_packet + costs.netback_rx,
+                                self.cfg.costs.netback_tx
+                                    + self.cfg.costs.bridge_per_packet
+                                    + self.cfg.costs.netback_rx,
                             );
                             let dst_idx = (dst_dom.0 - 1) as usize;
                             if let Ok(page) = self.mem.alloc(DomainId::DRIVER) {
@@ -1985,8 +2031,10 @@ impl SystemWorld {
                                     &mut self.mem,
                                 ) {
                                     Ok(credit) => {
-                                        self.ledger
-                                            .charge(ExecCategory::Hypervisor, costs.hyp_page_flip);
+                                        self.ledger.charge(
+                                            ExecCategory::Hypervisor,
+                                            self.cfg.costs.hyp_page_flip,
+                                        );
                                         self.mem
                                             .free(DomainId::DRIVER, credit)
                                             .expect("fresh credit page");
@@ -2009,14 +2057,14 @@ impl SystemWorld {
                     let drv_cost = match &drivers[nic] {
                         PhysDriver::Native(_) => {
                             self.ledger
-                                .charge(ExecCategory::Hypervisor, costs.hyp_grant_map);
-                            costs.native_drv_tx
+                                .charge(ExecCategory::Hypervisor, self.cfg.costs.hyp_grant_map);
+                            self.cfg.costs.native_drv_tx
                         }
-                        PhysDriver::Cdna(_) => costs.cdna_dom0_drv_tx,
+                        PhysDriver::Cdna(_) => self.cfg.costs.cdna_dom0_drv_tx,
                     };
                     self.ledger.charge(
                         ExecCategory::Kernel(dom),
-                        costs.netback_tx + costs.bridge_per_packet + drv_cost,
+                        self.cfg.costs.netback_tx + self.cfg.costs.bridge_per_packet + drv_cost,
                     );
                     let guest = self.channels[g].guest();
                     let meta = FrameMeta {
@@ -2064,7 +2112,7 @@ impl SystemWorld {
             };
             self.ledger.charge(
                 ExecCategory::Hypervisor,
-                costs.hyp_grant_unmap * unmap_charges,
+                self.cfg.costs.hyp_grant_unmap * unmap_charges,
             );
             for guest in extern_done {
                 let gidx = (guest.0 - 1) as usize;
@@ -2155,7 +2203,6 @@ impl SystemWorld {
         rx_host: &mut VecDeque<HostRx>,
         workload: &mut Option<crate::GuestWorkload>,
     ) -> bool {
-        let costs = self.cfg.costs.clone();
         let mut budget = self.cfg.batch_limit;
 
         // Reclaim transmit completions.
@@ -2172,7 +2219,7 @@ impl SystemWorld {
             let drv = &mut drivers[rx.nic];
             let page = drv.rx_delivered(rx.buf);
             drv.release_rx_page(page);
-            self.deliver_rx(dom, costs.native_drv_rx, workload, &rx.frame);
+            self.deliver_rx(dom, self.cfg.costs.native_drv_rx, workload, &rx.frame);
             rx_done += 1;
             budget -= 1;
         }
@@ -2180,7 +2227,7 @@ impl SystemWorld {
             for (i, drv) in drivers.iter_mut().enumerate() {
                 if self.post_conventional_rx(i, drv, self.cfg.batch_limit) {
                     self.ledger
-                        .charge(ExecCategory::Kernel(dom), costs.pio_write);
+                        .charge(ExecCategory::Kernel(dom), self.cfg.costs.pio_write);
                 }
             }
         }
@@ -2208,7 +2255,7 @@ impl SystemWorld {
                 };
                 drv.queue_tx(meta, &mut self.rings).expect("checked");
                 w.commit_tx(unit, framing::MSS);
-                self.charge_tx_stack(dom, costs.native_drv_tx);
+                self.charge_tx_stack(dom, self.cfg.costs.native_drv_tx);
                 budget -= 1;
                 if !doorbells.contains(&nic) {
                     doorbells.push(nic);
@@ -2268,28 +2315,12 @@ impl SystemWorld {
         }
     }
 
-    fn on_wire_tx_done(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Event>,
-        nic: usize,
-        frame: Frame,
-    ) {
+    fn on_wire_tx_done(&mut self, now: SimTime, sched: &mut Scheduler<Event>, nic: usize, id: u64) {
+        let frame = self.tx_inflight[nic].take(id);
         // The peer (or switch) takes the frame: transmit measurement.
         if self.meters.in_window {
             self.meters.tx_payload.add(frame.tcp_payload as u64);
             self.meters.packets += 1;
-        }
-        // Rack uplink: a frame addressed off-host is handed to the
-        // top-of-rack switch; local NIC completion still runs below.
-        if let Some(local) = &self.local_macs {
-            if !local.contains(&frame.dst) {
-                self.egress.push(EgressFrame {
-                    at: now,
-                    nic,
-                    frame: frame.clone(),
-                });
-            }
         }
         // Inter-VM CDNA traffic: the external switch forwards the frame
         // straight back toward the destination guest's context.
@@ -2302,20 +2333,42 @@ impl SystemWorld {
                 done + SimTime::from_us(2), // store-and-forward switch latency
                 Event::WireRxArrive {
                     nic,
-                    frame: frame.clone(),
+                    frame: Box::new(frame.clone()),
                 },
             );
         }
         match &mut self.nics[nic] {
             NicSlot::Conventional(dev) => {
-                let act = dev
-                    .tx_frame_sent(now, &frame, &self.rings, &mut self.buses[nic])
-                    .expect("completion");
-                self.apply_conventional(now, sched, nic, act);
+                dev.tx_frame_sent(
+                    now,
+                    &frame,
+                    &self.rings,
+                    &mut self.buses[nic],
+                    &mut self.conv_act,
+                )
+                .expect("completion");
+                self.apply_conventional(now, sched, nic);
             }
             NicSlot::Rice(dev) => {
-                let act = dev.tx_frame_sent(now, &frame, &self.rings, &mut self.buses[nic]);
-                self.apply_rice(now, nic, act, |at, e| sched.at(now, at, e));
+                dev.tx_frame_sent(
+                    now,
+                    &frame,
+                    &self.rings,
+                    &mut self.buses[nic],
+                    &mut self.rice_act,
+                );
+                self.apply_rice(now, nic, |at, e| sched.at(now, at, e));
+            }
+        }
+        // Rack uplink: a frame addressed off-host is handed to the
+        // top-of-rack switch once the local NIC completion has run.
+        if let Some(local) = &self.local_macs {
+            if !local.contains(&frame.dst) {
+                self.egress.push(EgressFrame {
+                    at: now,
+                    nic,
+                    frame,
+                });
             }
         }
     }
@@ -2354,8 +2407,14 @@ impl SystemWorld {
                 }
             }
             NicSlot::Rice(dev) => {
-                let act = dev.frame_from_wire(now, frame, &self.rings, &mut self.buses[nic]);
-                self.apply_rice(now, nic, act, |at, e| sched.at(now, at, e));
+                dev.frame_from_wire_into(
+                    now,
+                    frame,
+                    &self.rings,
+                    &mut self.buses[nic],
+                    &mut self.rice_act,
+                );
+                self.apply_rice(now, nic, |at, e| sched.at(now, at, e));
             }
         }
     }
@@ -2704,32 +2763,190 @@ mod tests {
         ))
     }
 
+    /// Guest `g` hands NIC 0 one frame bound for `dst` down the real
+    /// path: a validated enqueue, then the transmit doorbell at `now`.
+    /// Returns the device's activity, not yet absorbed.
+    fn transmit_one(w: &mut SystemWorld, g: usize, dst: MacAddr, now: SimTime) -> Activity {
+        let (ctx, owner) = (w.ctx_of[g][0], DomainId::guest(g as u16));
+        let page = w.mem.alloc(owner).expect("free page");
+        let req = cdna_core::TxRequest {
+            buf: BufferSlice::new(page.base_addr(), 1514),
+            flags: cdna_nic::DescFlags::END_OF_PACKET,
+            meta: FrameMeta {
+                dst,
+                src: w.nics[0].rice().mac_for(ctx),
+                tcp_payload: framing::MSS,
+                flow: FlowId::new(g as u16, 0),
+                seq: 0,
+            },
+        };
+        let out = w.engines[0]
+            .enqueue_tx(ctx, owner, &[req], 0, &mut w.rings, &mut w.mem)
+            .expect("validated enqueue");
+        let mut act = Activity::default();
+        w.nics[0]
+            .rice_mut()
+            .mailbox_write_into(
+                now,
+                ctx,
+                Mailbox::TxProducer.index(),
+                out.producer,
+                &w.rings,
+                &mut w.buses[0],
+                &mut act,
+            )
+            .expect("attached context");
+        act
+    }
+
+    /// Forwards only the transmit-wire events to `world`, so a test sees
+    /// exactly the hand-offs it makes. Completions are held until `hold`
+    /// of them have arrived and are then handled newest first.
+    struct WireOnly {
+        world: SystemWorld,
+        hold: usize,
+        held: Vec<Event>,
+        /// `(time, nic, id)` of every completion handled, in order.
+        completed: Vec<(SimTime, usize, u64)>,
+    }
+
+    impl World for WireOnly {
+        type Event = Event;
+
+        fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
+            match event {
+                Event::EmissionDue { .. } => self.world.handle(now, event, sched),
+                Event::WireTxDone { .. } => {
+                    self.held.push(event);
+                    if self.held.len() < self.hold {
+                        return;
+                    }
+                    while let Some(e) = self.held.pop() {
+                        if let Event::WireTxDone { nic, id } = e {
+                            self.completed.push((now, nic, id));
+                        }
+                        self.world.handle(now, e, sched);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
     #[test]
     fn hand_offs_reserve_the_wire_in_fifo_order() {
         let mut w = cdna_tx_world();
-        // Two doorbells on NIC 0; the second frame is ready while the
-        // first is still serializing, so it queues behind it.
-        let (ready_a, ready_b) = (SimTime::from_us(10), SimTime::from_us(11));
-        let a = hand_off(&w, 0, ready_a);
-        let b = hand_off(&w, 1, ready_b);
-        let src = |act: &Activity| act.emissions[0].frame.src;
-        let (src_a, src_b) = (src(&a), src(&b));
-        let ser =
-            SimTime::from_ns(u64::from(a.emissions[0].frame.wire_bytes() + w.tx_gap_bytes(0)) * 8);
-        let done = |events: Vec<(SimTime, Event)>| match events.as_slice() {
-            [(at, Event::WireTxDone { nic: 0, frame })] => (*at, frame.src),
-            other => panic!("expected one WireTxDone, got {other:?}"),
+        w.enable_uplink();
+        // Guests 0 and 1 each hand NIC 0 one frame bound off-host, so
+        // each completion surfaces in the egress buffer with its frame.
+        // The second is ready while the first is still serializing, so
+        // it queues behind it.
+        let remote = MacAddr::for_host_context(1, 0, 1);
+        let now = SimTime::from_us(5);
+        let mut handed = Vec::new();
+        let mut events = Vec::new();
+        for g in 0..2 {
+            let mut act = transmit_one(&mut w, g, remote, now);
+            let [e] = act.emissions.as_slice() else {
+                panic!("expected one emission, got {:?}", act.emissions);
+            };
+            handed.push((e.frame.src, e.ready_at, e.frame.wire_bytes()));
+            events.extend(w.absorb_nic_activity(now, 0, &mut act));
+            assert_eq!(act, Activity::default(), "absorbing clears the activity");
+        }
+        let [(src_a, ready_a, bytes), (src_b, ready_b, _)] = handed[..] else {
+            unreachable!()
         };
-        let first = done(w.absorb_nic_activity(SimTime::from_us(5), 0, a));
-        let second = done(w.absorb_nic_activity(SimTime::from_us(6), 0, b));
-        assert_eq!(first, (ready_a + ser, src_a));
-        assert_eq!(
-            second,
-            (ready_a + ser + ser, src_b),
-            "FIFO behind the first"
-        );
+        assert_ne!(src_a, src_b);
+        let ser = SimTime::from_ns(u64::from(bytes + w.tx_gap_bytes(0)) * 8);
+        let done = |e: &(SimTime, Event)| match e {
+            (at, Event::WireTxDone { nic: 0, id }) => (*at, *id),
+            other => panic!("expected a NIC 0 WireTxDone, got {other:?}"),
+        };
+        let [first, second] = [done(&events[0]), done(&events[1])];
+        assert_eq!(events.len(), 2);
+        assert_eq!(first.0, ready_a + ser);
+        assert!(ready_b < first.0);
+        assert_eq!(second.0, first.0 + ser, "FIFO behind the first");
         assert_eq!(w.wires[0].busy_until(WireDirection::Transmit), second.0);
         assert!(w.wires[1].is_idle(SimTime::ZERO, WireDirection::Transmit));
+
+        // Deliver the two completions in reverse: each must still take
+        // its own frame (a FIFO pop would hand the first id frame a).
+        let mut sim = Simulation::new(WireOnly {
+            world: w,
+            hold: 2,
+            held: Vec::new(),
+            completed: Vec::new(),
+        });
+        for (at, e) in events {
+            sim.schedule(at, e);
+        }
+        sim.run_until(second.0);
+        let h = sim.world_mut();
+        assert_eq!(
+            h.completed,
+            [(second.0, 0, second.1), (second.0, 0, first.1)]
+        );
+        let egress: Vec<_> = h
+            .world
+            .drain_egress()
+            .into_iter()
+            .map(|e| (e.at, e.nic, e.frame.src))
+            .collect();
+        assert_eq!(egress, [(second.0, 0, src_b), (second.0, 0, src_a)]);
+    }
+
+    #[test]
+    fn emission_due_reserves_the_wire_and_completes_by_id() {
+        let mut w = SystemWorld::build(cfg(
+            IoModel::XenBridged {
+                nic: NicKind::Intel,
+            },
+            2,
+            Direction::Transmit,
+        ));
+        w.enable_uplink();
+        let src = w.nics[0].conventional().mac();
+        let frame = |seq| {
+            Frame::tcp_data(
+                src,
+                MacAddr::for_host_context(1, 0, 1),
+                framing::MSS,
+                FlowId::new(0, 0),
+                seq,
+            )
+        };
+        let ser = SimTime::from_ns(u64::from(frame(0).wire_bytes()) * 8);
+        let mut sim = Simulation::new(WireOnly {
+            world: w,
+            hold: 1,
+            held: Vec::new(),
+            completed: Vec::new(),
+        });
+        // Two external emissions at the same instant: the second
+        // reserves the wire behind the first, and each completion takes
+        // its frame back from the slot ring by the id it was given.
+        let t = SimTime::from_us(3);
+        for seq in [7, 8] {
+            let frame = Box::new(frame(seq));
+            sim.schedule(t, Event::EmissionDue { nic: 0, frame });
+        }
+        sim.run_until(t + ser + ser);
+        let h = sim.world_mut();
+        assert_eq!(h.completed, [(t + ser, 0, 0), (t + ser + ser, 0, 1)]);
+        assert_eq!(
+            h.world.wires[0].busy_until(WireDirection::Transmit),
+            t + ser + ser
+        );
+        assert_eq!(h.world.nics[0].conventional().stats().tx_frames, 2);
+        let egress: Vec<_> = h
+            .world
+            .drain_egress()
+            .into_iter()
+            .map(|e| (e.at, e.frame.seq))
+            .collect();
+        assert_eq!(egress, [(t + ser, 7), (t + ser + ser, 8)]);
     }
 
     #[test]
@@ -2737,10 +2954,10 @@ mod tests {
     #[should_panic(expected = "wire reservation")]
     fn reservations_out_of_start_order_trip_the_debug_check() {
         let mut w = cdna_tx_world();
-        let late = hand_off(&w, 0, SimTime::from_us(20));
-        let early = hand_off(&w, 1, SimTime::from_us(10));
-        w.absorb_nic_activity(SimTime::ZERO, 0, late);
-        w.absorb_nic_activity(SimTime::ZERO, 0, early);
+        let mut late = hand_off(&w, 0, SimTime::from_us(20));
+        let mut early = hand_off(&w, 1, SimTime::from_us(10));
+        w.absorb_nic_activity(SimTime::ZERO, 0, &mut late);
+        w.absorb_nic_activity(SimTime::ZERO, 0, &mut early);
     }
 
     #[test]

@@ -112,6 +112,7 @@ impl CdnaGuestDriver {
     }
 
     /// The context this driver owns.
+    #[inline]
     pub fn ctx(&self) -> ContextId {
         self.ctx
     }
@@ -122,6 +123,7 @@ impl CdnaGuestDriver {
     }
 
     /// The protection policy in force.
+    #[inline]
     pub fn policy(&self) -> DmaPolicy {
         self.policy
     }
@@ -138,6 +140,7 @@ impl CdnaGuestDriver {
 
     /// Whether another transmit can be queued (buffer + ring headroom,
     /// counting not-yet-flushed requests).
+    #[inline]
     pub fn can_queue_tx(&self) -> bool {
         !self.tx_pool.is_empty()
             && (self.tx_prod + self.pending_tx.len() as u64 - self.reclaim_floor())
@@ -182,6 +185,7 @@ impl CdnaGuestDriver {
     }
 
     /// Transmit requests waiting in the batch.
+    #[inline]
     pub fn pending_tx(&self) -> usize {
         self.pending_tx.len()
     }
@@ -461,6 +465,7 @@ impl CdnaGuestDriver {
     ///
     /// Panics on out-of-order delivery (the NIC consumes receive
     /// descriptors in order).
+    #[inline]
     pub fn rx_delivered(&mut self, buf: BufferSlice) -> PageId {
         #[expect(
             clippy::expect_used,
@@ -475,6 +480,7 @@ impl CdnaGuestDriver {
     }
 
     /// Returns a consumed receive page to the pool.
+    #[inline]
     pub fn release_rx_page(&mut self, page: PageId) {
         self.rx_pool.push(page);
     }

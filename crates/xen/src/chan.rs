@@ -131,6 +131,7 @@ impl FrontBackChannel {
     }
 
     /// Free transmit-ring slots from the frontend's point of view.
+    #[inline]
     pub fn tx_free(&self) -> usize {
         self.tx_capacity
             .saturating_sub(self.tx_queue.len() + self.tx_inflight.len() + self.tx_done.len())
@@ -151,6 +152,7 @@ impl FrontBackChannel {
     }
 
     /// Packets waiting for netback pickup.
+    #[inline]
     pub fn tx_pending(&self) -> usize {
         self.tx_queue.len()
     }
@@ -274,11 +276,13 @@ impl FrontBackChannel {
     }
 
     /// Packets waiting for netfront pickup.
+    #[inline]
     pub fn rx_pending(&self) -> usize {
         self.rx_queue.len()
     }
 
     /// Frontend: takes up to `max` delivered packets.
+    #[inline]
     pub fn front_rx_take(&mut self, max: usize) -> Vec<PvPacket> {
         let n = max.min(self.rx_queue.len());
         self.rx_queue.drain(..n).collect()

@@ -204,6 +204,7 @@ impl NativeDriver {
     }
 
     /// Whether a transmit descriptor can currently be queued.
+    #[inline]
     pub fn can_queue_tx(&self, rings: &RingTable) -> bool {
         if self.tx_pool.is_empty() {
             return false;
@@ -334,6 +335,7 @@ impl NativeDriver {
     ///
     /// Panics if deliveries do not match posting order (the NIC consumes
     /// receive descriptors strictly in order).
+    #[inline]
     pub fn rx_delivered(&mut self, buf: BufferSlice) -> PageId {
         #[expect(
             clippy::expect_used,
@@ -348,12 +350,14 @@ impl NativeDriver {
     }
 
     /// Returns a receive page to the pool for re-posting.
+    #[inline]
     pub fn release_rx_page(&mut self, page: PageId) {
         self.rx_pool.push(page);
     }
 
     /// Adds a page to the receive pool (e.g. the page obtained from a
     /// page-flip exchange with a guest).
+    #[inline]
     pub fn donate_rx_page(&mut self, page: PageId) {
         self.rx_pool.push(page);
     }

@@ -47,6 +47,7 @@ impl RunQueue {
     }
 
     /// Makes `dom` runnable (idempotent while queued).
+    #[inline]
     pub fn wake(&mut self, dom: DomainId) {
         let i = dom.0 as usize;
         if i >= self.queued.len() {
@@ -60,6 +61,7 @@ impl RunQueue {
 
     /// Dequeues the next domain to run, recording whether this is a
     /// domain switch (used to charge world-switch cost).
+    #[inline]
     pub fn pick(&mut self) -> Option<DomainId> {
         let dom = self.queue.pop_front()?;
         self.queued[dom.0 as usize] = false;
@@ -72,11 +74,13 @@ impl RunQueue {
     }
 
     /// Re-queues `dom` at the back (it still has work after its batch).
+    #[inline]
     pub fn requeue(&mut self, dom: DomainId) {
         self.wake(dom);
     }
 
     /// Whether any domain is runnable.
+    #[inline]
     pub fn has_runnable(&self) -> bool {
         !self.queue.is_empty()
     }
@@ -107,6 +111,7 @@ impl RunQueue {
     }
 
     /// The most recently run domain.
+    #[inline]
     pub fn last_run(&self) -> Option<DomainId> {
         self.last
     }

@@ -18,7 +18,7 @@ use cdna_core::{
 use cdna_mem::{BufferSlice, DomainId, MemError, PhysMem};
 use cdna_net::{FlowId, MacAddr, PciBus};
 use cdna_nic::{DescFlags, FrameMeta, RingTable};
-use cdna_ricenic::{RiceNic, RiceNicConfig};
+use cdna_ricenic::{Activity, RiceNic, RiceNicConfig};
 use cdna_sim::SimTime;
 
 fn main() {
@@ -89,16 +89,17 @@ fn main() {
     }
 
     // --- Attack 4: overrun the producer index ---
-    let act = nic
-        .mailbox_write(
-            SimTime::ZERO,
-            ctx,
-            Mailbox::TxProducer.index(),
-            out.producer + 3, // claims 3 descriptors that were never validated
-            &rings,
-            &mut bus,
-        )
-        .expect("mailbox");
+    let mut act = Activity::default();
+    nic.mailbox_write_into(
+        SimTime::ZERO,
+        ctx,
+        Mailbox::TxProducer.index(),
+        out.producer + 3, // claims 3 descriptors that were never validated
+        &rings,
+        &mut bus,
+        &mut act,
+    )
+    .expect("mailbox");
     println!(
         "attack 4 (producer overrun): NIC raised {:?}",
         act.faults.first().map(|f| f.kind).expect("fault expected")

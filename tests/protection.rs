@@ -4,13 +4,13 @@
 //! attack must fault in a way that is isolated to the offender.
 
 use cdna_core::{
-    layout::Mailbox, ContextError, DmaPolicy, FaultKind, ProtectionEngine, ProtectionError,
-    RxRequest, TxRequest,
+    layout::Mailbox, ContextError, ContextId, DmaPolicy, FaultKind, ProtectionEngine,
+    ProtectionError, RxRequest, TxRequest,
 };
 use cdna_mem::{BufferSlice, DomainId, MemError, PhysMem};
-use cdna_net::{FlowId, MacAddr, PciBus};
+use cdna_net::{FlowId, Frame, MacAddr, PciBus};
 use cdna_nic::{DescFlags, FrameMeta, RingTable};
-use cdna_ricenic::{RiceNic, RiceNicConfig};
+use cdna_ricenic::{Activity, RiceNic, RiceNicConfig};
 use cdna_sim::SimTime;
 
 struct Bench {
@@ -19,6 +19,33 @@ struct Bench {
     bus: PciBus,
     engine: ProtectionEngine,
     nic: RiceNic,
+}
+
+impl Bench {
+    /// Writes `value` into `mailbox` of `ctx`; the device's activity.
+    fn write(&mut self, now: SimTime, ctx: ContextId, mailbox: usize, value: u64) -> Activity {
+        let mut act = Activity::default();
+        self.nic
+            .mailbox_write_into(
+                now,
+                ctx,
+                mailbox,
+                value,
+                &self.rings,
+                &mut self.bus,
+                &mut act,
+            )
+            .unwrap();
+        act
+    }
+
+    /// Completes `frame` on the wire; the device's activity.
+    fn sent(&mut self, now: SimTime, frame: &Frame) -> Activity {
+        let mut act = Activity::default();
+        self.nic
+            .tx_frame_sent(now, frame, &self.rings, &mut self.bus, &mut act);
+        act
+    }
 }
 
 fn bench() -> Bench {
@@ -144,17 +171,12 @@ fn producer_overrun_faults_without_touching_memory() {
         .enqueue_tx(ctx, guest, &[req], 0, &mut b.rings, &mut b.mem)
         .unwrap();
     assert_eq!(out.producer, 1);
-    let act = b
-        .nic
-        .mailbox_write(
-            SimTime::ZERO,
-            ctx,
-            Mailbox::TxProducer.index(),
-            5, // lies: only 1 descriptor was validated
-            &b.rings,
-            &mut b.bus,
-        )
-        .unwrap();
+    let act = b.write(
+        SimTime::ZERO,
+        ctx,
+        Mailbox::TxProducer.index(),
+        5, // lies: only 1 descriptor was validated
+    );
     assert_eq!(act.faults.len(), 1);
     assert!(matches!(act.faults[0].kind, FaultKind::EmptySlot { .. }));
     assert!(b.nic.is_faulted(ctx));
@@ -172,35 +194,14 @@ fn replayed_stale_descriptor_is_detected_by_sequence_number() {
     b.engine
         .enqueue_tx(ctx, guest, &reqs, 0, &mut b.rings, &mut b.mem)
         .unwrap();
-    let act = b
-        .nic
-        .mailbox_write(
-            SimTime::ZERO,
-            ctx,
-            Mailbox::TxProducer.index(),
-            32,
-            &b.rings,
-            &mut b.bus,
-        )
-        .unwrap();
+    let act = b.write(SimTime::ZERO, ctx, Mailbox::TxProducer.index(), 32);
     assert_eq!(act.emissions.len(), 32);
     for e in &act.emissions {
-        b.nic
-            .tx_frame_sent(e.ready_at, &e.frame, &b.rings, &mut b.bus);
+        b.sent(e.ready_at, &e.frame);
     }
     // Replay: advance the producer one past what the hypervisor wrote;
     // slot 0 holds the stale lap-old descriptor.
-    let act = b
-        .nic
-        .mailbox_write(
-            SimTime::from_ms(1),
-            ctx,
-            Mailbox::TxProducer.index(),
-            33,
-            &b.rings,
-            &mut b.bus,
-        )
-        .unwrap();
+    let act = b.write(SimTime::from_ms(1), ctx, Mailbox::TxProducer.index(), 33);
     assert_eq!(act.faults.len(), 1);
     assert!(
         matches!(
@@ -251,17 +252,7 @@ fn fault_isolation_other_guests_keep_working() {
     let good_ctx = attach(&mut b, good);
 
     // Fault the evil context via producer overrun.
-    let _ = b
-        .nic
-        .mailbox_write(
-            SimTime::ZERO,
-            evil_ctx,
-            Mailbox::TxProducer.index(),
-            1,
-            &b.rings,
-            &mut b.bus,
-        )
-        .unwrap();
+    let _ = b.write(SimTime::ZERO, evil_ctx, Mailbox::TxProducer.index(), 1);
     assert!(b.nic.is_faulted(evil_ctx));
 
     // The good guest transmits unaffected.
@@ -270,17 +261,12 @@ fn fault_isolation_other_guests_keep_working() {
         .engine
         .enqueue_tx(good_ctx, good, &[req], 0, &mut b.rings, &mut b.mem)
         .unwrap();
-    let act = b
-        .nic
-        .mailbox_write(
-            SimTime::from_us(1),
-            good_ctx,
-            Mailbox::TxProducer.index(),
-            out.producer,
-            &b.rings,
-            &mut b.bus,
-        )
-        .unwrap();
+    let act = b.write(
+        SimTime::from_us(1),
+        good_ctx,
+        Mailbox::TxProducer.index(),
+        out.producer,
+    );
     assert_eq!(act.emissions.len(), 1);
     assert!(act.faults.is_empty());
     assert!(!b.nic.is_faulted(good_ctx));
@@ -302,16 +288,7 @@ fn revocation_shuts_down_exactly_one_context() {
             .unwrap();
         // Don't ring c0's doorbell yet; leave its work pending.
         if c == c1 {
-            b.nic
-                .mailbox_write(
-                    SimTime::ZERO,
-                    c,
-                    Mailbox::TxProducer.index(),
-                    out.producer,
-                    &b.rings,
-                    &mut b.bus,
-                )
-                .unwrap();
+            b.write(SimTime::ZERO, c, Mailbox::TxProducer.index(), out.producer);
         }
     }
     // Revoke guest 0's context.
@@ -324,13 +301,14 @@ fn revocation_shuts_down_exactly_one_context() {
     // The revoked context's mailboxes no longer work.
     assert!(b
         .nic
-        .mailbox_write(
+        .mailbox_write_into(
             SimTime::from_us(2),
             c0,
             Mailbox::TxProducer.index(),
             1,
             &b.rings,
-            &mut b.bus
+            &mut b.bus,
+            &mut Activity::default(),
         )
         .is_err());
 }
@@ -412,17 +390,7 @@ fn iommu_policy_blocks_foreign_dma_at_the_device() {
         },
     );
     b.rings.get_mut(st.tx_ring).unwrap().write_at(0, honest);
-    let act = b
-        .nic
-        .mailbox_write(
-            SimTime::ZERO,
-            ctx,
-            Mailbox::TxProducer.index(),
-            1,
-            &b.rings,
-            &mut b.bus,
-        )
-        .unwrap();
+    let act = b.write(SimTime::ZERO, ctx, Mailbox::TxProducer.index(), 1);
     assert_eq!(act.emissions.len(), 1);
     assert!(act.faults.is_empty());
 
@@ -440,17 +408,7 @@ fn iommu_policy_blocks_foreign_dma_at_the_device() {
         },
     );
     b.rings.get_mut(st.tx_ring).unwrap().write_at(1, steal);
-    let act = b
-        .nic
-        .mailbox_write(
-            SimTime::from_us(1),
-            ctx,
-            Mailbox::TxProducer.index(),
-            2,
-            &b.rings,
-            &mut b.bus,
-        )
-        .unwrap();
+    let act = b.write(SimTime::from_us(1), ctx, Mailbox::TxProducer.index(), 2);
     assert!(
         act.emissions.is_empty(),
         "exfiltration frame must not leave"
@@ -516,17 +474,7 @@ fn unprotected_context_would_allow_the_attack_cdna_prevents() {
         },
     );
     b.rings.get_mut(st.tx_ring).unwrap().write_at(0, desc);
-    let act = b
-        .nic
-        .mailbox_write(
-            SimTime::ZERO,
-            ctx,
-            Mailbox::TxProducer.index(),
-            1,
-            &b.rings,
-            &mut b.bus,
-        )
-        .unwrap();
+    let act = b.write(SimTime::ZERO, ctx, Mailbox::TxProducer.index(), 1);
     // The frame with the victim's data goes out — the exfiltration CDNA's
     // validated mode blocks.
     assert_eq!(act.emissions.len(), 1);
@@ -545,17 +493,7 @@ fn device_faults_carry_stable_codes_and_spare_other_contexts() {
     let a_ctx = attach(&mut b, attacker);
     let v_ctx = attach(&mut b, victim);
     // Doorbell the attacker's producer past the (never-written) ring.
-    let act = b
-        .nic
-        .mailbox_write(
-            SimTime::ZERO,
-            a_ctx,
-            Mailbox::TxProducer.index(),
-            3,
-            &b.rings,
-            &mut b.bus,
-        )
-        .unwrap();
+    let act = b.write(SimTime::ZERO, a_ctx, Mailbox::TxProducer.index(), 3);
     assert_eq!(act.faults.len(), 1);
     let fault = act.faults[0];
     assert_eq!(fault.ctx, a_ctx);

@@ -78,20 +78,10 @@ pub struct Activity {
 }
 
 impl Activity {
-    #[inline]
     fn merge_irq(&mut self, irq: Option<(SimTime, IrqReason)>) {
         if self.irq_at.is_none() {
             self.irq_at = irq;
         }
-    }
-
-    /// Empties every field, keeping the vectors' capacity.
-    pub fn clear(&mut self) {
-        self.emissions.clear();
-        self.irq_at = None;
-        self.delivered = None;
-        self.faults.clear();
-        self.rx_dropped = false;
     }
 }
 

@@ -607,7 +607,7 @@ mod tests {
         let other_mac = MacAddr::for_context(0, 9);
         let frame = Frame::tcp_data(MacAddr::for_peer(0), other_mac, 100, FlowId::new(0, 0), 0);
         let d = nic
-            .frame_from_wire(SimTime::ZERO, frame.clone(), &rings, &mut bus)
+            .frame_from_wire(SimTime::ZERO, frame, &rings, &mut bus)
             .unwrap();
         assert_eq!(d, RxDisposition::Filtered);
         nic.set_promiscuous(true);

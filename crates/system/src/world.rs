@@ -496,9 +496,6 @@ impl World for SystemWorld {
     type Event = Event;
 
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
-        // Keep the profile sampler's cursor at the event clock so every
-        // charge lands in the sampling slice containing `now`.
-        self.ledger.advance_to(now);
         match event {
             Event::CpuDispatch => self.on_cpu_dispatch(now, sched),
             Event::PhysIrq { nic, reason } => self.on_phys_irq(now, sched, nic, reason),
@@ -2333,7 +2330,7 @@ impl SystemWorld {
                 done + SimTime::from_us(2), // store-and-forward switch latency
                 Event::WireRxArrive {
                     nic,
-                    frame: Box::new(frame.clone()),
+                    frame: Box::new(frame),
                 },
             );
         }

@@ -4,17 +4,13 @@
 //!
 //! The paper's entire evaluation is observability output: Xenoprof
 //! execution profiles (Tables 2/3), per-guest interrupt rates, and idle
-//! curves (Figures 3/4). This crate is the instrumentation layer those
-//! views are derived from:
+//! shares (Figures 3/4). The profiles and idle shares come from the CPU
+//! ledger's windowed per-category totals in `cdna-xen`; this crate is
+//! the rest of the instrumentation layer:
 //!
 //! * [`Registry`] — a table of cheap monotonic counters keyed by
 //!   `(domain, component, metric)`. Hot-path
 //!   increments go through pre-interned handles and never allocate.
-//! * [`ProfileLedger`] — a time-sliced execution-profile sampler in the
-//!   style of Xenoprof: CPU time is charged to numbered buckets and
-//!   accumulated per sampling window, so both aggregate profiles
-//!   (Tables 2/3) and time series (the Figure 3/4 idle curves) fall out
-//!   of one sampler.
 //! * [`Tracer`] — a bounded ring-buffer event tracer (oldest events are
 //!   dropped on overflow) whose contents export to Chrome
 //!   `trace_event`-format JSON, so a whole simulated run can be opened
@@ -27,10 +23,8 @@
 
 pub mod json;
 
-mod profile;
 mod registry;
 mod tracer;
 
-pub use profile::{ProfileLedger, ProfileSample};
 pub use registry::{CounterId, Domain, MetricKey, Registry};
 pub use tracer::{Phase, TraceEvent, Tracer};

@@ -12,17 +12,15 @@
 //! [`CpuLedger::dispatch_charged`]), which is how long that dispatch
 //! occupies the CPU. Charges outside the window still count there.
 //!
-//! Internally the ledger is built on [`cdna_trace::ProfileLedger`], a
-//! time-sliced sampler: every charge lands both in a per-category map
-//! (for [`CpuLedger::charged`]) and in the sampler's per-slice bucket
-//! matrix. Because the sampler stores exact integer nanoseconds, the
-//! aggregate [`CpuLedger::profile`] is bit-identical to the old
-//! unsliced accumulation, while the per-slice samples additionally
-//! provide the idle-over-time curves of Figures 3/4.
+//! The windowed totals live in one dense per-category table, so a
+//! charge is one indexed add. [`CpuLedger::profile`] folds that table
+//! into the six columns only when a report asks; the totals are exact
+//! integer nanoseconds, so the folded fractions do not depend on the
+//! order of the charges. The same totals give the Figure 3/4 idle
+//! share ([`ExecutionProfile::idle_frac`]).
 
 use cdna_mem::DomainId;
 use cdna_sim::SimTime;
-use cdna_trace::{ProfileLedger, ProfileSample};
 
 /// Where a slice of CPU time was spent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -38,7 +36,7 @@ pub enum ExecCategory {
     Idle,
 }
 
-/// Sampler bucket indices for the paper's six profile columns.
+/// Indices of the paper's six profile columns.
 mod bucket {
     pub(super) const HYPERVISOR: usize = 0;
     pub(super) const DRIVER_KERNEL: usize = 1;
@@ -47,17 +45,6 @@ mod bucket {
     pub(super) const GUEST_USER: usize = 4;
     pub(super) const IDLE: usize = 5;
     pub(super) const COUNT: usize = 6;
-}
-
-fn bucket_of(cat: ExecCategory) -> usize {
-    match cat {
-        ExecCategory::Hypervisor => bucket::HYPERVISOR,
-        ExecCategory::Kernel(d) if d == DomainId::DRIVER => bucket::DRIVER_KERNEL,
-        ExecCategory::User(d) if d == DomainId::DRIVER => bucket::DRIVER_USER,
-        ExecCategory::Kernel(_) => bucket::GUEST_KERNEL,
-        ExecCategory::User(_) => bucket::GUEST_USER,
-        ExecCategory::Idle => bucket::IDLE,
-    }
 }
 
 /// Dense per-category index for the charge table: categories pack as
@@ -74,9 +61,19 @@ fn dense_index(cat: ExecCategory) -> usize {
     }
 }
 
-/// Default sampling slice: 10 simulated milliseconds, fine enough for
-/// the ~1 s measurement windows the experiments use.
-pub const DEFAULT_SLICE_NS: u64 = 10_000_000;
+/// The profile column a [`dense_index`] entry folds into: the layout
+/// puts dom0's kernel and user at 2 and 3, and every guest's kernel on
+/// an even index and user on an odd one above them.
+fn bucket_of_index(idx: usize) -> usize {
+    match idx {
+        0 => bucket::IDLE,
+        1 => bucket::HYPERVISOR,
+        2 => bucket::DRIVER_KERNEL,
+        3 => bucket::DRIVER_USER,
+        i if i % 2 == 0 => bucket::GUEST_KERNEL,
+        _ => bucket::GUEST_USER,
+    }
+}
 
 /// The per-category time ledger.
 ///
@@ -101,7 +98,6 @@ pub struct CpuLedger {
     /// Charge totals indexed by [`dense_index`]; zero-extended on the
     /// first charge past the current width.
     charges: Vec<SimTime>,
-    sampler: ProfileLedger,
     window_start: SimTime,
     window_end: Option<SimTime>,
     recording: bool,
@@ -117,17 +113,10 @@ impl Default for CpuLedger {
 }
 
 impl CpuLedger {
-    /// A ledger that ignores charges until a window opens, sampling in
-    /// [`DEFAULT_SLICE_NS`] slices.
+    /// A ledger that ignores charges until a window opens.
     pub fn new() -> Self {
-        CpuLedger::with_slice_ns(DEFAULT_SLICE_NS)
-    }
-
-    /// A ledger with an explicit sampling-slice width.
-    pub fn with_slice_ns(slice_ns: u64) -> Self {
         CpuLedger {
             charges: Vec::new(),
-            sampler: ProfileLedger::new(bucket::COUNT, slice_ns),
             window_start: SimTime::ZERO,
             window_end: None,
             recording: false,
@@ -138,7 +127,6 @@ impl CpuLedger {
     /// Opens the measurement window (clears previous charges).
     pub fn start_window(&mut self, now: SimTime) {
         self.charges.fill(SimTime::ZERO);
-        self.sampler.start_window(now.as_ns());
         self.window_start = now;
         self.window_end = None;
         self.recording = true;
@@ -147,19 +135,9 @@ impl CpuLedger {
     /// Closes the measurement window.
     pub fn close_window(&mut self, now: SimTime) {
         if self.recording {
-            self.sampler.close_window(now.as_ns());
             self.window_end = Some(now);
             self.recording = false;
         }
-    }
-
-    /// Moves the sampler's charge cursor to `now`, so subsequent
-    /// charges land in the sampling slice containing this time. The
-    /// world calls this once per simulation event; it does not affect
-    /// aggregate totals, only how they distribute across slices.
-    #[inline]
-    pub fn advance_to(&mut self, now: SimTime) {
-        self.sampler.advance_to(now.as_ns());
     }
 
     /// Charges `dt` of CPU time to `cat`. The current dispatch always
@@ -174,7 +152,6 @@ impl CpuLedger {
                 self.charges.resize(idx + 1, SimTime::ZERO);
             }
             self.charges[idx] += dt;
-            self.sampler.charge(bucket_of(cat), dt.as_ns());
         }
     }
 
@@ -206,26 +183,14 @@ impl CpuLedger {
 
     /// Busy time (all categories) in the window.
     pub fn total_busy(&self) -> SimTime {
-        SimTime::from_ns(self.sampler.total_busy())
-    }
-
-    /// The underlying time-sliced sampler (per-slice profile samples
-    /// for the idle-over-time figures).
-    pub fn sampler(&self) -> &ProfileLedger {
-        &self.sampler
-    }
-
-    /// Per-slice samples of the closed window (see
-    /// [`cdna_trace::ProfileLedger::samples`]).
-    pub fn samples(&self) -> Vec<ProfileSample> {
-        self.sampler.samples()
+        self.charges.iter().copied().sum()
     }
 
     /// Renders the execution profile over the closed window. Idle is the
     /// remainder of the window not charged anywhere.
     ///
-    /// The fractions are computed from the sampler's exact integer
-    /// totals, so they are identical whatever the slice width.
+    /// The fractions are computed from exact integer totals, so they do
+    /// not depend on the order the charges arrived in.
     ///
     /// A work batch that started before the window closed may charge its
     /// full cost inside it, so up to 1 % overshoot is tolerated (idle
@@ -252,7 +217,11 @@ impl CpuLedger {
             "CPU over-committed: {busy} charged in a {span} window"
         );
 
-        let frac = |b: usize| SimTime::from_ns(self.sampler.total(b)).as_secs_f64() / span_s;
+        let mut totals = [SimTime::ZERO; bucket::COUNT];
+        for (idx, &t) in self.charges.iter().enumerate() {
+            totals[bucket_of_index(idx)] += t;
+        }
+        let frac = |b: usize| totals[b].as_secs_f64() / span_s;
         ExecutionProfile {
             hypervisor_frac: frac(bucket::HYPERVISOR),
             driver_kernel_frac: frac(bucket::DRIVER_KERNEL),
@@ -361,26 +330,69 @@ mod tests {
     }
 
     #[test]
-    fn samples_partition_the_window() {
-        let mut l = CpuLedger::with_slice_ns(SimTime::from_ms(25).as_ns());
+    fn profile_folds_a_seeded_mix_and_a_restart_clears_every_entry() {
+        let mut cats = vec![
+            ExecCategory::Idle,
+            ExecCategory::Hypervisor,
+            ExecCategory::Kernel(DomainId::DRIVER),
+            ExecCategory::User(DomainId::DRIVER),
+        ];
+        for g in 0..24 {
+            cats.push(ExecCategory::Kernel(DomainId::guest(g)));
+            cats.push(ExecCategory::User(DomainId::guest(g)));
+        }
+        let mut rng = cdna_sim::SimRng::seed_from(19);
+        let mut l = CpuLedger::new();
         l.start_window(SimTime::ZERO);
-        l.advance_to(SimTime::from_ms(5));
-        l.charge(ExecCategory::Hypervisor, SimTime::from_ms(10));
-        l.advance_to(SimTime::from_ms(60));
-        l.charge(
-            ExecCategory::Kernel(DomainId::guest(0)),
-            SimTime::from_ms(20),
+        // Every category once, then a random mix (zero-length charges
+        // included, which count nowhere).
+        let picks = (0..cats.len()).chain((0..4000).map(|_| rng.below(cats.len())));
+        let mut per_cat = vec![SimTime::ZERO; cats.len()];
+        for k in picks.collect::<Vec<_>>() {
+            let dt = SimTime::from_ns(rng.range_u64(0..50_000));
+            l.charge(cats[k], dt);
+            per_cat[k] += dt;
+        }
+        let span = SimTime::from_secs(1);
+        l.close_window(span);
+
+        // The six columns, summed here from the categories themselves.
+        let [mut hyp, mut dk, mut du, mut gk, mut gu, mut idle] = [SimTime::ZERO; 6];
+        for (cat, &t) in cats.iter().zip(&per_cat) {
+            assert_eq!(l.charged(*cat), t, "{cat:?}");
+            let col: &mut SimTime = match *cat {
+                ExecCategory::Hypervisor => &mut hyp,
+                ExecCategory::Kernel(d) if d == DomainId::DRIVER => &mut dk,
+                ExecCategory::User(d) if d == DomainId::DRIVER => &mut du,
+                ExecCategory::Kernel(_) => &mut gk,
+                ExecCategory::User(_) => &mut gu,
+                ExecCategory::Idle => &mut idle,
+            };
+            *col += t;
+        }
+        let busy = hyp + dk + du + gk + gu + idle;
+        assert_eq!(l.total_busy(), busy);
+        let frac = |t: SimTime| t.as_secs_f64() / span.as_secs_f64();
+        assert_eq!(
+            l.profile(),
+            ExecutionProfile {
+                hypervisor_frac: frac(hyp),
+                driver_kernel_frac: frac(dk),
+                driver_user_frac: frac(du),
+                guest_kernel_frac: frac(gk),
+                guest_user_frac: frac(gu),
+                idle_frac: frac(span - busy),
+            }
         );
-        l.close_window(SimTime::from_ms(100));
-        let samples = l.samples();
-        assert_eq!(samples.len(), 3); // slices 0, 1, 2 were touched
-        assert_eq!(samples[0].charged_ns[0], SimTime::from_ms(10).as_ns());
-        assert_eq!(samples[2].charged_ns[3], SimTime::from_ms(20).as_ns());
-        // Aggregate profile is unaffected by the slicing.
-        let p = l.profile();
-        assert!((p.hypervisor_frac - 0.10).abs() < 1e-9);
-        assert!((p.guest_kernel_frac - 0.20).abs() < 1e-9);
-        assert!((p.idle_frac - 0.70).abs() < 1e-9);
+
+        // A restart after the table grew to guest 23 clears every entry.
+        l.start_window(span);
+        l.close_window(span + span);
+        for cat in &cats {
+            assert_eq!(l.charged(*cat), SimTime::ZERO, "{cat:?}");
+        }
+        assert_eq!(l.total_busy(), SimTime::ZERO);
+        assert_eq!(l.profile().idle_frac, 1.0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! The windowed totals live in one dense per-category table, so a
 //! charge is one indexed add. [`CpuLedger::profile`] folds that table
-//! into the six columns only when a report asks; the totals are exact
+//! into the six columns only when a report asks for them; the totals are exact
 //! integer nanoseconds, so the folded fractions do not depend on the
 //! order of the charges. The same totals give the Figure 3/4 idle
 //! share ([`ExecutionProfile::idle_frac`]).
@@ -36,42 +36,20 @@ pub enum ExecCategory {
     Idle,
 }
 
-/// Indices of the paper's six profile columns.
-mod bucket {
-    pub(super) const HYPERVISOR: usize = 0;
-    pub(super) const DRIVER_KERNEL: usize = 1;
-    pub(super) const DRIVER_USER: usize = 2;
-    pub(super) const GUEST_KERNEL: usize = 3;
-    pub(super) const GUEST_USER: usize = 4;
-    pub(super) const IDLE: usize = 5;
-    pub(super) const COUNT: usize = 6;
-}
-
 /// Dense per-category index for the charge table: categories pack as
 /// `[Idle, Hypervisor, Kernel(0), User(0), Kernel(1), User(1), ..]`, so
 /// the table stays proportional to the largest domain id charged (a
 /// couple dozen entries on the paper's 24-guest runs) and each charge
 /// is a single indexed add instead of an ordered-map walk.
+///
+/// Guests (ids 1..) fill the table from index 4 on, kernel on even
+/// indices and user on odd ones, which is how the profile folds them.
 fn dense_index(cat: ExecCategory) -> usize {
     match cat {
         ExecCategory::Idle => 0,
         ExecCategory::Hypervisor => 1,
         ExecCategory::Kernel(d) => 2 + 2 * d.0 as usize,
         ExecCategory::User(d) => 3 + 2 * d.0 as usize,
-    }
-}
-
-/// The profile column a [`dense_index`] entry folds into: the layout
-/// puts dom0's kernel and user at 2 and 3, and every guest's kernel on
-/// an even index and user on an odd one above them.
-fn bucket_of_index(idx: usize) -> usize {
-    match idx {
-        0 => bucket::IDLE,
-        1 => bucket::HYPERVISOR,
-        2 => bucket::DRIVER_KERNEL,
-        3 => bucket::DRIVER_USER,
-        i if i % 2 == 0 => bucket::GUEST_KERNEL,
-        _ => bucket::GUEST_USER,
     }
 }
 
@@ -217,18 +195,20 @@ impl CpuLedger {
             "CPU over-committed: {busy} charged in a {span} window"
         );
 
-        let mut totals = [SimTime::ZERO; bucket::COUNT];
-        for (idx, &t) in self.charges.iter().enumerate() {
-            totals[bucket_of_index(idx)] += t;
-        }
-        let frac = |b: usize| totals[b].as_secs_f64() / span_s;
+        let guests = self
+            .charges
+            .get(dense_index(ExecCategory::Kernel(DomainId::guest(0)))..)
+            .unwrap_or_default();
+        let guest_kernel: SimTime = guests.iter().step_by(2).copied().sum();
+        let guest_user: SimTime = guests.iter().skip(1).step_by(2).copied().sum();
+        let frac = |t: SimTime| t.as_secs_f64() / span_s;
         ExecutionProfile {
-            hypervisor_frac: frac(bucket::HYPERVISOR),
-            driver_kernel_frac: frac(bucket::DRIVER_KERNEL),
-            driver_user_frac: frac(bucket::DRIVER_USER),
-            guest_kernel_frac: frac(bucket::GUEST_KERNEL),
-            guest_user_frac: frac(bucket::GUEST_USER),
-            idle_frac: span.saturating_sub(busy).as_secs_f64() / span_s,
+            hypervisor_frac: frac(self.charged(ExecCategory::Hypervisor)),
+            driver_kernel_frac: frac(self.charged(ExecCategory::Kernel(DomainId::DRIVER))),
+            driver_user_frac: frac(self.charged(ExecCategory::User(DomainId::DRIVER))),
+            guest_kernel_frac: frac(guest_kernel),
+            guest_user_frac: frac(guest_user),
+            idle_frac: frac(span.saturating_sub(busy)),
         }
     }
 }

@@ -196,7 +196,7 @@ struct PageMirror {
 /// The page mirror: slot `i` mirrors `PageId(i)`, `None` marks an
 /// untracked page. Grows to the highest page seen, never to the whole
 /// pool up front; iteration is in ascending page order.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct PageMirrors {
     slots: Vec<Option<PageMirror>>,
     /// Number of `Some` slots.
@@ -257,6 +257,31 @@ struct SeqShadow {
     reseed: bool,
 }
 
+impl SeqShadow {
+    /// Checks `seq` against the expectation and advances it, returning
+    /// the violation it makes, if any.
+    fn observe(&mut self, seq: u32) -> Option<ViolationKind> {
+        self.observed += 1;
+        let m = self.modulus;
+        if self.reseed {
+            self.reseed = false;
+            self.expected = seq % m;
+        }
+        let (expected, found) = (self.expected, seq % m);
+        if found == expected {
+            self.expected = (expected + 1) % m;
+            return None;
+        }
+        if (found + m - expected) % m > m / 2 {
+            // Keep the expectation: a replay does not advance the stream.
+            Some(ViolationKind::SequenceReplay { expected, found })
+        } else {
+            self.expected = (found + 1) % m; // resync past the gap
+            Some(ViolationKind::SequenceGap { expected, found })
+        }
+    }
+}
+
 /// Appends a violation; free function so event handlers can record
 /// while holding a mutable borrow of the page mirror map.
 fn record(
@@ -273,7 +298,7 @@ fn record(
 /// Every scan walks its storage in ascending key order (page number,
 /// then stream), so violation reports are deterministic regardless of
 /// event arrival interleaving.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct DmaShadow {
     pages: PageMirrors,
     seqs: BTreeMap<(u16, u8, ShadowDir), SeqShadow>,
@@ -518,62 +543,37 @@ impl DmaShadow {
     /// stale descriptor; anything else ahead is a gap. After a gap the
     /// shadow resynchronises to avoid cascading reports.
     pub fn observe_seq(&mut self, ctx: ContextId, dir: ShadowDir, seq: u32, modulus: u32) {
-        self.observe_seq_on(0, ctx, dir, seq, modulus);
+        self.observe_seqs_on(0, ctx, dir, [seq], modulus);
     }
 
-    /// Like [`DmaShadow::observe_seq`], but for a specific device:
-    /// context ids are per NIC, so when the same id exists on several
-    /// NICs their streams must not share an expectation.
-    pub fn observe_seq_on(
+    /// [`DmaShadow::observe_seq`] for each number of `seqs` in turn, on
+    /// a specific device: context ids are per NIC, so when the same id
+    /// exists on several NICs their streams must not share an
+    /// expectation. The stream is looked up once for the whole run.
+    pub fn observe_seqs_on(
         &mut self,
         nic: u16,
         ctx: ContextId,
         dir: ShadowDir,
-        seq: u32,
+        seqs: impl IntoIterator<Item = u32>,
         modulus: u32,
     ) {
-        self.events += 1;
+        let mut seqs = seqs.into_iter().peekable();
+        let Some(&first) = seqs.peek() else {
+            return;
+        };
         let modulus = modulus.max(2);
-        let entry = self.seqs.entry((nic, ctx.0, dir)).or_insert(SeqShadow {
-            expected: seq % modulus,
+        let stream = self.seqs.entry((nic, ctx.0, dir)).or_insert(SeqShadow {
+            expected: first % modulus,
             modulus,
             observed: 0,
             reseed: false,
         });
-        entry.observed += 1;
-        if entry.reseed {
-            entry.reseed = false;
-            entry.expected = seq % entry.modulus;
-        }
-        let expected = entry.expected;
-        let m = entry.modulus;
-        if seq % m == expected {
-            entry.expected = (expected + 1) % m;
-            return;
-        }
-        let d = (seq % m + m - expected) % m;
-        if d > m / 2 {
-            record(
-                &mut self.violations,
-                Some(ctx),
-                None,
-                ViolationKind::SequenceReplay {
-                    expected,
-                    found: seq % m,
-                },
-            );
-            // Keep the expectation: a replay does not advance the stream.
-        } else {
-            record(
-                &mut self.violations,
-                Some(ctx),
-                None,
-                ViolationKind::SequenceGap {
-                    expected,
-                    found: seq % m,
-                },
-            );
-            entry.expected = (seq % m + 1) % m; // resync past the gap
+        for seq in seqs {
+            self.events += 1;
+            if let Some(kind) = stream.observe(seq) {
+                record(&mut self.violations, Some(ctx), None, kind);
+            }
         }
     }
 
@@ -811,6 +811,12 @@ mod tests {
         s.observe_seq(ctx(0), ShadowDir::Tx, 16, m); // resynced
         assert_eq!(s.violations().len(), 2);
         assert_eq!(s.seq_observed(ctx(0), ShadowDir::Tx), 5);
+        // The same numbers as one run, on another NIC's stream.
+        let mut run = DmaShadow::new();
+        run.observe_seqs_on(1, ctx(0), ShadowDir::Tx, [10, 11, 10, 15, 16], m);
+        assert_eq!(run.violations(), s.violations());
+        assert_eq!(run.events(), s.events());
+        assert_eq!(run.seq_observed(ctx(0), ShadowDir::Tx), 5);
     }
 
     #[test]

@@ -1,4 +1,19 @@
 //! The machine's physical page pool.
+//!
+//! [`PhysMem`] does work in proportion to the pages a run touches, not
+//! to the pool's size, so a pool of tens of thousands of pages is cheap
+//! to create, clone and audit:
+//!
+//! * a fresh-page cursor marks the never-allocated suffix
+//!   `[fresh, total)`; those pages are free without being listed, and
+//!   are handed out in ascending order before any released page, which
+//!   waits in a FIFO;
+//! * the page table holds only the prefix that has been allocated or
+//!   pinned. Every page past it is free and unpinned. Pinning a page no
+//!   one has allocated grows the table to it on a cold path, so the
+//!   steady-state run operations stay one slice access each;
+//! * the pool-wide pin count is a running total, updated wherever a
+//!   page's pin count changes.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -64,6 +79,12 @@ pub struct PageInfo {
 /// against it and pins pages for the lifetime of a DMA, which blocks
 /// reallocation (`free` of a pinned page is deferred until the last unpin).
 ///
+/// Free pages are handed out in a fixed order: never-allocated pages in
+/// ascending order, then released pages in the order they were freed.
+/// A fresh-page cursor stands for the never-allocated pages and the
+/// page table covers only the prefix that has been allocated or pinned
+/// (see the module docs), so nothing is sized by the pool up front.
+///
 /// # Example
 ///
 /// ```
@@ -79,28 +100,44 @@ pub struct PageInfo {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PhysMem {
+    /// Page table of the materialised prefix `[0, pages.len())`.
     pages: Vec<PageInfo>,
-    free_list: VecDeque<PageId>,
+    /// Pool size in pages.
+    total: u32,
+    /// First page of the never-allocated suffix `[fresh, total)`.
+    fresh: u32,
+    /// Never-allocated pages below `fresh` that a contiguous allocation
+    /// stepped over, ascending; they are handed out first.
+    skipped: VecDeque<PageId>,
+    /// Released pages, in the order they were freed; handed out after
+    /// every never-allocated page.
+    released: VecDeque<PageId>,
     /// Pages whose owner freed them while pinned; they complete the free
     /// when the last pin drops (CDNA's deferred reallocation).
     pending_free: Vec<PageId>,
+    /// Sum of every page's pin count.
+    outstanding: u64,
     total_pins: u64,
     total_transfers: u64,
 }
+
+/// A free, unpinned page: every page past the materialised prefix.
+const FREE: PageInfo = PageInfo {
+    owner: None,
+    pins: 0,
+};
 
 impl PhysMem {
     /// Creates a pool of `pages` free pages.
     pub fn new(pages: u32) -> Self {
         PhysMem {
-            pages: vec![
-                PageInfo {
-                    owner: None,
-                    pins: 0
-                };
-                pages as usize
-            ],
-            free_list: (0..pages).map(PageId).collect(),
+            pages: Vec::new(),
+            total: pages,
+            fresh: 0,
+            skipped: VecDeque::new(),
+            released: VecDeque::new(),
             pending_free: Vec::new(),
+            outstanding: 0,
             total_pins: 0,
             total_transfers: 0,
         }
@@ -108,35 +145,50 @@ impl PhysMem {
 
     /// Total pages in the pool.
     pub fn total_pages(&self) -> u32 {
-        self.pages.len() as u32
+        self.total
     }
 
     /// Pages currently free (excludes pinned pending-free pages).
     pub fn free_pages(&self) -> u32 {
-        self.free_list.len() as u32
+        (self.skipped.len() + self.released.len()) as u32 + (self.total - self.fresh)
     }
 
     /// Looks up a page's state.
+    #[inline]
     pub fn info(&self, page: PageId) -> Result<PageInfo, MemError> {
-        self.pages
-            .get(page.0 as usize)
-            .copied()
-            .ok_or(MemError::NoSuchPage(page))
+        if page.0 >= self.total {
+            return Err(MemError::NoSuchPage(page));
+        }
+        Ok(self.pages.get(page.0 as usize).copied().unwrap_or(FREE))
     }
 
     /// Allocates one free page to `owner`.
     pub fn alloc(&mut self, owner: DomainId) -> Result<PageId, MemError> {
-        let page = self.free_list.pop_front().ok_or(MemError::OutOfMemory)?;
-        self.pages[page.0 as usize] = PageInfo {
-            owner: Some(owner),
-            pins: 0,
+        let page = if let Some(page) = self.skipped.pop_front() {
+            page
+        } else if self.fresh < self.total {
+            self.fresh += 1;
+            PageId(self.fresh - 1)
+        } else {
+            self.released.pop_front().ok_or(MemError::OutOfMemory)?
         };
+        let i = page.0 as usize;
+        self.materialise(i + 1);
+        // A page pinned while free loses those pins to its new owner.
+        let old = std::mem::replace(
+            &mut self.pages[i],
+            PageInfo {
+                owner: Some(owner),
+                pins: 0,
+            },
+        );
+        self.outstanding -= u64::from(old.pins);
         Ok(page)
     }
 
     /// Allocates `n` pages to `owner`, all-or-nothing.
     pub fn alloc_many(&mut self, owner: DomainId, n: u32) -> Result<Vec<PageId>, MemError> {
-        if (self.free_list.len() as u32) < n {
+        if self.free_pages() < n {
             return Err(MemError::OutOfMemory);
         }
         (0..n).map(|_| self.alloc(owner)).collect()
@@ -146,40 +198,44 @@ impl PhysMem {
     /// multi-page DMA buffers such as TSO super-segments), returning the
     /// first page of the run.
     ///
+    /// The run is the lowest one of `n` free, unpinned pages; a page is
+    /// free exactly when it has no owner.
+    ///
     /// # Errors
     ///
     /// [`MemError::OutOfMemory`] when no free run of `n` consecutive
     /// pages exists.
     pub fn alloc_contiguous(&mut self, owner: DomainId, n: u32) -> Result<PageId, MemError> {
         assert!(n > 0, "empty contiguous allocation");
-        let total = self.pages.len() as u32;
-        let mut run_start = 0u32;
-        let mut run_len = 0u32;
-        for id in 0..total {
-            let free = self.pages[id as usize].owner.is_none()
-                && self.pages[id as usize].pins == 0
-                && self.free_list.contains(&PageId(id));
-            if free {
-                if run_len == 0 {
-                    run_start = id;
-                }
-                run_len += 1;
-                if run_len == n {
-                    let run = PageId(run_start)..=PageId(id);
-                    self.free_list.retain(|q| !run.contains(q));
-                    for p in run_start..=id {
-                        self.pages[p as usize] = PageInfo {
-                            owner: Some(owner),
-                            pins: 0,
-                        };
-                    }
-                    return Ok(PageId(run_start));
-                }
-            } else {
-                run_len = 0;
+        // First fit over the page table; a run still open at its end
+        // continues into the free pages past it.
+        let mut start = 0u32;
+        for (id, info) in (0u32..).zip(&self.pages) {
+            if info.owner.is_some() || info.pins > 0 {
+                start = id + 1;
+            } else if id + 1 - start == n {
+                break;
             }
         }
-        Err(MemError::OutOfMemory)
+        if u64::from(start) + u64::from(n) > u64::from(self.total) {
+            return Err(MemError::OutOfMemory);
+        }
+        let end = start + n;
+        self.materialise(end as usize);
+        if start < self.fresh {
+            let run = PageId(start)..PageId(end);
+            self.skipped.retain(|p| !run.contains(p));
+            self.released.retain(|p| !run.contains(p));
+        }
+        if end > self.fresh {
+            // Never-allocated pages below the run keep their turn.
+            self.skipped.extend((self.fresh..start).map(PageId));
+            self.fresh = end;
+        }
+        for info in &mut self.pages[start as usize..end as usize] {
+            info.owner = Some(owner);
+        }
+        Ok(PageId(start))
     }
 
     /// Frees a page owned by `owner`.
@@ -192,9 +248,7 @@ impl PhysMem {
     ///   which point it returns to the free list. This is exactly the
     ///   paper's defence against reallocation during DMA.
     pub fn free(&mut self, owner: DomainId, page: PageId) -> Result<(), MemError> {
-        self.check_owner(page, owner)?;
-        let info = self.pages[page.0 as usize];
-        if info.pins > 0 {
+        if self.owned_slot(page, owner)?.pins > 0 {
             if !self.pending_free.contains(&page) {
                 self.pending_free.push(page);
             }
@@ -213,11 +267,11 @@ impl PhysMem {
     /// with in-flight DMA cannot change hands).
     #[inline]
     pub fn transfer(&mut self, page: PageId, from: DomainId, to: DomainId) -> Result<(), MemError> {
-        self.check_owner(page, from)?;
-        if self.pages[page.0 as usize].pins > 0 {
+        let info = self.owned_slot(page, from)?;
+        if info.pins > 0 {
             return Err(MemError::Pinned(page));
         }
-        self.pages[page.0 as usize].owner = Some(to);
+        info.owner = Some(to);
         self.total_transfers += 1;
         Ok(())
     }
@@ -240,10 +294,12 @@ impl PhysMem {
     /// first page not owned by `owner`.
     #[inline]
     pub fn validate_run(&self, owner: DomainId, start: PageId, len: u32) -> Result<(), MemError> {
-        let slab = self
+        let Some(slab) = self
             .pages
             .get(start.0 as usize..start.0 as usize + len as usize)
-            .ok_or_else(|| MemError::NoSuchPage(PageId((self.pages.len() as u32).max(start.0))))?;
+        else {
+            return self.validate_past_table(owner, start, len);
+        };
         for (i, info) in slab.iter().enumerate() {
             if info.owner != Some(owner) {
                 return Err(MemError::NotOwner {
@@ -256,15 +312,33 @@ impl PhysMem {
         Ok(())
     }
 
-    /// Increments the DMA pin count of `page`.
-    pub fn pin(&mut self, page: PageId) -> Result<(), MemError> {
-        let info = self
-            .pages
-            .get_mut(page.0 as usize)
-            .ok_or(MemError::NoSuchPage(page))?;
-        info.pins += 1;
-        self.total_pins += 1;
+    /// [`PhysMem::validate_run`] for a run that leaves the page table.
+    #[cold]
+    #[inline(never)]
+    fn validate_past_table(
+        &self,
+        owner: DomainId,
+        start: PageId,
+        len: u32,
+    ) -> Result<(), MemError> {
+        self.check_run(start, len)?;
+        for page in (start.0..start.0 + len).map(PageId) {
+            let actual = self.info(page)?.owner;
+            if actual != Some(owner) {
+                return Err(MemError::NotOwner {
+                    page,
+                    claimed: owner,
+                    actual,
+                });
+            }
+        }
         Ok(())
+    }
+
+    /// Increments the DMA pin count of `page`.
+    #[inline]
+    pub fn pin(&mut self, page: PageId) -> Result<(), MemError> {
+        self.pin_run(page, 1)
     }
 
     /// Pins every page under `slice` after validating ownership;
@@ -281,30 +355,47 @@ impl PhysMem {
     /// pass for the whole run.
     #[inline]
     pub fn pin_run(&mut self, start: PageId, len: u32) -> Result<(), MemError> {
-        let total = self.pages.len() as u32;
-        let slab = self
-            .pages
-            .get_mut(start.0 as usize..start.0 as usize + len as usize)
-            .ok_or(MemError::NoSuchPage(PageId(total.max(start.0))))?;
+        let run = start.0 as usize..start.0 as usize + len as usize;
+        let slab = match self.pages.get_mut(run) {
+            Some(slab) => slab,
+            None => self.table_for_pins(start, len)?,
+        };
         for info in slab {
             info.pins += 1;
         }
-        self.total_pins += len as u64;
+        self.outstanding += u64::from(len);
+        self.total_pins += u64::from(len);
         Ok(())
+    }
+
+    /// [`PhysMem::pin_run`]'s slab for a run that leaves the page table:
+    /// pinning pages no one has allocated grows the table to them.
+    #[cold]
+    #[inline(never)]
+    fn table_for_pins(&mut self, start: PageId, len: u32) -> Result<&mut [PageInfo], MemError> {
+        self.check_run(start, len)?;
+        let run = start.0 as usize..start.0 as usize + len as usize;
+        self.materialise(run.end);
+        Ok(&mut self.pages[run])
     }
 
     /// Decrements the DMA pin count of `page`; completes a deferred free
     /// if one is pending and this was the last pin.
+    #[inline]
     pub fn unpin(&mut self, page: PageId) -> Result<(), MemError> {
-        let info = self
+        let Some(info) = self
             .pages
             .get_mut(page.0 as usize)
-            .ok_or(MemError::NoSuchPage(page))?;
-        if info.pins == 0 {
+            .filter(|info| info.pins > 0)
+        else {
+            // Pages past the table are unpinned.
+            self.check_run(page, 1)?;
             return Err(MemError::NotPinned(page));
-        }
+        };
         info.pins -= 1;
-        if info.pins == 0 {
+        let last = info.pins == 0;
+        self.outstanding -= 1;
+        if last {
             if let Some(idx) = self.pending_free.iter().position(|&p| p == page) {
                 self.pending_free.swap_remove(idx);
                 self.release(page);
@@ -334,25 +425,8 @@ impl PhysMem {
             } else {
                 (start, len)
             };
-        let total = self.pages.len() as u32;
-        if start.0 as u64 + len as u64 > total as u64 {
-            return Err(MemError::NoSuchPage(PageId(total.max(start.0))));
-        }
-        for i in 0..len {
-            let page = PageId(start.0 + i);
-            let info = &mut self.pages[page.0 as usize];
-            if info.pins == 0 {
-                return Err(MemError::NotPinned(page));
-            }
-            info.pins -= 1;
-            if info.pins == 0 {
-                if let Some(idx) = self.pending_free.iter().position(|&p| p == page) {
-                    self.pending_free.swap_remove(idx);
-                    self.release(page);
-                }
-            }
-        }
-        Ok(())
+        self.check_run(start, len)?;
+        (start.0..start.0 + len).try_for_each(|page| self.unpin(PageId(page)))
     }
 
     /// Number of pages owned by `owner`.
@@ -362,7 +436,7 @@ impl PhysMem {
 
     /// Sum of all outstanding pin counts.
     pub fn outstanding_pins(&self) -> u64 {
-        self.pages.iter().map(|p| p.pins as u64).sum()
+        self.outstanding
     }
 
     /// Lifetime count of pin operations (for reports).
@@ -375,24 +449,47 @@ impl PhysMem {
         self.total_transfers
     }
 
-    fn check_owner(&self, page: PageId, owner: DomainId) -> Result<(), MemError> {
-        let info = self.info(page)?;
-        if info.owner != Some(owner) {
-            return Err(MemError::NotOwner {
+    /// The page-table entry of `page`, if `owner` owns it.
+    #[inline]
+    fn owned_slot(&mut self, page: PageId, owner: DomainId) -> Result<&mut PageInfo, MemError> {
+        let total = self.total;
+        match self.pages.get_mut(page.0 as usize) {
+            Some(info) if info.owner == Some(owner) => Ok(info),
+            Some(&mut PageInfo { owner: actual, .. }) => Err(MemError::NotOwner {
                 page,
                 claimed: owner,
-                actual: info.owner,
-            });
+                actual,
+            }),
+            // Past the table every page is free.
+            None if page.0 < total => Err(MemError::NotOwner {
+                page,
+                claimed: owner,
+                actual: None,
+            }),
+            None => Err(MemError::NoSuchPage(page)),
+        }
+    }
+
+    /// Fails with the first page past the pool if the run
+    /// `[start, start + len)` leaves it.
+    fn check_run(&self, start: PageId, len: u32) -> Result<(), MemError> {
+        if u64::from(start.0) + u64::from(len) > u64::from(self.total) {
+            return Err(MemError::NoSuchPage(PageId(self.total.max(start.0))));
         }
         Ok(())
     }
 
+    /// Grows the page table to cover `[0, end)`.
+    fn materialise(&mut self, end: usize) {
+        if self.pages.len() < end {
+            self.pages.resize(end, FREE);
+        }
+    }
+
     fn release(&mut self, page: PageId) {
-        self.pages[page.0 as usize] = PageInfo {
-            owner: None,
-            pins: 0,
-        };
-        self.free_list.push_back(page);
+        let old = std::mem::replace(&mut self.pages[page.0 as usize], FREE);
+        self.outstanding -= u64::from(old.pins);
+        self.released.push_back(page);
     }
 }
 
@@ -669,6 +766,258 @@ mod tests {
             Err(MemError::NotPinned(pages[1]))
         );
         assert_eq!(mem.outstanding_pins(), 0, "first page was unpinned");
+    }
+
+    /// The pool as it was before the fresh-page cursor: an eager page
+    /// table and a FIFO free list of every free page, with the pin total
+    /// read by a scan. [`PhysMem`] must match it operation for
+    /// operation.
+    struct EagerPool {
+        pages: Vec<PageInfo>,
+        free_list: VecDeque<PageId>,
+        pending_free: Vec<PageId>,
+        total_pins: u64,
+        total_transfers: u64,
+    }
+
+    impl EagerPool {
+        fn new(pages: u32) -> Self {
+            EagerPool {
+                pages: vec![FREE; pages as usize],
+                free_list: (0..pages).map(PageId).collect(),
+                pending_free: Vec::new(),
+                total_pins: 0,
+                total_transfers: 0,
+            }
+        }
+
+        fn info(&self, page: PageId) -> Result<PageInfo, MemError> {
+            let info = self.pages.get(page.0 as usize).copied();
+            info.ok_or(MemError::NoSuchPage(page))
+        }
+
+        fn outstanding_pins(&self) -> u64 {
+            self.pages.iter().map(|p| u64::from(p.pins)).sum()
+        }
+
+        fn alloc(&mut self, owner: DomainId) -> Result<PageId, MemError> {
+            let page = self.free_list.pop_front().ok_or(MemError::OutOfMemory)?;
+            self.pages[page.0 as usize] = PageInfo {
+                owner: Some(owner),
+                pins: 0,
+            };
+            Ok(page)
+        }
+
+        fn alloc_many(&mut self, owner: DomainId, n: u32) -> Result<Vec<PageId>, MemError> {
+            if (self.free_list.len() as u32) < n {
+                return Err(MemError::OutOfMemory);
+            }
+            (0..n).map(|_| self.alloc(owner)).collect()
+        }
+
+        fn alloc_contiguous(&mut self, owner: DomainId, n: u32) -> Result<PageId, MemError> {
+            let (mut run_start, mut run_len) = (0u32, 0u32);
+            for id in 0..self.pages.len() as u32 {
+                let info = self.pages[id as usize];
+                if info.owner.is_none() && info.pins == 0 && self.free_list.contains(&PageId(id)) {
+                    if run_len == 0 {
+                        run_start = id;
+                    }
+                    run_len += 1;
+                    if run_len == n {
+                        let run = PageId(run_start)..=PageId(id);
+                        self.free_list.retain(|q| !run.contains(q));
+                        for p in run_start..=id {
+                            self.pages[p as usize].owner = Some(owner);
+                        }
+                        return Ok(PageId(run_start));
+                    }
+                } else {
+                    run_len = 0;
+                }
+            }
+            Err(MemError::OutOfMemory)
+        }
+
+        fn check_owner(&self, page: PageId, owner: DomainId) -> Result<(), MemError> {
+            let actual = self.info(page)?.owner;
+            if actual != Some(owner) {
+                return Err(MemError::NotOwner {
+                    page,
+                    claimed: owner,
+                    actual,
+                });
+            }
+            Ok(())
+        }
+
+        fn free(&mut self, owner: DomainId, page: PageId) -> Result<(), MemError> {
+            self.check_owner(page, owner)?;
+            if self.pages[page.0 as usize].pins > 0 {
+                if !self.pending_free.contains(&page) {
+                    self.pending_free.push(page);
+                }
+                return Err(MemError::Pinned(page));
+            }
+            self.release(page);
+            Ok(())
+        }
+
+        fn transfer(&mut self, page: PageId, from: DomainId, to: DomainId) -> Result<(), MemError> {
+            self.check_owner(page, from)?;
+            if self.pages[page.0 as usize].pins > 0 {
+                return Err(MemError::Pinned(page));
+            }
+            self.pages[page.0 as usize].owner = Some(to);
+            self.total_transfers += 1;
+            Ok(())
+        }
+
+        fn run(&self, start: PageId, len: u32) -> Result<std::ops::Range<usize>, MemError> {
+            let run = start.0 as usize..start.0 as usize + len as usize;
+            if run.end > self.pages.len() {
+                let total = self.pages.len() as u32;
+                return Err(MemError::NoSuchPage(PageId(total.max(start.0))));
+            }
+            Ok(run)
+        }
+
+        fn validate_run(&self, owner: DomainId, start: PageId, len: u32) -> Result<(), MemError> {
+            for id in self.run(start, len)? {
+                self.check_owner(PageId(id as u32), owner)?;
+            }
+            Ok(())
+        }
+
+        fn pin_run(&mut self, start: PageId, len: u32) -> Result<(), MemError> {
+            for id in self.run(start, len)? {
+                self.pages[id].pins += 1;
+            }
+            self.total_pins += u64::from(len);
+            Ok(())
+        }
+
+        fn unpin_run(&mut self, start: PageId, len: u32) -> Result<(), MemError> {
+            for id in self.run(start, len)? {
+                let page = PageId(id as u32);
+                if self.pages[id].pins == 0 {
+                    return Err(MemError::NotPinned(page));
+                }
+                self.pages[id].pins -= 1;
+                if self.pages[id].pins == 0 {
+                    if let Some(idx) = self.pending_free.iter().position(|&p| p == page) {
+                        self.pending_free.swap_remove(idx);
+                        self.release(page);
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        fn release(&mut self, page: PageId) {
+            self.pages[page.0 as usize] = FREE;
+            self.free_list.push_back(page);
+        }
+    }
+
+    /// splitmix64: a seeded operation stream without a dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn matches_the_eager_pool_on_a_seeded_operation_mix() {
+        const TOTAL: u32 = 40;
+        let mut skipped_seen = false;
+        for seed in 0..12u64 {
+            let (mut mem, mut eager) = (PhysMem::new(TOTAL), EagerPool::new(TOTAL));
+            let mut rng = seed;
+            for step in 0..2_500 {
+                let r = next(&mut rng);
+                let pick = |k: u32| ((r >> 8) % u64::from(k)) as u32;
+                // Pages up to two past the pool, so `NoSuchPage` shows up.
+                let page = PageId(pick(TOTAL + 2));
+                let len = ((r >> 40) % 4) as u32;
+                let who = guest(((r >> 48) % 3) as u16);
+                // Mostly act as the real owner, so frees and transfers land.
+                let owner = match eager.info(page) {
+                    Ok(PageInfo { owner: Some(o), .. }) if !(r >> 56).is_multiple_of(5) => o,
+                    _ => who,
+                };
+                let op = r % 100;
+                let (got, want) = match op {
+                    0..=14 => (
+                        mem.alloc(who).map(|p| vec![p]),
+                        eager.alloc(who).map(|p| vec![p]),
+                    ),
+                    15..=19 => (mem.alloc_many(who, len), eager.alloc_many(who, len)),
+                    20..=29 => (
+                        mem.alloc_contiguous(who, len + 1).map(|p| vec![p]),
+                        eager.alloc_contiguous(who, len + 1).map(|p| vec![p]),
+                    ),
+                    30..=49 => (
+                        mem.free(owner, page).map(|()| vec![]),
+                        eager.free(owner, page).map(|()| vec![]),
+                    ),
+                    50..=59 => (
+                        mem.pin(page).map(|()| vec![]),
+                        eager.pin_run(page, 1).map(|()| vec![]),
+                    ),
+                    60..=66 => (
+                        mem.pin_run(page, len).map(|()| vec![]),
+                        eager.pin_run(page, len).map(|()| vec![]),
+                    ),
+                    67..=76 => (
+                        mem.unpin(page).map(|()| vec![]),
+                        eager.unpin_run(page, 1).map(|()| vec![]),
+                    ),
+                    77..=84 => (
+                        mem.unpin_run(page, len).map(|()| vec![]),
+                        eager.unpin_run(page, len).map(|()| vec![]),
+                    ),
+                    85..=94 => (
+                        mem.transfer(page, owner, who).map(|()| vec![]),
+                        eager.transfer(page, owner, who).map(|()| vec![]),
+                    ),
+                    _ => (
+                        mem.validate_run(owner, page, len).map(|()| vec![]),
+                        eager.validate_run(owner, page, len).map(|()| vec![]),
+                    ),
+                };
+                let at = format!("seed {seed} step {step} op {op} page {page:?} len {len}");
+                assert_eq!(got, want, "{at}");
+                for p in (0..TOTAL + 2).map(PageId) {
+                    assert_eq!(mem.info(p), eager.info(p), "{at}: {p:?}");
+                }
+                assert_eq!(mem.free_pages(), eager.free_list.len() as u32, "{at}");
+                assert_eq!(mem.outstanding_pins(), eager.outstanding_pins(), "{at}");
+                let scanned: u64 = mem.pages.iter().map(|p| u64::from(p.pins)).sum();
+                assert_eq!(mem.outstanding_pins(), scanned, "{at}: running total");
+                assert_eq!(mem.total_pins(), eager.total_pins, "{at}");
+                assert_eq!(mem.total_transfers(), eager.total_transfers, "{at}");
+                skipped_seen |= !mem.skipped.is_empty();
+            }
+        }
+        assert!(
+            skipped_seen,
+            "the mix never stepped over a pinned free page"
+        );
+    }
+
+    #[test]
+    fn a_new_pool_holds_no_page_table() {
+        let mut mem = PhysMem::new(69_600);
+        assert_eq!(mem.pages.len(), 0);
+        assert_eq!(mem.free_pages(), 69_600);
+        mem.alloc_many(guest(0), 3).unwrap();
+        mem.pin(PageId(10)).unwrap();
+        assert_eq!(mem.pages.len(), 11, "the table covers what was touched");
+        assert_eq!(mem.info(PageId(69_599)).unwrap(), FREE);
     }
 
     #[test]

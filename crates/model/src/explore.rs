@@ -1,5 +1,5 @@
-//! Depth-first schedule exploration over rebuilt worlds, plus the
-//! invariant suite every explored schedule must satisfy.
+//! Depth-first schedule exploration over clones of one primed world,
+//! plus the invariant suite every explored schedule must satisfy.
 //!
 //! [`explore`] searches one configuration's decision tree depth-first;
 //! [`explore_matrix`] runs a whole configuration matrix, one cell per
@@ -21,7 +21,7 @@ use crate::queue::{lock, Controller, PermutationQueue};
 pub struct ExploreConfig {
     /// Human-readable identifier, stable across runs (used in reports).
     pub label: String,
-    /// The configuration every schedule rebuilds from.
+    /// The configuration of the world every schedule starts from.
     pub cfg: TestbedConfig,
     /// Stop after this many schedules even if branches remain.
     pub max_schedules: u64,
@@ -128,45 +128,75 @@ pub fn check_invariants(world: &SystemWorld) -> Vec<String> {
     out
 }
 
-/// Runs one schedule: rebuild the world, replay `prefix`, run to the
-/// end of the measurement window, audit. Returns the controller (for
-/// backtracking), the violations, and the events processed. A panic
-/// inside the schedule counts as a violation of its own.
-fn run_schedule(
-    job: &ExploreConfig,
-    prefix: Vec<usize>,
-) -> (Arc<Mutex<Controller>>, Vec<String>, u64) {
-    let ctrl = Arc::new(Mutex::new(Controller::new(prefix, job.max_depth)));
-    let queue = PermutationQueue::with_window(Arc::clone(&ctrl), job.tie_window);
-    let end = job.cfg.warmup + job.cfg.measure;
-    let cfg = job.cfg.clone();
-    let outcome = catch_unwind(AssertUnwindSafe(move || {
-        let mut sim = Simulation::with_event_queue(SystemWorld::build(cfg), Box::new(queue));
-        let primed: Vec<(SimTime, Event)> = sim.world_mut().prime();
-        for (t, e) in primed {
-            sim.schedule(t, e);
+/// A cell's world, built and primed once: every schedule runs on a
+/// clone of `world` with a copy of `events` enqueued.
+struct PrimedCell {
+    world: SystemWorld,
+    events: Vec<(SimTime, Event)>,
+}
+
+impl PrimedCell {
+    fn build(cfg: TestbedConfig) -> Self {
+        let mut world = SystemWorld::build(cfg);
+        let events = world.prime();
+        PrimedCell { world, events }
+    }
+
+    /// Runs a clone of the primed world under `queue` to `end` and
+    /// brings its shadow up to date; returns the world and the events
+    /// processed.
+    fn run_clone(&self, queue: PermutationQueue, end: SimTime) -> (SystemWorld, u64) {
+        let mut sim = Simulation::with_event_queue(self.world.clone(), Box::new(queue));
+        for (t, e) in &self.events {
+            sim.schedule(*t, e.clone());
         }
         sim.run_until(end);
         let events = sim.events_processed();
         let mut world = sim.into_world();
         world.shadow_sync();
-        (check_invariants(&world), events)
-    }));
+        (world, events)
+    }
+}
+
+/// The message of a caught panic.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// Runs one schedule: replay `prefix` on a clone of the cell's primed
+/// world, run to the end of the measurement window, audit. Returns the
+/// controller (for backtracking), the violations, and the events
+/// processed. A panic inside the schedule, or the one that stopped the
+/// cell's build (`cell` is then its message), counts as a violation of
+/// its own.
+fn run_schedule(
+    job: &ExploreConfig,
+    cell: Result<&PrimedCell, &str>,
+    prefix: Vec<usize>,
+) -> (Arc<Mutex<Controller>>, Vec<String>, u64) {
+    let ctrl = Arc::new(Mutex::new(Controller::new(prefix, job.max_depth)));
+    let queue = PermutationQueue::with_window(Arc::clone(&ctrl), job.tie_window);
+    let end = job.cfg.warmup + job.cfg.measure;
+    let outcome = cell.map_err(str::to_string).and_then(|cell| {
+        catch_unwind(AssertUnwindSafe(|| {
+            let (world, events) = cell.run_clone(queue, end);
+            (check_invariants(&world), events)
+        }))
+        .map_err(panic_message)
+    });
     match outcome {
         Ok((violations, events)) => (ctrl, violations, events),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            (ctrl, vec![format!("panic during schedule: {msg}")], 0)
-        }
+        Err(msg) => (ctrl, vec![format!("panic during schedule: {msg}")], 0),
     }
 }
 
 /// Explores `job` depth-first until the decision tree is exhausted or
-/// `max_schedules` is reached.
+/// `max_schedules` is reached. The cell's world is built and primed
+/// once; every schedule runs on a clone of it.
 pub fn explore(job: &ExploreConfig) -> Exploration {
     let mut result = Exploration {
         label: job.label.clone(),
@@ -178,9 +208,12 @@ pub fn explore(job: &ExploreConfig) -> Exploration {
         exhausted: false,
         depth_truncated: false,
     };
+    let cell = catch_unwind(AssertUnwindSafe(|| PrimedCell::build(job.cfg.clone())))
+        .map_err(panic_message);
     let mut prefix = Vec::new();
     loop {
-        let (ctrl, violations, events) = run_schedule(job, prefix);
+        let (ctrl, violations, events) =
+            run_schedule(job, cell.as_ref().map_err(String::as_str), prefix);
         result.schedules += 1;
         result.events += events;
         result.violations += violations.len() as u64;
@@ -296,4 +329,77 @@ pub fn default_matrix(
         }
     }
     jobs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cdna_system::report_from_world;
+
+    /// Everything a finished schedule is judged by.
+    fn outcome(world: &mut SystemWorld, events: u64) -> (u64, Vec<String>, String, String) {
+        let shadow = format!("{:?}", world.shadow().map(|s| s.violations()));
+        let report = report_from_world(world, events, true).to_json();
+        (events, check_invariants(world), shadow, report)
+    }
+
+    fn queue(job: &ExploreConfig, prefix: Vec<usize>) -> PermutationQueue {
+        let ctrl = Arc::new(Mutex::new(Controller::new(prefix, job.max_depth)));
+        PermutationQueue::with_window(ctrl, job.tie_window)
+    }
+
+    /// Two schedules on clones of one primed cell and one on a freshly
+    /// built world agree, and leave the cell as it was: a `Clone` that
+    /// shared state between copies would fail here.
+    #[test]
+    fn clones_of_a_primed_cell_run_like_a_freshly_built_world() {
+        // Windows long enough for a report: a dispatch that straddles
+        // the window's end must stay within the ledger's 1 % tolerance.
+        let mut forked = 0;
+        for job in default_matrix(30_000, 2, 64, 2000) {
+            let cell = PrimedCell::build(job.cfg.clone());
+            let before = format!("{:?}", (&cell.world, &cell.events));
+            let end = job.cfg.warmup + job.cfg.measure;
+            // A prefix that takes a second branch, where the tree has one.
+            let (ctrl, _, _) = run_schedule(&job, Ok(&cell), Vec::new());
+            let prefix = lock(&ctrl).next_prefix().unwrap_or_default();
+            forked += usize::from(!prefix.is_empty());
+
+            let mut fresh = Simulation::with_event_queue(
+                SystemWorld::build(job.cfg.clone()),
+                Box::new(queue(&job, prefix.clone())),
+            );
+            for (t, e) in fresh.world_mut().prime() {
+                fresh.schedule(t, e);
+            }
+            fresh.run_until(end);
+            let events = fresh.events_processed();
+            let mut world = fresh.into_world();
+            world.shadow_sync();
+            let want = outcome(&mut world, events);
+
+            for _ in 0..2 {
+                let (mut world, events) = cell.run_clone(queue(&job, prefix.clone()), end);
+                assert_eq!(outcome(&mut world, events), want, "{}", job.label);
+            }
+            assert_eq!(format!("{:?}", (&cell.world, &cell.events)), before);
+        }
+        assert!(forked > 0, "no cell took a second branch");
+    }
+
+    #[test]
+    fn a_build_that_panics_is_one_schedule_with_one_violation() {
+        let mut job = default_matrix(1000, 5, 64, 2000).remove(0);
+        job.cfg.guests = 1;
+        job.cfg.inter_guest = true;
+        let run = explore(&job);
+        assert_eq!((run.schedules, run.violations, run.events), (1, 1, 0));
+        assert!(run.exhausted);
+        assert!(
+            run.sample[0]
+                .ends_with("panic during schedule: inter-VM traffic needs two virtualized guests"),
+            "{:?}",
+            run.sample
+        );
+    }
 }

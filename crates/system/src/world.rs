@@ -108,7 +108,7 @@ const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 /// ring spans the oldest uncompleted id onward, so a completion takes
 /// its own frame by id in whatever order completions are delivered
 /// (`cdna-model` reorders same-NIC events inside its tie window).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct TxSlots {
     /// Id of `slots[0]`.
     base: u64,
@@ -138,7 +138,7 @@ impl TxSlots {
 }
 
 /// A physical NIC plus its link.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)] // a handful of slots exist per machine
 pub enum NicSlot {
     /// Conventional single-context device.
@@ -210,7 +210,7 @@ pub struct HostRx {
 }
 
 /// A physical driver instance inside a domain, per NIC.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum PhysDriver {
     /// Native driver for a conventional NIC.
     Native(NativeDriver),
@@ -219,7 +219,7 @@ pub enum PhysDriver {
 }
 
 /// What a domain does.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Role {
     /// The driver domain on the Xen software-virtualized path.
     DriverXen {
@@ -246,7 +246,7 @@ pub enum Role {
 }
 
 /// One domain's scheduling and I/O state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DomainState {
     /// The domain's id.
     pub id: DomainId,
@@ -320,7 +320,7 @@ impl HotIds {
 /// harness replays the descriptor sequence streams the hypervisor
 /// produced since the last pass, diffs the engines' pinned-buffer lists
 /// into the page mirror, and then runs the mirror-vs-reality audits.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct ShadowHarness {
     shadow: DmaShadow,
     /// Next unread descriptor-ring index per (nic, ctx, dir).
@@ -371,7 +371,7 @@ struct CounterSnap {
 }
 
 /// Measurement state.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Meters {
     /// TCP payload bytes arriving at the peer (transmit throughput).
     pub tx_payload: RateMeter,
@@ -403,7 +403,11 @@ pub struct EgressFrame {
 }
 
 /// The complete simulated machine.
-#[derive(Debug)]
+///
+/// A clone is a deep copy: no part of the machine is shared between
+/// copies, so `cdna-model` can prime one world per configuration and
+/// run every explored schedule on its own clone.
+#[derive(Debug, Clone)]
 pub struct SystemWorld {
     /// Run configuration.
     pub cfg: TestbedConfig,
@@ -1076,13 +1080,11 @@ impl SystemWorld {
                         h.shadow.reset_seq_on(nic as u16, ctx, dir);
                         *cur = oldest;
                     }
-                    while *cur < prod {
-                        if let Ok(desc) = self.rings.read(ring, *cur) {
-                            h.shadow
-                                .observe_seq_on(nic as u16, ctx, dir, desc.seq, modulus);
-                        }
-                        *cur += 1;
-                    }
+                    let rings = &self.rings;
+                    let seqs = (*cur..prod).filter_map(|i| rings.read(ring, i).ok().map(|d| d.seq));
+                    h.shadow
+                        .observe_seqs_on(nic as u16, ctx, dir, seqs, modulus);
+                    *cur = prod.max(*cur);
                 }
             }
         }

@@ -24,9 +24,13 @@
 //! in `check` and `system` attaches it to the world, so the checker's
 //! shadow layer is a dependency of the testbed, not vice versa.)
 //!
-//! Both manifest dependency entries and `use cdna_*` imports are edges;
-//! a back-edge (or same-layer edge) is a diagnostic at the offending
-//! line.
+//! The edges are the `cdna-*` entries of every `*dependencies` table
+//! in the workspace manifests, `[dev-dependencies]` and
+//! `[target.'…'.dependencies]` included; a back-edge (or same-layer
+//! edge) is a diagnostic at the offending manifest line. Source
+//! imports need no scan of their own: rustc rejects a `use cdna_*` of
+//! a crate the manifest does not declare, so every import back-edge
+//! is already a manifest back-edge.
 //!
 //! # Must-pair
 //!
@@ -116,18 +120,6 @@ impl Pass for LayeringPass {
         };
         for dep in &graph.manifest_deps {
             push(&dep.from, &dep.to, &dep.file, dep.line);
-        }
-        for f in &graph.files {
-            let Some(from) = f.symbols.crate_key.as_deref() else {
-                continue;
-            };
-            for u in &f.symbols.uses {
-                if let Some(to) = u.target.strip_prefix("cdna_") {
-                    if to != from {
-                        push(from, to, &f.symbols.rel, u.line);
-                    }
-                }
-            }
         }
         out
     }
@@ -319,28 +311,7 @@ fn manifest_dep_edges(rel: &str, text: &str) -> Vec<ManifestDep> {
         return Vec::new();
     };
     let mut out = Vec::new();
-    let mut in_deps = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let l = raw.trim();
-        if l.starts_with('[') {
-            let inner = l.trim_matches(|c| c == '[' || c == ']');
-            let parts: Vec<&str> = inner.split('.').collect();
-            // `[workspace.dependencies]` is the version table, not an
-            // edge; real edges live in the package's own dep sections.
-            in_deps = parts.first() != Some(&"workspace")
-                && parts
-                    .last()
-                    .map(|p| p.ends_with("dependencies"))
-                    .unwrap_or(false);
-            continue;
-        }
-        if !in_deps {
-            continue;
-        }
-        let Some(name) = l.split('=').next() else {
-            continue;
-        };
-        let name = name.trim().trim_end_matches(".workspace").trim();
+    let mut edge = |name: &str, idx: usize| {
         if let Some(to) = name.strip_prefix("cdna-") {
             out.push(ManifestDep {
                 from: from.clone(),
@@ -349,6 +320,32 @@ fn manifest_dep_edges(rel: &str, text: &str) -> Vec<ManifestDep> {
                 line: idx as u32 + 1,
             });
         }
+    };
+    let mut in_deps = false;
+    for (idx, raw) in text.lines().enumerate() {
+        let l = raw.trim();
+        if l.starts_with('[') {
+            let inner = l.trim_matches(|c| c == '[' || c == ']');
+            let parts: Vec<&str> = inner.split('.').collect();
+            let deps = |p: &str| p.ends_with("dependencies");
+            // `[workspace.dependencies]` is the version table, not an
+            // edge; real edges live in the package's own dep sections.
+            let package = parts.first() != Some(&"workspace");
+            in_deps = package && parts.last().is_some_and(|p| deps(p));
+            // `[dependencies.cdna-x]` declares one dependency per table.
+            if let [.., table, name] = parts[..] {
+                if package && deps(table) {
+                    edge(name, idx);
+                }
+            }
+            continue;
+        }
+        if !in_deps {
+            continue;
+        }
+        // `cdna-x = …`, or a dotted key such as `cdna-x.workspace = true`.
+        let key = l.split('=').next().unwrap_or("").trim();
+        edge(key.split('.').next().unwrap_or(""), idx);
     }
     out
 }
@@ -421,13 +418,12 @@ pub fn analyze_jobs(files: &[SourceFile], manifests: &[(String, String)], jobs: 
         .collect();
 
     let graph = SymbolGraph::build(graph_files, manifest_deps);
-    let passes: [&dyn Pass; 10] = [
+    let passes: [&dyn Pass; 9] = [
         &LayeringPass,
         &MustPairPass,
         &ExhaustiveFaultPass,
         &crate::taint::GuestTaintPass,
         &crate::locks::LockOrderPass,
-        &crate::locks::SendAuditPass,
         &crate::determinism::MergeOrderPass,
         &crate::determinism::ClockPurityPass,
         &crate::determinism::JobsLeakPass,
@@ -489,26 +485,52 @@ mod tests {
         a.diagnostics.iter().map(|d| (d.rule, d.line)).collect()
     }
 
+    fn manifest(rel: &str, text: &str) -> (String, String) {
+        (rel.to_string(), text.to_string())
+    }
+
     #[test]
-    fn layering_back_edge_fires_on_use_line() {
+    fn layering_reads_dev_target_and_table_dependencies() {
+        // Test files import through `[dev-dependencies]`, so a back-edge
+        // there must fire like a normal one; so must platform tables,
+        // one-table-per-dependency entries and dotted keys.
+        let text = "[package]\nname = \"cdna-sim\"\n\
+                    [dev-dependencies]\ncdna-system.workspace = true\n\
+                    [target.'cfg(unix)'.dependencies]\ncdna-bench = { path = \"../bench\" }\n\
+                    [dependencies.cdna-rack]\nworkspace = true\n\
+                    [build-dependencies]\ncdna-model.path = \"../model\"\n";
+        let a = analyze(&[], &[manifest("crates/sim/Cargo.toml", text)]);
+        assert_eq!(
+            rules_of(&a),
+            [
+                ("layering", 4),
+                ("layering", 6),
+                ("layering", 7),
+                ("layering", 10)
+            ],
+            "{:?}",
+            a.diagnostics
+        );
+        // A source import on its own is not an edge: rustc rejects it
+        // unless the manifest declares the crate, and that declaration
+        // is what fires.
         let a = analyze(
             &[lib(
-                "crates/sim/src/bad.rs",
-                "//! Doc.\nuse cdna_system::TestbedConfig;\n",
+                "crates/sim/src/x.rs",
+                "//! Doc.\nuse cdna_system::X;\n",
             )],
             &[],
         );
-        assert_eq!(rules_of(&a), [("layering", 2)], "{:?}", a.diagnostics);
+        assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
     }
 
     #[test]
     fn layering_manifest_edge_fires() {
         let a = analyze(
             &[],
-            &[(
-                "crates/mem/Cargo.toml".to_string(),
-                "[package]\nname = \"cdna-mem\"\n[dependencies]\ncdna-system.workspace = true\n"
-                    .to_string(),
+            &[manifest(
+                "crates/mem/Cargo.toml",
+                "[package]\nname = \"cdna-mem\"\n[dependencies]\ncdna-system.workspace = true\n",
             )],
         );
         assert_eq!(rules_of(&a), [("layering", 4)], "{:?}", a.diagnostics);
@@ -517,11 +539,19 @@ mod tests {
     #[test]
     fn forward_edges_are_clean() {
         let a = analyze(
-            &[lib(
-                "crates/system/src/ok.rs",
-                "//! Doc.\nuse cdna_mem::PageId;\nuse cdna_sim::SimTime;\nuse std::fmt;\n",
-            )],
             &[],
+            &[
+                manifest(
+                    "crates/system/Cargo.toml",
+                    "[dependencies]\ncdna-mem.workspace = true\ncdna-sim.workspace = true\n\
+                     [dev-dependencies]\ncdna-trace.workspace = true\n",
+                ),
+                // The root's version table lists every crate, and is no edge.
+                manifest(
+                    "Cargo.toml",
+                    "[workspace.dependencies]\ncdna-fuzz = { path = \"crates/fuzz\" }\n",
+                ),
+            ],
         );
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
     }
@@ -583,20 +613,24 @@ mod tests {
 
     #[test]
     fn multi_rule_allow_credits_each_rule_separately() {
-        // One annotation naming two rules is two entries: `layering`
-        // suppresses the back-edge below it, `exhaustive-fault` has
-        // nothing to suppress and is reported as unused.
-        let src = "//! Doc.\n// cdna-check: allow(layering, exhaustive-fault): both\nuse cdna_system::X;\n";
-        let a = analyze(&[lib("crates/sim/src/bad.rs", src)], &[]);
-        assert_eq!(rules_of(&a), [("unused-allow", 2)], "{:?}", a.diagnostics);
+        // One annotation naming two rules is two entries: `must-pair`
+        // suppresses the leaking fall-through below it,
+        // `exhaustive-fault` has nothing to suppress and is reported as
+        // unused.
+        let src = "//! Doc.\nfn leak(m: &mut M) {\n    m.pin_run(s, l);\n// cdna-check: allow(must-pair, exhaustive-fault): both\n}\n";
+        let a = analyze(&[pin_defs(), lib("crates/core/src/x.rs", src)], &[]);
+        assert_eq!(rules_of(&a), [("unused-allow", 4)], "{:?}", a.diagnostics);
         assert!(a.diagnostics[0].message.contains("exhaustive-fault"));
         assert_eq!(a.allow_count, 2);
     }
 
     #[test]
     fn allow_suppresses_graph_rules_too() {
-        let src = "//! Doc.\n// cdna-check: allow(layering): transitional\nuse cdna_system::X;\n";
-        let a = analyze(&[lib("crates/sim/src/bad.rs", src)], &[]);
+        // `must-pair` resolves `pin_run` across files through the
+        // symbol graph; its finding is suppressed like a local one.
+        let src = "//! Doc.\nfn leak(m: &mut M) {\n    m.pin_run(s, l);\n    // cdna-check: allow(must-pair): transitional\n}\n";
+        let a = analyze(&[pin_defs(), lib("crates/core/src/x.rs", src)], &[]);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
+        assert_eq!(a.allow_count, 1);
     }
 }

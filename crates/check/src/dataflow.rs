@@ -11,8 +11,8 @@
 //!   (`vulnerable(f)` for taint, transitive lock-acquisition sets for
 //!   lock-order);
 //! * token-walk utilities (statement boundaries, enclosing blocks,
-//!   `let` bindings, call-argument regions, local constructor types)
-//!   used to approximate def-use facts without a real CFG.
+//!   `let` bindings, call-argument regions) used to approximate def-use
+//!   facts without a real CFG.
 //!
 //! Everything stays name-resolved and token-linear — the same
 //! deliberate imprecision as the rest of cdna-check, which is exactly
@@ -231,41 +231,6 @@ pub fn arg_region(body: &[Token], call_pos: usize) -> (usize, usize) {
     (open + 1, body.len())
 }
 
-/// Local `let` constructor types: `let q = Type::ctor(..)`,
-/// `let q: Type = ..` and `let q = Type { .. }` all map `q → Type`.
-/// Only uppercase-initial type names count (path heads like `std` or
-/// locals never start a type in this codebase's style).
-pub fn local_types(body: &[Token]) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    for (i, t) in body.iter().enumerate() {
-        if !(t.is_ident && t.text == "let") {
-            continue;
-        }
-        let mut j = i + 1;
-        if body.get(j).map(|t| t.text.as_str()) == Some("mut") {
-            j += 1;
-        }
-        let Some(name) = body.get(j).filter(|t| t.is_ident) else {
-            continue;
-        };
-        let name = name.text.clone();
-        // Scan the rest of the statement for the first uppercase-headed
-        // type name: works for ascriptions and constructor calls alike.
-        let stop = body[j..]
-            .iter()
-            .position(|t| t.text == ";")
-            .map(|p| j + p)
-            .unwrap_or(body.len());
-        if let Some(c) = body[j + 1..stop]
-            .iter()
-            .find(|c| c.is_ident && c.text.starts_with(|ch: char| ch.is_ascii_uppercase()))
-        {
-            out.insert(name, c.text.clone());
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,12 +274,10 @@ mod tests {
     }
 
     #[test]
-    fn arg_regions_and_local_types() {
+    fn arg_regions_span_the_call_parens() {
         let b = toks(
             "let q = PermutationQueue::with_window(a, 3); sim.with_event_queue(w, Box::new(q));",
         );
-        let types = local_types(&b);
-        assert_eq!(types.get("q").map(String::as_str), Some("PermutationQueue"));
         let cp = b.iter().position(|t| t.text == "with_event_queue").unwrap();
         let (s, e) = arg_region(&b, cp);
         let idents: Vec<&str> = b[s..e]

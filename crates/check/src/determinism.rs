@@ -14,8 +14,7 @@
 //!   index-ordered slot (`lock(&slots[i])`) or follow the fan-out with
 //!   a deterministically keyed sort. Arrival-order appends to locked
 //!   shared state inside the worker region — directly or through a
-//!   callee — and merge paths that iterate an unordered `Hash*`
-//!   container are flagged.
+//!   callee — are flagged.
 //! * **CDNA015 `clock-purity`** — interprocedural taint from
 //!   `Instant::now` / `SystemTime` / `.elapsed()` sources into any
 //!   serialized sink (the `cdna_trace` `JsonWriter` emitters). The one
@@ -32,9 +31,13 @@
 //!   its worker count.
 //! * **CDNA017 `float-accum`** — `f64` addition does not reassociate,
 //!   so an order-sensitive reduction (`sum` / `product` / `fold`) over
-//!   arrival-order-merged or `Hash*`-ordered data is nondeterministic
-//!   even when the multiset of inputs is identical. Reductions over
-//!   index-ordered fan-out results are fine: their order is fixed.
+//!   arrival-order-merged data is nondeterministic even when the
+//!   multiset of inputs is identical. Reductions over index-ordered
+//!   fan-out results are fine: their order is fixed.
+//!
+//! Hash-ordered merges and reductions need no pass: `clippy.toml`'s
+//! `disallowed-types` bans `HashMap` and `HashSet` in every target, and
+//! the CI `lint` job runs clippy with `-D warnings`.
 //!
 //! Like the rest of cdna-check, the analyses are name-resolved and
 //! token-linear. Taint propagates through `let` bindings and
@@ -45,8 +48,7 @@
 //! positives on deterministic per-item data.
 
 use crate::dataflow::{
-    arg_region, enclosing_block_end, let_binding, local_types, statement_start, temporary_end,
-    Dataflow,
+    arg_region, enclosing_block_end, let_binding, statement_start, temporary_end, Dataflow,
 };
 use crate::graph::{GraphFile, Pass, SymbolGraph};
 use crate::lexer::Token;
@@ -82,9 +84,6 @@ const SORT_FNS: &[&str] = &[
 /// their home crate. Everything the repo compares flows through these.
 const SINK_FNS: &[&str] = &["string", "number_u64", "number_f64", "boolean"];
 const SINK_HOME: &[&str] = &["trace"];
-
-/// Iteration entry points whose order is the container's.
-const ITER_FNS: &[&str] = &["iter", "iter_mut", "into_iter", "keys", "values", "drain"];
 
 /// Order-sensitive floating-point reductions.
 const REDUCE_FNS: &[&str] = &["sum", "product", "fold"];
@@ -415,10 +414,8 @@ impl Pass for MergeOrderPass {
             let file = df.file(n);
             let pushes = shared_pushes(&df, f);
             let mut flagged_lines: BTreeSet<u32> = BTreeSet::new();
-            let mut merge_start = usize::MAX;
             for c in &fan_outs {
                 let (rs, re) = arg_region(&f.body, c.pos);
-                merge_start = merge_start.min(re);
                 // A deterministically keyed sort after the fan-out
                 // discharges arrival-order merges for this site.
                 let sorted_after = f
@@ -472,45 +469,6 @@ impl Pass for MergeOrderPass {
                             });
                         }
                     }
-                }
-            }
-            // Unordered-container merges: iterating a Hash* local after
-            // the fan-out feeds hash order into the merged result.
-            let types = local_types(&f.body);
-            let hash_local = |t: &Token| {
-                t.is_ident
-                    && types
-                        .get(&t.text)
-                        .map(|ty| ty.starts_with("Hash"))
-                        .unwrap_or(false)
-            };
-            for (i, t) in f.body.iter().enumerate() {
-                if i < merge_start {
-                    continue;
-                }
-                let in_for = t.text == "for"
-                    && f.body[i + 1..]
-                        .iter()
-                        .take_while(|x| x.text != "{")
-                        .skip_while(|x| x.text != "in")
-                        .any(hash_local);
-                let in_iter = ITER_FNS.contains(&t.text.as_str())
-                    && i >= 2
-                    && f.body[i - 1].text == "."
-                    && hash_local(&f.body[i - 2])
-                    && f.body.get(i + 1).map(|x| x.text.as_str()) == Some("(");
-                if (in_for || in_iter) && flagged_lines.insert(t.line) {
-                    out.push(Diagnostic {
-                        rule: self.rule(),
-                        file: file.symbols.rel.clone(),
-                        line: t.line,
-                        message: format!(
-                            "`{}` iterates an unordered `Hash*` container in the merge \
-                             path after its fan-out; use a BTree container or sort \
-                             before merging",
-                            f.name,
-                        ),
-                    });
                 }
             }
         }
@@ -805,9 +763,8 @@ impl Pass for FloatAccumPass {
             }
             let file = df.file(n);
             // Order-unstable data: arrival-order-merged lock targets
-            // (unless later sorted) and Hash*-typed locals. Plain
-            // fan-out results are index-ordered and perfectly fine to
-            // reduce.
+            // (unless later sorted). Plain fan-out results are
+            // index-ordered and perfectly fine to reduce.
             let mut unstable: BTreeSet<String> = BTreeSet::new();
             for p in shared_pushes(&df, f) {
                 let sorted_later = f
@@ -816,11 +773,6 @@ impl Pass for FloatAccumPass {
                     .any(|s| s.pos > p.pos && SORT_FNS.contains(&s.callee.as_str()));
                 if !sorted_later {
                     unstable.insert(p.target);
-                }
-            }
-            for (name, ty) in local_types(&f.body) {
-                if ty.starts_with("Hash") {
-                    unstable.insert(name);
                 }
             }
             if unstable.is_empty() {

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// set the passes need for exemptions.
 #[derive(Debug, Clone)]
 pub struct GraphFile {
-    /// Parsed symbol summary (path, uses, fns, matches).
+    /// Parsed symbol summary (path, fns, matches).
     pub symbols: FileSymbols,
     /// How the file is classified (library / test / binary).
     pub kind: FileKind,

@@ -13,14 +13,15 @@
 //!   `// cdna-check: allow(<rule>)` annotations; an annotation that
 //!   suppresses nothing is itself a `unused-allow` warning. Rules the
 //!   compiler already has — no `unsafe`, no undocumented public items,
-//!   no panics in library code, no wall clock or hash-ordered maps —
-//!   are rustc and clippy lints configured in the workspace manifest
-//!   and `clippy.toml`, not rules here.
+//!   no panics in library code, no wall clock or hash-ordered maps, no
+//!   non-`Send` custom event queue — are rustc and clippy checks
+//!   configured in the workspace manifest, `clippy.toml` and the
+//!   engine's `+ Send` bound, not rules here.
 //! * **Symbol-graph pass** ([`parse`], [`graph`], [`analyses`]): an
-//!   item-level parser extracts per-crate symbols (`use` edges, `fn`
-//!   call sites, `match` summaries) and three interprocedural rules run
-//!   over the whole workspace at once — `layering` (the crate DAG must
-//!   flow strictly downward), `must-pair` (every pin reaches an unpin/
+//!   item-level parser extracts per-crate symbols (`fn` call sites,
+//!   `match` summaries) and three rules run over the whole workspace at
+//!   once — `layering` (the crate DAG read from the manifests must flow
+//!   strictly downward), `must-pair` (every pin reaches an unpin/
 //!   reap on all non-panic paths, via a CFG-lite token walk), and
 //!   `exhaustive-fault` (no wildcard `match` on `FaultKind`/`MemError`/
 //!   `ShadowViolation`).

@@ -1,5 +1,5 @@
-//! CDNA012 `lock-order` and CDNA013 `send-audit`: concurrency hazards
-//! introduced by the `Rc/RefCell → Arc<Mutex>` migration (PR 6).
+//! CDNA012 `lock-order`: lock-ordering hazards that came with the
+//! workspace's `Rc/RefCell → Arc<Mutex>` migration.
 //!
 //! **`lock-order`** builds a lock-acquisition graph over the workspace.
 //! An acquisition site is either a `.lock()` method call or a call to
@@ -20,20 +20,16 @@
 //! * any cycle in the accumulated order graph is flagged at each
 //!   participating edge.
 //!
-//! **`send-audit`** starts from the types that cross the `Send` seam —
-//! implementors of `EventQueue` (boxed into `QueueImpl::Custom`) and
-//! anything passed to `Simulation::with_event_queue`, resolved through
-//! local `let` bindings — closes over their field types, and flags any
-//! reachable field holding a non-`Send`-safe pattern (`Rc`, `RefCell`,
-//! `Cell`, `UnsafeCell`, `NonNull`, raw pointers). The compiler checks
-//! `Send` for real, of course; the audit exists to catch the *design*
-//! regression early (a field type that would force an `unsafe impl
-//! Send` or an `Rc` smuggled behind a raw pointer) and to document the
-//! seam's obligations as a machine-checked table.
+//! The other side of that migration, the `Send` seam where a custom
+//! event queue is boxed into the engine, needs no pass here:
+//! `Simulation::with_event_queue` takes `Box<dyn EventQueue<E> + Send>`
+//! and the workspace forbids `unsafe`, so rustc rejects any queue that
+//! holds an `Rc`, a raw pointer or another non-`Send` field (the
+//! `compile_fail` doctest on `with_event_queue` pins this).
 
 use crate::dataflow::Dataflow;
 use crate::dataflow::{
-    arg_region, enclosing_block_end, let_binding, local_types, statement_start, temporary_end,
+    arg_region, enclosing_block_end, let_binding, statement_start, temporary_end,
 };
 use crate::graph::{Pass, SymbolGraph};
 use crate::parse::FnSym;
@@ -266,124 +262,4 @@ fn reaches(adj: &BTreeMap<&String, BTreeSet<&String>>, from: &String, to: &Strin
         }
     }
     false
-}
-
-/// Field type heads that are not `Send`-safe.
-const NON_SEND: &[&str] = &["Rc", "RefCell", "Cell", "UnsafeCell", "NonNull"];
-
-/// The CDNA013 pass. See the module docs for the model.
-pub struct SendAuditPass;
-
-impl Pass for SendAuditPass {
-    fn rule(&self) -> &'static str {
-        "send-audit"
-    }
-
-    fn run(&self, graph: &SymbolGraph) -> Vec<Diagnostic> {
-        let df = Dataflow::build(graph);
-        // Struct index over library files (test items excluded).
-        let mut structs: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
-        for (fi, file) in graph.files.iter().enumerate() {
-            if file.kind != crate::rules::FileKind::Library {
-                continue;
-            }
-            for (si, s) in file.symbols.structs.iter().enumerate() {
-                if !file.test_lines.contains(&s.line) {
-                    structs.entry(&s.name).or_default().push((fi, si));
-                }
-            }
-        }
-        // Roots: EventQueue implementors + types handed to the
-        // with_event_queue / QueueImpl::Custom seam (via def-use on
-        // local `let` constructor bindings).
-        let mut roots: BTreeMap<String, String> = BTreeMap::new(); // type → why
-        for file in &graph.files {
-            if file.kind != crate::rules::FileKind::Library {
-                continue;
-            }
-            for im in &file.symbols.impls {
-                if im.trait_name == "EventQueue" && !file.test_lines.contains(&im.line) {
-                    roots
-                        .entry(im.type_name.clone())
-                        .or_insert_with(|| "implements EventQueue".to_string());
-                }
-            }
-        }
-        let seam_armed = df.armed("with_event_queue", &["sim"]);
-        for n in 0..df.nodes.len() {
-            let f = df.func(n);
-            let locals = local_types(&f.body);
-            for c in &f.calls {
-                let custom = c.callee == "Custom"
-                    && c.pos >= 2
-                    && f.body[c.pos - 1].text == ":"
-                    && f.body[c.pos - 2].text == ":";
-                let seam = seam_armed && c.callee == "with_event_queue";
-                if !custom && !seam {
-                    continue;
-                }
-                let (s, e) = arg_region(&f.body, c.pos);
-                for t in &f.body[s..e] {
-                    if !t.is_ident {
-                        continue;
-                    }
-                    let ty = locals.get(&t.text).cloned().unwrap_or(t.text.clone());
-                    if structs.contains_key(ty.as_str()) {
-                        roots
-                            .entry(ty)
-                            .or_insert_with(|| format!("crosses the Send seam in `{}`", f.name));
-                    }
-                }
-            }
-        }
-        // Containment closure over field types.
-        let mut reached: BTreeMap<String, String> = BTreeMap::new();
-        let mut queue: Vec<(String, String)> =
-            roots.iter().map(|(t, w)| (t.clone(), w.clone())).collect();
-        while let Some((ty, why)) = queue.pop() {
-            if reached.contains_key(&ty) {
-                continue;
-            }
-            reached.insert(ty.clone(), why.clone());
-            for &(fi, si) in structs.get(ty.as_str()).into_iter().flatten() {
-                for field in &graph.files[fi].symbols.structs[si].fields {
-                    for id in &field.type_idents {
-                        if structs.contains_key(id.as_str()) && !reached.contains_key(id) {
-                            queue.push((id.clone(), format!("contained in `{ty}` ({why})")));
-                        }
-                    }
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for (ty, why) in &reached {
-            for &(fi, si) in structs.get(ty.as_str()).into_iter().flatten() {
-                let s = &graph.files[fi].symbols.structs[si];
-                for field in &s.fields {
-                    let bad = field
-                        .type_idents
-                        .iter()
-                        .find(|id| NON_SEND.contains(&id.as_str()));
-                    if bad.is_none() && !field.raw_ptr {
-                        continue;
-                    }
-                    let what = bad
-                        .map(|b| format!("`{b}`"))
-                        .unwrap_or_else(|| "a raw pointer".to_string());
-                    out.push(Diagnostic {
-                        rule: self.rule(),
-                        file: graph.files[fi].symbols.rel.clone(),
-                        line: field.line,
-                        message: format!(
-                            "`{}.{}` holds {}, which is not Send-safe, but `{}` \
-                             {} and so must stay Send; use Arc/Mutex or keep the \
-                             type off the queue seam",
-                            ty, field.name, what, ty, why
-                        ),
-                    });
-                }
-            }
-        }
-        out
-    }
 }

@@ -27,9 +27,9 @@
 //!
 //! **Calibration mode** (`--calibrate`): runs the seeded-violation
 //! fixtures under `crates/check/tests/corpus/` and exits 1 unless every
-//! seeded violation (CDNA011–017) is caught at its exact file:line
-//! (and nothing else fires) — the proof that the analyses actually
-//! detect what they claim to.
+//! seeded violation (CDNA011–012, CDNA014–017) is caught at its exact
+//! file:line (and nothing else fires) — the proof that the analyses
+//! actually detect what they claim to.
 //!
 //! **GitHub annotations** (`--format github`): diagnostics print as
 //! workflow commands (`::error file=…,line=…::CDNA014 …`) that GitHub

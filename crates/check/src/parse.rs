@@ -3,11 +3,9 @@
 //! over.
 //!
 //! This is deliberately not a real Rust parser. The passes only need
-//! three structural facts, all recoverable from the scrubbed token
+//! two structural facts, both recoverable from the scrubbed token
 //! stream by brace matching:
 //!
-//! * `use` edges — the first path segment of every `use` declaration
-//!   (enough to resolve `use cdna_mem::…` to a workspace crate);
 //! * `fn` items — name, line, body token range, and the call sites
 //!   inside the body (identifier immediately followed by `(`);
 //! * `match` expressions — which enum paths the arm *patterns* mention
@@ -16,15 +14,6 @@
 
 use crate::lexer::Token;
 use std::collections::BTreeSet;
-
-/// A `use` (or manifest dependency) edge out of a file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseEdge {
-    /// First path segment of the `use` declaration (e.g. `cdna_mem`).
-    pub target: String,
-    /// 1-based line of the declaration.
-    pub line: u32,
-}
 
 /// One named call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,44 +43,6 @@ pub struct FnSym {
     pub calls: Vec<CallSite>,
 }
 
-/// One named field of a struct definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FieldSym {
-    /// Field name (`"0"`, `"1"`, … for tuple-struct elements).
-    pub name: String,
-    /// 1-based line of the field name.
-    pub line: u32,
-    /// Identifier tokens of the field's type (`Arc<Mutex<Controller>>`
-    /// yields `["Arc", "Mutex", "Controller"]`).
-    pub type_idents: Vec<String>,
-    /// Whether the type contains a raw pointer (`*const` / `*mut`).
-    pub raw_ptr: bool,
-}
-
-/// One `struct` definition.
-#[derive(Debug, Clone)]
-pub struct StructSym {
-    /// The struct's name.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
-    /// Fields (empty for unit structs).
-    pub fields: Vec<FieldSym>,
-}
-
-/// One `impl Trait for Type` block header (inherent impls are skipped —
-/// the passes only need trait implementations).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ImplSym {
-    /// The trait's last path segment (`EventQueue` in
-    /// `impl cdna_sim::EventQueue<E> for Q`).
-    pub trait_name: String,
-    /// The implementing type's first identifier after `for`.
-    pub type_name: String,
-    /// 1-based line of the `impl` keyword.
-    pub line: u32,
-}
-
 /// Summary of one `match` expression.
 #[derive(Debug, Clone)]
 pub struct MatchSym {
@@ -113,16 +64,10 @@ pub struct FileSymbols {
     /// Workspace crate key (`mem` for `crates/mem/…`, `repro` for the
     /// root package), or `None` for paths outside both.
     pub crate_key: Option<String>,
-    /// `use` edges out of this file.
-    pub uses: Vec<UseEdge>,
     /// `fn` items.
     pub fns: Vec<FnSym>,
     /// `match` expressions.
     pub matches: Vec<MatchSym>,
-    /// `struct` definitions.
-    pub structs: Vec<StructSym>,
-    /// `impl Trait for Type` headers.
-    pub impls: Vec<ImplSym>,
 }
 
 /// Maps a repo-relative path to its workspace crate key.
@@ -141,35 +86,9 @@ pub fn parse_file(rel: &str, tokens: &[Token]) -> FileSymbols {
     FileSymbols {
         rel: rel.to_string(),
         crate_key: crate_key_of(rel),
-        uses: parse_uses(tokens),
         fns: parse_fns(tokens),
         matches: parse_matches(tokens),
-        structs: parse_structs(tokens),
-        impls: parse_impls(tokens),
     }
-}
-
-fn parse_uses(tokens: &[Token]) -> Vec<UseEdge> {
-    let mut out = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if !(t.is_ident && t.text == "use") {
-            continue;
-        }
-        // `use` must start a declaration, not be e.g. a field named use
-        // (impossible — keyword) or `pub use`: both forms count.
-        let mut j = i + 1;
-        // Skip leading `::` of `use ::std::…`.
-        while tokens.get(j).map(|t| t.text.as_str()) == Some(":") {
-            j += 1;
-        }
-        if let Some(first) = tokens.get(j).filter(|t| t.is_ident) {
-            out.push(UseEdge {
-                target: first.text.clone(),
-                line: t.line,
-            });
-        }
-    }
-    out
 }
 
 fn parse_fns(tokens: &[Token]) -> Vec<FnSym> {
@@ -446,249 +365,6 @@ fn analyze_pattern(tokens: &[Token], pat: &[usize], sym: &mut MatchSym) {
     }
 }
 
-/// Skips a `<…>` generic region starting at the `<` token at `i`;
-/// returns the index just past the matching `>`. A `>` preceded by `-`
-/// (a `->` arrow inside an `fn(..) -> T` type) does not close.
-fn skip_angles(tokens: &[Token], i: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = i;
-    while j < tokens.len() {
-        match tokens[j].text.as_str() {
-            "<" => depth += 1,
-            ">" if j > 0 && tokens[j - 1].text == "-" => {}
-            ">" => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    j
-}
-
-/// Collects the identifiers of one field-type token region, skipping
-/// lifetimes (`'a`), and notes raw pointers.
-fn field_from_type(name: &str, line: u32, tokens: &[Token], region: &[usize]) -> FieldSym {
-    let mut type_idents = Vec::new();
-    let mut raw_ptr = false;
-    for (a, &k) in region.iter().enumerate() {
-        let t = &tokens[k];
-        if t.text == "*" {
-            if let Some(&n) = region.get(a + 1) {
-                if tokens[n].text == "const" || tokens[n].text == "mut" {
-                    raw_ptr = true;
-                }
-            }
-        }
-        if !t.is_ident || is_keyword(&t.text) {
-            continue;
-        }
-        if a > 0 && tokens[region[a - 1]].text == "'" {
-            continue; // lifetime name
-        }
-        type_idents.push(t.text.clone());
-    }
-    FieldSym {
-        name: name.to_string(),
-        line,
-        type_idents,
-        raw_ptr,
-    }
-}
-
-fn parse_structs(tokens: &[Token]) -> Vec<StructSym> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if !(tokens[i].is_ident && tokens[i].text == "struct") {
-            i += 1;
-            continue;
-        }
-        let Some(name_tok) = tokens.get(i + 1).filter(|t| t.is_ident) else {
-            i += 1;
-            continue;
-        };
-        let mut sym = StructSym {
-            name: name_tok.text.clone(),
-            line: tokens[i].line,
-            fields: Vec::new(),
-        };
-        // Past optional generics and a `where` clause to the body.
-        let mut j = i + 2;
-        if tokens.get(j).map(|t| t.text.as_str()) == Some("<") {
-            j = skip_angles(tokens, j);
-        }
-        while j < tokens.len() {
-            match tokens[j].text.as_str() {
-                ";" => {
-                    // Unit struct (or `struct Foo(..);` terminator).
-                    break;
-                }
-                "(" => {
-                    // Tuple struct: elements at paren depth 1, split on
-                    // top-level commas, named by position.
-                    let (mut par, mut ang) = (0i32, 0i32);
-                    let mut region: Vec<usize> = Vec::new();
-                    let mut idx = 0usize;
-                    let start_line = tokens[j].line;
-                    while j < tokens.len() {
-                        let text = tokens[j].text.as_str();
-                        match text {
-                            "(" | "[" => par += 1,
-                            ")" | "]" => par -= 1,
-                            "<" => ang += 1,
-                            ">" if tokens[j - 1].text != "-" => ang -= 1,
-                            _ => {}
-                        }
-                        let elem_end = (text == "," && par == 1 && ang == 0) || par == 0;
-                        if elem_end {
-                            if !region.is_empty() {
-                                sym.fields.push(field_from_type(
-                                    &idx.to_string(),
-                                    start_line,
-                                    tokens,
-                                    &region,
-                                ));
-                                idx += 1;
-                                region.clear();
-                            }
-                            if par == 0 {
-                                break;
-                            }
-                        } else if par >= 1 && text != "(" && text != "pub" {
-                            region.push(j);
-                        }
-                        j += 1;
-                    }
-                    break;
-                }
-                "{" => {
-                    // Braced body: `name: Type,` fields at depth 1.
-                    let (mut brc, mut par, mut ang) = (0i32, 0i32, 0i32);
-                    let mut field: Option<(String, u32)> = None;
-                    let mut region: Vec<usize> = Vec::new();
-                    while j < tokens.len() {
-                        let text = tokens[j].text.as_str();
-                        match text {
-                            "{" => brc += 1,
-                            "}" => brc -= 1,
-                            "(" | "[" => par += 1,
-                            ")" | "]" => par -= 1,
-                            "<" => ang += 1,
-                            ">" if tokens[j - 1].text != "-" => ang -= 1,
-                            _ => {}
-                        }
-                        let at_top = brc == 1 && par == 0 && ang == 0;
-                        if field.is_none()
-                            && at_top
-                            && tokens[j].is_ident
-                            && tokens[j].text != "pub"
-                            && !is_keyword(&tokens[j].text)
-                            && tokens.get(j + 1).map(|t| t.text.as_str()) == Some(":")
-                            && tokens.get(j + 2).map(|t| t.text.as_str()) != Some(":")
-                        {
-                            field = Some((tokens[j].text.clone(), tokens[j].line));
-                            j += 2; // skip the name and the `:`
-                            continue;
-                        }
-                        let ends = (text == "," && at_top) || brc == 0;
-                        if ends {
-                            if let Some((name, line)) = field.take() {
-                                sym.fields
-                                    .push(field_from_type(&name, line, tokens, &region));
-                            }
-                            region.clear();
-                            if brc == 0 {
-                                break;
-                            }
-                        } else if field.is_some() {
-                            region.push(j);
-                        }
-                        j += 1;
-                    }
-                    break;
-                }
-                _ => j += 1,
-            }
-        }
-        out.push(sym);
-        i = j.max(i + 2);
-    }
-    out
-}
-
-fn parse_impls(tokens: &[Token]) -> Vec<ImplSym> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if !(tokens[i].is_ident && tokens[i].text == "impl") {
-            i += 1;
-            continue;
-        }
-        let line = tokens[i].line;
-        let mut j = i + 1;
-        if tokens.get(j).map(|t| t.text.as_str()) == Some("<") {
-            j = skip_angles(tokens, j);
-        }
-        // Trait path: idents separated by `::`, optional trailing
-        // generic args. `impl Type { … }` (no `for`) is skipped.
-        let mut last_seg: Option<String> = None;
-        let mut found_for = false;
-        while j < tokens.len() {
-            let t = &tokens[j];
-            if t.is_ident && t.text == "for" {
-                found_for = true;
-                j += 1;
-                break;
-            }
-            if t.text == "{" || t.text == ";" || t.text == "(" {
-                break;
-            }
-            if t.text == "<" {
-                j = skip_angles(tokens, j);
-                continue;
-            }
-            if t.is_ident && !is_keyword(&t.text) {
-                last_seg = Some(t.text.clone());
-            }
-            j += 1;
-        }
-        if !found_for {
-            i = j.max(i + 1);
-            continue;
-        }
-        // Implementing type: last path segment before `<` or `{`.
-        let mut type_name: Option<String> = None;
-        while j < tokens.len() {
-            let t = &tokens[j];
-            if t.text == "{" || t.text == ";" {
-                break;
-            }
-            if t.text == "<" {
-                j = skip_angles(tokens, j);
-                continue;
-            }
-            let lifetime = j > 0 && tokens[j - 1].text == "'";
-            if t.is_ident && !is_keyword(&t.text) && t.text != "for" && !lifetime {
-                type_name = Some(t.text.clone());
-            }
-            j += 1;
-        }
-        if let (Some(trait_name), Some(type_name)) = (last_seg, type_name) {
-            out.push(ImplSym {
-                trait_name,
-                type_name,
-                line,
-            });
-        }
-        i = j.max(i + 1);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,14 +382,6 @@ mod tests {
         );
         assert_eq!(crate_key_of("tests/check.rs").as_deref(), Some("repro"));
         assert_eq!(crate_key_of("README.md"), None);
-    }
-
-    #[test]
-    fn uses_extracted() {
-        let s = sym("use cdna_mem::PageId;\nuse std::fmt;\npub use crate::x::Y;\n");
-        let targets: Vec<&str> = s.uses.iter().map(|u| u.target.as_str()).collect();
-        assert_eq!(targets, ["cdna_mem", "std", "crate"]);
-        assert_eq!(s.uses[0].line, 1);
     }
 
     #[test]
@@ -762,46 +430,6 @@ mod tests {
         let m = &s.matches[0];
         assert!(m.pattern_enums.is_empty(), "{:?}", m.pattern_enums);
         assert_eq!(m.wildcard_line, Some(4), "binding arm is a wildcard");
-    }
-
-    #[test]
-    fn structs_extracted_with_field_types() {
-        let s = sym(
-            "pub struct Q<E> {\n pub pending: Vec<(u64, E)>,\n ctrl: Arc<Mutex<Controller>>,\n}\nstruct Unit;\nstruct Pair(pub u32, Rc<Frame>);\n",
-        );
-        let names: Vec<&str> = s.structs.iter().map(|x| x.name.as_str()).collect();
-        assert_eq!(names, ["Q", "Unit", "Pair"]);
-        let q = &s.structs[0];
-        assert_eq!(q.fields.len(), 2);
-        assert_eq!(q.fields[0].name, "pending");
-        assert_eq!(q.fields[0].line, 2);
-        assert_eq!(q.fields[0].type_idents, ["Vec", "u64", "E"]);
-        assert_eq!(q.fields[1].type_idents, ["Arc", "Mutex", "Controller"]);
-        assert!(s.structs[1].fields.is_empty());
-        let pair = &s.structs[2];
-        assert_eq!(pair.fields.len(), 2);
-        assert_eq!(pair.fields[0].name, "0");
-        assert_eq!(pair.fields[1].type_idents, ["Rc", "Frame"]);
-    }
-
-    #[test]
-    fn raw_pointer_fields_are_marked() {
-        let s = sym("struct P {\n ptr: *mut u8,\n n: usize,\n}\n");
-        assert!(s.structs[0].fields[0].raw_ptr);
-        assert!(!s.structs[0].fields[1].raw_ptr);
-    }
-
-    #[test]
-    fn trait_impls_extracted_inherent_skipped() {
-        let s = sym(
-            "impl Q { fn a(&self) {} }\nimpl<E: Clone> EventQueue<E> for Q<E> { fn pop(&mut self) {} }\nimpl fmt::Debug for Unit {}\n",
-        );
-        assert_eq!(s.impls.len(), 2);
-        assert_eq!(s.impls[0].trait_name, "EventQueue");
-        assert_eq!(s.impls[0].type_name, "Q");
-        assert_eq!(s.impls[0].line, 2);
-        assert_eq!(s.impls[1].trait_name, "Debug");
-        assert_eq!(s.impls[1].type_name, "Unit");
     }
 
     #[test]

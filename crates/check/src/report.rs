@@ -28,8 +28,8 @@
 //! `--jobs` count (the worker count is deliberately *not* a report
 //! field; CDNA016 would flag it). Rule codes (`CDNA007`…) are
 //! append-only: a rule rename never reassigns a code, and the retired
-//! CDNA001–006 (now compiler and clippy lints) stay unassigned, so
-//! report diffs across PRs stay meaningful.
+//! CDNA001–006 and CDNA013 (now compiler and clippy checks) stay
+//! unassigned, so report diffs across PRs stay meaningful.
 
 use crate::rules::{rule_code, rule_severity, StaticReport};
 use cdna_trace::json::JsonWriter;
@@ -366,13 +366,18 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), RULE_NAMES.len(), "duplicate code: {codes:?}");
-        assert_eq!(RULE_NAMES.len(), 11);
+        assert_eq!(RULE_NAMES.len(), 10);
+        // Retired codes are never reassigned.
+        for retired in [
+            "CDNA001", "CDNA002", "CDNA003", "CDNA004", "CDNA005", "CDNA006", "CDNA013",
+        ] {
+            assert!(!codes.contains(&retired), "{retired} reused: {codes:?}");
+        }
         assert_eq!(rule_code("unused-allow"), "CDNA007");
         assert_eq!(rule_code("layering"), "CDNA008");
         assert_eq!(rule_code("exhaustive-fault"), "CDNA010");
         assert_eq!(rule_code("guest-taint"), "CDNA011");
         assert_eq!(rule_code("lock-order"), "CDNA012");
-        assert_eq!(rule_code("send-audit"), "CDNA013");
         assert_eq!(rule_code("merge-order"), "CDNA014");
         assert_eq!(rule_code("clock-purity"), "CDNA015");
         assert_eq!(rule_code("jobs-leak"), "CDNA016");

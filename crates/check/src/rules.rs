@@ -11,21 +11,24 @@
 //! | `exhaustive-fault` | CDNA010 | wildcard `match` arm on a fault enum |
 //! | `guest-taint` | CDNA011 | guest-controlled data reaches a pin/DMA/ring sink unvalidated |
 //! | `lock-order` | CDNA012 | lock-order cycle or lock held across a call that locks |
-//! | `send-audit` | CDNA013 | non-`Send`-safe field in a type crossing the queue `Send` seam |
-//! | `merge-order` | CDNA014 | fan-out results merged in arrival order or through a `Hash*` container |
+//! | `merge-order` | CDNA014 | fan-out results appended to locked shared state in arrival order |
 //! | `clock-purity` | CDNA015 | wall-clock value serialized outside a `wall_ms*` field |
 //! | `jobs-leak` | CDNA016 | worker count/index or thread identity in compared serialization |
 //! | `float-accum` | CDNA017 | order-unstable data fed into an `f64` reduction |
 //!
-//! CDNA001–006 were token-level copies of compiler lints and are
-//! retired; their codes are never reassigned. The workspace lint table
-//! (`unsafe_code`, `missing_docs`), the crate-root clippy lints
-//! (`unwrap_used`, `expect_used`, `panic`), `clippy.toml`'s disallowed
-//! wall-clock and hash-map types, and the `Cargo.lock` guard in
-//! `tests/manifest_policy.rs` enforce what they did.
+//! CDNA001–006 and CDNA013 (`send-audit`) re-derived what the compiler
+//! already proves and are retired; their codes are never reassigned.
+//! The workspace lint table (`unsafe_code`, `missing_docs`), the
+//! crate-root clippy lints (`unwrap_used`, `expect_used`, `panic`),
+//! `clippy.toml`'s disallowed wall-clock and hash-map types, the
+//! `Cargo.lock` guard in `tests/manifest_policy.rs`, and the `+ Send`
+//! bound of `Simulation::with_event_queue` (pinned by its
+//! `compile_fail` doctest) enforce what they did. The same
+//! `disallowed-types` entries rule out the hash-ordered merges and
+//! reductions that CDNA014 and CDNA017 therefore leave to clippy.
 //!
 //! CDNA007–010 are produced by the symbol-graph passes in
-//! [`crate::analyses`], CDNA011–013 by the dataflow passes in
+//! [`crate::analyses`], CDNA011–012 by the dataflow passes in
 //! [`crate::taint`] and [`crate::locks`], CDNA014–017 by the
 //! determinism-soundness passes in [`crate::determinism`]; this module
 //! owns the rule registry (names, codes, severities) and the repository
@@ -35,14 +38,13 @@ use crate::analyses::SourceFile;
 use std::path::{Path, PathBuf};
 
 /// Names of every static rule, in report order.
-pub const RULE_NAMES: [&str; 11] = [
+pub const RULE_NAMES: [&str; 10] = [
     "unused-allow",
     "layering",
     "must-pair",
     "exhaustive-fault",
     "guest-taint",
     "lock-order",
-    "send-audit",
     "merge-order",
     "clock-purity",
     "jobs-leak",
@@ -59,7 +61,6 @@ pub fn rule_code(rule: &str) -> &'static str {
         "exhaustive-fault" => "CDNA010",
         "guest-taint" => "CDNA011",
         "lock-order" => "CDNA012",
-        "send-audit" => "CDNA013",
         "merge-order" => "CDNA014",
         "clock-purity" => "CDNA015",
         "jobs-leak" => "CDNA016",
@@ -81,12 +82,14 @@ pub fn rule_severity(rule: &str) -> &'static str {
 /// How a source file is classified, which decides the rules applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
-    /// Library code under `src/`: every pass applies.
+    /// Library code under `src/`: every source pass applies.
     Library,
-    /// `tests/` and `examples/`: only the crate-wide `layering` rule.
+    /// `tests/` and `examples/`: no pass reads them, only the
+    /// `unused-allow` audit (their imports are `layering` edges through
+    /// the manifests' `[dev-dependencies]`).
     TestOrExample,
-    /// Binary entry points (`main.rs`, `src/bin/`): `layering`, plus the
-    /// determinism passes that follow values into serialized output.
+    /// Binary entry points (`main.rs`, `src/bin/`): the determinism
+    /// passes that follow values into serialized output.
     Binary,
 }
 

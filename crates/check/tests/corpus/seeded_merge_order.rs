@@ -1,6 +1,5 @@
-// cdna-expect: merge-order crates/model/src/merge.rs:13
-// cdna-expect: merge-order crates/model/src/merge.rs:20
-// cdna-expect: merge-order crates/model/src/merge.rs:31
+// cdna-expect: merge-order crates/model/src/merge.rs:12
+// cdna-expect: merge-order crates/model/src/merge.rs:19
 // cdna-fixture-file: crates/sim/src/par.rs
 //! Worker-pool stubs for the merge-order fixture.
 use std::sync::{Mutex, MutexGuard};
@@ -17,8 +16,7 @@ pub fn run_indexed<T, R>(jobs: usize, items: Vec<T>, f: impl Fn(usize, T) -> R) 
     items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect()
 }
 // cdna-fixture-file: crates/model/src/merge.rs
-//! Merge-path fixtures: arrival-order and hash-order merges.
-use std::collections::HashMap;
+//! Merge-path fixtures: arrival-order merges.
 use std::sync::Mutex;
 use cdna_sim::par::{lock, run_indexed};
 /// Appends one result to the shared accumulator (arrival order).
@@ -38,17 +36,4 @@ pub fn arrival_merge_via_helper(jobs: usize, items: Vec<u64>) -> Vec<u64> {
     let out = Mutex::new(Vec::new());
     run_indexed(jobs, items, |_, x| record(&out, x));
     out.into_inner().unwrap_or_default()
-}
-/// Bins results by key, then iterates hash order into the merge.
-pub fn hash_merge(jobs: usize, items: Vec<u64>) -> Vec<u64> {
-    let pairs = run_indexed(jobs, items, |i, x| (i as u64, x));
-    let mut bins = HashMap::new();
-    for (k, v) in pairs {
-        bins.insert(k % 3, v);
-    }
-    let mut merged = Vec::new();
-    for (_k, v) in &bins {
-        merged.push(v);
-    }
-    merged
 }

@@ -134,6 +134,90 @@ impl<W: World> Simulation<W> {
     /// (time must stay monotone), but it *may* reorder same-time ties —
     /// the `cdna-model` schedule explorer exploits exactly that freedom
     /// to enumerate tie-break interleavings of one logical run.
+    ///
+    /// The queue must also be `Send`: worker pools move whole
+    /// simulations between threads. Rustc enforces this, and the
+    /// workspace forbids `unsafe`, so no `unsafe impl Send` can waive
+    /// it. A queue that shares state through an `Arc` is accepted:
+    ///
+    /// ```
+    /// use cdna_sim::queue::HeapQueue;
+    /// use cdna_sim::{EventQueue, Scheduler, SimTime, Simulation, World};
+    /// use std::sync::Arc;
+    ///
+    /// struct Shared {
+    ///     inner: HeapQueue<u32>,
+    ///     _tag: Arc<()>,
+    /// }
+    ///
+    /// impl EventQueue<u32> for Shared {
+    ///     fn push(&mut self, at: SimTime, seq: u64, event: u32) {
+    ///         self.inner.push(at, seq, event)
+    ///     }
+    ///     fn pop(&mut self) -> Option<(SimTime, u64, u32)> {
+    ///         self.inner.pop()
+    ///     }
+    ///     fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, u64, u32)> {
+    ///         self.inner.pop_due(deadline)
+    ///     }
+    ///     fn len(&self) -> usize {
+    ///         self.inner.len()
+    ///     }
+    /// }
+    ///
+    /// struct Idle;
+    /// impl World for Idle {
+    ///     type Event = u32;
+    ///     fn handle(&mut self, _: SimTime, _: u32, _: &mut Scheduler<u32>) {}
+    /// }
+    ///
+    /// let queue = Shared { inner: HeapQueue::new(), _tag: Arc::new(()) };
+    /// let mut sim = Simulation::with_event_queue(Idle, Box::new(queue));
+    /// sim.schedule(SimTime::ZERO, 1);
+    /// sim.run_until(SimTime::from_us(1));
+    /// assert_eq!(sim.events_processed(), 1);
+    /// ```
+    ///
+    /// The same queue holding an `Rc` does not compile (E0277: `Rc<()>`
+    /// cannot be sent between threads safely):
+    ///
+    /// ```compile_fail,E0277
+    /// use cdna_sim::queue::HeapQueue;
+    /// use cdna_sim::{EventQueue, Scheduler, SimTime, Simulation, World};
+    /// use std::rc::Rc;
+    ///
+    /// struct Shared {
+    ///     inner: HeapQueue<u32>,
+    ///     _tag: Rc<()>,
+    /// }
+    ///
+    /// impl EventQueue<u32> for Shared {
+    ///     fn push(&mut self, at: SimTime, seq: u64, event: u32) {
+    ///         self.inner.push(at, seq, event)
+    ///     }
+    ///     fn pop(&mut self) -> Option<(SimTime, u64, u32)> {
+    ///         self.inner.pop()
+    ///     }
+    ///     fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, u64, u32)> {
+    ///         self.inner.pop_due(deadline)
+    ///     }
+    ///     fn len(&self) -> usize {
+    ///         self.inner.len()
+    ///     }
+    /// }
+    ///
+    /// struct Idle;
+    /// impl World for Idle {
+    ///     type Event = u32;
+    ///     fn handle(&mut self, _: SimTime, _: u32, _: &mut Scheduler<u32>) {}
+    /// }
+    ///
+    /// let queue = Shared { inner: HeapQueue::new(), _tag: Rc::new(()) };
+    /// let mut sim = Simulation::with_event_queue(Idle, Box::new(queue));
+    /// sim.schedule(SimTime::ZERO, 1);
+    /// sim.run_until(SimTime::from_us(1));
+    /// assert_eq!(sim.events_processed(), 1);
+    /// ```
     pub fn with_event_queue(world: W, queue: Box<dyn EventQueue<W::Event> + Send>) -> Self {
         Simulation {
             world,

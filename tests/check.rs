@@ -181,13 +181,18 @@ fn lib_file(rel: &str, text: &str) -> cdna_check::SourceFile {
 
 #[test]
 fn seeded_layering_back_edge_is_pinpointed() {
-    // `mem` (layer 2) importing from `system` (layer 6) inverts the DAG.
+    // `mem` (layer 0) depending on `system` (layer 6) inverts the DAG.
+    // Its sources could only `use cdna_system` once a manifest declares
+    // the crate, so the manifest line is where the diagnostic lands;
+    // a test-only import goes through `[dev-dependencies]`.
+    let manifest =
+        "[package]\nname = \"cdna-mem\"\n\n[dev-dependencies]\ncdna-system.workspace = true\n";
     let a = cdna_check::analyze(
         &[lib_file(
             "crates/mem/src/seeded.rs",
             "//! Doc.\n\nuse cdna_system::SystemWorld;\n",
         )],
-        &[],
+        &[("crates/mem/Cargo.toml".to_string(), manifest.to_string())],
     );
     let hits: Vec<(&str, &str, u32)> = a
         .diagnostics
@@ -196,7 +201,7 @@ fn seeded_layering_back_edge_is_pinpointed() {
         .collect();
     assert_eq!(
         hits,
-        [("layering", "crates/mem/src/seeded.rs", 3)],
+        [("layering", "crates/mem/Cargo.toml", 5)],
         "{:?}",
         a.diagnostics
     );
@@ -316,26 +321,14 @@ fn seeded_lock_held_across_locking_call_is_pinpointed() {
 }
 
 #[test]
-fn seeded_send_seam_leak_is_pinpointed_at_the_field() {
-    let src = "//! Doc.\n/// Doc.\npub struct BadQueue {\n    /// Doc.\n    pub shared: Rc<u32>,\n}\n/// Doc.\npub trait EventQueue {\n    /// Doc.\n    fn pop(&mut self);\n}\nimpl EventQueue for BadQueue {\n    fn pop(&mut self) {}\n}\n";
-    let a = cdna_check::analyze(&[lib_file("crates/model/src/seeded.rs", src)], &[]);
-    assert_eq!(
-        hits(&a),
-        [("send-audit", "crates/model/src/seeded.rs", 5)],
-        "{:?}",
-        a.diagnostics
-    );
-}
-
-#[test]
 fn new_passes_are_quiet_on_the_real_tree() {
-    // Zero false positives: every guest-taint / lock-order / send-audit
-    // diagnostic on the actual repository must be covered by an allow.
+    // Zero false positives: every guest-taint / lock-order diagnostic
+    // on the actual repository must be covered by an allow.
     let report = check_repo(&workspace_root()).expect("repo scan");
     let noisy: Vec<String> = report
         .diagnostics
         .iter()
-        .filter(|d| matches!(d.rule, "guest-taint" | "lock-order" | "send-audit"))
+        .filter(|d| matches!(d.rule, "guest-taint" | "lock-order"))
         .map(|d| d.render())
         .collect();
     assert!(noisy.is_empty(), "{}", noisy.join("\n"));

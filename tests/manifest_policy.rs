@@ -1,7 +1,9 @@
 //! The workspace's build policy, checked on the manifests themselves:
-//! every dependency is in this repository, and every crate inherits the
+//! every dependency is in this repository, every crate inherits the
 //! workspace lint table (`unsafe_code = "forbid"`, `missing_docs =
-//! "deny"`), so a new crate cannot opt out of either by omission.
+//! "deny"`), so a new crate cannot opt out of either by omission, and
+//! `clippy.toml` keeps the hash-map and wall-clock bans that `cdna-check`
+//! relies on instead of rules of its own.
 
 use std::path::{Path, PathBuf};
 
@@ -23,6 +25,19 @@ fn table<'a>(manifest: &'a str, name: &str) -> Vec<&'a str> {
         .skip(1)
         .take_while(|l| !l.starts_with('['))
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect()
+}
+
+/// The `path = "…"` entries of the top-level TOML array `name = [ … ]`.
+fn array_paths<'a>(config: &'a str, name: &str) -> Vec<&'a str> {
+    let header = format!("{name} = [");
+    config
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != header)
+        .skip(1)
+        .take_while(|l| *l != "]")
+        .filter_map(|l| l.split("path = \"").nth(1)?.split('"').next())
         .collect()
 }
 
@@ -75,4 +90,32 @@ fn workspace_lints_forbid_unsafe_and_deny_missing_docs() {
     let rust = table(&text, "workspace.lints.rust");
     assert!(rust.contains(&"unsafe_code = \"forbid\""), "{rust:?}");
     assert!(rust.contains(&"missing_docs = \"deny\""), "{rust:?}");
+}
+
+#[test]
+fn clippy_config_bans_hash_maps_and_the_wall_clock() {
+    // `cdna-check` has no rule for these: the wall-clock ban, the
+    // hash-map ban and with it hash-ordered merges and `f64`
+    // reductions after a fan-out are enforced by clippy through these
+    // entries alone.
+    let text = read(&root().join("clippy.toml"));
+    let types = array_paths(&text, "disallowed-types");
+    for ty in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::time::Instant",
+        "std::time::SystemTime",
+    ] {
+        assert!(
+            types.contains(&ty),
+            "disallowed-types lacks {ty}: {types:?}"
+        );
+    }
+    let methods = array_paths(&text, "disallowed-methods");
+    for m in ["std::time::Instant::now", "std::time::SystemTime::now"] {
+        assert!(
+            methods.contains(&m),
+            "disallowed-methods lacks {m}: {methods:?}"
+        );
+    }
 }

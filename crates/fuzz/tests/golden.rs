@@ -1,8 +1,10 @@
-//! Absolute golden for the quick campaign: its `cdna-fuzz/1` report at
-//! the default seed, compared byte for byte with the checked-in file.
-//! The campaign drives device mailboxes outside the event loop, so this
-//! pins how `SystemWorld::absorb_nic_activity` folds the consequences
-//! back in. Regenerate with
+//! Absolute goldens for the fuzz campaign: the quick campaign's
+//! `cdna-fuzz/1` report and `cdna-fuzz-corpus/1` corpus, and the same
+//! pair for the default campaign, all at seed 7, compared byte for byte
+//! with the checked-in files. The campaign drives device mailboxes
+//! outside the event loop, so these pin how
+//! `SystemWorld::absorb_nic_activity` folds the consequences back in;
+//! the corpora also pin the minimiser. Regenerate with
 //!
 //! ```sh
 //! CDNA_BLESS=1 cargo test -p cdna-fuzz --test golden
@@ -12,14 +14,14 @@ use std::path::PathBuf;
 
 use cdna_fuzz::{run_campaign, CampaignConfig};
 
-#[test]
-fn quick_report_matches_checked_in_golden() {
-    let mut got = run_campaign(&CampaignConfig::new(7).quick()).report_json();
+/// Compares `got` (plus a trailing newline) with `tests/golden/<name>`,
+/// or rewrites the file when `CDNA_BLESS=1`.
+fn check_golden(name: &str, mut got: String) {
     got.push('\n');
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("quick-report.json");
+        .join(name);
     if std::env::var_os("CDNA_BLESS").is_some_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().expect("has parent")).expect("create golden dir");
         std::fs::write(&path, got).expect("write golden");
@@ -28,6 +30,20 @@ fn quick_report_matches_checked_in_golden() {
     let want = std::fs::read_to_string(&path).expect("read golden");
     assert!(
         want == got,
-        "quick fuzz report out of date (rerun with CDNA_BLESS=1 if intended):\n  want {want}  got  {got}"
+        "{name} out of date (rerun with CDNA_BLESS=1 if intended):\n  want {want}  got  {got}"
     );
+}
+
+#[test]
+fn quick_report_matches_checked_in_golden() {
+    let camp = run_campaign(&CampaignConfig::new(7).quick());
+    check_golden("quick-report.json", camp.report_json());
+    check_golden("quick-corpus.json", camp.corpus_json());
+}
+
+#[test]
+fn default_campaign_matches_checked_in_golden() {
+    let camp = run_campaign(&CampaignConfig::new(7));
+    check_golden("default-report.json", camp.report_json());
+    check_golden("default-corpus.json", camp.corpus_json());
 }

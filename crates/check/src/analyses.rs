@@ -26,11 +26,12 @@
 //!
 //! The edges are the `cdna-*` entries of every `*dependencies` table
 //! in the workspace manifests, `[dev-dependencies]` and
-//! `[target.'…'.dependencies]` included; a back-edge (or same-layer
-//! edge) is a diagnostic at the offending manifest line. Source
-//! imports need no scan of their own: rustc rejects a `use cdna_*` of
-//! a crate the manifest does not declare, so every import back-edge
-//! is already a manifest back-edge.
+//! `[target.'…'.dependencies]` included, and a dependency renamed
+//! with `package = "cdna-…"` counts as the crate it names; a back-edge
+//! (or same-layer edge) is a diagnostic at the offending manifest
+//! line. Source imports need no scan of their own: rustc rejects a
+//! `use cdna_*` of a crate the manifest does not declare, so every
+//! import back-edge is already a manifest back-edge.
 //!
 //! # Must-pair
 //!
@@ -299,6 +300,9 @@ pub struct Analysis {
 }
 
 /// Parses `cdna-*` dependency entries out of a manifest for layering.
+/// A dependency renamed with `package = "cdna-x"` — in an inline
+/// table, a `[dependencies.<key>]` table or a dotted `<key>.package`
+/// key — is an edge to `x`, whatever its key.
 fn manifest_dep_edges(rel: &str, text: &str) -> Vec<ManifestDep> {
     let from = if rel == "Cargo.toml" {
         "repro".to_string()
@@ -322,9 +326,15 @@ fn manifest_dep_edges(rel: &str, text: &str) -> Vec<ManifestDep> {
         }
     };
     let mut in_deps = false;
+    // The open `[dependencies.<key>]` table: the crate it names and the
+    // line naming it, both moved by a `package = …` line inside.
+    let mut table: Option<(String, usize)> = None;
     for (idx, raw) in text.lines().enumerate() {
         let l = raw.trim();
         if l.starts_with('[') {
+            if let Some((name, at)) = table.take() {
+                edge(&name, at);
+            }
             let inner = l.trim_matches(|c| c == '[' || c == ']');
             let parts: Vec<&str> = inner.split('.').collect();
             let deps = |p: &str| p.ends_with("dependencies");
@@ -333,21 +343,47 @@ fn manifest_dep_edges(rel: &str, text: &str) -> Vec<ManifestDep> {
             let package = parts.first() != Some(&"workspace");
             in_deps = package && parts.last().is_some_and(|p| deps(p));
             // `[dependencies.cdna-x]` declares one dependency per table.
-            if let [.., table, name] = parts[..] {
-                if package && deps(table) {
-                    edge(name, idx);
+            if let [.., t, name] = parts[..] {
+                if package && deps(t) {
+                    table = Some((name.to_string(), idx));
                 }
+            }
+            continue;
+        }
+        let (key, value) = l.split_once('=').unwrap_or((l, ""));
+        let (key, value) = (key.trim(), value.trim());
+        if let Some((name, at)) = &mut table {
+            if key == "package" {
+                *name = value.trim_matches('"').to_string();
+                *at = idx;
             }
             continue;
         }
         if !in_deps {
             continue;
         }
-        // `cdna-x = …`, or a dotted key such as `cdna-x.workspace = true`.
-        let key = l.split('=').next().unwrap_or("").trim();
-        edge(key.split('.').next().unwrap_or(""), idx);
+        // `cdna-x = …`, a dotted key such as `cdna-x.workspace = true`,
+        // or a rename: `k = { package = "cdna-x", … }`, `k.package = …`.
+        let name = match key.split_once('.') {
+            Some((_, "package")) => value.trim_matches('"'),
+            Some((k, _)) => k,
+            None => inline_package(value).unwrap_or(key),
+        };
+        edge(name, idx);
+    }
+    if let Some((name, at)) = table {
+        edge(&name, at);
     }
     out
+}
+
+/// The `package = "…"` field of an inline dependency table, if any.
+fn inline_package(value: &str) -> Option<&str> {
+    let fields = value.strip_prefix('{')?.trim_end_matches('}');
+    fields.split(',').find_map(|field| {
+        let (k, v) = field.split_once('=')?;
+        (k.trim() == "package").then(|| v.trim().trim_matches('"'))
+    })
 }
 
 /// Everything one file contributes to the pipeline, produced by
@@ -357,25 +393,32 @@ fn manifest_dep_edges(rel: &str, text: &str) -> Vec<ManifestDep> {
 /// demands of every other fan-out in the workspace.
 struct FileScan {
     rel: String,
-    graph_file: GraphFile,
+    /// `None` for `tests/` and `examples/`, which no pass reads.
+    graph_file: Option<GraphFile>,
     allows: Allows,
 }
 
-/// The per-file half of the pipeline: scrub, tokenize, symbol parse,
-/// allow harvest. Pure function of the file — safe to run on any
-/// worker.
+/// The per-file half of the pipeline: scrub and allow harvest, then —
+/// for library and binary files only — tokenize and symbol parse. Test
+/// and example files stay out of the symbol graph, so a test helper
+/// named like a protection primitive cannot resolve a call to it.
+/// Pure function of the file — safe to run on any worker.
 fn scan_file(f: &SourceFile) -> FileScan {
     let scrubbed = scrub(&f.text);
-    let tokens = tokenize(&scrubbed.masked);
-    let tests = test_lines(&tokens);
-    FileScan {
-        rel: f.rel.clone(),
-        graph_file: GraphFile {
+    let graph_file = if f.kind == FileKind::TestOrExample {
+        None
+    } else {
+        let tokens = tokenize(&scrubbed.masked);
+        Some(GraphFile {
             symbols: parse_file(&f.rel, &tokens),
             kind: f.kind,
-            test_lines: tests,
+            test_lines: test_lines(&tokens),
             strings: scrubbed.strings,
-        },
+        })
+    };
+    FileScan {
+        rel: f.rel.clone(),
+        graph_file,
         allows: scrubbed.allows,
     }
 }
@@ -406,7 +449,7 @@ pub fn analyze_jobs(files: &[SourceFile], manifests: &[(String, String)], jobs: 
             scan_file(&files[i])
         });
     for scan in scans {
-        graph_files.push(scan.graph_file);
+        graph_files.extend(scan.graph_file);
         allow_count += scan.allows.count();
         let used = vec![false; scan.allows.count()];
         per_file_allows.insert(scan.rel, (scan.allows, used));
@@ -525,6 +568,29 @@ mod tests {
     }
 
     #[test]
+    fn layering_reads_renamed_dependencies() {
+        // A dependency key need not be the crate's name: `package = …`
+        // names it, in an inline table, a one-dependency table or a
+        // dotted key, and rustc then resolves `use sys::…` to it.
+        let text = "[package]\nname = \"cdna-mem\"\n[dependencies]\n\
+                    sys = { path = \"../system\", package = \"cdna-system\" }\n\
+                    [dependencies.net]\npath = \"../net\"\npackage = \"cdna-net\"\n\
+                    [dev-dependencies]\nrack.package = \"cdna-rack\"\nrack.path = \"../rack\"\n";
+        let a = analyze(&[], &[manifest("crates/mem/Cargo.toml", text)]);
+        assert_eq!(
+            rules_of(&a),
+            [("layering", 4), ("layering", 7), ("layering", 9)],
+            "{:?}",
+            a.diagnostics
+        );
+        // Renamed forward edges are clean, and the key is not an edge.
+        let text = "[dependencies]\ncdna-fuzz = { package = \"cdna-mem\" }\n\
+                    [dependencies.cdna-model]\npackage = \"cdna-sim\"\n";
+        let a = analyze(&[], &[manifest("crates/system/Cargo.toml", text)]);
+        assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
+    }
+
+    #[test]
     fn layering_manifest_edge_fires() {
         let a = analyze(
             &[],
@@ -589,6 +655,23 @@ mod tests {
         // no obligation attaches.
         let a = analyze(&[lib("crates/core/src/x.rs", src)], &[]);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
+    }
+
+    #[test]
+    fn test_helpers_do_not_resolve_pin_calls() {
+        // A `tests/` helper named like a pin primitive, in a pin home
+        // crate, is no definition: the library call stays unresolved
+        // and no must-pair obligation attaches. Its allows still count.
+        let helper = SourceFile {
+            rel: "crates/core/tests/helpers.rs".into(),
+            kind: FileKind::TestOrExample,
+            text: "//! Doc.\nfn pin_run(s: u32, l: u32) {}\nfn f() {} // cdna-check: allow(must-pair): stale\n"
+                .into(),
+        };
+        let src = "//! Doc.\nfn leak(m: &mut M) {\n    m.pin_run(s, l);\n}\n";
+        let a = analyze(&[helper, lib("crates/core/src/x.rs", src)], &[]);
+        assert_eq!(rules_of(&a), [("unused-allow", 3)], "{:?}", a.diagnostics);
+        assert_eq!(a.allow_count, 1);
     }
 
     #[test]

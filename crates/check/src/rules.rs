@@ -84,9 +84,10 @@ pub fn rule_severity(rule: &str) -> &'static str {
 pub enum FileKind {
     /// Library code under `src/`: every source pass applies.
     Library,
-    /// `tests/` and `examples/`: no pass reads them, only the
-    /// `unused-allow` audit (their imports are `layering` edges through
-    /// the manifests' `[dev-dependencies]`).
+    /// `tests/` and `examples/`: scanned for allow annotations only, for
+    /// the `unused-allow` audit, and kept out of the symbol graph (their
+    /// imports are `layering` edges through the manifests'
+    /// `[dev-dependencies]`).
     TestOrExample,
     /// Binary entry points (`main.rs`, `src/bin/`): the determinism
     /// passes that follow values into serialized output.

@@ -25,7 +25,7 @@ use cdna_nic::{DescFlags, DmaDescriptor, FrameMeta, RingTable};
 use crate::{ContextError, ContextId, ContextState, ContextTable, SeqStamper};
 
 /// How DMA addresses from a guest are kept honest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DmaPolicy {
     /// CDNA software protection: hypervisor validates, pins, stamps, and
     /// enqueues every descriptor (the paper's main design).

@@ -4,19 +4,26 @@
 //! Coverage is the set of `(persona, outcome label)` pairs observed so
 //! far — rejection reasons, device errors, and `fault:<kind>` labels —
 //! so a campaign measures how much of the protection surface its
-//! personas actually exercised. Generations fan out over the
-//! [`cdna_sim::par`] worker pool; because every episode is a pure
-//! function of its spec (and the process-wide mutation switch, mirrored
-//! onto each worker), the merged result is byte-identical for any
+//! personas actually exercised.
+//!
+//! Each generation first runs the controls for [`ControlKey`]s it has
+//! not seen yet, in key order, then the attacks; every attack is judged
+//! against the one control of its key. Both passes, and the minimiser's
+//! halving chains, fan out over the [`cdna_sim::par`] worker pool.
+//! Every run is a pure function of its spec or key (and the
+//! process-wide mutation switch, mirrored onto each worker) and every
+//! merge is serial and ordered, so the result is byte-identical for any
 //! `--jobs` value.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cdna_mem::mutation::{self, MutationKind};
 use cdna_sim::par;
 use cdna_trace::json::JsonWriter;
 
-use crate::episode::{run_episode, EpisodeOutcome, EpisodeSpec};
+use crate::episode::{
+    control_key, judge, run_attack, run_control, Control, ControlKey, EpisodeSpec,
+};
 use crate::persona::{Persona, ALL};
 
 /// Campaign parameters.
@@ -141,6 +148,40 @@ fn apportion(budget: u32, weights: &[u64]) -> Vec<u32> {
     shares
 }
 
+/// Minimises `spec` for each of `labels`: halves its action count up to
+/// four times, running only the attack, and stops once none of the
+/// labels survives. Each label's entry keeps the last halving before the
+/// label first disappeared.
+fn minimise(spec: EpisodeSpec, labels: Vec<String>) -> Vec<CorpusEntry> {
+    let mut entries: Vec<CorpusEntry> = labels
+        .into_iter()
+        .map(|label| CorpusEntry {
+            persona: spec.persona,
+            label,
+            seed: spec.seed,
+            actions: spec.actions,
+        })
+        .collect();
+    let mut live: Vec<usize> = (0..entries.len()).collect();
+    let mut cur = spec.actions;
+    for _ in 0..4 {
+        let half = cur / 2;
+        if half == 0 || live.is_empty() {
+            break;
+        }
+        let attack = run_attack(&EpisodeSpec {
+            actions: half,
+            ..spec
+        });
+        live.retain(|&i| attack.labels.contains_key(&entries[i].label));
+        for &i in &live {
+            entries[i].actions = half;
+        }
+        cur = half;
+    }
+    entries
+}
+
 /// Runs a full campaign. Deterministic for a given config: the same
 /// seed/episodes/actions/mutation produce byte-identical
 /// [`Campaign::report_json`] and [`Campaign::corpus_json`] for every
@@ -163,6 +204,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
     let mut energy = [1u64; 8];
     let mut coverage: BTreeMap<(Persona, String), CoveragePoint> = BTreeMap::new();
     let mut discoverer: BTreeMap<(Persona, String), EpisodeSpec> = BTreeMap::new();
+    let mut controls: BTreeMap<ControlKey, Control> = BTreeMap::new();
+    let init = || mutation::set_active(mutation);
     let mut camp = Campaign {
         config: *cfg,
         episodes_run: 0,
@@ -203,15 +246,25 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
                 });
             }
         }
-        let outcomes: Vec<EpisodeOutcome> = par::run_indexed_init(
+        // The controls of keys not run yet, in key order, then the
+        // attacks, each judged against its key's one control.
+        let fresh: BTreeSet<ControlKey> = specs
+            .iter()
+            .map(control_key)
+            .filter(|k| !controls.contains_key(k))
+            .collect();
+        controls.extend(par::run_indexed_init(
             cfg.jobs,
-            specs,
-            || mutation::set_active(mutation),
-            |_, spec| run_episode(&spec),
-        );
+            fresh.into_iter().collect(),
+            init,
+            |_, k| (k, run_control(k)),
+        ));
+        let attacks =
+            par::run_indexed_init(cfg.jobs, specs, init, |_, spec| (spec, run_attack(&spec)));
         // Serial, order-preserving merge: identical for any job count.
         let mut new_points = [0u64; 8];
-        for o in &outcomes {
+        for (spec, attack) in attacks {
+            let o = judge(&spec, attack, &controls[&control_key(&spec)]);
             camp.episodes_run += 1;
             camp.interactions += o.interactions;
             camp.breaches += o.breaches;
@@ -249,34 +302,21 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
         }
     }
 
-    // Minimize the corpus serially (same thread ⇒ same mutation state).
-    mutation::set_active(mutation);
-    for ((persona, label), spec) in &discoverer {
-        let mut best = spec.actions;
-        let mut cur = spec.actions;
-        for _ in 0..4 {
-            let half = cur / 2;
-            if half == 0 {
-                break;
-            }
-            let o = run_episode(&EpisodeSpec {
-                actions: half,
-                ..*spec
-            });
-            if o.labels.contains_key(label) {
-                best = half;
-                cur = half;
-            } else {
-                break;
-            }
-        }
-        camp.corpus.push(CorpusEntry {
-            persona: *persona,
-            label: label.clone(),
-            seed: spec.seed,
-            actions: best,
-        });
+    // Minimise with one halving chain per discovering spec, over the
+    // same pool; sorting by (persona, label) restores discoverer order.
+    let mut chains: BTreeMap<EpisodeSpec, Vec<String>> = BTreeMap::new();
+    for ((_, label), spec) in &discoverer {
+        chains.entry(*spec).or_default().push(label.clone());
     }
+    let chains = chains.into_iter().collect();
+    camp.corpus = par::run_indexed_init(cfg.jobs, chains, init, |_, (spec, labels)| {
+        minimise(spec, labels)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    camp.corpus
+        .sort_by(|a, b| (a.persona, &a.label).cmp(&(b.persona, &b.label)));
     mutation::set_active(None);
 
     camp.coverage = coverage.into_values().collect();

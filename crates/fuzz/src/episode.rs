@@ -1,6 +1,16 @@
-//! One fuzz episode: a persona attacks a live testbed, a control run
-//! repeats the same world without the attack, and the two finished
-//! worlds are differenced.
+//! One fuzz episode: a persona attacks a live testbed, a no-attacker
+//! control run of the same world stands beside it, and the two finished
+//! worlds are compared.
+//!
+//! An episode is three functions. [`run_attack`] runs the persona
+//! against the world and reduces it to labels, fault attribution, the
+//! victim digest and event-channel conservation. [`run_control`] runs
+//! the world with no attack and keeps only what the comparison reads.
+//! [`judge`] compares the two. A control reads nothing but its
+//! [`ControlKey`] — the persona's DMA policy, plus the episode seed for
+//! the one persona whose benign bootstrap draws from it — so a campaign
+//! runs each distinct control once and judges every attack on that key
+//! against it; [`run_episode`] is the three composed for one spec.
 //!
 //! The attacker is the trailing *idle guest* of a 3-guest CDNA testbed
 //! ([`TestbedConfig::idle_guests`]): a real domain with real contexts,
@@ -27,7 +37,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cdna_core::{layout::Mailbox, ContextId, FaultKind, RxRequest};
+use cdna_core::{layout::Mailbox, ContextId, DmaPolicy, FaultKind, RxRequest};
 use cdna_mem::{BufferSlice, DomainId, PageId};
 use cdna_net::{framing, FlowId, MacAddr, PciBus};
 use cdna_nic::{DescFlags, DmaDescriptor, FrameMeta};
@@ -56,7 +66,7 @@ fn attacker_domain() -> DomainId {
 
 /// One episode to run: which persona, which RNG seed, how many
 /// adversarial actions to inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EpisodeSpec {
     /// The attacking persona.
     pub persona: Persona,
@@ -68,7 +78,7 @@ pub struct EpisodeSpec {
 
 /// Everything an episode observed, reduced to the counters the campaign
 /// aggregates and the coverage labels it steers on.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpisodeOutcome {
     /// The episode that ran.
     pub spec: EpisodeSpec,
@@ -113,6 +123,58 @@ impl EpisodeOutcome {
     }
 }
 
+/// What an attack run observed, before it is compared with a control.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Attack {
+    /// Outcome-label histogram, `fault:<kind>` labels included.
+    pub labels: BTreeMap<String, u64>,
+    /// Adversarial operations issued.
+    pub interactions: u64,
+    /// Must-reject probes the protection path accepted.
+    pub breaches: u64,
+    /// Faults attributed to the attacker's own contexts.
+    pub attacker_faults: u64,
+    /// Faults attributed to a victim guest's context.
+    pub victim_faults: u64,
+    /// Faults attributed to any context the attacker does not own.
+    pub misattributed: u64,
+    /// The finished world's [`victim_digest`].
+    pub victim_digest: String,
+    /// Whether event-channel conservation held.
+    pub evtchn_conserved: bool,
+}
+
+/// Everything a control run can influence: the testbed's DMA policy and,
+/// for the persona whose benign bootstrap lap draws from the episode
+/// RNG, that episode's seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ControlKey {
+    /// The DMA protection policy of the testbed.
+    pub policy: DmaPolicy,
+    /// The episode seed the bootstrap lap draws from, if there is one.
+    pub bootstrap_seed: Option<u64>,
+}
+
+/// The control run `spec` is judged against.
+pub fn control_key(spec: &EpisodeSpec) -> ControlKey {
+    ControlKey {
+        policy: spec.persona.policy(),
+        bootstrap_seed: spec.persona.bootstraps().then_some(spec.seed),
+    }
+}
+
+/// What a no-attacker control run observed: the part of its finished
+/// world that [`judge`] compares with an attack.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Control {
+    /// The finished world's [`victim_digest`].
+    pub victim_digest: String,
+    /// Faults recorded anywhere in the run — must be zero.
+    pub faults: u64,
+    /// Whether event-channel conservation held.
+    pub evtchn_conserved: bool,
+}
+
 /// Stable coverage label for a fault kind: the kind's name, with the
 /// shadow checker's violation-class code appended for shadow faults so
 /// distinct violation classes are distinct coverage points.
@@ -125,21 +187,19 @@ pub fn fault_label(kind: FaultKind) -> String {
     }
 }
 
-/// The testbed an episode runs: CDNA with the persona's policy, two
-/// victims plus the idle attacker slot, a small ring, and a window
-/// short enough to fuzz thousands of episodes.
-fn episode_cfg(p: Persona) -> TestbedConfig {
-    let mut cfg = TestbedConfig::new(
-        IoModel::Cdna { policy: p.policy() },
-        VICTIMS + 1,
-        Direction::Transmit,
-    )
-    .with_idle_guests(1);
+/// The testbed an episode runs: CDNA with `policy`, two victims plus the
+/// idle attacker slot, a small ring, and a window short enough to fuzz
+/// thousands of episodes. The DMA shadow checker runs under the
+/// `Validated` policy only: the IOMMU policy's guest-pinned mappings are
+/// not modelled by the shadow's whole-pool audit.
+fn episode_cfg(policy: DmaPolicy) -> TestbedConfig {
+    let mut cfg = TestbedConfig::new(IoModel::Cdna { policy }, VICTIMS + 1, Direction::Transmit)
+        .with_idle_guests(1);
     cfg.nics = NICS as u8;
     cfg.ring_size = RING;
     cfg.warmup = SimTime::from_ms(8);
     cfg.measure = SimTime::from_ms(24);
-    cfg.shadow_check = p.shadow_check();
+    cfg.shadow_check = policy == DmaPolicy::Validated;
     // Arm the device's adversarial seam in BOTH runs so the config —
     // and thus every timing constant — is identical with and without
     // the attack.
@@ -179,32 +239,78 @@ struct RigState {
     iommu_written: [u64; NICS],
 }
 
-/// What one run (attack or control) produced.
-struct SideResult {
-    labels: BTreeMap<String, u64>,
-    interactions: u64,
-    breaches: u64,
-    world: SystemWorld,
+/// A primed episode world, identical in attack and control runs: the
+/// testbed for `policy`, the rig's pages, and — when `bootstrap` holds
+/// the episode's bootstrap RNG — the stale-replay setup lap. Returns the
+/// simulation, the pages and the end of the run.
+fn rig(
+    policy: DmaPolicy,
+    bootstrap: Option<&mut SimRng>,
+) -> (Simulation<SystemWorld>, Pages, SimTime) {
+    let cfg = episode_cfg(policy);
+    let end = cfg.warmup + cfg.measure;
+    let queue = cfg.queue;
+    let mut sim = Simulation::with_queue(SystemWorld::build(cfg), queue);
+    let pages = Pages::alloc(sim.world_mut());
+    let primed = sim.world_mut().prime();
+    for (t, e) in primed {
+        sim.schedule(t, e);
+    }
+    // The stale-replay persona first transmits one legal ring lap — in
+    // BOTH runs, over the real bus — so the attack run's later replay
+    // poke is the only difference between the two worlds.
+    if let Some(rng) = bootstrap {
+        bootstrap_lap(&mut sim, &pages, rng);
+    }
+    (sim, pages, end)
 }
 
-/// Runs one full episode: attack run, control run, difference.
-pub fn run_episode(spec: &EpisodeSpec) -> EpisodeOutcome {
-    let attack = run_side(spec, true);
-    let control = run_side(spec, false);
+/// Whether event-channel conservation (`sent == collected + pending`)
+/// holds in `w`.
+fn evtchn_conserved(w: &SystemWorld) -> bool {
+    w.evt.sent() == w.evt.collected() + w.evt.pending_total()
+}
 
-    let attacker_ctxs: BTreeSet<ContextId> = attack.world.ctx_of[VICTIMS as usize]
-        .iter()
-        .copied()
-        .collect();
+/// Runs `spec`'s attack and attributes every fault it recorded.
+pub fn run_attack(spec: &EpisodeSpec) -> Attack {
+    let mut rng = SimRng::seed_from(spec.seed);
+    let mut boot_rng = rng.fork(0);
+    let mut act_rng = rng.fork(1);
+    let bootstrap = spec.persona.bootstraps().then_some(&mut boot_rng);
+    let (mut sim, pages, end) = rig(spec.persona.policy(), bootstrap);
+
+    let mut labels = BTreeMap::new();
+    let mut interactions = 0u64;
+    let mut breaches = 0u64;
+    let mut scratch = PciBus::new_64bit_66mhz();
+    let mut st = RigState::default();
+    for at in plan_times(spec, &mut act_rng) {
+        sim.run_until(at);
+        inject_one(
+            &mut sim,
+            spec.persona,
+            at,
+            &mut act_rng,
+            &pages,
+            &mut scratch,
+            &mut st,
+            &mut labels,
+            &mut interactions,
+            &mut breaches,
+        );
+    }
+    sim.run_until(end);
+    let world = sim.into_world();
+
+    let attacker_ctxs: BTreeSet<ContextId> =
+        world.ctx_of[VICTIMS as usize].iter().copied().collect();
     let victim_ctxs: BTreeSet<ContextId> = (0..VICTIMS as usize)
-        .flat_map(|g| attack.world.ctx_of[g].iter().copied())
+        .flat_map(|g| world.ctx_of[g].iter().copied())
         .collect();
-
-    let mut labels = attack.labels;
     let mut attacker_faults = 0u64;
     let mut victim_faults = 0u64;
     let mut misattributed = 0u64;
-    for f in &attack.world.faults {
+    for f in &world.faults {
         if attacker_ctxs.contains(&f.ctx) {
             attacker_faults += 1;
             // All attacker faults are labeled here, where each appears
@@ -222,77 +328,53 @@ pub fn run_episode(spec: &EpisodeSpec) -> EpisodeOutcome {
         }
     }
 
-    let digest_match =
-        victim_digest(&attack.world, VICTIMS) == victim_digest(&control.world, VICTIMS);
-    let conserved = |w: &SystemWorld| w.evt.sent() == w.evt.collected() + w.evt.pending_total();
-    let evtchn_conserved = conserved(&attack.world) && conserved(&control.world);
-
-    EpisodeOutcome {
-        spec: *spec,
-        labels,
-        interactions: attack.interactions,
-        breaches: attack.breaches,
-        attacker_faults,
-        victim_faults,
-        misattributed,
-        control_faults: control.world.faults.len() as u64,
-        digest_match,
-        evtchn_conserved,
-    }
-}
-
-fn run_side(spec: &EpisodeSpec, attack: bool) -> SideResult {
-    let cfg = episode_cfg(spec.persona);
-    let end = cfg.warmup + cfg.measure;
-    let queue = cfg.queue;
-    let mut sim = Simulation::with_queue(SystemWorld::build(cfg), queue);
-    let pages = Pages::alloc(sim.world_mut());
-    let primed = sim.world_mut().prime();
-    for (t, e) in primed {
-        sim.schedule(t, e);
-    }
-
-    let mut rng = SimRng::seed_from(spec.seed);
-    let mut boot_rng = rng.fork(0);
-    let mut act_rng = rng.fork(1);
-
-    // The stale-replay persona first transmits one legal ring lap — in
-    // BOTH runs, over the real bus — so the attack run's later replay
-    // poke is the only difference between the two worlds.
-    if spec.persona.bootstraps() {
-        bootstrap_lap(&mut sim, &pages, &mut boot_rng);
-    }
-
-    let mut labels = BTreeMap::new();
-    let mut interactions = 0u64;
-    let mut breaches = 0u64;
-    if attack {
-        let mut scratch = PciBus::new_64bit_66mhz();
-        let mut st = RigState::default();
-        let times = plan_times(spec, &mut act_rng);
-        for at in times {
-            sim.run_until(at);
-            inject_one(
-                &mut sim,
-                spec.persona,
-                at,
-                &mut act_rng,
-                &pages,
-                &mut scratch,
-                &mut st,
-                &mut labels,
-                &mut interactions,
-                &mut breaches,
-            );
-        }
-    }
-    sim.run_until(end);
-    SideResult {
+    Attack {
         labels,
         interactions,
         breaches,
-        world: sim.into_world(),
+        attacker_faults,
+        victim_faults,
+        misattributed,
+        victim_digest: victim_digest(&world, VICTIMS),
+        evtchn_conserved: evtchn_conserved(&world),
     }
+}
+
+/// Runs the no-attacker control world named by `key`.
+pub fn run_control(key: ControlKey) -> Control {
+    let mut boot_rng = key
+        .bootstrap_seed
+        .map(|seed| SimRng::seed_from(seed).fork(0));
+    let (mut sim, _pages, end) = rig(key.policy, boot_rng.as_mut());
+    sim.run_until(end);
+    let world = sim.into_world();
+    Control {
+        victim_digest: victim_digest(&world, VICTIMS),
+        faults: world.faults.len() as u64,
+        evtchn_conserved: evtchn_conserved(&world),
+    }
+}
+
+/// Compares `spec`'s attack with the control of its
+/// [`control_key`].
+pub fn judge(spec: &EpisodeSpec, attack: Attack, control: &Control) -> EpisodeOutcome {
+    EpisodeOutcome {
+        spec: *spec,
+        labels: attack.labels,
+        interactions: attack.interactions,
+        breaches: attack.breaches,
+        attacker_faults: attack.attacker_faults,
+        victim_faults: attack.victim_faults,
+        misattributed: attack.misattributed,
+        control_faults: control.faults,
+        digest_match: attack.victim_digest == control.victim_digest,
+        evtchn_conserved: attack.evtchn_conserved && control.evtchn_conserved,
+    }
+}
+
+/// Runs one full episode: attack run, its control run, judgement.
+pub fn run_episode(spec: &EpisodeSpec) -> EpisodeOutcome {
+    judge(spec, run_attack(spec), &run_control(control_key(spec)))
 }
 
 /// Draws the injection schedule: `actions` sorted times inside the run,

@@ -15,13 +15,16 @@
 //!   storms, IOMMU escapes).
 //! * [`episode`] — one seeded attack: an attacker domain rides a
 //!   standard two-victim testbed, injects persona-driven interactions
-//!   between simulation steps, and the outcome is differenced against a
-//!   byte-identical no-attacker control run of the same world.
+//!   between simulation steps, and the outcome is judged against a
+//!   byte-identical no-attacker control run of the same world. A
+//!   control reads only its [`ControlKey`] (DMA policy, plus the seed
+//!   of a bootstrapping persona), so attacks on one key share it.
 //! * [`campaign`] — the coverage-guided loop: coverage is the hit-set
 //!   of `(persona, outcome-label)` pairs, newly discovered points feed
-//!   an energy schedule across generations, episodes fan out over the
-//!   deterministic worker pool, and first-discovering episodes are
-//!   minimized into a replayable corpus.
+//!   an energy schedule across generations, each generation runs its
+//!   new controls and then its attacks on the deterministic worker
+//!   pool, and each first-discovering episode is minimized by one
+//!   halving chain of attack-only reruns into a replayable corpus.
 //!
 //! Everything is a pure function of the campaign seed: reports and
 //! corpora are byte-identical across `--jobs` values and across runs.
@@ -33,5 +36,8 @@ pub mod episode;
 pub mod persona;
 
 pub use campaign::{run_campaign, Campaign, CampaignConfig, CorpusEntry, CoveragePoint};
-pub use episode::{run_episode, EpisodeOutcome, EpisodeSpec};
+pub use episode::{
+    control_key, judge, run_attack, run_control, run_episode, Attack, Control, ControlKey,
+    EpisodeOutcome, EpisodeSpec,
+};
 pub use persona::{Persona, ALL};

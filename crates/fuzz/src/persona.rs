@@ -83,14 +83,6 @@ impl Persona {
         }
     }
 
-    /// Whether episodes of this persona run the DMA shadow checker
-    /// alongside the simulation. On for the `Validated` flavor; off
-    /// under the IOMMU policy, whose guest-pinned mappings the shadow's
-    /// whole-pool audit does not model.
-    pub fn shadow_check(self) -> bool {
-        self.policy() == DmaPolicy::Validated
-    }
-
     /// Whether the persona's benign bootstrap transmits a full ring lap
     /// of real frames before the attack (the stale-replay setup).
     pub fn bootstraps(self) -> bool {
@@ -115,9 +107,7 @@ mod tests {
     #[test]
     fn only_the_iommu_escape_leaves_the_validated_flavor() {
         for p in ALL {
-            let iommu = p == Persona::IommuEscape;
-            assert_eq!(p.policy() == DmaPolicy::Iommu, iommu);
-            assert_eq!(p.shadow_check(), !iommu);
+            assert_eq!(p.policy() == DmaPolicy::Iommu, p == Persona::IommuEscape);
         }
     }
 }

@@ -317,6 +317,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
     .collect();
     camp.corpus
         .sort_by(|a, b| (a.persona, &a.label).cmp(&(b.persona, &b.label)));
+    // At `jobs == 1` the pool ran the init hook on this thread.
     mutation::set_active(None);
 
     camp.coverage = coverage.into_values().collect();

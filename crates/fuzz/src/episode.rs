@@ -124,7 +124,7 @@ impl EpisodeOutcome {
 }
 
 /// What an attack run observed, before it is compared with a control.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Attack {
     /// Outcome-label histogram, `fault:<kind>` labels included.
     pub labels: BTreeMap<String, u64>,
@@ -355,8 +355,7 @@ pub fn run_control(key: ControlKey) -> Control {
     }
 }
 
-/// Compares `spec`'s attack with the control of its
-/// [`control_key`].
+/// Compares `spec`'s attack with the control of its [`control_key`].
 pub fn judge(spec: &EpisodeSpec, attack: Attack, control: &Control) -> EpisodeOutcome {
     EpisodeOutcome {
         spec: *spec,

@@ -295,8 +295,6 @@ pub struct Analysis {
     pub diagnostics: Vec<Diagnostic>,
     /// Total `cdna-check: allow` annotations found.
     pub allow_count: usize,
-    /// Resolved call edges in the symbol graph (statistics).
-    pub call_edges: usize,
 }
 
 /// Parses `cdna-*` dependency entries out of a manifest for layering.
@@ -508,7 +506,6 @@ pub fn analyze_jobs(files: &[SourceFile], manifests: &[(String, String)], jobs: 
     Analysis {
         diagnostics,
         allow_count,
-        call_edges: graph.call_edge_count(),
     }
 }
 

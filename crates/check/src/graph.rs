@@ -102,17 +102,6 @@ impl SymbolGraph {
                 .unwrap_or(false)
         })
     }
-
-    /// Total number of resolved call edges (call sites whose name
-    /// matches at least one workspace `fn`), for report statistics.
-    pub fn call_edge_count(&self) -> usize {
-        self.files
-            .iter()
-            .flat_map(|f| &f.symbols.fns)
-            .flat_map(|f| &f.calls)
-            .filter(|c| self.fn_index.contains_key(&c.callee))
-            .count()
-    }
 }
 
 /// One interprocedural analysis over the symbol graph.

@@ -180,7 +180,7 @@ impl std::fmt::Display for ShadowViolation {
 }
 
 /// Mirror of one page's protection-relevant state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct PageMirror {
     owner: Option<DomainId>,
     pins: u32,
@@ -196,7 +196,7 @@ struct PageMirror {
 /// The page mirror: slot `i` mirrors `PageId(i)`, `None` marks an
 /// untracked page. Grows to the highest page seen, never to the whole
 /// pool up front; iteration is in ascending page order.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct PageMirrors {
     slots: Vec<Option<PageMirror>>,
     /// Number of `Some` slots.
@@ -228,6 +228,19 @@ impl PageMirrors {
         slot.get_or_insert_with(PageMirror::default)
     }
 
+    /// Tracks `page` as `m`, returning the entry it replaces.
+    fn replace(&mut self, page: PageId, m: PageMirror) -> Option<PageMirror> {
+        let i = page.0 as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        let prev = self.slots[i].replace(m);
+        if prev.is_none() {
+            self.tracked += 1;
+        }
+        prev
+    }
+
     /// Stops tracking `page` (it is back on the free list).
     fn untrack(&mut self, page: PageId) {
         if let Some(slot) = self.slots.get_mut(page.0 as usize) {
@@ -247,7 +260,7 @@ impl PageMirrors {
 }
 
 /// Per-(context, direction) expected-sequence tracker.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct SeqShadow {
     expected: u32,
     modulus: u32,
@@ -297,8 +310,9 @@ fn record(
 ///
 /// Every scan walks its storage in ascending key order (page number,
 /// then stream), so violation reports are deterministic regardless of
-/// event arrival interleaving.
-#[derive(Debug, Default, Clone)]
+/// event arrival interleaving. Two shadows are equal when their page
+/// mirrors, sequence streams, violations and event counts all are.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct DmaShadow {
     pages: PageMirrors,
     seqs: BTreeMap<(u16, u8, ShadowDir), SeqShadow>,
@@ -349,15 +363,22 @@ impl DmaShadow {
         self.pages.get(page).and_then(|m| m.owner)
     }
 
+    /// The pins the mirror currently records for `page` (0 if
+    /// untracked).
+    pub fn pins(&self, page: PageId) -> u32 {
+        self.pages.get(page).map_or(0, |m| m.pins)
+    }
+
     /// A page left the free list with `owner`.
     pub fn on_alloc(&mut self, owner: DomainId, page: PageId) {
         self.events += 1;
-        let m = self.pages.track(page);
-        let prev = m.owner;
-        *m = PageMirror {
+        // Written whole, not built in place: on the per-page path of
+        // every first sync.
+        let fresh = PageMirror {
             owner: Some(owner),
             ..PageMirror::default()
         };
+        let prev = self.pages.replace(page, fresh).and_then(|m| m.owner);
         if prev.is_some() {
             let detail = format!("alloc of page {} already owned by {prev:?}", page.0);
             record(
@@ -656,15 +677,22 @@ impl DmaShadow {
         self.violations.len() - before
     }
 
-    /// Cross-checks one context's engine-side pinned list (sequence
-    /// number + first page of each pinned buffer) against the mirror:
-    /// every engine-pinned page must be pinned in the mirror too.
-    /// Returns the number of divergences recorded.
-    pub fn audit_pinned(&mut self, ctx: ContextId, pinned_pages: &[PageId]) -> usize {
+    /// Cross-checks one context's engine-side pinned list — the page
+    /// run `(first page, page count)` of each pinned buffer, in ring
+    /// order — against the mirror: every engine-pinned page must be
+    /// pinned in the mirror too. Divergences are recorded run by run,
+    /// each run's pages ascending; returns the number recorded.
+    pub fn audit_pinned(
+        &mut self,
+        ctx: ContextId,
+        pinned_runs: impl IntoIterator<Item = (PageId, u32)>,
+    ) -> usize {
         let before = self.violations.len();
-        for &page in pinned_pages {
-            let ok = self.pages.get(page).is_some_and(|m| m.pins > 0);
-            if !ok {
+        for (first, len) in pinned_runs {
+            for page in (first.0..first.0 + len).map(PageId) {
+                if self.pages.get(page).is_some_and(|m| m.pins > 0) {
+                    continue;
+                }
                 let detail = format!(
                     "engine holds page {} pinned for ctx {} but mirror shows no pin",
                     page.0, ctx.0
@@ -953,10 +981,10 @@ mod tests {
         let mut s = DmaShadow::new();
         let p = PageId(9);
         // Engine claims p pinned for ctx 0; mirror never saw a pin.
-        assert_eq!(s.audit_pinned(ctx(0), &[p]), 1);
+        assert_eq!(s.audit_pinned(ctx(0), [(p, 1)]), 1);
         s.on_alloc(guest(), p);
         s.on_pin(p);
-        assert_eq!(s.audit_pinned(ctx(0), &[p]), 0);
+        assert_eq!(s.audit_pinned(ctx(0), [(p, 1)]), 0);
     }
 
     #[test]

@@ -150,6 +150,6 @@ fn shadow_sequence_gap_fires() {
 fn shadow_mirror_divergence_fires() {
     let mut s = DmaShadow::new();
     // Engine claims a pinned page the mirror never saw.
-    s.audit_pinned(ContextId(0), &[PageId(9)]);
+    s.audit_pinned(ContextId(0), [(PageId(9), 1)]);
     assert_eq!(kinds(&s), ["mirror-divergence"]);
 }

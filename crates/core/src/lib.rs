@@ -40,6 +40,6 @@ pub use fault::{FaultKind, ProtectionFault};
 pub use generic::{DescriptorFormat, FormatError};
 pub use iommu::{IommuStats, IommuViolation, PerContextIommu};
 pub use protection::{
-    DmaPolicy, EnqueueOutcome, ProtectionEngine, ProtectionError, RxRequest, TxRequest,
+    DmaPolicy, EnqueueOutcome, PinRun, ProtectionEngine, ProtectionError, RxRequest, TxRequest,
 };
 pub use seqnum::{SeqChecker, SeqStamper};

@@ -136,6 +136,63 @@ pub struct ProtectionStats {
     pub hypercalls: u64,
 }
 
+/// One entry of a protection engine's pin journal: each of the `len`
+/// pages from `first` changed its pin count in the engine's
+/// pinned-buffer lists by `delta`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PinRun {
+    /// First page of the run.
+    pub first: PageId,
+    /// Pages in the run.
+    pub len: u32,
+    /// +1 for a pin, −1 for an unpin; a compacted journal holds each
+    /// page's net change instead.
+    pub delta: i32,
+}
+
+/// Journal length from which a full journal is compacted instead of
+/// grown: model schedules never reach it, while a shadow-checked run of
+/// a simulated second records ~200,000 runs before its one sync.
+const JOURNAL_COMPACT_FROM: usize = 4096;
+
+/// Appends a `delta` change of the page run `(first, len)` to
+/// `journal`. A full journal of [`JOURNAL_COMPACT_FROM`] runs or more
+/// is first compacted to one run per page span of equal net change, so
+/// it stays about as long as the pinned set, not the run.
+fn journal_run(journal: &mut Vec<PinRun>, run: (PageId, u32), delta: i32) {
+    if journal.len() == journal.capacity() && journal.len() >= JOURNAL_COMPACT_FROM {
+        let lo = journal.iter().map(|r| r.first.0).min().unwrap_or(0);
+        let hi = journal.iter().map(|r| r.first.0 + r.len).max().unwrap_or(0);
+        let mut net = vec![0i32; (hi - lo) as usize];
+        for r in journal.drain(..) {
+            let start = (r.first.0 - lo) as usize;
+            for d in &mut net[start..start + r.len as usize] {
+                *d += r.delta;
+            }
+        }
+        for (page, &d) in (lo..).zip(&net).filter(|&(_, &d)| d != 0) {
+            merge_run(journal, (PageId(page), 1), d);
+        }
+    }
+    merge_run(journal, run, delta);
+}
+
+/// Appends the run, extending the last entry instead when the run
+/// adjoins it with the same delta: reaps merge ascending runs, and
+/// drivers post buffers popped off their pools in descending page
+/// order. Only the net change per page is ever read, so merging and
+/// compacting lose nothing.
+fn merge_run(journal: &mut Vec<PinRun>, (first, len): (PageId, u32), delta: i32) {
+    match journal.last_mut() {
+        Some(last) if last.delta == delta && last.first.0 + last.len == first.0 => last.len += len,
+        Some(last) if last.delta == delta && first.0 + len == last.first.0 => {
+            last.first = first;
+            last.len += len;
+        }
+        _ => journal.push(PinRun { first, len, delta }),
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Direction {
     stamper: SeqStamper,
@@ -155,11 +212,27 @@ impl Direction {
         }
     }
 
-    fn reap(&mut self, nic_consumer: u64, mem: &mut PhysMem) -> Result<u32, MemError> {
+    /// Pops the buffers the NIC has consumed and unpins their pages,
+    /// recording each unpinned run in `journal` when one is kept.
+    fn reap(
+        &mut self,
+        nic_consumer: u64,
+        mem: &mut PhysMem,
+        mut journal: Option<&mut Vec<PinRun>>,
+    ) -> Result<u32, MemError> {
         let mut reaped = 0;
         // Completed buffers are usually physically adjacent (RX pools
         // hand out consecutive pages), so merge them into page runs and
-        // unpin once per run instead of once per buffer.
+        // unpin once per run instead of once per buffer. Every buffer of
+        // a run has left `pinned` when the run is unpinned, so the run is
+        // journaled first: the journal matches the list even if the
+        // unpin fails.
+        let mut unpin = |s: u32, l: u32| {
+            if let Some(j) = journal.as_deref_mut() {
+                journal_run(j, (PageId(s), l), -1);
+            }
+            mem.unpin_run(PageId(s), l)
+        };
         let mut run: Option<(u32, u32)> = None;
         while let Some(&(idx, buf)) = self.pinned.front() {
             if idx >= nic_consumer {
@@ -169,7 +242,7 @@ impl Direction {
             match &mut run {
                 Some((s, l)) if start.0 == *s + *l => *l += len,
                 Some((s, l)) => {
-                    mem.unpin_run(PageId(*s), *l)?;
+                    unpin(*s, *l)?;
                     *s = start.0;
                     *l = len;
                 }
@@ -180,7 +253,7 @@ impl Direction {
             reaped += 1;
         }
         if let Some((s, l)) = run {
-            mem.unpin_run(PageId(s), l)?;
+            unpin(s, l)?;
         }
         Ok(reaped)
     }
@@ -264,6 +337,10 @@ pub struct ProtectionEngine {
     table: ContextTable,
     ctxs: Vec<Option<CtxProtection>>,
     stats: ProtectionStats,
+    /// Every change to the pinned-buffer lists since the journal was
+    /// last cleared, kept only once
+    /// [`ProtectionEngine::enable_pin_journal`] is called.
+    journal: Option<Vec<PinRun>>,
 }
 
 impl ProtectionEngine {
@@ -273,6 +350,36 @@ impl ProtectionEngine {
             table: ContextTable::new(),
             ctxs: (0..crate::CTX_COUNT).map(|_| None).collect(),
             stats: ProtectionStats::default(),
+            journal: None,
+        }
+    }
+
+    /// Starts the pin journal: from now on every page run the engine
+    /// pins or unpins on behalf of a descriptor (enqueue, reap,
+    /// revocation) is recorded as a [`PinRun`]. The journal opens with
+    /// one +1 run per buffer already pinned, so the runs recorded since
+    /// enabling always net to the engine's pinned pages. Without this
+    /// call the engine keeps no journal and records nothing.
+    pub fn enable_pin_journal(&mut self) {
+        let mut journal = Vec::new();
+        for prot in self.ctxs.iter().flatten() {
+            for (_, buf) in prot.tx.pinned.iter().chain(&prot.rx.pinned) {
+                journal_run(&mut journal, buf.page_run(), 1);
+            }
+        }
+        self.journal = Some(journal);
+    }
+
+    /// The pin journal recorded since it was last cleared, in
+    /// recording order, or `None` when the journal is not enabled.
+    pub fn pin_journal(&self) -> Option<&[PinRun]> {
+        self.journal.as_deref()
+    }
+
+    /// Empties the pin journal; it stays enabled.
+    pub fn clear_pin_journal(&mut self) {
+        if let Some(j) = &mut self.journal {
+            j.clear();
         }
     }
 
@@ -334,7 +441,14 @@ impl ProtectionEngine {
     ) -> Result<ContextState, ProtectionError> {
         let state = self.table.revoke(ctx)?;
         if let Some(prot) = self.ctxs[ctx.0 as usize].take() {
-            for (_, buf) in prot.tx.pinned.iter().chain(prot.rx.pinned.iter()) {
+            let bufs = prot.tx.pinned.iter().chain(prot.rx.pinned.iter());
+            // The lists are gone whatever the unpins below return.
+            if let Some(j) = &mut self.journal {
+                for (_, buf) in bufs.clone() {
+                    journal_run(j, buf.page_run(), -1);
+                }
+            }
+            for (_, buf) in bufs {
                 mem.unpin_slice(buf)?;
             }
         }
@@ -366,7 +480,7 @@ impl ProtectionEngine {
 
         #[expect(clippy::expect_used, reason = "internal invariant, see comment above")]
         let prot = self.ctxs[ctx.0 as usize].as_mut().expect("assigned");
-        let reaped = prot.tx.reap(nic_consumer, mem)?;
+        let reaped = prot.tx.reap(nic_consumer, mem, self.journal.as_mut())?;
 
         // Capacity: outstanding (unconsumed by NIC) + new must fit.
         let outstanding = prot.tx.producer - nic_consumer.min(prot.tx.producer);
@@ -420,6 +534,11 @@ impl ProtectionEngine {
             mem.pin_run(s, l)
         })
         .map_err(ProtectionError::Mem)?;
+        if let Some(j) = &mut self.journal {
+            for req in reqs {
+                journal_run(j, req.buf.page_run(), 1);
+            }
+        }
 
         #[expect(clippy::expect_used, reason = "ring created at assign_context")]
         let ring = rings.get_mut(state.tx_ring).expect("ring exists");
@@ -475,7 +594,7 @@ impl ProtectionEngine {
 
         #[expect(clippy::expect_used, reason = "internal invariant, see comment above")]
         let prot = self.ctxs[ctx.0 as usize].as_mut().expect("assigned");
-        let reaped = prot.rx.reap(nic_consumer, mem)?;
+        let reaped = prot.rx.reap(nic_consumer, mem, self.journal.as_mut())?;
 
         let outstanding = prot.rx.producer - nic_consumer.min(prot.rx.producer);
         if outstanding + reqs.len() as u64 > ring_size as u64 {
@@ -497,6 +616,11 @@ impl ProtectionEngine {
             mem.pin_run(s, l)
         })
         .map_err(ProtectionError::Mem)?;
+        if let Some(j) = &mut self.journal {
+            for req in reqs {
+                journal_run(j, req.buf.page_run(), 1);
+            }
+        }
 
         #[expect(clippy::expect_used, reason = "ring created at assign_context")]
         let ring = rings.get_mut(state.rx_ring).expect("ring exists");
@@ -541,7 +665,8 @@ impl ProtectionEngine {
         self.table.state(ctx)?;
         #[expect(clippy::expect_used, reason = "slot filled while the ctx is assigned")]
         let prot = self.ctxs[ctx.0 as usize].as_mut().expect("assigned");
-        Ok(prot.tx.reap(nic_tx_consumer, mem)? + prot.rx.reap(nic_rx_consumer, mem)?)
+        Ok(prot.tx.reap(nic_tx_consumer, mem, self.journal.as_mut())?
+            + prot.rx.reap(nic_rx_consumer, mem, self.journal.as_mut())?)
     }
 
     /// Buffers currently pinned on behalf of `ctx` (both directions).
@@ -553,16 +678,16 @@ impl ProtectionEngine {
     }
 
     /// Audit view for external invariant checkers (cdna-check's
-    /// `DmaShadow`): every page the engine currently holds pinned for
-    /// `ctx`, across both directions, in ring order. Empty for an
-    /// unassigned context.
-    pub fn pinned_pages(&self, ctx: ContextId) -> impl Iterator<Item = PageId> + '_ {
-        self.ctxs
-            .get(ctx.0 as usize)
-            .and_then(|slot| slot.as_ref())
-            .into_iter()
-            .flat_map(|p| p.tx.pinned.iter().chain(p.rx.pinned.iter()))
-            .flat_map(|(_, buf)| buf.pages())
+    /// `DmaShadow`): the page run (first page, page count) of every
+    /// buffer the engine currently holds pinned for `ctx`, TX then RX,
+    /// each in ring order. Empty for an unassigned context.
+    pub fn pinned_runs(&self, ctx: ContextId) -> impl Iterator<Item = (PageId, u32)> + '_ {
+        static NONE: VecDeque<(u64, BufferSlice)> = VecDeque::new();
+        let (tx, rx) = match self.ctxs.get(ctx.0 as usize).and_then(Option::as_ref) {
+            Some(p) => (&p.tx.pinned, &p.rx.pinned),
+            None => (&NONE, &NONE),
+        };
+        tx.iter().chain(rx).map(|(_, buf)| buf.page_run())
     }
 
     /// Audit view: the (tx, rx) producer indices for `ctx`, or `None`
@@ -853,6 +978,140 @@ mod tests {
         f.engine.revoke_context(f.ctx, &mut f.mem).unwrap();
         assert_eq!(f.mem.outstanding_pins(), 0);
         assert_eq!(f.engine.outstanding(f.ctx), 0);
+    }
+
+    /// Nets `journal` into `(page, pins)` pairs, ascending, dropping
+    /// pages that net to zero.
+    fn net(journal: &[PinRun]) -> Vec<(u32, i32)> {
+        let mut pins = std::collections::BTreeMap::new();
+        for run in journal {
+            for p in run.first.0..run.first.0 + run.len {
+                *pins.entry(p).or_insert(0) += run.delta;
+            }
+        }
+        pins.into_iter().filter(|&(_, n)| n != 0).collect()
+    }
+
+    /// The engine's pinned pages as `(page, pins)` pairs, ascending.
+    fn pinned(f: &Fixture) -> Vec<(u32, i32)> {
+        let mut pins = std::collections::BTreeMap::new();
+        for (first, len) in f.engine.pinned_runs(f.ctx) {
+            for p in first.0..first.0 + len {
+                *pins.entry(p).or_insert(0) += 1;
+            }
+        }
+        pins.into_iter().collect()
+    }
+
+    #[test]
+    fn pin_journal_records_every_pinned_list_change() {
+        let mut f = fixture();
+        let g = f.guest;
+        let early: Vec<TxRequest> = (0..2).map(|_| tx_req(&mut f, g)).collect();
+        f.engine
+            .enqueue_tx(f.ctx, g, &early, 0, &mut f.rings, &mut f.mem)
+            .unwrap();
+        assert_eq!(f.engine.pin_journal(), None, "off until enabled");
+        // Enabling seeds the journal with what is already pinned.
+        f.engine.enable_pin_journal();
+        assert_eq!(net(f.engine.pin_journal().unwrap()), pinned(&f));
+        // A rejected batch changes no list and records nothing.
+        let theirs = tx_req(&mut f, DomainId::guest(7));
+        let before = f.engine.pin_journal().unwrap().len();
+        assert!(f
+            .engine
+            .enqueue_tx(f.ctx, g, &[theirs], 0, &mut f.rings, &mut f.mem)
+            .is_err());
+        assert_eq!(f.engine.pin_journal().unwrap().len(), before);
+        // Enqueues, lazy reaps, explicit reaps: the journal always nets
+        // to the pinned lists.
+        let more: Vec<TxRequest> = (0..5).map(|_| tx_req(&mut f, g)).collect();
+        f.engine
+            .enqueue_tx(f.ctx, g, &more, 1, &mut f.rings, &mut f.mem)
+            .unwrap();
+        let rx = f.mem.alloc_many(g, 3).unwrap();
+        let posts: Vec<RxRequest> = rx
+            .iter()
+            .map(|p| RxRequest {
+                buf: BufferSlice::new(p.base_addr(), 1514),
+            })
+            .collect();
+        f.engine
+            .enqueue_rx(f.ctx, g, &posts, 0, &mut f.rings, &mut f.mem)
+            .unwrap();
+        assert_eq!(net(f.engine.pin_journal().unwrap()), pinned(&f));
+        f.engine.reap(f.ctx, 4, 2, &mut f.mem).unwrap();
+        assert_eq!(net(f.engine.pin_journal().unwrap()), pinned(&f));
+        // Clearing keeps it on; revocation journals every release.
+        f.engine.clear_pin_journal();
+        assert_eq!(f.engine.pin_journal(), Some(&[][..]));
+        let held = pinned(&f);
+        f.engine.revoke_context(f.ctx, &mut f.mem).unwrap();
+        let released: Vec<(u32, i32)> = held.into_iter().map(|(p, n)| (p, -n)).collect();
+        assert_eq!(net(f.engine.pin_journal().unwrap()), released);
+    }
+
+    #[test]
+    fn pin_journal_merges_adjacent_runs() {
+        let mut f = fixture();
+        f.engine.enable_pin_journal();
+        let pages = f.mem.alloc_many(f.guest, 8).unwrap();
+        let post = |pages: &[PageId]| -> Vec<RxRequest> {
+            pages
+                .iter()
+                .map(|p| RxRequest {
+                    buf: BufferSlice::new(p.base_addr(), 1514),
+                })
+                .collect()
+        };
+        // Ascending, then descending the way drivers pop their pools.
+        let descending: Vec<PageId> = pages[4..].iter().rev().copied().collect();
+        for batch in [post(&pages[..4]), post(&descending)] {
+            f.engine
+                .enqueue_rx(f.ctx, f.guest, &batch, 0, &mut f.rings, &mut f.mem)
+                .unwrap();
+        }
+        f.engine.reap(f.ctx, 0, 4, &mut f.mem).unwrap();
+        f.engine.reap(f.ctx, 0, 8, &mut f.mem).unwrap();
+        let run = |first: usize, delta| PinRun {
+            first: pages[first],
+            len: 4,
+            delta,
+        };
+        assert_eq!(
+            f.engine.pin_journal().unwrap(),
+            [run(0, 1), run(4, 1), run(0, -1), run(4, -1)]
+        );
+    }
+
+    #[test]
+    fn a_full_journal_compacts_to_its_net_change() {
+        let mut f = fixture();
+        let g = f.guest;
+        f.engine.enable_pin_journal();
+        // One page at a time through the ring, never reaped past the
+        // last 8: tens of thousands of runs recorded, a few pinned.
+        let pages = f.mem.alloc_many(g, 16).unwrap();
+        let template = tx_req(&mut f, g);
+        for i in 0..20_000u64 {
+            let req = TxRequest {
+                buf: BufferSlice::new(pages[(i % 16) as usize].base_addr(), 1514),
+                ..template
+            };
+            f.engine
+                .enqueue_tx(
+                    f.ctx,
+                    g,
+                    &[req],
+                    i.saturating_sub(8),
+                    &mut f.rings,
+                    &mut f.mem,
+                )
+                .unwrap();
+            // Uncompacted, the journal would pass 39,000 runs.
+            assert!(f.engine.pin_journal().unwrap().len() <= 8192, "step {i}");
+        }
+        assert_eq!(net(f.engine.pin_journal().unwrap()), pinned(&f));
     }
 
     #[test]

@@ -741,6 +741,9 @@ fn inject_one(
 }
 
 #[cfg(test)]
+mod shadow_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -111,12 +111,8 @@ pub fn check_invariants(world: &SystemWorld) -> Vec<String> {
         let engine_pins: u64 = world
             .engines
             .iter()
-            .flat_map(|e| {
-                e.contexts()
-                    .assigned()
-                    .map(|(c, _)| e.pinned_pages(c).count())
-            })
-            .map(|n| n as u64)
+            .flat_map(|e| e.contexts().assigned().flat_map(|(c, _)| e.pinned_runs(c)))
+            .map(|(_, len)| u64::from(len))
             .sum();
         let pool_pins = world.mem.outstanding_pins();
         if pool_pins != engine_pins {

@@ -128,6 +128,8 @@ pub struct TestbedConfig {
     /// the live [`cdna_mem::PhysMem`] and protection engine at
     /// measurement boundaries. Divergence surfaces as
     /// [`cdna_core::FaultKind::ShadowViolation`] protection faults.
+    /// It also turns on every protection engine's pin journal, which
+    /// feeds the mirror; no simulated outcome changes.
     pub shadow_check: bool,
     /// The cost model (override for ablations).
     pub costs: CostModel,

@@ -124,7 +124,8 @@ fn write_engine_state(w: &mut JsonWriter, world: &SystemWorld, nic: usize, ctx: 
         w.number_u64(rx_p);
     }
     w.key("engine_pinned");
-    w.number_u64(engine.pinned_pages(ctx).count() as u64);
+    let pinned: u32 = engine.pinned_runs(ctx).map(|(_, len)| len).sum();
+    w.number_u64(u64::from(pinned));
 }
 
 /// Device-side state for one victim context.

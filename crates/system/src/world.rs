@@ -315,51 +315,23 @@ impl HotIds {
 /// Live state of the `cdna-check` DMA shadow checker
 /// ([`TestbedConfig::shadow_check`]).
 ///
-/// The world feeds the shadow by *reconciliation* rather than by inline
-/// events: the hot path stays untouched, and at each sync point the
-/// harness replays the descriptor sequence streams the hypervisor
-/// produced since the last pass, diffs the engines' pinned-buffer lists
+/// The world feeds the shadow in batches rather than by inline events.
+/// The only hot-path cost is each protection engine's pin journal
+/// (enabled by [`SystemWorld::build`] for shadow-checked runs only),
+/// which records every page run the engine pins or unpins. At each
+/// sync point the harness replays the descriptor sequence streams the
+/// hypervisor produced since the last pass, folds the drained journals
 /// into the page mirror, and then runs the mirror-vs-reality audits.
 #[derive(Debug, Default, Clone)]
 struct ShadowHarness {
     shadow: DmaShadow,
     /// Next unread descriptor-ring index per (nic, ctx, dir).
     cursors: std::collections::BTreeMap<(usize, u8, ShadowDir), u64>,
-    /// The engines' pinned-page multiset as of the last sync: one
-    /// `(page, pins)` entry per pinned page, ascending by page.
-    pinned_view: Vec<(PageId, u32)>,
-    /// Engine-pinned pages gathered by the current sync (reused).
-    gathered: Vec<PageId>,
+    /// Net pin change per page of the journals being folded, indexed
+    /// by page number; all zero between syncs (reused).
+    pin_delta: Vec<i32>,
     /// Violations already surfaced as protection faults.
     reported: usize,
-}
-
-/// Calls `f(page, before, after)` for every page whose count differs
-/// between two `(page, count)` multisets sorted ascending by page (a
-/// page absent from one side counts 0 there), in ascending page order.
-fn for_each_changed_count(
-    before: &[(PageId, u32)],
-    after: &[(PageId, u32)],
-    mut f: impl FnMut(PageId, u32, u32),
-) {
-    let (mut i, mut j) = (0, 0);
-    loop {
-        let heads = before.get(i).into_iter().chain(after.get(j));
-        let Some(page) = heads.map(|&(p, _)| p).min() else {
-            return;
-        };
-        let take = |side: &[(PageId, u32)], k: &mut usize| match side.get(*k) {
-            Some(&(p, n)) if p == page => {
-                *k += 1;
-                n
-            }
-            _ => 0,
-        };
-        let (have, want) = (take(before, &mut i), take(after, &mut j));
-        if have != want {
-            f(page, have, want);
-        }
-    }
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -711,6 +683,11 @@ impl SystemWorld {
         let mut registry = Registry::new();
         let hot = HotIds::new(&mut registry);
         let shadow = cfg.shadow_check.then(ShadowHarness::default);
+        if shadow.is_some() {
+            for engine in &mut engines {
+                engine.enable_pin_journal();
+            }
+        }
         let mut world = SystemWorld {
             cfg,
             mem,
@@ -1032,13 +1009,15 @@ impl SystemWorld {
     /// 1. replays every descriptor the hypervisor stamped since the
     ///    last pass into the shadow's per-(context, direction)
     ///    sequence streams (detects replay and gaps);
-    /// 2. reconciles the protection engines' pinned-buffer lists into
-    ///    the page mirror (detects pin-lifecycle violations);
-    /// 3. cross-checks the mirror against the engines and — in CDNA
-    ///    mode, where every pin traces back to a validated
-    ///    descriptor — against the whole [`PhysMem`] pool. (Xen's
-    ///    grant-mapping path pins pages outside the engines, so the
-    ///    whole-pool audit is only sound without a driver domain.)
+    /// 2. drains every protection engine's pin journal and folds it
+    ///    into one net pin change per page, which reaches the page
+    ///    mirror in ascending page order (detects pin-lifecycle
+    ///    violations); the journals are empty afterwards;
+    /// 3. cross-checks the mirror against the engines' pinned-buffer
+    ///    lists and — in CDNA mode, where every pin traces back to a
+    ///    validated descriptor — against the whole [`PhysMem`] pool.
+    ///    (Xen's grant-mapping path pins pages outside the engines, so
+    ///    the whole-pool audit is only sound without a driver domain.)
     ///
     /// New violations become [`FaultKind::ShadowViolation`] protection
     /// faults attributed to the offending context; the count of new
@@ -1050,12 +1029,9 @@ impl SystemWorld {
             return 0;
         };
         let modulus = (self.cfg.ring_size * 2).max(4);
-        // One pass over every assigned context: gather the engine-side
-        // pinned pages and replay newly produced descriptors.
-        h.gathered.clear();
+        // Replay newly produced descriptors of every assigned context.
         for (nic, engine) in self.engines.iter().enumerate() {
             for (ctx, st) in engine.contexts().assigned() {
-                h.gathered.extend(engine.pinned_pages(ctx));
                 // Only the hypervisor stamps sequence numbers
                 // (Validated policy); direct and IOMMU descriptors
                 // carry seq 0 and are not stream-checked.
@@ -1088,51 +1064,70 @@ impl SystemWorld {
                 }
             }
         }
-        // Reconcile the engines' pinned multiset into the page mirror:
-        // count the sorted pages into runs, then merge-walk them against
-        // the last sync's view. Only pages whose pin count changed reach
-        // the shadow, in ascending page order.
-        h.gathered.sort_unstable();
-        let mut view: Vec<(PageId, u32)> = Vec::with_capacity(h.pinned_view.len());
-        for &page in &h.gathered {
-            match view.last_mut() {
-                Some((last, pins)) if *last == page => *pins += 1,
-                _ => view.push((page, 1)),
-            }
+        // Fold the journals into a net pin change per page over the span
+        // they touch: a page pinned and reaped between two syncs nets to
+        // zero and never reaches the shadow.
+        let journals = || self.engines.iter().filter_map(|e| e.pin_journal());
+        let (mut lo, mut hi) = (u32::MAX, 0);
+        for run in journals().flatten() {
+            lo = lo.min(run.first.0);
+            hi = hi.max(run.first.0 + run.len);
         }
-        let shadow = &mut h.shadow;
-        for_each_changed_count(&h.pinned_view, &view, |page, have, want| {
-            if want > have && shadow.state(page) == ShadowState::Free {
-                // First sighting: seed ownership from the live pool. An
-                // unowned page stays untracked and the pin below is
-                // flagged as pin-without-owner — a real violation.
-                if let Ok(info) = self.mem.info(page) {
-                    if let Some(owner) = info.owner {
-                        shadow.on_alloc(owner, page);
-                    }
+        let delta = &mut h.pin_delta;
+        if delta.len() < hi as usize {
+            delta.resize(hi as usize, 0);
+        }
+        for journal in journals() {
+            for run in journal {
+                for d in &mut delta[run.first.0 as usize..(run.first.0 + run.len) as usize] {
+                    *d += run.delta;
                 }
             }
-            for _ in have..want {
-                shadow.on_pin(page);
+        }
+        for engine in &mut self.engines {
+            engine.clear_pin_journal();
+        }
+        // Walk the span in ascending page order, clearing it behind.
+        let shadow = &mut h.shadow;
+        for page in lo..hi {
+            let d = std::mem::take(&mut delta[page as usize]);
+            if d == 0 {
+                continue;
             }
-            for _ in want..have {
+            let page = PageId(page);
+            if d > 0 {
+                if shadow.state(page) == ShadowState::Free {
+                    // First sighting: seed ownership from the live pool.
+                    // An unowned page stays untracked and the pin below is
+                    // flagged as pin-without-owner — a real violation.
+                    if let Ok(info) = self.mem.info(page) {
+                        if let Some(owner) = info.owner {
+                            shadow.on_alloc(owner, page);
+                        }
+                    }
+                }
+                for _ in 0..d {
+                    shadow.on_pin(page);
+                }
+                continue;
+            }
+            let have = shadow.pins(page);
+            for _ in d..0 {
                 shadow.on_unpin(page);
             }
-            if want == 0 {
+            if have <= d.unsigned_abs() {
                 // Fully reaped: retire the mirror entry so the mirror
                 // tracks exactly the engine-pinned set.
                 if let Some(owner) = shadow.owner(page) {
                     shadow.on_free(owner, page);
                 }
             }
-        });
-        h.pinned_view = view;
-        // Mirror-vs-reality audits, per context in gather order.
+        }
+        // Mirror-vs-reality audits: the engines' pinned lists, read
+        // apart from the journals, then the pool.
         for engine in &self.engines {
             for (ctx, _) in engine.contexts().assigned() {
-                h.gathered.clear();
-                h.gathered.extend(engine.pinned_pages(ctx));
-                h.shadow.audit_pinned(ctx, &h.gathered);
+                h.shadow.audit_pinned(ctx, engine.pinned_runs(ctx));
             }
         }
         if matches!(self.cfg.io_model, IoModel::Cdna { .. }) {
@@ -2603,6 +2598,7 @@ fn build_conventional(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdna_check::shadow::ViolationKind;
     use cdna_core::DmaPolicy;
     use cdna_nic::TxEmission;
     use cdna_sim::Simulation;
@@ -2612,31 +2608,45 @@ mod tests {
     }
 
     #[test]
-    fn changed_counts_walk_both_views_in_page_order() {
-        let before = [
-            (PageId(1), 1),
-            (PageId(3), 2),
-            (PageId(5), 1),
-            (PageId(9), 4),
-        ];
-        let after = [
-            (PageId(2), 1),
-            (PageId(3), 2),
-            (PageId(5), 3),
-            (PageId(7), 1),
-        ];
-        let mut seen = Vec::new();
-        for_each_changed_count(&before, &after, |p, have, want| {
-            seen.push((p.0, have, want))
-        });
-        assert_eq!(
-            seen,
-            [(1, 1, 0), (2, 0, 1), (5, 1, 3), (7, 0, 1), (9, 4, 0)],
-            "unchanged page 3 is skipped"
+    fn journal_fold_reaches_the_shadow_in_page_order() {
+        // A sync hands the mirror one net change per page, ascending,
+        // whatever order the engines journaled the runs in.
+        let mut w = SystemWorld::build(
+            cfg(
+                IoModel::Cdna {
+                    policy: DmaPolicy::Validated,
+                },
+                2,
+                Direction::Receive,
+            )
+            .with_shadow_check(),
         );
-        seen.clear();
-        for_each_changed_count(&after, &after, |p, have, want| seen.push((p.0, have, want)));
-        assert!(seen.is_empty());
+        assert_eq!(w.shadow_sync(), 0);
+        // Take the mirror's pin off three engine-held pages, highest
+        // first; revoking their guest then unpins each once more than
+        // the mirror holds.
+        let ctx = w.ctx_of[1][0];
+        let mut held: Vec<PageId> = w.engines[0].pinned_runs(ctx).map(|(p, _)| p).collect();
+        held.sort();
+        let picked: Vec<PageId> = held.iter().step_by(5).take(3).copied().collect();
+        assert_eq!(picked.len(), 3);
+        let h = w.shadow.as_mut().expect("shadow on");
+        for &page in picked.iter().rev() {
+            h.shadow.on_unpin(page);
+        }
+        w.revoke_guest_contexts(1);
+        assert_eq!(w.shadow_sync(), 3);
+        let shadow = w.shadow().expect("shadow on");
+        let underflows: Vec<Option<PageId>> = shadow
+            .violations()
+            .iter()
+            .map(|v| {
+                assert_eq!(v.kind, ViolationKind::UnpinUnderflow);
+                v.page
+            })
+            .collect();
+        assert_eq!(underflows, picked.into_iter().map(Some).collect::<Vec<_>>());
+        assert!(w.engines.iter().all(|e| e.pin_journal() == Some(&[])));
     }
 
     #[test]

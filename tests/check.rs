@@ -5,7 +5,7 @@
 use cdna_check::{check_repo, workspace_root};
 use cdna_core::{DmaPolicy, FaultKind};
 use cdna_mem::{DomainId, PageId};
-use cdna_sim::Simulation;
+use cdna_sim::{SimTime, Simulation};
 use cdna_system::{run_experiment, Direction, IoModel, SystemWorld, TestbedConfig};
 
 fn cdna_cfg(policy: DmaPolicy, guests: u16, dir: Direction) -> TestbedConfig {
@@ -89,7 +89,10 @@ fn shadow_sync_detects_a_pin_outside_the_protection_path() {
     // Pin several non-adjacent engine-pinned pages a second time,
     // highest first, plus one page no engine holds at all.
     let ctx = world.ctx_of[0][0];
-    let mut held: Vec<PageId> = world.engines[0].pinned_pages(ctx).collect();
+    let mut held: Vec<PageId> = world.engines[0]
+        .pinned_runs(ctx)
+        .flat_map(|(first, len)| (first.0..first.0 + len).map(PageId))
+        .collect();
     held.sort();
     let mut rogue: Vec<PageId> = held.iter().step_by(7).take(4).copied().collect();
     assert_eq!(rogue.len(), 4, "receive ring posts enough buffers");
@@ -123,8 +126,8 @@ fn shadow_sync_detects_a_pin_outside_the_protection_path() {
 
 #[test]
 fn a_second_shadow_sync_with_nothing_new_records_no_events() {
-    // The reconcile feeds the mirror only what changed since the last
-    // pass: with no simulated event in between, a sync replays no
+    // A sync feeds the mirror only what the engines journaled since the
+    // last pass: with no simulated event in between, a sync replays no
     // descriptor, moves no pin and finds nothing — but still audits.
     let cfg = cdna_cfg(DmaPolicy::Validated, 2, Direction::Receive).with_shadow_check();
     let end = cfg.warmup + cfg.measure;
@@ -148,13 +151,61 @@ fn a_second_shadow_sync_with_nothing_new_records_no_events() {
     // The audits still run on the quiet pass: a pin the engines never
     // made is caught even though no page's engine count changed.
     let ctx = world.ctx_of[0][0];
-    let page = world.engines[0]
-        .pinned_pages(ctx)
+    let (page, _) = world.engines[0]
+        .pinned_runs(ctx)
         .next()
         .expect("a pinned page");
     world.mem.pin(page).expect("pin");
     assert_eq!(world.shadow_sync(), 2, "page and aggregate divergence");
     assert_eq!(world.shadow().expect("shadow enabled").events(), events);
+}
+
+#[test]
+fn without_the_shadow_no_engine_keeps_a_pin_journal() {
+    // The journal is the shadow's only hot-path cost: runs without the
+    // checker must not record a single pin.
+    for dir in [Direction::Transmit, Direction::Receive] {
+        let cfg = cdna_cfg(DmaPolicy::Validated, 2, dir);
+        let end = cfg.warmup + cfg.measure;
+        let mut sim = Simulation::new(SystemWorld::build(cfg));
+        for (t, e) in sim.world_mut().prime() {
+            sim.schedule(t, e);
+        }
+        sim.run_until(end);
+        let world = sim.into_world();
+        assert!(!world.engines.is_empty());
+        assert!(world.engines.iter().all(|e| e.pin_journal().is_none()));
+        assert!(world.engines.iter().all(|e| e.stats().pages_pinned > 0));
+    }
+}
+
+#[test]
+fn every_shadow_sync_empties_every_pin_journal() {
+    let cfg = cdna_cfg(DmaPolicy::Validated, 2, Direction::Receive).with_shadow_check();
+    let end = cfg.warmup + cfg.measure;
+    let mut sim = Simulation::new(SystemWorld::build(cfg));
+    for (t, e) in sim.world_mut().prime() {
+        sim.schedule(t, e);
+    }
+    let journaled = |w: &SystemWorld| -> usize {
+        w.engines
+            .iter()
+            .map(|e| e.pin_journal().expect("journal on").len())
+            .sum()
+    };
+    // Build-time receive posts are journaled before any sync.
+    assert!(journaled(sim.world()) > 0);
+    let mut busy = 0;
+    for step in 1..=8u64 {
+        sim.run_until(SimTime::from_ns(end.as_ns() * step / 8));
+        busy += usize::from(journaled(sim.world()) > 0);
+        sim.world_mut().shadow_sync();
+        assert_eq!(journaled(sim.world()), 0, "step {step}");
+    }
+    assert!(busy > 1, "the run pinned between syncs");
+    let world = sim.into_world();
+    let shadow = world.shadow().expect("shadow enabled");
+    assert!(shadow.violations().is_empty(), "{:?}", shadow.violations());
 }
 
 #[test]

@@ -8,9 +8,8 @@
 //! cargo run --release -p cdna-bench -- run xen-intel 24 rx --json
 //! ```
 //!
-//! `--jobs N` (anywhere after the target; else `CDNA_JOBS`, else the
-//! core count) sets the worker pool every target fans its runs out
-//! over. It changes wall-clock time only: output is byte-identical at
+//! `--jobs N` (anywhere after the target; else the core count) sets
+//! the worker pool every target fans its runs out over. It changes wall-clock time only: output is byte-identical at
 //! any worker count. The paper targets take no other flag; `perf` and
 //! `run` take their own (see `usage`). Bad input prints usage and exits
 //! 2 before anything runs.

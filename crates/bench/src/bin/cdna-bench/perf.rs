@@ -29,7 +29,7 @@
 //! noise-aware.
 //!
 //! Suite entries run concurrently on the `cdna-sim` worker pool
-//! (`--jobs N`, `CDNA_JOBS`, default `min(cores, entries)`).
+//! (`--jobs N`, default `min(cores, entries)`).
 //! Per-entry wall times are measured inside the entry's worker —
 //! meaningful for relative comparisons but contended at `jobs > 1` —
 //! while `aggregate.wall_ms_parallel` is the whole suite's elapsed

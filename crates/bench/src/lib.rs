@@ -16,8 +16,8 @@
 //! simulation is single-threaded, seeded, and self-contained, so
 //! parallelism changes wall-clock time and nothing else —
 //! `tests/parallel.rs` proves `jobs=1` and `jobs=N` produce
-//! byte-identical reports. The binary parses `--jobs N` once (else
-//! `CDNA_JOBS`, else the core count) and passes the count down.
+//! byte-identical reports. The binary parses `--jobs N` once (else the
+//! core count) and passes the count down.
 
 pub mod paper;
 

@@ -459,12 +459,11 @@ pub fn analyze_jobs(files: &[SourceFile], manifests: &[(String, String)], jobs: 
         .collect();
 
     let graph = SymbolGraph::build(graph_files, manifest_deps);
-    let passes: [&dyn Pass; 9] = [
+    let passes: [&dyn Pass; 8] = [
         &LayeringPass,
         &MustPairPass,
         &ExhaustiveFaultPass,
         &crate::taint::GuestTaintPass,
-        &crate::locks::LockOrderPass,
         &crate::determinism::MergeOrderPass,
         &crate::determinism::ClockPurityPass,
         &crate::determinism::JobsLeakPass,

@@ -2,8 +2,8 @@
 //! fire.
 //!
 //! A static analysis that never fires is indistinguishable from one
-//! that is broken, so every dataflow rule — the taint/lock passes
-//! (CDNA011–012) and the determinism-soundness passes (CDNA014–017) —
+//! that is broken, so every dataflow rule — the taint pass (CDNA011)
+//! and the determinism-soundness passes (CDNA014–017) —
 //! ships with a seeded-violation fixture under
 //! `crates/check/tests/corpus/` (a directory the repository walker
 //! exempts from the real scan). Each fixture is one

@@ -1,15 +1,15 @@
 //! Def-use and call-summary layer over the symbol graph.
 //!
-//! The v3 analyses ([`crate::taint`], [`crate::locks`]) need more than
-//! per-file symbols: they reason about *paths* through the workspace
-//! call graph. This module provides the shared substrate:
+//! The dataflow analyses ([`crate::taint`], [`crate::determinism`])
+//! need more than per-file symbols: they reason about *paths* through
+//! the workspace call graph. This module provides the shared substrate:
 //!
 //! * a filtered node set — library functions outside `#[cfg(test)]`
 //!   items, which is the code the dataflow rules apply to;
 //! * name-based call resolution restricted to that node set;
 //! * a generic monotone fixpoint driver for interprocedural summaries
-//!   (`vulnerable(f)` for taint, transitive lock-acquisition sets for
-//!   lock-order);
+//!   (`vulnerable(f)` for taint, clock and reduction summaries for the
+//!   determinism passes);
 //! * token-walk utilities (statement boundaries, enclosing blocks,
 //!   `let` bindings, call-argument regions) used to approximate def-use
 //!   facts without a real CFG.

@@ -89,9 +89,8 @@ const SINK_HOME: &[&str] = &["trace"];
 const REDUCE_FNS: &[&str] = &["sum", "product", "fold"];
 
 /// Whether this name *is* one of the fan-out primitives. The
-/// primitives' own bodies are the merge machinery (queue, slots,
-/// barrier) and are exempt, exactly like the `lock` helpers under
-/// CDNA012.
+/// primitives' own bodies are the merge machinery (claim cursor,
+/// index-ordered placement, partition hand-back) and are exempt.
 fn is_fan_out_primitive(name: &str) -> bool {
     FAN_OUT.iter().any(|(n, _)| *n == name)
 }
@@ -112,8 +111,8 @@ fn is_fan_out_call(df: &Dataflow, f: &FnSym, c: &CallSite) -> bool {
         && f.body[c.pos - 3].text == "thread"
 }
 
-/// Whether call `ci` acquires a lock (same model as CDNA012): the
-/// `.lock()` method, or a workspace `lock(&m)` helper if one exists.
+/// Whether call `ci` acquires a lock: the `.lock()` method, or a
+/// workspace `lock(&m)` helper if one exists.
 fn is_acquire(df: &Dataflow, f: &FnSym, c: &CallSite) -> bool {
     if c.callee != "lock" {
         return false;
@@ -145,9 +144,9 @@ fn lock_target(f: &FnSym, c: &CallSite) -> (String, bool) {
     (name, indexed)
 }
 
-/// How long the guard from acquisition `c` lives (same model as
-/// CDNA012): a `let`-bound guard whose whole RHS is the acquisition
-/// lives to its enclosing block end; anything else to statement end.
+/// How long the guard from acquisition `c` lives: a `let`-bound guard
+/// whose whole RHS is the acquisition lives to its enclosing block end;
+/// anything else to statement end.
 fn guard_extent(f: &FnSym, c: &CallSite) -> usize {
     let stmt = statement_start(&f.body, c.pos);
     let (_, close) = arg_region(&f.body, c.pos);

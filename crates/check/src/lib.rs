@@ -50,7 +50,6 @@ pub mod dataflow;
 pub mod determinism;
 pub mod graph;
 pub mod lexer;
-pub mod locks;
 pub mod parse;
 pub mod report;
 pub mod rules;

@@ -11,7 +11,7 @@
 //! cargo run -p cdna-check -- --calibrate  # seeded-fixture calibration
 //! ```
 //!
-//! **Parallel scan** (`--jobs N`, or the `CDNA_JOBS` env var): per-file
+//! **Parallel scan** (`--jobs N`; default: the host's cores): per-file
 //! lex/parse/pass work is sharded over the `cdna_sim::par` worker pool
 //! and merged in path order, so the output — terminal, annotations, and
 //! the JSON artifact — is byte-identical at any worker count. The
@@ -27,7 +27,7 @@
 //!
 //! **Calibration mode** (`--calibrate`): runs the seeded-violation
 //! fixtures under `crates/check/tests/corpus/` and exits 1 unless every
-//! seeded violation (CDNA011–012, CDNA014–017) is caught at its exact
+//! seeded violation (CDNA011, CDNA014–017) is caught at its exact
 //! file:line (and nothing else fires) — the proof that the analyses
 //! actually detect what they claim to.
 //!

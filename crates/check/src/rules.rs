@@ -10,14 +10,14 @@
 //! | `must-pair` | CDNA009 | pin acquired but not released on a non-panic path |
 //! | `exhaustive-fault` | CDNA010 | wildcard `match` arm on a fault enum |
 //! | `guest-taint` | CDNA011 | guest-controlled data reaches a pin/DMA/ring sink unvalidated |
-//! | `lock-order` | CDNA012 | lock-order cycle or lock held across a call that locks |
 //! | `merge-order` | CDNA014 | fan-out results appended to locked shared state in arrival order |
 //! | `clock-purity` | CDNA015 | wall-clock value serialized outside a `wall_ms*` field |
 //! | `jobs-leak` | CDNA016 | worker count/index or thread identity in compared serialization |
 //! | `float-accum` | CDNA017 | order-unstable data fed into an `f64` reduction |
 //!
-//! CDNA001–006 and CDNA013 (`send-audit`) re-derived what the compiler
-//! already proves and are retired; their codes are never reassigned.
+//! CDNA001–006, CDNA012 (`lock-order`) and CDNA013 (`send-audit`)
+//! re-derived what the compiler or clippy already proves and are
+//! retired; their codes are never reassigned.
 //! The workspace lint table (`unsafe_code`, `missing_docs`), the
 //! crate-root clippy lints (`unwrap_used`, `expect_used`, `panic`),
 //! `clippy.toml`'s disallowed wall-clock and hash-map types, the
@@ -25,11 +25,14 @@
 //! bound of `Simulation::with_event_queue` (pinned by its
 //! `compile_fail` doctest) enforce what they did. The same
 //! `disallowed-types` entries rule out the hash-ordered merges and
-//! reductions that CDNA014 and CDNA017 therefore leave to clippy.
+//! reductions that CDNA014 and CDNA017 therefore leave to clippy, and
+//! its `Mutex`/`RwLock` entries make every lock an explicit
+//! `#[expect(clippy::disallowed_types, reason = …)]`, which is what
+//! replaced CDNA012's lock-order graph.
 //!
 //! CDNA007–010 are produced by the symbol-graph passes in
-//! [`crate::analyses`], CDNA011–012 by the dataflow passes in
-//! [`crate::taint`] and [`crate::locks`], CDNA014–017 by the
+//! [`crate::analyses`], CDNA011 by the dataflow pass in
+//! [`crate::taint`], CDNA014–017 by the
 //! determinism-soundness passes in [`crate::determinism`]; this module
 //! owns the rule registry (names, codes, severities) and the repository
 //! walker.
@@ -38,13 +41,12 @@ use crate::analyses::SourceFile;
 use std::path::{Path, PathBuf};
 
 /// Names of every static rule, in report order.
-pub const RULE_NAMES: [&str; 10] = [
+pub const RULE_NAMES: [&str; 9] = [
     "unused-allow",
     "layering",
     "must-pair",
     "exhaustive-fault",
     "guest-taint",
-    "lock-order",
     "merge-order",
     "clock-purity",
     "jobs-leak",
@@ -60,7 +62,6 @@ pub fn rule_code(rule: &str) -> &'static str {
         "must-pair" => "CDNA009",
         "exhaustive-fault" => "CDNA010",
         "guest-taint" => "CDNA011",
-        "lock-order" => "CDNA012",
         "merge-order" => "CDNA014",
         "clock-purity" => "CDNA015",
         "jobs-leak" => "CDNA016",
@@ -170,7 +171,7 @@ pub fn check_repo(root: &Path) -> std::io::Result<StaticReport> {
 
 /// [`check_repo`], with per-file lex/parse work sharded over
 /// `jobs` workers of the `cdna_sim::par` pool (`None` resolves the
-/// worker count like every other binary: `CDNA_JOBS`, then available
+/// worker count like every other fan-out: the host's available
 /// parallelism). The scanner self-hosts the guarantee it checks: the
 /// merge is path-ordered, so the report is byte-identical at any
 /// worker count.

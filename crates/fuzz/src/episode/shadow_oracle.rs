@@ -16,6 +16,11 @@
 //! that reaches all three: the persona rig is private to it, and
 //! `cdna-model` is a dev-dependency.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a model schedule's queue takes its controller as the one Mutex; nothing else is locked"
+)]
+
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 

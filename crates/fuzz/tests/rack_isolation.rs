@@ -8,6 +8,11 @@
 //! no-attack control rack, and host 0's victims must keep their
 //! bandwidth share.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the attack hook records its ghost context in one Mutex, held alone"
+)]
+
 use std::sync::Mutex;
 
 use cdna_core::{layout::Mailbox, ContextId, DmaPolicy};

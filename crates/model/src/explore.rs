@@ -7,6 +7,11 @@
 //! same sequential [`explore`], so a matrix report does not depend on
 //! the worker count — proven by `tests/parallel.rs`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "each schedule shares its one controller Mutex with its queue; nothing else is locked"
+)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 

@@ -10,11 +10,11 @@
 //!            [--mutation NAME [--expect-caught]]
 //! ```
 //!
-//! `--jobs N` (or the `CDNA_JOBS` environment variable; default: one
-//! worker per core, at most one per configuration) explores that many
-//! configurations at once on the `cdna-sim` worker pool. Each
-//! configuration's tree is still searched sequentially, so the report
-//! is byte-identical at any worker count apart from `bounds.jobs`.
+//! `--jobs N` (default: one worker per core, at most one per
+//! configuration) explores that many configurations at once on the
+//! `cdna-sim` worker pool. Each configuration's tree is still searched
+//! sequentially, so the report is byte-identical at any worker count
+//! apart from `bounds.jobs`.
 //! With `--expect-caught` every configuration runs, and the report
 //! ends at the first one that caught the mutation.
 //!

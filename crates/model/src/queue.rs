@@ -7,6 +7,11 @@
 //! otherwise deterministic); diverging at the deepest unexplored branch
 //! enumerates all schedules depth-first.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the schedule controller is the one Mutex here; a pick holds it alone, never with another lock"
+)]
+
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use cdna_sim::{EventQueue, SimTime};
@@ -164,10 +169,14 @@ impl PermutationQueue {
 
     /// Index of the event to deliver next, consulting the controller
     /// when the minimum-time tie set has more than one explorable
-    /// member.
-    fn pick(&self) -> Option<usize> {
+    /// member. `None` when no event is due by `deadline`; the tie set
+    /// never reaches past it.
+    fn pick(&self, deadline: SimTime) -> Option<usize> {
         let &(t0, _, _) = self.pending.first()?;
-        let horizon = t0.checked_add(self.tie_window).unwrap_or(t0);
+        if t0 > deadline {
+            return None;
+        }
+        let horizon = t0.checked_add(self.tie_window).unwrap_or(t0).min(deadline);
         let tie = self.pending.iter().take_while(|q| q.0 <= horizon).count();
         if tie <= 1 {
             return Some(0);
@@ -196,20 +205,17 @@ impl EventQueue<Event> for PermutationQueue {
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64, Event)> {
-        let idx = self.pick()?;
+        self.pop_due(SimTime::MAX)
+    }
+
+    fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, u64, Event)> {
+        let idx = self.pick(deadline)?;
         let (at, seq, event) = self.pending.remove(idx);
         // Jitter lift: an event overtaken inside the tie window is
         // delivered at the overtaker's time so the clock never regresses.
         let at = at.max(self.last_delivered);
         self.last_delivered = at;
         Some((at, seq, event))
-    }
-
-    fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, u64, Event)> {
-        if self.pending.first()?.0 > deadline {
-            return None;
-        }
-        self.pop()
     }
 
     fn len(&self) -> usize {
@@ -273,6 +279,25 @@ mod tests {
         assert_eq!(q.pop().map(|(_, s, _)| s), Some(0));
         assert!(lock(&c).record.is_empty(), "no decision recorded");
         assert_eq!(lock(&c).next_prefix(), None);
+    }
+
+    #[test]
+    fn pop_due_never_picks_a_tie_member_past_the_deadline() {
+        // Two dependent events 5 ns apart, inside a 10 ns tie window.
+        // Only the first is due by t=7, so a prefix that asks for the
+        // second must not get it early.
+        let c = ctrl(vec![1]);
+        let mut q = PermutationQueue::with_window(Arc::clone(&c), SimTime::from_ns(10));
+        q.push(SimTime::from_ns(5), 0, nic_event(0));
+        q.push(SimTime::from_ns(10), 1, nic_event(0));
+        let due = q.pop_due(SimTime::from_ns(7)).map(|(at, seq, _)| (at, seq));
+        assert_eq!(due, Some((SimTime::from_ns(5), 0)));
+        assert!(
+            lock(&c).record.is_empty(),
+            "a lone due event is no decision"
+        );
+        assert!(q.pop_due(SimTime::from_ns(7)).is_none());
+        assert_eq!(q.pop().map(|(_, seq, _)| seq), Some(1));
     }
 
     #[test]

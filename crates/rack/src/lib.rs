@@ -20,9 +20,12 @@
 //! the switch in a fixed merge order — `(departure time, source host,
 //! capture sequence)` — and schedules the resulting arrivals into the
 //! destination hosts, always at times strictly beyond the barrier.
-//! The barrier work is serial and the per-epoch host stepping fans out
-//! over [`cdna_sim::par::run_rounds`], so `--jobs 1` and `--jobs N`
-//! produce byte-identical rack reports.
+//! The barrier work is serial on the calling thread. The per-epoch
+//! host stepping fans out over [`cdna_sim::par::run_rounds`]: the
+//! hosts split once into `jobs` contiguous slices, the caller steps the
+//! first, and each other slice stays with one worker, crossing to the
+//! barrier and back each epoch. No host is ever locked, and `--jobs 1`
+//! and `--jobs N` produce byte-identical rack reports.
 //!
 //! # Example
 //!

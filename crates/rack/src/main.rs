@@ -194,7 +194,10 @@ fn main() {
         v
     };
 
-    let jobs = par::resolve_jobs(jobs_flag, scenarios.len().max(2));
+    // Each rack's hosts are the parallel tasks, so the largest rack
+    // bounds the useful worker count.
+    let widest = scenarios.iter().map(|c| usize::from(c.hosts)).max();
+    let jobs = par::resolve_jobs(jobs_flag, widest.unwrap_or(1));
     eprintln!(
         "running {} rack scenario(s) on {} worker(s)",
         scenarios.len(),

@@ -11,14 +11,18 @@
 //!
 //! The runner keeps that property observable:
 //!
-//! * **Shared chunked work queue.** Items go into a
-//!   `Mutex<VecDeque<(index, T)>>`; each worker repeatedly grabs a small
-//!   *batch* of items under the lock and processes them locally, so
-//!   lock traffic is `O(items / batch)` rather than `O(items)` and an
-//!   unlucky long task never strands work behind it (idle workers keep
-//!   draining the shared queue — stealing from the common pool).
-//! * **Deterministic, index-ordered results.** Each result lands in the
-//!   slot of its input index; callers get `Vec<R>` in input order no
+//! * **[`run_indexed`]: one claim cursor.** Workers claim one
+//!   `(index, item)` at a time from a single locked iterator, run the
+//!   task with the lock released, and keep `(index, result)` pairs
+//!   locally. An unlucky long task never strands work behind it: idle
+//!   workers keep claiming. The cursor is the only lock in this module.
+//! * **[`run_rounds`]: static partitions.** The states split once into
+//!   `jobs` contiguous partitions. The caller steps partition 0; every
+//!   other partition stays with one worker for the whole run and
+//!   crosses to the caller and back as one `Vec` over a channel pair
+//!   per round. No state is ever behind a lock.
+//! * **Deterministic, index-ordered results.** The caller places every
+//!   result by its input index; callers get `Vec<R>` in input order no
 //!   matter which worker ran what when. Combined with per-task
 //!   determinism this makes `jobs=1` and `jobs=N` outputs byte-identical
 //!   — proven by the differential tests in `crates/bench/tests/` and
@@ -29,15 +33,19 @@
 //!   its `--jobs N` scan shards per-file work through [`run_indexed`]
 //!   and merges in path order, byte-identical at any worker count.
 //! * **Bounded workers over [`std::thread::scope`].** No detached
-//!   threads, no channels, no external crates; a worker panic propagates
-//!   to the caller when the scope joins.
+//!   threads and no external crates. A worker's panic reaches the
+//!   caller with its own payload through `join`.
 //!
 //! Worker threads are *not* simulation threads: nothing here touches
 //! [`crate::SimTime`] or the event queue. The pool is plain wall-clock
 //! plumbing around independently deterministic runs.
 
-use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard};
+#![expect(
+    clippy::disallowed_types,
+    reason = "run_indexed's claim cursor is the one Mutex here, held only to take the next item"
+)]
+
+use std::sync::{mpsc, Mutex, PoisonError};
 
 /// Worker threads the host offers, per `std::thread::available_parallelism`
 /// (1 when the host cannot say).
@@ -49,31 +57,13 @@ pub fn available_jobs() -> usize {
 
 /// Resolves the worker count for a fan-out of `tasks` items.
 ///
-/// Priority: an explicit request (e.g. a `--jobs N` flag), then the
-/// `CDNA_JOBS` environment variable, then [`available_jobs`]. The result
-/// is clamped to `1..=tasks` — more workers than tasks is pure overhead,
-/// and zero workers is nonsense.
+/// An explicit request (a `--jobs N` flag) wins, else
+/// [`available_jobs`]. The result is clamped to `1..=tasks` — more
+/// workers than tasks is pure overhead, and zero workers is nonsense.
 pub fn resolve_jobs(requested: Option<usize>, tasks: usize) -> usize {
     requested
-        .or_else(|| std::env::var("CDNA_JOBS").ok().and_then(|v| v.parse().ok()))
         .unwrap_or_else(available_jobs)
         .clamp(1, tasks.max(1))
-}
-
-/// Items a worker takes from the shared queue per lock acquisition:
-/// small enough that the tail of the run load-balances, large enough
-/// that the lock is cold. With `items ≤ 4 × jobs` this degenerates to 1
-/// and every task is stolen individually.
-fn batch_size(items: usize, jobs: usize) -> usize {
-    (items / (jobs * 4)).max(1)
-}
-
-/// Locks a mutex, treating poisoning as benign: a poisoned pool mutex
-/// means a worker panicked, and that panic is re-raised by the scope
-/// join anyway — the data under the lock is plain queue/slot state with
-/// no broken invariants to protect.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Runs `f(index, item)` for every item on a pool of `jobs` workers and
@@ -134,55 +124,46 @@ where
             .collect();
     }
 
-    let batch = batch_size(n, jobs);
-    let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
+    let cursor = Mutex::new(items.into_iter().enumerate());
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..jobs)
             .map(|_| {
                 scope.spawn(|| {
                     init();
-                    let mut local: Vec<(usize, T)> = Vec::with_capacity(batch);
+                    let mut done = Vec::new();
                     loop {
-                        {
-                            let mut q = lock(&queue);
-                            for _ in 0..batch {
-                                match q.pop_front() {
-                                    Some(it) => local.push(it),
-                                    None => break,
-                                }
-                            }
-                        }
-                        if local.is_empty() {
-                            break;
-                        }
-                        for (i, item) in local.drain(..) {
-                            let r = f(i, item);
-                            *lock(&slots[i]) = Some(r);
-                        }
+                        // The claim is its own statement so the guard
+                        // drops before `f` runs; in a `while let`
+                        // scrutinee it would live through the body and
+                        // serialise every task.
+                        let claim = cursor.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((i, item)) = claim else { break };
+                        done.push((i, f(i, item)));
                     }
+                    done
                 })
             })
             .collect();
         // Join explicitly so a worker's panic payload (not the scope's
         // generic "a scoped thread panicked") reaches the caller.
         for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
+            match h.join() {
+                Ok(done) => {
+                    for (i, r) in done {
+                        slots[i] = Some(r);
+                    }
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
 
-    let mut out = Vec::with_capacity(n);
-    for s in slots {
-        if let Some(r) = s.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            out.push(r);
-        }
-    }
-    // Every slot is written exactly once before the scope joins; a hole
-    // could only mean a worker died without panicking, which cannot
-    // happen under std's threading model.
+    let out: Vec<R> = slots.into_iter().flatten().collect();
+    // Every index is claimed exactly once and its result comes back
+    // through its worker's join; a hole could only mean a worker died
+    // without panicking, which cannot happen under std's threading
+    // model.
     assert_eq!(out.len(), n, "parallel fan-out lost results");
     out
 }
@@ -192,121 +173,113 @@ where
 /// pattern `cdna-rack` uses to advance N independent host simulations
 /// in lookahead windows.
 ///
-/// Each iteration first calls `sync(round, &mut states)` on the
-/// caller's thread with every state at the same logical round — the
-/// place to exchange information *between* states (route frames, merge
-/// counters) and to decide whether to continue (`false` stops the loop
-/// and returns the states). It then runs `step(index, round, &mut
-/// state)` for every state across `jobs` persistent workers.
+/// Each iteration first calls `sync(round, states)` on the caller's
+/// thread with every state at the same logical round, in index order —
+/// the place to exchange information *between* states (route frames,
+/// merge counters) and to decide whether to continue (`false` stops the
+/// loop and returns the states). It then runs `step(index, round, &mut
+/// state)` for every state.
+///
+/// The states split once into `jobs` contiguous partitions whose sizes
+/// differ by at most one. The caller steps partition 0 itself; each
+/// other partition stays with one worker for the whole run and moves
+/// to the caller and back once per round as a `Vec` over a channel
+/// pair. At `jobs = 1` no thread is spawned.
 ///
 /// Determinism: `sync` always runs single-threaded over index-ordered
 /// states, and each `step` call sees only its own state, so the outcome
-/// is independent of `jobs` — `jobs=1` (which runs everything inline on
-/// the caller's thread) and `jobs=N` produce identical final states.
+/// is independent of `jobs`.
 ///
-/// Unlike [`run_indexed`], the workers persist across rounds: a rack
-/// run has tens of thousands of epochs, and spawning threads per epoch
-/// would cost more than the epoch's work. A panic in `step` is caught,
-/// carried across the barrier, and re-raised on the caller's thread
-/// after the workers shut down cleanly.
-pub fn run_rounds<T, S, F>(jobs: usize, states: Vec<T>, mut sync: S, step: F) -> Vec<T>
+/// A panic in a worker's `step` closes its channel; the caller stops
+/// at that round's hand-back and re-raises the worker's own payload. A
+/// panic on the caller's thread closes every worker's inbox and
+/// propagates once the workers have exited.
+pub fn run_rounds<T, S, F>(jobs: usize, mut states: Vec<T>, mut sync: S, step: F) -> Vec<T>
 where
     T: Send,
-    S: FnMut(u64, &mut Vec<T>) -> bool,
+    S: FnMut(u64, &mut [&mut T]) -> bool,
     F: Fn(usize, u64, &mut T) + Sync,
 {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Barrier;
-
     let n = states.len();
     let jobs = jobs.clamp(1, n.max(1));
-    let mut states = states;
     if jobs == 1 {
+        // Everything on the caller: one view for the whole run, so a
+        // round costs no allocation.
+        let mut all: Vec<&mut T> = states.iter_mut().collect();
         let mut round = 0u64;
-        while sync(round, &mut states) {
-            for (i, t) in states.iter_mut().enumerate() {
+        while sync(round, &mut all) {
+            for (i, t) in all.iter_mut().enumerate() {
                 step(i, round, t);
             }
             round += 1;
         }
         return states;
     }
+    // Partition `p` starts at `start(p)`; the first `n % jobs`
+    // partitions hold one state more than the rest.
+    let start = |p: usize| p * (n / jobs) + p.min(n % jobs);
+    let mut rest = states.into_iter();
+    let mut parts: Vec<Vec<T>> = (0..jobs)
+        .map(|p| rest.by_ref().take(start(p + 1) - start(p)).collect())
+        .collect();
 
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let work: Mutex<VecDeque<usize>> = Mutex::new(VecDeque::with_capacity(n));
-    let round_no = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    // Two barriers per round: `start` releases the workers into the
-    // round's work queue, `finish` hands control back to the caller.
-    let start = Barrier::new(jobs + 1);
-    let finish = Barrier::new(jobs + 1);
-    let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    let mut payload = None;
     std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                start.wait();
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let r = round_no.load(Ordering::Acquire);
-                loop {
-                    let next = lock(&work).pop_front();
-                    let Some(i) = next else { break };
-                    let mut slot = lock(&slots[i]);
-                    if let Some(t) = slot.as_mut() {
-                        // Catch instead of unwinding through the barrier
-                        // protocol: an unwinding worker would leave the
-                        // caller waiting on `finish` forever.
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            // The slot mutex is per-index and `step` only
-                            // touches its own slot's state; no other holder
-                            // ever acquires a second lock, so the nesting
-                            // cannot invert.
-                            // cdna-check: allow(lock-order): per-index slot mutex
-                            step(i, r, t)
-                        }));
-                        if let Err(p) = caught {
-                            *lock(&panicked) = Some(p);
+        let step = &step;
+        let links: Vec<_> = (1..jobs)
+            .map(|p| {
+                let (to_worker, inbox) = mpsc::channel::<Vec<T>>();
+                let (outbox, to_caller) = mpsc::channel::<Vec<T>>();
+                let base = start(p);
+                let worker = scope.spawn(move || {
+                    for (round, mut part) in (0u64..).zip(inbox) {
+                        for (k, t) in part.iter_mut().enumerate() {
+                            step(base + k, round, t);
+                        }
+                        if outbox.send(part).is_err() {
+                            break;
                         }
                     }
-                }
-                finish.wait();
-            });
-        }
+                });
+                (to_worker, to_caller, worker)
+            })
+            .collect();
 
         let mut round = 0u64;
-        loop {
-            if lock(&panicked).is_some() || !sync(round, &mut states) {
-                stop.store(true, Ordering::Release);
-                start.wait();
+        'rounds: loop {
+            let mut all: Vec<&mut T> = Vec::with_capacity(n);
+            all.extend(parts.iter_mut().flatten());
+            if !sync(round, &mut all) {
                 break;
             }
-            for (i, t) in states.drain(..).enumerate() {
-                *lock(&slots[i]) = Some(t);
+            let (own, others) = parts.split_at_mut(1);
+            for ((to_worker, _, _), part) in links.iter().zip(others.iter_mut()) {
+                // A send fails only to a dead worker, and the hand-back
+                // below notices that.
+                let _ = to_worker.send(std::mem::take(part));
             }
-            {
-                let mut q = lock(&work);
-                q.clear();
-                q.extend(0..n);
+            for (i, t) in own.iter_mut().flatten().enumerate() {
+                step(i, round, t);
             }
-            round_no.store(round, Ordering::Release);
-            start.wait();
-            finish.wait();
-            for slot in &slots {
-                if let Some(t) = lock(slot).take() {
-                    states.push(t);
+            for ((_, to_caller, _), part) in links.iter().zip(others.iter_mut()) {
+                match to_caller.recv() {
+                    Ok(back) => *part = back,
+                    // The worker panicked; its join below re-raises it.
+                    Err(_) => break 'rounds,
                 }
             }
-            assert_eq!(states.len(), n, "round-barrier fan-out lost states");
             round += 1;
         }
-        payload = lock(&panicked).take();
+        // Closing each inbox ends that worker's loop.
+        for (to_worker, _, worker) in links {
+            drop(to_worker);
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
     });
-    if let Some(p) = payload {
-        std::panic::resume_unwind(p);
-    }
+
+    let states: Vec<T> = parts.into_iter().flatten().collect();
+    assert_eq!(states.len(), n, "round fan-out lost states");
     states
 }
 
@@ -367,17 +340,29 @@ mod tests {
         assert_eq!(resolve_jobs(Some(64), 3), 3);
         assert_eq!(resolve_jobs(Some(0), 3), 1);
         assert_eq!(resolve_jobs(Some(2), 100), 2);
-        // No request, no env override in this test's scope: whatever the
-        // host offers, the clamp keeps it in range.
+        // No request: whatever the host offers, the clamp keeps it in
+        // range.
         let j = resolve_jobs(None, 5);
         assert!((1..=5).contains(&j));
     }
 
     #[test]
-    fn batch_sizes_shrink_with_jobs() {
-        assert_eq!(batch_size(100, 4), 6);
-        assert_eq!(batch_size(12, 8), 1);
-        assert_eq!(batch_size(1, 1), 1);
+    fn claimed_tasks_run_concurrently() {
+        // Each task waits, for up to about 2 s, until both are in
+        // flight. A claim guard held across `f` keeps the first task
+        // alone until it gives up.
+        let arrived = AtomicUsize::new(0);
+        let met = run_indexed(2, vec![(); 2], |_, ()| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            for _ in 0..2000 {
+                if arrived.load(Ordering::SeqCst) == 2 {
+                    return true;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            false
+        });
+        assert_eq!(met, vec![true, true], "a task ran alone");
     }
 
     #[test]
@@ -402,9 +387,9 @@ mod tests {
                 if round >= 5 {
                     return false;
                 }
-                let prev: Vec<u64> = states.clone();
+                let prev: Vec<u64> = states.iter().map(|s| **s).collect();
                 for (i, s) in states.iter_mut().enumerate() {
-                    *s = s.wrapping_add(prev[(i + 8) % 9]);
+                    **s = s.wrapping_add(prev[(i + 8) % 9]);
                 }
                 true
             },
@@ -421,6 +406,38 @@ mod tests {
         let c = rounds_reference(9);
         assert_eq!(a, b);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn rounds_step_every_state_once_per_round_with_its_own_index() {
+        // Uneven partitions (n not a multiple of jobs) are where a wrong
+        // partition offset would hand a state someone else's index.
+        const ROUNDS: u64 = 6;
+        for n in [1usize, 4, 5, 7] {
+            for jobs in 1..=n + 1 {
+                let states: Vec<(usize, Vec<u64>)> = (0..n).map(|i| (i, Vec::new())).collect();
+                let out = run_rounds(
+                    jobs,
+                    states,
+                    |round, states| {
+                        for (k, s) in states.iter().enumerate() {
+                            assert_eq!(s.0, k, "n={n} jobs={jobs}: sync order");
+                            assert_eq!(s.1.len() as u64, round, "n={n} jobs={jobs}");
+                        }
+                        round < ROUNDS
+                    },
+                    |i, round, s| {
+                        assert_eq!(i, s.0, "n={n} jobs={jobs}: wrong index");
+                        s.1.push(round);
+                    },
+                );
+                assert_eq!(out.len(), n);
+                for (k, (i, seen)) in out.iter().enumerate() {
+                    assert_eq!(*i, k, "n={n} jobs={jobs}: output order");
+                    assert_eq!(*seen, (0..ROUNDS).collect::<Vec<_>>(), "n={n} jobs={jobs}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -467,5 +484,34 @@ mod tests {
                 }
             },
         );
+    }
+
+    /// The message of the panic that escapes a two-worker `run_rounds`
+    /// over four states whose `step` panics on state `fail`.
+    fn rounds_panic_message(fail: usize) -> String {
+        let caught = std::panic::catch_unwind(|| {
+            run_rounds(
+                2,
+                (0..4u32).collect(),
+                |round, _| round < 3,
+                |i, round, _| {
+                    if i == fail && round == 1 {
+                        panic!("state {i} failed");
+                    }
+                },
+            )
+        });
+        let payload = caught.expect_err("the step panic must propagate");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn rounds_panics_keep_their_own_message_on_either_side() {
+        // States 0–1 are the caller's partition, 2–3 the worker's.
+        assert_eq!(rounds_panic_message(0), "state 0 failed");
+        assert_eq!(rounds_panic_message(3), "state 3 failed");
     }
 }

@@ -377,9 +377,9 @@ impl QueueKind {
 /// runs on the perf path.
 ///
 /// The custom box is `Send` so that a `Simulation` over a `Send` world
-/// is itself `Send` regardless of queue kind — `cdna-rack` migrates
-/// whole per-host simulations across the [`crate::par`] worker pool at
-/// every epoch barrier.
+/// is itself `Send` regardless of queue kind — `cdna-rack` hands each
+/// worker's slice of per-host simulations to the barrier and back over
+/// a [`crate::par`] channel every epoch.
 pub(crate) enum QueueImpl<E> {
     Wheel(TimerWheel<E>),
     Custom(Box<dyn EventQueue<E> + Send>),

@@ -343,43 +343,14 @@ fn seeded_taint_propagates_through_a_helper() {
 }
 
 #[test]
-fn seeded_lock_cycle_is_pinpointed_on_both_edges() {
-    let src = "//! Doc.\n/// Doc.\npub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {\n    match m.lock() {\n        Ok(g) => g,\n        Err(p) => p.into_inner(),\n    }\n}\n/// Doc.\npub fn ab(a: &Mutex<u32>, b: &Mutex<u32>) {\n    let ga = lock(a);\n    let gb = lock(b);\n    let _ = (ga, gb);\n}\n/// Doc.\npub fn ba(a: &Mutex<u32>, b: &Mutex<u32>) {\n    let gb = lock(b);\n    let ga = lock(a);\n    let _ = (ga, gb);\n}\n";
-    let a = cdna_check::analyze(&[lib_file("crates/sim/src/seeded.rs", src)], &[]);
-    assert_eq!(
-        hits(&a),
-        [
-            ("lock-order", "crates/sim/src/seeded.rs", 12),
-            ("lock-order", "crates/sim/src/seeded.rs", 18),
-        ],
-        "{:?}",
-        a.diagnostics
-    );
-}
-
-#[test]
-fn seeded_lock_held_across_locking_call_is_pinpointed() {
-    // `drive` holds `slots` while calling `tick`, which acquires the
-    // controller lock; the diagnostic lands on the call, not the lock.
-    let src = "//! Doc.\n/// Doc.\npub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {\n    match m.lock() {\n        Ok(g) => g,\n        Err(p) => p.into_inner(),\n    }\n}\n/// Doc.\npub fn tick(ctrl: &Mutex<u32>) {\n    let g = lock(ctrl);\n    let _ = g;\n}\n/// Doc.\npub fn drive(slots: &Mutex<u32>, ctrl: &Mutex<u32>) {\n    let s = lock(slots);\n    tick(ctrl);\n    let _ = s;\n}\n";
-    let a = cdna_check::analyze(&[lib_file("crates/sim/src/seeded.rs", src)], &[]);
-    assert_eq!(
-        hits(&a),
-        [("lock-order", "crates/sim/src/seeded.rs", 17)],
-        "{:?}",
-        a.diagnostics
-    );
-}
-
-#[test]
 fn new_passes_are_quiet_on_the_real_tree() {
-    // Zero false positives: every guest-taint / lock-order diagnostic
-    // on the actual repository must be covered by an allow.
+    // Zero false positives: every guest-taint diagnostic on the actual
+    // repository must be covered by an allow.
     let report = check_repo(&workspace_root()).expect("repo scan");
     let noisy: Vec<String> = report
         .diagnostics
         .iter()
-        .filter(|d| matches!(d.rule, "guest-taint" | "lock-order"))
+        .filter(|d| d.rule == "guest-taint")
         .map(|d| d.render())
         .collect();
     assert!(noisy.is_empty(), "{}", noisy.join("\n"));

@@ -96,7 +96,8 @@ fn workspace_lints_forbid_unsafe_and_deny_missing_docs() {
 fn clippy_config_bans_hash_maps_and_the_wall_clock() {
     // `cdna-check` has no rule for these: the wall-clock ban, the
     // hash-map ban and with it hash-ordered merges and `f64`
-    // reductions after a fan-out are enforced by clippy through these
+    // reductions after a fan-out, and the lock ban that replaced
+    // CDNA012 `lock-order`, are enforced by clippy through these
     // entries alone.
     let text = read(&root().join("clippy.toml"));
     let types = array_paths(&text, "disallowed-types");
@@ -105,6 +106,8 @@ fn clippy_config_bans_hash_maps_and_the_wall_clock() {
         "std::collections::HashSet",
         "std::time::Instant",
         "std::time::SystemTime",
+        "std::sync::Mutex",
+        "std::sync::RwLock",
     ] {
         assert!(
             types.contains(&ty),

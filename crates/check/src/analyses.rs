@@ -387,8 +387,8 @@ fn inline_package(value: &str) -> Option<&str> {
 /// Everything one file contributes to the pipeline, produced by
 /// [`scan_file`] on whichever worker picked the file up. Merging these
 /// in path order (the caller's file order is sorted) makes the whole
-/// analysis independent of the worker count — the property CDNA014
-/// demands of every other fan-out in the workspace.
+/// analysis independent of the worker count — the index-ordered merge
+/// every fan-out in the workspace makes through `cdna_sim::par`.
 struct FileScan {
     rel: String,
     /// `None` for `tests/` and `examples/`, which no pass reads.
@@ -459,15 +459,13 @@ pub fn analyze_jobs(files: &[SourceFile], manifests: &[(String, String)], jobs: 
         .collect();
 
     let graph = SymbolGraph::build(graph_files, manifest_deps);
-    let passes: [&dyn Pass; 8] = [
+    let passes: [&dyn Pass; 6] = [
         &LayeringPass,
         &MustPairPass,
         &ExhaustiveFaultPass,
         &crate::taint::GuestTaintPass,
-        &crate::determinism::MergeOrderPass,
         &crate::determinism::ClockPurityPass,
         &crate::determinism::JobsLeakPass,
-        &crate::determinism::FloatAccumPass,
     ];
     let raw = crate::graph::run_passes(&graph, &passes);
 
@@ -684,10 +682,23 @@ mod tests {
 
     #[test]
     fn unused_allow_warns_and_used_allow_does_not() {
-        let src = "//! Doc.\nfn f(k: FaultKind) -> u32 {\n    match k {\n        FaultKind::EmptySlot { index } => index,\n        _ => 0, // cdna-check: allow(exhaustive-fault): fine\n    }\n}\nfn g() {\n    y(); // cdna-check: allow(exhaustive-fault): stale\n}\n";
+        // Lines 11–12 name the retired CDNA014/017 rules: no pass
+        // fires for them any more, so each escape is stale.
+        let src = "//! Doc.\nfn f(k: FaultKind) -> u32 {\n    match k {\n        FaultKind::EmptySlot { index } => index,\n        _ => 0, // cdna-check: allow(exhaustive-fault): fine\n    }\n}\nfn g() {\n    y(); // cdna-check: allow(exhaustive-fault): stale\n}\n// cdna-check: allow(merge-order): retired\n// cdna-check: allow(float-accum): retired\nfn h() {}\n";
         let a = analyze(&[lib("crates/core/src/x.rs", src)], &[]);
-        assert_eq!(rules_of(&a), [("unused-allow", 9)], "{:?}", a.diagnostics);
-        assert_eq!(a.allow_count, 2);
+        assert_eq!(
+            rules_of(&a),
+            [
+                ("unused-allow", 9),
+                ("unused-allow", 11),
+                ("unused-allow", 12)
+            ],
+            "{:?}",
+            a.diagnostics
+        );
+        assert!(a.diagnostics[1].message.contains("merge-order"));
+        assert!(a.diagnostics[2].message.contains("float-accum"));
+        assert_eq!(a.allow_count, 4);
     }
 
     #[test]

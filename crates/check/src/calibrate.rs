@@ -3,7 +3,7 @@
 //!
 //! A static analysis that never fires is indistinguishable from one
 //! that is broken, so every dataflow rule — the taint pass (CDNA011)
-//! and the determinism-soundness passes (CDNA014–017) —
+//! and the determinism-soundness passes (CDNA015–016) —
 //! ships with a seeded-violation fixture under
 //! `crates/check/tests/corpus/` (a directory the repository walker
 //! exempts from the real scan). Each fixture is one

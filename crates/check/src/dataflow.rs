@@ -8,11 +8,9 @@
 //!   items, which is the code the dataflow rules apply to;
 //! * name-based call resolution restricted to that node set;
 //! * a generic monotone fixpoint driver for interprocedural summaries
-//!   (`vulnerable(f)` for taint, clock and reduction summaries for the
-//!   determinism passes);
-//! * token-walk utilities (statement boundaries, enclosing blocks,
-//!   `let` bindings, call-argument regions) used to approximate def-use
-//!   facts without a real CFG.
+//!   (`vulnerable(f)` for taint, the clock summary for `clock-purity`);
+//! * token-walk utilities (`let` bindings, call-argument regions) used
+//!   to approximate def-use facts without a real CFG.
 //!
 //! Everything stays name-resolved and token-linear — the same
 //! deliberate imprecision as the rest of cdna-check, which is exactly
@@ -45,8 +43,8 @@ impl<'g> Dataflow<'g> {
 
     /// Like [`Dataflow::build`], but the node set also includes binary
     /// entry points (`main.rs`, `src/bin/*`). The determinism rules
-    /// (CDNA014–017) police serialization and merge sites that live in
-    /// bench binaries, which the library-only rules deliberately skip.
+    /// (CDNA015–016) police serialization sites that live in bench
+    /// binaries, which the library-only rules deliberately skip.
     pub fn build_with_binaries(graph: &'g SymbolGraph) -> Self {
         Self::build_filtered(graph, true)
     }
@@ -131,63 +129,6 @@ impl<'g> Dataflow<'g> {
     }
 }
 
-/// Index of the first token of the statement containing `pos`: the
-/// token right after the nearest preceding `;`, `{` or `}`.
-pub fn statement_start(body: &[Token], pos: usize) -> usize {
-    let mut i = pos;
-    while i > 0 {
-        match body[i - 1].text.as_str() {
-            ";" | "{" | "}" => return i,
-            _ => i -= 1,
-        }
-    }
-    0
-}
-
-/// Index just past the enclosing block of `pos`: the `}` that drops the
-/// brace depth below the level at `pos` (or `body.len()`).
-pub fn enclosing_block_end(body: &[Token], pos: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = pos;
-    while i < body.len() {
-        match body[i].text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth < 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    body.len()
-}
-
-/// End of the temporary-lifetime region starting at `pos`: a temporary
-/// guard (no `let`) lives to the end of its statement — the next `;` or
-/// block brace at bracket depth 0.
-pub fn temporary_end(body: &[Token], pos: usize) -> usize {
-    let mut par = 0i32;
-    let mut i = pos;
-    while i < body.len() {
-        match body[i].text.as_str() {
-            "(" | "[" => par += 1,
-            ")" | "]" => {
-                par -= 1;
-                if par < 0 {
-                    return i; // statement ended inside an outer call
-                }
-            }
-            ";" | "{" | "}" if par == 0 => return i,
-            _ => {}
-        }
-        i += 1;
-    }
-    body.len()
-}
-
 /// If the statement starting at `stmt` is a `let` binding, its bound
 /// name (skipping `mut`).
 pub fn let_binding(body: &[Token], stmt: usize) -> Option<String> {
@@ -241,36 +182,12 @@ mod tests {
     }
 
     #[test]
-    fn statement_and_block_boundaries() {
-        let b = toks("a(); let x = b(); { c(); } d();");
-        // Find token index of `b`.
-        let bp = b.iter().position(|t| t.text == "b").unwrap();
-        assert_eq!(b[statement_start(&b, bp)].text, "let");
-        let cp = b.iter().position(|t| t.text == "c").unwrap();
-        assert_eq!(b[enclosing_block_end(&b, cp)].text, "}");
-        assert_eq!(enclosing_block_end(&b, bp), b.len());
-    }
-
-    #[test]
     fn let_bindings_and_temporaries() {
         let b = toks("let mut guard = lock(&m); use_it(); drop(guard);");
-        let lp = b.iter().position(|t| t.text == "lock").unwrap();
-        let st = statement_start(&b, lp);
-        assert_eq!(let_binding(&b, st).as_deref(), Some("guard"));
+        assert_eq!(let_binding(&b, 0).as_deref(), Some("guard"));
+        // A temporary is no binding.
         let b2 = toks("lock(&m).push(1); after();");
-        let lp2 = b2.iter().position(|t| t.text == "lock").unwrap();
-        assert_eq!(b2[temporary_end(&b2, lp2)].text, ";");
-        assert_eq!(let_binding(&b2, statement_start(&b2, lp2)), None);
-    }
-
-    #[test]
-    fn temporary_inside_outer_call_ends_at_outer_paren() {
-        let b = toks("f(lock(&m).get(), x); after();");
-        let lp = b.iter().position(|t| t.text == "lock").unwrap();
-        let end = temporary_end(&b, lp);
-        // Ends no later than the statement's `;`.
-        let semi = b.iter().position(|t| t.text == ";").unwrap();
-        assert!(end <= semi, "end={end} semi={semi}");
+        assert_eq!(let_binding(&b2, 0), None);
     }
 
     #[test]

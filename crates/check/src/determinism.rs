@@ -1,20 +1,12 @@
-//! CDNA014–017: determinism-soundness proofs over the fan-out/merge
+//! CDNA015–016: determinism-soundness proofs over the fan-out
 //! surface.
 //!
 //! Every artifact this repo compares across worker counts — BENCH.json,
 //! RACK-BENCH.json, the model/fuzz digests — stakes its claim on
 //! `--jobs 1 ≡ --jobs N` byte-identity. The differential tests probe a
 //! handful of configurations; these passes prove the property over the
-//! code instead, by policing the three ways it silently breaks:
+//! code instead, by policing the two ways a host value leaks into it:
 //!
-//! * **CDNA014 `merge-order`** — every fan-out call site
-//!   ([`cdna_sim::par`]'s `run_indexed` / `run_indexed_init` /
-//!   `run_rounds`, `cdna_bench`'s `run_parallel_jobs`, or a raw
-//!   `std::thread::scope`) must merge worker results through an
-//!   index-ordered slot (`lock(&slots[i])`) or follow the fan-out with
-//!   a deterministically keyed sort. Arrival-order appends to locked
-//!   shared state inside the worker region — directly or through a
-//!   callee — are flagged.
 //! * **CDNA015 `clock-purity`** — interprocedural taint from
 //!   `Instant::now` / `SystemTime` / `.elapsed()` sources into any
 //!   serialized sink (the `cdna_trace` `JsonWriter` emitters). The one
@@ -29,15 +21,11 @@
 //!   closure parameters. The one sanctioned sink is the literal
 //!   `"jobs"` key every suite artifact uses to *report* (not compare)
 //!   its worker count.
-//! * **CDNA017 `float-accum`** — `f64` addition does not reassociate,
-//!   so an order-sensitive reduction (`sum` / `product` / `fold`) over
-//!   arrival-order-merged data is nondeterministic even when the
-//!   multiset of inputs is identical. Reductions over index-ordered
-//!   fan-out results are fine: their order is fixed.
 //!
-//! Hash-ordered merges and reductions need no pass: `clippy.toml`'s
-//! `disallowed-types` bans `HashMap` and `HashSet` in every target, and
-//! the CI `lint` job runs clippy with `-D warnings`.
+//! Arrival-order merges need no pass: clippy's lock, thread and
+//! channel bans leave a fan-out's `Fn + Sync` closure no shared state
+//! to append to (see [`crate::rules`] and DESIGN.md §9), and its
+//! `HashMap`/`HashSet` ban rules out hash-ordered merges.
 //!
 //! Like the rest of cdna-check, the analyses are name-resolved and
 //! token-linear. Taint propagates through `let` bindings and
@@ -47,9 +35,7 @@
 //! flows this codebase uses, and everything else would be false
 //! positives on deterministic per-item data.
 
-use crate::dataflow::{
-    arg_region, enclosing_block_end, let_binding, statement_start, temporary_end, Dataflow,
-};
+use crate::dataflow::{arg_region, let_binding, Dataflow};
 use crate::graph::{GraphFile, Pass, SymbolGraph};
 use crate::lexer::Token;
 use crate::parse::{CallSite, FnSym};
@@ -66,27 +52,14 @@ const FAN_OUT: &[(&str, &[&str])] = &[
     ("run_parallel_jobs", &["bench"]),
 ];
 
-/// Appends whose result order is the workers' arrival order when the
-/// receiver is lock-shared state.
+/// Push-family mutations: pushing a tainted value taints the
+/// collection.
 const PUSH_FNS: &[&str] = &["push", "insert", "extend", "append", "push_back"];
-
-/// Sorts that re-key a merged collection deterministically.
-const SORT_FNS: &[&str] = &[
-    "sort",
-    "sort_by",
-    "sort_by_key",
-    "sort_unstable",
-    "sort_unstable_by",
-    "sort_unstable_by_key",
-];
 
 /// Serialization sinks: the `JsonWriter` value emitters, resolved to
 /// their home crate. Everything the repo compares flows through these.
 const SINK_FNS: &[&str] = &["string", "number_u64", "number_f64", "boolean"];
 const SINK_HOME: &[&str] = &["trace"];
-
-/// Order-sensitive floating-point reductions.
-const REDUCE_FNS: &[&str] = &["sum", "product", "fold"];
 
 /// Whether this name *is* one of the fan-out primitives. The
 /// primitives' own bodies are the merge machinery (claim cursor,
@@ -95,110 +68,19 @@ fn is_fan_out_primitive(name: &str) -> bool {
     FAN_OUT.iter().any(|(n, _)| *n == name)
 }
 
-/// Whether call `c` in `f` is a fan-out site: an armed primitive or a
-/// raw `thread::scope`.
-fn is_fan_out_call(df: &Dataflow, f: &FnSym, c: &CallSite) -> bool {
-    if FAN_OUT
+/// Whether call `c` is a fan-out site: a call to an armed primitive.
+/// Raw threads are no fan-out of their own: `clippy.toml` bans
+/// `std::thread::scope`/`spawn` everywhere but inside the primitives.
+fn is_fan_out_call(df: &Dataflow, c: &CallSite) -> bool {
+    FAN_OUT
         .iter()
         .any(|(n, homes)| *n == c.callee && df.armed(n, homes))
-    {
-        return true;
-    }
-    c.callee == "scope"
-        && c.pos >= 3
-        && f.body[c.pos - 1].text == ":"
-        && f.body[c.pos - 2].text == ":"
-        && f.body[c.pos - 3].text == "thread"
-}
-
-/// Whether call `ci` acquires a lock: the `.lock()` method, or a
-/// workspace `lock(&m)` helper if one exists.
-fn is_acquire(df: &Dataflow, f: &FnSym, c: &CallSite) -> bool {
-    if c.callee != "lock" {
-        return false;
-    }
-    let method = c.pos > 0 && f.body[c.pos - 1].text == ".";
-    method || !df.targets("lock").is_empty()
-}
-
-/// The locked target's display name and whether it is index-addressed
-/// (`lock(&slots[i])` / `slots[i].lock()`) — the sanctioned
-/// index-ordered merge shape.
-fn lock_target(f: &FnSym, c: &CallSite) -> (String, bool) {
-    let body = &f.body;
-    let (lo, hi) = if c.pos > 0 && body[c.pos - 1].text == "." {
-        // Method form: the receiver tokens back to the statement start.
-        (statement_start(body, c.pos), c.pos - 1)
-    } else {
-        // Helper form: the argument tokens.
-        arg_region(body, c.pos)
-    };
-    let toks = &body[lo..hi];
-    let indexed = toks.iter().any(|t| t.text == "[");
-    let name = toks
-        .iter()
-        .rev()
-        .find(|t| t.is_ident && t.text != "self" && t.text != "mut" && t.text != "let")
-        .map(|t| t.text.clone())
-        .unwrap_or_else(|| "<shared>".to_string());
-    (name, indexed)
-}
-
-/// How long the guard from acquisition `c` lives: a `let`-bound guard
-/// whose whole RHS is the acquisition lives to its enclosing block end;
-/// anything else to statement end.
-fn guard_extent(f: &FnSym, c: &CallSite) -> usize {
-    let stmt = statement_start(&f.body, c.pos);
-    let (_, close) = arg_region(&f.body, c.pos);
-    let whole_rhs = f.body.get(close + 1).map(|t| t.text.as_str()) == Some(";");
-    if whole_rhs && let_binding(&f.body, stmt).is_some() {
-        enclosing_block_end(&f.body, c.pos)
-    } else {
-        temporary_end(&f.body, c.pos)
-    }
-}
-
-/// One arrival-order append: a push-family call inside the guard extent
-/// of a non-indexed lock acquisition.
-struct SharedPush {
-    /// Token position of the push-family callee.
-    pos: usize,
-    /// 1-based line of the push.
-    line: u32,
-    /// The locked target being appended to.
-    target: String,
-}
-
-/// Every arrival-order append in `f`. Index-addressed slots are the
-/// sanctioned merge shape and never count.
-fn shared_pushes(df: &Dataflow, f: &FnSym) -> Vec<SharedPush> {
-    let mut out = Vec::new();
-    for c in &f.calls {
-        if !is_acquire(df, f, c) {
-            continue;
-        }
-        let (target, indexed) = lock_target(f, c);
-        if indexed {
-            continue;
-        }
-        let extent = guard_extent(f, c);
-        for p in &f.calls {
-            if p.pos > c.pos && p.pos < extent && PUSH_FNS.contains(&p.callee.as_str()) {
-                out.push(SharedPush {
-                    pos: p.pos,
-                    line: p.line,
-                    target: target.clone(),
-                });
-            }
-        }
-    }
-    out
 }
 
 /// End of the statement starting at `from`: the `;` (or the `}` closing
 /// the enclosing block for a tail expression) at bracket depth 0.
-/// Unlike [`temporary_end`] this tracks brace depth too, so a `let`
-/// whose RHS is a struct literal or block spans the whole statement.
+/// Braces count towards the depth, so a `let` whose RHS is a struct
+/// literal or block spans the whole statement.
 fn stmt_end(body: &[Token], from: usize) -> usize {
     let mut depth = 0i32;
     let mut i = from;
@@ -354,125 +236,6 @@ fn sink_violations(
         });
     }
     out
-}
-
-/// The CDNA014 pass. See the module docs for the model.
-pub struct MergeOrderPass;
-
-impl Pass for MergeOrderPass {
-    fn rule(&self) -> &'static str {
-        "merge-order"
-    }
-
-    fn run(&self, graph: &SymbolGraph) -> Vec<Diagnostic> {
-        let df = Dataflow::build_with_binaries(graph);
-        // Transitive summary: the locked target this function (or a
-        // callee) appends to in arrival order, if any. The fan-out
-        // primitives and the `lock` helpers are the machinery itself.
-        let summary: Vec<Option<String>> = df.fixpoint(
-            |_| None,
-            |df, state, n| {
-                if state[n].is_some() {
-                    return state[n].clone();
-                }
-                let f = df.func(n);
-                if is_fan_out_primitive(&f.name) || f.name == "lock" {
-                    return None;
-                }
-                if let Some(p) = shared_pushes(df, f).into_iter().next() {
-                    return Some(p.target);
-                }
-                for c in &f.calls {
-                    if c.callee == "lock" {
-                        continue;
-                    }
-                    for &t in df.targets(&c.callee) {
-                        if let Some(tgt) = &state[t] {
-                            return Some(tgt.clone());
-                        }
-                    }
-                }
-                None
-            },
-        );
-
-        let mut out = Vec::new();
-        for n in 0..df.nodes.len() {
-            let f = df.func(n);
-            if is_fan_out_primitive(&f.name) {
-                continue;
-            }
-            let fan_outs: Vec<&CallSite> = f
-                .calls
-                .iter()
-                .filter(|c| is_fan_out_call(&df, f, c))
-                .collect();
-            if fan_outs.is_empty() {
-                continue;
-            }
-            let file = df.file(n);
-            let pushes = shared_pushes(&df, f);
-            let mut flagged_lines: BTreeSet<u32> = BTreeSet::new();
-            for c in &fan_outs {
-                let (rs, re) = arg_region(&f.body, c.pos);
-                // A deterministically keyed sort after the fan-out
-                // discharges arrival-order merges for this site.
-                let sorted_after = f
-                    .calls
-                    .iter()
-                    .any(|s| s.pos >= re && SORT_FNS.contains(&s.callee.as_str()));
-                if sorted_after {
-                    continue;
-                }
-                for p in &pushes {
-                    if p.pos > rs && p.pos < re && flagged_lines.insert(p.line) {
-                        out.push(Diagnostic {
-                            rule: self.rule(),
-                            file: file.symbols.rel.clone(),
-                            line: p.line,
-                            message: format!(
-                                "`{}` merges `{}` worker results into locked `{}` in \
-                                 arrival order; merge through an index-ordered slot or \
-                                 sort the merged results by a deterministic key",
-                                f.name, c.callee, p.target,
-                            ),
-                        });
-                    }
-                }
-                for c2 in &f.calls {
-                    if c2.pos <= rs || c2.pos >= re {
-                        continue;
-                    }
-                    if c2.callee == "lock"
-                        || PUSH_FNS.contains(&c2.callee.as_str())
-                        || is_fan_out_call(&df, f, c2)
-                    {
-                        continue;
-                    }
-                    let hit = df
-                        .targets(&c2.callee)
-                        .iter()
-                        .find_map(|&t| summary[t].clone());
-                    if let Some(tgt) = hit {
-                        if flagged_lines.insert(c2.line) {
-                            out.push(Diagnostic {
-                                rule: self.rule(),
-                                file: file.symbols.rel.clone(),
-                                line: c2.line,
-                                message: format!(
-                                    "`{}` calls `{}` inside the `{}` fan-out, which \
-                                     (transitively) appends to locked `{}` in arrival \
-                                     order; workers must write index-ordered slots",
-                                    f.name, c2.callee, c.callee, tgt,
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Whether the token at `i` is a direct wall-clock source:
@@ -684,7 +447,7 @@ impl Pass for JobsLeakPass {
             // worker/item index: `run_indexed(jobs, v, |i, x| …)`.
             let mut param_taint: BTreeSet<String> = BTreeSet::new();
             for c in &f.calls {
-                if !is_fan_out_call(&df, f, c) {
+                if !is_fan_out_call(&df, c) {
                     continue;
                 }
                 let (rs, re) = arg_region(&f.body, c.pos);
@@ -726,102 +489,4 @@ impl Pass for JobsLeakPass {
         }
         out
     }
-}
-
-/// The CDNA017 pass. See the module docs for the model.
-pub struct FloatAccumPass;
-
-impl Pass for FloatAccumPass {
-    fn rule(&self) -> &'static str {
-        "float-accum"
-    }
-
-    fn run(&self, graph: &SymbolGraph) -> Vec<Diagnostic> {
-        let df = Dataflow::build_with_binaries(graph);
-        // Summary: does this function perform an f64 reduction
-        // (directly or transitively)?
-        let reduces: Vec<bool> = df.fixpoint(
-            |_| false,
-            |df, state, n| {
-                if state[n] {
-                    return true;
-                }
-                let f = df.func(n);
-                f.calls
-                    .iter()
-                    .any(|c| f64_reduce(f, c) || df.targets(&c.callee).iter().any(|&t| state[t]))
-            },
-        );
-
-        let mut out = Vec::new();
-        for n in 0..df.nodes.len() {
-            let f = df.func(n);
-            if is_fan_out_primitive(&f.name) || !f.calls.iter().any(|c| is_fan_out_call(&df, f, c))
-            {
-                continue;
-            }
-            let file = df.file(n);
-            // Order-unstable data: arrival-order-merged lock targets
-            // (unless later sorted). Plain fan-out results are
-            // index-ordered and perfectly fine to reduce.
-            let mut unstable: BTreeSet<String> = BTreeSet::new();
-            for p in shared_pushes(&df, f) {
-                let sorted_later = f
-                    .calls
-                    .iter()
-                    .any(|s| s.pos > p.pos && SORT_FNS.contains(&s.callee.as_str()));
-                if !sorted_later {
-                    unstable.insert(p.target);
-                }
-            }
-            if unstable.is_empty() {
-                continue;
-            }
-            for c in &f.calls {
-                let stmt = statement_start(&f.body, c.pos);
-                let end = stmt_end(&f.body, stmt);
-                let stmt_has = |pred: &dyn Fn(&Token) -> bool| f.body[stmt..end].iter().any(pred);
-                let direct =
-                    f64_reduce(f, c) && stmt_has(&|t| t.is_ident && unstable.contains(&t.text));
-                let transitive = !REDUCE_FNS.contains(&c.callee.as_str())
-                    && df.targets(&c.callee).iter().any(|&t| reduces[t])
-                    && {
-                        let (s, e) = arg_region(&f.body, c.pos);
-                        f.body[s..e]
-                            .iter()
-                            .any(|t| t.is_ident && unstable.contains(&t.text))
-                    };
-                if direct || transitive {
-                    out.push(Diagnostic {
-                        rule: self.rule(),
-                        file: file.symbols.rel.clone(),
-                        line: c.line,
-                        message: format!(
-                            "`{}` feeds order-unstable data into an `f64` reduction \
-                             {}; float addition does not reassociate — sort the \
-                             inputs by a deterministic key first",
-                            f.name,
-                            if REDUCE_FNS.contains(&c.callee.as_str()) {
-                                format!("(`{}`)", c.callee)
-                            } else {
-                                format!("via `{}`", c.callee)
-                            },
-                        ),
-                    });
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Whether call `c` is an `f64` reduction: a `sum`/`product`/`fold`
-/// whose statement mentions `f64` (turbofish, ascription, or cast).
-fn f64_reduce(f: &FnSym, c: &CallSite) -> bool {
-    if !REDUCE_FNS.contains(&c.callee.as_str()) {
-        return false;
-    }
-    let stmt = statement_start(&f.body, c.pos);
-    let end = stmt_end(&f.body, stmt);
-    f.body[stmt..end].iter().any(|t| t.text.contains("f64"))
 }

@@ -33,7 +33,7 @@ pub struct AllowEntry {
 ///
 /// ```text
 /// // cdna-check: allow(layering)
-/// // cdna-check: allow(guest-taint, merge-order): justification
+/// // cdna-check: allow(guest-taint, jobs-leak): justification
 /// // cdna-check: allow-file(clock-purity): justification
 /// ```
 ///

@@ -26,10 +26,12 @@
 //!   `exhaustive-fault` (no wildcard `match` on `FaultKind`/`MemError`/
 //!   `ShadowViolation`).
 //! * **Determinism-soundness passes** ([`determinism`], on the
-//!   [`dataflow`] substrate): `merge-order`, `clock-purity`,
-//!   `jobs-leak`, and `float-accum` prove the repo's
-//!   `--jobs 1 ≡ --jobs N` byte-identity guarantee over the code
-//!   instead of sampling it with differential tests. The scanner also
+//!   [`dataflow`] substrate): `clock-purity` and `jobs-leak` keep
+//!   wall-clock values and worker counts out of what the repo
+//!   compares, proving its `--jobs 1 ≡ --jobs N` byte-identity
+//!   guarantee over the code instead of sampling it with differential
+//!   tests; clippy's thread, channel and lock bans rule out
+//!   arrival-order merges (see [`rules`]). The scanner also
 //!   eats the dogfood: [`analyses::analyze_jobs`] shards per-file work
 //!   over `cdna_sim::par` and merges in path order, so its own report
 //!   is byte-identical at any worker count.

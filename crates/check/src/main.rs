@@ -15,8 +15,8 @@
 //! lex/parse/pass work is sharded over the `cdna_sim::par` worker pool
 //! and merged in path order, so the output — terminal, annotations, and
 //! the JSON artifact — is byte-identical at any worker count. The
-//! scanner self-hosts the determinism guarantee CDNA014–017 enforce on
-//! everything else.
+//! scanner merges like every other fan-out in the workspace: by input
+//! index.
 //!
 //! **Ratchet mode** (`--baseline`): violations already present in the
 //! given report (matched by rule + file + line) are printed as
@@ -27,12 +27,12 @@
 //!
 //! **Calibration mode** (`--calibrate`): runs the seeded-violation
 //! fixtures under `crates/check/tests/corpus/` and exits 1 unless every
-//! seeded violation (CDNA011, CDNA014–017) is caught at its exact
+//! seeded violation (CDNA011, CDNA015, CDNA016) is caught at its exact
 //! file:line (and nothing else fires) — the proof that the analyses
 //! actually detect what they claim to.
 //!
 //! **GitHub annotations** (`--format github`): diagnostics print as
-//! workflow commands (`::error file=…,line=…::CDNA014 …`) that GitHub
+//! workflow commands (`::error file=…,line=…::CDNA016 …`) that GitHub
 //! renders inline on the PR diff. The summary line and JSON artifact
 //! are unchanged.
 

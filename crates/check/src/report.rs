@@ -2,8 +2,11 @@
 //! [`JsonWriter`] so the checker stays dependency-free.
 //!
 //! Shape (`schema_version` 4 — since the determinism-soundness rules
-//! CDNA014–017 and the parallel self-hosted scan; version 3 covered
-//! the dataflow rules CDNA011–013, version 2 the symbol-graph rules):
+//! (CDNA014–017, of which CDNA015–016 remain) and the parallel
+//! self-hosted scan; version 3 covered the dataflow rules CDNA011–013,
+//! version 2 the symbol-graph rules). Retiring a rule drops its name
+//! from `counts` and `diagnostics` but changes no field, so the
+//! version stays:
 //!
 //! ```json
 //! {
@@ -331,10 +334,10 @@ mod tests {
         let r = StaticReport {
             diagnostics: vec![
                 Diagnostic {
-                    rule: "merge-order",
+                    rule: "jobs-leak",
                     file: "crates/x/src/y.rs".into(),
                     line: 9,
-                    message: "arrival order".into(),
+                    message: "worker count".into(),
                 },
                 Diagnostic {
                     rule: "unused-allow",
@@ -351,7 +354,7 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(
             lines[0],
-            "::error file=crates/x/src/y.rs,line=9::CDNA014 arrival order"
+            "::error file=crates/x/src/y.rs,line=9::CDNA016 worker count"
         );
         assert_eq!(lines[1], "::warning file=a.rs,line=2::CDNA007 two%0Alines");
         assert_eq!(lines.len(), 2);
@@ -366,10 +369,11 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), RULE_NAMES.len(), "duplicate code: {codes:?}");
-        assert_eq!(RULE_NAMES.len(), 9);
+        assert_eq!(RULE_NAMES.len(), 7);
         // Retired codes are never reassigned.
         for retired in [
             "CDNA001", "CDNA002", "CDNA003", "CDNA004", "CDNA005", "CDNA006", "CDNA012", "CDNA013",
+            "CDNA014", "CDNA017",
         ] {
             assert!(!codes.contains(&retired), "{retired} reused: {codes:?}");
         }
@@ -378,12 +382,12 @@ mod tests {
         assert_eq!(rule_code("exhaustive-fault"), "CDNA010");
         assert_eq!(rule_code("guest-taint"), "CDNA011");
         assert_eq!(rule_code("lock-order"), "CDNA000", "retired");
-        assert_eq!(rule_code("merge-order"), "CDNA014");
+        assert_eq!(rule_code("merge-order"), "CDNA000", "retired");
         assert_eq!(rule_code("clock-purity"), "CDNA015");
         assert_eq!(rule_code("jobs-leak"), "CDNA016");
-        assert_eq!(rule_code("float-accum"), "CDNA017");
+        assert_eq!(rule_code("float-accum"), "CDNA000", "retired");
         assert_eq!(rule_severity("unused-allow"), "warning");
-        assert_eq!(rule_severity("merge-order"), "error");
+        assert_eq!(rule_severity("jobs-leak"), "error");
         assert_eq!(rule_severity("must-pair"), "error");
         assert_eq!(rule_severity("guest-taint"), "error");
     }
@@ -399,10 +403,10 @@ mod tests {
                     message: "path: pump_tx → dma, \"quoted\"".into(),
                 },
                 Diagnostic {
-                    rule: "merge-order",
+                    rule: "jobs-leak",
                     file: "crates/sim/src/par.rs".into(),
                     line: 7,
-                    message: "cycle".into(),
+                    message: "worker index".into(),
                 },
             ],
             files_scanned: 1,
@@ -419,7 +423,7 @@ mod tests {
                     42
                 ),
                 (
-                    "merge-order".to_string(),
+                    "jobs-leak".to_string(),
                     "crates/sim/src/par.rs".to_string(),
                     7
                 ),

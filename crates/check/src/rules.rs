@@ -10,29 +10,32 @@
 //! | `must-pair` | CDNA009 | pin acquired but not released on a non-panic path |
 //! | `exhaustive-fault` | CDNA010 | wildcard `match` arm on a fault enum |
 //! | `guest-taint` | CDNA011 | guest-controlled data reaches a pin/DMA/ring sink unvalidated |
-//! | `merge-order` | CDNA014 | fan-out results appended to locked shared state in arrival order |
 //! | `clock-purity` | CDNA015 | wall-clock value serialized outside a `wall_ms*` field |
 //! | `jobs-leak` | CDNA016 | worker count/index or thread identity in compared serialization |
-//! | `float-accum` | CDNA017 | order-unstable data fed into an `f64` reduction |
 //!
-//! CDNA001–006, CDNA012 (`lock-order`) and CDNA013 (`send-audit`)
-//! re-derived what the compiler or clippy already proves and are
-//! retired; their codes are never reassigned.
+//! CDNA001–006, CDNA012 (`lock-order`), CDNA013 (`send-audit`),
+//! CDNA014 (`merge-order`) and CDNA017 (`float-accum`) re-derived what
+//! the compiler or clippy already proves and are retired; their codes
+//! are never reassigned.
 //! The workspace lint table (`unsafe_code`, `missing_docs`), the
 //! crate-root clippy lints (`unwrap_used`, `expect_used`, `panic`),
 //! `clippy.toml`'s disallowed wall-clock and hash-map types, the
 //! `Cargo.lock` guard in `tests/manifest_policy.rs`, and the `+ Send`
 //! bound of `Simulation::with_event_queue` (pinned by its
-//! `compile_fail` doctest) enforce what they did. The same
-//! `disallowed-types` entries rule out the hash-ordered merges and
-//! reductions that CDNA014 and CDNA017 therefore leave to clippy, and
-//! its `Mutex`/`RwLock` entries make every lock an explicit
+//! `compile_fail` doctest) enforce what they did. `clippy.toml`'s
+//! `Mutex`/`RwLock` entries make every lock an explicit
 //! `#[expect(clippy::disallowed_types, reason = …)]`, which is what
-//! replaced CDNA012's lock-order graph.
+//! replaced CDNA012's lock-order graph. Its `disallowed-methods`
+//! entries confine `std::thread` spawns and `mpsc` channels to
+//! `cdna_sim::par`. A fan-out closure is `Fn + Sync`, so it can only
+//! append to shared state (or feed an order-sensitive `f64` reduction)
+//! through a lock or a channel, and no `#[expect]`ed lock is
+//! cross-worker merge state: that is what CDNA014 and CDNA017 looked
+//! for.
 //!
 //! CDNA007–010 are produced by the symbol-graph passes in
 //! [`crate::analyses`], CDNA011 by the dataflow pass in
-//! [`crate::taint`], CDNA014–017 by the
+//! [`crate::taint`], CDNA015–016 by the
 //! determinism-soundness passes in [`crate::determinism`]; this module
 //! owns the rule registry (names, codes, severities) and the repository
 //! walker.
@@ -41,16 +44,14 @@ use crate::analyses::SourceFile;
 use std::path::{Path, PathBuf};
 
 /// Names of every static rule, in report order.
-pub const RULE_NAMES: [&str; 9] = [
+pub const RULE_NAMES: [&str; 7] = [
     "unused-allow",
     "layering",
     "must-pair",
     "exhaustive-fault",
     "guest-taint",
-    "merge-order",
     "clock-purity",
     "jobs-leak",
-    "float-accum",
 ];
 
 /// Stable machine-readable code for a rule (`CDNA007`…), used by the
@@ -62,10 +63,8 @@ pub fn rule_code(rule: &str) -> &'static str {
         "must-pair" => "CDNA009",
         "exhaustive-fault" => "CDNA010",
         "guest-taint" => "CDNA011",
-        "merge-order" => "CDNA014",
         "clock-purity" => "CDNA015",
         "jobs-leak" => "CDNA016",
-        "float-accum" => "CDNA017",
         _ => "CDNA000",
     }
 }

@@ -28,7 +28,6 @@ pub trait World {
 pub struct Scheduler<E> {
     queue: QueueImpl<E>,
     next_seq: u64,
-    scheduled: u64,
     /// Optional event tracer, carried here so event handlers (which
     /// receive the scheduler anyway) can emit spans without threading
     /// another parameter through every call.
@@ -44,7 +43,6 @@ impl<E> Scheduler<E> {
         Scheduler {
             queue,
             next_seq: 0,
-            scheduled: 0,
             tracer: None,
         }
     }
@@ -68,7 +66,6 @@ impl<E> Scheduler<E> {
         assert!(at >= now, "scheduled event in the past: now={now}, at={at}",);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled += 1;
         self.queue.push(at, seq, event);
     }
 
@@ -76,16 +73,6 @@ impl<E> Scheduler<E> {
     #[inline]
     pub fn after(&mut self, now: SimTime, delay: SimTime, event: E) {
         self.at(now, now + delay, event);
-    }
-
-    /// Number of events currently pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Total number of events scheduled since construction.
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
     }
 
     #[inline]

@@ -26,12 +26,18 @@
 //!   matter which worker ran what when. Combined with per-task
 //!   determinism this makes `jobs=1` and `jobs=N` outputs byte-identical
 //!   — proven by the differential tests in `crates/bench/tests/` and
-//!   `crates/model/tests/`, not asserted by hand. `cdna-check` both
-//!   *polices* this contract (the CDNA014–017 determinism-soundness
-//!   passes flag arrival-order merges, clock/jobs leaks, and unstable
-//!   `f64` reductions at fan-out sites) and *self-hosts* on this pool:
-//!   its `--jobs N` scan shards per-file work through [`run_indexed`]
-//!   and merges in path order, byte-identical at any worker count.
+//!   `crates/model/tests/`, not asserted by hand.
+//! * **The only fan-out.** `clippy.toml` bans `std::thread::spawn`,
+//!   `std::thread::scope`, `std::thread::Builder`'s `spawn` and
+//!   `spawn_scoped`, and the `mpsc` channel constructors everywhere
+//!   else, as it bans `Mutex` and `RwLock`. A worker closure is
+//!   `Fn + Sync`, so without a lock or a `Sender` it cannot append to
+//!   shared state in arrival order: the index-ordered `Vec<R>` is the
+//!   only way results come back. `cdna-check` polices the rest of the
+//!   contract (CDNA015–016 flag wall-clock and jobs values that reach
+//!   compared output) and *self-hosts* on this pool: its `--jobs N`
+//!   scan shards per-file work through [`run_indexed`] and merges in
+//!   path order, byte-identical at any worker count.
 //! * **Bounded workers over [`std::thread::scope`].** No detached
 //!   threads and no external crates. A worker's panic reaches the
 //!   caller with its own payload through `join`.
@@ -43,6 +49,10 @@
 #![expect(
     clippy::disallowed_types,
     reason = "run_indexed's claim cursor is the one Mutex here, held only to take the next item"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's only threads and channels: workers return results by index"
 )]
 
 use std::sync::{mpsc, Mutex, PoisonError};

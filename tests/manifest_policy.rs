@@ -2,8 +2,8 @@
 //! every dependency is in this repository, every crate inherits the
 //! workspace lint table (`unsafe_code = "forbid"`, `missing_docs =
 //! "deny"`), so a new crate cannot opt out of either by omission, and
-//! `clippy.toml` keeps the hash-map and wall-clock bans that `cdna-check`
-//! relies on instead of rules of its own.
+//! `clippy.toml` keeps the hash-map, wall-clock, lock, thread and
+//! channel bans that `cdna-check` relies on instead of rules of its own.
 
 use std::path::{Path, PathBuf};
 
@@ -114,8 +114,21 @@ fn clippy_config_bans_hash_maps_and_the_wall_clock() {
             "disallowed-types lacks {ty}: {types:?}"
         );
     }
+    // The thread and channel entries confine fan-out to
+    // `cdna_sim::par`; with them and the lock ban, a worker closure
+    // has nothing to merge into in arrival order, which replaced
+    // CDNA014 `merge-order` and CDNA017 `float-accum`.
     let methods = array_paths(&text, "disallowed-methods");
-    for m in ["std::time::Instant::now", "std::time::SystemTime::now"] {
+    for m in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::thread::spawn",
+        "std::thread::scope",
+        "std::thread::Builder::spawn",
+        "std::thread::Builder::spawn_scoped",
+        "std::sync::mpsc::channel",
+        "std::sync::mpsc::sync_channel",
+    ] {
         assert!(
             methods.contains(&m),
             "disallowed-methods lacks {m}: {methods:?}"

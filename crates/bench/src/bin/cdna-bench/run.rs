@@ -133,7 +133,7 @@ fn check(cfg: &TestbedConfig) -> Result<(), String> {
     // the hypervisor's.
     let max_guests = match cfg.io_model {
         IoModel::Cdna { .. } => CTX_COUNT - 1,
-        _ => usize::from(u16::MAX),
+        IoModel::Native { .. } | IoModel::XenBridged { .. } => usize::from(u16::MAX),
     };
     if cfg.guests == 0 || usize::from(cfg.guests) > max_guests {
         Err(format!(

@@ -1,6 +1,6 @@
-//! The interprocedural analyses: `layering`, `must-pair`,
-//! `exhaustive-fault`, and the whole-workspace pipeline that runs them
-//! together with the dataflow passes and the `unused-allow` audit.
+//! The interprocedural analyses `layering` and `must-pair`, and the
+//! whole-workspace pipeline that runs them together with the
+//! `guest-taint` dataflow pass and the `unused-allow` audit.
 //!
 //! # Layering
 //!
@@ -45,13 +45,6 @@
 //! before a release token leaks the pin, as does falling off the end
 //! of the body. Panic exits (`expect`/`unwrap`/`panic!`) are exempt —
 //! a panic tears down the whole simulated world.
-//!
-//! # Exhaustive-fault
-//!
-//! A `match` whose arm patterns mention `FaultKind`, `MemError`,
-//! `ShadowViolation` or `ViolationKind` must not have a wildcard arm
-//! (`_` or a bare binding): adding a fault variant must force every
-//! handler to decide what it means.
 
 use crate::graph::{GraphFile, ManifestDep, Pass, SymbolGraph};
 use crate::lexer::{scrub, test_lines, tokenize, Allows};
@@ -81,9 +74,6 @@ pub const LAYERS: &[(&str, u32)] = &[
 fn layer_of(key: &str) -> Option<u32> {
     LAYERS.iter().find(|(k, _)| *k == key).map(|&(_, l)| l)
 }
-
-/// Enum names whose matches must stay wildcard-free.
-pub const FAULT_ENUMS: &[&str] = &["FaultKind", "MemError", "ShadowViolation", "ViolationKind"];
 
 /// Pin primitives and where they must be defined for a call to count.
 const PIN_FNS: &[&str] = &["pin", "pin_run", "pin_slice"];
@@ -138,9 +128,6 @@ impl Pass for MustPairPass {
     fn run(&self, graph: &SymbolGraph) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for f in &graph.files {
-            if f.kind != FileKind::Library {
-                continue;
-            }
             for g in &f.symbols.fns {
                 if PIN_FNS.contains(&g.name.as_str()) {
                     continue; // the primitives themselves
@@ -230,50 +217,6 @@ fn check_fn_pairing(
             g.name
         ),
     })
-}
-
-/// The `exhaustive-fault` pass: no wildcard matches on fault enums.
-#[derive(Debug, Default)]
-pub struct ExhaustiveFaultPass;
-
-impl Pass for ExhaustiveFaultPass {
-    fn rule(&self) -> &'static str {
-        "exhaustive-fault"
-    }
-
-    fn run(&self, graph: &SymbolGraph) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for f in &graph.files {
-            if f.kind != FileKind::Library {
-                continue;
-            }
-            for m in &f.symbols.matches {
-                let Some(wl) = m.wildcard_line else { continue };
-                if f.test_lines.contains(&m.line) || f.test_lines.contains(&wl) {
-                    continue;
-                }
-                let hit: Vec<&str> = m
-                    .pattern_enums
-                    .iter()
-                    .map(String::as_str)
-                    .filter(|e| FAULT_ENUMS.contains(e))
-                    .collect();
-                if !hit.is_empty() {
-                    out.push(Diagnostic {
-                        rule: "exhaustive-fault",
-                        file: f.symbols.rel.clone(),
-                        line: wl,
-                        message: format!(
-                            "wildcard arm in a match on `{}`; enumerate every variant so \
-                             new fault kinds force handling",
-                            hit.join("`/`")
-                        ),
-                    });
-                }
-            }
-        }
-        out
-    }
 }
 
 /// One in-memory source file for [`analyze`].
@@ -391,29 +334,25 @@ fn inline_package(value: &str) -> Option<&str> {
 /// every fan-out in the workspace makes through `cdna_sim::par`.
 struct FileScan {
     rel: String,
-    /// `None` for `tests/` and `examples/`, which no pass reads.
+    /// `None` for files no pass reads (tests, examples, binaries).
     graph_file: Option<GraphFile>,
     allows: Allows,
 }
 
 /// The per-file half of the pipeline: scrub and allow harvest, then —
-/// for library and binary files only — tokenize and symbol parse. Test
-/// and example files stay out of the symbol graph, so a test helper
-/// named like a protection primitive cannot resolve a call to it.
+/// for library files only — tokenize and symbol parse. Every other
+/// file stays out of the symbol graph, so a test helper named like a
+/// protection primitive cannot resolve a call to it.
 /// Pure function of the file — safe to run on any worker.
 fn scan_file(f: &SourceFile) -> FileScan {
     let scrubbed = scrub(&f.text);
-    let graph_file = if f.kind == FileKind::TestOrExample {
-        None
-    } else {
+    let graph_file = (f.kind == FileKind::Library).then(|| {
         let tokens = tokenize(&scrubbed.masked);
-        Some(GraphFile {
+        GraphFile {
             symbols: parse_file(&f.rel, &tokens),
-            kind: f.kind,
             test_lines: test_lines(&tokens),
-            strings: scrubbed.strings,
-        })
-    };
+        }
+    });
     FileScan {
         rel: f.rel.clone(),
         graph_file,
@@ -459,14 +398,7 @@ pub fn analyze_jobs(files: &[SourceFile], manifests: &[(String, String)], jobs: 
         .collect();
 
     let graph = SymbolGraph::build(graph_files, manifest_deps);
-    let passes: [&dyn Pass; 6] = [
-        &LayeringPass,
-        &MustPairPass,
-        &ExhaustiveFaultPass,
-        &crate::taint::GuestTaintPass,
-        &crate::determinism::ClockPurityPass,
-        &crate::determinism::JobsLeakPass,
-    ];
+    let passes: [&dyn Pass; 3] = [&LayeringPass, &MustPairPass, &crate::taint::GuestTaintPass];
     let raw = crate::graph::run_passes(&graph, &passes);
 
     // Apply allows, crediting the entry that fired.
@@ -658,7 +590,7 @@ mod tests {
         // and no must-pair obligation attaches. Its allows still count.
         let helper = SourceFile {
             rel: "crates/core/tests/helpers.rs".into(),
-            kind: FileKind::TestOrExample,
+            kind: FileKind::AllowsOnly,
             text: "//! Doc.\nfn pin_run(s: u32, l: u32) {}\nfn f() {} // cdna-check: allow(must-pair): stale\n"
                 .into(),
         };
@@ -669,48 +601,37 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_fault_match_fires() {
-        let src = "//! Doc.\nfn f(k: FaultKind) -> u32 {\n    match k {\n        FaultKind::EmptySlot { index } => 1,\n        _ => 0,\n    }\n}\n";
-        let a = analyze(&[lib("crates/core/src/x.rs", src)], &[]);
-        assert_eq!(
-            rules_of(&a),
-            [("exhaustive-fault", 5)],
-            "{:?}",
-            a.diagnostics
-        );
-    }
-
-    #[test]
     fn unused_allow_warns_and_used_allow_does_not() {
-        // Lines 11–12 name the retired CDNA014/017 rules: no pass
-        // fires for them any more, so each escape is stale.
-        let src = "//! Doc.\nfn f(k: FaultKind) -> u32 {\n    match k {\n        FaultKind::EmptySlot { index } => index,\n        _ => 0, // cdna-check: allow(exhaustive-fault): fine\n    }\n}\nfn g() {\n    y(); // cdna-check: allow(exhaustive-fault): stale\n}\n// cdna-check: allow(merge-order): retired\n// cdna-check: allow(float-accum): retired\nfn h() {}\n";
-        let a = analyze(&[lib("crates/core/src/x.rs", src)], &[]);
+        // Lines 8–10 name retired rules: no pass fires for them any
+        // more, so each escape is stale.
+        let src = "//! Doc.\nfn leak(m: &mut M) {\n    m.pin_run(s, l);\n} // cdna-check: allow(must-pair): fine\nfn g() {\n    y(); // cdna-check: allow(must-pair): stale\n}\n// cdna-check: allow(exhaustive-fault): retired\n// cdna-check: allow(clock-purity): retired\n// cdna-check: allow(jobs-leak): retired\nfn h() {}\n";
+        let a = analyze(&[pin_defs(), lib("crates/core/src/x.rs", src)], &[]);
         assert_eq!(
             rules_of(&a),
             [
+                ("unused-allow", 6),
+                ("unused-allow", 8),
                 ("unused-allow", 9),
-                ("unused-allow", 11),
-                ("unused-allow", 12)
+                ("unused-allow", 10)
             ],
             "{:?}",
             a.diagnostics
         );
-        assert!(a.diagnostics[1].message.contains("merge-order"));
-        assert!(a.diagnostics[2].message.contains("float-accum"));
-        assert_eq!(a.allow_count, 4);
+        assert!(a.diagnostics[1].message.contains("exhaustive-fault"));
+        assert!(a.diagnostics[2].message.contains("clock-purity"));
+        assert!(a.diagnostics[3].message.contains("jobs-leak"));
+        assert_eq!(a.allow_count, 5);
     }
 
     #[test]
     fn multi_rule_allow_credits_each_rule_separately() {
         // One annotation naming two rules is two entries: `must-pair`
-        // suppresses the leaking fall-through below it,
-        // `exhaustive-fault` has nothing to suppress and is reported as
-        // unused.
-        let src = "//! Doc.\nfn leak(m: &mut M) {\n    m.pin_run(s, l);\n// cdna-check: allow(must-pair, exhaustive-fault): both\n}\n";
+        // suppresses the leaking fall-through below it, `guest-taint`
+        // has nothing to suppress and is reported as unused.
+        let src = "//! Doc.\nfn leak(m: &mut M) {\n    m.pin_run(s, l);\n// cdna-check: allow(must-pair, guest-taint): both\n}\n";
         let a = analyze(&[pin_defs(), lib("crates/core/src/x.rs", src)], &[]);
         assert_eq!(rules_of(&a), [("unused-allow", 4)], "{:?}", a.diagnostics);
-        assert!(a.diagnostics[0].message.contains("exhaustive-fault"));
+        assert!(a.diagnostics[0].message.contains("guest-taint"));
         assert_eq!(a.allow_count, 2);
     }
 

@@ -1,9 +1,8 @@
-//! Seeded-violation calibration: proves the dataflow rules actually
-//! fire.
+//! Seeded-violation calibration: proves the dataflow rule actually
+//! fires.
 //!
 //! A static analysis that never fires is indistinguishable from one
-//! that is broken, so every dataflow rule — the taint pass (CDNA011)
-//! and the determinism-soundness passes (CDNA015–016) —
+//! that is broken, so the dataflow rule — the taint pass (CDNA011) —
 //! ships with a seeded-violation fixture under
 //! `crates/check/tests/corpus/` (a directory the repository walker
 //! exempts from the real scan). Each fixture is one

@@ -1,6 +1,6 @@
 //! The workspace symbol graph and the interprocedural pass framework.
 //!
-//! [`SymbolGraph`] aggregates every file's [`FileSymbols`] plus the
+//! [`SymbolGraph`] aggregates every library file's [`FileSymbols`] plus the
 //! crate-level dependency edges read from manifests. Function calls are
 //! resolved *by name within the workspace*: `mem.pin_run(…)` resolves
 //! to every workspace `fn pin_run` — imprecise in general, exactly
@@ -10,34 +10,17 @@
 //! allow/report machinery.
 
 use crate::parse::{FileSymbols, FnSym};
-use crate::rules::{Diagnostic, FileKind};
+use crate::rules::Diagnostic;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One scanned file: its symbols plus the classification and test-line
-/// set the passes need for exemptions.
+/// One scanned library file: its symbols plus the test-line set the
+/// passes need for exemptions.
 #[derive(Debug, Clone)]
 pub struct GraphFile {
-    /// Parsed symbol summary (path, fns, matches).
+    /// Parsed symbol summary (path, crate, fns).
     pub symbols: FileSymbols,
-    /// How the file is classified (library / test / binary).
-    pub kind: FileKind,
     /// Lines occupied by `#[cfg(test)]` / `#[test]` items.
     pub test_lines: BTreeSet<u32>,
-    /// String-literal contents by line (see [`crate::lexer::Scrubbed`]);
-    /// lets passes resolve the JSON key a `w.key("…")` call names.
-    pub strings: Vec<(u32, String)>,
-}
-
-impl GraphFile {
-    /// First string literal opening on `line`, if any — the resolution
-    /// rule for single-argument calls like `w.key("wall_ms")` in this
-    /// one-statement-per-line codebase.
-    pub fn string_on_line(&self, line: u32) -> Option<&str> {
-        self.strings
-            .iter()
-            .find(|(l, _)| *l == line)
-            .map(|(_, s)| s.as_str())
-    }
 }
 
 /// A crate-level dependency edge harvested from a `Cargo.toml`.
@@ -56,7 +39,7 @@ pub struct ManifestDep {
 /// The whole-workspace symbol graph.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolGraph {
-    /// Every scanned source file.
+    /// Every scanned library file.
     pub files: Vec<GraphFile>,
     /// Crate dependency edges from manifests.
     pub manifest_deps: Vec<ManifestDep>,

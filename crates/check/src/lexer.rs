@@ -33,8 +33,8 @@ pub struct AllowEntry {
 ///
 /// ```text
 /// // cdna-check: allow(layering)
-/// // cdna-check: allow(guest-taint, jobs-leak): justification
-/// // cdna-check: allow-file(clock-purity): justification
+/// // cdna-check: allow(guest-taint, must-pair): justification
+/// // cdna-check: allow-file(guest-taint): justification
 /// ```
 ///
 /// A line-scoped `allow` suppresses diagnostics on its own line and the
@@ -131,12 +131,6 @@ pub struct Scrubbed {
     pub masked: String,
     /// Lint suppressions found in the removed comments.
     pub allows: Allows,
-    /// Contents of ordinary `"…"` literals, keyed by the line the
-    /// opening quote sits on, in source order. The masked text blanks
-    /// literal bodies, so passes that need to resolve a string — e.g.
-    /// the JSON key naming a serialized field (CDNA015/CDNA016) — look
-    /// it up here by line instead.
-    pub strings: Vec<(u32, String)>,
 }
 
 /// Strips comments and string/char-literal contents from Rust source.
@@ -151,7 +145,6 @@ pub fn scrub(src: &str) -> Scrubbed {
     let bytes = src.as_bytes();
     let mut out: Vec<u8> = Vec::with_capacity(bytes.len());
     let mut allows = Allows::default();
-    let mut strings: Vec<(u32, String)> = Vec::new();
     let mut line: u32 = 1;
     let mut i = 0;
 
@@ -201,7 +194,6 @@ pub fn scrub(src: &str) -> Scrubbed {
             out.push(b'"');
             i += 1;
             let body = i;
-            let open_line = line;
             while i < bytes.len() {
                 if bytes[i] == b'\\' {
                     i = (i + 2).min(bytes.len());
@@ -211,7 +203,6 @@ pub fn scrub(src: &str) -> Scrubbed {
                     i += 1;
                 }
             }
-            strings.push((open_line, src[body..i].to_string()));
             blank(&mut out, &mut line, bytes, body, i);
             if i < bytes.len() {
                 out.push(b'"');
@@ -263,7 +254,6 @@ pub fn scrub(src: &str) -> Scrubbed {
     Scrubbed {
         masked: String::from_utf8_lossy(&out).into_owned(),
         allows,
-        strings,
     }
 }
 
@@ -533,9 +523,9 @@ mod tests {
 
     #[test]
     fn file_allow_harvested() {
-        let src = "// cdna-check: allow-file(clock-purity): wall clock ok here\nfn f() {}\n";
+        let src = "// cdna-check: allow-file(guest-taint): ablation file\nfn f() {}\n";
         let s = scrub(src);
-        assert!(permits(&s.allows, "clock-purity", 40));
+        assert!(permits(&s.allows, "guest-taint", 40));
         assert!(!permits(&s.allows, "layering", 1));
     }
 
@@ -575,11 +565,11 @@ mod tests {
 
     #[test]
     fn allow_entries_exposed_with_lines() {
-        let src = "// cdna-check: allow-file(clock-purity)\nx(); // cdna-check: allow(layering)\n";
+        let src = "// cdna-check: allow-file(guest-taint)\nx(); // cdna-check: allow(layering)\n";
         let s = scrub(src);
         let e = s.allows.entries();
         assert_eq!(e.len(), 2);
-        assert!(e[0].file_wide && e[0].rule == "clock-purity" && e[0].line == 1);
+        assert!(e[0].file_wide && e[0].rule == "guest-taint" && e[0].line == 1);
         assert!(!e[1].file_wide && e[1].rule == "layering" && e[1].line == 2);
     }
 
@@ -611,10 +601,10 @@ mod tests {
 
     #[test]
     fn multi_rule_allow() {
-        let src = "x(); // cdna-check: allow(layering, exhaustive-fault)";
+        let src = "x(); // cdna-check: allow(layering, must-pair)";
         let s = scrub(src);
         assert!(permits(&s.allows, "layering", 1));
-        assert!(permits(&s.allows, "exhaustive-fault", 1));
+        assert!(permits(&s.allows, "must-pair", 1));
     }
 
     #[test]

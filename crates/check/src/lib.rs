@@ -13,28 +13,24 @@
 //!   `// cdna-check: allow(<rule>)` annotations; an annotation that
 //!   suppresses nothing is itself a `unused-allow` warning. Rules the
 //!   compiler already has — no `unsafe`, no undocumented public items,
-//!   no panics in library code, no wall clock or hash-ordered maps, no
-//!   non-`Send` custom event queue — are rustc and clippy checks
+//!   no panics in library code, no wildcard arms on an enum, no wall
+//!   clock or hash-ordered maps, no threads, channels, thread identity
+//!   or core count outside `cdna_sim::par`, no non-`Send` custom event
+//!   queue — are rustc and clippy checks
 //!   configured in the workspace manifest, `clippy.toml` and the
 //!   engine's `+ Send` bound, not rules here.
 //! * **Symbol-graph pass** ([`parse`], [`graph`], [`analyses`]): an
-//!   item-level parser extracts per-crate symbols (`fn` call sites,
-//!   `match` summaries) and three rules run over the whole workspace at
-//!   once — `layering` (the crate DAG read from the manifests must flow
-//!   strictly downward), `must-pair` (every pin reaches an unpin/
-//!   reap on all non-panic paths, via a CFG-lite token walk), and
-//!   `exhaustive-fault` (no wildcard `match` on `FaultKind`/`MemError`/
-//!   `ShadowViolation`).
-//! * **Determinism-soundness passes** ([`determinism`], on the
-//!   [`dataflow`] substrate): `clock-purity` and `jobs-leak` keep
-//!   wall-clock values and worker counts out of what the repo
-//!   compares, proving its `--jobs 1 ≡ --jobs N` byte-identity
-//!   guarantee over the code instead of sampling it with differential
-//!   tests; clippy's thread, channel and lock bans rule out
-//!   arrival-order merges (see [`rules`]). The scanner also
-//!   eats the dogfood: [`analyses::analyze_jobs`] shards per-file work
-//!   over `cdna_sim::par` and merges in path order, so its own report
-//!   is byte-identical at any worker count.
+//!   item-level parser extracts per-crate `fn` symbols and call sites,
+//!   and two rules run over the whole workspace at once — `layering`
+//!   (the crate DAG read from the manifests must flow strictly
+//!   downward) and `must-pair` (every pin reaches an unpin/reap on all
+//!   non-panic paths, via a CFG-lite token walk).
+//! * **Dataflow pass** ([`taint`], on the [`dataflow`] substrate):
+//!   `guest-taint` proves every guest-controlled value passes a
+//!   validation primitive before it reaches a pin, DMA or ring sink.
+//!   The scanner shards per-file work over `cdna_sim::par`
+//!   ([`analyses::analyze_jobs`]) and merges in path order, so its own
+//!   report is byte-identical at any worker count.
 //! * **Dynamic pass** ([`shadow`]): a [`DmaShadow`] that mirrors every
 //!   page through the `Free → Owned → Pinned → InFlight → Completed`
 //!   lifecycle and every context's sequence stream, independently
@@ -49,7 +45,6 @@
 pub mod analyses;
 pub mod calibrate;
 pub mod dataflow;
-pub mod determinism;
 pub mod graph;
 pub mod lexer;
 pub mod parse;

@@ -3,17 +3,11 @@
 //! over.
 //!
 //! This is deliberately not a real Rust parser. The passes only need
-//! two structural facts, both recoverable from the scrubbed token
-//! stream by brace matching:
-//!
-//! * `fn` items — name, line, body token range, and the call sites
-//!   inside the body (identifier immediately followed by `(`);
-//! * `match` expressions — which enum paths the arm *patterns* mention
-//!   and whether any arm is a wildcard (`_` or a bare lowercase
-//!   binding).
+//! `fn` items — name, line, body token range, and the call sites inside
+//! the body (identifier immediately followed by `(`) — which the
+//! scrubbed token stream yields by brace matching.
 
 use crate::lexer::Token;
-use std::collections::BTreeSet;
 
 /// One named call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,7 +18,7 @@ pub struct CallSite {
     /// 1-based line of the call.
     pub line: u32,
     /// Index of the callee token within the function's body tokens, so
-    /// dataflow passes can order calls and inspect their surroundings.
+    /// the dataflow pass can order calls.
     pub pos: usize,
 }
 
@@ -43,19 +37,6 @@ pub struct FnSym {
     pub calls: Vec<CallSite>,
 }
 
-/// Summary of one `match` expression.
-#[derive(Debug, Clone)]
-pub struct MatchSym {
-    /// 1-based line of the `match` keyword.
-    pub line: u32,
-    /// Identifiers that appear immediately before `::` in arm patterns
-    /// (e.g. `FaultKind` in `FaultKind::StaleSequence { .. }`).
-    pub pattern_enums: BTreeSet<String>,
-    /// Line of the first wildcard arm (`_` or a bare lowercase
-    /// binding), if any.
-    pub wildcard_line: Option<u32>,
-}
-
 /// Everything the passes need to know about one source file.
 #[derive(Debug, Clone)]
 pub struct FileSymbols {
@@ -66,8 +47,6 @@ pub struct FileSymbols {
     pub crate_key: Option<String>,
     /// `fn` items.
     pub fns: Vec<FnSym>,
-    /// `match` expressions.
-    pub matches: Vec<MatchSym>,
 }
 
 /// Maps a repo-relative path to its workspace crate key.
@@ -87,7 +66,6 @@ pub fn parse_file(rel: &str, tokens: &[Token]) -> FileSymbols {
         rel: rel.to_string(),
         crate_key: crate_key_of(rel),
         fns: parse_fns(tokens),
-        matches: parse_matches(tokens),
     }
 }
 
@@ -239,132 +217,6 @@ fn is_keyword(s: &str) -> bool {
     )
 }
 
-fn parse_matches(tokens: &[Token]) -> Vec<MatchSym> {
-    let mut out = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.is_ident && t.text == "match" {
-            if let Some(sym) = parse_one_match(tokens, i) {
-                out.push(sym);
-            }
-        }
-    }
-    out
-}
-
-/// Parses the `match` whose keyword is at token `i`. Arms are split
-/// structurally (depth-aware `=>` / `,` scanning), so enum paths in arm
-/// *bodies* never count as scrutinized patterns.
-fn parse_one_match(tokens: &[Token], i: usize) -> Option<MatchSym> {
-    // Scrutinee runs to the first `{` at bracket depth 0 (Rust forbids
-    // bare struct literals there, so this brace is the match body).
-    let mut j = i + 1;
-    let (mut par, mut brk) = (0i32, 0i32);
-    loop {
-        let t = tokens.get(j)?;
-        match t.text.as_str() {
-            "(" => par += 1,
-            ")" => par -= 1,
-            "[" => brk += 1,
-            "]" => brk -= 1,
-            "{" if par == 0 && brk == 0 => break,
-            ";" if par == 0 => return None, // not a match expression after all
-            _ => {}
-        }
-        j += 1;
-    }
-    let mut sym = MatchSym {
-        line: tokens[i].line,
-        pattern_enums: BTreeSet::new(),
-        wildcard_line: None,
-    };
-    // Arm scanning inside the body.
-    let (mut par, mut brk, mut rel) = (0i32, 0i32, 0i32);
-    let mut in_pattern = true;
-    let mut pat: Vec<usize> = Vec::new();
-    j += 1;
-    while j < tokens.len() {
-        let text = tokens[j].text.as_str();
-        let top = par == 0 && brk == 0 && rel == 0;
-        if top && text == "}" {
-            break; // end of match body
-        }
-        if in_pattern
-            && top
-            && text == "="
-            && tokens.get(j + 1).map(|t| t.text.as_str()) == Some(">")
-        {
-            analyze_pattern(tokens, &pat, &mut sym);
-            pat.clear();
-            in_pattern = false;
-            j += 2;
-            continue;
-        }
-        if !in_pattern && top && text == "," {
-            in_pattern = true;
-            j += 1;
-            continue;
-        }
-        match text {
-            "(" => par += 1,
-            ")" => par -= 1,
-            "[" => brk += 1,
-            "]" => brk -= 1,
-            "{" => rel += 1,
-            "}" => {
-                rel -= 1;
-                // A `{ … }` arm body just closed: the next tokens start
-                // a new pattern (the separating comma is optional).
-                if !in_pattern && par == 0 && brk == 0 && rel == 0 {
-                    in_pattern = true;
-                    j += 1;
-                    continue;
-                }
-            }
-            _ => {}
-        }
-        if in_pattern {
-            if top && text == "," {
-                pat.clear(); // stray separator (e.g. after a block arm)
-            } else {
-                pat.push(j);
-            }
-        }
-        j += 1;
-    }
-    Some(sym)
-}
-
-fn analyze_pattern(tokens: &[Token], pat: &[usize], sym: &mut MatchSym) {
-    // Cut a trailing `if` guard; strip leading or-pattern pipes.
-    let guard = pat
-        .iter()
-        .position(|&k| tokens[k].is_ident && tokens[k].text == "if");
-    let mut p = &pat[..guard.unwrap_or(pat.len())];
-    while p.first().map(|&k| tokens[k].text.as_str()) == Some("|") {
-        p = &p[1..];
-    }
-    if p.len() == 1 {
-        let t = &tokens[p[0]];
-        let binding = t.is_ident
-            && !is_keyword(&t.text)
-            && t.text != "true"
-            && t.text != "false"
-            && t.text.starts_with(|c: char| c.is_ascii_lowercase());
-        if (t.text == "_" || binding) && sym.wildcard_line.is_none() {
-            sym.wildcard_line = Some(t.line);
-        }
-    }
-    for (a, &k) in p.iter().enumerate() {
-        let t = &tokens[k];
-        if t.is_ident
-            && p.get(a + 1).map(|&x| tokens[x].text.as_str()) == Some(":")
-            && p.get(a + 2).map(|&x| tokens[x].text.as_str()) == Some(":")
-        {
-            sym.pattern_enums.insert(t.text.clone());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,57 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn match_wildcard_and_enums() {
-        let s = sym(
-            "fn a(k: FaultKind) -> u32 {\n match k {\n  FaultKind::EmptySlot { index } => 1,\n  _ => 0,\n }\n}",
-        );
-        assert_eq!(s.matches.len(), 1);
-        let m = &s.matches[0];
-        assert!(m.pattern_enums.contains("FaultKind"));
-        assert_eq!(m.wildcard_line, Some(4));
-    }
-
-    #[test]
-    fn exhaustive_match_has_no_wildcard() {
-        let s = sym(
-            "fn a(e: MemError) {\n match e {\n  MemError::OutOfMemory => {}\n  MemError::Pinned | MemError::NotPinned => {}\n  MemError::NoSuchPage => {}\n  MemError::NotOwner { page, claimed, actual } => {}\n }\n}",
-        );
-        let m = &s.matches[0];
-        assert!(m.pattern_enums.contains("MemError"));
-        assert_eq!(m.wildcard_line, None);
-    }
-
-    #[test]
-    fn enum_in_arm_body_is_not_a_pattern() {
-        // `FaultKind::…` on the value side must not mark the match as
-        // scrutinizing FaultKind.
-        let s = sym("fn a(x: u32) -> FaultKind {\n match x {\n  0 => FaultKind::EmptySlot { index: 0 },\n  n => FaultKind::ShadowViolation { code: n },\n }\n}");
-        let m = &s.matches[0];
-        assert!(m.pattern_enums.is_empty(), "{:?}", m.pattern_enums);
-        assert_eq!(m.wildcard_line, Some(4), "binding arm is a wildcard");
-    }
-
-    #[test]
     fn call_positions_are_body_token_indices() {
         let s = sym("fn a() { b(); c(); }");
         let calls = &s.fns[0].calls;
         assert!(calls[0].pos < calls[1].pos);
         assert_eq!(s.fns[0].body[calls[1].pos].text, "c");
-    }
-
-    #[test]
-    fn guard_and_bool_matches() {
-        let s = sym("fn a(b: bool) {\n match b {\n  true => {}\n  false => {}\n }\n}");
-        assert_eq!(
-            s.matches[0].wildcard_line, None,
-            "bool literals are not bindings"
-        );
-        let s =
-            sym("fn a(k: K) {\n match k {\n  K::A => {}\n  _ if noisy() => {}\n  _ => {}\n }\n}");
-        assert_eq!(
-            s.matches[0].wildcard_line,
-            Some(4),
-            "guarded wildcard counts"
-        );
     }
 }

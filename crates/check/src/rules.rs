@@ -8,51 +8,45 @@
 //! | `unused-allow` | CDNA007 | an `allow(...)` escape that suppresses nothing |
 //! | `layering` | CDNA008 | crate dependency edge against the layer order |
 //! | `must-pair` | CDNA009 | pin acquired but not released on a non-panic path |
-//! | `exhaustive-fault` | CDNA010 | wildcard `match` arm on a fault enum |
 //! | `guest-taint` | CDNA011 | guest-controlled data reaches a pin/DMA/ring sink unvalidated |
-//! | `clock-purity` | CDNA015 | wall-clock value serialized outside a `wall_ms*` field |
-//! | `jobs-leak` | CDNA016 | worker count/index or thread identity in compared serialization |
 //!
-//! CDNA001–006, CDNA012 (`lock-order`), CDNA013 (`send-audit`),
-//! CDNA014 (`merge-order`) and CDNA017 (`float-accum`) re-derived what
-//! the compiler or clippy already proves and are retired; their codes
-//! are never reassigned.
-//! The workspace lint table (`unsafe_code`, `missing_docs`), the
-//! crate-root clippy lints (`unwrap_used`, `expect_used`, `panic`),
-//! `clippy.toml`'s disallowed wall-clock and hash-map types, the
-//! `Cargo.lock` guard in `tests/manifest_policy.rs`, and the `+ Send`
-//! bound of `Simulation::with_event_queue` (pinned by its
-//! `compile_fail` doctest) enforce what they did. `clippy.toml`'s
-//! `Mutex`/`RwLock` entries make every lock an explicit
-//! `#[expect(clippy::disallowed_types, reason = …)]`, which is what
-//! replaced CDNA012's lock-order graph. Its `disallowed-methods`
-//! entries confine `std::thread` spawns and `mpsc` channels to
-//! `cdna_sim::par`. A fan-out closure is `Fn + Sync`, so it can only
-//! append to shared state (or feed an order-sensitive `f64` reduction)
-//! through a lock or a channel, and no `#[expect]`ed lock is
-//! cross-worker merge state: that is what CDNA014 and CDNA017 looked
-//! for.
+//! CDNA001–006, CDNA010 (`exhaustive-fault`), CDNA012 (`lock-order`),
+//! CDNA013 (`send-audit`), CDNA014 (`merge-order`), CDNA015
+//! (`clock-purity`), CDNA016 (`jobs-leak`) and CDNA017 (`float-accum`)
+//! re-derived what the compiler, clippy or CI's `--jobs` diffs already
+//! prove and are retired; their codes are never reassigned.
+//! The workspace lint tables (`unsafe_code`, `missing_docs`,
+//! `clippy::wildcard_enum_match_arm`), the crate-root clippy lints
+//! (`unwrap_used`, `expect_used`, `panic`), `clippy.toml`'s disallowed
+//! types and methods, the `Cargo.lock` guard in
+//! `tests/manifest_policy.rs`, and the `+ Send` bound of
+//! `Simulation::with_event_queue` (pinned by its `compile_fail`
+//! doctest) enforce what they did:
 //!
-//! CDNA007–010 are produced by the symbol-graph passes in
+//! * a wildcard arm on any enum, fault enums included, is a
+//!   `wildcard_enum_match_arm` error (CDNA010);
+//! * every lock is an explicit `#[expect(clippy::disallowed_types,
+//!   reason = …)]` (CDNA012's lock-order graph);
+//! * `std::thread` spawns and `mpsc` channels exist only in
+//!   `cdna_sim::par`. A fan-out closure is `Fn + Sync`, so it can only
+//!   append to shared state (or feed an order-sensitive `f64`
+//!   reduction) through a lock or a channel, and no `#[expect]`ed lock
+//!   is cross-worker merge state (CDNA014 and CDNA017);
+//! * the wall clock is banned outside three `#[expect]` sites, thread
+//!   identity and the host's core count outside `cdna_sim::par`, and
+//!   CI diffs every compared artifact across worker counts (CDNA015
+//!   and CDNA016).
+//!
+//! CDNA007–009 are produced by the symbol-graph passes in
 //! [`crate::analyses`], CDNA011 by the dataflow pass in
-//! [`crate::taint`], CDNA015–016 by the
-//! determinism-soundness passes in [`crate::determinism`]; this module
-//! owns the rule registry (names, codes, severities) and the repository
-//! walker.
+//! [`crate::taint`]; this module owns the rule registry (names, codes,
+//! severities) and the repository walker.
 
 use crate::analyses::SourceFile;
 use std::path::{Path, PathBuf};
 
 /// Names of every static rule, in report order.
-pub const RULE_NAMES: [&str; 7] = [
-    "unused-allow",
-    "layering",
-    "must-pair",
-    "exhaustive-fault",
-    "guest-taint",
-    "clock-purity",
-    "jobs-leak",
-];
+pub const RULE_NAMES: [&str; 4] = ["unused-allow", "layering", "must-pair", "guest-taint"];
 
 /// Stable machine-readable code for a rule (`CDNA007`…), used by the
 /// JSON report so CI diffs survive rule renames.
@@ -61,10 +55,7 @@ pub fn rule_code(rule: &str) -> &'static str {
         "unused-allow" => "CDNA007",
         "layering" => "CDNA008",
         "must-pair" => "CDNA009",
-        "exhaustive-fault" => "CDNA010",
         "guest-taint" => "CDNA011",
-        "clock-purity" => "CDNA015",
-        "jobs-leak" => "CDNA016",
         _ => "CDNA000",
     }
 }
@@ -84,14 +75,12 @@ pub fn rule_severity(rule: &str) -> &'static str {
 pub enum FileKind {
     /// Library code under `src/`: every source pass applies.
     Library,
-    /// `tests/` and `examples/`: scanned for allow annotations only, for
-    /// the `unused-allow` audit, and kept out of the symbol graph (their
+    /// `tests/`, `examples/` and binary entry points (`main.rs`,
+    /// `src/bin/`): scanned for allow annotations only, for the
+    /// `unused-allow` audit, and kept out of the symbol graph (test
     /// imports are `layering` edges through the manifests'
     /// `[dev-dependencies]`).
-    TestOrExample,
-    /// Binary entry points (`main.rs`, `src/bin/`): the determinism
-    /// passes that follow values into serialized output.
-    Binary,
+    AllowsOnly,
 }
 
 /// One rule violation at a file:line.
@@ -147,18 +136,17 @@ pub fn classify(rel: &str) -> Option<FileKind> {
         || rel.starts_with("tests/")
         || rel.contains("/examples/")
         || rel.starts_with("examples/")
+        || rel.ends_with("/main.rs")
+        || rel.contains("/src/bin/")
     {
-        return Some(FileKind::TestOrExample);
-    }
-    if rel.ends_with("/main.rs") || rel.contains("/src/bin/") {
-        return Some(FileKind::Binary);
+        return Some(FileKind::AllowsOnly);
     }
     Some(FileKind::Library)
 }
 
 /// Walks the repository at `root` and applies every static rule: the
-/// symbol-graph passes (`layering`, `must-pair`, `exhaustive-fault`),
-/// the dataflow and determinism passes, and the `unused-allow` audit.
+/// symbol-graph passes (`layering`, `must-pair`), the `guest-taint`
+/// dataflow pass, and the `unused-allow` audit.
 ///
 /// Scans `src/`, `tests/`, `examples/` at the root and under each
 /// `crates/*`, plus every `Cargo.toml`. Paths are sorted so output is
@@ -265,7 +253,7 @@ mod tests {
 
     #[test]
     fn allow_annotation_suppresses() {
-        let src = "fn f(k: FaultKind) -> u32 {\n    match k {\n        FaultKind::EmptySlot { index } => index,\n        // cdna-check: allow(exhaustive-fault): fixture\n        _ => 0,\n    }\n}\n";
+        let src = "pub fn pin_run(s: u32, l: u32) {}\nfn leak(m: &mut M) {\n    m.pin_run(s, l);\n    // cdna-check: allow(must-pair): fixture\n}\n";
         let analyze = |text: String| {
             let file = SourceFile {
                 rel: "crates/core/src/x.rs".into(),
@@ -277,10 +265,10 @@ mod tests {
         let a = analyze(src.to_string());
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
         assert_eq!(a.allow_count, 1);
-        // Without the annotation the wildcard arm fires.
-        let a = analyze(src.replace("// cdna-check: allow(exhaustive-fault): fixture", ""));
+        // Without the annotation the leaking fall-through fires.
+        let a = analyze(src.replace("// cdna-check: allow(must-pair): fixture", ""));
         assert_eq!(a.diagnostics.len(), 1, "{:?}", a.diagnostics);
-        assert_eq!(a.diagnostics[0].rule, "exhaustive-fault");
+        assert_eq!(a.diagnostics[0].rule, "must-pair");
     }
 
     #[test]
@@ -288,9 +276,13 @@ mod tests {
         assert_eq!(classify("crates/mem/src/pool.rs"), Some(FileKind::Library));
         assert_eq!(
             classify("crates/mem/tests/t.rs"),
-            Some(FileKind::TestOrExample)
+            Some(FileKind::AllowsOnly)
         );
-        assert_eq!(classify("src/main.rs"), Some(FileKind::Binary));
+        assert_eq!(classify("src/main.rs"), Some(FileKind::AllowsOnly));
+        assert_eq!(
+            classify("crates/bench/src/bin/cdna-bench/perf.rs"),
+            Some(FileKind::AllowsOnly)
+        );
         assert_eq!(classify("crates/check/tests/corpus/bad.rs"), None);
     }
 }

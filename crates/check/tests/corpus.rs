@@ -1,7 +1,7 @@
 //! Lexer corpus and `DmaShadow` violation classes: proves comment and
 //! raw-string scrubbing keep spans exact under a real rule, and that
-//! every shadow violation class actually fires. (The dataflow rules'
-//! seeded fixtures run through the calibration harness instead.)
+//! every shadow violation class actually fires. (The dataflow rule's
+//! seeded fixture runs through the calibration harness instead.)
 //!
 //! The fixtures live in `tests/corpus/` (a plain directory, so cargo
 //! does not compile them and the repo-wide scan skips them).
@@ -36,24 +36,24 @@ fn fired(a: &Analysis) -> Vec<(&'static str, u32)> {
 
 #[test]
 fn tests_and_examples_exempt_from_library_rules() {
-    let a = analyze_one("raw_strings.rs", FileKind::TestOrExample);
+    let a = analyze_one("raw_strings.rs", FileKind::AllowsOnly);
     assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
 }
 
 #[test]
 fn raw_strings_do_not_fire_and_spans_survive() {
     let a = analyze_one("raw_strings.rs", FileKind::Library);
-    // Only the real wildcard arm after the raw string fires, at its
+    // Only the real early exit after the raw string fires, at its
     // true line.
-    assert_eq!(fired(&a), [("exhaustive-fault", 16)], "{:?}", a.diagnostics);
+    assert_eq!(fired(&a), [("must-pair", 18)], "{:?}", a.diagnostics);
 }
 
 #[test]
 fn nested_block_comments_scrubbed_with_correct_spans() {
     let a = analyze_one("nested_comments.rs", FileKind::Library);
-    // The match mentioned inside the nested comment is scrubbed; the
-    // allowed wildcard is suppressed; only the final wildcard fires.
-    assert_eq!(fired(&a), [("exhaustive-fault", 19)], "{:?}", a.diagnostics);
+    // The pin mentioned inside the nested comment is scrubbed; the
+    // allowed early exit is suppressed; only the final one fires.
+    assert_eq!(fired(&a), [("must-pair", 20)], "{:?}", a.diagnostics);
     assert_eq!(a.allow_count, 1);
 }
 

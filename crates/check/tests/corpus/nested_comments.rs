@@ -1,21 +1,22 @@
 //! Nested-comment fixture: block comments nest in Rust; the lexer must
 //! track depth and keep line numbers for the code that follows.
 
-/* outer /* inner mentions match k { _ => 0 } on FaultKind */
+/* outer /* inner mentions fn bait(m: &mut M) { m.pin_run(0, 1); early()?; } */
    still inside the outer comment across
    multiple lines */
-/// The trailing allow suppresses the wildcard diagnostic.
-pub fn first(k: FaultKind) -> u32 {
-    match k {
-        FaultKind::EmptySlot { index } => index,
-        _ => 0, // cdna-check: allow(exhaustive-fault): fixture
-    }
+/// Pin primitive, so the calls below resolve.
+pub fn pin_run(start: u64, len: u64) {}
+
+/// The trailing allow suppresses the early-exit diagnostic.
+pub fn first(m: &mut M) -> Result<(), E> {
+    m.pin_run(0, 1);
+    early()?; // cdna-check: allow(must-pair): fixture
+    Ok(())
 }
 
 /// Fires at a known line after the nested comment.
-pub fn second(k: FaultKind) -> u32 {
-    match k {
-        FaultKind::EmptySlot { index } => index,
-        _ => 0,
-    }
+pub fn second(m: &mut M) -> Result<(), E> {
+    m.pin_run(0, 1);
+    early()?;
+    Ok(())
 }

@@ -1,18 +1,20 @@
 //! Raw-string fixture: text inside raw strings is data, not code, and
 //! spans after a multi-line raw string with `#` delimiters stay exact.
 
+/// Pin primitive, so the calls below resolve.
+pub fn pin_run(start: u64, len: u64) {}
+
 /// Returns a blob full of rule-bait.
 pub fn blob() -> &'static str {
     r##"
-        match k { FaultKind::EmptySlot { index } => 1, _ => 0 }
+        fn bait(m: &mut M) -> R { m.pin_run(0, 1); early()?; return; }
         neither should "quoted # text" or a stray } brace in here.
     "##
 }
 
 /// A real violation after the raw string, for span checking.
-pub fn after(k: FaultKind) -> u32 {
-    match k {
-        FaultKind::EmptySlot { index } => index,
-        _ => 0,
-    }
+pub fn after(m: &mut M) -> Result<(), E> {
+    m.pin_run(0, 1);
+    early()?;
+    Ok(())
 }

@@ -79,7 +79,13 @@ impl Persona {
     pub fn policy(self) -> DmaPolicy {
         match self {
             Persona::IommuEscape => DmaPolicy::Iommu,
-            _ => DmaPolicy::Validated,
+            Persona::HypercallCorrupter
+            | Persona::RxCreditCorrupter
+            | Persona::ForgedContext
+            | Persona::ProducerOverrun
+            | Persona::StaleReplayer
+            | Persona::MailboxScribbler
+            | Persona::DoorbellStorm => DmaPolicy::Validated,
         }
     }
 

@@ -589,7 +589,9 @@ mod tests {
                 assert!(at > SimTime::ZERO);
                 assert!(irq_at.is_some());
             }
-            other => panic!("expected delivery, got {other:?}"),
+            other @ (RxDisposition::Filtered
+            | RxDisposition::DroppedNoBuffer
+            | RxDisposition::DroppedTooSmall) => panic!("expected delivery, got {other:?}"),
         }
         assert_eq!(nic.rx_consumer(), 1);
         assert_eq!(nic.rx_available(), 0);

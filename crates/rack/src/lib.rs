@@ -90,7 +90,7 @@ impl RackWorkload {
     fn direction(self) -> Direction {
         match self {
             RackWorkload::RxPeer => Direction::Receive,
-            _ => Direction::Transmit,
+            RackWorkload::XHost | RackWorkload::TxPeer => Direction::Transmit,
         }
     }
 }

@@ -93,7 +93,6 @@ fn write_suite_json(results: &[Measured], quick: bool, jobs: usize) -> String {
         w.key("wall_ms");
         w.number_f64(m.wall_ms);
         w.key("events_per_sec");
-        // cdna-check: allow(clock-purity): wall-derived simulator speed, reported not compared (the jobs-equality guard diffs the rack report, not this suite file)
         w.number_f64(r.total_events() as f64 / (m.wall_ms / 1e3));
         w.end_object();
     }

@@ -33,11 +33,13 @@
 //!   else, as it bans `Mutex` and `RwLock`. A worker closure is
 //!   `Fn + Sync`, so without a lock or a `Sender` it cannot append to
 //!   shared state in arrival order: the index-ordered `Vec<R>` is the
-//!   only way results come back. `cdna-check` polices the rest of the
-//!   contract (CDNA015–016 flag wall-clock and jobs values that reach
-//!   compared output) and *self-hosts* on this pool: its `--jobs N`
-//!   scan shards per-file work through [`run_indexed`] and merges in
-//!   path order, byte-identical at any worker count.
+//!   only way results come back. It also bans `std::thread::current`
+//!   and `std::thread::available_parallelism` outside this module, so
+//!   no other code can read which worker it runs on or how many cores
+//!   the host has; CI diffs every compared artifact at `--jobs 1` and
+//!   `--jobs N` for the rest. `cdna-check` *self-hosts* on this pool:
+//!   its `--jobs N` scan shards per-file work through [`run_indexed`]
+//!   and merges in path order, byte-identical at any worker count.
 //! * **Bounded workers over [`std::thread::scope`].** No detached
 //!   threads and no external crates. A worker's panic reaches the
 //!   caller with its own payload through `join`.

@@ -95,10 +95,7 @@ impl<E> PartialOrd for Queued<E> {
 impl<E> Ord for Queued<E> {
     #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        match self.at.cmp(&other.at) {
-            std::cmp::Ordering::Equal => self.seq.cmp(&other.seq),
-            ord => ord,
-        }
+        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
     }
 }
 

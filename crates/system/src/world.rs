@@ -2837,7 +2837,12 @@ mod tests {
                         self.world.handle(now, e, sched);
                     }
                 }
-                _ => {}
+                Event::CpuDispatch
+                | Event::PhysIrq { .. }
+                | Event::WireRxArrive { .. }
+                | Event::PeerPump { .. }
+                | Event::StartMeasure
+                | Event::StopMeasure => {}
             }
         }
     }

@@ -364,20 +364,3 @@ fn calibration_corpus_is_fully_caught() {
     let failures = cdna_check::calibrate::calibrate(&corpus).expect("corpus parses");
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
-
-#[test]
-fn seeded_wildcard_fault_match_is_pinpointed() {
-    let src = "//! Doc.\nfn render(v: ViolationKind) -> &'static str {\n    match v {\n        ViolationKind::DoublePin => \"double-pin\",\n        _ => \"other\",\n    }\n}\n";
-    let a = cdna_check::analyze(&[lib_file("crates/check/src/seeded.rs", src)], &[]);
-    let hits: Vec<(&str, &str, u32)> = a
-        .diagnostics
-        .iter()
-        .map(|d| (d.rule, d.file.as_str(), d.line))
-        .collect();
-    assert_eq!(
-        hits,
-        [("exhaustive-fault", "crates/check/src/seeded.rs", 5)],
-        "{:?}",
-        a.diagnostics
-    );
-}

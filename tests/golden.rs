@@ -152,7 +152,7 @@ fn cases() -> Vec<(String, Case)> {
             }
             let io = match cfg.io_model {
                 IoModel::Cdna { .. } => "cdna",
-                _ => "xen-intel",
+                IoModel::Native { .. } | IoModel::XenBridged { .. } => "xen-intel",
             };
             out.push((
                 format!("{fig}-{io}-{}g", cfg.guests),

@@ -1,9 +1,10 @@
 //! The workspace's build policy, checked on the manifests themselves:
 //! every dependency is in this repository, every crate inherits the
-//! workspace lint table (`unsafe_code = "forbid"`, `missing_docs =
-//! "deny"`), so a new crate cannot opt out of either by omission, and
-//! `clippy.toml` keeps the hash-map, wall-clock, lock, thread and
-//! channel bans that `cdna-check` relies on instead of rules of its own.
+//! workspace lint tables (`unsafe_code = "forbid"`, `missing_docs =
+//! "deny"`, `wildcard_enum_match_arm = "deny"`), so a new crate cannot
+//! opt out of any by omission, and `clippy.toml` keeps the hash-map,
+//! wall-clock, lock, thread, channel, thread-identity and core-count
+//! bans that `cdna-check` relies on instead of rules of its own.
 
 use std::path::{Path, PathBuf};
 
@@ -93,6 +94,19 @@ fn workspace_lints_forbid_unsafe_and_deny_missing_docs() {
 }
 
 #[test]
+fn workspace_lints_deny_wildcard_enum_arms() {
+    // This lint replaced CDNA010 `exhaustive-fault`: a `_` or
+    // bare-binding arm on any enum, the fault enums included, fails
+    // clippy, so a new variant forces every handler to decide.
+    let text = read(&root().join("Cargo.toml"));
+    let clippy = table(&text, "workspace.lints.clippy");
+    assert!(
+        clippy.contains(&"wildcard_enum_match_arm = \"deny\""),
+        "{clippy:?}"
+    );
+}
+
+#[test]
 fn clippy_config_bans_hash_maps_and_the_wall_clock() {
     // `cdna-check` has no rule for these: the wall-clock ban, the
     // hash-map ban and with it hash-ordered merges and `f64`
@@ -117,7 +131,11 @@ fn clippy_config_bans_hash_maps_and_the_wall_clock() {
     // The thread and channel entries confine fan-out to
     // `cdna_sim::par`; with them and the lock ban, a worker closure
     // has nothing to merge into in arrival order, which replaced
-    // CDNA014 `merge-order` and CDNA017 `float-accum`.
+    // CDNA014 `merge-order` and CDNA017 `float-accum`. The
+    // thread-identity and core-count entries keep which worker ran,
+    // and how many there are, inside `par` too; with the wall-clock
+    // ban and CI's jobs diffs they replaced CDNA015 `clock-purity`
+    // and CDNA016 `jobs-leak`.
     let methods = array_paths(&text, "disallowed-methods");
     for m in [
         "std::time::Instant::now",
@@ -128,6 +146,8 @@ fn clippy_config_bans_hash_maps_and_the_wall_clock() {
         "std::thread::Builder::spawn_scoped",
         "std::sync::mpsc::channel",
         "std::sync::mpsc::sync_channel",
+        "std::thread::current",
+        "std::thread::available_parallelism",
     ] {
         assert!(
             methods.contains(&m),

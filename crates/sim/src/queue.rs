@@ -95,7 +95,12 @@ impl<E> PartialOrd for Queued<E> {
 impl<E> Ord for Queued<E> {
     #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
+        // Compare `seq` only on a time tie: this sits on every heap
+        // sift, and an eager `then(..)` changes the hot loop's codegen.
+        match self.at.cmp(&other.at) {
+            std::cmp::Ordering::Equal => self.seq.cmp(&other.seq),
+            ord @ (std::cmp::Ordering::Less | std::cmp::Ordering::Greater) => ord,
+        }
     }
 }
 

@@ -140,9 +140,8 @@ fn parse_calls(body: &[Token]) -> Vec<CallSite> {
             continue;
         }
         // `name(` is a call unless it is a definition (`fn name(`) or a
-        // macro invocation (`name!(`). `name::<T>(` (turbofish) counts
-        // too — `sum::<f64>()` is the repo's idiomatic reduction shape.
-        if body.get(i + 1).map(|n| n.text.as_str()) != Some("(") && !turbofish_call(body, i) {
+        // macro invocation (`name!(`).
+        if body.get(i + 1).map(|n| n.text.as_str()) != Some("(") {
             continue;
         }
         if i > 0 && (body[i - 1].text == "fn" || body[i - 1].text == "!") {
@@ -155,35 +154,6 @@ fn parse_calls(body: &[Token]) -> Vec<CallSite> {
         });
     }
     out
-}
-
-/// Whether the identifier at `i` heads a turbofish call:
-/// `name::<…>(`. Plain comparisons can never match because of the
-/// required `::<` prefix.
-fn turbofish_call(body: &[Token], i: usize) -> bool {
-    if body.get(i + 1).map(|t| t.text.as_str()) != Some(":")
-        || body.get(i + 2).map(|t| t.text.as_str()) != Some(":")
-        || body.get(i + 3).map(|t| t.text.as_str()) != Some("<")
-    {
-        return false;
-    }
-    let mut depth = 1i32;
-    let mut j = i + 4;
-    // Generic argument lists are short; the bound only guards against
-    // runaway scans on malformed input.
-    while j < body.len() && j < i + 64 {
-        let s = body[j].text.as_str();
-        if matches!(s, ";" | "{" | ")") {
-            return false;
-        }
-        depth += s.matches('<').count() as i32;
-        depth -= s.matches('>').count() as i32;
-        if depth <= 0 {
-            return body.get(j + 1).map(|t| t.text.as_str()) == Some("(");
-        }
-        j += 1;
-    }
-    false
 }
 
 fn is_keyword(s: &str) -> bool {

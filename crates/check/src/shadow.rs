@@ -179,8 +179,9 @@ impl std::fmt::Display for ShadowViolation {
     }
 }
 
-/// Mirror of one page's protection-relevant state.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Mirror of one page's protection-relevant state. `Copy`, so a whole
+/// mirror clones as one memory copy.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PageMirror {
     owner: Option<DomainId>,
     pins: u32,
@@ -251,6 +252,7 @@ impl PageMirrors {
     }
 
     /// Every tracked page, ascending.
+    #[cfg(test)]
     fn iter(&self) -> impl Iterator<Item = (PageId, &PageMirror)> {
         self.slots
             .iter()
@@ -623,38 +625,36 @@ impl DmaShadow {
     /// Cross-checks the mirror against the real `PhysMem`: every tracked
     /// page's owner and pin count must match, and `PhysMem`'s aggregate
     /// outstanding-pin count must equal the mirror's. Divergences are
-    /// recorded and the number found is returned.
+    /// recorded in ascending page order, the aggregate last, and the
+    /// number found is returned.
+    ///
+    /// The mirror and the pool's page table are walked in lockstep;
+    /// only a page that disagrees is looked up again to render it.
     pub fn audit_mem(&mut self, mem: &PhysMem) -> usize {
         let before = self.violations.len();
         let mut mirror_pins: u64 = 0;
         let mut divergences: Vec<(PageId, String)> = Vec::new();
-        for (page, m) in self.pages.iter() {
-            mirror_pins += u64::from(m.pins);
-            match mem.info(page) {
-                Ok(real) => {
-                    // A pending-free page shows as owner-less divergence
-                    // candidates; PhysMem keeps the owner until the free
-                    // completes, and so does the mirror.
-                    if real.owner != m.owner {
-                        divergences.push((
-                            page,
-                            format!(
-                                "page {} owner: mirror {:?}, pool {:?}",
-                                page.0, m.owner, real.owner
-                            ),
-                        ));
-                    }
-                    if real.pins != m.pins {
-                        divergences.push((
-                            page,
-                            format!(
-                                "page {} pins: mirror {}, pool {}",
-                                page.0, m.pins, real.pins
-                            ),
-                        ));
-                    }
+        let table = mem.page_table();
+        let (head, tail) = self
+            .pages
+            .slots
+            .split_at(table.len().min(self.pages.slots.len()));
+        for (i, (slot, real)) in head.iter().zip(table).enumerate() {
+            if let Some(m) = slot {
+                mirror_pins += u64::from(m.pins);
+                if m.owner != real.owner || m.pins != real.pins {
+                    mem_divergences(PageId(i as u32), m, mem, &mut divergences);
                 }
-                Err(e) => divergences.push((page, format!("page {}: {e}", page.0))),
+            }
+        }
+        // Past the table every pool page is free and unpinned, and past
+        // the pool there is no page at all.
+        for (i, slot) in (head.len()..).zip(tail) {
+            if let Some(m) = slot {
+                mirror_pins += u64::from(m.pins);
+                if m.owner.is_some() || m.pins != 0 || i >= mem.total_pages() as usize {
+                    mem_divergences(PageId(i as u32), m, mem, &mut divergences);
+                }
             }
         }
         if mem.outstanding_pins() != mirror_pins {
@@ -682,13 +682,28 @@ impl DmaShadow {
     /// order — against the mirror: every engine-pinned page must be
     /// pinned in the mirror too. Divergences are recorded run by run,
     /// each run's pages ascending; returns the number recorded.
+    ///
+    /// A run the mirror holds pinned throughout costs one slice scan;
+    /// only a run with a divergence is walked page by page.
     pub fn audit_pinned(
         &mut self,
         ctx: ContextId,
         pinned_runs: impl IntoIterator<Item = (PageId, u32)>,
     ) -> usize {
         let before = self.violations.len();
-        for (first, len) in pinned_runs {
+        let pinned = |m: &Option<PageMirror>| m.is_some_and(|m| m.pins > 0);
+        // `for_each`, not `for`: the engine's runs come from two chained
+        // ring buffers, which internal iteration walks slice by slice.
+        pinned_runs.into_iter().for_each(|(first, len)| {
+            let run = first.0 as usize..first.0 as usize + len as usize;
+            if self
+                .pages
+                .slots
+                .get(run)
+                .is_some_and(|ms| ms.iter().all(pinned))
+            {
+                return;
+            }
             for page in (first.0..first.0 + len).map(PageId) {
                 if self.pages.get(page).is_some_and(|m| m.pins > 0) {
                     continue;
@@ -704,8 +719,39 @@ impl DmaShadow {
                     ViolationKind::MirrorDivergence { detail },
                 );
             }
-        }
+        });
         self.violations.len() - before
+    }
+}
+
+/// Renders the divergences of mirrored page `page` (entry `m`) from
+/// the pool into `out`: owner, then pins, or the lookup error of a page
+/// the pool does not have.
+fn mem_divergences(page: PageId, m: &PageMirror, mem: &PhysMem, out: &mut Vec<(PageId, String)>) {
+    match mem.info(page) {
+        Ok(real) => {
+            // A pending-free page keeps its owner in both PhysMem and
+            // the mirror until the free completes.
+            if real.owner != m.owner {
+                out.push((
+                    page,
+                    format!(
+                        "page {} owner: mirror {:?}, pool {:?}",
+                        page.0, m.owner, real.owner
+                    ),
+                ));
+            }
+            if real.pins != m.pins {
+                out.push((
+                    page,
+                    format!(
+                        "page {} pins: mirror {}, pool {}",
+                        page.0, m.pins, real.pins
+                    ),
+                ));
+            }
+        }
+        Err(e) => out.push((page, format!("page {}: {e}", page.0))),
     }
 }
 
@@ -985,6 +1031,182 @@ mod tests {
         s.on_alloc(guest(), p);
         s.on_pin(p);
         assert_eq!(s.audit_pinned(ctx(0), [(p, 1)]), 0);
+    }
+
+    /// The per-page [`DmaShadow::audit_mem`]: one pool lookup per
+    /// tracked page. The reference the lockstep walk must match.
+    fn audit_mem_per_page(s: &mut DmaShadow, mem: &PhysMem) -> usize {
+        let before = s.violations.len();
+        let mut mirror_pins: u64 = 0;
+        let mut divergences: Vec<(PageId, String)> = Vec::new();
+        for (page, m) in s.pages.iter() {
+            mirror_pins += u64::from(m.pins);
+            match mem.info(page) {
+                Ok(real) => {
+                    if real.owner != m.owner {
+                        divergences.push((
+                            page,
+                            format!(
+                                "page {} owner: mirror {:?}, pool {:?}",
+                                page.0, m.owner, real.owner
+                            ),
+                        ));
+                    }
+                    if real.pins != m.pins {
+                        divergences.push((
+                            page,
+                            format!(
+                                "page {} pins: mirror {}, pool {}",
+                                page.0, m.pins, real.pins
+                            ),
+                        ));
+                    }
+                }
+                Err(e) => divergences.push((page, format!("page {}: {e}", page.0))),
+            }
+        }
+        if mem.outstanding_pins() != mirror_pins {
+            divergences.push((
+                PageId(0),
+                format!(
+                    "aggregate pins: mirror {mirror_pins}, pool {}",
+                    mem.outstanding_pins()
+                ),
+            ));
+        }
+        for (page, detail) in divergences {
+            record(
+                &mut s.violations,
+                None,
+                Some(page),
+                ViolationKind::MirrorDivergence { detail },
+            );
+        }
+        s.violations.len() - before
+    }
+
+    /// The per-page [`DmaShadow::audit_pinned`]: one mirror lookup per
+    /// engine-pinned page.
+    fn audit_pinned_per_page(s: &mut DmaShadow, ctx: ContextId, runs: &[(PageId, u32)]) -> usize {
+        let before = s.violations.len();
+        for &(first, len) in runs {
+            for page in (first.0..first.0 + len).map(PageId) {
+                if s.pages.get(page).is_some_and(|m| m.pins > 0) {
+                    continue;
+                }
+                let detail = format!(
+                    "engine holds page {} pinned for ctx {} but mirror shows no pin",
+                    page.0, ctx.0
+                );
+                record(
+                    &mut s.violations,
+                    Some(ctx),
+                    Some(page),
+                    ViolationKind::MirrorDivergence { detail },
+                );
+            }
+        }
+        s.violations.len() - before
+    }
+
+    /// Pages in the seeded pools below.
+    const POOL: u32 = 48;
+
+    /// A seeded pool and a mirror of it that diverges at random pages.
+    /// The pool's table stops short of its end at random; some pinned
+    /// pages have no owner. The mirror stops short of, or runs past,
+    /// the pool's end at random, and most of its pages copy the pool.
+    /// The others are holes (untracked), take the other owner, or gain
+    /// or lose a pin.
+    fn divergent_mirror(seed: u64) -> (PhysMem, DmaShadow) {
+        let mut rng = cdna_sim::SimRng::seed_from(seed);
+        let owners = [guest(), DomainId::guest(1)];
+        let mut mem = PhysMem::new(POOL);
+        for _ in 0..rng.below(POOL as usize - 8) {
+            let page = mem
+                .alloc(owners[rng.below(2)])
+                .unwrap_or_else(|e| unreachable!("{e}"));
+            for _ in 0..rng.below(3) {
+                assert!(mem.pin(page).is_ok());
+            }
+        }
+        if rng.chance(0.5) {
+            assert!(mem.pin(PageId(rng.below(POOL as usize) as u32)).is_ok());
+        }
+        let mut s = DmaShadow::new();
+        for page in (0..rng.below(POOL as usize + 8) as u32).map(PageId) {
+            let real = mem.info(page).unwrap_or(cdna_mem::PageInfo {
+                owner: None,
+                pins: 0,
+            });
+            let mut m = PageMirror {
+                owner: real.owner,
+                pins: real.pins,
+                ..PageMirror::default()
+            };
+            match rng.below(12) {
+                0 => continue,
+                1 => m.owner = Some(owners[usize::from(m.owner == Some(owners[0]))]),
+                2 => m.pins += 1,
+                3 => m.pins = m.pins.saturating_sub(1),
+                _ => {}
+            }
+            s.pages.replace(page, m);
+        }
+        (mem, s)
+    }
+
+    #[test]
+    fn audit_mem_matches_the_per_page_audit_on_divergent_mirrors() {
+        let (mut clean, mut diverged) = (0, 0);
+        for seed in 0..400 {
+            let (mem, mut fast) = divergent_mirror(seed);
+            let mut slow = fast.clone();
+            let found = fast.audit_mem(&mem);
+            assert_eq!(found, audit_mem_per_page(&mut slow, &mem), "seed {seed}");
+            assert_eq!(fast.violations(), slow.violations(), "seed {seed}");
+            if found == 0 {
+                clean += 1;
+            } else {
+                diverged += 1;
+            }
+        }
+        assert!(
+            clean > 0 && diverged > 0,
+            "{clean} clean, {diverged} diverged"
+        );
+    }
+
+    #[test]
+    fn audit_pinned_matches_the_per_page_audit_on_divergent_mirrors() {
+        let (mut clean, mut diverged) = (0, 0);
+        for seed in 0..400 {
+            let (_, mut fast) = divergent_mirror(seed);
+            let mut slow = fast.clone();
+            let mut rng = cdna_sim::SimRng::seed_from(!seed);
+            let runs: Vec<(PageId, u32)> = (0..rng.below(6))
+                .map(|_| {
+                    let first = rng.below(POOL as usize + 12) as u32;
+                    (PageId(first), rng.below(6) as u32)
+                })
+                .collect();
+            let found = fast.audit_pinned(ctx(2), runs.iter().copied());
+            assert_eq!(
+                found,
+                audit_pinned_per_page(&mut slow, ctx(2), &runs),
+                "seed {seed}"
+            );
+            assert_eq!(fast.violations(), slow.violations(), "seed {seed}");
+            if found == 0 {
+                clean += 1;
+            } else {
+                diverged += 1;
+            }
+        }
+        assert!(
+            clean > 0 && diverged > 0,
+            "{clean} clean, {diverged} diverged"
+        );
     }
 
     #[test]

@@ -259,30 +259,50 @@ impl Direction {
     }
 }
 
-/// Merges an iterator of page runs into maximal contiguous runs and
-/// feeds each merged run to `f` — so a multi-descriptor batch touches
-/// the page pool once per run instead of once per descriptor. Runs are
-/// visited in batch order; merging only joins physically adjacent runs,
-/// so the pages `f` sees (and therefore any error it reports) are in
-/// the same order a per-descriptor loop would produce.
+/// Merges a batch's page runs into maximal contiguous runs and feeds
+/// each merged run to `f` — so a multi-descriptor batch touches the
+/// page pool once per run instead of once per descriptor. A run merges
+/// with the one before it when the two adjoin in either direction:
+/// drivers post buffers popped off their pools, which come in
+/// descending page order.
+///
+/// When `f` fails on a merged run, that run's descriptors are fed to
+/// `f` again one at a time, in batch order, and the first error is
+/// returned: the one a per-descriptor loop would have met first. `f`
+/// must be all-or-nothing on a failing run (as `PhysMem`'s run
+/// operations are), so that walk redoes nothing a merged call did.
 fn for_each_merged_run<E>(
-    runs: impl Iterator<Item = (PageId, u32)>,
+    runs: impl Iterator<Item = (PageId, u32)> + Clone,
     mut f: impl FnMut(PageId, u32) -> Result<(), E>,
 ) -> Result<(), E> {
-    let mut run: Option<(u32, u32)> = None;
-    for (start, len) in runs {
-        match &mut run {
-            Some((s, l)) if start.0 == *s + *l => *l += len,
-            Some((s, l)) => {
-                f(PageId(*s), *l)?;
-                *s = start.0;
-                *l = len;
+    // The merged run `(first page, pages)` and its descriptors' range.
+    let mut run: Option<(u32, u32, usize)> = None;
+    let mut flush = |s: u32, l: u32, from: usize, to: usize| {
+        f(PageId(s), l).or_else(|e| {
+            for (first, len) in runs.clone().skip(from).take(to - from) {
+                f(first, len)?;
             }
-            None => run = Some((start.0, len)),
+            Err(e)
+        })
+    };
+    let mut count = 0;
+    for (i, (start, len)) in runs.clone().enumerate() {
+        count = i + 1;
+        match &mut run {
+            Some((s, l, _)) if s.checked_add(*l) == Some(start.0) => *l += len,
+            Some((s, l, _)) if start.0.checked_add(len) == Some(*s) => {
+                *s = start.0;
+                *l += len;
+            }
+            Some((s, l, from)) => {
+                flush(*s, *l, *from, i)?;
+                (*s, *l, *from) = (start.0, len, i);
+            }
+            None => run = Some((start.0, len, i)),
         }
     }
-    if let Some((s, l)) = run {
-        f(PageId(s), l)?;
+    if let Some((s, l, from)) = run {
+        flush(s, l, from, count)?;
     }
     Ok(())
 }
@@ -603,9 +623,9 @@ impl ProtectionEngine {
         }
 
         // Validate-then-pin in merged page runs, exactly as enqueue_tx
-        // (RX posts come from per-guest buffer pools, which hand out
-        // consecutive pages, so a whole hypercall batch is typically a
-        // single run).
+        // (RX posts come from per-guest buffer pools, popped in
+        // descending page order, so a whole hypercall batch is
+        // typically a single run).
         if let Err(e) = for_each_merged_run(reqs.iter().map(|r| r.buf.page_run()), |s, l| {
             mem.validate_run(caller, s, l)
         }) {
@@ -826,6 +846,64 @@ mod tests {
         ));
         assert_eq!(f.mem.outstanding_pins(), 0, "batch failure pins nothing");
         assert_eq!(f.engine.stats().rejections, 1);
+    }
+
+    #[test]
+    fn descending_posts_validate_and_pin_as_one_run() {
+        let mut calls = Vec::new();
+        let runs = [
+            (PageId(9), 1),
+            (PageId(8), 1),
+            (PageId(6), 2),
+            (PageId(3), 1),
+        ];
+        let ok: Result<(), ()> = for_each_merged_run(runs.into_iter(), |s, l| {
+            calls.push((s.0, l));
+            Ok(())
+        });
+        assert_eq!(ok, Ok(()));
+        assert_eq!(calls, [(6, 4), (3, 1)]);
+    }
+
+    #[test]
+    fn a_failing_merged_run_reports_the_per_descriptor_error() {
+        // An all-or-nothing run operation that pins a run unless it
+        // holds a bad page, and names the run's lowest bad page.
+        let bad = [4u32, 6];
+        let mut pinned = Vec::new();
+        let mut pin = |s: PageId, l: u32| match (s.0..s.0 + l).find(|p| bad.contains(p)) {
+            Some(p) => Err(p),
+            None => {
+                pinned.extend(s.0..s.0 + l);
+                Ok(())
+            }
+        };
+        // Descending, so the merged run [3, 12) holds both bad pages; a
+        // per-descriptor loop meets page 6 first, after pinning 10–11,
+        // 8 and 7.
+        let runs = [10, 8, 7, 6, 5, 4, 3].map(|p| (PageId(p), 1 + u32::from(p == 10)));
+        assert_eq!(for_each_merged_run(runs.into_iter(), &mut pin), Err(6));
+        assert_eq!(pinned, [10, 11, 8, 7]);
+
+        // Two foreign pages posted descending: the batch names the
+        // higher, which its first failing descriptor holds.
+        let mut f = fixture();
+        let g = f.guest;
+        let low = f.mem.alloc(DomainId::guest(7)).unwrap();
+        let mine = f.mem.alloc(g).unwrap();
+        let high = f.mem.alloc(DomainId::guest(8)).unwrap();
+        let post = [high, mine, low].map(|p| RxRequest {
+            buf: BufferSlice::new(p.base_addr(), 1514),
+        });
+        let err = f
+            .engine
+            .enqueue_rx(f.ctx, g, &post, 0, &mut f.rings, &mut f.mem)
+            .unwrap_err();
+        let ProtectionError::Mem(MemError::NotOwner { page, .. }) = err else {
+            unreachable!("{err:?}")
+        };
+        assert_eq!(page, high);
+        assert_eq!(f.mem.outstanding_pins(), 0, "batch failure pins nothing");
     }
 
     #[test]

@@ -162,6 +162,14 @@ impl PhysMem {
         Ok(self.pages.get(page.0 as usize).copied().unwrap_or(FREE))
     }
 
+    /// The materialised page table: entry `i` is `PageId(i)`'s state.
+    /// Every page from its end up to [`PhysMem::total_pages`] is free
+    /// and unpinned. For auditors that compare a whole mirror against
+    /// the pool in one pass instead of an [`PhysMem::info`] per page.
+    pub fn page_table(&self) -> &[PageInfo] {
+        &self.pages
+    }
+
     /// Allocates one free page to `owner`.
     pub fn alloc(&mut self, owner: DomainId) -> Result<PageId, MemError> {
         let page = if let Some(page) = self.skipped.pop_front() {

@@ -1,6 +1,12 @@
 //! Depth-first schedule exploration over clones of one primed world,
 //! plus the invariant suite every explored schedule must satisfy.
 //!
+//! A cell's world is built, primed and shadow-synced once (its
+//! `PrimedCell`). Each schedule clones it, runs to the end of the
+//! measurement window under a [`PermutationQueue`] and syncs the shadow
+//! again: that sync folds only the pins and reaps of the schedule's own
+//! run, since the build-time posts are already in the cloned mirror.
+//!
 //! [`explore`] searches one configuration's decision tree depth-first;
 //! [`explore_matrix`] runs a whole configuration matrix, one cell per
 //! worker of the [`cdna_sim::par`] pool. Each cell is searched by the
@@ -129,8 +135,15 @@ pub fn check_invariants(world: &SystemWorld) -> Vec<String> {
     out
 }
 
-/// A cell's world, built and primed once: every schedule runs on a
-/// clone of `world` with a copy of `events` enqueued.
+/// A cell's world, built, primed and shadow-synced once: every
+/// schedule runs on a clone of `world` with a copy of `events`
+/// enqueued.
+///
+/// Everything a schedule would otherwise redo identically is paid here.
+/// The build-time sync seeds the DMA shadow's page mirror with every
+/// buffer the drivers posted while priming, so each clone starts with a
+/// full-size mirror (copied whole) and its `StopMeasure` sync folds
+/// only the pins and reaps of its own run.
 struct PrimedCell {
     world: SystemWorld,
     events: Vec<(SimTime, Event)>,
@@ -140,6 +153,7 @@ impl PrimedCell {
     fn build(cfg: TestbedConfig) -> Self {
         let mut world = SystemWorld::build(cfg);
         let events = world.prime();
+        world.shadow_sync();
         PrimedCell { world, events }
     }
 
@@ -196,8 +210,9 @@ fn run_schedule(
 }
 
 /// Explores `job` depth-first until the decision tree is exhausted or
-/// `max_schedules` is reached. The cell's world is built and primed
-/// once; every schedule runs on a clone of it.
+/// `max_schedules` is reached. The cell's world is built, primed and
+/// shadow-synced once; every schedule runs on a clone of it, so a
+/// schedule pays only for its own run and its own sync.
 pub fn explore(job: &ExploreConfig) -> Exploration {
     let mut result = Exploration {
         label: job.label.clone(),
@@ -366,6 +381,8 @@ mod tests {
             let prefix = lock(&ctrl).next_prefix().unwrap_or_default();
             forked += usize::from(!prefix.is_empty());
 
+            // The same build-time sync as the cell's, so even the
+            // shadow's event count must agree.
             let mut fresh = Simulation::with_event_queue(
                 SystemWorld::build(job.cfg.clone()),
                 Box::new(queue(&job, prefix.clone())),
@@ -373,6 +390,7 @@ mod tests {
             for (t, e) in fresh.world_mut().prime() {
                 fresh.schedule(t, e);
             }
+            fresh.world_mut().shadow_sync();
             fresh.run_until(end);
             let events = fresh.events_processed();
             let mut world = fresh.into_world();

@@ -18,9 +18,9 @@
 //! * the controller replays a recorded *prefix* of choices and then
 //!   takes the first untried branch — stateless depth-first search in
 //!   the style of stateless model checkers (VeriSoft, dporDPOR): each
-//!   cell's world is built with [`cdna_system::SystemWorld::build`] and
-//!   primed once, and every schedule runs the *real* engine on a deep
-//!   clone of it, so no state snapshotting is needed;
+//!   cell's world is built with [`cdna_system::SystemWorld::build`],
+//!   primed and shadow-synced once, and every schedule runs the *real*
+//!   engine on a deep clone of it, so no state snapshotting is needed;
 //! * commutative tie pairs are pruned sleep-set style: two events
 //!   scoped to different NICs are treated as independent, so only
 //!   orderings that permute *dependent* events (same NIC, or global

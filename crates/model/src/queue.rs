@@ -12,6 +12,7 @@
     reason = "the schedule controller is the one Mutex here; a pick holds it alone, never with another lock"
 )]
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use cdna_sim::{EventQueue, SimTime};
@@ -131,9 +132,10 @@ impl Controller {
 /// An [`EventQueue`] whose same-timestamp tie-breaks are controlled by a
 /// shared [`Controller`].
 ///
-/// The queue keeps events sorted ascending by `(time, seq)` so the tie
-/// set at the minimum time is a contiguous run at the front; a pop
-/// delivers the controller's pick from that run.
+/// The queue keeps events sorted ascending by `(time, seq)` in a ring
+/// buffer, so the tie set at the minimum time is a contiguous run at
+/// the front: the default pick is an O(1) front pop, and a push that
+/// sorts last appends without a search.
 ///
 /// With a nonzero `tie_window` the tie set widens to every pending
 /// event within the window of the earliest one, modeling bounded timing
@@ -144,7 +146,7 @@ impl Controller {
 /// holds for every schedule.
 #[derive(Debug)]
 pub struct PermutationQueue {
-    pending: Vec<(SimTime, u64, Event)>,
+    pending: VecDeque<(SimTime, u64, Event)>,
     ctrl: Arc<Mutex<Controller>>,
     tie_window: SimTime,
     last_delivered: SimTime,
@@ -160,47 +162,80 @@ impl PermutationQueue {
     /// `tie_window` of the earliest pending event as tied.
     pub fn with_window(ctrl: Arc<Mutex<Controller>>, tie_window: SimTime) -> Self {
         PermutationQueue {
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             ctrl,
             tie_window,
             last_delivered: SimTime::ZERO,
         }
     }
 
-    /// Index of the event to deliver next, consulting the controller
-    /// when the minimum-time tie set has more than one explorable
-    /// member. `None` when no event is due by `deadline`; the tie set
-    /// never reaches past it.
-    fn pick(&self, deadline: SimTime) -> Option<usize> {
-        let &(t0, _, _) = self.pending.first()?;
+    /// Length of the tie set due by `deadline`: every pending event
+    /// within the tie window of the earliest, never reaching past
+    /// `deadline`; 0 when no event is due. The tie set is left at the
+    /// start of the ring buffer's front slice: one that straddles the
+    /// wrap point is made contiguous first, which happens at most once
+    /// per lap of the buffer.
+    fn tie_len(&mut self, deadline: SimTime) -> usize {
+        let Some(&(t0, _, _)) = self.pending.front() else {
+            return 0;
+        };
         if t0 > deadline {
-            return None;
+            return 0;
         }
         let horizon = t0.checked_add(self.tie_window).unwrap_or(t0).min(deadline);
-        let tie = self.pending.iter().take_while(|q| q.0 <= horizon).count();
-        if tie <= 1 {
-            return Some(0);
+        let (front, back) = self.pending.as_slices();
+        let within = |q: &&(SimTime, u64, Event)| q.0 <= horizon;
+        let mut tie = front.iter().take_while(within).count();
+        if tie == front.len() {
+            tie += back.iter().take_while(within).count();
         }
-        // Sleep-set pruning: candidate j is explorable iff it is the
-        // default (j == 0) or it conflicts with some event before it in
-        // the tie set — swapping independent events cannot change the
-        // outcome, so those orders are never forked.
-        let mut candidates = vec![0];
-        for j in 1..tie {
-            if (0..j).any(|i| dependent(&self.pending[i].2, &self.pending[j].2)) {
-                candidates.push(j);
-            }
+        if tie > front.len() {
+            self.pending.make_contiguous();
         }
-        if candidates.len() == 1 {
-            return Some(0);
-        }
-        Some(lock(&self.ctrl).choose(candidates))
+        tie
     }
+}
+
+/// Index (into `tie`) of the event to deliver next, consulting the
+/// controller when the tie set has more than one explorable member.
+fn pick(tie: &[(SimTime, u64, Event)], ctrl: &Mutex<Controller>) -> usize {
+    if tie.len() <= 1 {
+        return 0;
+    }
+    // Sleep-set pruning: candidate j is explorable iff it is the
+    // default (j == 0) or it conflicts with some event before it in
+    // the tie set — swapping independent events cannot change the
+    // outcome, so those orders are never forked. A tie set with no
+    // explorable member past the default is no decision, and allocates
+    // nothing.
+    let mut explorable = tie
+        .iter()
+        .enumerate()
+        .skip(1)
+        .filter(|&(j, (_, _, b))| tie[..j].iter().any(|(_, _, a)| dependent(a, b)))
+        .map(|(j, _)| j);
+    let Some(second) = explorable.next() else {
+        return 0;
+    };
+    let mut candidates = vec![0, second];
+    candidates.extend(explorable);
+    lock(ctrl).choose(candidates)
 }
 
 impl EventQueue<Event> for PermutationQueue {
     fn push(&mut self, at: SimTime, seq: u64, event: Event) {
-        let pos = self.pending.partition_point(|q| (q.0, q.1) <= (at, seq));
+        let key = (at, seq);
+        if self.pending.back().is_none_or(|q| (q.0, q.1) <= key) {
+            self.pending.push_back((at, seq, event));
+            return;
+        }
+        // Scan back from the latest event: the engine schedules into
+        // the near future, so the slot is a few events from the back.
+        let pos = self
+            .pending
+            .iter()
+            .rposition(|q| (q.0, q.1) <= key)
+            .map_or(0, |i| i + 1);
         self.pending.insert(pos, (at, seq, event));
     }
 
@@ -209,8 +244,16 @@ impl EventQueue<Event> for PermutationQueue {
     }
 
     fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, u64, Event)> {
-        let idx = self.pick(deadline)?;
-        let (at, seq, event) = self.pending.remove(idx);
+        let tie = self.tie_len(deadline);
+        if tie == 0 {
+            return None;
+        }
+        let idx = pick(&self.pending.as_slices().0[..tie], &self.ctrl);
+        let (at, seq, event) = if idx == 0 {
+            self.pending.pop_front()
+        } else {
+            self.pending.remove(idx)
+        }?;
         // Jitter lift: an event overtaken inside the tie window is
         // delivered at the overtaker's time so the clock never regresses.
         let at = at.max(self.last_delivered);
@@ -298,6 +341,44 @@ mod tests {
         );
         assert!(q.pop_due(SimTime::from_ns(7)).is_none());
         assert_eq!(q.pop().map(|(_, seq, _)| seq), Some(1));
+    }
+
+    #[test]
+    fn without_choices_the_queue_delivers_in_heap_order() {
+        // An empty prefix and a zero tie window always take the tie
+        // set's first member, which is the heap queue's pop. Pushes land
+        // at or after the last delivered time, as the engine's do, with
+        // many exact ties; the queue drains to empty and refills so the
+        // ring buffer wraps many times.
+        use cdna_sim::queue::HeapQueue;
+        for seed in 0..20 {
+            let mut rng = cdna_sim::SimRng::seed_from(seed);
+            let mut perm = PermutationQueue::new(ctrl(vec![]));
+            let mut heap = HeapQueue::new();
+            let (mut now, mut seq, mut popped) = (SimTime::ZERO, 0u64, 0);
+            for _ in 0..4000 {
+                let fill = seq < 40 || rng.chance(0.5);
+                if fill && perm.len() < 200 {
+                    for _ in 0..=rng.below(3) {
+                        let at = now + SimTime::from_ns(rng.below(4) as u64 * 5);
+                        let e = nic_event(rng.below(3));
+                        perm.push(at, seq, e.clone());
+                        heap.push(at, seq, e);
+                        seq += 1;
+                    }
+                } else {
+                    let deadline = now + SimTime::from_ns(rng.below(12) as u64);
+                    let got = perm.pop_due(deadline).map(|(at, s, _)| (at, s));
+                    assert_eq!(got, heap.pop_due(deadline).map(|(at, s, _)| (at, s)));
+                    if let Some((at, _)) = got {
+                        now = at;
+                        popped += 1;
+                    }
+                }
+                assert_eq!(perm.len(), heap.len());
+            }
+            assert!(popped > 1000, "seed {seed}: {popped} pops");
+        }
     }
 
     #[test]

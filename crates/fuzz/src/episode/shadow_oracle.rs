@@ -200,7 +200,7 @@ fn model_cells(schedules: usize, label: &str) -> usize {
             let what = format!("{label} {} schedule {n}", job.label);
             let ctrl = Arc::new(Mutex::new(Controller::new(prefix, job.max_depth)));
             let queue = PermutationQueue::with_window(Arc::clone(&ctrl), job.tie_window);
-            let mut sim = Simulation::with_event_queue(primed.clone(), Box::new(queue));
+            let mut sim = Simulation::with_event_queue(primed.clone(), queue);
             for (at, e) in &events {
                 sim.schedule(*at, e.clone());
             }

@@ -1,11 +1,19 @@
-//! Depth-first schedule exploration over clones of one primed world,
-//! plus the invariant suite every explored schedule must satisfy.
+//! Depth-first schedule exploration that resumes each schedule from a
+//! snapshot where it leaves its parent's path, plus the invariant suite
+//! every explored schedule must satisfy.
 //!
-//! A cell's world is built, primed and shadow-synced once (its
-//! `PrimedCell`). Each schedule clones it, runs to the end of the
-//! measurement window under a [`PermutationQueue`] and syncs the shadow
-//! again: that sync folds only the pins and reaps of the schedule's own
-//! run, since the build-time posts are already in the cloned mirror.
+//! A cell's world is built, primed and shadow-synced once. The first
+//! schedule runs that primed simulation under a [`PermutationQueue`]
+//! whose [`Controller`] pauses before every fresh decision; [`explore`]
+//! then pushes a clone of the whole simulation onto a snapshot stack
+//! and runs on. The next schedule differs from this one first at some
+//! decision `d` (the deepest with an untried candidate), so it resumes
+//! from the snapshot taken before `d` with that candidate forced and
+//! simulates only the tail. The stack keeps only a few snapshots
+//! (`SNAPSHOTS`); a branch whose snapshot was dropped resumes from the
+//! nearest one above it. Each schedule ends with a shadow sync that
+//! folds only the pins and reaps of its own run, since the build-time
+//! posts are already in the primed mirror every snapshot copies.
 //!
 //! [`explore`] searches one configuration's decision tree depth-first;
 //! [`explore_matrix`] runs a whole configuration matrix, one cell per
@@ -15,7 +23,7 @@
 
 #![expect(
     clippy::disallowed_types,
-    reason = "each schedule shares its one controller Mutex with its queue; nothing else is locked"
+    reason = "an exploration shares its one controller Mutex with its queue and its snapshots' copies; nothing else is locked"
 )]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,7 +31,7 @@ use std::sync::{Arc, Mutex};
 
 use cdna_core::{DmaPolicy, FaultKind};
 use cdna_sim::{par, SimTime, Simulation};
-use cdna_system::{Direction, Event, IoModel, NicKind, SystemWorld, TestbedConfig};
+use cdna_system::{Direction, IoModel, NicKind, SystemWorld, TestbedConfig};
 
 use crate::queue::{lock, Controller, PermutationQueue};
 
@@ -69,6 +77,36 @@ pub struct Exploration {
     pub exhausted: bool,
     /// Whether any schedule hit the depth bound.
     pub depth_truncated: bool,
+}
+
+impl Exploration {
+    fn new(label: &str) -> Self {
+        Exploration {
+            label: label.to_string(),
+            schedules: 0,
+            events: 0,
+            max_decisions: 0,
+            violations: 0,
+            sample: Vec::new(),
+            exhausted: false,
+            depth_truncated: false,
+        }
+    }
+
+    /// Folds one finished schedule into the totals: its events, its
+    /// violations, and the decisions `ctrl` recorded along its path.
+    fn add(&mut self, events: u64, violations: Vec<String>, ctrl: &Controller) {
+        self.schedules += 1;
+        self.events += events;
+        self.violations += violations.len() as u64;
+        for v in violations {
+            if self.sample.len() < SAMPLE_CAP {
+                self.sample.push(format!("{}: {v}", self.label));
+            }
+        }
+        self.max_decisions = self.max_decisions.max(ctrl.record.len());
+        self.depth_truncated |= ctrl.depth_truncated;
+    }
 }
 
 /// How many violation descriptions an [`Exploration`] retains verbatim.
@@ -135,42 +173,80 @@ pub fn check_invariants(world: &SystemWorld) -> Vec<String> {
     out
 }
 
-/// A cell's world, built, primed and shadow-synced once: every
-/// schedule runs on a clone of `world` with a copy of `events`
-/// enqueued.
+/// A cell's primed simulation: its world built, primed and
+/// shadow-synced once, with the primed events enqueued under `queue`.
 ///
 /// Everything a schedule would otherwise redo identically is paid here.
 /// The build-time sync seeds the DMA shadow's page mirror with every
-/// buffer the drivers posted while priming, so each clone starts with a
-/// full-size mirror (copied whole) and its `StopMeasure` sync folds
-/// only the pins and reaps of its own run.
-struct PrimedCell {
-    world: SystemWorld,
-    events: Vec<(SimTime, Event)>,
+/// buffer the drivers posted while priming, so each schedule's
+/// `StopMeasure` sync folds only the pins and reaps of its own run. The
+/// cell's first schedule runs on this simulation itself, and every later
+/// one on a snapshot taken along an earlier schedule's path, so the
+/// primed world is never copied.
+fn primed(cfg: TestbedConfig, queue: PermutationQueue) -> Simulation<SystemWorld> {
+    let mut world = SystemWorld::build(cfg);
+    let events = world.prime();
+    world.shadow_sync();
+    let mut sim = Simulation::with_event_queue(world, queue);
+    for (t, e) in events {
+        sim.schedule(t, e);
+    }
+    sim
 }
 
-impl PrimedCell {
-    fn build(cfg: TestbedConfig) -> Self {
-        let mut world = SystemWorld::build(cfg);
-        let events = world.prime();
-        world.shadow_sync();
-        PrimedCell { world, events }
-    }
+/// A simulation paused just before the fresh decision at `depth`.
+#[derive(Clone)]
+struct Snapshot {
+    depth: usize,
+    sim: Simulation<SystemWorld>,
+}
 
-    /// Runs a clone of the primed world under `queue` to `end` and
-    /// brings its shadow up to date; returns the world and the events
-    /// processed.
-    fn run_clone(&self, queue: PermutationQueue, end: SimTime) -> (SystemWorld, u64) {
-        let mut sim = Simulation::with_event_queue(self.world.clone(), Box::new(queue));
-        for (t, e) in &self.events {
-            sim.schedule(*t, e.clone());
+/// The most snapshots [`explore`] keeps: the shallowest, so every
+/// branch has one at or above its decision, and the deepest three,
+/// where a depth-first search backtracks to almost every time.
+///
+/// A snapshot is a whole world (0.1–0.43 MB on the default matrix), and
+/// keeping one per depth (12–21) grows the heap to 2.7–10 MB. That runs
+/// 300-schedule cells no faster, and the scattered memory it leaves
+/// behind slows the next world built in the process (DESIGN.md §11).
+const SNAPSHOTS: usize = 4;
+
+/// Runs `sim` to `end` under the pausing controller `ctrl`, pushing a
+/// snapshot onto `stack` at every pause before resuming with the
+/// default choice, and dropping the second-shallowest snapshot once
+/// there are more than [`SNAPSHOTS`]; then finishes the schedule
+/// ([`finish`]).
+fn run_tail(
+    mut sim: Simulation<SystemWorld>,
+    ctrl: &Mutex<Controller>,
+    stack: &mut Vec<Snapshot>,
+    end: SimTime,
+) -> (SystemWorld, u64) {
+    loop {
+        sim.run_due(end);
+        let Some(depth) = lock(ctrl).unpause() else {
+            break;
+        };
+        stack.push(Snapshot {
+            depth,
+            sim: sim.clone(),
+        });
+        if stack.len() > SNAPSHOTS {
+            stack.remove(1);
         }
-        sim.run_until(end);
-        let events = sim.events_processed();
-        let mut world = sim.into_world();
-        world.shadow_sync();
-        (world, events)
     }
+    sim.run_until(end);
+    finish(sim)
+}
+
+/// Brings a finished schedule's shadow up to date; returns its world
+/// and the events processed since time zero (a resumed simulation
+/// carries its snapshot's count).
+fn finish(sim: Simulation<SystemWorld>) -> (SystemWorld, u64) {
+    let events = sim.events_processed();
+    let mut world = sim.into_world();
+    world.shadow_sync();
+    (world, events)
 }
 
 /// The message of a caught panic.
@@ -182,75 +258,74 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Runs one schedule: replay `prefix` on a clone of the cell's primed
-/// world, run to the end of the measurement window, audit. Returns the
-/// controller (for backtracking), the violations, and the events
-/// processed. A panic inside the schedule, or the one that stopped the
-/// cell's build (`cell` is then its message), counts as a violation of
-/// its own.
-fn run_schedule(
-    job: &ExploreConfig,
-    cell: Result<&PrimedCell, &str>,
-    prefix: Vec<usize>,
-) -> (Arc<Mutex<Controller>>, Vec<String>, u64) {
-    let ctrl = Arc::new(Mutex::new(Controller::new(prefix, job.max_depth)));
-    let queue = PermutationQueue::with_window(Arc::clone(&ctrl), job.tie_window);
-    let end = job.cfg.warmup + job.cfg.measure;
-    let outcome = cell.map_err(str::to_string).and_then(|cell| {
-        catch_unwind(AssertUnwindSafe(|| {
-            let (world, events) = cell.run_clone(queue, end);
-            (check_invariants(&world), events)
-        }))
-        .map_err(panic_message)
-    });
-    match outcome {
-        Ok((violations, events)) => (ctrl, violations, events),
-        Err(msg) => (ctrl, vec![format!("panic during schedule: {msg}")], 0),
-    }
-}
-
 /// Explores `job` depth-first until the decision tree is exhausted or
 /// `max_schedules` is reached. The cell's world is built, primed and
-/// shadow-synced once; every schedule runs on a clone of it, so a
-/// schedule pays only for its own run and its own sync.
+/// shadow-synced once; the first schedule runs on it, and each later
+/// one resumes from the snapshot taken just before the decision where
+/// it leaves the previous schedule's path, so a schedule pays only for
+/// its own tail and its own sync.
+///
+/// The snapshot stack holds at most [`SNAPSHOTS`] simulations. A branch
+/// whose decision lost its snapshot resumes from the nearest one above
+/// it and replays the recorded choices in between. A panic inside a
+/// schedule, or the one that stopped the cell's build, counts as one
+/// violation of its own; the search goes on from the controller's
+/// record and the snapshots taken before the panic.
 pub fn explore(job: &ExploreConfig) -> Exploration {
-    let mut result = Exploration {
-        label: job.label.clone(),
-        schedules: 0,
-        events: 0,
-        max_decisions: 0,
-        violations: 0,
-        sample: Vec::new(),
-        exhausted: false,
-        depth_truncated: false,
-    };
-    let cell = catch_unwind(AssertUnwindSafe(|| PrimedCell::build(job.cfg.clone())))
-        .map_err(panic_message);
-    let mut prefix = Vec::new();
+    explore_observed(job, &mut |_, _| ())
+}
+
+/// [`explore`], handing each finished schedule's world and event count
+/// to `observe` before its invariants are checked.
+fn explore_observed(
+    job: &ExploreConfig,
+    observe: &mut dyn FnMut(&mut SystemWorld, u64),
+) -> Exploration {
+    let mut result = Exploration::new(&job.label);
+    let ctrl = Arc::new(Mutex::new(Controller::pausing(job.max_depth)));
+    let queue = PermutationQueue::with_window(Arc::clone(&ctrl), job.tie_window);
+    let end = job.cfg.warmup + job.cfg.measure;
+    let mut stack: Vec<Snapshot> = Vec::new();
+    // The simulation the next schedule runs, or the violation that
+    // stands in for it.
+    let mut next = catch_unwind(AssertUnwindSafe(|| primed(job.cfg.clone(), queue)))
+        .map_err(|p| format!("panic during schedule: {}", panic_message(p)));
     loop {
-        let (ctrl, violations, events) =
-            run_schedule(job, cell.as_ref().map_err(String::as_str), prefix);
-        result.schedules += 1;
-        result.events += events;
-        result.violations += violations.len() as u64;
-        for v in violations {
-            if result.sample.len() < SAMPLE_CAP {
-                result.sample.push(format!("{}: {v}", result.label));
-            }
-        }
-        let ctrl = lock(&ctrl);
-        result.max_decisions = result.max_decisions.max(ctrl.record.len());
-        result.depth_truncated |= ctrl.depth_truncated;
+        let outcome = next.and_then(|sim| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let (mut world, events) = run_tail(sim, &ctrl, &mut stack, end);
+                observe(&mut world, events);
+                (check_invariants(&world), events)
+            }))
+            .map_err(|p| format!("panic during schedule: {}", panic_message(p)))
+        });
+        let (violations, events) = outcome.unwrap_or_else(|v| (vec![v], 0));
+        let mut ctrl = lock(&ctrl);
+        result.add(events, violations, &ctrl);
         if result.schedules >= job.max_schedules {
             break;
         }
-        match ctrl.next_prefix() {
-            Some(p) => prefix = p,
-            None => {
-                result.exhausted = true;
-                break;
-            }
-        }
+        let Some((depth, candidate)) = ctrl.next_branch() else {
+            result.exhausted = true;
+            break;
+        };
+        // Every decision with an untried candidate paused for its
+        // snapshot when it was fresh, and the shallowest snapshot is
+        // never dropped, so one lies at or above `depth`; the deeper
+        // ones are spent. The last candidate of the snapshot's own
+        // decision takes it, any other branch a copy.
+        stack.truncate(stack.partition_point(|s| s.depth <= depth));
+        let from = stack.last().map_or(0, |s| s.depth);
+        let last = ctrl.record[depth].candidates.last() == Some(&candidate);
+        let snapshot = if last && from == depth {
+            stack.pop()
+        } else {
+            stack.last().cloned()
+        };
+        next = snapshot
+            .map(|s| s.sim)
+            .ok_or_else(|| format!("no snapshot at or above decision {depth}"));
+        ctrl.resume(from, depth, candidate);
     }
     result
 }
@@ -359,49 +434,138 @@ mod tests {
         (events, check_invariants(world), shadow, report)
     }
 
-    fn queue(job: &ExploreConfig, prefix: Vec<usize>) -> PermutationQueue {
-        let ctrl = Arc::new(Mutex::new(Controller::new(prefix, job.max_depth)));
-        PermutationQueue::with_window(ctrl, job.tie_window)
+    /// What a finished short-window schedule is judged by: as
+    /// [`outcome`], with a digest of the whole world's `Debug` rendering
+    /// in place of the report. Every report field is read from the
+    /// world, but a 300 µs window is too short for the report itself: a
+    /// dispatch straddling the window's end trips the CPU ledger's 1 %
+    /// over-commitment check.
+    fn short_outcome(world: &mut SystemWorld, events: u64) -> (u64, Vec<String>, String, u64) {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let shadow = format!("{:?}", world.shadow().map(|s| s.violations()));
+        let mut h = DefaultHasher::new();
+        format!("{world:?}").hash(&mut h);
+        (events, check_invariants(world), shadow, h.finish())
     }
 
-    /// Two schedules on clones of one primed cell and one on a freshly
-    /// built world agree, and leave the cell as it was: a `Clone` that
-    /// shared state between copies would fail here.
+    fn queue(job: &ExploreConfig, ctrl: &Arc<Mutex<Controller>>) -> PermutationQueue {
+        PermutationQueue::with_window(Arc::clone(ctrl), job.tie_window)
+    }
+
+    /// Replays the schedule `prefix` names from time zero, on a clone of
+    /// the `primed` simulation whose queue answers to `ctrl`; returns
+    /// the finished world and its events. The oracle resumed schedules
+    /// are tested against.
+    fn run_clone(
+        primed: &Simulation<SystemWorld>,
+        ctrl: &Mutex<Controller>,
+        prefix: Vec<usize>,
+        job: &ExploreConfig,
+    ) -> (SystemWorld, u64) {
+        *lock(ctrl) = Controller::new(prefix, job.max_depth);
+        let mut sim = primed.clone();
+        sim.run_until(job.cfg.warmup + job.cfg.measure);
+        finish(sim)
+    }
+
+    /// [`explore`] as it ran before snapshots: every schedule replays
+    /// its whole prefix on a fresh clone of the primed simulation from
+    /// time zero.
+    fn explore_by_replay(
+        job: &ExploreConfig,
+        observe: &mut dyn FnMut(&mut SystemWorld, u64),
+    ) -> Exploration {
+        let mut result = Exploration::new(&job.label);
+        let ctrl = Arc::new(Mutex::new(Controller::default()));
+        let primed = primed(job.cfg.clone(), queue(job, &ctrl));
+        let mut prefix = Vec::new();
+        loop {
+            let (mut world, events) = run_clone(&primed, &ctrl, prefix, job);
+            observe(&mut world, events);
+            let ctrl = lock(&ctrl);
+            result.add(events, check_invariants(&world), &ctrl);
+            if result.schedules >= job.max_schedules {
+                break;
+            }
+            match ctrl.next_prefix() {
+                Some(p) => prefix = p,
+                None => {
+                    result.exhausted = true;
+                    break;
+                }
+            }
+        }
+        result
+    }
+
+    /// Every schedule resumed from a snapshot ends exactly like the same
+    /// schedule replayed from time zero: same events, invariants, shadow
+    /// violations and report, in the same order, and the same
+    /// exploration totals. A resume that kept a stale record or cursor
+    /// would fork a different tree or force the wrong pick.
+    #[test]
+    fn resumed_schedules_match_schedules_replayed_from_time_zero() {
+        let mut jobs = default_matrix(300, 200, 64, 2000);
+        let mut shallow = jobs[1].clone();
+        shallow.label.push_str("/depth3");
+        shallow.max_depth = 3;
+        jobs.push(shallow);
+        let (mut forked, mut truncated) = (0, 0);
+        for job in jobs {
+            let (mut resumed, mut replayed) = (Vec::new(), Vec::new());
+            let got = explore_observed(&job, &mut |w, e| resumed.push(short_outcome(w, e)));
+            let want = explore_by_replay(&job, &mut |w, e| replayed.push(short_outcome(w, e)));
+            assert_eq!(resumed.len(), replayed.len(), "{}", job.label);
+            for (n, (r, p)) in resumed.iter().zip(&replayed).enumerate() {
+                assert_eq!(r, p, "{} schedule {n}", job.label);
+            }
+            assert_eq!(got, want);
+            forked += usize::from(got.schedules > 1);
+            truncated += usize::from(got.depth_truncated && job.max_depth == 3);
+        }
+        // At 300 µs the Xen tx cells have no decision and the CDNA tx
+        // cells two; every other cell forks.
+        assert_eq!(forked, 7, "cells that took a second branch");
+        assert_eq!(truncated, 1, "the depth-3 cell was not truncated");
+    }
+
+    /// Two schedules on clones of one primed simulation and one on a
+    /// freshly built world agree, and leave the primed simulation as it
+    /// was: a `Clone` that shared state between copies would fail here.
     #[test]
     fn clones_of_a_primed_cell_run_like_a_freshly_built_world() {
         // Windows long enough for a report: a dispatch that straddles
         // the window's end must stay within the ledger's 1 % tolerance.
         let mut forked = 0;
         for job in default_matrix(30_000, 2, 64, 2000) {
-            let cell = PrimedCell::build(job.cfg.clone());
-            let before = format!("{:?}", (&cell.world, &cell.events));
-            let end = job.cfg.warmup + job.cfg.measure;
+            let ctrl = Arc::new(Mutex::new(Controller::default()));
+            let primed = primed(job.cfg.clone(), queue(&job, &ctrl));
+            let before = format!("{primed:?}");
             // A prefix that takes a second branch, where the tree has one.
-            let (ctrl, _, _) = run_schedule(&job, Ok(&cell), Vec::new());
+            run_clone(&primed, &ctrl, Vec::new(), &job);
             let prefix = lock(&ctrl).next_prefix().unwrap_or_default();
             forked += usize::from(!prefix.is_empty());
 
             // The same build-time sync as the cell's, so even the
             // shadow's event count must agree.
+            let fresh_ctrl = Arc::new(Mutex::new(Controller::new(prefix.clone(), job.max_depth)));
             let mut fresh = Simulation::with_event_queue(
                 SystemWorld::build(job.cfg.clone()),
-                Box::new(queue(&job, prefix.clone())),
+                queue(&job, &fresh_ctrl),
             );
             for (t, e) in fresh.world_mut().prime() {
                 fresh.schedule(t, e);
             }
             fresh.world_mut().shadow_sync();
-            fresh.run_until(end);
-            let events = fresh.events_processed();
-            let mut world = fresh.into_world();
-            world.shadow_sync();
+            fresh.run_until(job.cfg.warmup + job.cfg.measure);
+            let (mut world, events) = finish(fresh);
             let want = outcome(&mut world, events);
 
             for _ in 0..2 {
-                let (mut world, events) = cell.run_clone(queue(&job, prefix.clone()), end);
+                let (mut world, events) = run_clone(&primed, &ctrl, prefix.clone(), &job);
                 assert_eq!(outcome(&mut world, events), want, "{}", job.label);
             }
-            assert_eq!(format!("{:?}", (&cell.world, &cell.events)), before);
+            assert_eq!(format!("{primed:?}"), before);
         }
         assert!(forked > 0, "no cell took a second branch");
     }

@@ -16,11 +16,21 @@
 //!   same-timestamp tie, asks a [`queue::Controller`] which event to
 //!   deliver first;
 //! * the controller replays a recorded *prefix* of choices and then
-//!   takes the first untried branch — stateless depth-first search in
-//!   the style of stateless model checkers (VeriSoft, dporDPOR): each
-//!   cell's world is built with [`cdna_system::SystemWorld::build`],
-//!   primed and shadow-synced once, and every schedule runs the *real*
-//!   engine on a deep clone of it, so no state snapshotting is needed;
+//!   takes the first untried branch — the depth-first search of
+//!   stateless model checkers (VeriSoft, DPOR), run on the *real*
+//!   engine but not restarted from time zero (next point). Each cell's
+//!   world is built with
+//!   [`cdna_system::SystemWorld::build`], primed and shadow-synced
+//!   once, and its first schedule runs on a deep clone of it;
+//! * the controller also pauses the queue before every fresh decision,
+//!   and [`explore`] snapshots the whole simulation there, keeping a
+//!   few snapshots on a stack. The next schedule leaves the current
+//!   one's path at its deepest decision with an untried candidate, so
+//!   it resumes from the snapshot at (or nearest above) that decision
+//!   with the candidate forced ([`queue::Controller::resume`]) and
+//!   simulates only the tail. Resumed schedules end exactly as
+//!   schedules replayed from time zero do, which the crate's tests
+//!   check schedule by schedule;
 //! * commutative tie pairs are pruned sleep-set style: two events
 //!   scoped to different NICs are treated as independent, so only
 //!   orderings that permute *dependent* events (same NIC, or global

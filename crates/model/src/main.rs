@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! cdna-model [--out report.json] [--window-us N] [--per-config N]
-//!            [--max-depth N] [--jobs N]
+//!            [--max-depth N] [--tie-window-ns N] [--jobs N]
 //!            [--mutation NAME [--expect-caught]]
 //! ```
 //!
@@ -18,9 +18,13 @@
 //! With `--expect-caught` every configuration runs, and the report
 //! ends at the first one that caught the mutation.
 //!
-//! `--window-us`, `--per-config` and `--max-depth` must be positive: a
-//! zero window, schedule budget or decision depth explores nothing
-//! (beyond the default schedule) and would report clean.
+//! `--tie-window-ns N` (default 2000) treats pending events within `N`
+//! ns of the earliest as tied; 0 forks exact ties only.
+//!
+//! `--window-us`, `--per-config`, `--max-depth` and `--jobs` must be
+//! positive: a zero window, schedule budget or decision depth explores
+//! nothing (beyond the default schedule) and would report clean, and
+//! zero workers run nothing.
 //!
 //! Exit status: 0 on a clean exploration (or, with `--expect-caught`,
 //! when the seeded mutation WAS caught); 1 when an invariant is
@@ -100,7 +104,7 @@ fn parse_args() -> Options {
             "--tie-window-ns" => {
                 opts.tie_window_ns = value("--tie-window-ns").parse().unwrap_or_else(|_| usage())
             }
-            "--jobs" => opts.jobs = Some(value("--jobs").parse().unwrap_or_else(|_| usage())),
+            "--jobs" => opts.jobs = Some(positive(value("--jobs")) as usize),
             "--mutation" => {
                 let name = value("--mutation");
                 match MutationKind::parse(&name) {

@@ -5,7 +5,11 @@
 //! events tied at the minimum timestamp goes first. Replaying a recorded
 //! prefix of picks reproduces a schedule exactly (the simulation is
 //! otherwise deterministic); diverging at the deepest unexplored branch
-//! enumerates all schedules depth-first.
+//! enumerates all schedules depth-first. A pausing controller
+//! ([`Controller::pausing`]) also stops the queue before every fresh
+//! decision, so the explorer can snapshot the simulation there and
+//! later resume from it with another candidate forced
+//! ([`Controller::resume`]).
 
 #![expect(
     clippy::disallowed_types,
@@ -77,6 +81,11 @@ pub struct Controller {
     max_depth: usize,
     /// Whether the depth bound suppressed at least one decision.
     pub depth_truncated: bool,
+    /// Whether to pause before each fresh decision below `max_depth`.
+    pauses: bool,
+    /// Whether the queue is paused before the fresh decision at depth
+    /// `record.len()`.
+    paused: bool,
 }
 
 impl Controller {
@@ -85,47 +94,91 @@ impl Controller {
     pub fn new(prefix: Vec<usize>, max_depth: usize) -> Self {
         Controller {
             prefix,
-            cursor: 0,
-            record: Vec::new(),
             max_depth,
-            depth_truncated: false,
+            ..Controller::default()
+        }
+    }
+
+    /// A controller with an empty prefix that pauses the queue before
+    /// every fresh decision below `max_depth`: the pop that would take
+    /// it yields nothing, until [`Controller::unpause`] pins the
+    /// default choice.
+    pub fn pausing(max_depth: usize) -> Self {
+        Controller {
+            pauses: true,
+            ..Controller::new(Vec::new(), max_depth)
         }
     }
 
     /// Picks a tie-set member from `candidates` (ascending, non-empty,
     /// first element 0): the replayed prefix choice while one remains,
-    /// the first candidate otherwise.
-    pub fn choose(&mut self, candidates: Vec<usize>) -> usize {
+    /// the first candidate otherwise. `None` pauses a pausing controller
+    /// before a fresh decision; nothing is recorded then.
+    pub fn choose(&mut self, candidates: Vec<usize>) -> Option<usize> {
         if self.record.len() >= self.max_depth {
             self.depth_truncated = true;
-            return candidates[0];
+            return Some(candidates[0]);
         }
         let chosen = if self.cursor < self.prefix.len() {
             self.prefix[self.cursor]
+        } else if self.pauses {
+            self.paused = true;
+            return None;
         } else {
             candidates[0]
         };
         self.cursor += 1;
         self.record.push(Decision { chosen, candidates });
-        chosen
+        Some(chosen)
     }
 
-    /// The prefix for the next unexplored schedule: backtracks to the
-    /// deepest decision with an untried candidate after `chosen`.
-    /// `None` when the bounded tree is exhausted.
-    pub fn next_prefix(&self) -> Option<Vec<usize>> {
-        for d in (0..self.record.len()).rev() {
-            let dec = &self.record[d];
-            let pos = dec.candidates.iter().position(|&c| c == dec.chosen);
-            if let Some(pos) = pos {
-                if pos + 1 < dec.candidates.len() {
-                    let mut p: Vec<usize> = self.record[..d].iter().map(|x| x.chosen).collect();
-                    p.push(dec.candidates[pos + 1]);
-                    return Some(p);
-                }
-            }
+    /// Ends a pause: pins the default choice into the prefix, so the
+    /// next pop takes it, and returns the depth of the decision the
+    /// queue paused before. `None` when the queue is not paused.
+    pub fn unpause(&mut self) -> Option<usize> {
+        if !std::mem::take(&mut self.paused) {
+            return None;
         }
-        None
+        self.prefix.push(0);
+        Some(self.record.len())
+    }
+
+    /// Restores the controller for a simulation snapshotted just before
+    /// decision `from`, to run the branch that forces `candidate` at
+    /// decision `depth` (`from <= depth`): the record is cut back to its
+    /// first `from` decisions, and the prefix replays the recorded
+    /// choices up to `depth`, then `candidate`, from cursor `from`. The
+    /// snapshot then resumes as the schedule
+    /// [`Controller::next_branch`] named.
+    pub fn resume(&mut self, from: usize, depth: usize, candidate: usize) {
+        self.prefix.clear();
+        self.prefix
+            .extend(self.record[..depth].iter().map(|d| d.chosen));
+        self.prefix.push(candidate);
+        self.record.truncate(from);
+        self.cursor = from;
+        self.paused = false;
+        self.depth_truncated = false;
+    }
+
+    /// The next unexplored branch, as `(depth, candidate)`: the deepest
+    /// decision with an untried candidate after `chosen`, and that
+    /// candidate. `None` when the bounded tree is exhausted.
+    pub fn next_branch(&self) -> Option<(usize, usize)> {
+        self.record.iter().enumerate().rev().find_map(|(d, dec)| {
+            let pos = dec.candidates.iter().position(|&c| c == dec.chosen)?;
+            dec.candidates.get(pos + 1).map(|&c| (d, c))
+        })
+    }
+
+    /// The prefix for the next unexplored schedule
+    /// ([`Controller::next_branch`]) when it is replayed from time
+    /// zero. `None` when the bounded tree is exhausted.
+    pub fn next_prefix(&self) -> Option<Vec<usize>> {
+        let (d, c) = self.next_branch()?;
+        let mut p: Vec<usize> = self.record[..d].iter().map(|x| x.chosen).collect();
+        p.push(c);
+        Some(p)
     }
 }
 
@@ -144,7 +197,10 @@ impl Controller {
 /// delivered out of raw-time order are lifted to the latest time
 /// already delivered, so the engine's clock-monotonicity invariant
 /// holds for every schedule.
-#[derive(Debug)]
+///
+/// A clone copies the pending events and shares the controller: every
+/// snapshot of one exploration answers to the same [`Controller`].
+#[derive(Debug, Clone)]
 pub struct PermutationQueue {
     pending: VecDeque<(SimTime, u64, Event)>,
     ctrl: Arc<Mutex<Controller>>,
@@ -197,10 +253,11 @@ impl PermutationQueue {
 }
 
 /// Index (into `tie`) of the event to deliver next, consulting the
-/// controller when the tie set has more than one explorable member.
-fn pick(tie: &[(SimTime, u64, Event)], ctrl: &Mutex<Controller>) -> usize {
+/// controller when the tie set has more than one explorable member;
+/// `None` while the controller pauses.
+fn pick(tie: &[(SimTime, u64, Event)], ctrl: &Mutex<Controller>) -> Option<usize> {
     if tie.len() <= 1 {
-        return 0;
+        return Some(0);
     }
     // Sleep-set pruning: candidate j is explorable iff it is the
     // default (j == 0) or it conflicts with some event before it in
@@ -215,7 +272,7 @@ fn pick(tie: &[(SimTime, u64, Event)], ctrl: &Mutex<Controller>) -> usize {
         .filter(|&(j, (_, _, b))| tie[..j].iter().any(|(_, _, a)| dependent(a, b)))
         .map(|(j, _)| j);
     let Some(second) = explorable.next() else {
-        return 0;
+        return Some(0);
     };
     let mut candidates = vec![0, second];
     candidates.extend(explorable);
@@ -248,7 +305,7 @@ impl EventQueue<Event> for PermutationQueue {
         if tie == 0 {
             return None;
         }
-        let idx = pick(&self.pending.as_slices().0[..tie], &self.ctrl);
+        let idx = pick(&self.pending.as_slices().0[..tie], &self.ctrl)?;
         let (at, seq, event) = if idx == 0 {
             self.pending.pop_front()
         } else {
@@ -379,6 +436,47 @@ mod tests {
             }
             assert!(popped > 1000, "seed {seed}: {popped} pops");
         }
+    }
+
+    #[test]
+    fn a_pausing_controller_stops_before_fresh_decisions_and_resumes_a_branch() {
+        let seqs = |q: &mut PermutationQueue| {
+            std::iter::from_fn(|| q.pop().map(|(_, seq, _)| seq)).collect::<Vec<_>>()
+        };
+        let c = Arc::new(Mutex::new(Controller::pausing(64)));
+        let mut q = PermutationQueue::new(Arc::clone(&c));
+        for seq in 0..3 {
+            q.push(SimTime::from_ns(5), seq, nic_event(0));
+        }
+        assert_eq!(seqs(&mut q), Vec::<u64>::new(), "paused before decision 0");
+        assert_eq!(q.len(), 3, "a pause delivers nothing");
+        assert_eq!(lock(&c).unpause(), Some(0));
+        assert_eq!(lock(&c).unpause(), None, "one pause, one unpause");
+        let snapshot = q.clone();
+        assert_eq!(seqs(&mut q), vec![0], "default pick, then paused");
+        assert_eq!(lock(&c).unpause(), Some(1));
+        assert_eq!(seqs(&mut q), vec![1, 2]);
+        assert_eq!(lock(&c).next_branch(), Some((1, 1)));
+
+        // Back to decision 0 with its last candidate forced.
+        lock(&c).resume(0, 0, 2);
+        let mut q = snapshot.clone();
+        assert_eq!(seqs(&mut q), vec![2], "forced pick, then paused");
+        assert_eq!(lock(&c).unpause(), Some(1));
+        assert_eq!(seqs(&mut q), vec![0, 1]);
+        let chosen = |c: &Mutex<Controller>| -> Vec<usize> {
+            lock(c).record.iter().map(|d| d.chosen).collect()
+        };
+        assert_eq!(chosen(&c), vec![2, 0]);
+        assert_eq!(lock(&c).next_branch(), Some((1, 1)));
+
+        // Decision 1's last candidate, from the snapshot before
+        // decision 0: the recorded pick there is replayed first.
+        lock(&c).resume(0, 1, 1);
+        let mut q = snapshot;
+        assert_eq!(seqs(&mut q), vec![2, 1, 0], "replayed, forced, no pause");
+        assert_eq!(chosen(&c), vec![2, 1]);
+        assert_eq!(lock(&c).next_branch(), None, "tree exhausted");
     }
 
     #[test]

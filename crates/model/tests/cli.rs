@@ -1,6 +1,6 @@
-//! Bad command lines fail fast: a malformed or zero bound, an unknown
-//! flag or mutation, or a flag missing its value exits 2 with a usage
-//! line, before any schedule runs.
+//! Bad command lines fail fast: a malformed or zero bound or worker
+//! count, an unknown flag or mutation, or a flag missing its value
+//! exits 2 with a usage line, before any schedule runs.
 
 use std::process::Command;
 
@@ -24,6 +24,7 @@ fn bad_arguments_exit_2_with_usage() {
         &["--max-depth", "0"],
         &["--per-config"],
         &["--jobs", "zero"],
+        &["--jobs", "0"],
         &["--mutation", "no-such-mutation"],
         &["--expect-caught"],
         &["--bogus"],

@@ -24,6 +24,10 @@ pub trait World {
 /// (FIFO), which keeps runs deterministic. The backing store is the
 /// [`crate::queue::TimerWheel`] unless the simulation was built with
 /// [`Simulation::with_event_queue`].
+///
+/// A clone deep-copies the pending queue and carries `next_seq`, so it
+/// numbers its next event exactly as the original would; it drops the
+/// tracer (see [`Simulation`]'s `Clone`).
 #[derive(Debug)]
 pub struct Scheduler<E> {
     queue: QueueImpl<E>,
@@ -86,15 +90,45 @@ impl<E> Scheduler<E> {
     }
 }
 
+impl<E: Clone> Clone for Scheduler<E> {
+    fn clone(&self) -> Self {
+        Scheduler {
+            queue: self.queue.clone(),
+            next_seq: self.next_seq,
+            tracer: None,
+        }
+    }
+}
+
 /// A world plus its event queue and clock.
 ///
 /// See the crate-level documentation for a runnable example.
+///
+/// A simulation whose world and events are `Clone` is itself `Clone`:
+/// the copy carries the clock, the processed-event count, the next
+/// sequence number and a deep copy of the pending queue, so run on
+/// alone it delivers exactly what the original would have. It starts
+/// without a tracer; a tracer attached to the original stays there.
 #[derive(Debug)]
 pub struct Simulation<W: World> {
     world: W,
     sched: Scheduler<W::Event>,
     now: SimTime,
     processed: u64,
+}
+
+impl<W: World + Clone> Clone for Simulation<W>
+where
+    W::Event: Clone,
+{
+    fn clone(&self) -> Self {
+        Simulation {
+            world: self.world.clone(),
+            sched: self.sched.clone(),
+            now: self.now,
+            processed: self.processed,
+        }
+    }
 }
 
 impl<W: World> Simulation<W> {
@@ -122,16 +156,20 @@ impl<W: World> Simulation<W> {
     /// the `cdna-model` schedule explorer exploits exactly that freedom
     /// to enumerate tie-break interleavings of one logical run.
     ///
-    /// The queue must also be `Send`: worker pools move whole
-    /// simulations between threads. Rustc enforces this, and the
-    /// workspace forbids `unsafe`, so no `unsafe impl Send` can waive
-    /// it. A queue that shares state through an `Arc` is accepted:
+    /// The queue is taken by value and must be `Clone`, so the
+    /// simulation can be cloned mid-run: `cdna-model` snapshots one
+    /// before each schedule decision and resumes from it. It must also
+    /// be `Send`: worker pools move whole simulations between threads.
+    /// Rustc enforces this, and the workspace forbids `unsafe`, so no
+    /// `unsafe impl Send` can waive it. A queue that shares state
+    /// through an `Arc` is accepted:
     ///
     /// ```
     /// use cdna_sim::queue::HeapQueue;
     /// use cdna_sim::{EventQueue, Scheduler, SimTime, Simulation, World};
     /// use std::sync::Arc;
     ///
+    /// #[derive(Clone)]
     /// struct Shared {
     ///     inner: HeapQueue<u32>,
     ///     _tag: Arc<()>,
@@ -159,7 +197,7 @@ impl<W: World> Simulation<W> {
     /// }
     ///
     /// let queue = Shared { inner: HeapQueue::new(), _tag: Arc::new(()) };
-    /// let mut sim = Simulation::with_event_queue(Idle, Box::new(queue));
+    /// let mut sim = Simulation::with_event_queue(Idle, queue);
     /// sim.schedule(SimTime::ZERO, 1);
     /// sim.run_until(SimTime::from_us(1));
     /// assert_eq!(sim.events_processed(), 1);
@@ -173,6 +211,7 @@ impl<W: World> Simulation<W> {
     /// use cdna_sim::{EventQueue, Scheduler, SimTime, Simulation, World};
     /// use std::rc::Rc;
     ///
+    /// #[derive(Clone)]
     /// struct Shared {
     ///     inner: HeapQueue<u32>,
     ///     _tag: Rc<()>,
@@ -200,15 +239,18 @@ impl<W: World> Simulation<W> {
     /// }
     ///
     /// let queue = Shared { inner: HeapQueue::new(), _tag: Rc::new(()) };
-    /// let mut sim = Simulation::with_event_queue(Idle, Box::new(queue));
+    /// let mut sim = Simulation::with_event_queue(Idle, queue);
     /// sim.schedule(SimTime::ZERO, 1);
     /// sim.run_until(SimTime::from_us(1));
     /// assert_eq!(sim.events_processed(), 1);
     /// ```
-    pub fn with_event_queue(world: W, queue: Box<dyn EventQueue<W::Event> + Send>) -> Self {
+    pub fn with_event_queue(
+        world: W,
+        queue: impl EventQueue<W::Event> + Clone + Send + 'static,
+    ) -> Self {
         Simulation {
             world,
-            sched: Scheduler::from_impl(QueueImpl::Custom(queue)),
+            sched: Scheduler::from_impl(QueueImpl::Custom(Box::new(queue))),
             now: SimTime::ZERO,
             processed: 0,
         }
@@ -281,15 +323,19 @@ impl<W: World> Simulation<W> {
         }
     }
 
-    /// Runs until the queue is empty or the next event lies strictly after
-    /// `deadline`; the clock is then advanced to `deadline`.
+    /// Runs events until the queue yields none due at or before
+    /// `deadline`, and leaves the clock at the last event delivered.
     ///
     /// Each iteration pops with the deadline check folded in
-    /// ([`crate::queue::EventQueue::pop_due`]) instead of the old
-    /// peek-then-pop double queue access.
+    /// ([`crate::queue::EventQueue::pop_due`]) instead of a peek-then-pop
+    /// double queue access. A queue may also yield nothing while events
+    /// are still due: `cdna-model`'s queue pauses before each fresh
+    /// schedule decision, so the explorer can snapshot the simulation
+    /// and then call this again.
     ///
     /// Returns the number of events processed by this call.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
+    #[inline]
+    pub fn run_due(&mut self, deadline: SimTime) -> u64 {
         let before = self.processed;
         while let Some((at, _seq, event)) = self.sched.pop_due(deadline) {
             debug_assert!(at >= self.now, "event queue went backwards");
@@ -297,8 +343,23 @@ impl<W: World> Simulation<W> {
             self.processed += 1;
             self.world.handle(self.now, event, &mut self.sched);
         }
-        self.now = self.now.max(deadline);
         self.processed - before
+    }
+
+    /// Runs until the queue is empty or the next event lies strictly after
+    /// `deadline` ([`Simulation::run_due`]); the clock is then advanced to
+    /// `deadline`.
+    ///
+    /// Returns the number of events processed by this call.
+    ///
+    /// Out of line on purpose: the host workloads spend their time in
+    /// this loop, and inlining it into each caller changes their
+    /// codegen.
+    #[inline(never)]
+    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
+        let n = self.run_due(deadline);
+        self.now = self.now.max(deadline);
+        n
     }
 
     /// Runs until the event queue drains completely.
@@ -390,10 +451,8 @@ mod tests {
     #[test]
     fn both_queue_kinds_run_the_same_simulation() {
         let wheel = Simulation::with_queue(Recorder::default(), QueueKind::TimerWheel);
-        let heap = Simulation::with_event_queue(
-            Recorder::default(),
-            Box::new(crate::queue::HeapQueue::new()),
-        );
+        let heap =
+            Simulation::with_event_queue(Recorder::default(), crate::queue::HeapQueue::new());
         for (name, mut sim) in [("wheel", wheel), ("heap", heap)] {
             sim.schedule(SimTime::from_us(30), 3);
             sim.schedule(SimTime::from_us(10), 1);

@@ -72,7 +72,7 @@ const OCC_WORDS: usize = WHEEL_SLOTS / 64;
 
 /// A pending event: absolute time plus the tie-breaking sequence number
 /// assigned at schedule time.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Queued<E> {
     at: SimTime,
     seq: u64,
@@ -128,7 +128,7 @@ pub trait EventQueue<E> {
 
 /// One global binary heap ordered by `(time, seq)`: the queue the wheel
 /// replaced, kept as the differential tests' reference oracle.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Reverse<Queued<E>>>,
 }
@@ -178,7 +178,7 @@ impl<E> EventQueue<E> for HeapQueue<E> {
 
 /// Hierarchical timer wheel (see the module docs for the determinism
 /// argument).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TimerWheel<E> {
     /// Events of the active epoch, sorted descending by `(time, seq)`
     /// so the minimum pops off the end.
@@ -381,10 +381,33 @@ impl QueueKind {
 /// The custom box is `Send` so that a `Simulation` over a `Send` world
 /// is itself `Send` regardless of queue kind — `cdna-rack` hands each
 /// worker's slice of per-host simulations to the barrier and back over
-/// a [`crate::par`] channel every epoch.
+/// a [`crate::par`] channel every epoch. It is cloned through
+/// [`CustomQueue::clone_box`], so a simulation on either variant can be
+/// snapshotted mid-run.
 pub(crate) enum QueueImpl<E> {
     Wheel(TimerWheel<E>),
-    Custom(Box<dyn EventQueue<E> + Send>),
+    Custom(Box<dyn CustomQueue<E>>),
+}
+
+/// A caller-supplied queue behind the `Custom` box: any `Clone + Send`
+/// [`EventQueue`], cloned into a fresh box.
+pub(crate) trait CustomQueue<E>: EventQueue<E> + Send {
+    fn clone_box(&self) -> Box<dyn CustomQueue<E>>;
+}
+
+impl<E, Q: EventQueue<E> + Clone + Send + 'static> CustomQueue<E> for Q {
+    fn clone_box(&self) -> Box<dyn CustomQueue<E>> {
+        Box::new(self.clone())
+    }
+}
+
+impl<E: Clone> Clone for QueueImpl<E> {
+    fn clone(&self) -> Self {
+        match self {
+            QueueImpl::Wheel(q) => QueueImpl::Wheel(q.clone()),
+            QueueImpl::Custom(q) => QueueImpl::Custom(q.clone_box()),
+        }
+    }
 }
 
 impl<E: std::fmt::Debug> std::fmt::Debug for QueueImpl<E> {

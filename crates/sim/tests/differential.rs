@@ -111,6 +111,7 @@ fn queues_agree_on_pop_due_deadlines_inside_buckets() {
 
 /// A world that records every delivery and schedules random follow-ups,
 /// including zero-delay self-chains, from its own deterministic RNG.
+#[derive(Clone)]
 struct Chaos {
     rng: SimRng,
     seen: Vec<(SimTime, u32)>,
@@ -136,50 +137,95 @@ impl World for Chaos {
     }
 }
 
-fn run_chaos(
-    seed: u64,
-    with_queue: fn(Chaos) -> Simulation<Chaos>,
-) -> (Vec<(SimTime, u32)>, SimTime, u64) {
-    let world = Chaos {
-        rng: SimRng::seed_from(seed),
-        seen: Vec::new(),
-        budget: 300,
-        next_id: 1_000_000,
-    };
-    let mut sim = with_queue(world);
-    let mut rng = SimRng::seed_from(!seed);
-    // Seed primordial events, with equal-time bursts.
-    let mut t = 0u64;
-    for i in 0..20u32 {
-        t += random_delay(&mut rng) / 4;
-        let at = SimTime::from_ns(t);
-        sim.schedule(at, i);
-        if rng.chance(0.3) {
-            sim.schedule(at, i + 100);
-        }
-    }
-    // Run through a staircase of deadlines landing inside buckets, then
-    // drain whatever is left.
-    let mut deadline = 0u64;
-    for _ in 0..40 {
-        deadline += rng.range_u64(1..EPOCH_NS * 5);
-        sim.run_until(SimTime::from_ns(deadline));
-    }
+/// What a finished chaos run is judged by: every delivery with its
+/// time, the final clock, and the events processed.
+type ChaosRun = (Vec<(SimTime, u32)>, SimTime, u64);
+
+fn finish_chaos(mut sim: Simulation<Chaos>) -> ChaosRun {
     sim.run_to_completion();
     let processed = sim.events_processed();
     let now = sim.now();
     (sim.into_world().seen, now, processed)
 }
 
+/// Builds a chaos simulation on one queue.
+type WithQueue = fn(Chaos) -> Simulation<Chaos>;
+
+/// Runs seed `seed`'s chaos schedule on the simulation `with_queue`
+/// builds. With `fork_at = Some(k)` the simulation is cloned before the
+/// `k`-th of its 40 deadlines and both copies run on, step by step;
+/// the runs of the original and the clone are returned in that order.
+fn run_chaos(seed: u64, with_queue: WithQueue, fork_at: Option<usize>) -> Vec<ChaosRun> {
+    let world = Chaos {
+        rng: SimRng::seed_from(seed),
+        seen: Vec::new(),
+        budget: 300,
+        next_id: 1_000_000,
+    };
+    let mut sims = vec![with_queue(world)];
+    let mut rng = SimRng::seed_from(!seed);
+    // Seed primordial events, with equal-time bursts.
+    let mut t = 0u64;
+    for i in 0..20u32 {
+        t += random_delay(&mut rng) / 4;
+        let at = SimTime::from_ns(t);
+        sims[0].schedule(at, i);
+        if rng.chance(0.3) {
+            sims[0].schedule(at, i + 100);
+        }
+    }
+    // Run through a staircase of deadlines landing inside buckets, then
+    // drain whatever is left.
+    let mut deadline = 0u64;
+    for step in 0..40 {
+        if fork_at == Some(step) {
+            let clone = sims[0].clone();
+            assert_eq!(
+                (clone.now(), clone.events_processed()),
+                (sims[0].now(), sims[0].events_processed()),
+                "seed {seed}: a clone starts where its original is"
+            );
+            sims.push(clone);
+        }
+        deadline += rng.range_u64(1..EPOCH_NS * 5);
+        for sim in &mut sims {
+            sim.run_until(SimTime::from_ns(deadline));
+        }
+    }
+    sims.into_iter().map(finish_chaos).collect()
+}
+
+fn heap_sim(w: Chaos) -> Simulation<Chaos> {
+    Simulation::with_event_queue(w, HeapQueue::new())
+}
+
 #[test]
 fn simulations_agree_between_heap_and_wheel() {
     for seed in 0..100u64 {
-        let (seen_h, now_h, n_h) = run_chaos(seed, |w| {
-            Simulation::with_event_queue(w, Box::new(HeapQueue::new()))
-        });
-        let (seen_w, now_w, n_w) = run_chaos(seed, Simulation::new);
+        let (seen_h, now_h, n_h) = run_chaos(seed, heap_sim, None).remove(0);
+        let (seen_w, now_w, n_w) = run_chaos(seed, Simulation::new, None).remove(0);
         assert_eq!(n_h, n_w, "seed {seed}: events processed diverged");
         assert_eq!(now_h, now_w, "seed {seed}: final clock diverged");
         assert_eq!(seen_h, seen_w, "seed {seed}: delivery order diverged");
+    }
+}
+
+/// A simulation cloned mid-run, on either queue, finishes exactly like
+/// its original and like a run that was never cloned: the clone carries
+/// the clock, the processed count, the pending events and the next
+/// sequence number, so even its zero-delay follow-ups tie-break as the
+/// original's do.
+#[test]
+fn a_clone_taken_mid_run_finishes_like_the_original() {
+    let queues: [(&str, WithQueue); 2] = [("wheel", Simulation::new), ("heap", heap_sim)];
+    for (name, with_queue) in queues {
+        for seed in 0..100u64 {
+            let want = run_chaos(seed, with_queue, None);
+            let fork_at = (seed % 40) as usize;
+            let got = run_chaos(seed, with_queue, Some(fork_at));
+            assert_eq!(got.len(), 2);
+            assert_eq!(got[0], want[0], "{name} seed {seed}: the original diverged");
+            assert_eq!(got[1], want[0], "{name} seed {seed}: the clone diverged");
+        }
     }
 }

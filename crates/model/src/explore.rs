@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 
 use cdna_core::{DmaPolicy, FaultKind};
 use cdna_sim::{par, SimTime, Simulation};
-use cdna_system::{Direction, IoModel, NicKind, SystemWorld, TestbedConfig};
+use cdna_system::{Direction, Event, IoModel, NicKind, SystemWorld, TestbedConfig};
 
 use crate::queue::{lock, Controller, PermutationQueue};
 
@@ -173,20 +173,28 @@ pub fn check_invariants(world: &SystemWorld) -> Vec<String> {
     out
 }
 
-/// A cell's primed simulation: its world built, primed and
-/// shadow-synced once, with the primed events enqueued under `queue`.
+/// A cell's world built, primed and shadow-synced once, with the events
+/// priming scheduled.
 ///
 /// Everything a schedule would otherwise redo identically is paid here.
 /// The build-time sync seeds the DMA shadow's page mirror with every
 /// buffer the drivers posted while priming, so each schedule's
-/// `StopMeasure` sync folds only the pins and reaps of its own run. The
-/// cell's first schedule runs on this simulation itself, and every later
-/// one on a snapshot taken along an earlier schedule's path, so the
-/// primed world is never copied.
-fn primed(cfg: TestbedConfig, queue: PermutationQueue) -> Simulation<SystemWorld> {
+/// `StopMeasure` sync folds only the pins and reaps of its own run.
+fn prime(cfg: TestbedConfig) -> (SystemWorld, Vec<(SimTime, Event)>) {
     let mut world = SystemWorld::build(cfg);
     let events = world.prime();
     world.shadow_sync();
+    (world, events)
+}
+
+/// A cell's primed simulation: the [`prime`]d world with its events
+/// enqueued under `queue`. The cell's first schedule runs on this
+/// simulation itself, and every later one on a snapshot taken along an
+/// earlier schedule's path, so the primed world is never copied.
+fn primed(
+    (world, events): (SystemWorld, Vec<(SimTime, Event)>),
+    queue: PermutationQueue,
+) -> Simulation<SystemWorld> {
     let mut sim = Simulation::with_event_queue(world, queue);
     for (t, e) in events {
         sim.schedule(t, e);
@@ -202,14 +210,15 @@ struct Snapshot {
 }
 
 /// The most snapshots [`explore`] keeps: the shallowest, so every
-/// branch has one at or above its decision, and the deepest three,
+/// branch has one at or above its decision, and the deepest seven,
 /// where a depth-first search backtracks to almost every time.
 ///
-/// A snapshot is a whole world (0.1–0.43 MB on the default matrix), and
-/// keeping one per depth (12–21) grows the heap to 2.7–10 MB. That runs
-/// 300-schedule cells no faster, and the scattered memory it leaves
-/// behind slows the next world built in the process (DESIGN.md §11).
-const SNAPSHOTS: usize = 4;
+/// A snapshot is a whole world (0.1–0.43 MB on the default matrix).
+/// Eight keep nearly all the re-runs one per depth (12–21) saves, at
+/// half its heap; the scattered memory a larger heap leaves behind
+/// slows the next world built in the process. DESIGN.md §11 has the
+/// sweep over 2, 4, 8 and one per depth.
+const SNAPSHOTS: usize = 8;
 
 /// Runs `sim` to `end` under the pausing controller `ctrl`, pushing a
 /// snapshot onto `stack` at every pause before resuming with the
@@ -288,7 +297,7 @@ fn explore_observed(
     let mut stack: Vec<Snapshot> = Vec::new();
     // The simulation the next schedule runs, or the violation that
     // stands in for it.
-    let mut next = catch_unwind(AssertUnwindSafe(|| primed(job.cfg.clone(), queue)))
+    let mut next = catch_unwind(AssertUnwindSafe(|| primed(prime(job.cfg.clone()), queue)))
         .map_err(|p| format!("panic during schedule: {}", panic_message(p)));
     loop {
         let outcome = next.and_then(|sim| {
@@ -477,7 +486,7 @@ mod tests {
     ) -> Exploration {
         let mut result = Exploration::new(&job.label);
         let ctrl = Arc::new(Mutex::new(Controller::default()));
-        let primed = primed(job.cfg.clone(), queue(job, &ctrl));
+        let primed = primed(prime(job.cfg.clone()), queue(job, &ctrl));
         let mut prefix = Vec::new();
         loop {
             let (mut world, events) = run_clone(&primed, &ctrl, prefix, job);
@@ -530,8 +539,10 @@ mod tests {
     }
 
     /// Two schedules on clones of one primed simulation and one on a
-    /// freshly built world agree, and leave the primed simulation as it
-    /// was: a `Clone` that shared state between copies would fail here.
+    /// freshly built world agree, and leave the primed world, its
+    /// events and the primed simulation as they were: a `Clone` that
+    /// shared state between copies would fail here. The primed
+    /// simulation then runs the same schedule itself and must agree too.
     #[test]
     fn clones_of_a_primed_cell_run_like_a_freshly_built_world() {
         // Windows long enough for a report: a dispatch that straddles
@@ -539,8 +550,12 @@ mod tests {
         let mut forked = 0;
         for job in default_matrix(30_000, 2, 64, 2000) {
             let ctrl = Arc::new(Mutex::new(Controller::default()));
-            let primed = primed(job.cfg.clone(), queue(&job, &ctrl));
-            let before = format!("{primed:?}");
+            let cell = prime(job.cfg.clone());
+            let primed = primed(cell.clone(), queue(&job, &ctrl));
+            // The world and every primed event's time and payload; the
+            // simulation's `Debug` shows its clock, counters and queue
+            // length, not the queued events.
+            let before = (format!("{cell:?}"), format!("{primed:?}"));
             // A prefix that takes a second branch, where the tree has one.
             run_clone(&primed, &ctrl, Vec::new(), &job);
             let prefix = lock(&ctrl).next_prefix().unwrap_or_default();
@@ -565,7 +580,12 @@ mod tests {
                 let (mut world, events) = run_clone(&primed, &ctrl, prefix.clone(), &job);
                 assert_eq!(outcome(&mut world, events), want, "{}", job.label);
             }
-            assert_eq!(format!("{primed:?}"), before);
+            assert_eq!((format!("{cell:?}"), format!("{primed:?}")), before);
+            *lock(&ctrl) = Controller::new(prefix, job.max_depth);
+            let mut sim = primed;
+            sim.run_until(job.cfg.warmup + job.cfg.measure);
+            let (mut world, events) = finish(sim);
+            assert_eq!(outcome(&mut world, events), want, "{}", job.label);
         }
         assert!(forked > 0, "no cell took a second branch");
     }

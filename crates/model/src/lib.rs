@@ -21,7 +21,8 @@
 //!   engine but not restarted from time zero (next point). Each cell's
 //!   world is built with
 //!   [`cdna_system::SystemWorld::build`], primed and shadow-synced
-//!   once, and its first schedule runs on a deep clone of it;
+//!   once, and its first schedule runs on that primed simulation
+//!   itself;
 //! * the controller also pauses the queue before every fresh decision,
 //!   and [`explore`] snapshots the whole simulation there, keeping a
 //!   few snapshots on a stack. The next schedule leaves the current

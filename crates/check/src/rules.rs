@@ -26,7 +26,8 @@
 //! * a wildcard arm on any enum, fault enums included, is a
 //!   `wildcard_enum_match_arm` error (CDNA010);
 //! * every lock is an explicit `#[expect(clippy::disallowed_types,
-//!   reason = …)]` (CDNA012's lock-order graph);
+//!   reason = …)]`, in one of the two files `tests/manifest_policy.rs`
+//!   lists (CDNA012's lock-order graph);
 //! * `std::thread` spawns and `mpsc` channels exist only in
 //!   `cdna_sim::par`. A fan-out closure is `Fn + Sync`, so it can only
 //!   append to shared state (or feed an order-sensitive `f64`

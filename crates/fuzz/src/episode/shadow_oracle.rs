@@ -16,13 +16,7 @@
 //! that reaches all three: the persona rig is private to it, and
 //! `cdna-model` is a dev-dependency.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "a model schedule's queue takes its controller as the one Mutex; nothing else is locked"
-)]
-
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 use cdna_check::shadow::{DmaShadow, ShadowDir, ShadowState};
 use cdna_core::DmaPolicy;
@@ -198,8 +192,8 @@ fn model_cells(schedules: usize, label: &str) -> usize {
         let mut prefix = Vec::new();
         for n in 0..schedules {
             let what = format!("{label} {} schedule {n}", job.label);
-            let ctrl = Arc::new(Mutex::new(Controller::new(prefix, job.max_depth)));
-            let queue = PermutationQueue::with_window(Arc::clone(&ctrl), job.tie_window);
+            let queue =
+                PermutationQueue::new(Controller::new(prefix, job.max_depth), job.tie_window);
             let mut sim = Simulation::with_event_queue(primed.clone(), queue);
             for (at, e) in &events {
                 sim.schedule(*at, e.clone());
@@ -209,11 +203,14 @@ fn model_cells(schedules: usize, label: &str) -> usize {
             sim.world_mut().shadow_sync();
             oracle.check(sim.world(), &format!("{what}, halfway"));
             run_through_stop(&mut sim, end, &mut oracle, &what);
+            let next = sim
+                .queue_mut::<PermutationQueue>()
+                .and_then(|q| q.ctrl.next_prefix());
             let mut world = sim.into_world();
             world.shadow_sync();
             oracle.check(&world, &format!("{what}, post-run"));
             found += oracle.shadow.violations().len();
-            let Some(next) = ctrl.lock().ok().and_then(|c| c.next_prefix()) else {
+            let Some(next) = next else {
                 break;
             };
             prefix = next;

@@ -6,12 +6,13 @@
 //! schedule runs that primed simulation under a [`PermutationQueue`]
 //! whose [`Controller`] pauses before every fresh decision; [`explore`]
 //! then pushes a clone of the whole simulation onto a snapshot stack
-//! and runs on. The next schedule differs from this one first at some
-//! decision `d` (the deepest with an untried candidate), so it resumes
-//! from the snapshot taken before `d` with that candidate forced and
-//! simulates only the tail. The stack keeps only a few snapshots
-//! (`SNAPSHOTS`); a branch whose snapshot was dropped resumes from the
-//! nearest one above it. Each schedule ends with a shadow sync that
+//! and runs on. The queue owns the controller, so each snapshot carries
+//! the decisions taken before it. The next schedule differs from this
+//! one first at some decision `d` (the deepest with an untried
+//! candidate), so it resumes from the snapshot taken before `d` with
+//! that candidate forced and simulates only the tail. The stack keeps
+//! only a few snapshots (`SNAPSHOTS`); a branch whose snapshot was
+//! dropped resumes from the nearest one above it. Each schedule ends with a shadow sync that
 //! folds only the pins and reaps of its own run, since the build-time
 //! posts are already in the primed mirror every snapshot copies.
 //!
@@ -21,19 +22,13 @@
 //! same sequential [`explore`], so a matrix report does not depend on
 //! the worker count — proven by `tests/parallel.rs`.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "an exploration shares its one controller Mutex with its queue and its snapshots' copies; nothing else is locked"
-)]
-
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
 
 use cdna_core::{DmaPolicy, FaultKind};
 use cdna_sim::{par, SimTime, Simulation};
-use cdna_system::{Direction, Event, IoModel, NicKind, SystemWorld, TestbedConfig};
+use cdna_system::{Direction, IoModel, NicKind, SystemWorld, TestbedConfig};
 
-use crate::queue::{lock, Controller, PermutationQueue};
+use crate::queue::{Controller, PermutationQueue};
 
 /// One exploration job: a testbed configuration plus bounds.
 #[derive(Debug, Clone)]
@@ -173,32 +168,22 @@ pub fn check_invariants(world: &SystemWorld) -> Vec<String> {
     out
 }
 
-/// A cell's world built, primed and shadow-synced once, with the events
-/// priming scheduled.
+/// A cell's primed simulation: its world built, primed and
+/// shadow-synced once, with the events priming scheduled under `queue`.
 ///
 /// Everything a schedule would otherwise redo identically is paid here.
 /// The build-time sync seeds the DMA shadow's page mirror with every
 /// buffer the drivers posted while priming, so each schedule's
-/// `StopMeasure` sync folds only the pins and reaps of its own run.
-fn prime(cfg: TestbedConfig) -> (SystemWorld, Vec<(SimTime, Event)>) {
-    let mut world = SystemWorld::build(cfg);
-    let events = world.prime();
-    world.shadow_sync();
-    (world, events)
-}
-
-/// A cell's primed simulation: the [`prime`]d world with its events
-/// enqueued under `queue`. The cell's first schedule runs on this
-/// simulation itself, and every later one on a snapshot taken along an
-/// earlier schedule's path, so the primed world is never copied.
-fn primed(
-    (world, events): (SystemWorld, Vec<(SimTime, Event)>),
-    queue: PermutationQueue,
-) -> Simulation<SystemWorld> {
-    let mut sim = Simulation::with_event_queue(world, queue);
-    for (t, e) in events {
+/// `StopMeasure` sync folds only the pins and reaps of its own run. The
+/// cell's first schedule runs on this simulation itself, and every
+/// later one on a snapshot taken along an earlier schedule's path, so
+/// the primed world is never copied.
+fn primed(cfg: TestbedConfig, queue: PermutationQueue) -> Simulation<SystemWorld> {
+    let mut sim = Simulation::with_event_queue(SystemWorld::build(cfg), queue);
+    for (t, e) in sim.world_mut().prime() {
         sim.schedule(t, e);
     }
+    sim.world_mut().shadow_sync();
     sim
 }
 
@@ -220,20 +205,15 @@ struct Snapshot {
 /// sweep over 2, 4, 8 and one per depth.
 const SNAPSHOTS: usize = 8;
 
-/// Runs `sim` to `end` under the pausing controller `ctrl`, pushing a
-/// snapshot onto `stack` at every pause before resuming with the
-/// default choice, and dropping the second-shallowest snapshot once
-/// there are more than [`SNAPSHOTS`]; then finishes the schedule
-/// ([`finish`]).
-fn run_tail(
-    mut sim: Simulation<SystemWorld>,
-    ctrl: &Mutex<Controller>,
-    stack: &mut Vec<Snapshot>,
-    end: SimTime,
-) -> (SystemWorld, u64) {
+/// Runs `sim` to `end` under its pausing controller, pushing a snapshot
+/// onto `stack` at every pause after pinning the default choice, and
+/// dropping the second-shallowest snapshot once there are more than
+/// [`SNAPSHOTS`]; then finishes the schedule ([`finish`]).
+fn run_tail(sim: &mut Simulation<SystemWorld>, stack: &mut Vec<Snapshot>, end: SimTime) -> u64 {
     loop {
         sim.run_due(end);
-        let Some(depth) = lock(ctrl).unpause() else {
+        let unpaused = sim.queue_mut::<PermutationQueue>();
+        let Some(depth) = unpaused.and_then(|q| q.ctrl.unpause()) else {
             break;
         };
         stack.push(Snapshot {
@@ -248,23 +228,24 @@ fn run_tail(
     finish(sim)
 }
 
-/// Brings a finished schedule's shadow up to date; returns its world
-/// and the events processed since time zero (a resumed simulation
-/// carries its snapshot's count).
-fn finish(sim: Simulation<SystemWorld>) -> (SystemWorld, u64) {
-    let events = sim.events_processed();
-    let mut world = sim.into_world();
-    world.shadow_sync();
-    (world, events)
+/// Brings a finished schedule's shadow up to date; returns the events
+/// processed since time zero (a resumed simulation carries its
+/// snapshot's count).
+fn finish(sim: &mut Simulation<SystemWorld>) -> u64 {
+    sim.world_mut().shadow_sync();
+    sim.events_processed()
 }
 
-/// The message of a caught panic.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
+/// Runs `f`, turning a panic into the violation that stands for it.
+fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        format!("panic during schedule: {msg}")
+    })
 }
 
 /// Explores `job` depth-first until the decision tree is exhausted or
@@ -278,7 +259,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// whose decision lost its snapshot resumes from the nearest one above
 /// it and replays the recorded choices in between. A panic inside a
 /// schedule, or the one that stopped the cell's build, counts as one
-/// violation of its own; the search goes on from the controller's
+/// violation of its own; the search goes on from the panicked run's
 /// record and the snapshots taken before the panic.
 pub fn explore(job: &ExploreConfig) -> Exploration {
     explore_observed(job, &mut |_, _| ())
@@ -291,30 +272,36 @@ fn explore_observed(
     observe: &mut dyn FnMut(&mut SystemWorld, u64),
 ) -> Exploration {
     let mut result = Exploration::new(&job.label);
-    let ctrl = Arc::new(Mutex::new(Controller::pausing(job.max_depth)));
-    let queue = PermutationQueue::with_window(Arc::clone(&ctrl), job.tie_window);
+    let queue = PermutationQueue::new(Controller::pausing(job.max_depth), job.tie_window);
     let end = job.cfg.warmup + job.cfg.measure;
     let mut stack: Vec<Snapshot> = Vec::new();
     // The simulation the next schedule runs, or the violation that
-    // stands in for it.
-    let mut next = catch_unwind(AssertUnwindSafe(|| primed(prime(job.cfg.clone()), queue)))
-        .map_err(|p| format!("panic during schedule: {}", panic_message(p)));
+    // stands in for it. The schedule runs through `&mut`, so its
+    // controller, and the record the search goes on from, outlives a
+    // panic; a build that panicked has no controller, so its empty
+    // record is exhausted.
+    let mut next = catch(|| primed(job.cfg.clone(), queue));
     loop {
-        let outcome = next.and_then(|sim| {
-            catch_unwind(AssertUnwindSafe(|| {
-                let (mut world, events) = run_tail(sim, &ctrl, &mut stack, end);
-                observe(&mut world, events);
-                (check_invariants(&world), events)
-            }))
-            .map_err(|p| format!("panic during schedule: {}", panic_message(p)))
-        });
-        let (violations, events) = outcome.unwrap_or_else(|v| (vec![v], 0));
-        let mut ctrl = lock(&ctrl);
-        result.add(events, violations, &ctrl);
+        let (violations, events) = match &mut next {
+            Ok(sim) => catch(|| {
+                let events = run_tail(sim, &mut stack, end);
+                observe(sim.world_mut(), events);
+                (check_invariants(sim.world()), events)
+            })
+            .unwrap_or_else(|v| (vec![v], 0)),
+            Err(v) => (vec![std::mem::take(v)], 0),
+        };
+        let empty = Controller::default();
+        let finished = next
+            .as_mut()
+            .ok()
+            .and_then(|sim| sim.queue_mut::<PermutationQueue>())
+            .map_or(&empty, |q| &q.ctrl);
+        result.add(events, violations, finished);
         if result.schedules >= job.max_schedules {
             break;
         }
-        let Some((depth, candidate)) = ctrl.next_branch() else {
+        let Some((depth, candidate)) = finished.next_branch() else {
             result.exhausted = true;
             break;
         };
@@ -322,19 +309,24 @@ fn explore_observed(
         // snapshot when it was fresh, and the shallowest snapshot is
         // never dropped, so one lies at or above `depth`; the deeper
         // ones are spent. The last candidate of the snapshot's own
-        // decision takes it, any other branch a copy.
+        // decision takes it, any other branch a copy. The snapshot's
+        // controller already holds the record up to its own depth.
         stack.truncate(stack.partition_point(|s| s.depth <= depth));
         let from = stack.last().map_or(0, |s| s.depth);
-        let last = ctrl.record[depth].candidates.last() == Some(&candidate);
+        let last = finished.record[depth].candidates.last() == Some(&candidate);
         let snapshot = if last && from == depth {
             stack.pop()
         } else {
             stack.last().cloned()
         };
         next = snapshot
-            .map(|s| s.sim)
+            .map(|mut s| {
+                if let Some(q) = s.sim.queue_mut::<PermutationQueue>() {
+                    q.ctrl.resume(finished, depth, candidate);
+                }
+                s.sim
+            })
             .ok_or_else(|| format!("no snapshot at or above decision {depth}"));
-        ctrl.resume(from, depth, candidate);
     }
     result
 }
@@ -457,24 +449,31 @@ mod tests {
         (events, check_invariants(world), shadow, h.finish())
     }
 
-    fn queue(job: &ExploreConfig, ctrl: &Arc<Mutex<Controller>>) -> PermutationQueue {
-        PermutationQueue::with_window(Arc::clone(ctrl), job.tie_window)
+    fn queue(job: &ExploreConfig, ctrl: Controller) -> PermutationQueue {
+        PermutationQueue::new(ctrl, job.tie_window)
+    }
+
+    /// The controller of a simulation on a [`PermutationQueue`].
+    fn ctrl(sim: &mut Simulation<SystemWorld>) -> &mut Controller {
+        &mut sim
+            .queue_mut::<PermutationQueue>()
+            .expect("a permutation queue")
+            .ctrl
     }
 
     /// Replays the schedule `prefix` names from time zero, on a clone of
-    /// the `primed` simulation whose queue answers to `ctrl`; returns
-    /// the finished world and its events. The oracle resumed schedules
-    /// are tested against.
+    /// the `primed` simulation; returns the finished simulation and its
+    /// events. The oracle resumed schedules are tested against.
     fn run_clone(
         primed: &Simulation<SystemWorld>,
-        ctrl: &Mutex<Controller>,
         prefix: Vec<usize>,
         job: &ExploreConfig,
-    ) -> (SystemWorld, u64) {
-        *lock(ctrl) = Controller::new(prefix, job.max_depth);
+    ) -> (Simulation<SystemWorld>, u64) {
         let mut sim = primed.clone();
+        *ctrl(&mut sim) = Controller::new(prefix, job.max_depth);
         sim.run_until(job.cfg.warmup + job.cfg.measure);
-        finish(sim)
+        let events = finish(&mut sim);
+        (sim, events)
     }
 
     /// [`explore`] as it ran before snapshots: every schedule replays
@@ -485,14 +484,14 @@ mod tests {
         observe: &mut dyn FnMut(&mut SystemWorld, u64),
     ) -> Exploration {
         let mut result = Exploration::new(&job.label);
-        let ctrl = Arc::new(Mutex::new(Controller::default()));
-        let primed = primed(prime(job.cfg.clone()), queue(job, &ctrl));
+        let primed = primed(job.cfg.clone(), queue(job, Controller::default()));
         let mut prefix = Vec::new();
         loop {
-            let (mut world, events) = run_clone(&primed, &ctrl, prefix, job);
-            observe(&mut world, events);
-            let ctrl = lock(&ctrl);
-            result.add(events, check_invariants(&world), &ctrl);
+            let (mut sim, events) = run_clone(&primed, prefix, job);
+            observe(sim.world_mut(), events);
+            let violations = check_invariants(sim.world());
+            let ctrl = ctrl(&mut sim);
+            result.add(events, violations, ctrl);
             if result.schedules >= job.max_schedules {
                 break;
             }
@@ -510,8 +509,8 @@ mod tests {
     /// Every schedule resumed from a snapshot ends exactly like the same
     /// schedule replayed from time zero: same events, invariants, shadow
     /// violations and report, in the same order, and the same
-    /// exploration totals. A resume that kept a stale record or cursor
-    /// would fork a different tree or force the wrong pick.
+    /// exploration totals. A resume that forced its pick at the wrong
+    /// depth would fork a different tree.
     #[test]
     fn resumed_schedules_match_schedules_replayed_from_time_zero() {
         let mut jobs = default_matrix(300, 200, 64, 2000);
@@ -539,55 +538,69 @@ mod tests {
     }
 
     /// Two schedules on clones of one primed simulation and one on a
-    /// freshly built world agree, and leave the primed world, its
-    /// events and the primed simulation as they were: a `Clone` that
-    /// shared state between copies would fail here. The primed
-    /// simulation then runs the same schedule itself and must agree too.
+    /// freshly built world agree, and leave the primed simulation as it
+    /// was: a `Clone` that shared state between copies, the controller
+    /// included, would fail here. The primed simulation then runs the
+    /// same schedule itself and must agree too.
     #[test]
     fn clones_of_a_primed_cell_run_like_a_freshly_built_world() {
         // Windows long enough for a report: a dispatch that straddles
         // the window's end must stay within the ledger's 1 % tolerance.
         let mut forked = 0;
         for job in default_matrix(30_000, 2, 64, 2000) {
-            let ctrl = Arc::new(Mutex::new(Controller::default()));
-            let cell = prime(job.cfg.clone());
-            let primed = primed(cell.clone(), queue(&job, &ctrl));
-            // The world and every primed event's time and payload; the
-            // simulation's `Debug` shows its clock, counters and queue
-            // length, not the queued events.
-            let before = (format!("{cell:?}"), format!("{primed:?}"));
+            let end = job.cfg.warmup + job.cfg.measure;
+            let mut cell = primed(job.cfg.clone(), queue(&job, Controller::default()));
+            // The world, every pending event's time and payload, and
+            // the controller.
+            let before = format!("{cell:?}");
             // A prefix that takes a second branch, where the tree has one.
-            run_clone(&primed, &ctrl, Vec::new(), &job);
-            let prefix = lock(&ctrl).next_prefix().unwrap_or_default();
+            let (mut sim, _) = run_clone(&cell, Vec::new(), &job);
+            let prefix = ctrl(&mut sim).next_prefix().unwrap_or_default();
             forked += usize::from(!prefix.is_empty());
 
-            // The same build-time sync as the cell's, so even the
-            // shadow's event count must agree.
-            let fresh_ctrl = Arc::new(Mutex::new(Controller::new(prefix.clone(), job.max_depth)));
-            let mut fresh = Simulation::with_event_queue(
-                SystemWorld::build(job.cfg.clone()),
-                queue(&job, &fresh_ctrl),
-            );
-            for (t, e) in fresh.world_mut().prime() {
-                fresh.schedule(t, e);
-            }
-            fresh.world_mut().shadow_sync();
-            fresh.run_until(job.cfg.warmup + job.cfg.measure);
-            let (mut world, events) = finish(fresh);
-            let want = outcome(&mut world, events);
+            let fresh_ctrl = Controller::new(prefix.clone(), job.max_depth);
+            let mut fresh = primed(job.cfg.clone(), queue(&job, fresh_ctrl));
+            fresh.run_until(end);
+            let events = finish(&mut fresh);
+            let want = outcome(fresh.world_mut(), events);
 
             for _ in 0..2 {
-                let (mut world, events) = run_clone(&primed, &ctrl, prefix.clone(), &job);
-                assert_eq!(outcome(&mut world, events), want, "{}", job.label);
+                let (mut sim, events) = run_clone(&cell, prefix.clone(), &job);
+                assert_eq!(outcome(sim.world_mut(), events), want, "{}", job.label);
             }
-            assert_eq!((format!("{cell:?}"), format!("{primed:?}")), before);
-            *lock(&ctrl) = Controller::new(prefix, job.max_depth);
-            let mut sim = primed;
-            sim.run_until(job.cfg.warmup + job.cfg.measure);
-            let (mut world, events) = finish(sim);
-            assert_eq!(outcome(&mut world, events), want, "{}", job.label);
+            assert_eq!(format!("{cell:?}"), before, "{}", job.label);
+            *ctrl(&mut cell) = Controller::new(prefix, job.max_depth);
+            cell.run_until(end);
+            let events = finish(&mut cell);
+            assert_eq!(outcome(cell.world_mut(), events), want, "{}", job.label);
         }
         assert!(forked > 0, "no cell took a second branch");
+    }
+
+    /// A panic inside one schedule is that schedule's one violation; the
+    /// search goes on from its record, so every other schedule runs
+    /// exactly as in the exploration without the panic.
+    #[test]
+    fn a_schedule_that_panics_is_one_violation_and_the_search_goes_on() {
+        let job = default_matrix(300, 200, 64, 2000).remove(1);
+        let mut events = Vec::new();
+        let clean = explore_observed(&job, &mut |_, e| events.push(e));
+        assert!(clean.schedules > 10 && clean.violations == 0, "{clean:?}");
+        let mut n = 0;
+        let panicked = explore_observed(&job, &mut |_, _| {
+            n += 1;
+            assert!(n != 5, "observer stops schedule 4");
+        });
+        let want = Exploration {
+            events: clean.events - events[4],
+            violations: 1,
+            sample: vec![format!(
+                "{}: panic during schedule: observer stops schedule 4",
+                job.label
+            )],
+            ..clean
+        };
+        assert_eq!(panicked, want);
     }
 
     #[test]

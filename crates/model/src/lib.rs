@@ -13,8 +13,9 @@
 //!
 //! * [`queue::PermutationQueue`] plugs into the engine through
 //!   [`cdna_sim::Simulation::with_event_queue`] and, at every
-//!   same-timestamp tie, asks a [`queue::Controller`] which event to
-//!   deliver first;
+//!   same-timestamp tie, asks the [`queue::Controller`] it owns which
+//!   event to deliver first; [`explore`] reaches that controller through
+//!   [`cdna_sim::Simulation::queue_mut`];
 //! * the controller replays a recorded *prefix* of choices and then
 //!   takes the first untried branch — the depth-first search of
 //!   stateless model checkers (VeriSoft, DPOR), run on the *real*
@@ -25,11 +26,11 @@
 //!   itself;
 //! * the controller also pauses the queue before every fresh decision,
 //!   and [`explore`] snapshots the whole simulation there, keeping a
-//!   few snapshots on a stack. The next schedule leaves the current
-//!   one's path at its deepest decision with an untried candidate, so
-//!   it resumes from the snapshot at (or nearest above) that decision
-//!   with the candidate forced ([`queue::Controller::resume`]) and
-//!   simulates only the tail. Resumed schedules end exactly as
+//!   few snapshots on a stack; each carries its own copy of the
+//!   controller. The next schedule leaves the current one's path at its
+//!   deepest decision with an untried candidate, so it resumes from the
+//!   snapshot at (or nearest above) that decision with the candidate
+//!   forced ([`queue::Controller::resume`]) and simulates only the tail. Resumed schedules end exactly as
 //!   schedules replayed from time zero do, which the crate's tests
 //!   check schedule by schedule;
 //! * commutative tie pairs are pruned sleep-set style: two events

@@ -1,7 +1,7 @@
 //! The permutation event queue and its schedule controller.
 //!
 //! [`PermutationQueue`] is an [`EventQueue`] that delivers events in
-//! ascending time order but lets a [`Controller`] pick *which* of the
+//! ascending time order but lets its [`Controller`] pick *which* of the
 //! events tied at the minimum timestamp goes first. Replaying a recorded
 //! prefix of picks reproduces a schedule exactly (the simulation is
 //! otherwise deterministic); diverging at the deepest unexplored branch
@@ -9,26 +9,13 @@
 //! ([`Controller::pausing`]) also stops the queue before every fresh
 //! decision, so the explorer can snapshot the simulation there and
 //! later resume from it with another candidate forced
-//! ([`Controller::resume`]).
-
-#![expect(
-    clippy::disallowed_types,
-    reason = "the schedule controller is the one Mutex here; a pick holds it alone, never with another lock"
-)]
+//! ([`Controller::resume`]). The queue owns its controller, so a
+//! snapshot carries the decisions taken up to its pause.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 use cdna_sim::{EventQueue, SimTime};
 use cdna_system::Event;
-
-/// Locks the shared controller, treating poisoning as benign: a
-/// poisoned mutex means a schedule panicked, and `run_schedule` already
-/// converts that panic into a violation — the controller's record is
-/// still the best available account of the aborted run.
-pub(crate) fn lock(m: &Mutex<Controller>) -> MutexGuard<'_, Controller> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The NIC an event is scoped to, or `None` for global events
 /// (CPU dispatch and the measurement-window markers).
@@ -72,10 +59,9 @@ pub struct Decision {
 
 /// Replays a prefix of scheduling choices, then defaults to the first
 /// candidate, recording every decision for backtracking.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Controller {
     prefix: Vec<usize>,
-    cursor: usize,
     /// Decisions taken this run, in order.
     pub record: Vec<Decision>,
     max_depth: usize,
@@ -115,19 +101,19 @@ impl Controller {
     /// the first candidate otherwise. `None` pauses a pausing controller
     /// before a fresh decision; nothing is recorded then.
     pub fn choose(&mut self, candidates: Vec<usize>) -> Option<usize> {
-        if self.record.len() >= self.max_depth {
+        let depth = self.record.len();
+        if depth >= self.max_depth {
             self.depth_truncated = true;
             return Some(candidates[0]);
         }
-        let chosen = if self.cursor < self.prefix.len() {
-            self.prefix[self.cursor]
+        let chosen = if let Some(&c) = self.prefix.get(depth) {
+            c
         } else if self.pauses {
             self.paused = true;
             return None;
         } else {
             candidates[0]
         };
-        self.cursor += 1;
         self.record.push(Decision { chosen, candidates });
         Some(chosen)
     }
@@ -143,22 +129,17 @@ impl Controller {
         Some(self.record.len())
     }
 
-    /// Restores the controller for a simulation snapshotted just before
-    /// decision `from`, to run the branch that forces `candidate` at
-    /// decision `depth` (`from <= depth`): the record is cut back to its
-    /// first `from` decisions, and the prefix replays the recorded
-    /// choices up to `depth`, then `candidate`, from cursor `from`. The
-    /// snapshot then resumes as the schedule
-    /// [`Controller::next_branch`] named.
-    pub fn resume(&mut self, from: usize, depth: usize, candidate: usize) {
+    /// Sets up a snapshot's controller, whose record holds the first
+    /// `record.len() <= depth` decisions of the schedule `finished` ran,
+    /// to run the branch that forces `candidate` at decision `depth`:
+    /// the prefix replays `finished`'s choices up to `depth`, then
+    /// `candidate`. Nothing else needs resetting, so the snapshot then
+    /// resumes as the schedule [`Controller::next_branch`] named.
+    pub fn resume(&mut self, finished: &Controller, depth: usize, candidate: usize) {
         self.prefix.clear();
         self.prefix
-            .extend(self.record[..depth].iter().map(|d| d.chosen));
+            .extend(finished.record[..depth].iter().map(|d| d.chosen));
         self.prefix.push(candidate);
-        self.record.truncate(from);
-        self.cursor = from;
-        self.paused = false;
-        self.depth_truncated = false;
     }
 
     /// The next unexplored branch, as `(depth, candidate)`: the deepest
@@ -182,8 +163,8 @@ impl Controller {
     }
 }
 
-/// An [`EventQueue`] whose same-timestamp tie-breaks are controlled by a
-/// shared [`Controller`].
+/// An [`EventQueue`] whose same-timestamp tie-breaks are made by the
+/// [`Controller`] it owns.
 ///
 /// The queue keeps events sorted ascending by `(time, seq)` in a ring
 /// buffer, so the tie set at the minimum time is a contiguous run at
@@ -198,25 +179,24 @@ impl Controller {
 /// already delivered, so the engine's clock-monotonicity invariant
 /// holds for every schedule.
 ///
-/// A clone copies the pending events and shares the controller: every
-/// snapshot of one exploration answers to the same [`Controller`].
+/// A clone copies the pending events and the controller: a snapshot
+/// holds the decisions its run took before it, and its own choices
+/// after it touch no other copy. The explorer reaches a simulation's
+/// queue through [`cdna_sim::Simulation::queue_mut`].
 #[derive(Debug, Clone)]
 pub struct PermutationQueue {
     pending: VecDeque<(SimTime, u64, Event)>,
-    ctrl: Arc<Mutex<Controller>>,
+    /// The controller every tie-break of this queue answers to.
+    pub ctrl: Controller,
     tie_window: SimTime,
     last_delivered: SimTime,
 }
 
 impl PermutationQueue {
-    /// An empty queue driven by `ctrl`, forking only exact ties.
-    pub fn new(ctrl: Arc<Mutex<Controller>>) -> Self {
-        PermutationQueue::with_window(ctrl, SimTime::ZERO)
-    }
-
     /// An empty queue driven by `ctrl` that treats events within
-    /// `tie_window` of the earliest pending event as tied.
-    pub fn with_window(ctrl: Arc<Mutex<Controller>>, tie_window: SimTime) -> Self {
+    /// `tie_window` of the earliest pending event as tied
+    /// (`SimTime::ZERO` forks exact ties only).
+    pub fn new(ctrl: Controller, tie_window: SimTime) -> Self {
         PermutationQueue {
             pending: VecDeque::new(),
             ctrl,
@@ -255,7 +235,7 @@ impl PermutationQueue {
 /// Index (into `tie`) of the event to deliver next, consulting the
 /// controller when the tie set has more than one explorable member;
 /// `None` while the controller pauses.
-fn pick(tie: &[(SimTime, u64, Event)], ctrl: &Mutex<Controller>) -> Option<usize> {
+fn pick(tie: &[(SimTime, u64, Event)], ctrl: &mut Controller) -> Option<usize> {
     if tie.len() <= 1 {
         return Some(0);
     }
@@ -276,7 +256,7 @@ fn pick(tie: &[(SimTime, u64, Event)], ctrl: &Mutex<Controller>) -> Option<usize
     };
     let mut candidates = vec![0, second];
     candidates.extend(explorable);
-    lock(ctrl).choose(candidates)
+    ctrl.choose(candidates)
 }
 
 impl EventQueue<Event> for PermutationQueue {
@@ -305,7 +285,7 @@ impl EventQueue<Event> for PermutationQueue {
         if tie == 0 {
             return None;
         }
-        let idx = pick(&self.pending.as_slices().0[..tie], &self.ctrl)?;
+        let idx = pick(&self.pending.as_slices().0[..tie], &mut self.ctrl)?;
         let (at, seq, event) = if idx == 0 {
             self.pending.pop_front()
         } else {
@@ -327,8 +307,8 @@ impl EventQueue<Event> for PermutationQueue {
 mod tests {
     use super::*;
 
-    fn ctrl(prefix: Vec<usize>) -> Arc<Mutex<Controller>> {
-        Arc::new(Mutex::new(Controller::new(prefix, 64)))
+    fn queue(prefix: Vec<usize>) -> PermutationQueue {
+        PermutationQueue::new(Controller::new(prefix, 64), SimTime::ZERO)
     }
 
     fn nic_event(nic: usize) -> Event {
@@ -337,48 +317,44 @@ mod tests {
 
     #[test]
     fn singleton_pops_need_no_decision() {
-        let c = ctrl(vec![]);
-        let mut q = PermutationQueue::new(Arc::clone(&c));
+        let mut q = queue(vec![]);
         q.push(SimTime::from_ns(10), 0, nic_event(0));
         q.push(SimTime::from_ns(20), 1, nic_event(0));
         assert!(q.pop().is_some());
         assert!(q.pop().is_some());
         assert!(q.pop().is_none());
-        assert!(lock(&c).record.is_empty());
+        assert!(q.ctrl.record.is_empty());
     }
 
     #[test]
     fn dependent_tie_forks_and_prefix_replays_the_branch() {
         // Two same-NIC events tied at t=5: dependent, so both orders
         // are schedules.
-        let c = ctrl(vec![]);
-        let mut q = PermutationQueue::new(Arc::clone(&c));
+        let mut q = queue(vec![]);
         q.push(SimTime::from_ns(5), 0, nic_event(0));
         q.push(SimTime::from_ns(5), 1, nic_event(0));
         let first = q.pop().map(|(_, seq, _)| seq);
         assert_eq!(first, Some(0), "default order is FIFO");
-        let next = lock(&c).next_prefix();
+        let next = q.ctrl.next_prefix();
         assert_eq!(next, Some(vec![1]), "the swap is the next schedule");
 
-        let c2 = ctrl(vec![1]);
-        let mut q2 = PermutationQueue::new(Arc::clone(&c2));
+        let mut q2 = queue(vec![1]);
         q2.push(SimTime::from_ns(5), 0, nic_event(0));
         q2.push(SimTime::from_ns(5), 1, nic_event(0));
         assert_eq!(q2.pop().map(|(_, s, _)| s), Some(1), "replayed swap");
         assert_eq!(q2.pop().map(|(_, s, _)| s), Some(0));
-        assert_eq!(lock(&c2).next_prefix(), None, "tree exhausted");
+        assert_eq!(q2.ctrl.next_prefix(), None, "tree exhausted");
     }
 
     #[test]
     fn independent_ties_are_pruned() {
         // Different NICs: commutative, no fork.
-        let c = ctrl(vec![]);
-        let mut q = PermutationQueue::new(Arc::clone(&c));
+        let mut q = queue(vec![]);
         q.push(SimTime::from_ns(5), 0, nic_event(0));
         q.push(SimTime::from_ns(5), 1, nic_event(1));
         assert_eq!(q.pop().map(|(_, s, _)| s), Some(0));
-        assert!(lock(&c).record.is_empty(), "no decision recorded");
-        assert_eq!(lock(&c).next_prefix(), None);
+        assert!(q.ctrl.record.is_empty(), "no decision recorded");
+        assert_eq!(q.ctrl.next_prefix(), None);
     }
 
     #[test]
@@ -386,16 +362,12 @@ mod tests {
         // Two dependent events 5 ns apart, inside a 10 ns tie window.
         // Only the first is due by t=7, so a prefix that asks for the
         // second must not get it early.
-        let c = ctrl(vec![1]);
-        let mut q = PermutationQueue::with_window(Arc::clone(&c), SimTime::from_ns(10));
+        let mut q = PermutationQueue::new(Controller::new(vec![1], 64), SimTime::from_ns(10));
         q.push(SimTime::from_ns(5), 0, nic_event(0));
         q.push(SimTime::from_ns(10), 1, nic_event(0));
         let due = q.pop_due(SimTime::from_ns(7)).map(|(at, seq, _)| (at, seq));
         assert_eq!(due, Some((SimTime::from_ns(5), 0)));
-        assert!(
-            lock(&c).record.is_empty(),
-            "a lone due event is no decision"
-        );
+        assert!(q.ctrl.record.is_empty(), "a lone due event is no decision");
         assert!(q.pop_due(SimTime::from_ns(7)).is_none());
         assert_eq!(q.pop().map(|(_, seq, _)| seq), Some(1));
     }
@@ -410,7 +382,7 @@ mod tests {
         use cdna_sim::queue::HeapQueue;
         for seed in 0..20 {
             let mut rng = cdna_sim::SimRng::seed_from(seed);
-            let mut perm = PermutationQueue::new(ctrl(vec![]));
+            let mut perm = queue(vec![]);
             let mut heap = HeapQueue::new();
             let (mut now, mut seq, mut popped) = (SimTime::ZERO, 0u64, 0);
             for _ in 0..4000 {
@@ -443,40 +415,43 @@ mod tests {
         let seqs = |q: &mut PermutationQueue| {
             std::iter::from_fn(|| q.pop().map(|(_, seq, _)| seq)).collect::<Vec<_>>()
         };
-        let c = Arc::new(Mutex::new(Controller::pausing(64)));
-        let mut q = PermutationQueue::new(Arc::clone(&c));
+        let mut q = PermutationQueue::new(Controller::pausing(64), SimTime::ZERO);
         for seq in 0..3 {
             q.push(SimTime::from_ns(5), seq, nic_event(0));
         }
         assert_eq!(seqs(&mut q), Vec::<u64>::new(), "paused before decision 0");
         assert_eq!(q.len(), 3, "a pause delivers nothing");
-        assert_eq!(lock(&c).unpause(), Some(0));
-        assert_eq!(lock(&c).unpause(), None, "one pause, one unpause");
+        assert_eq!(q.ctrl.unpause(), Some(0));
+        assert_eq!(q.ctrl.unpause(), None, "one pause, one unpause");
         let snapshot = q.clone();
         assert_eq!(seqs(&mut q), vec![0], "default pick, then paused");
-        assert_eq!(lock(&c).unpause(), Some(1));
+        assert_eq!(q.ctrl.unpause(), Some(1));
         assert_eq!(seqs(&mut q), vec![1, 2]);
-        assert_eq!(lock(&c).next_branch(), Some((1, 1)));
+        assert_eq!(q.ctrl.next_branch(), Some((1, 1)));
+        assert!(
+            snapshot.ctrl.record.is_empty(),
+            "a snapshot keeps its own record"
+        );
 
         // Back to decision 0 with its last candidate forced.
-        lock(&c).resume(0, 0, 2);
+        let finished = q.ctrl;
         let mut q = snapshot.clone();
+        q.ctrl.resume(&finished, 0, 2);
         assert_eq!(seqs(&mut q), vec![2], "forced pick, then paused");
-        assert_eq!(lock(&c).unpause(), Some(1));
+        assert_eq!(q.ctrl.unpause(), Some(1));
         assert_eq!(seqs(&mut q), vec![0, 1]);
-        let chosen = |c: &Mutex<Controller>| -> Vec<usize> {
-            lock(c).record.iter().map(|d| d.chosen).collect()
-        };
-        assert_eq!(chosen(&c), vec![2, 0]);
-        assert_eq!(lock(&c).next_branch(), Some((1, 1)));
+        let chosen = |c: &Controller| -> Vec<usize> { c.record.iter().map(|d| d.chosen).collect() };
+        assert_eq!(chosen(&q.ctrl), vec![2, 0]);
+        assert_eq!(q.ctrl.next_branch(), Some((1, 1)));
 
         // Decision 1's last candidate, from the snapshot before
         // decision 0: the recorded pick there is replayed first.
-        lock(&c).resume(0, 1, 1);
+        let finished = q.ctrl;
         let mut q = snapshot;
+        q.ctrl.resume(&finished, 1, 1);
         assert_eq!(seqs(&mut q), vec![2, 1, 0], "replayed, forced, no pause");
-        assert_eq!(chosen(&c), vec![2, 1]);
-        assert_eq!(lock(&c).next_branch(), None, "tree exhausted");
+        assert_eq!(chosen(&q.ctrl), vec![2, 1]);
+        assert_eq!(q.ctrl.next_branch(), None, "tree exhausted");
     }
 
     #[test]
@@ -489,15 +464,13 @@ mod tests {
 
     #[test]
     fn depth_bound_truncates_recording() {
-        let c = Arc::new(Mutex::new(Controller::new(vec![], 1)));
-        let mut q = PermutationQueue::new(Arc::clone(&c));
+        let mut q = PermutationQueue::new(Controller::new(vec![], 1), SimTime::ZERO);
         for seq in 0..4 {
             q.push(SimTime::from_ns(5), seq, nic_event(0));
         }
         while q.pop().is_some() {}
-        let ctrl = lock(&c);
-        assert_eq!(ctrl.record.len(), 1, "only the first decision recorded");
-        assert!(ctrl.depth_truncated);
+        assert_eq!(q.ctrl.record.len(), 1, "only the first decision recorded");
+        assert!(q.ctrl.depth_truncated);
     }
 
     #[test]
@@ -506,8 +479,7 @@ mod tests {
         let mut seen = Vec::new();
         let mut prefix = Vec::new();
         loop {
-            let c = Arc::new(Mutex::new(Controller::new(prefix.clone(), 64)));
-            let mut q = PermutationQueue::new(Arc::clone(&c));
+            let mut q = queue(prefix.clone());
             for seq in 0..3 {
                 q.push(SimTime::from_ns(7), seq, nic_event(0));
             }
@@ -516,8 +488,7 @@ mod tests {
                 order.push(seq);
             }
             seen.push(order);
-            let next = lock(&c).next_prefix();
-            match next {
+            match q.ctrl.next_prefix() {
                 Some(p) => prefix = p,
                 None => break,
             }

@@ -158,18 +158,21 @@ impl<W: World> Simulation<W> {
     ///
     /// The queue is taken by value and must be `Clone`, so the
     /// simulation can be cloned mid-run: `cdna-model` snapshots one
-    /// before each schedule decision and resumes from it. It must also
-    /// be `Send`: worker pools move whole simulations between threads.
-    /// Rustc enforces this, and the workspace forbids `unsafe`, so no
-    /// `unsafe impl Send` can waive it. A queue that shares state
-    /// through an `Arc` is accepted:
+    /// before each schedule decision, with the schedule controller its
+    /// queue owns, and resumes from it. It must be `Debug`, so the
+    /// simulation's `Debug` prints every pending event and whatever
+    /// state the queue carries; [`Simulation::queue_mut`] reaches it
+    /// again. It must also be `Send`: worker pools move whole
+    /// simulations between threads. Rustc enforces this, and the
+    /// workspace forbids `unsafe`, so no `unsafe impl Send` can waive
+    /// it. A queue that shares state through an `Arc` is accepted:
     ///
     /// ```
     /// use cdna_sim::queue::HeapQueue;
     /// use cdna_sim::{EventQueue, Scheduler, SimTime, Simulation, World};
     /// use std::sync::Arc;
     ///
-    /// #[derive(Clone)]
+    /// #[derive(Clone, Debug)]
     /// struct Shared {
     ///     inner: HeapQueue<u32>,
     ///     _tag: Arc<()>,
@@ -211,7 +214,7 @@ impl<W: World> Simulation<W> {
     /// use cdna_sim::{EventQueue, Scheduler, SimTime, Simulation, World};
     /// use std::rc::Rc;
     ///
-    /// #[derive(Clone)]
+    /// #[derive(Clone, Debug)]
     /// struct Shared {
     ///     inner: HeapQueue<u32>,
     ///     _tag: Rc<()>,
@@ -246,13 +249,24 @@ impl<W: World> Simulation<W> {
     /// ```
     pub fn with_event_queue(
         world: W,
-        queue: impl EventQueue<W::Event> + Clone + Send + 'static,
+        queue: impl EventQueue<W::Event> + Clone + Send + std::fmt::Debug + 'static,
     ) -> Self {
         Simulation {
             world,
             sched: Scheduler::from_impl(QueueImpl::Custom(Box::new(queue))),
             now: SimTime::ZERO,
             processed: 0,
+        }
+    }
+
+    /// The queue this simulation was built with by
+    /// [`Simulation::with_event_queue`], if it is a `Q`; `None` for a
+    /// queue of another type or the built-in wheel. `cdna-model` reads
+    /// and resumes its schedule controller through this.
+    pub fn queue_mut<Q: 'static>(&mut self) -> Option<&mut Q> {
+        match &mut self.sched.queue {
+            QueueImpl::Wheel(_) => None,
+            QueueImpl::Custom(q) => q.as_mut().as_any_mut().downcast_mut(),
         }
     }
 
@@ -461,6 +475,21 @@ mod tests {
             let order: Vec<u32> = sim.world().seen.iter().map(|&(_, e)| e).collect();
             assert_eq!(order, vec![1, 2, 3], "{name}");
         }
+    }
+
+    #[test]
+    fn queue_mut_reaches_only_the_queue_the_simulation_was_built_with() {
+        use crate::queue::{HeapQueue, TimerWheel};
+        let mut heap = Simulation::with_event_queue(Recorder::default(), HeapQueue::new());
+        heap.schedule(SimTime::from_us(1), 7);
+        let len = heap.queue_mut::<HeapQueue<u32>>().map(|q| q.len());
+        assert_eq!(len, Some(1));
+        assert!(heap.queue_mut::<HeapQueue<u64>>().is_none());
+        assert!(heap.queue_mut::<TimerWheel<u32>>().is_none());
+        let mut wheel = Simulation::with_queue(Recorder::default(), QueueKind::TimerWheel);
+        wheel.schedule(SimTime::from_us(1), 7);
+        assert!(wheel.queue_mut::<TimerWheel<u32>>().is_none());
+        assert!(wheel.queue_mut::<HeapQueue<u32>>().is_none());
     }
 
     #[test]

@@ -53,6 +53,7 @@
 //! with the (empty) front buffer, so buffer capacity circulates between
 //! the front and the slots and the steady state allocates nothing.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
@@ -374,30 +375,36 @@ impl QueueKind {
 /// both genericizing `Scheduler` (which would ripple a type parameter
 /// through `World` implementations) and a `dyn` indirection on the hot
 /// path. `Custom` holds the `cdna-model` schedule explorer's permutation
-/// queue, which deliberately reorders same-time ties, and the
-/// differential tests' heap oracle; it pays the `dyn` cost, but never
-/// runs on the perf path.
+/// queue, which deliberately reorders same-time ties and carries the
+/// explorer's schedule controller, and the differential tests' heap
+/// oracle; it pays the `dyn` cost, but never runs on the perf path.
 ///
 /// The custom box is `Send` so that a `Simulation` over a `Send` world
 /// is itself `Send` regardless of queue kind — `cdna-rack` hands each
 /// worker's slice of per-host simulations to the barrier and back over
 /// a [`crate::par`] channel every epoch. It is cloned through
 /// [`CustomQueue::clone_box`], so a simulation on either variant can be
-/// snapshotted mid-run.
+/// snapshotted mid-run; its `Debug` prints the whole queue, and
+/// [`crate::Simulation::queue_mut`] downcasts it back to its type.
 pub(crate) enum QueueImpl<E> {
     Wheel(TimerWheel<E>),
     Custom(Box<dyn CustomQueue<E>>),
 }
 
-/// A caller-supplied queue behind the `Custom` box: any `Clone + Send`
-/// [`EventQueue`], cloned into a fresh box.
-pub(crate) trait CustomQueue<E>: EventQueue<E> + Send {
+/// A caller-supplied queue behind the `Custom` box: any `Clone + Send +
+/// Debug` [`EventQueue`], cloned into a fresh box.
+pub(crate) trait CustomQueue<E>: EventQueue<E> + Send + std::fmt::Debug {
     fn clone_box(&self) -> Box<dyn CustomQueue<E>>;
+    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-impl<E, Q: EventQueue<E> + Clone + Send + 'static> CustomQueue<E> for Q {
+impl<E, Q: EventQueue<E> + Clone + Send + std::fmt::Debug + 'static> CustomQueue<E> for Q {
     fn clone_box(&self) -> Box<dyn CustomQueue<E>> {
         Box::new(self.clone())
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
@@ -414,7 +421,7 @@ impl<E: std::fmt::Debug> std::fmt::Debug for QueueImpl<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             QueueImpl::Wheel(q) => f.debug_tuple("Wheel").field(q).finish(),
-            QueueImpl::Custom(q) => f.debug_struct("Custom").field("len", &q.len()).finish(),
+            QueueImpl::Custom(q) => f.debug_tuple("Custom").field(q).finish(),
         }
     }
 }

@@ -42,6 +42,26 @@ fn array_paths<'a>(config: &'a str, name: &str) -> Vec<&'a str> {
         .collect()
 }
 
+/// Every `.rs` file under `dir`, recursively, skipping build output.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for path in entries.filter_map(|e| e.ok()).map(|e| e.path()) {
+        if path.is_dir() && !path.ends_with("target") {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// `line` without its `//` comment and its string literals' contents.
+fn code(line: &str) -> String {
+    let line = line.split("//").next().unwrap_or_default();
+    line.split('"').step_by(2).collect()
+}
+
 fn member_manifests() -> Vec<PathBuf> {
     let mut out: Vec<PathBuf> = std::fs::read_dir(root().join("crates"))
         .expect("crates/ is readable")
@@ -154,4 +174,39 @@ fn clippy_config_bans_hash_maps_and_the_wall_clock() {
             "disallowed-methods lacks {m}: {methods:?}"
         );
     }
+}
+
+#[test]
+fn only_the_listed_files_expect_a_lock() {
+    // `clippy.toml` bans `Mutex` and `RwLock`, so each lock is an
+    // `#[expect(clippy::disallowed_types, reason = …)]` in its file.
+    // The instant and system-time exceptions name no lock; a file whose
+    // code names both the lint and a lock type is a lock exception, and
+    // a new one needs an edit here as well as its own reason.
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    let mut locking: Vec<String> = files
+        .iter()
+        .filter(|path| {
+            let lines: Vec<String> = read(path).lines().map(code).collect();
+            let names = |words: &[&str]| lines.iter().any(|l| words.iter().any(|w| l.contains(w)));
+            names(&["clippy::disallowed_types"]) && names(&["Mutex", "RwLock"])
+        })
+        .map(|path| {
+            path.strip_prefix(root())
+                .unwrap_or(path)
+                .display()
+                .to_string()
+        })
+        .collect();
+    locking.sort();
+    assert_eq!(
+        locking,
+        [
+            "crates/fuzz/tests/rack_isolation.rs",
+            "crates/sim/src/par.rs"
+        ]
+    );
 }

@@ -22,7 +22,8 @@
 //! cross-check mirror against reality. The mirror is flat storage
 //! indexed by page number, grown on demand to the highest page it has
 //! seen, so a per-page event is an index and an audit is one ascending
-//! scan.
+//! scan. [`DmaShadow::audit_mem_runs`] scans only the pages written
+//! since the previous audit, plus those it left divergent.
 
 use cdna_core::ContextId;
 use cdna_mem::{DomainId, PageId, PhysMem};
@@ -202,6 +203,8 @@ struct PageMirrors {
     slots: Vec<Option<PageMirror>>,
     /// Number of `Some` slots.
     tracked: usize,
+    /// Sum of every tracked page's pins.
+    pins: u64,
 }
 
 impl PageMirrors {
@@ -236,18 +239,19 @@ impl PageMirrors {
             self.slots.resize(i + 1, None);
         }
         let prev = self.slots[i].replace(m);
-        if prev.is_none() {
-            self.tracked += 1;
+        self.pins += u64::from(m.pins);
+        match prev {
+            Some(old) => self.pins -= u64::from(old.pins),
+            None => self.tracked += 1,
         }
         prev
     }
 
     /// Stops tracking `page` (it is back on the free list).
     fn untrack(&mut self, page: PageId) {
-        if let Some(slot) = self.slots.get_mut(page.0 as usize) {
-            if slot.take().is_some() {
-                self.tracked -= 1;
-            }
+        if let Some(m) = self.slots.get_mut(page.0 as usize).and_then(Option::take) {
+            self.tracked -= 1;
+            self.pins -= u64::from(m.pins);
         }
     }
 
@@ -320,6 +324,9 @@ pub struct DmaShadow {
     seqs: BTreeMap<(u16, u8, ShadowDir), SeqShadow>,
     violations: Vec<ShadowViolation>,
     events: u64,
+    /// The pages the last pool audit found divergent, ascending; the
+    /// next [`DmaShadow::audit_mem_runs`] checks them again.
+    diverged: Vec<PageId>,
 }
 
 impl DmaShadow {
@@ -488,12 +495,13 @@ impl DmaShadow {
         }
         m.pins += 1;
         m.completed = false;
+        self.pages.pins += 1;
     }
 
     /// The protection path dropped one pin of `page`.
     pub fn on_unpin(&mut self, page: PageId) {
         self.events += 1;
-        let Some(m) = self.pages.get_mut(page) else {
+        let Some(m) = self.pages.get_mut(page).filter(|m| m.pins > 0) else {
             record(
                 &mut self.violations,
                 None,
@@ -502,21 +510,15 @@ impl DmaShadow {
             );
             return;
         };
-        if m.pins == 0 {
-            record(
-                &mut self.violations,
-                None,
-                Some(page),
-                ViolationKind::UnpinUnderflow,
-            );
-            return;
-        }
         m.pins -= 1;
-        if m.pins == 0 {
+        let last = m.pins == 0;
+        if last {
             m.completed = false;
-            if m.pending_free {
-                self.pages.untrack(page); // deferred free completes
-            }
+        }
+        let freed = last && m.pending_free;
+        self.pages.pins -= 1;
+        if freed {
+            self.pages.untrack(page); // deferred free completes
         }
     }
 
@@ -628,35 +630,84 @@ impl DmaShadow {
     /// recorded in ascending page order, the aggregate last, and the
     /// number found is returned.
     ///
-    /// The mirror and the pool's page table are walked in lockstep;
-    /// only a page that disagrees is looked up again to render it.
+    /// Each page range is walked beside the pool's page table; only a
+    /// page that disagrees is looked up again to render it. The
+    /// aggregate reads the pin total the mirror keeps up to date.
     pub fn audit_mem(&mut self, mem: &PhysMem) -> usize {
+        self.audit_ranges(mem, [(0, self.pages.slots.len())])
+    }
+
+    /// [`DmaShadow::audit_mem`] over only the pages of `touched` (page
+    /// runs `(first page, len)` in any order, possibly overlapping) and
+    /// the pages the previous audit found divergent.
+    ///
+    /// It records exactly what `audit_mem` would, provided every page
+    /// whose mirror entry or pool state changed since the previous
+    /// audit lies in `touched`: any other page either agreed then and
+    /// is unchanged, so it agrees now, or diverged then and is checked
+    /// again here.
+    pub fn audit_mem_runs(
+        &mut self,
+        mem: &PhysMem,
+        touched: impl IntoIterator<Item = (PageId, u32)>,
+    ) -> usize {
+        let range = |first: PageId, len: u32| (first.0 as usize, first.0 as usize + len as usize);
+        let mut ranges: Vec<(usize, usize)> = touched
+            .into_iter()
+            .map(|(first, len)| range(first, len))
+            .chain(self.diverged.iter().map(|&page| range(page, 1)))
+            .collect();
+        ranges.sort_unstable();
+        ranges.dedup_by(|next, kept| {
+            let overlaps = next.0 <= kept.1;
+            if overlaps {
+                kept.1 = kept.1.max(next.1);
+            }
+            overlaps
+        });
+        self.audit_ranges(mem, ranges)
+    }
+
+    /// The pool audit over `ranges` of page numbers, ascending and
+    /// disjoint: see [`DmaShadow::audit_mem`].
+    fn audit_ranges(
+        &mut self,
+        mem: &PhysMem,
+        ranges: impl IntoIterator<Item = (usize, usize)>,
+    ) -> usize {
         let before = self.violations.len();
-        let mut mirror_pins: u64 = 0;
         let mut divergences: Vec<(PageId, String)> = Vec::new();
-        let table = mem.page_table();
-        let (head, tail) = self
-            .pages
-            .slots
-            .split_at(table.len().min(self.pages.slots.len()));
-        for (i, (slot, real)) in head.iter().zip(table).enumerate() {
-            if let Some(m) = slot {
-                mirror_pins += u64::from(m.pins);
-                if m.owner != real.owner || m.pins != real.pins {
-                    mem_divergences(PageId(i as u32), m, mem, &mut divergences);
+        let (slots, table) = (&self.pages.slots, mem.page_table());
+        for (start, end) in ranges {
+            let end = end.min(slots.len());
+            if start >= end {
+                continue;
+            }
+            let mid = table.len().clamp(start, end);
+            // Empty when the range starts past the table.
+            let reals = table.get(start..mid).unwrap_or_default();
+            for (i, (slot, real)) in (start..).zip(slots[start..mid].iter().zip(reals)) {
+                if let Some(m) = slot {
+                    if m.owner != real.owner || m.pins != real.pins {
+                        mem_divergences(PageId(i as u32), m, mem, &mut divergences);
+                    }
+                }
+            }
+            // Past the table every pool page is free and unpinned, and
+            // past the pool there is no page at all.
+            for (i, slot) in (mid..).zip(&slots[mid..end]) {
+                if let Some(m) = slot {
+                    if m.owner.is_some() || m.pins != 0 || i >= mem.total_pages() as usize {
+                        mem_divergences(PageId(i as u32), m, mem, &mut divergences);
+                    }
                 }
             }
         }
-        // Past the table every pool page is free and unpinned, and past
-        // the pool there is no page at all.
-        for (i, slot) in (head.len()..).zip(tail) {
-            if let Some(m) = slot {
-                mirror_pins += u64::from(m.pins);
-                if m.owner.is_some() || m.pins != 0 || i >= mem.total_pages() as usize {
-                    mem_divergences(PageId(i as u32), m, mem, &mut divergences);
-                }
-            }
-        }
+        self.diverged.clear();
+        self.diverged
+            .extend(divergences.iter().map(|&(page, _)| page));
+        self.diverged.dedup();
+        let mirror_pins = self.pages.pins;
         if mem.outstanding_pins() != mirror_pins {
             divergences.push((
                 PageId(0),
@@ -1156,11 +1207,46 @@ mod tests {
         (mem, s)
     }
 
+    /// A few seeded writes to the pool and to the mirror, as between two
+    /// syncs; returns the mirror's written pages as runs. The pool's
+    /// writes are marked dirty by the pool itself.
+    fn scatter_writes(seed: u64, mem: &mut PhysMem, s: &mut DmaShadow) -> Vec<(PageId, u32)> {
+        let mut rng = cdna_sim::SimRng::seed_from(seed);
+        let owners = [guest(), DomainId::guest(1)];
+        for _ in 0..rng.below(6) {
+            let page = PageId(rng.below(POOL as usize + 4) as u32);
+            let owner = mem.info(page).ok().and_then(|i| i.owner);
+            let other = owners[usize::from(owner == Some(owners[0]))];
+            let _ = match rng.below(5) {
+                0 => mem.alloc(owners[rng.below(2)]).map(|_| ()),
+                1 => mem.pin_run(page, rng.below(3) as u32),
+                2 => mem.unpin(page),
+                3 => mem.free(owner.unwrap_or(other), page),
+                _ => mem.transfer(page, owner.unwrap_or(other), other),
+            };
+        }
+        let mut written = Vec::new();
+        for _ in 0..rng.below(4) {
+            let page = PageId(rng.below(POOL as usize + 8) as u32);
+            match rng.below(3) {
+                0 => s.on_pin(page),
+                1 => s.on_unpin(page),
+                _ => s.pages.untrack(page),
+            }
+            written.push((page, 1));
+        }
+        written
+    }
+
+    /// The whole-mirror audit matches one pool lookup per page; then,
+    /// over rounds of seeded writes, the audit of only the written runs
+    /// records the same divergences in the same order as the whole one,
+    /// and leaves the same divergent list behind.
     #[test]
     fn audit_mem_matches_the_per_page_audit_on_divergent_mirrors() {
-        let (mut clean, mut diverged) = (0, 0);
+        let (mut clean, mut diverged, mut carried) = (0, 0, 0);
         for seed in 0..400 {
-            let (mem, mut fast) = divergent_mirror(seed);
+            let (mut mem, mut fast) = divergent_mirror(seed);
             let mut slow = fast.clone();
             let found = fast.audit_mem(&mem);
             assert_eq!(found, audit_mem_per_page(&mut slow, &mem), "seed {seed}");
@@ -1170,10 +1256,25 @@ mod tests {
             } else {
                 diverged += 1;
             }
+            mem.track_dirty();
+            for round in 0..3 {
+                let at = format!("seed {seed} round {round}");
+                let written = scatter_writes(seed * 3 + round, &mut mem, &mut fast);
+                let mut whole = fast.clone();
+                let dirty = mem.dirty_runs().into_iter().flatten();
+                let found = fast.audit_mem_runs(&mem, written.into_iter().chain(dirty));
+                assert_eq!(found, whole.audit_mem(&mem), "{at}");
+                assert_eq!(fast.violations(), whole.violations(), "{at}");
+                assert_eq!(fast, whole, "{at}: divergent lists differ");
+                let pins: u64 = fast.pages.iter().map(|(_, m)| u64::from(m.pins)).sum();
+                assert_eq!(fast.pages.pins, pins, "{at}: pin total");
+                carried += usize::from(!fast.diverged.is_empty());
+                mem.track_dirty();
+            }
         }
         assert!(
-            clean > 0 && diverged > 0,
-            "{clean} clean, {diverged} diverged"
+            clean > 0 && diverged > 0 && carried > 0,
+            "{clean} clean, {diverged} diverged, {carried} rounds left divergent pages"
         );
     }
 

@@ -13,7 +13,11 @@
 //!   one has allocated grows the table to it on a cold path, so the
 //!   steady-state run operations stay one slice access each;
 //! * the pool-wide pin count is a running total, updated wherever a
-//!   page's pin count changes.
+//!   page's pin count changes;
+//! * once [`PhysMem::track_dirty`] is called, every write to the page
+//!   table also marks its pages in a dirty bitmap, so an auditor can
+//!   check only the pages written since it last looked. Until then the
+//!   bitmap does not exist and each write pays one untaken branch.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -119,6 +123,10 @@ pub struct PhysMem {
     outstanding: u64,
     total_pins: u64,
     total_transfers: u64,
+    /// Bit `i % 64` of word `i / 64` is set when page `i`'s entry was
+    /// written since the last [`PhysMem::track_dirty`]; `None` before
+    /// the first. Covers at most the table.
+    dirty: Option<Vec<u64>>,
 }
 
 /// A free, unpinned page: every page past the materialised prefix.
@@ -140,6 +148,7 @@ impl PhysMem {
             outstanding: 0,
             total_pins: 0,
             total_transfers: 0,
+            dirty: None,
         }
     }
 
@@ -170,6 +179,45 @@ impl PhysMem {
         &self.pages
     }
 
+    /// Starts dirty tracking afresh: clears every dirty mark, and from
+    /// now on every write that changes a page's state (alloc, free,
+    /// transfer, pin, unpin, a deferred free completing) marks its
+    /// pages.
+    pub fn track_dirty(&mut self) {
+        match &mut self.dirty {
+            Some(dirty) => dirty.fill(0),
+            None => self.dirty = Some(Vec::new()),
+        }
+    }
+
+    /// The pages written since the last [`PhysMem::track_dirty`], as
+    /// maximal runs `(first page, len)` in ascending page order, or
+    /// `None` before the first. Every page whose [`PhysMem::info`]
+    /// changed lies in one of them.
+    pub fn dirty_runs(&self) -> Option<impl Iterator<Item = (PageId, u32)> + '_> {
+        let words = self.dirty.as_deref()?;
+        // The bits of `page`'s word from `page`'s own up; `None` past the
+        // bitmap.
+        let from = move |page: usize| words.get(page / 64).map(|w| w >> (page % 64));
+        let mut page = 0;
+        Some(std::iter::from_fn(move || {
+            // Skip a clear rest of a word at once.
+            loop {
+                let bits = from(page)?;
+                if bits != 0 {
+                    page += bits.trailing_zeros() as usize;
+                    break;
+                }
+                page = (page / 64 + 1) * 64;
+            }
+            let first = page;
+            while from(page).is_some_and(|bits| bits & 1 == 1) {
+                page += 1;
+            }
+            Some((PageId(first as u32), (page - first) as u32))
+        }))
+    }
+
     /// Allocates one free page to `owner`.
     pub fn alloc(&mut self, owner: DomainId) -> Result<PageId, MemError> {
         let page = if let Some(page) = self.skipped.pop_front() {
@@ -191,6 +239,7 @@ impl PhysMem {
             },
         );
         self.outstanding -= u64::from(old.pins);
+        self.touch(page, 1);
         Ok(page)
     }
 
@@ -243,6 +292,7 @@ impl PhysMem {
         for info in &mut self.pages[start as usize..end as usize] {
             info.owner = Some(owner);
         }
+        self.touch(PageId(start), n);
         Ok(PageId(start))
     }
 
@@ -281,6 +331,7 @@ impl PhysMem {
         }
         info.owner = Some(to);
         self.total_transfers += 1;
+        self.touch(page, 1);
         Ok(())
     }
 
@@ -373,6 +424,7 @@ impl PhysMem {
         }
         self.outstanding += u64::from(len);
         self.total_pins += u64::from(len);
+        self.touch(start, len);
         Ok(())
     }
 
@@ -391,6 +443,14 @@ impl PhysMem {
     /// if one is pending and this was the last pin.
     #[inline]
     pub fn unpin(&mut self, page: PageId) -> Result<(), MemError> {
+        self.unpin_page(page)?;
+        self.touch(page, 1);
+        Ok(())
+    }
+
+    /// [`PhysMem::unpin`] without recording the page as dirty.
+    #[inline]
+    fn unpin_page(&mut self, page: PageId) -> Result<(), MemError> {
         let Some(info) = self
             .pages
             .get_mut(page.0 as usize)
@@ -434,7 +494,10 @@ impl PhysMem {
                 (start, len)
             };
         self.check_run(start, len)?;
-        (start.0..start.0 + len).try_for_each(|page| self.unpin(PageId(page)))
+        // The whole run, not the pages up to an underflow: a superset of
+        // the written pages is still a correct set of dirty marks.
+        self.touch(start, len);
+        (start.0..start.0 + len).try_for_each(|page| self.unpin_page(PageId(page)))
     }
 
     /// Number of pages owned by `owner`.
@@ -487,7 +550,9 @@ impl PhysMem {
         Ok(())
     }
 
-    /// Grows the page table to cover `[0, end)`.
+    /// Grows the page table to cover `[0, end)`. Not a dirty write: the
+    /// new entries are free and unpinned, as the pages past the table
+    /// already read.
     fn materialise(&mut self, end: usize) {
         if self.pages.len() < end {
             self.pages.resize(end, FREE);
@@ -498,6 +563,30 @@ impl PhysMem {
         let old = std::mem::replace(&mut self.pages[page.0 as usize], FREE);
         self.outstanding -= u64::from(old.pins);
         self.released.push_back(page);
+        self.touch(page, 1);
+    }
+
+    /// Marks the page run `[first, first + len)` dirty, if the pool
+    /// tracks writes.
+    #[inline]
+    fn touch(&mut self, first: PageId, len: u32) {
+        if let Some(dirty) = &mut self.dirty {
+            mark_dirty(dirty, first, len);
+        }
+    }
+}
+
+/// [`PhysMem::touch`]'s marking, out of line: pools that do not track
+/// writes (every run without the shadow checker) keep only the branch.
+#[cold]
+#[inline(never)]
+fn mark_dirty(words: &mut Vec<u64>, first: PageId, len: u32) {
+    let run = first.0 as usize..first.0 as usize + len as usize;
+    if words.len() * 64 < run.end {
+        words.resize(run.end.div_ceil(64), 0);
+    }
+    for page in run {
+        words[page / 64] |= 1 << (page % 64);
     }
 }
 
@@ -1015,6 +1104,73 @@ mod tests {
             skipped_seen,
             "the mix never stepped over a pinned free page"
         );
+    }
+
+    /// Every page whose state an operation changes lies in a dirty run,
+    /// with the seeded `unpin-wrong-page` bug off and, where the
+    /// `mutations` feature is built, on.
+    #[test]
+    fn every_changed_page_lies_in_a_dirty_run() {
+        const TOTAL: u32 = 40;
+        let modes: &[bool] = if cfg!(feature = "mutations") {
+            &[false, true]
+        } else {
+            &[false]
+        };
+        for &mutated in modes {
+            #[cfg(feature = "mutations")]
+            crate::mutation::set_active(
+                mutated.then_some(crate::mutation::MutationKind::UnpinWrongPage),
+            );
+            let mut changed = 0;
+            for seed in 0..8u64 {
+                let mut mem = PhysMem::new(TOTAL);
+                assert!(mem.dirty_runs().is_none(), "a new pool tracks nothing");
+                mem.alloc_many(guest(0), 4).unwrap();
+                mem.track_dirty();
+                let mut rng = seed;
+                for step in 0..1_500 {
+                    let r = next(&mut rng);
+                    let page = PageId(((r >> 8) % u64::from(TOTAL + 2)) as u32);
+                    let len = ((r >> 40) % 4) as u32;
+                    let who = guest(((r >> 48) % 3) as u16);
+                    let owner = mem.info(page).ok().and_then(|i| i.owner).unwrap_or(who);
+                    let before: Vec<Result<PageInfo, MemError>> =
+                        (0..TOTAL).map(|p| mem.info(PageId(p))).collect();
+                    let _ = match r % 100 {
+                        0..=14 => mem.alloc(who).map(|_| ()),
+                        15..=24 => mem.alloc_contiguous(who, len + 1).map(|_| ()),
+                        25..=44 => mem.free(owner, page),
+                        45..=54 => mem.transfer(page, owner, who),
+                        55..=74 => mem.pin_run(page, len),
+                        75..=84 => mem.unpin(page),
+                        _ => mem.unpin_run(page, len),
+                    };
+                    let dirty: Vec<(PageId, u32)> = mem.dirty_runs().unwrap().collect();
+                    for pair in dirty.windows(2) {
+                        let ((a, n), (b, _)) = (pair[0], pair[1]);
+                        assert!(a.0 + n < b.0, "runs not ascending and maximal: {dirty:?}");
+                    }
+                    for p in 0..TOTAL {
+                        if mem.info(PageId(p)) == before[p as usize] {
+                            continue;
+                        }
+                        changed += 1;
+                        assert!(
+                            dirty.iter().any(|&(f, n)| (f.0..f.0 + n).contains(&p)),
+                            "mutated {mutated} seed {seed} step {step}: page {p} changed off the list"
+                        );
+                    }
+                    if r.is_multiple_of(7) {
+                        mem.track_dirty();
+                        assert_eq!(mem.dirty_runs().unwrap().count(), 0);
+                    }
+                }
+            }
+            #[cfg(feature = "mutations")]
+            crate::mutation::set_active(None);
+            assert!(changed > 1_000, "mutated {mutated}: {changed} page changes");
+        }
     }
 
     #[test]

@@ -12,9 +12,20 @@
 //! candidate), so it resumes from the snapshot taken before `d` with
 //! that candidate forced and simulates only the tail. The stack keeps
 //! only a few snapshots (`SNAPSHOTS`); a branch whose snapshot was
-//! dropped resumes from the nearest one above it. Each schedule ends with a shadow sync that
-//! folds only the pins and reaps of its own run, since the build-time
-//! posts are already in the primed mirror every snapshot copies.
+//! dropped resumes from the nearest one above it.
+//!
+//! A schedule's one shadow sync is the one its `StopMeasure` event
+//! runs. It folds only the pins and reaps of the schedule's own run,
+//! since the build-time posts are already in the primed mirror every
+//! snapshot copies, and it audits only the pool pages written since the
+//! primed sync, which every snapshot's pool marks dirty. Nothing
+//! after `StopMeasure` pins, reaps or stamps a descriptor (a test below
+//! checks every schedule of a 300 µs matrix), so a second sync at the
+//! schedule's end would only re-record what the first found.
+//!
+//! The explorer marks each [`Phase`] of its work (build, snapshot
+//! clone, resume, tail, invariants) for a profiling hook that does
+//! nothing unless a binary installs one (`cdna-model --profile`).
 //!
 //! [`explore`] searches one configuration's decision tree depth-first;
 //! [`explore_matrix`] runs a whole configuration matrix, one cell per
@@ -26,6 +37,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use cdna_core::{DmaPolicy, FaultKind};
 use cdna_sim::{par, SimTime, Simulation};
+use cdna_system::phase::{self, Phase};
 use cdna_system::{Direction, IoModel, NicKind, SystemWorld, TestbedConfig};
 
 use crate::queue::{Controller, PermutationQueue};
@@ -198,11 +210,13 @@ struct Snapshot {
 /// branch has one at or above its decision, and the deepest seven,
 /// where a depth-first search backtracks to almost every time.
 ///
-/// A snapshot is a whole world (0.1–0.43 MB on the default matrix).
-/// Eight keep nearly all the re-runs one per depth (12–21) saves, at
-/// half its heap; the scattered memory a larger heap leaves behind
-/// slows the next world built in the process. DESIGN.md §11 has the
-/// sweep over 2, 4, 8 and one per depth.
+/// A snapshot is a whole world (0.1–0.43 MB on the default matrix),
+/// with its shadow's page mirror and its pool's dirty bitmap but no
+/// scratch space of the sync's. Eight keep nearly all the re-runs one
+/// per depth (12–21) saves, at half its heap; the scattered memory a
+/// larger heap leaves behind slows the next world built in the
+/// process. DESIGN.md §11 has the sweep over 2, 4, 8 and one per
+/// depth.
 const SNAPSHOTS: usize = 8;
 
 /// Runs `sim` to `end` under its pausing controller, pushing a snapshot
@@ -211,16 +225,19 @@ const SNAPSHOTS: usize = 8;
 /// [`SNAPSHOTS`]; then finishes the schedule ([`finish`]).
 fn run_tail(sim: &mut Simulation<SystemWorld>, stack: &mut Vec<Snapshot>, end: SimTime) -> u64 {
     loop {
+        phase::enter(Phase::Tail);
         sim.run_due(end);
         let unpaused = sim.queue_mut::<PermutationQueue>();
         let Some(depth) = unpaused.and_then(|q| q.ctrl.unpause()) else {
             break;
         };
+        phase::enter(Phase::Clone);
         stack.push(Snapshot {
             depth,
             sim: sim.clone(),
         });
         if stack.len() > SNAPSHOTS {
+            phase::enter(Phase::Resume);
             stack.remove(1);
         }
     }
@@ -228,11 +245,14 @@ fn run_tail(sim: &mut Simulation<SystemWorld>, stack: &mut Vec<Snapshot>, end: S
     finish(sim)
 }
 
-/// Brings a finished schedule's shadow up to date; returns the events
-/// processed since time zero (a resumed simulation carries its
-/// snapshot's count).
-fn finish(sim: &mut Simulation<SystemWorld>) -> u64 {
-    sim.world_mut().shadow_sync();
+/// Ends a schedule; returns the events processed since time zero (a
+/// resumed simulation carries its snapshot's count).
+///
+/// The shadow is already up to date: the schedule's `StopMeasure`
+/// event synced it, and nothing after that event pins, reaps or stamps
+/// a descriptor, so a second sync here would only record the first
+/// one's audit findings again.
+fn finish(sim: &Simulation<SystemWorld>) -> u64 {
     sim.events_processed()
 }
 
@@ -271,6 +291,7 @@ fn explore_observed(
     job: &ExploreConfig,
     observe: &mut dyn FnMut(&mut SystemWorld, u64),
 ) -> Exploration {
+    let outer = phase::enter(Phase::Build);
     let mut result = Exploration::new(&job.label);
     let queue = PermutationQueue::new(Controller::pausing(job.max_depth), job.tie_window);
     let end = job.cfg.warmup + job.cfg.measure;
@@ -285,12 +306,14 @@ fn explore_observed(
         let (violations, events) = match &mut next {
             Ok(sim) => catch(|| {
                 let events = run_tail(sim, &mut stack, end);
+                phase::enter(Phase::Invariants);
                 observe(sim.world_mut(), events);
                 (check_invariants(sim.world()), events)
             })
             .unwrap_or_else(|v| (vec![v], 0)),
             Err(v) => (vec![std::mem::take(v)], 0),
         };
+        phase::enter(Phase::Resume);
         let empty = Controller::default();
         let finished = next
             .as_mut()
@@ -317,8 +340,10 @@ fn explore_observed(
         let snapshot = if last && from == depth {
             stack.pop()
         } else {
+            phase::enter(Phase::Clone);
             stack.last().cloned()
         };
+        phase::enter(Phase::Resume);
         next = snapshot
             .map(|mut s| {
                 if let Some(q) = s.sim.queue_mut::<PermutationQueue>() {
@@ -328,6 +353,7 @@ fn explore_observed(
             })
             .ok_or_else(|| format!("no snapshot at or above decision {depth}"));
     }
+    phase::enter(outer);
     result
 }
 
@@ -338,12 +364,16 @@ fn explore_observed(
 /// Parallelism stops at the cell boundary: each decision tree is still
 /// searched sequentially, so every [`Exploration`] — exhausted or cut
 /// at `max_schedules` — is the same at any worker count. The active
-/// [`cdna_mem::mutation`] switch (a thread-local) is mirrored from the
-/// calling thread onto every worker, so seeded-bug calibration runs
-/// explore the same mutated build at any worker count.
+/// [`cdna_mem::mutation`] switch and [`phase`] hook (both thread-local)
+/// are mirrored from the calling thread onto every worker, so
+/// seeded-bug calibration runs explore the same mutated build, and a
+/// profile covers every cell, at any worker count.
 pub fn explore_matrix(matrix: Vec<ExploreConfig>, jobs: usize) -> MatrixReport {
-    let mutation = cdna_mem::mutation::active();
-    let init = move || cdna_mem::mutation::set_active(mutation);
+    let (mutation, hook) = (cdna_mem::mutation::active(), phase::hook());
+    let init = move || {
+        cdna_mem::mutation::set_active(mutation);
+        phase::set_hook(hook);
+    };
     MatrixReport {
         runs: par::run_indexed_init(jobs, matrix, init, |_, job| explore(&job)),
     }
@@ -472,7 +502,7 @@ mod tests {
         let mut sim = primed.clone();
         *ctrl(&mut sim) = Controller::new(prefix, job.max_depth);
         sim.run_until(job.cfg.warmup + job.cfg.measure);
-        let events = finish(&mut sim);
+        let events = finish(&sim);
         (sim, events)
     }
 
@@ -537,6 +567,31 @@ mod tests {
         assert_eq!(truncated, 1, "the depth-3 cell was not truncated");
     }
 
+    /// A sync at a schedule's end would have nothing to fold or replay:
+    /// on every schedule of the 300 µs matrix, every engine's pin
+    /// journal is empty after the `StopMeasure` sync, and a further sync
+    /// observes no sequence number and folds no pin (the shadow's event
+    /// count stays put), so no context's TX or RX producer moved.
+    #[test]
+    fn nothing_reaches_the_shadow_after_the_stop_measure_sync() {
+        let mut schedules = 0;
+        for job in default_matrix(300, 200, 64, 2000) {
+            let run = explore_observed(&job, &mut |world, _| {
+                schedules += 1;
+                for (nic, engine) in world.engines.iter().enumerate() {
+                    let journal = engine.pin_journal().unwrap_or_default();
+                    assert!(journal.is_empty(), "{} nic {nic}: {journal:?}", job.label);
+                }
+                let events = |w: &SystemWorld| w.shadow().map(|s| s.events());
+                let mut again = world.clone();
+                again.shadow_sync();
+                assert_eq!(events(&again), events(world), "{}", job.label);
+            });
+            assert_eq!(run.violations, 0, "{run:?}");
+        }
+        assert!(schedules > 700, "{schedules} schedules");
+    }
+
     /// Two schedules on clones of one primed simulation and one on a
     /// freshly built world agree, and leave the primed simulation as it
     /// was: a `Clone` that shared state between copies, the controller
@@ -561,7 +616,7 @@ mod tests {
             let fresh_ctrl = Controller::new(prefix.clone(), job.max_depth);
             let mut fresh = primed(job.cfg.clone(), queue(&job, fresh_ctrl));
             fresh.run_until(end);
-            let events = finish(&mut fresh);
+            let events = finish(&fresh);
             let want = outcome(fresh.world_mut(), events);
 
             for _ in 0..2 {
@@ -571,7 +626,7 @@ mod tests {
             assert_eq!(format!("{cell:?}"), before, "{}", job.label);
             *ctrl(&mut cell) = Controller::new(prefix, job.max_depth);
             cell.run_until(end);
-            let events = finish(&mut cell);
+            let events = finish(&cell);
             assert_eq!(outcome(cell.world_mut(), events), want, "{}", job.label);
         }
         assert!(forked > 0, "no cell took a second branch");

@@ -37,11 +37,21 @@
 //!   scoped to different NICs are treated as independent, so only
 //!   orderings that permute *dependent* events (same NIC, or global
 //!   CPU/measurement events) fork new schedules;
+//! * each schedule's shadow is synced once, by its `StopMeasure` event.
+//!   The sync folds only the pins and reaps of the schedule's own run
+//!   and audits only the pool pages written since the cell's primed
+//!   sync, plus any the last audit found divergent
+//!   ([`cdna_check::shadow::DmaShadow::audit_mem_runs`]); it finds
+//!   exactly what a whole-pool audit would;
 //! * after every schedule, [`explore`] checks the full invariant suite:
 //!   zero `DmaShadow` violations (pin lifecycle, sequence continuity),
 //!   zero protection faults, event-channel conservation
 //!   (`sent == collected + pending`), and CDNA pin balance (pool pins
 //!   == protection-engine pinned pages);
+//! * [`explore`] and the shadow sync mark each phase of their work
+//!   ([`cdna_system::phase`]) for a hook that does nothing unless a
+//!   binary installs one; `cdna-model --profile` installs a timer and
+//!   prints the host time per phase;
 //! * [`explore_matrix`] runs a whole configuration matrix on the
 //!   [`cdna_sim::par`] worker pool, one cell per task. Each cell's tree
 //!   is searched by the same sequential [`explore`], so the report is

@@ -7,7 +7,7 @@
 //! ```text
 //! cdna-model [--out report.json] [--window-us N] [--per-config N]
 //!            [--max-depth N] [--tie-window-ns N] [--jobs N]
-//!            [--mutation NAME [--expect-caught]]
+//!            [--mutation NAME [--expect-caught]] [--profile]
 //! ```
 //!
 //! `--jobs N` (default: one worker per core, at most one per
@@ -20,6 +20,11 @@
 //!
 //! `--tie-window-ns N` (default 2000) treats pending events within `N`
 //! ns of the earliest as tied; 0 forks exact ties only.
+//!
+//! `--profile` times every worker's explorer phases (build, snapshot
+//! clone, resume, tail events, the shadow sync's sequence replay, fold
+//! and two audits, invariants) and prints the host time per phase,
+//! summed over the workers, to stderr. The report does not change.
 //!
 //! `--window-us`, `--per-config`, `--max-depth` and `--jobs` must be
 //! positive: a zero window, schedule budget or decision depth explores
@@ -48,6 +53,7 @@ struct Options {
     jobs: Option<usize>,
     mutation: Option<MutationKind>,
     expect_caught: bool,
+    profile: bool,
 }
 
 impl Options {
@@ -61,6 +67,7 @@ impl Options {
             jobs: None,
             mutation: None,
             expect_caught: false,
+            profile: false,
         }
     }
 }
@@ -68,7 +75,8 @@ impl Options {
 fn usage() -> ! {
     eprintln!(
         "usage: cdna-model [--out PATH] [--window-us N] [--per-config N] \
-         [--max-depth N] [--tie-window-ns N] [--jobs N] [--mutation NAME] [--expect-caught]"
+         [--max-depth N] [--tie-window-ns N] [--jobs N] [--mutation NAME] [--expect-caught] \
+         [--profile]"
     );
     eprintln!("mutations: {}", names().join(", "));
     std::process::exit(2);
@@ -116,6 +124,7 @@ fn parse_args() -> Options {
                 }
             }
             "--expect-caught" => opts.expect_caught = true,
+            "--profile" => opts.profile = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other:?}");
@@ -128,6 +137,63 @@ fn parse_args() -> Options {
         usage();
     }
     opts
+}
+
+/// `--profile`: host time per explorer phase (`cdna_system::phase`),
+/// summed over every worker, read through the hook each worker
+/// inherits.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "--profile reports host wall time per phase, on stderr only"
+)]
+mod profile {
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Instant;
+
+    use cdna_system::phase::{self, Phase, ALL};
+
+    /// Slots for every phase, [`Phase::Idle`] included.
+    const SLOTS: usize = ALL.len() + 1;
+
+    /// Nanoseconds spent in each phase, indexed by `Phase as usize`.
+    static TOTALS: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
+
+    thread_local! {
+        /// The phase this thread is in, and since when.
+        static CLOCK: Cell<(Phase, Option<Instant>)> = const { Cell::new((Phase::Idle, None)) };
+    }
+
+    /// The hook: charges the time since the thread's last mark to the
+    /// phase that mark entered.
+    fn mark(next: Phase) -> Phase {
+        let now = Instant::now();
+        let (prev, since) = CLOCK.replace((next, Some(now)));
+        if let Some(since) = since {
+            let ns = u64::try_from((now - since).as_nanos()).unwrap_or(u64::MAX);
+            TOTALS[prev as usize].fetch_add(ns, Ordering::Relaxed);
+        }
+        prev
+    }
+
+    /// Installs the timer on this thread; `explore_matrix` hands it on
+    /// to its workers.
+    pub fn install() {
+        phase::set_hook(Some(mark));
+    }
+
+    /// Prints each phase's total and share to stderr.
+    pub fn report(jobs: usize) {
+        let ms = |p: Phase| TOTALS[p as usize].load(Ordering::Relaxed) as f64 / 1e6;
+        let total: f64 = ALL.into_iter().map(ms).sum();
+        eprintln!("profile: host ms per phase, summed over {jobs} worker(s)");
+        for p in ALL {
+            let share = 100.0 * ms(p) / total.max(f64::MIN_POSITIVE);
+            eprintln!("  {:14} {:>10.1} ms {:>6.1}%", p.name(), ms(p), share);
+        }
+        eprintln!("  {:14} {:>10.1} ms", "total", total);
+    }
 }
 
 /// Serializes the matrix report. Schema is versioned so CI consumers
@@ -213,6 +279,9 @@ fn main() -> ExitCode {
         "exploring {} configurations on {jobs} worker(s)",
         matrix.len()
     );
+    if opts.profile {
+        profile::install();
+    }
     let mut report = explore_matrix(matrix, jobs);
     for run in &report.runs {
         eprintln!(
@@ -229,6 +298,9 @@ fn main() -> ExitCode {
                 ""
             },
         );
+    }
+    if opts.profile {
+        profile::report(jobs);
     }
     // Calibration runs only need one catching config: the report ends
     // at the first.

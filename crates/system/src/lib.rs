@@ -30,6 +30,7 @@
 mod config;
 mod costs;
 mod diff;
+pub mod phase;
 mod report;
 mod testbed;
 mod workload;

@@ -40,6 +40,7 @@ use cdna_xen::{
     FrontBackChannel, NativeDriver, PvPacket, RunQueue, VirtualIrq,
 };
 
+use crate::phase::{self, Phase};
 use crate::{Direction, IoModel, NicKind, TestbedConfig};
 
 /// Events driving the machine.
@@ -318,18 +319,16 @@ impl HotIds {
 /// The world feeds the shadow in batches rather than by inline events.
 /// The only hot-path cost is each protection engine's pin journal
 /// (enabled by [`SystemWorld::build`] for shadow-checked runs only),
-/// which records every page run the engine pins or unpins. At each
-/// sync point the harness replays the descriptor sequence streams the
-/// hypervisor produced since the last pass, folds the drained journals
-/// into the page mirror, and then runs the mirror-vs-reality audits.
+/// which records every page run the engine pins or unpins, and, from
+/// the first sync on, the pool's dirty-page marks. At each sync point the
+/// harness replays the descriptor sequence streams the hypervisor
+/// produced since the last pass, folds the drained journals into the
+/// page mirror, and then runs the mirror-vs-reality audits.
 #[derive(Debug, Default, Clone)]
 struct ShadowHarness {
     shadow: DmaShadow,
     /// Next unread descriptor-ring index per (nic, ctx, dir).
     cursors: std::collections::BTreeMap<(usize, u8, ShadowDir), u64>,
-    /// Net pin change per page of the journals being folded, indexed
-    /// by page number; all zero between syncs (reused).
-    pin_delta: Vec<i32>,
     /// Violations already surfaced as protection faults.
     reported: usize,
 }
@@ -500,6 +499,58 @@ impl World for SystemWorld {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Puts a sync's run endpoints `(page, delta)` in ascending page order.
+/// Few endpoints over a wide span (a schedule's own pins and reaps) are
+/// compared; many over a narrow one (the runs a world journals from its
+/// build to its first sync) are counted into their span instead, which
+/// sums each page's deltas and drops the pages they cancel on.
+fn sort_by_page(ends: &mut Vec<(u32, i32)>) {
+    let (lo, hi) = ends.iter().fold((u32::MAX, 0), |(lo, hi), &(page, _)| {
+        (lo.min(page), hi.max(page + 1))
+    });
+    let span = hi.saturating_sub(lo) as usize;
+    if ends.len() * 8 < span {
+        ends.sort_unstable_by_key(|&(page, _)| page);
+        return;
+    }
+    let mut net = vec![0i32; span];
+    for &(page, d) in ends.iter() {
+        net[(page - lo) as usize] += d;
+    }
+    ends.clear();
+    ends.extend((lo..hi).zip(net).filter(|&(_, d)| d != 0));
+}
+
+/// Applies one page's non-zero net pin change `net`, from a sync's
+/// journal fold, to the shadow's page mirror.
+fn fold_page(shadow: &mut DmaShadow, mem: &PhysMem, page: PageId, net: i32) {
+    if net > 0 {
+        if shadow.state(page) == ShadowState::Free {
+            // First sighting: seed ownership from the live pool. An
+            // unowned page stays untracked and the pin below is flagged
+            // as pin-without-owner — a real violation.
+            if let Some(owner) = mem.info(page).ok().and_then(|info| info.owner) {
+                shadow.on_alloc(owner, page);
+            }
+        }
+        for _ in 0..net {
+            shadow.on_pin(page);
+        }
+        return;
+    }
+    let have = shadow.pins(page);
+    for _ in net..0 {
+        shadow.on_unpin(page);
+    }
+    if have <= net.unsigned_abs() {
+        // Fully reaped: retire the mirror entry so the mirror tracks
+        // exactly the engine-pinned set.
+        if let Some(owner) = shadow.owner(page) {
+            shadow.on_free(owner, page);
         }
     }
 }
@@ -1015,9 +1066,17 @@ impl SystemWorld {
     ///    violations); the journals are empty afterwards;
     /// 3. cross-checks the mirror against the engines' pinned-buffer
     ///    lists and — in CDNA mode, where every pin traces back to a
-    ///    validated descriptor — against the whole [`PhysMem`] pool.
-    ///    (Xen's grant-mapping path pins pages outside the engines, so
-    ///    the whole-pool audit is only sound without a driver domain.)
+    ///    validated descriptor — against the [`PhysMem`] pool. (Xen's
+    ///    grant-mapping path pins pages outside the engines, so the
+    ///    pool audit is only sound without a driver domain.) The
+    ///    world's first sync audits the whole pool and starts the
+    ///    pool's dirty marks; every later one audits only the pages the
+    ///    pool wrote or the fold changed since, plus those the last
+    ///    audit found divergent ([`DmaShadow::audit_mem_runs`]), and
+    ///    records exactly what a whole-pool audit would.
+    ///
+    /// Each step is marked as its own [`phase`](crate::phase) for a
+    /// profiling hook.
     ///
     /// New violations become [`FaultKind::ShadowViolation`] protection
     /// faults attributed to the offending context; the count of new
@@ -1028,6 +1087,7 @@ impl SystemWorld {
         let Some(h) = self.shadow.as_mut() else {
             return 0;
         };
+        let outer = phase::enter(Phase::SeqReplay);
         let modulus = (self.cfg.ring_size * 2).max(4);
         // Replay newly produced descriptors of every assigned context.
         for (nic, engine) in self.engines.iter().enumerate() {
@@ -1064,75 +1124,59 @@ impl SystemWorld {
                 }
             }
         }
-        // Fold the journals into a net pin change per page over the span
-        // they touch: a page pinned and reaped between two syncs nets to
-        // zero and never reaches the shadow.
+        // Fold the journals into one net pin change per page: sweep the
+        // runs' endpoints in page order, so each stretch of equal net
+        // change is one step and a page pinned and reaped between two
+        // syncs nets to zero and never reaches the shadow.
+        phase::enter(Phase::Fold);
         let journals = || self.engines.iter().filter_map(|e| e.pin_journal());
-        let (mut lo, mut hi) = (u32::MAX, 0);
-        for run in journals().flatten() {
-            lo = lo.min(run.first.0);
-            hi = hi.max(run.first.0 + run.len);
-        }
-        let delta = &mut h.pin_delta;
-        if delta.len() < hi as usize {
-            delta.resize(hi as usize, 0);
-        }
-        for journal in journals() {
-            for run in journal {
-                for d in &mut delta[run.first.0 as usize..(run.first.0 + run.len) as usize] {
-                    *d += run.delta;
-                }
-            }
+        // Sized up front: a world's first sync folds every run since the
+        // build, thousands on a long run.
+        let mut ends: Vec<(u32, i32)> =
+            Vec::with_capacity(2 * journals().map(<[_]>::len).sum::<usize>());
+        for r in journals().flatten() {
+            ends.extend([(r.first.0, r.delta), (r.first.0 + r.len, -r.delta)]);
         }
         for engine in &mut self.engines {
             engine.clear_pin_journal();
         }
-        // Walk the span in ascending page order, clearing it behind.
+        sort_by_page(&mut ends);
+        // The page runs the fold changed, ascending.
+        let mut folded: Vec<(PageId, u32)> = Vec::new();
         let shadow = &mut h.shadow;
-        for page in lo..hi {
-            let d = std::mem::take(&mut delta[page as usize]);
-            if d == 0 {
+        let mut net = 0;
+        for (i, &(from, d)) in ends.iter().enumerate() {
+            net += d;
+            let to = ends.get(i + 1).map_or(from, |&(page, _)| page);
+            if net == 0 || to == from {
                 continue;
             }
-            let page = PageId(page);
-            if d > 0 {
-                if shadow.state(page) == ShadowState::Free {
-                    // First sighting: seed ownership from the live pool.
-                    // An unowned page stays untracked and the pin below is
-                    // flagged as pin-without-owner — a real violation.
-                    if let Ok(info) = self.mem.info(page) {
-                        if let Some(owner) = info.owner {
-                            shadow.on_alloc(owner, page);
-                        }
-                    }
-                }
-                for _ in 0..d {
-                    shadow.on_pin(page);
-                }
-                continue;
-            }
-            let have = shadow.pins(page);
-            for _ in d..0 {
-                shadow.on_unpin(page);
-            }
-            if have <= d.unsigned_abs() {
-                // Fully reaped: retire the mirror entry so the mirror
-                // tracks exactly the engine-pinned set.
-                if let Some(owner) = shadow.owner(page) {
-                    shadow.on_free(owner, page);
-                }
+            folded.push((PageId(from), to - from));
+            for page in (from..to).map(PageId) {
+                fold_page(shadow, &self.mem, page, net);
             }
         }
         // Mirror-vs-reality audits: the engines' pinned lists, read
         // apart from the journals, then the pool.
+        phase::enter(Phase::AuditPinned);
         for engine in &self.engines {
             for (ctx, _) in engine.contexts().assigned() {
                 h.shadow.audit_pinned(ctx, engine.pinned_runs(ctx));
             }
         }
+        phase::enter(Phase::AuditMem);
         if matches!(self.cfg.io_model, IoModel::Cdna { .. }) {
-            h.shadow.audit_mem(&self.mem);
+            match self.mem.dirty_runs() {
+                Some(dirty) => {
+                    let touched = folded.into_iter().chain(dirty);
+                    h.shadow.audit_mem_runs(&self.mem, touched)
+                }
+                None => h.shadow.audit_mem(&self.mem),
+            };
+            // The next audit checks only what the pool writes from here.
+            self.mem.track_dirty();
         }
+        phase::enter(outer);
         // Surface new violations as per-guest protection faults.
         let new = &h.shadow.violations()[h.reported..];
         let count = new.len();
@@ -2647,6 +2691,47 @@ mod tests {
             .collect();
         assert_eq!(underflows, picked.into_iter().map(Some).collect::<Vec<_>>());
         assert!(w.engines.iter().all(|e| e.pin_journal() == Some(&[])));
+    }
+
+    /// Both of `sort_by_page`'s paths put the endpoints in page order
+    /// and keep every page's net change (the running sum of the deltas
+    /// at or below it).
+    #[test]
+    fn sort_by_page_keeps_each_page_net_change_on_both_paths() {
+        let net = |ends: &[(u32, i32)]| -> Vec<i32> {
+            (1_000..1_500)
+                .map(|p| ends.iter().filter(|e| e.0 <= p).map(|e| e.1).sum())
+                .collect()
+        };
+        let mut rng = SimRng::seed_from(7);
+        let (mut counted, mut compared) = (0, 0);
+        for _ in 0..200 {
+            let span = 1 + rng.below(400) as u32;
+            let mut ends: Vec<(u32, i32)> = (0..rng.below(120))
+                .flat_map(|_| {
+                    let first = 1_000 + rng.below(span as usize) as u32;
+                    let d = if rng.chance(0.5) { 1 } else { -1 };
+                    [(first, d), (first + 1 + rng.below(4) as u32, -d)]
+                })
+                .collect();
+            let want = net(&ends);
+            let (lo, hi) = (
+                ends.iter().map(|e| e.0).min(),
+                ends.iter().map(|e| e.0).max(),
+            );
+            let wide = lo
+                .zip(hi)
+                .is_some_and(|(lo, hi)| ends.len() * 8 < (hi - lo + 1) as usize);
+            sort_by_page(&mut ends);
+            assert!(ends.windows(2).all(|w| w[0].0 <= w[1].0), "{ends:?}");
+            assert_eq!(net(&ends), want);
+            compared += usize::from(wide);
+            counted += usize::from(!wide);
+        }
+        assert!(
+            counted > 0 && compared > 0,
+            "{counted} counted, {compared} compared"
+        );
     }
 
     #[test]

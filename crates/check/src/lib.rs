@@ -31,10 +31,10 @@
 //!   The scanner shards per-file work over `cdna_sim::par`
 //!   ([`analyses::analyze_jobs`]) and merges in path order, so its own
 //!   report is byte-identical at any worker count.
-//! * **Dynamic pass** ([`shadow`]): a [`DmaShadow`] that mirrors every
-//!   page through the `Free → Owned → Pinned → InFlight → Completed`
-//!   lifecycle and every context's sequence stream, independently
-//!   re-checking what the protection path claims at runtime.
+//! * **Dynamic pass** ([`shadow`]): a [`DmaShadow`] that mirrors each
+//!   DMA page's owner and pin count and every context's sequence
+//!   stream, independently re-checking what the protection path claims
+//!   at runtime.
 //!
 //! Both run under `cargo test` and as the `cdna-check` binary
 //! (`cargo run -p cdna-check`), which exits non-zero on any violation
@@ -59,7 +59,7 @@ pub use rules::check_repo_jobs;
 pub use rules::{
     check_repo, rule_code, rule_severity, Diagnostic, FileKind, StaticReport, RULE_NAMES,
 };
-pub use shadow::{DmaShadow, ShadowDir, ShadowState, ShadowViolation, ViolationKind};
+pub use shadow::{DmaShadow, ShadowDir, ShadowViolation, ViolationKind};
 
 use std::path::PathBuf;
 

@@ -1,32 +1,31 @@
 //! `DmaShadow` — the dynamic half of cdna-check.
 //!
-//! The CDNA protection path (`cdna-core`'s `ProtectionEngine` over
-//! `cdna-mem`'s `PhysMem`) *claims* a set of invariants: every DMA
-//! buffer is ownership-validated and pinned before the NIC sees it,
-//! pins outlive the DMA, frees are deferred while pins remain, and
-//! per-context sequence numbers advance without replay or gaps. The
-//! shadow checker mirrors every page through an explicit
-//!
-//! ```text
-//! Free → Owned → Pinned → InFlight → Completed (→ Owned → Free)
-//! ```
-//!
-//! state machine and every context's sequence stream, fed by the same
-//! events the real path processes — so any divergence between what the
-//! engine did and what the invariants allow surfaces as a
-//! [`ShadowViolation`] instead of silent corruption.
+//! CDNA's DMA protection (paper §3.3) rests on two facts per page, its
+//! owner and a pin count held for the life of the DMA, and on each
+//! context's sequence stream. The protection path (`cdna-core`'s
+//! `ProtectionEngine` over `cdna-mem`'s `PhysMem`) *claims*: a page is
+//! pinned only while a domain owns it, every pin is dropped exactly
+//! once, and per-context sequence numbers advance without replay or
+//! gaps. The shadow checker mirrors each page's owner and pins as a
+//! [`PageInfo`] and each context's sequence stream, fed by what the
+//! protection path did: a page's alloc at its first pin, each pin and
+//! unpin, its free after the last unpin, and every stamped sequence
+//! number. Any divergence between what the engine did and what the
+//! invariants allow surfaces as a [`ShadowViolation`] instead of silent
+//! corruption.
 //!
 //! The shadow is deliberately independent: it keeps its own page
-//! mirror rather than querying `PhysMem`, and the periodic
-//! [`DmaShadow::audit_mem`] / [`DmaShadow::audit_pinned`] passes
-//! cross-check mirror against reality. The mirror is flat storage
-//! indexed by page number, grown on demand to the highest page it has
-//! seen, so a per-page event is an index and an audit is one ascending
-//! scan. [`DmaShadow::audit_mem_runs`] scans only the pages written
-//! since the previous audit, plus those it left divergent.
+//! mirror rather than querying `PhysMem` (it shares the pool's page
+//! type, not its data), and the periodic [`DmaShadow::audit_mem`] /
+//! [`DmaShadow::audit_pinned`] passes cross-check mirror against
+//! reality. The mirror is flat storage indexed by page number, grown on
+//! demand to the highest page it has seen, so a per-page event is an
+//! index and an audit is one ascending scan.
+//! [`DmaShadow::audit_mem_runs`] scans only the pages written since the
+//! previous audit, plus those it left divergent.
 
 use cdna_core::ContextId;
-use cdna_mem::{DomainId, PageId, PhysMem};
+use cdna_mem::{DomainId, PageId, PageInfo, PhysMem};
 use std::collections::BTreeMap;
 
 /// Which half of a context's DMA stream a sequence number belongs to.
@@ -38,44 +37,11 @@ pub enum ShadowDir {
     Rx,
 }
 
-impl ShadowDir {
-    /// Short stream name for trace events and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShadowDir::Tx => "tx",
-            ShadowDir::Rx => "rx",
-        }
-    }
-}
-
-/// The lifecycle position of a mirrored page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShadowState {
-    /// No owner: on the free list.
-    Free,
-    /// Owned by a domain, no pins.
-    Owned,
-    /// Pinned for DMA but not yet handed to the device.
-    Pinned,
-    /// At least one DMA referencing the page is outstanding.
-    InFlight,
-    /// DMA completed; pins not yet dropped (awaiting lazy reap).
-    Completed,
-}
-
 /// A DMA-invariant violation detected by the shadow checker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ViolationKind {
-    /// A pin was requested for a page already handed to the device.
-    DoublePin,
     /// An unpin arrived with zero shadow pins outstanding.
     UnpinUnderflow,
-    /// A free took effect while DMA was still outstanding.
-    FreeWhileInFlight,
-    /// Ownership transferred while the page was pinned or in flight.
-    OwnershipChangeUnderPin,
-    /// DMA started on a page with no shadow pin.
-    DmaWithoutPin,
     /// A pin was requested for an unowned (free) page.
     PinWithoutOwner,
     /// A sequence number was re-observed (stale descriptor replay).
@@ -100,14 +66,11 @@ pub enum ViolationKind {
 }
 
 impl ViolationKind {
-    /// Stable numeric code for embedding in a `FaultKind`.
+    /// Stable numeric code for embedding in a `FaultKind`. Codes 1, 3,
+    /// 4 and 5 belonged to retired kinds and stay unassigned.
     pub fn code(&self) -> u32 {
         match self {
-            ViolationKind::DoublePin => 1,
             ViolationKind::UnpinUnderflow => 2,
-            ViolationKind::FreeWhileInFlight => 3,
-            ViolationKind::OwnershipChangeUnderPin => 4,
-            ViolationKind::DmaWithoutPin => 5,
             ViolationKind::PinWithoutOwner => 6,
             ViolationKind::SequenceReplay { .. } => 7,
             ViolationKind::SequenceGap { .. } => 8,
@@ -118,11 +81,7 @@ impl ViolationKind {
     /// Stable kebab-case name for reports and trace events.
     pub fn name(&self) -> &'static str {
         match self {
-            ViolationKind::DoublePin => "double-pin",
             ViolationKind::UnpinUnderflow => "unpin-underflow",
-            ViolationKind::FreeWhileInFlight => "free-while-in-flight",
-            ViolationKind::OwnershipChangeUnderPin => "ownership-change-under-pin",
-            ViolationKind::DmaWithoutPin => "dma-without-pin",
             ViolationKind::PinWithoutOwner => "pin-without-owner",
             ViolationKind::SequenceReplay { .. } => "sequence-replay",
             ViolationKind::SequenceGap { .. } => "sequence-gap",
@@ -146,12 +105,9 @@ impl std::fmt::Display for ViolationKind {
             // Deliberately exhaustive (no `_`): a new violation class
             // must decide its own rendering (see the exhaustive-fault
             // rule).
-            ViolationKind::DoublePin
-            | ViolationKind::UnpinUnderflow
-            | ViolationKind::FreeWhileInFlight
-            | ViolationKind::OwnershipChangeUnderPin
-            | ViolationKind::DmaWithoutPin
-            | ViolationKind::PinWithoutOwner => f.write_str(self.name()),
+            ViolationKind::UnpinUnderflow | ViolationKind::PinWithoutOwner => {
+                f.write_str(self.name())
+            }
         }
     }
 }
@@ -180,47 +136,36 @@ impl std::fmt::Display for ShadowViolation {
     }
 }
 
-/// Mirror of one page's protection-relevant state. `Copy`, so a whole
-/// mirror clones as one memory copy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct PageMirror {
-    owner: Option<DomainId>,
-    pins: u32,
-    inflight: u32,
-    /// Whether at least one DMA has completed since the last unpin —
-    /// distinguishes `Completed` from plain `Pinned` for state reports.
-    completed: bool,
-    /// Owner freed the page while pinned: the free takes effect when the
-    /// last pin drops (mirrors `PhysMem`'s deferred free).
-    pending_free: bool,
-}
-
 /// The page mirror: slot `i` mirrors `PageId(i)`, `None` marks an
 /// untracked page. Grows to the highest page seen, never to the whole
 /// pool up front; iteration is in ascending page order.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct PageMirrors {
-    slots: Vec<Option<PageMirror>>,
+    slots: Vec<Option<PageInfo>>,
     /// Number of `Some` slots.
     tracked: usize,
     /// Sum of every tracked page's pins.
     pins: u64,
 }
 
+// Every snapshot of a shadow-checked world copies the whole mirror, so
+// a slot must stay this small.
+const _: () = assert!(std::mem::size_of::<Option<PageInfo>>() == 8);
+
 impl PageMirrors {
     /// The entry for `page`, if tracked.
-    fn get(&self, page: PageId) -> Option<&PageMirror> {
+    fn get(&self, page: PageId) -> Option<&PageInfo> {
         self.slots.get(page.0 as usize).and_then(Option::as_ref)
     }
 
     /// The entry for `page`, if tracked, mutably.
-    fn get_mut(&mut self, page: PageId) -> Option<&mut PageMirror> {
+    fn get_mut(&mut self, page: PageId) -> Option<&mut PageInfo> {
         self.slots.get_mut(page.0 as usize).and_then(Option::as_mut)
     }
 
     /// The entry for `page`, tracking it (owner-less, unpinned) first
     /// if it is not.
-    fn track(&mut self, page: PageId) -> &mut PageMirror {
+    fn track(&mut self, page: PageId) -> &mut PageInfo {
         let i = page.0 as usize;
         if i >= self.slots.len() {
             self.slots.resize(i + 1, None);
@@ -229,11 +174,11 @@ impl PageMirrors {
         if slot.is_none() {
             self.tracked += 1;
         }
-        slot.get_or_insert_with(PageMirror::default)
+        slot.get_or_insert_with(PageInfo::default)
     }
 
     /// Tracks `page` as `m`, returning the entry it replaces.
-    fn replace(&mut self, page: PageId, m: PageMirror) -> Option<PageMirror> {
+    fn replace(&mut self, page: PageId, m: PageInfo) -> Option<PageInfo> {
         let i = page.0 as usize;
         if i >= self.slots.len() {
             self.slots.resize(i + 1, None);
@@ -247,17 +192,17 @@ impl PageMirrors {
         prev
     }
 
-    /// Stops tracking `page` (it is back on the free list).
-    fn untrack(&mut self, page: PageId) {
-        if let Some(m) = self.slots.get_mut(page.0 as usize).and_then(Option::take) {
-            self.tracked -= 1;
-            self.pins -= u64::from(m.pins);
-        }
+    /// Stops tracking `page`, returning the entry it had.
+    fn untrack(&mut self, page: PageId) -> Option<PageInfo> {
+        let m = self.slots.get_mut(page.0 as usize).and_then(Option::take)?;
+        self.tracked -= 1;
+        self.pins -= u64::from(m.pins);
+        Some(m)
     }
 
     /// Every tracked page, ascending.
     #[cfg(test)]
-    fn iter(&self) -> impl Iterator<Item = (PageId, &PageMirror)> {
+    fn iter(&self) -> impl Iterator<Item = (PageId, &PageInfo)> {
         self.slots
             .iter()
             .enumerate()
@@ -301,17 +246,6 @@ impl SeqShadow {
     }
 }
 
-/// Appends a violation; free function so event handlers can record
-/// while holding a mutable borrow of the page mirror map.
-fn record(
-    violations: &mut Vec<ShadowViolation>,
-    ctx: Option<ContextId>,
-    page: Option<PageId>,
-    kind: ViolationKind,
-) {
-    violations.push(ShadowViolation { ctx, page, kind });
-}
-
 /// The shadow checker. See the module docs for the model.
 ///
 /// Every scan walks its storage in ascending key order (page number,
@@ -335,26 +269,9 @@ impl DmaShadow {
         Self::default()
     }
 
-    /// The lifecycle state the mirror currently assigns to `page`.
-    pub fn state(&self, page: PageId) -> ShadowState {
-        match self.pages.get(page) {
-            None => ShadowState::Free,
-            Some(m) if m.owner.is_none() => ShadowState::Free,
-            Some(m) if m.inflight > 0 => ShadowState::InFlight,
-            Some(m) if m.pins > 0 && m.completed => ShadowState::Completed,
-            Some(m) if m.pins > 0 => ShadowState::Pinned,
-            Some(_) => ShadowState::Owned,
-        }
-    }
-
     /// All violations recorded so far, in event order.
     pub fn violations(&self) -> &[ShadowViolation] {
         &self.violations
-    }
-
-    /// Drains and returns the recorded violations.
-    pub fn take_violations(&mut self) -> Vec<ShadowViolation> {
-        std::mem::take(&mut self.violations)
     }
 
     /// Number of events the shadow has processed.
@@ -378,203 +295,79 @@ impl DmaShadow {
         self.pages.get(page).map_or(0, |m| m.pins)
     }
 
+    /// Appends a violation.
+    fn record(&mut self, ctx: Option<ContextId>, page: Option<PageId>, kind: ViolationKind) {
+        self.violations.push(ShadowViolation { ctx, page, kind });
+    }
+
     /// A page left the free list with `owner`.
     pub fn on_alloc(&mut self, owner: DomainId, page: PageId) {
         self.events += 1;
         // Written whole, not built in place: on the per-page path of
         // every first sync.
-        let fresh = PageMirror {
+        let fresh = PageInfo {
             owner: Some(owner),
-            ..PageMirror::default()
+            pins: 0,
         };
         let prev = self.pages.replace(page, fresh).and_then(|m| m.owner);
         if prev.is_some() {
             let detail = format!("alloc of page {} already owned by {prev:?}", page.0);
-            record(
-                &mut self.violations,
-                None,
-                Some(page),
-                ViolationKind::MirrorDivergence { detail },
-            );
+            self.record(None, Some(page), ViolationKind::MirrorDivergence { detail });
         }
     }
 
-    /// The owner asked to free `page`. Mirrors `PhysMem::free`'s
-    /// semantics: a free under pins is legal but *deferred*; the shadow
-    /// flags it only if DMA is outstanding (the dangerous case) and
-    /// otherwise arms `pending_free`.
+    /// `owner` freed `page`: the mirror stops tracking it. Every caller
+    /// frees a page only after its last unpin; a free that took pins
+    /// with it would leave the mirror's pin total short of the pool's,
+    /// which the next [`DmaShadow::audit_mem`] reports.
     pub fn on_free(&mut self, owner: DomainId, page: PageId) {
         self.events += 1;
-        let Some(m) = self.pages.get_mut(page) else {
-            let detail = format!("free of untracked page {}", page.0);
-            record(
-                &mut self.violations,
-                None,
-                Some(page),
-                ViolationKind::MirrorDivergence { detail },
-            );
-            return;
-        };
-        if m.owner != Some(owner) {
-            let detail = format!(
+        let detail = match self.pages.untrack(page) {
+            None => format!("free of untracked page {}", page.0),
+            Some(m) if m.owner != Some(owner) => format!(
                 "free of page {} by {owner} but mirror owner is {:?}",
                 page.0, m.owner
-            );
-            record(
-                &mut self.violations,
-                None,
-                Some(page),
-                ViolationKind::MirrorDivergence { detail },
-            );
-        }
-        if m.inflight > 0 {
-            record(
-                &mut self.violations,
-                None,
-                Some(page),
-                ViolationKind::FreeWhileInFlight,
-            );
-            return;
-        }
-        if m.pins > 0 {
-            m.pending_free = true; // deferred free: completes at last unpin
-        } else {
-            self.pages.untrack(page);
-        }
-    }
-
-    /// Ownership of `page` moved from `from` to `to` (page flip / grant
-    /// transfer). Illegal while pinned or in flight.
-    pub fn on_transfer(&mut self, page: PageId, from: DomainId, to: DomainId) {
-        self.events += 1;
-        let m = self.pages.track(page);
-        if m.pins > 0 || m.inflight > 0 {
-            record(
-                &mut self.violations,
-                None,
-                Some(page),
-                ViolationKind::OwnershipChangeUnderPin,
-            );
-        }
-        if m.owner.is_some() && m.owner != Some(from) {
-            let detail = format!(
-                "transfer of page {} from {from} but mirror owner is {:?}",
-                page.0, m.owner
-            );
-            record(
-                &mut self.violations,
-                None,
-                Some(page),
-                ViolationKind::MirrorDivergence { detail },
-            );
-        }
-        m.owner = Some(to);
+            ),
+            Some(_) => return,
+        };
+        self.record(None, Some(page), ViolationKind::MirrorDivergence { detail });
     }
 
     /// The protection path pinned `page` for an upcoming DMA.
     pub fn on_pin(&mut self, page: PageId) {
         self.events += 1;
         let m = self.pages.track(page);
-        if m.owner.is_none() {
-            record(
-                &mut self.violations,
-                None,
-                Some(page),
-                ViolationKind::PinWithoutOwner,
-            );
-        }
-        if m.inflight > 0 {
-            // Pinning a page already handed to the device means the same
-            // buffer was validated twice without an intervening reap.
-            record(
-                &mut self.violations,
-                None,
-                Some(page),
-                ViolationKind::DoublePin,
-            );
-        }
         m.pins += 1;
-        m.completed = false;
+        let unowned = m.owner.is_none();
         self.pages.pins += 1;
+        if unowned {
+            self.record(None, Some(page), ViolationKind::PinWithoutOwner);
+        }
     }
 
     /// The protection path dropped one pin of `page`.
     pub fn on_unpin(&mut self, page: PageId) {
         self.events += 1;
         let Some(m) = self.pages.get_mut(page).filter(|m| m.pins > 0) else {
-            record(
-                &mut self.violations,
-                None,
-                Some(page),
-                ViolationKind::UnpinUnderflow,
-            );
+            self.record(None, Some(page), ViolationKind::UnpinUnderflow);
             return;
         };
         m.pins -= 1;
-        let last = m.pins == 0;
-        if last {
-            m.completed = false;
-        }
-        let freed = last && m.pending_free;
         self.pages.pins -= 1;
-        if freed {
-            self.pages.untrack(page); // deferred free completes
-        }
     }
 
-    /// A DMA referencing `page` was handed to the device on behalf of
-    /// `ctx`.
-    pub fn on_dma_start(&mut self, ctx: ContextId, page: PageId) {
-        self.events += 1;
-        let m = self.pages.track(page);
-        if m.pins == 0 {
-            record(
-                &mut self.violations,
-                Some(ctx),
-                Some(page),
-                ViolationKind::DmaWithoutPin,
-            );
-        }
-        m.inflight += 1;
-    }
-
-    /// The DMA referencing `page` completed (device is done; pins remain
-    /// until the lazy reap unpins).
-    pub fn on_dma_complete(&mut self, ctx: ContextId, page: PageId) {
-        self.events += 1;
-        let m = self.pages.track(page);
-        if m.inflight == 0 {
-            let detail = format!("completion for page {} with no in-flight DMA", page.0);
-            record(
-                &mut self.violations,
-                Some(ctx),
-                Some(page),
-                ViolationKind::MirrorDivergence { detail },
-            );
-            return;
-        }
-        m.inflight -= 1;
-        if m.inflight == 0 {
-            m.completed = true;
-        }
-    }
-
-    /// Observes the next sequence number stamped (or checked) on a
-    /// context's stream. The first observation per (ctx, dir) seeds the
-    /// expectation; after that each number must be exactly `expected`.
+    /// Observes each sequence number of `seqs` in turn, as stamped (or
+    /// checked) on a context's stream on device `nic`: context ids are
+    /// per NIC, so when the same id exists on several NICs their
+    /// streams must not share an expectation. The first observation
+    /// per (nic, ctx, dir) seeds the expectation; after that each
+    /// number must be exactly `expected`. The stream is looked up once
+    /// for the whole run.
     ///
     /// Replay vs gap is discriminated by the modular distance: a number
     /// more than half the modulus *behind* the expectation is a replayed
     /// stale descriptor; anything else ahead is a gap. After a gap the
     /// shadow resynchronises to avoid cascading reports.
-    pub fn observe_seq(&mut self, ctx: ContextId, dir: ShadowDir, seq: u32, modulus: u32) {
-        self.observe_seqs_on(0, ctx, dir, [seq], modulus);
-    }
-
-    /// [`DmaShadow::observe_seq`] for each number of `seqs` in turn, on
-    /// a specific device: context ids are per NIC, so when the same id
-    /// exists on several NICs their streams must not share an
-    /// expectation. The stream is looked up once for the whole run.
     pub fn observe_seqs_on(
         &mut self,
         nic: u16,
@@ -597,7 +390,11 @@ impl DmaShadow {
         for seq in seqs {
             self.events += 1;
             if let Some(kind) = stream.observe(seq) {
-                record(&mut self.violations, Some(ctx), None, kind);
+                self.violations.push(ShadowViolation {
+                    ctx: Some(ctx),
+                    page: None,
+                    kind,
+                });
             }
         }
     }
@@ -687,17 +484,15 @@ impl DmaShadow {
             // Empty when the range starts past the table.
             let reals = table.get(start..mid).unwrap_or_default();
             for (i, (slot, real)) in (start..).zip(slots[start..mid].iter().zip(reals)) {
-                if let Some(m) = slot {
-                    if m.owner != real.owner || m.pins != real.pins {
-                        mem_divergences(PageId(i as u32), m, mem, &mut divergences);
-                    }
+                if let Some(m) = slot.filter(|m| m != real) {
+                    mem_divergences(PageId(i as u32), &m, mem, &mut divergences);
                 }
             }
             // Past the table every pool page is free and unpinned, and
             // past the pool there is no page at all.
             for (i, slot) in (mid..).zip(&slots[mid..end]) {
                 if let Some(m) = slot {
-                    if m.owner.is_some() || m.pins != 0 || i >= mem.total_pages() as usize {
+                    if *m != PageInfo::default() || i >= mem.total_pages() as usize {
                         mem_divergences(PageId(i as u32), m, mem, &mut divergences);
                     }
                 }
@@ -718,12 +513,7 @@ impl DmaShadow {
             ));
         }
         for (page, detail) in divergences {
-            record(
-                &mut self.violations,
-                None,
-                Some(page),
-                ViolationKind::MirrorDivergence { detail },
-            );
+            self.record(None, Some(page), ViolationKind::MirrorDivergence { detail });
         }
         self.violations.len() - before
     }
@@ -742,7 +532,7 @@ impl DmaShadow {
         pinned_runs: impl IntoIterator<Item = (PageId, u32)>,
     ) -> usize {
         let before = self.violations.len();
-        let pinned = |m: &Option<PageMirror>| m.is_some_and(|m| m.pins > 0);
+        let pinned = |m: &Option<PageInfo>| m.is_some_and(|m| m.pins > 0);
         // `for_each`, not `for`: the engine's runs come from two chained
         // ring buffers, which internal iteration walks slice by slice.
         pinned_runs.into_iter().for_each(|(first, len)| {
@@ -763,8 +553,7 @@ impl DmaShadow {
                     "engine holds page {} pinned for ctx {} but mirror shows no pin",
                     page.0, ctx.0
                 );
-                record(
-                    &mut self.violations,
+                self.record(
                     Some(ctx),
                     Some(page),
                     ViolationKind::MirrorDivergence { detail },
@@ -778,11 +567,9 @@ impl DmaShadow {
 /// Renders the divergences of mirrored page `page` (entry `m`) from
 /// the pool into `out`: owner, then pins, or the lookup error of a page
 /// the pool does not have.
-fn mem_divergences(page: PageId, m: &PageMirror, mem: &PhysMem, out: &mut Vec<(PageId, String)>) {
+fn mem_divergences(page: PageId, m: &PageInfo, mem: &PhysMem, out: &mut Vec<(PageId, String)>) {
     match mem.info(page) {
         Ok(real) => {
-            // A pending-free page keeps its owner in both PhysMem and
-            // the mirror until the free completes.
             if real.owner != m.owner {
                 out.push((
                     page,
@@ -820,34 +607,22 @@ mod tests {
 
     #[test]
     fn clean_lifecycle_no_violations() {
+        // The sequence a sync's fold drives: first pin seeds the owner,
+        // the last unpin retires the entry.
         let mut s = DmaShadow::new();
         let p = PageId(7);
         s.on_alloc(guest(), p);
-        assert_eq!(s.state(p), ShadowState::Owned);
+        assert_eq!((s.owner(p), s.pins(p)), (Some(guest()), 0));
         s.on_pin(p);
-        assert_eq!(s.state(p), ShadowState::Pinned);
-        s.on_dma_start(ctx(1), p);
-        assert_eq!(s.state(p), ShadowState::InFlight);
-        s.on_dma_complete(ctx(1), p);
-        assert_eq!(s.state(p), ShadowState::Completed);
+        s.on_pin(p);
+        assert_eq!(s.pins(p), 2);
         s.on_unpin(p);
-        assert_eq!(s.state(p), ShadowState::Owned);
+        s.on_unpin(p);
+        assert_eq!((s.owner(p), s.pins(p)), (Some(guest()), 0));
         s.on_free(guest(), p);
-        assert_eq!(s.state(p), ShadowState::Free);
+        assert_eq!((s.owner(p), s.pages_tracked()), (None, 0));
         assert!(s.violations().is_empty());
         assert_eq!(s.events(), 6);
-    }
-
-    #[test]
-    fn double_pin_detected() {
-        let mut s = DmaShadow::new();
-        let p = PageId(1);
-        s.on_alloc(guest(), p);
-        s.on_pin(p);
-        s.on_dma_start(ctx(0), p);
-        s.on_pin(p); // re-validated while in flight
-        assert_eq!(s.violations().len(), 1);
-        assert_eq!(s.violations()[0].kind, ViolationKind::DoublePin);
     }
 
     #[test]
@@ -860,64 +635,40 @@ mod tests {
     }
 
     #[test]
-    fn free_while_in_flight_detected() {
+    fn a_free_under_pins_untracks_the_page_and_the_pool_audit_reports_the_pins() {
+        let mut mem = PhysMem::new(16);
         let mut s = DmaShadow::new();
-        let p = PageId(3);
+        let Ok(p) = mem.alloc(guest()) else {
+            unreachable!("fresh pool")
+        };
         s.on_alloc(guest(), p);
+        assert!(mem.pin(p).is_ok());
         s.on_pin(p);
-        s.on_dma_start(ctx(0), p);
         s.on_free(guest(), p);
-        assert!(s
-            .violations()
-            .iter()
-            .any(|v| v.kind == ViolationKind::FreeWhileInFlight));
-    }
-
-    #[test]
-    fn deferred_free_is_legal() {
-        let mut s = DmaShadow::new();
-        let p = PageId(4);
-        s.on_alloc(guest(), p);
-        s.on_pin(p);
-        s.on_free(guest(), p); // deferred, not a violation
         assert!(s.violations().is_empty());
-        s.on_unpin(p); // completes the free
-        assert_eq!(s.state(p), ShadowState::Free);
-        assert!(s.violations().is_empty());
+        assert_eq!((s.owner(p), s.pins(p), s.pages_tracked()), (None, 0, 0));
+        assert_eq!(s.audit_mem(&mem), 1);
+        let ViolationKind::MirrorDivergence { detail } = &s.violations()[0].kind else {
+            unreachable!("{:?}", s.violations())
+        };
+        assert_eq!(detail, "aggregate pins: mirror 0, pool 1");
     }
 
     #[test]
-    fn ownership_change_under_pin_detected() {
-        let mut s = DmaShadow::new();
-        let p = PageId(5);
-        s.on_alloc(guest(), p);
-        s.on_pin(p);
-        s.on_transfer(p, guest(), DomainId::guest(1));
-        assert_eq!(
-            s.violations()[0].kind,
-            ViolationKind::OwnershipChangeUnderPin
-        );
-    }
-
-    #[test]
-    fn dma_without_pin_and_pin_without_owner() {
+    fn pin_without_owner_detected() {
         let mut s = DmaShadow::new();
         let p = PageId(6);
         s.on_pin(p); // never allocated
         assert_eq!(s.violations()[0].kind, ViolationKind::PinWithoutOwner);
-        let mut s = DmaShadow::new();
-        s.on_alloc(guest(), p);
-        s.on_dma_start(ctx(2), p); // no pin
-        assert_eq!(s.violations()[0].kind, ViolationKind::DmaWithoutPin);
     }
 
     #[test]
     fn sequence_replay_and_gap() {
         let mut s = DmaShadow::new();
         let m = 64;
-        s.observe_seq(ctx(0), ShadowDir::Tx, 10, m); // seeds expected = 11
-        s.observe_seq(ctx(0), ShadowDir::Tx, 11, m);
-        s.observe_seq(ctx(0), ShadowDir::Tx, 10, m); // replay
+        s.observe_seqs_on(0, ctx(0), ShadowDir::Tx, [10], m); // seeds expected = 11
+        s.observe_seqs_on(0, ctx(0), ShadowDir::Tx, [11], m);
+        s.observe_seqs_on(0, ctx(0), ShadowDir::Tx, [10], m); // replay
         assert!(matches!(
             s.violations()[0].kind,
             ViolationKind::SequenceReplay {
@@ -925,7 +676,7 @@ mod tests {
                 found: 10
             }
         ));
-        s.observe_seq(ctx(0), ShadowDir::Tx, 15, m); // gap (12..=14 skipped)
+        s.observe_seqs_on(0, ctx(0), ShadowDir::Tx, [15], m); // gap (12..=14 skipped)
         assert!(matches!(
             s.violations()[1].kind,
             ViolationKind::SequenceGap {
@@ -933,7 +684,7 @@ mod tests {
                 found: 15
             }
         ));
-        s.observe_seq(ctx(0), ShadowDir::Tx, 16, m); // resynced
+        s.observe_seqs_on(0, ctx(0), ShadowDir::Tx, [16], m); // resynced
         assert_eq!(s.violations().len(), 2);
         assert_eq!(s.seq_observed(ctx(0), ShadowDir::Tx), 5);
         // The same numbers as one run, on another NIC's stream.
@@ -948,21 +699,21 @@ mod tests {
     fn sequence_wraps_cleanly() {
         let mut s = DmaShadow::new();
         let m = 8;
-        s.observe_seq(ctx(1), ShadowDir::Rx, 6, m);
-        s.observe_seq(ctx(1), ShadowDir::Rx, 7, m);
-        s.observe_seq(ctx(1), ShadowDir::Rx, 0, m); // wrap
-        s.observe_seq(ctx(1), ShadowDir::Rx, 1, m);
+        s.observe_seqs_on(0, ctx(1), ShadowDir::Rx, [6, 7], m);
+        s.observe_seqs_on(0, ctx(1), ShadowDir::Rx, [0, 1], m); // wrap
         assert!(s.violations().is_empty());
     }
 
     #[test]
     fn streams_are_independent() {
         let mut s = DmaShadow::new();
-        s.observe_seq(ctx(0), ShadowDir::Tx, 0, 16);
-        s.observe_seq(ctx(1), ShadowDir::Tx, 9, 16);
-        s.observe_seq(ctx(0), ShadowDir::Rx, 3, 16);
-        s.observe_seq(ctx(0), ShadowDir::Tx, 1, 16);
-        s.observe_seq(ctx(1), ShadowDir::Tx, 10, 16);
+        s.observe_seqs_on(0, ctx(0), ShadowDir::Tx, [0], 16);
+        s.observe_seqs_on(0, ctx(1), ShadowDir::Tx, [9], 16);
+        s.observe_seqs_on(0, ctx(0), ShadowDir::Rx, [3], 16);
+        s.observe_seqs_on(0, ctx(0), ShadowDir::Tx, [1], 16);
+        s.observe_seqs_on(0, ctx(1), ShadowDir::Tx, [10], 16);
+        // The same context id on another NIC is a stream of its own.
+        s.observe_seqs_on(1, ctx(0), ShadowDir::Tx, [7], 16);
         assert!(s.violations().is_empty());
     }
 
@@ -991,15 +742,15 @@ mod tests {
         let mut s = DmaShadow::new();
         s.on_alloc(guest(), PageId(3));
         // Far past anything tracked: reads see an untracked page.
-        assert_eq!(s.state(PageId(40_000)), ShadowState::Free);
+        assert_eq!(s.owner(PageId(40_000)), None);
         assert_eq!(s.owner(PageId(u32::MAX)), None);
         s.on_unpin(PageId(50_000));
         assert_eq!(s.violations()[0].kind, ViolationKind::UnpinUnderflow);
         assert_eq!(s.pages_tracked(), 1, "a failed unpin tracks nothing");
         s.on_alloc(guest(), PageId(40_000));
         s.on_pin(PageId(40_000));
-        assert_eq!(s.state(PageId(40_000)), ShadowState::Pinned);
-        assert_eq!(s.state(PageId(3)), ShadowState::Owned);
+        assert_eq!(s.pins(PageId(40_000)), 1);
+        assert_eq!((s.owner(PageId(3)), s.pins(PageId(3))), (Some(guest()), 0));
         assert_eq!(s.pages_tracked(), 2);
         assert_eq!(s.violations().len(), 1);
     }
@@ -1036,11 +787,12 @@ mod tests {
         assert_eq!(s.pages_tracked(), 3);
         s.on_free(guest(), PageId(1));
         assert_eq!(s.pages_tracked(), 2);
-        // A deferred free leaves the entry until the last unpin.
+        // Pins leave the entry tracked; the free after the last unpin
+        // retires it.
         s.on_pin(PageId(9));
-        s.on_free(guest(), PageId(9));
-        assert_eq!(s.pages_tracked(), 2);
         s.on_unpin(PageId(9));
+        assert_eq!(s.pages_tracked(), 2);
+        s.on_free(guest(), PageId(9));
         assert_eq!(s.pages_tracked(), 1);
         // A pin of an unowned page tracks it (and is flagged).
         s.on_pin(PageId(2));
@@ -1126,12 +878,7 @@ mod tests {
             ));
         }
         for (page, detail) in divergences {
-            record(
-                &mut s.violations,
-                None,
-                Some(page),
-                ViolationKind::MirrorDivergence { detail },
-            );
+            s.record(None, Some(page), ViolationKind::MirrorDivergence { detail });
         }
         s.violations.len() - before
     }
@@ -1149,8 +896,7 @@ mod tests {
                     "engine holds page {} pinned for ctx {} but mirror shows no pin",
                     page.0, ctx.0
                 );
-                record(
-                    &mut s.violations,
+                s.record(
                     Some(ctx),
                     Some(page),
                     ViolationKind::MirrorDivergence { detail },
@@ -1186,15 +932,7 @@ mod tests {
         }
         let mut s = DmaShadow::new();
         for page in (0..rng.below(POOL as usize + 8) as u32).map(PageId) {
-            let real = mem.info(page).unwrap_or(cdna_mem::PageInfo {
-                owner: None,
-                pins: 0,
-            });
-            let mut m = PageMirror {
-                owner: real.owner,
-                pins: real.pins,
-                ..PageMirror::default()
-            };
+            let mut m = mem.info(page).unwrap_or_default();
             match rng.below(12) {
                 0 => continue,
                 1 => m.owner = Some(owners[usize::from(m.owner == Some(owners[0]))]),
@@ -1231,7 +969,9 @@ mod tests {
             match rng.below(3) {
                 0 => s.on_pin(page),
                 1 => s.on_unpin(page),
-                _ => s.pages.untrack(page),
+                _ => {
+                    s.pages.untrack(page);
+                }
             }
             written.push((page, 1));
         }
@@ -1315,10 +1055,10 @@ mod tests {
         let v = ShadowViolation {
             ctx: Some(ctx(3)),
             page: Some(PageId(12)),
-            kind: ViolationKind::DoublePin,
+            kind: ViolationKind::UnpinUnderflow,
         };
         let text = v.to_string();
-        assert!(text.contains("double-pin"));
+        assert!(text.contains("unpin-underflow"));
         assert!(text.contains("ctx=3"));
         assert!(text.contains("page=12"));
     }

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use cdna_check::shadow::{DmaShadow, ShadowDir, ShadowState};
+use cdna_check::shadow::{DmaShadow, ShadowDir};
 use cdna_core::DmaPolicy;
 use cdna_mem::mutation::{self, MutationKind};
 use cdna_mem::PageId;
@@ -99,7 +99,7 @@ impl GatherOracle {
             if have == want {
                 continue;
             }
-            if want > have && shadow.state(page) == ShadowState::Free {
+            if want > have && shadow.owner(page).is_none() {
                 if let Some(owner) = w.mem.info(page).ok().and_then(|info| info.owner) {
                     shadow.on_alloc(owner, page);
                 }

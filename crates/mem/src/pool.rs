@@ -67,8 +67,9 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
-/// Per-page state visible to callers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-page state visible to callers. The default is a free page:
+/// no owner, no pins.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PageInfo {
     /// Current owner, or `None` if the page is free.
     pub owner: Option<DomainId>,
@@ -118,7 +119,7 @@ pub struct PhysMem {
     released: VecDeque<PageId>,
     /// Pages whose owner freed them while pinned; they complete the free
     /// when the last pin drops (CDNA's deferred reallocation).
-    pending_free: Vec<PageId>,
+    deferred_frees: Vec<PageId>,
     /// Sum of every page's pin count.
     outstanding: u64,
     total_pins: u64,
@@ -144,7 +145,7 @@ impl PhysMem {
             fresh: 0,
             skipped: VecDeque::new(),
             released: VecDeque::new(),
-            pending_free: Vec::new(),
+            deferred_frees: Vec::new(),
             outstanding: 0,
             total_pins: 0,
             total_transfers: 0,
@@ -307,8 +308,8 @@ impl PhysMem {
     ///   paper's defence against reallocation during DMA.
     pub fn free(&mut self, owner: DomainId, page: PageId) -> Result<(), MemError> {
         if self.owned_slot(page, owner)?.pins > 0 {
-            if !self.pending_free.contains(&page) {
-                self.pending_free.push(page);
+            if !self.deferred_frees.contains(&page) {
+                self.deferred_frees.push(page);
             }
             return Err(MemError::Pinned(page));
         }
@@ -464,8 +465,8 @@ impl PhysMem {
         let last = info.pins == 0;
         self.outstanding -= 1;
         if last {
-            if let Some(idx) = self.pending_free.iter().position(|&p| p == page) {
-                self.pending_free.swap_remove(idx);
+            if let Some(idx) = self.deferred_frees.iter().position(|&p| p == page) {
+                self.deferred_frees.swap_remove(idx);
                 self.release(page);
             }
         }
@@ -872,7 +873,7 @@ mod tests {
     struct EagerPool {
         pages: Vec<PageInfo>,
         free_list: VecDeque<PageId>,
-        pending_free: Vec<PageId>,
+        deferred_frees: Vec<PageId>,
         total_pins: u64,
         total_transfers: u64,
     }
@@ -882,7 +883,7 @@ mod tests {
             EagerPool {
                 pages: vec![FREE; pages as usize],
                 free_list: (0..pages).map(PageId).collect(),
-                pending_free: Vec::new(),
+                deferred_frees: Vec::new(),
                 total_pins: 0,
                 total_transfers: 0,
             }
@@ -952,8 +953,8 @@ mod tests {
         fn free(&mut self, owner: DomainId, page: PageId) -> Result<(), MemError> {
             self.check_owner(page, owner)?;
             if self.pages[page.0 as usize].pins > 0 {
-                if !self.pending_free.contains(&page) {
-                    self.pending_free.push(page);
+                if !self.deferred_frees.contains(&page) {
+                    self.deferred_frees.push(page);
                 }
                 return Err(MemError::Pinned(page));
             }
@@ -1003,8 +1004,8 @@ mod tests {
                 }
                 self.pages[id].pins -= 1;
                 if self.pages[id].pins == 0 {
-                    if let Some(idx) = self.pending_free.iter().position(|&p| p == page) {
-                        self.pending_free.swap_remove(idx);
+                    if let Some(idx) = self.deferred_frees.iter().position(|&p| p == page) {
+                        self.deferred_frees.swap_remove(idx);
                         self.release(page);
                     }
                 }

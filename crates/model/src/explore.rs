@@ -222,7 +222,9 @@ const SNAPSHOTS: usize = 8;
 /// Runs `sim` to `end` under its pausing controller, pushing a snapshot
 /// onto `stack` at every pause after pinning the default choice, and
 /// dropping the second-shallowest snapshot once there are more than
-/// [`SNAPSHOTS`]; then finishes the schedule ([`finish`]).
+/// [`SNAPSHOTS`]; then finishes the schedule and returns the events
+/// processed since time zero (a resumed simulation carries its
+/// snapshot's count).
 fn run_tail(sim: &mut Simulation<SystemWorld>, stack: &mut Vec<Snapshot>, end: SimTime) -> u64 {
     loop {
         phase::enter(Phase::Tail);
@@ -242,17 +244,6 @@ fn run_tail(sim: &mut Simulation<SystemWorld>, stack: &mut Vec<Snapshot>, end: S
         }
     }
     sim.run_until(end);
-    finish(sim)
-}
-
-/// Ends a schedule; returns the events processed since time zero (a
-/// resumed simulation carries its snapshot's count).
-///
-/// The shadow is already up to date: the schedule's `StopMeasure`
-/// event synced it, and nothing after that event pins, reaps or stamps
-/// a descriptor, so a second sync here would only record the first
-/// one's audit findings again.
-fn finish(sim: &Simulation<SystemWorld>) -> u64 {
     sim.events_processed()
 }
 
@@ -502,7 +493,7 @@ mod tests {
         let mut sim = primed.clone();
         *ctrl(&mut sim) = Controller::new(prefix, job.max_depth);
         sim.run_until(job.cfg.warmup + job.cfg.measure);
-        let events = finish(&sim);
+        let events = sim.events_processed();
         (sim, events)
     }
 
@@ -616,7 +607,7 @@ mod tests {
             let fresh_ctrl = Controller::new(prefix.clone(), job.max_depth);
             let mut fresh = primed(job.cfg.clone(), queue(&job, fresh_ctrl));
             fresh.run_until(end);
-            let events = finish(&fresh);
+            let events = fresh.events_processed();
             let want = outcome(fresh.world_mut(), events);
 
             for _ in 0..2 {
@@ -626,7 +617,7 @@ mod tests {
             assert_eq!(format!("{cell:?}"), before, "{}", job.label);
             *ctrl(&mut cell) = Controller::new(prefix, job.max_depth);
             cell.run_until(end);
-            let events = finish(&cell);
+            let events = cell.events_processed();
             assert_eq!(outcome(cell.world_mut(), events), want, "{}", job.label);
         }
         assert!(forked > 0, "no cell took a second branch");

@@ -106,8 +106,9 @@ pub struct RackConfig {
     pub nics: u8,
     /// The traffic pattern.
     pub workload: RackWorkload,
-    /// Base RNG seed; host `h` runs at a seed derived from this and
-    /// `h`, so hosts are decorrelated but the rack is reproducible.
+    /// Base run label; host `h` is labelled with a seed derived from
+    /// this and `h` ([`host_seed`]). Nothing in the simulated testbed
+    /// is random, so the seed changes no simulated result.
     pub seed: u64,
     /// Per-host warm-up before measurement.
     pub warmup: SimTime,
@@ -199,8 +200,9 @@ impl RackConfig {
     }
 }
 
-/// The derived seed for host `host` (splitmix-style spread so adjacent
-/// hosts don't run correlated flows).
+/// The derived seed for host `host`: a per-host label for its testbed
+/// config (splitmix-style spread, so adjacent hosts' labels differ in
+/// every bit).
 pub fn host_seed(base: u64, host: u8) -> u64 {
     base.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(host as u64 + 1))
 }

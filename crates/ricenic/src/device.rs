@@ -644,11 +644,6 @@ impl RiceNic {
         }
     }
 
-    /// Whether any context updates await the next interrupt.
-    pub fn has_pending_vector(&self) -> bool {
-        self.vectors.has_pending()
-    }
-
     /// The attached context whose MAC is `mac`. The last octet of a
     /// context MAC is its slot (see [`RiceNic::mac_for`]), so the lookup
     /// decodes the slot and checks the full address against it; MACs of

@@ -317,11 +317,6 @@ impl<W: World> Simulation<W> {
         self.sched.at(self.now, at, event);
     }
 
-    /// Schedules an event `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimTime, event: W::Event) {
-        self.sched.after(self.now, delay, event);
-    }
-
     /// Processes a single event, if any is pending. Returns `true` if one
     /// was processed.
     pub fn step(&mut self) -> bool {

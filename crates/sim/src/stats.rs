@@ -70,11 +70,6 @@ impl RunningStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation, or `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

@@ -94,7 +94,8 @@ pub struct TestbedConfig {
     pub warmup: SimTime,
     /// Measurement window length.
     pub measure: SimTime,
-    /// RNG seed (runs are deterministic given the whole config).
+    /// Run label, printed in reports. Nothing in the simulated testbed
+    /// is random: a run is determined by the rest of the config.
     pub seed: u64,
     /// Descriptor-ring slots per NIC/context and direction.
     pub ring_size: u32,
@@ -181,7 +182,7 @@ impl TestbedConfig {
         self
     }
 
-    /// Sets the RNG seed.
+    /// Sets the run label ([`TestbedConfig::seed`]).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use cdna_check::shadow::{DmaShadow, ShadowDir, ShadowState};
+use cdna_check::shadow::{DmaShadow, ShadowDir};
 use cdna_core::{
     layout::Mailbox, BitVectorRing, ContextId, DmaPolicy, FaultKind, ProtectionEngine,
     ProtectionFault,
@@ -33,7 +33,7 @@ use cdna_nic::{
     ConventionalNic, FrameMeta, IrqReason, NicConfig, RingTable, RxDisposition, TxActivity,
 };
 use cdna_ricenic::{Activity, RiceNic};
-use cdna_sim::{RateMeter, Scheduler, SimRng, SimTime, World};
+use cdna_sim::{RateMeter, Scheduler, SimTime, World};
 use cdna_trace::{CounterId, Domain, MetricKey, Registry};
 use cdna_xen::{
     BridgePort, CdnaGuestDriver, CpuLedger, EthernetBridge, EventChannels, ExecCategory,
@@ -450,8 +450,6 @@ pub struct SystemWorld {
     /// Receive packets dropped by netback because the destination guest
     /// had no credit pages posted (guest overloaded).
     pub rx_credit_drops: u64,
-    /// Deterministic RNG (reserved for jittered extensions).
-    pub rng: SimRng,
     /// Metric counters/histograms (`cdna-trace`). Hot paths increment
     /// through pre-interned handles; component stats are copied in by
     /// [`SystemWorld::collect_metrics`] at report time.
@@ -529,7 +527,7 @@ fn sort_by_page(ends: &mut Vec<(u32, i32)>) {
 /// journal fold, to the shadow's page mirror.
 fn fold_page(shadow: &mut DmaShadow, mem: &PhysMem, page: PageId, net: i32) {
     if net > 0 {
-        if shadow.state(page) == ShadowState::Free {
+        if shadow.owner(page).is_none() {
             // First sighting: seed ownership from the live pool. An
             // unowned page stays untracked and the pin below is flagged
             // as pin-without-owner — a real violation.
@@ -593,8 +591,6 @@ impl SystemWorld {
         let mut channels = Vec::new();
         let mut ctx_of: Vec<Vec<ContextId>> = vec![Vec::new(); guests as usize];
         let mut domains = Vec::new();
-
-        let rng = SimRng::seed_from(cfg.seed);
 
         match cfg.io_model {
             IoModel::Native { nic } => {
@@ -769,7 +765,6 @@ impl SystemWorld {
             ctx_of,
             faults: Vec::new(),
             rx_credit_drops: 0,
-            rng,
             registry,
             hot,
             shadow,
@@ -1062,8 +1057,8 @@ impl SystemWorld {
     ///    sequence streams (detects replay and gaps);
     /// 2. drains every protection engine's pin journal and folds it
     ///    into one net pin change per page, which reaches the page
-    ///    mirror in ascending page order (detects pin-lifecycle
-    ///    violations); the journals are empty afterwards;
+    ///    mirror in ascending page order (detects unpin underflow and
+    ///    pins of unowned pages); the journals are empty afterwards;
     /// 3. cross-checks the mirror against the engines' pinned-buffer
     ///    lists and — in CDNA mode, where every pin traces back to a
     ///    validated descriptor — against the [`PhysMem`] pool. (Xen's
@@ -2703,7 +2698,7 @@ mod tests {
                 .map(|p| ends.iter().filter(|e| e.0 <= p).map(|e| e.1).sum())
                 .collect()
         };
-        let mut rng = SimRng::seed_from(7);
+        let mut rng = cdna_sim::SimRng::seed_from(7);
         let (mut counted, mut compared) = (0, 0);
         for _ in 0..200 {
             let span = 1 + rng.below(400) as u32;

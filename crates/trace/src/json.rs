@@ -102,12 +102,6 @@ impl JsonWriter {
         self.out.push_str(&v.to_string());
     }
 
-    /// Writes a signed integer value.
-    pub fn number_i64(&mut self, v: i64) {
-        self.before_value();
-        self.out.push_str(&v.to_string());
-    }
-
     /// Writes a finite float value. Non-finite values (which JSON cannot
     /// represent) are written as `null`.
     pub fn number_f64(&mut self, v: f64) {

@@ -166,11 +166,6 @@ impl Registry {
         self.counters[id.0] = value;
     }
 
-    /// Counter value by key, if interned.
-    pub fn value_by_key(&self, key: &MetricKey) -> Option<u64> {
-        self.counter_index.get(key).map(|&i| self.counters[i])
-    }
-
     /// Number of interned counters.
     pub fn counter_count(&self) -> usize {
         self.counters.len()

@@ -6,10 +6,20 @@
 //! so a campaign measures how much of the protection surface its
 //! personas actually exercised.
 //!
-//! Each generation first runs the controls for [`ControlKey`]s it has
-//! not seen yet, in key order, then the attacks; every attack is judged
-//! against the one control of its key. Both passes, and the minimiser's
-//! halving chains, fan out over the [`cdna_sim::par`] worker pool.
+//! Each generation first primes the [`ControlKey`]s it has no snapshot
+//! of, in key order — each key's rig run to its injection floor — and
+//! runs each one's control; then it runs the attacks, each on its own
+//! clone of its key's snapshot and judged against the key's one control;
+//! then it minimises the specs that discovered points in it, with one
+//! halving chain each on clones of the same snapshots (a point keeps its
+//! first discoverer, so a chain's labels are final once its generation
+//! is merged), every halving stopping once its live labels are back.
+//! All three passes fan out over the [`cdna_sim::par`] worker pool. A
+//! `Simulation` is `Send` but not `Sync`, so the calling thread makes
+//! each task's clone, one batch of `jobs` tasks at a time; priming runs
+//! on the workers, under the campaign's mutation switch, so every seeded
+//! mutation acts from time zero. A bootstrapping key's snapshot goes at
+//! the end of its generation, and the others when the campaign ends.
 //! Every run is a pure function of its spec or key (and the
 //! process-wide mutation switch, mirrored onto each worker) and every
 //! merge is serial and ordered, so the result is byte-identical for any
@@ -22,7 +32,8 @@ use cdna_sim::par;
 use cdna_trace::json::JsonWriter;
 
 use crate::episode::{
-    control_key, judge, run_attack, run_control, Control, ControlKey, EpisodeSpec,
+    attack_on, control_key, control_on, judge, labels_unless_seen, Control, ControlKey,
+    EpisodeSpec, Primed,
 };
 use crate::persona::{Persona, ALL};
 
@@ -149,10 +160,11 @@ fn apportion(budget: u32, weights: &[u64]) -> Vec<u32> {
 }
 
 /// Minimises `spec` for each of `labels`: halves its action count up to
-/// four times, running only the attack, and stops once none of the
-/// labels survives. Each label's entry keeps the last halving before the
-/// label first disappeared.
-fn minimise(spec: EpisodeSpec, labels: Vec<String>) -> Vec<CorpusEntry> {
+/// four times, running only the attack on a clone of `primed` (a
+/// snapshot of the spec's key), and stops once none of the labels
+/// survives. Each label's entry keeps the last halving before the label
+/// first disappeared.
+fn minimise(primed: &Primed, spec: EpisodeSpec, labels: Vec<String>) -> Vec<CorpusEntry> {
     let mut entries: Vec<CorpusEntry> = labels
         .into_iter()
         .map(|label| CorpusEntry {
@@ -169,17 +181,56 @@ fn minimise(spec: EpisodeSpec, labels: Vec<String>) -> Vec<CorpusEntry> {
         if half == 0 || live.is_empty() {
             break;
         }
-        let attack = run_attack(&EpisodeSpec {
+        let wanted: Vec<&str> = live.iter().map(|&i| entries[i].label.as_str()).collect();
+        let halved = EpisodeSpec {
             actions: half,
             ..spec
-        });
-        live.retain(|&i| attack.labels.contains_key(&entries[i].label));
+        };
+        // `None`: the run stopped once every live label was back.
+        if let Some(labels) = labels_unless_seen(primed.clone(), &halved, &wanted) {
+            live.retain(|&i| labels.contains_key(&entries[i].label));
+        }
         for &i in &live {
             entries[i].actions = half;
         }
         cur = half;
     }
     entries
+}
+
+/// Runs `f` over the pool for each task, with its own clone of the
+/// snapshot of the task's key. A `Simulation` is `Send` but not `Sync`,
+/// so the calling thread makes the clones, one batch of `jobs` tasks at
+/// a time: no more than one clone per worker is alive at once.
+fn on_clones<T, R, I, F>(
+    jobs: usize,
+    snapshots: &BTreeMap<ControlKey, Primed>,
+    tasks: Vec<(EpisodeSpec, T)>,
+    init: I,
+    f: F,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    I: Fn() + Sync,
+    F: Fn(EpisodeSpec, T, Primed) -> R + Sync,
+{
+    let mut out = Vec::with_capacity(tasks.len());
+    let mut tasks = tasks.into_iter().peekable();
+    while tasks.peek().is_some() {
+        let batch = tasks
+            .by_ref()
+            .take(jobs.max(1))
+            .map(|(spec, t)| (spec, t, snapshots[&control_key(&spec)].clone()))
+            .collect();
+        out.extend(par::run_indexed_init(
+            jobs,
+            batch,
+            &init,
+            |_, (spec, t, primed)| f(spec, t, primed),
+        ));
+    }
+    out
 }
 
 /// Runs a full campaign. Deterministic for a given config: the same
@@ -203,8 +254,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
     let mut counters = [0u64; 8];
     let mut energy = [1u64; 8];
     let mut coverage: BTreeMap<(Persona, String), CoveragePoint> = BTreeMap::new();
-    let mut discoverer: BTreeMap<(Persona, String), EpisodeSpec> = BTreeMap::new();
     let mut controls: BTreeMap<ControlKey, Control> = BTreeMap::new();
+    let mut snapshots: BTreeMap<ControlKey, Primed> = BTreeMap::new();
     let init = || mutation::set_active(mutation);
     let mut camp = Campaign {
         config: *cfg,
@@ -246,23 +297,34 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
                 });
             }
         }
-        // The controls of keys not run yet, in key order, then the
-        // attacks, each judged against its key's one control.
+        // Prime the keys without a snapshot, in key order, and run each
+        // one's control; the snapshot kept is a clone, which holds no
+        // spare capacity. Then the attacks, each on its own clone of its
+        // key's snapshot and judged against its key's one control. A key
+        // primed again (two bootstrap seeds colliding) reruns a control
+        // equal to the one it replaces.
         let fresh: BTreeSet<ControlKey> = specs
             .iter()
             .map(control_key)
-            .filter(|k| !controls.contains_key(k))
+            .filter(|k| !snapshots.contains_key(k))
             .collect();
-        controls.extend(par::run_indexed_init(
-            cfg.jobs,
-            fresh.into_iter().collect(),
-            init,
-            |_, k| (k, run_control(k)),
-        ));
-        let attacks =
-            par::run_indexed_init(cfg.jobs, specs, init, |_, spec| (spec, run_attack(&spec)));
+        let primed = par::run_indexed_init(cfg.jobs, fresh.into_iter().collect(), init, |_, k| {
+            let primed = Primed::at_floor(k);
+            let snapshot = primed.clone();
+            let control = control_on(primed);
+            (k, snapshot, control)
+        });
+        for (k, snapshot, control) in primed {
+            snapshots.insert(k, snapshot);
+            controls.insert(k, control);
+        }
+        let runs = specs.into_iter().map(|spec| (spec, ())).collect();
+        let attacks = on_clones(cfg.jobs, &snapshots, runs, init, |spec, (), primed| {
+            (spec, attack_on(primed, &spec))
+        });
         // Serial, order-preserving merge: identical for any job count.
         let mut new_points = [0u64; 8];
+        let mut chains: BTreeMap<EpisodeSpec, Vec<String>> = BTreeMap::new();
         for (spec, attack) in attacks {
             let o = judge(&spec, attack, &controls[&control_key(&spec)]);
             camp.episodes_run += 1;
@@ -291,7 +353,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
                             first_seed: o.spec.seed,
                         },
                     );
-                    discoverer.insert(key, o.spec);
+                    chains.entry(o.spec).or_default().push(label.clone());
                 }
             }
         }
@@ -300,21 +362,28 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
         for (pidx, e) in energy.iter_mut().enumerate() {
             *e = 1 + new_points[pidx];
         }
+        // Minimise with one halving chain per spec that discovered a
+        // point here, over the same pool, each chain on its own clone of
+        // its key's snapshot. A point keeps its first discoverer, so the
+        // chain's labels are final now.
+        let chains = chains.into_iter().collect();
+        camp.corpus.extend(
+            on_clones(
+                cfg.jobs,
+                &snapshots,
+                chains,
+                init,
+                |spec, labels, primed| minimise(&primed, spec, labels),
+            )
+            .into_iter()
+            .flatten(),
+        );
+        // Only keys without a bootstrap seed recur in later generations.
+        snapshots.retain(|k, _| k.bootstrap_seed.is_none());
     }
+    drop(snapshots);
 
-    // Minimise with one halving chain per discovering spec, over the
-    // same pool; sorting by (persona, label) restores discoverer order.
-    let mut chains: BTreeMap<EpisodeSpec, Vec<String>> = BTreeMap::new();
-    for ((_, label), spec) in &discoverer {
-        chains.entry(*spec).or_default().push(label.clone());
-    }
-    let chains = chains.into_iter().collect();
-    camp.corpus = par::run_indexed_init(cfg.jobs, chains, init, |_, (spec, labels)| {
-        minimise(spec, labels)
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    // Sorting by (persona, label) restores discoverer order.
     camp.corpus
         .sort_by(|a, b| (a.persona, &a.label).cmp(&(b.persona, &b.label)));
     // At `jobs == 1` the pool ran the init hook on this thread.
@@ -433,6 +502,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::episode::run_attack;
 
     #[test]
     fn apportion_is_exact_and_deterministic() {
@@ -452,5 +522,64 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
+    }
+
+    /// The minimiser with every halving run to the end of its window:
+    /// `(label, actions)` per label, in `labels` order.
+    fn minimise_with_full_runs(spec: EpisodeSpec, labels: &[String]) -> Vec<(String, u32)> {
+        let mut entries: Vec<(String, u32)> =
+            labels.iter().map(|l| (l.clone(), spec.actions)).collect();
+        let mut live: Vec<usize> = (0..entries.len()).collect();
+        let mut cur = spec.actions;
+        for _ in 0..4 {
+            let half = cur / 2;
+            if half == 0 || live.is_empty() {
+                break;
+            }
+            let attack = run_attack(&EpisodeSpec {
+                actions: half,
+                ..spec
+            });
+            live.retain(|&i| attack.labels.contains_key(&entries[i].0));
+            for &i in &live {
+                entries[i].1 = half;
+            }
+            cur = half;
+        }
+        entries
+    }
+
+    #[test]
+    fn stopped_halvings_match_full_runs() {
+        let actions = CampaignConfig::new(0).quick().actions;
+        let mutations: Vec<Option<MutationKind>> = std::iter::once(None)
+            .chain(mutation::ALL.iter().copied().map(Some))
+            .collect();
+        // The mutation switch is per thread: each task sets its own.
+        par::run_indexed(mutations.len(), mutations, |_, m| {
+            mutation::set_active(m);
+            for persona in ALL {
+                for seed in [1, 7, 42] {
+                    let spec = EpisodeSpec {
+                        persona,
+                        seed,
+                        actions,
+                    };
+                    let labels: Vec<String> = run_attack(&spec).labels.into_keys().collect();
+                    let got: Vec<(String, u32)> =
+                        minimise(&Primed::at_floor(control_key(&spec)), spec, labels.clone())
+                            .into_iter()
+                            .map(|e| (e.label, e.actions))
+                            .collect();
+                    assert_eq!(
+                        got,
+                        minimise_with_full_runs(spec, &labels),
+                        "{} seed {seed} mutation {m:?}",
+                        persona.name()
+                    );
+                }
+            }
+            mutation::set_active(None);
+        });
     }
 }

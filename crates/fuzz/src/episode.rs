@@ -12,6 +12,18 @@
 //! runs each distinct control once and judges every attack on that key
 //! against it; [`run_episode`] is the three composed for one spec.
 //!
+//! Every run on one key is identical up to the key's *injection floor*:
+//! no action lands before 2 ms, or before 10 ms for the persona whose
+//! bootstrap lap must drain first. A campaign therefore primes each key
+//! once — builds the rig, allocates its pages, primes the world, runs
+//! the bootstrap lap and runs on to the floor — and runs that key's
+//! control, attacks and minimiser halvings on clones of the snapshot.
+//! A halving asks only whether its labels come back, so it stops right
+//! after the first injection at which every one of them has been seen:
+//! labels and faults only accumulate, so the finished run would show
+//! them too. [`run_attack`], [`run_control`] and [`run_episode`] prime
+//! a fresh rig on every call.
+//!
 //! The attacker is the trailing *idle guest* of a 3-guest CDNA testbed
 //! ([`TestbedConfig::idle_guests`]): a real domain with real contexts,
 //! rings, and posted receive buffers, but no workload. The persona
@@ -124,7 +136,7 @@ impl EpisodeOutcome {
 }
 
 /// What an attack run observed, before it is compared with a control.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attack {
     /// Outcome-label histogram, `fault:<kind>` labels included.
     pub labels: BTreeMap<String, u64>,
@@ -209,6 +221,7 @@ fn episode_cfg(policy: DmaPolicy) -> TestbedConfig {
 
 /// Pages the rig allocates up front, identically in attack and control
 /// runs, so the physical pool state never differs between them.
+#[derive(Clone)]
 struct Pages {
     /// Attacker-owned buffer pages (legal probes rotate through these).
     own: Vec<PageId>,
@@ -239,15 +252,51 @@ struct RigState {
     iommu_written: [u64; NICS],
 }
 
-/// A primed episode world, identical in attack and control runs: the
-/// testbed for `policy`, the rig's pages, and — when `bootstrap` holds
-/// the episode's bootstrap RNG — the stale-replay setup lap. Returns the
-/// simulation, the pages and the end of the run.
-fn rig(
-    policy: DmaPolicy,
-    bootstrap: Option<&mut SimRng>,
-) -> (Simulation<SystemWorld>, Pages, SimTime) {
-    let cfg = episode_cfg(policy);
+/// The first instant an action may land: 2 ms into the run, or 10 ms for
+/// a persona that bootstraps, once its setup lap has drained. Every run
+/// on one [`ControlKey`] is identical up to here.
+fn injection_floor(bootstraps: bool) -> SimTime {
+    SimTime::from_ms(if bootstraps { 10 } else { 2 })
+}
+
+/// An episode's two RNG streams: the bootstrap lap's (`fork(0)`) and the
+/// injections' (`fork(1)`, taken after it).
+fn episode_rngs(seed: u64) -> (SimRng, SimRng) {
+    let mut rng = SimRng::seed_from(seed);
+    let boot = rng.fork(0);
+    (boot, rng.fork(1))
+}
+
+/// An episode world and what every run on its key shares: the testbed,
+/// the rig's pages and, for a bootstrapping key, the stale-replay setup
+/// lap. [`Primed::at_floor`] pauses it at the key's injection floor, and a
+/// campaign runs each key's control, attacks and minimiser halvings on
+/// clones of that snapshot.
+#[derive(Clone)]
+pub(crate) struct Primed {
+    sim: Simulation<SystemWorld>,
+    pages: Pages,
+    /// The end of the run.
+    end: SimTime,
+}
+
+impl Primed {
+    /// Primes `key`'s rig and runs it to the injection floor, under the
+    /// calling thread's mutation switch.
+    pub(crate) fn at_floor(key: ControlKey) -> Primed {
+        let mut primed = rig(key);
+        primed
+            .sim
+            .run_until(injection_floor(key.bootstrap_seed.is_some()));
+        primed
+    }
+}
+
+/// `key`'s rig at the end of its set-up: the testbed for its policy, the
+/// rig's pages, the primed world and — for a bootstrapping key — the
+/// stale-replay setup lap drawn from the seed's bootstrap stream.
+fn rig(key: ControlKey) -> Primed {
+    let cfg = episode_cfg(key.policy);
     let end = cfg.warmup + cfg.measure;
     let queue = cfg.queue;
     let mut sim = Simulation::with_queue(SystemWorld::build(cfg), queue);
@@ -259,10 +308,10 @@ fn rig(
     // The stale-replay persona first transmits one legal ring lap — in
     // BOTH runs, over the real bus — so the attack run's later replay
     // poke is the only difference between the two worlds.
-    if let Some(rng) = bootstrap {
-        bootstrap_lap(&mut sim, &pages, rng);
+    if let Some(seed) = key.bootstrap_seed {
+        bootstrap_lap(&mut sim, &pages, &mut episode_rngs(seed).0);
     }
-    (sim, pages, end)
+    Primed { sim, pages, end }
 }
 
 /// Whether event-channel conservation (`sent == collected + pending`)
@@ -271,81 +320,156 @@ fn evtchn_conserved(w: &SystemWorld) -> bool {
     w.evt.sent() == w.evt.collected() + w.evt.pending_total()
 }
 
-/// Runs `spec`'s attack and attributes every fault it recorded.
-pub fn run_attack(spec: &EpisodeSpec) -> Attack {
-    let mut rng = SimRng::seed_from(spec.seed);
-    let mut boot_rng = rng.fork(0);
-    let mut act_rng = rng.fork(1);
-    let bootstrap = spec.persona.bootstraps().then_some(&mut boot_rng);
-    let (mut sim, pages, end) = rig(spec.persona.policy(), bootstrap);
+/// An attack run after its injections.
+struct Injected {
+    run: Primed,
+    labels: BTreeMap<String, u64>,
+    interactions: u64,
+    breaches: u64,
+    /// Whether the run stopped early with every wanted label seen.
+    stopped: bool,
+}
 
+/// Injects `spec`'s actions into `run`, a rig of its key, each after
+/// running the world to its planned time. With `wanted`, stops right
+/// after the first injection at which every wanted label has been seen:
+/// as a probe label, or as the `fault:` label of an attacker fault
+/// already recorded.
+fn inject(mut run: Primed, spec: &EpisodeSpec, wanted: Option<&[&str]>) -> Injected {
+    let mut act_rng = episode_rngs(spec.seed).1;
     let mut labels = BTreeMap::new();
     let mut interactions = 0u64;
     let mut breaches = 0u64;
     let mut scratch = PciBus::new_64bit_66mhz();
     let mut st = RigState::default();
+    let mut faults_read = 0;
+    let mut fault_labels = BTreeSet::new();
+    let mut stopped = false;
     for at in plan_times(spec, &mut act_rng) {
-        sim.run_until(at);
+        run.sim.run_until(at);
         inject_one(
-            &mut sim,
+            &mut run.sim,
             spec.persona,
             at,
             &mut act_rng,
-            &pages,
+            &run.pages,
             &mut scratch,
             &mut st,
             &mut labels,
             &mut interactions,
             &mut breaches,
         );
-    }
-    sim.run_until(end);
-    let world = sim.into_world();
-
-    let attacker_ctxs: BTreeSet<ContextId> =
-        world.ctx_of[VICTIMS as usize].iter().copied().collect();
-    let victim_ctxs: BTreeSet<ContextId> = (0..VICTIMS as usize)
-        .flat_map(|g| world.ctx_of[g].iter().copied())
-        .collect();
-    let mut attacker_faults = 0u64;
-    let mut victim_faults = 0u64;
-    let mut misattributed = 0u64;
-    for f in &world.faults {
-        if attacker_ctxs.contains(&f.ctx) {
-            attacker_faults += 1;
-            // All attacker faults are labeled here, where each appears
-            // exactly once: device faults usually surface after the
-            // injecting poke (the pump defers under load) and shadow
-            // violations only at the end-of-run sync.
-            *labels
-                .entry(format!("fault:{}", fault_label(f.kind)))
-                .or_insert(0) += 1;
-        } else {
-            misattributed += 1;
-            if victim_ctxs.contains(&f.ctx) {
-                victim_faults += 1;
+        if let Some(wanted) = wanted {
+            let world = run.sim.world();
+            let attacker = &world.ctx_of[VICTIMS as usize];
+            for f in &world.faults[faults_read..] {
+                if attacker.contains(&f.ctx) {
+                    fault_labels.insert(format!("fault:{}", fault_label(f.kind)));
+                }
+            }
+            faults_read = world.faults.len();
+            stopped = wanted
+                .iter()
+                .all(|&l| labels.contains_key(l) || fault_labels.contains(l));
+            if stopped {
+                break;
             }
         }
     }
-
-    Attack {
+    Injected {
+        run,
         labels,
         interactions,
         breaches,
-        attacker_faults,
-        victim_faults,
-        misattributed,
-        victim_digest: victim_digest(&world, VICTIMS),
-        evtchn_conserved: evtchn_conserved(&world),
+        stopped,
     }
 }
 
-/// Runs the no-attacker control world named by `key`.
+impl Injected {
+    /// Runs the rest of the window and attributes every fault recorded.
+    fn finish(self) -> Attack {
+        let Injected {
+            run: Primed { mut sim, end, .. },
+            mut labels,
+            interactions,
+            breaches,
+            ..
+        } = self;
+        sim.run_until(end);
+        let world = sim.into_world();
+
+        let attacker_ctxs: BTreeSet<ContextId> =
+            world.ctx_of[VICTIMS as usize].iter().copied().collect();
+        let victim_ctxs: BTreeSet<ContextId> = (0..VICTIMS as usize)
+            .flat_map(|g| world.ctx_of[g].iter().copied())
+            .collect();
+        let mut attacker_faults = 0u64;
+        let mut victim_faults = 0u64;
+        let mut misattributed = 0u64;
+        for f in &world.faults {
+            if attacker_ctxs.contains(&f.ctx) {
+                attacker_faults += 1;
+                // All attacker faults are labeled here, where each appears
+                // exactly once: device faults usually surface after the
+                // injecting poke (the pump defers under load) and shadow
+                // violations only at the end-of-run sync.
+                *labels
+                    .entry(format!("fault:{}", fault_label(f.kind)))
+                    .or_insert(0) += 1;
+            } else {
+                misattributed += 1;
+                if victim_ctxs.contains(&f.ctx) {
+                    victim_faults += 1;
+                }
+            }
+        }
+
+        Attack {
+            labels,
+            interactions,
+            breaches,
+            attacker_faults,
+            victim_faults,
+            misattributed,
+            victim_digest: victim_digest(&world, VICTIMS),
+            evtchn_conserved: evtchn_conserved(&world),
+        }
+    }
+}
+
+/// Runs `spec`'s attack on a fresh rig and attributes every fault it
+/// recorded.
+pub fn run_attack(spec: &EpisodeSpec) -> Attack {
+    attack_on(Primed::at_floor(control_key(spec)), spec)
+}
+
+/// Runs `spec`'s attack on `primed`, a snapshot of its key.
+pub(crate) fn attack_on(primed: Primed, spec: &EpisodeSpec) -> Attack {
+    inject(primed, spec, None).finish()
+}
+
+/// A minimiser halving: runs `spec` on `primed`, a snapshot of its key,
+/// to learn which of `wanted` it shows. Returns `None` — every one — if
+/// the run could stop early with all of them seen, else the finished
+/// run's label histogram. Labels and faults only accumulate, so a run
+/// that stopped would have shown them all at its end too.
+pub(crate) fn labels_unless_seen(
+    primed: Primed,
+    spec: &EpisodeSpec,
+    wanted: &[&str],
+) -> Option<BTreeMap<String, u64>> {
+    let run = inject(primed, spec, Some(wanted));
+    (!run.stopped).then(|| run.finish().labels)
+}
+
+/// Runs the no-attacker control world named by `key` on a fresh rig.
 pub fn run_control(key: ControlKey) -> Control {
-    let mut boot_rng = key
-        .bootstrap_seed
-        .map(|seed| SimRng::seed_from(seed).fork(0));
-    let (mut sim, _pages, end) = rig(key.policy, boot_rng.as_mut());
+    control_on(Primed::at_floor(key))
+}
+
+/// Runs the no-attacker control on `primed`, a snapshot of its key.
+pub(crate) fn control_on(primed: Primed) -> Control {
+    let Primed { mut sim, end, .. } = primed;
     sim.run_until(end);
     let world = sim.into_world();
     Control {
@@ -377,18 +501,19 @@ pub fn run_episode(spec: &EpisodeSpec) -> EpisodeOutcome {
 }
 
 /// Draws the injection schedule: `actions` sorted times inside the run,
-/// after the bootstrap and before the window closes. The stale-replay
-/// persona injects only after its bootstrap lap has fully drained.
+/// from the injection floor until the window closes.
 fn plan_times(spec: &EpisodeSpec, rng: &mut SimRng) -> Vec<SimTime> {
-    let (base_ns, span_ns) = if spec.persona.bootstraps() {
-        (10_000_000u64, 21_000_000usize)
+    let floor = injection_floor(spec.persona.bootstraps());
+    let span_ns = if spec.persona.bootstraps() {
+        21_000_000usize
     } else {
-        (2_000_000u64, 29_000_000usize)
+        29_000_000usize
     };
     let mut times: Vec<SimTime> = (0..spec.actions)
-        .map(|_| SimTime::from_ns(base_ns + rng.below(span_ns) as u64))
+        .map(|_| floor + SimTime::from_ns(rng.below(span_ns) as u64))
         .collect();
     times.sort();
+    debug_assert!(times.iter().all(|&t| t >= floor), "action before the floor");
     times
 }
 
@@ -746,6 +871,7 @@ mod shadow_oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persona::ALL;
 
     fn quick_spec(p: Persona) -> EpisodeSpec {
         EpisodeSpec {
@@ -795,5 +921,64 @@ mod tests {
             "labels: {:?}",
             o.labels
         );
+    }
+
+    /// `spec`'s attack on `run`, with the finished world's event count
+    /// and `Debug` rendering. An `Attack` alone cannot tell when its
+    /// injections landed: isolation keeps the victims' digest, and the
+    /// probe outcomes, the same either way.
+    fn attack_and_world(run: Primed, spec: &EpisodeSpec) -> (Attack, u64, String) {
+        let injected = inject(run, spec, None);
+        let mut sim = injected.run.sim.clone();
+        sim.run_until(injected.run.end);
+        let world = format!("{:?}", sim.world());
+        (injected.finish(), sim.events_processed(), world)
+    }
+
+    #[test]
+    fn primed_runs_match_fresh_rigs() {
+        for persona in ALL {
+            for seed in [1, 7, 42] {
+                for actions in [0, 160] {
+                    let spec = EpisodeSpec {
+                        persona,
+                        seed,
+                        actions,
+                    };
+                    let key = control_key(&spec);
+                    let snapshot = Primed::at_floor(key);
+                    // The reference rig never pauses at the floor.
+                    let (attack, events, world) = attack_and_world(snapshot.clone(), &spec);
+                    let fresh = attack_and_world(rig(key), &spec);
+                    let what = format!("{} seed {seed} actions {actions}", persona.name());
+                    assert_eq!(attack, fresh.0, "{what}");
+                    assert_eq!(events, fresh.1, "{what}");
+                    assert!(world == fresh.2, "{what}: the finished worlds differ");
+                    assert_eq!(control_on(snapshot), control_on(rig(key)), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_action_is_planned_before_the_floor() {
+        for persona in ALL {
+            let floor = injection_floor(persona.bootstraps());
+            for seed in [1, 7, 42] {
+                let spec = EpisodeSpec {
+                    persona,
+                    seed,
+                    actions: 400,
+                };
+                let times = plan_times(&spec, &mut episode_rngs(seed).1);
+                assert_eq!(times.len(), 400);
+                assert!(
+                    times.iter().all(|&t| t >= floor),
+                    "{} seed {seed}: {:?} before {floor}",
+                    persona.name(),
+                    times.first()
+                );
+            }
+        }
     }
 }

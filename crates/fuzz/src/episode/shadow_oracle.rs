@@ -23,11 +23,13 @@ use cdna_core::DmaPolicy;
 use cdna_mem::mutation::{self, MutationKind};
 use cdna_mem::PageId;
 use cdna_model::{default_matrix, Controller, PermutationQueue};
-use cdna_sim::{SimRng, SimTime, Simulation};
+use cdna_sim::{SimTime, Simulation};
 use cdna_system::{IoModel, SystemWorld};
 use cdna_trace::Tracer;
 
-use super::{inject_one, plan_times, rig, EpisodeSpec, RigState, VICTIMS};
+use super::{
+    control_key, episode_rngs, inject_one, plan_times, rig, EpisodeSpec, Primed, RigState, VICTIMS,
+};
 use crate::persona::{Persona, ALL};
 
 /// The gather/sort/merge reconcile, run on its own shadow.
@@ -225,11 +227,12 @@ fn model_cells(schedules: usize, label: &str) -> usize {
 /// shadow violations found.
 fn persona_episode(spec: &EpisodeSpec, revoke_at: Option<usize>, label: &str) -> usize {
     let what = format!("{label} {} seed {}", spec.persona.name(), spec.seed);
-    let mut rng = SimRng::seed_from(spec.seed);
-    let mut boot_rng = rng.fork(0);
-    let mut act_rng = rng.fork(1);
-    let bootstrap = spec.persona.bootstraps().then_some(&mut boot_rng);
-    let (mut sim, pages, end) = rig(spec.persona.policy(), bootstrap);
+    let mut act_rng = episode_rngs(spec.seed).1;
+    let Primed {
+        mut sim,
+        pages,
+        end,
+    } = rig(control_key(spec));
     let mut oracle = GatherOracle::default();
     let (mut labels, mut interactions, mut breaches) = (BTreeMap::new(), 0, 0);
     let mut scratch = cdna_net::PciBus::new_64bit_66mhz();

@@ -18,13 +18,17 @@
 //!   between simulation steps, and the outcome is judged against a
 //!   byte-identical no-attacker control run of the same world. A
 //!   control reads only its [`ControlKey`] (DMA policy, plus the seed
-//!   of a bootstrapping persona), so attacks on one key share it.
+//!   of a bootstrapping persona), so attacks on one key share it, and
+//!   every run on a key is identical up to its injection floor.
 //! * [`campaign`] — the coverage-guided loop: coverage is the hit-set
 //!   of `(persona, outcome-label)` pairs, newly discovered points feed
 //!   an energy schedule across generations, each generation runs its
 //!   new controls and then its attacks on the deterministic worker
 //!   pool, and each first-discovering episode is minimized by one
 //!   halving chain of attack-only reruns into a replayable corpus.
+//!   Each key's rig is primed to its injection floor once; its control,
+//!   attacks and halvings run on clones of that snapshot, and a halving
+//!   stops once its labels are back.
 //!
 //! Everything is a pure function of the campaign seed: reports and
 //! corpora are byte-identical across `--jobs` values and across runs.

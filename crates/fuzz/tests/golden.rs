@@ -1,10 +1,13 @@
 //! Absolute goldens for the fuzz campaign: the quick campaign's
-//! `cdna-fuzz/1` report and `cdna-fuzz-corpus/1` corpus, and the same
-//! pair for the default campaign, all at seed 7, compared byte for byte
-//! with the checked-in files. The campaign drives device mailboxes
-//! outside the event loop, so these pin how
-//! `SystemWorld::absorb_nic_activity` folds the consequences back in;
-//! the corpora also pin the minimiser. Regenerate with
+//! `cdna-fuzz/1` report and `cdna-fuzz-corpus/1` corpus, the same pair
+//! for the default campaign, and the quick pair under each seeded
+//! mutation, all at seed 7, compared byte for byte with the checked-in
+//! files. The campaign drives device mailboxes outside the event loop,
+//! so these pin how `SystemWorld::absorb_nic_activity` folds the
+//! consequences back in; the corpora also pin the minimiser, whose
+//! halvings stop early once their labels are back. Under a mutation
+//! some labels surface only at the end-of-run shadow sync, so those
+//! halvings must run to the end. Regenerate with
 //!
 //! ```sh
 //! CDNA_BLESS=1 cargo test -p cdna-fuzz --test golden
@@ -13,6 +16,7 @@
 use std::path::PathBuf;
 
 use cdna_fuzz::{run_campaign, CampaignConfig};
+use cdna_mem::mutation;
 
 /// Compares `got` (plus a trailing newline) with `tests/golden/<name>`,
 /// or rewrites the file when `CDNA_BLESS=1`.
@@ -46,4 +50,21 @@ fn default_campaign_matches_checked_in_golden() {
     let camp = run_campaign(&CampaignConfig::new(7));
     check_golden("default-report.json", camp.report_json());
     check_golden("default-corpus.json", camp.corpus_json());
+}
+
+#[test]
+fn mutated_quick_campaigns_match_checked_in_goldens() {
+    for m in mutation::ALL {
+        let mut cfg = CampaignConfig::new(7).quick();
+        cfg.mutation = Some(m);
+        let camp = run_campaign(&cfg);
+        check_golden(
+            &format!("quick-{}-report.json", m.name()),
+            camp.report_json(),
+        );
+        check_golden(
+            &format!("quick-{}-corpus.json", m.name()),
+            camp.corpus_json(),
+        );
+    }
 }

@@ -27,14 +27,14 @@ use cdna_system::{run_experiment, Direction, IoModel, NicKind, RunReport, Testbe
 
 /// Extracts the last `--jobs N` / `--jobs=N` occurrence from `args`,
 /// ignoring every other argument. This is the one place the flag's
-/// syntax lives; `cdna-bench` and `rack` resolve it here. A missing or
-/// non-numeric value is an error, never silently "no flag".
+/// syntax lives; `cdna-bench` and `rack` resolve it here. A missing,
+/// non-numeric or zero value is an error, never silently "no flag" or
+/// one worker.
 pub fn jobs_flag_in(args: &[String]) -> Result<Option<usize>, String> {
     let parse = |v: Option<&str>| {
         let v = v.unwrap_or_default();
-        v.parse()
-            .map(Some)
-            .map_err(|_| format!("--jobs expects a worker count, got `{v}`"))
+        let n = v.parse().ok().filter(|&n| n > 0).map(Some);
+        n.ok_or_else(|| format!("--jobs expects a positive worker count, got `{v}`"))
     };
     let mut requested = None;
     let mut it = args.iter();
@@ -181,6 +181,8 @@ mod tests {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         for bad in [
             &["--jobs", "zero"][..],
+            &["--jobs", "0"],
+            &["--jobs=0"],
             &["--jobs=0x"],
             &["--jobs="],
             &["--quick", "--jobs"],

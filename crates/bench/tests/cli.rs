@@ -1,5 +1,5 @@
 //! Bad command lines fail fast: a missing or unknown target, a
-//! malformed `--jobs` value, a flag a target does not take, or a
+//! malformed or zero `--jobs` value, a flag a target does not take, or a
 //! configuration the testbed cannot build exits 2 with a usage line,
 //! before any simulation runs.
 
@@ -35,6 +35,7 @@ fn missing_or_unknown_target_exits_2() {
 fn table_binaries_reject_bad_arguments() {
     for args in [
         &["table1", "--jobs", "zero"][..],
+        &["table1", "--jobs", "0"],
         &["table1", "--bogus"],
         &["sensitivity", "--jobs=0x"],
         &["calibrate", "--bogus"],

@@ -19,6 +19,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use cdna_mem::mutation::MutationKind;
 use cdna_mem::{BufferSlice, DomainId, MemError, PageId, PhysMem};
 use cdna_nic::{DescFlags, DmaDescriptor, FrameMeta, RingTable};
 
@@ -361,6 +362,8 @@ pub struct ProtectionEngine {
     /// last cleared, kept only once
     /// [`ProtectionEngine::enable_pin_journal`] is called.
     journal: Option<Vec<PinRun>>,
+    /// The seeded bug [`ProtectionEngine::set_mutation`] armed, if any.
+    mutation: Option<MutationKind>,
 }
 
 impl ProtectionEngine {
@@ -371,7 +374,14 @@ impl ProtectionEngine {
             ctxs: (0..crate::CTX_COUNT).map(|_| None).collect(),
             stats: ProtectionStats::default(),
             journal: None,
+            mutation: None,
         }
+    }
+
+    /// Arms the seeded bug `m` ([`cdna_mem::mutation`]), or none; the
+    /// engine acts on `SeqSkip` and `SkipOwnershipCheck` only.
+    pub fn set_mutation(&mut self, m: Option<MutationKind>) {
+        self.mutation = m;
     }
 
     /// Starts the pin journal: from now on every page run the engine
@@ -515,14 +525,8 @@ impl ProtectionEngine {
         // buffers — grant-mapped guest pages — skip the ownership check
         // but are still pinned for the DMA's lifetime.
         let trusted = caller == DomainId::DRIVER;
-        #[cfg(feature = "mutations")]
-        let skip_owner_check =
-            cdna_mem::mutation::is_active(cdna_mem::mutation::MutationKind::SkipOwnershipCheck);
-        #[cfg(not(feature = "mutations"))]
-        let skip_owner_check = false;
-        #[cfg(feature = "mutations")]
+        let skip_owner_check = self.mutation == Some(MutationKind::SkipOwnershipCheck);
         let wild;
-        #[cfg(feature = "mutations")]
         let reqs = if skip_owner_check && !trusted {
             // Seeded bug: with validation gone, a guest-supplied wild
             // address reaches the pin path; model the wild address as the
@@ -562,14 +566,11 @@ impl ProtectionEngine {
 
         #[expect(clippy::expect_used, reason = "ring created at assign_context")]
         let ring = rings.get_mut(state.tx_ring).expect("ring exists");
-        // The switch is thread-local, so it cannot change inside one call.
-        #[cfg(feature = "mutations")]
-        let seq_skip = cdna_mem::mutation::is_active(cdna_mem::mutation::MutationKind::SeqSkip);
+        let seq_skip = self.mutation == Some(MutationKind::SeqSkip);
         let mut pages = 0;
         for req in reqs {
             pages += req.buf.page_count();
             let mut desc = DmaDescriptor::tx(req.buf, req.flags, req.meta);
-            #[cfg(feature = "mutations")]
             if seq_skip && prot.tx.producer % 8 == 3 {
                 // Seeded bug: burn a stamp, leaving a gap in the stream.
                 let _ = prot.tx.stamper.next();
@@ -644,14 +645,11 @@ impl ProtectionEngine {
 
         #[expect(clippy::expect_used, reason = "ring created at assign_context")]
         let ring = rings.get_mut(state.rx_ring).expect("ring exists");
-        // The switch is thread-local, so it cannot change inside one call.
-        #[cfg(feature = "mutations")]
-        let seq_skip = cdna_mem::mutation::is_active(cdna_mem::mutation::MutationKind::SeqSkip);
+        let seq_skip = self.mutation == Some(MutationKind::SeqSkip);
         let mut pages = 0;
         for req in reqs {
             pages += req.buf.page_count();
             let mut desc = DmaDescriptor::rx(req.buf);
-            #[cfg(feature = "mutations")]
             if seq_skip && prot.rx.producer % 8 == 3 {
                 // Seeded bug: burn a stamp, leaving a gap in the stream.
                 let _ = prot.rx.stamper.next();

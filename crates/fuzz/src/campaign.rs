@@ -14,20 +14,18 @@
 //! halving chain each on clones of the same snapshots (a point keeps its
 //! first discoverer, so a chain's labels are final once its generation
 //! is merged), every halving stopping once its live labels are back.
-//! All three passes fan out over the [`cdna_sim::par`] worker pool. A
-//! `Simulation` is `Send` but not `Sync`, so the calling thread makes
-//! each task's clone, one batch of `jobs` tasks at a time; priming runs
-//! on the workers, under the campaign's mutation switch, so every seeded
-//! mutation acts from time zero. A bootstrapping key's snapshot goes at
-//! the end of its generation, and the others when the campaign ends.
-//! Every run is a pure function of its spec or key (and the
-//! process-wide mutation switch, mirrored onto each worker) and every
-//! merge is serial and ordered, so the result is byte-identical for any
-//! `--jobs` value.
+//! Each of the three passes is one call to the [`cdna_sim::par`] worker
+//! pool, and each attack or halving clones its key's snapshot on its
+//! own worker. A seeded bug travels in every spec and key
+//! ([`EpisodeSpec::mutation`]), so each rig is built with it and acts on
+//! it from time zero. A bootstrapping key's snapshot goes at the end of
+//! its generation, and the others when the campaign ends. Every run is
+//! a pure function of its spec or key and every merge is serial and
+//! ordered, so the result is byte-identical for any `--jobs` value.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cdna_mem::mutation::{self, MutationKind};
+use cdna_mem::mutation::MutationKind;
 use cdna_sim::par;
 use cdna_trace::json::JsonWriter;
 
@@ -48,7 +46,8 @@ pub struct CampaignConfig {
     pub actions: u32,
     /// Worker threads (resolved; 1 = inline).
     pub jobs: usize,
-    /// Seeded protection-path bug to activate, if any.
+    /// Seeded protection-path bug built into every episode's testbed,
+    /// if any.
     pub mutation: Option<MutationKind>,
 }
 
@@ -198,39 +197,22 @@ fn minimise(primed: &Primed, spec: EpisodeSpec, labels: Vec<String>) -> Vec<Corp
     entries
 }
 
-/// Runs `f` over the pool for each task, with its own clone of the
-/// snapshot of the task's key. A `Simulation` is `Send` but not `Sync`,
-/// so the calling thread makes the clones, one batch of `jobs` tasks at
-/// a time: no more than one clone per worker is alive at once.
-fn on_clones<T, R, I, F>(
+/// Runs `f` over the pool for each task, on its own clone of the
+/// snapshot of the task's key, made on the worker that runs it.
+fn on_clones<T, R, F>(
     jobs: usize,
     snapshots: &BTreeMap<ControlKey, Primed>,
     tasks: Vec<(EpisodeSpec, T)>,
-    init: I,
     f: F,
 ) -> Vec<R>
 where
     T: Send,
     R: Send,
-    I: Fn() + Sync,
     F: Fn(EpisodeSpec, T, Primed) -> R + Sync,
 {
-    let mut out = Vec::with_capacity(tasks.len());
-    let mut tasks = tasks.into_iter().peekable();
-    while tasks.peek().is_some() {
-        let batch = tasks
-            .by_ref()
-            .take(jobs.max(1))
-            .map(|(spec, t)| (spec, t, snapshots[&control_key(&spec)].clone()))
-            .collect();
-        out.extend(par::run_indexed_init(
-            jobs,
-            batch,
-            &init,
-            |_, (spec, t, primed)| f(spec, t, primed),
-        ));
-    }
-    out
+    par::run_indexed(jobs, tasks, |_, (spec, t)| {
+        f(spec, t, snapshots[&control_key(&spec)].clone())
+    })
 }
 
 /// Runs a full campaign. Deterministic for a given config: the same
@@ -238,7 +220,6 @@ where
 /// [`Campaign::report_json`] and [`Campaign::corpus_json`] for every
 /// `jobs` value.
 pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
-    let mutation = cfg.mutation;
     // Generation plan: one warm-up episode per persona, then three
     // energy-weighted generations over the remaining budget.
     let warmup = cfg.episodes.min(ALL.len() as u32);
@@ -256,7 +237,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
     let mut coverage: BTreeMap<(Persona, String), CoveragePoint> = BTreeMap::new();
     let mut controls: BTreeMap<ControlKey, Control> = BTreeMap::new();
     let mut snapshots: BTreeMap<ControlKey, Primed> = BTreeMap::new();
-    let init = || mutation::set_active(mutation);
     let mut camp = Campaign {
         config: *cfg,
         episodes_run: 0,
@@ -294,6 +274,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
                     persona: ALL[pidx],
                     seed,
                     actions: cfg.actions,
+                    mutation: cfg.mutation,
                 });
             }
         }
@@ -308,7 +289,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
             .map(control_key)
             .filter(|k| !snapshots.contains_key(k))
             .collect();
-        let primed = par::run_indexed_init(cfg.jobs, fresh.into_iter().collect(), init, |_, k| {
+        let primed = par::run_indexed(cfg.jobs, fresh.into_iter().collect(), |_, k| {
             let primed = Primed::at_floor(k);
             let snapshot = primed.clone();
             let control = control_on(primed);
@@ -319,7 +300,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
             controls.insert(k, control);
         }
         let runs = specs.into_iter().map(|spec| (spec, ())).collect();
-        let attacks = on_clones(cfg.jobs, &snapshots, runs, init, |spec, (), primed| {
+        let attacks = on_clones(cfg.jobs, &snapshots, runs, |spec, (), primed| {
             (spec, attack_on(primed, &spec))
         });
         // Serial, order-preserving merge: identical for any job count.
@@ -368,13 +349,9 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
         // chain's labels are final now.
         let chains = chains.into_iter().collect();
         camp.corpus.extend(
-            on_clones(
-                cfg.jobs,
-                &snapshots,
-                chains,
-                init,
-                |spec, labels, primed| minimise(&primed, spec, labels),
-            )
+            on_clones(cfg.jobs, &snapshots, chains, |spec, labels, primed| {
+                minimise(&primed, spec, labels)
+            })
             .into_iter()
             .flatten(),
         );
@@ -386,8 +363,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
     // Sorting by (persona, label) restores discoverer order.
     camp.corpus
         .sort_by(|a, b| (a.persona, &a.label).cmp(&(b.persona, &b.label)));
-    // At `jobs == 1` the pool ran the init hook on this thread.
-    mutation::set_active(None);
 
     camp.coverage = coverage.into_values().collect();
     camp
@@ -553,17 +528,16 @@ mod tests {
     fn stopped_halvings_match_full_runs() {
         let actions = CampaignConfig::new(0).quick().actions;
         let mutations: Vec<Option<MutationKind>> = std::iter::once(None)
-            .chain(mutation::ALL.iter().copied().map(Some))
+            .chain(cdna_mem::mutation::ALL.map(Some))
             .collect();
-        // The mutation switch is per thread: each task sets its own.
-        par::run_indexed(mutations.len(), mutations, |_, m| {
-            mutation::set_active(m);
+        par::run_indexed(mutations.len(), mutations, |_, mutation| {
             for persona in ALL {
                 for seed in [1, 7, 42] {
                     let spec = EpisodeSpec {
                         persona,
                         seed,
                         actions,
+                        mutation,
                     };
                     let labels: Vec<String> = run_attack(&spec).labels.into_keys().collect();
                     let got: Vec<(String, u32)> =
@@ -574,12 +548,11 @@ mod tests {
                     assert_eq!(
                         got,
                         minimise_with_full_runs(spec, &labels),
-                        "{} seed {seed} mutation {m:?}",
+                        "{} seed {seed} mutation {mutation:?}",
                         persona.name()
                     );
                 }
             }
-            mutation::set_active(None);
         });
     }
 }

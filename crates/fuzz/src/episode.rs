@@ -50,6 +50,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cdna_core::{layout::Mailbox, ContextId, DmaPolicy, FaultKind, RxRequest};
+use cdna_mem::mutation::MutationKind;
 use cdna_mem::{BufferSlice, DomainId, PageId};
 use cdna_net::{framing, FlowId, MacAddr, PciBus};
 use cdna_nic::{DescFlags, DmaDescriptor, FrameMeta};
@@ -86,6 +87,8 @@ pub struct EpisodeSpec {
     pub seed: u64,
     /// Number of injected adversarial actions.
     pub actions: u32,
+    /// The seeded bug built into the testbed, if any.
+    pub mutation: Option<MutationKind>,
 }
 
 /// Everything an episode observed, reduced to the counters the campaign
@@ -156,15 +159,17 @@ pub struct Attack {
     pub evtchn_conserved: bool,
 }
 
-/// Everything a control run can influence: the testbed's DMA policy and,
-/// for the persona whose benign bootstrap lap draws from the episode
-/// RNG, that episode's seed.
+/// Everything a control run can influence: the testbed's DMA policy and
+/// seeded bug and, for the persona whose benign bootstrap lap draws from
+/// the episode RNG, that episode's seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ControlKey {
     /// The DMA protection policy of the testbed.
     pub policy: DmaPolicy,
     /// The episode seed the bootstrap lap draws from, if there is one.
     pub bootstrap_seed: Option<u64>,
+    /// The seeded bug built into the testbed.
+    pub mutation: Option<MutationKind>,
 }
 
 /// The control run `spec` is judged against.
@@ -172,6 +177,7 @@ pub fn control_key(spec: &EpisodeSpec) -> ControlKey {
     ControlKey {
         policy: spec.persona.policy(),
         bootstrap_seed: spec.persona.bootstraps().then_some(spec.seed),
+        mutation: spec.mutation,
     }
 }
 
@@ -199,14 +205,17 @@ pub fn fault_label(kind: FaultKind) -> String {
     }
 }
 
-/// The testbed an episode runs: CDNA with `policy`, two victims plus the
-/// idle attacker slot, a small ring, and a window short enough to fuzz
-/// thousands of episodes. The DMA shadow checker runs under the
-/// `Validated` policy only: the IOMMU policy's guest-pinned mappings are
-/// not modelled by the shadow's whole-pool audit.
-fn episode_cfg(policy: DmaPolicy) -> TestbedConfig {
+/// The testbed an episode on `key` runs: CDNA with the key's policy and
+/// seeded bug, two victims plus the idle attacker slot, a small ring,
+/// and a window short enough to fuzz thousands of episodes. The DMA
+/// shadow checker runs under the `Validated` policy only: the IOMMU
+/// policy's guest-pinned mappings are not modelled by the shadow's
+/// whole-pool audit.
+fn episode_cfg(key: ControlKey) -> TestbedConfig {
+    let policy = key.policy;
     let mut cfg = TestbedConfig::new(IoModel::Cdna { policy }, VICTIMS + 1, Direction::Transmit)
-        .with_idle_guests(1);
+        .with_idle_guests(1)
+        .with_mutation(key.mutation);
     cfg.nics = NICS as u8;
     cfg.ring_size = RING;
     cfg.warmup = SimTime::from_ms(8);
@@ -281,8 +290,7 @@ pub(crate) struct Primed {
 }
 
 impl Primed {
-    /// Primes `key`'s rig and runs it to the injection floor, under the
-    /// calling thread's mutation switch.
+    /// Primes `key`'s rig and runs it to the injection floor.
     pub(crate) fn at_floor(key: ControlKey) -> Primed {
         let mut primed = rig(key);
         primed
@@ -296,7 +304,7 @@ impl Primed {
 /// rig's pages, the primed world and — for a bootstrapping key — the
 /// stale-replay setup lap drawn from the seed's bootstrap stream.
 fn rig(key: ControlKey) -> Primed {
-    let cfg = episode_cfg(key.policy);
+    let cfg = episode_cfg(key);
     let end = cfg.warmup + cfg.measure;
     let queue = cfg.queue;
     let mut sim = Simulation::with_queue(SystemWorld::build(cfg), queue);
@@ -878,6 +886,7 @@ mod tests {
             persona: p,
             seed: 11,
             actions: 12,
+            mutation: None,
         }
     }
 
@@ -944,6 +953,7 @@ mod tests {
                         persona,
                         seed,
                         actions,
+                        mutation: None,
                     };
                     let key = control_key(&spec);
                     let snapshot = Primed::at_floor(key);
@@ -969,6 +979,7 @@ mod tests {
                     persona,
                     seed,
                     actions: 400,
+                    mutation: None,
                 };
                 let times = plan_times(&spec, &mut episode_rngs(seed).1);
                 assert_eq!(times.len(), 400);

@@ -183,12 +183,13 @@ fn run_through_stop(
 }
 
 /// The first `schedules` schedules of every `cdna-model` cell at a 1 ms
-/// window, each with an extra sync halfway, the `StopMeasure` sync and
-/// the post-run sync; returns the shadow violations they found.
-fn model_cells(schedules: usize, label: &str) -> usize {
+/// window, built with `mutation`, each with an extra sync halfway, the
+/// `StopMeasure` sync and the post-run sync; returns the shadow
+/// violations they found.
+fn model_cells(schedules: usize, mutation: Option<MutationKind>, label: &str) -> usize {
     let mut found = 0;
     for job in default_matrix(1000, 1, 64, 2000) {
-        let mut primed = SystemWorld::build(job.cfg.clone());
+        let mut primed = SystemWorld::build(job.cfg.clone().with_mutation(mutation));
         let events = primed.prime();
         let end = job.cfg.warmup + job.cfg.measure;
         let mut prefix = Vec::new();
@@ -267,8 +268,9 @@ fn persona_episode(spec: &EpisodeSpec, revoke_at: Option<usize>, label: &str) ->
 }
 
 /// Every shadow-checked persona (the IOMMU escape runs without the
-/// shadow) at `seed`; returns the shadow violations found.
-fn personas(seed: u64, actions: u32, label: &str) -> usize {
+/// shadow) at `seed`, built with `mutation`; returns the shadow
+/// violations found.
+fn personas(seed: u64, actions: u32, mutation: Option<MutationKind>, label: &str) -> usize {
     ALL.into_iter()
         .filter(|p| p.policy() == DmaPolicy::Validated)
         .map(|persona| {
@@ -276,6 +278,7 @@ fn personas(seed: u64, actions: u32, label: &str) -> usize {
                 persona,
                 seed,
                 actions,
+                mutation,
             };
             persona_episode(&spec, None, label)
         })
@@ -284,16 +287,17 @@ fn personas(seed: u64, actions: u32, label: &str) -> usize {
 
 #[test]
 fn model_cells_match_the_gather_reconcile() {
-    assert_eq!(model_cells(3, "clean"), 0);
+    assert_eq!(model_cells(3, None, "clean"), 0);
 }
 
 #[test]
 fn persona_episodes_match_the_gather_reconcile() {
-    assert_eq!(personas(5, 16, "clean"), 0);
+    assert_eq!(personas(5, 16, None, "clean"), 0);
     let replay = EpisodeSpec {
         persona: Persona::StaleReplayer,
         seed: 9,
         actions: 12,
+        mutation: None,
     };
     assert_eq!(persona_episode(&replay, None, "clean"), 0);
 }
@@ -305,6 +309,7 @@ fn a_revoked_context_matches_the_gather_reconcile() {
             persona,
             seed: 3,
             actions: 16,
+            mutation: None,
         };
         assert_eq!(persona_episode(&spec, Some(6), "revoked"), 0);
     }
@@ -312,17 +317,16 @@ fn a_revoked_context_matches_the_gather_reconcile() {
 
 #[test]
 fn every_mutation_matches_the_gather_reconcile() {
-    let revoked = EpisodeSpec {
-        persona: Persona::RxCreditCorrupter,
-        seed: 3,
-        actions: 16,
-    };
     for m in mutation::ALL {
-        mutation::set_active(Some(m));
-        let found = model_cells(2, m.name())
-            + personas(5, 12, m.name())
+        let revoked = EpisodeSpec {
+            persona: Persona::RxCreditCorrupter,
+            seed: 3,
+            actions: 16,
+            mutation: Some(m),
+        };
+        let found = model_cells(2, Some(m), m.name())
+            + personas(5, 12, Some(m), m.name())
             + persona_episode(&revoked, Some(6), m.name());
-        mutation::set_active(None);
         // Event-channel double counting is not the shadow's to see.
         assert_eq!(found > 0, m != MutationKind::IrqDoublePost, "{}", m.name());
     }

@@ -20,7 +20,7 @@
 //! `--expect-caught`, when the seeded mutation WAS caught); 1 when an
 //! isolation invariant breaks without a mutation, when an expected
 //! mutation escapes, or when coverage falls below `--min-coverage`;
-//! 2 on bad usage.
+//! 2 on bad usage, `--jobs 0` included.
 
 use std::process::ExitCode;
 
@@ -91,7 +91,10 @@ fn parse_args() -> Options {
                 opts.actions = Some(value("--actions").parse().unwrap_or_else(|_| usage()))
             }
             "--quick" => opts.quick = true,
-            "--jobs" => opts.jobs = Some(value("--jobs").parse().unwrap_or_else(|_| usage())),
+            "--jobs" => match value("--jobs").parse() {
+                Ok(n) if n > 0 => opts.jobs = Some(n),
+                _ => usage(),
+            },
             "--out" => opts.out = Some(value("--out")),
             "--corpus" => opts.corpus = Some(value("--corpus")),
             "--stdout" => opts.stdout = true,

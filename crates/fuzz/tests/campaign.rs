@@ -66,6 +66,7 @@ fn minimized_corpus_entries_still_reproduce_their_label() {
             persona: e.persona,
             seed: e.seed,
             actions: e.actions,
+            mutation: None,
         });
         assert!(
             o.labels.contains_key(&e.label),

@@ -10,7 +10,7 @@ use cdna_fuzz::{
     control_key, judge, run_attack, run_campaign, run_control, CampaignConfig, Control,
     CorpusEntry, EpisodeSpec, ALL,
 };
-use cdna_mem::mutation::{self, MutationKind};
+use cdna_mem::mutation::MutationKind;
 
 /// The control as the per-episode runner made it: the episode's own
 /// world with no action injected, derived from the spec and not from a
@@ -35,6 +35,7 @@ fn shared_controls_match_per_episode_controls() {
                 persona,
                 seed,
                 actions: 24,
+                mutation: None,
             };
             let shared = run_control(control_key(&spec));
             let own = per_episode_control(&spec);
@@ -58,6 +59,7 @@ fn personas_sharing_a_key_share_a_control() {
             persona,
             seed: 100 + i as u64,
             actions: 24,
+            mutation: None,
         };
         by_key.entry(control_key(&spec)).or_default().push(spec);
     }
@@ -83,13 +85,13 @@ fn personas_sharing_a_key_share_a_control() {
 /// point, halve the discovering spec's actions until the label
 /// disappears, at most four times.
 fn per_label_corpus(cfg: &CampaignConfig, camp: &cdna_fuzz::Campaign) -> Vec<CorpusEntry> {
-    mutation::set_active(cfg.mutation);
     let mut corpus = Vec::new();
     for point in &camp.coverage {
         let spec = EpisodeSpec {
             persona: point.persona,
             seed: point.first_seed,
             actions: cfg.actions,
+            mutation: cfg.mutation,
         };
         let mut best = spec.actions;
         let mut cur = spec.actions;
@@ -116,7 +118,6 @@ fn per_label_corpus(cfg: &CampaignConfig, camp: &cdna_fuzz::Campaign) -> Vec<Cor
             actions: best,
         });
     }
-    mutation::set_active(None);
     corpus
 }
 

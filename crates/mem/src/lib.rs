@@ -19,7 +19,6 @@
 
 mod addr;
 mod buffer;
-#[cfg(feature = "mutations")]
 pub mod mutation;
 mod pool;
 

@@ -1,21 +1,22 @@
-//! Seeded protocol bugs for the `cdna-model` schedule explorer.
+//! Seeded protocol bugs for the `cdna-model` schedule explorer and the
+//! `cdna-fuzz` campaign.
 //!
 //! Mutation testing for the *checker*: each [`MutationKind`] re-creates a
-//! realistic implementation bug in the DMA protection protocol, behind a
-//! runtime switch that is `None` unless a test or the `cdna-model` CLI
-//! flips it. The explorer must catch every mutation (some schedule
-//! violates an invariant) and must explore the unmutated build clean —
-//! otherwise the invariants are weaker than they claim.
-//!
-//! The whole module only exists under the `mutations` cargo feature, and
-//! with the feature on but no mutation active every hook is a single
-//! `thread_local` read that leaves behavior bit-identical, so the perf
-//! path and the golden regression runs are unaffected.
-
-use std::cell::Cell;
+//! realistic implementation bug in the DMA protection protocol. The bug
+//! is part of the simulated machine: a testbed configuration names at
+//! most one, and the world's build hands it to the component whose hook
+//! it arms — [`crate::PhysMem::set_mutation`] for `unpin-wrong-page`, the
+//! protection engines for `seq-skip` and `skip-ownership-check`, the
+//! event channels for `irq-double-post`. Each hook reads its own
+//! component's field, so every clone and snapshot of a world carries its
+//! bug and no other world sees it. The checkers must catch every
+//! mutation (some schedule or episode violates an invariant) and must
+//! find the unmutated world clean — otherwise the invariants are weaker
+//! than they claim. A component with no mutation set behaves exactly as
+//! one without the hook.
 
 /// One seeded bug in the protection protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MutationKind {
     /// The hypervisor occasionally burns a sequence number while
     /// stamping descriptors, leaving a gap in the per-context stream
@@ -61,28 +62,6 @@ impl MutationKind {
     }
 }
 
-thread_local! {
-    static ACTIVE: Cell<Option<MutationKind>> = const { Cell::new(None) };
-}
-
-/// Activates `m` (or deactivates all mutations with `None`) for the
-/// current thread.
-pub fn set_active(m: Option<MutationKind>) {
-    ACTIVE.with(|a| a.set(m));
-}
-
-/// The currently active mutation, if any.
-#[inline]
-pub fn active() -> Option<MutationKind> {
-    ACTIVE.with(|a| a.get())
-}
-
-/// Whether `m` specifically is active.
-#[inline]
-pub fn is_active(m: MutationKind) -> bool {
-    active() == Some(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,15 +72,5 @@ mod tests {
             assert_eq!(MutationKind::parse(m.name()), Some(m));
         }
         assert_eq!(MutationKind::parse("nope"), None);
-    }
-
-    #[test]
-    fn switch_is_thread_local_and_defaults_off() {
-        assert_eq!(active(), None);
-        set_active(Some(MutationKind::SeqSkip));
-        assert!(is_active(MutationKind::SeqSkip));
-        assert!(!is_active(MutationKind::IrqDoublePost));
-        set_active(None);
-        assert_eq!(active(), None);
     }
 }

@@ -22,6 +22,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use crate::mutation::MutationKind;
 use crate::{BufferSlice, DomainId, PageId};
 
 /// Errors from page-pool operations.
@@ -128,6 +129,8 @@ pub struct PhysMem {
     /// written since the last [`PhysMem::track_dirty`]; `None` before
     /// the first. Covers at most the table.
     dirty: Option<Vec<u64>>,
+    /// The seeded bug [`PhysMem::set_mutation`] armed, if any.
+    mutation: Option<MutationKind>,
 }
 
 /// A free, unpinned page: every page past the materialised prefix.
@@ -150,7 +153,14 @@ impl PhysMem {
             total_pins: 0,
             total_transfers: 0,
             dirty: None,
+            mutation: None,
         }
+    }
+
+    /// Arms the seeded bug `m` ([`crate::mutation`]), or none; the pool
+    /// acts on [`MutationKind::UnpinWrongPage`] only.
+    pub fn set_mutation(&mut self, m: Option<MutationKind>) {
+        self.mutation = m;
     }
 
     /// Total pages in the pool.
@@ -485,15 +495,12 @@ impl PhysMem {
     /// earlier pages stay unpinned and the error names the underflowing
     /// page.
     pub fn unpin_run(&mut self, start: PageId, len: u32) -> Result<(), MemError> {
-        #[cfg(feature = "mutations")]
-        let (start, len) =
-            if crate::mutation::is_active(crate::mutation::MutationKind::UnpinWrongPage) && len > 0
-            {
-                // Seeded bug: the first page of every run keeps its pin.
-                (PageId(start.0 + 1), len - 1)
-            } else {
-                (start, len)
-            };
+        let (start, len) = if self.mutation == Some(MutationKind::UnpinWrongPage) && len > 0 {
+            // Seeded bug: the first page of every run keeps its pin.
+            (PageId(start.0 + 1), len - 1)
+        } else {
+            (start, len)
+        };
         self.check_run(start, len)?;
         // The whole run, not the pages up to an underflow: a superset of
         // the written pages is still a correct set of dirty marks.
@@ -1108,24 +1115,15 @@ mod tests {
     }
 
     /// Every page whose state an operation changes lies in a dirty run,
-    /// with the seeded `unpin-wrong-page` bug off and, where the
-    /// `mutations` feature is built, on.
+    /// with the seeded `unpin-wrong-page` bug off and on.
     #[test]
     fn every_changed_page_lies_in_a_dirty_run() {
         const TOTAL: u32 = 40;
-        let modes: &[bool] = if cfg!(feature = "mutations") {
-            &[false, true]
-        } else {
-            &[false]
-        };
-        for &mutated in modes {
-            #[cfg(feature = "mutations")]
-            crate::mutation::set_active(
-                mutated.then_some(crate::mutation::MutationKind::UnpinWrongPage),
-            );
+        for mutated in [false, true] {
             let mut changed = 0;
             for seed in 0..8u64 {
                 let mut mem = PhysMem::new(TOTAL);
+                mem.set_mutation(mutated.then_some(MutationKind::UnpinWrongPage));
                 assert!(mem.dirty_runs().is_none(), "a new pool tracks nothing");
                 mem.alloc_many(guest(0), 4).unwrap();
                 mem.track_dirty();
@@ -1168,8 +1166,6 @@ mod tests {
                     }
                 }
             }
-            #[cfg(feature = "mutations")]
-            crate::mutation::set_active(None);
             assert!(changed > 1_000, "mutated {mutated}: {changed} page changes");
         }
     }

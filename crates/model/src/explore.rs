@@ -354,24 +354,20 @@ fn explore_observed(
 ///
 /// Parallelism stops at the cell boundary: each decision tree is still
 /// searched sequentially, so every [`Exploration`] — exhausted or cut
-/// at `max_schedules` — is the same at any worker count. The active
-/// [`cdna_mem::mutation`] switch and [`phase`] hook (both thread-local)
-/// are mirrored from the calling thread onto every worker, so
-/// seeded-bug calibration runs explore the same mutated build, and a
-/// profile covers every cell, at any worker count.
+/// at `max_schedules` — is the same at any worker count. A seeded bug
+/// travels in its cell's [`TestbedConfig::mutation`]; the calling
+/// thread's [`phase`] hook is copied onto every worker, so a profile
+/// covers every cell at any worker count.
 pub fn explore_matrix(matrix: Vec<ExploreConfig>, jobs: usize) -> MatrixReport {
-    let (mutation, hook) = (cdna_mem::mutation::active(), phase::hook());
-    let init = move || {
-        cdna_mem::mutation::set_active(mutation);
-        phase::set_hook(hook);
-    };
+    let hook = phase::hook();
+    let init = move || phase::set_hook(hook);
     MatrixReport {
         runs: par::run_indexed_init(jobs, matrix, init, |_, job| explore(&job)),
     }
 }
 
 /// Aggregated results of exploring a whole configuration matrix.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MatrixReport {
     /// Per-configuration outcomes, in matrix order.
     pub runs: Vec<Exploration>,

@@ -62,10 +62,11 @@
 //! Exploration is exhaustive only up to its bounds (`max_schedules`,
 //! `max_depth`) and up to the independence relation: a clean report
 //! means *no explored interleaving* violates an invariant, not that
-//! none exists. The `mutations` feature calibrates the checker itself:
-//! four seeded protocol bugs ([`cdna_mem::mutation::MutationKind`])
-//! must each be caught by some explored schedule, which the `cdna-model`
-//! tests and CI assert.
+//! none exists. Four seeded protocol bugs calibrate the checker itself
+//! ([`cdna_mem::mutation::MutationKind`], built into a cell's world
+//! through [`cdna_system::TestbedConfig::mutation`]): each must be
+//! caught by some explored schedule, which the `cdna-model` tests and
+//! CI assert.
 
 pub mod explore;
 pub mod queue;

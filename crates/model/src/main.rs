@@ -267,13 +267,15 @@ fn render(report: &MatrixReport, opts: &Options, jobs: usize) -> String {
 
 fn main() -> ExitCode {
     let opts = parse_args();
-    mutation::set_active(opts.mutation);
-    let matrix = default_matrix(
+    let mut matrix = default_matrix(
         opts.window_us,
         opts.per_config,
         opts.max_depth,
         opts.tie_window_ns,
     );
+    for job in &mut matrix {
+        job.cfg.mutation = opts.mutation;
+    }
     let jobs = par::resolve_jobs(opts.jobs, matrix.len());
     eprintln!(
         "exploring {} configurations on {jobs} worker(s)",
@@ -309,7 +311,6 @@ fn main() -> ExitCode {
             report.runs.truncate(first + 1);
         }
     }
-    mutation::set_active(None);
 
     let json = render(&report, &opts, jobs);
     if let Some(path) = &opts.out {

@@ -2,7 +2,7 @@
 //! the unmutated protocol, and calibration — every seeded protocol
 //! mutation must be caught by some explored schedule.
 
-use cdna_mem::mutation::{self, MutationKind};
+use cdna_mem::mutation::MutationKind;
 use cdna_model::{default_matrix, explore, ExploreConfig};
 
 /// A small matrix cell by label substring.
@@ -15,7 +15,6 @@ fn job(label_part: &str) -> ExploreConfig {
 
 #[test]
 fn clean_cdna_tx_exploration_forks_and_holds_invariants() {
-    mutation::set_active(None);
     let run = explore(&job("CDNA/RiceNIC/2g/tx"));
     assert!(run.schedules > 1, "tie window must fork tx schedules");
     assert_eq!(
@@ -27,7 +26,6 @@ fn clean_cdna_tx_exploration_forks_and_holds_invariants() {
 
 #[test]
 fn clean_cdna_rx_exploration_forks_and_holds_invariants() {
-    mutation::set_active(None);
     let run = explore(&job("CDNA/RiceNIC/2g/rx"));
     assert!(run.schedules > 1);
     assert_eq!(run.violations, 0, "{:?}", run.sample);
@@ -35,20 +33,17 @@ fn clean_cdna_rx_exploration_forks_and_holds_invariants() {
 
 #[test]
 fn clean_xen_exploration_forks_and_holds_invariants() {
-    mutation::set_active(None);
     let run = explore(&job("Xen/Intel/2g/rx"));
     assert!(run.schedules > 1);
     assert_eq!(run.violations, 0, "{:?}", run.sample);
 }
 
-/// Runs one CDNA tx exploration under `m` and returns the violation
-/// count. The mutation switch is thread-local, so parallel tests do
-/// not interfere; reset before returning regardless.
+/// Runs one CDNA tx exploration with `m` built into its world and
+/// returns the violation count.
 fn violations_under(m: MutationKind) -> u64 {
-    mutation::set_active(Some(m));
-    let run = explore(&job("CDNA/RiceNIC/2g/tx"));
-    mutation::set_active(None);
-    run.violations
+    let mut job = job("CDNA/RiceNIC/2g/tx");
+    job.cfg.mutation = Some(m);
+    explore(&job).violations
 }
 
 #[test]

@@ -162,10 +162,11 @@ impl<W: World> Simulation<W> {
     /// queue owns, and resumes from it. It must be `Debug`, so the
     /// simulation's `Debug` prints every pending event and whatever
     /// state the queue carries; [`Simulation::queue_mut`] reaches it
-    /// again. It must also be `Send`: worker pools move whole
-    /// simulations between threads. Rustc enforces this, and the
-    /// workspace forbids `unsafe`, so no `unsafe impl Send` can waive
-    /// it. A queue that shares state through an `Arc` is accepted:
+    /// again. It must also be `Send` and `Sync`: worker pools move whole
+    /// simulations between threads, and clone one shared snapshot on
+    /// several workers at once. Rustc enforces this, and the workspace
+    /// forbids `unsafe`, so no `unsafe impl` can waive it. A queue that
+    /// shares state through an `Arc` is accepted:
     ///
     /// ```
     /// use cdna_sim::queue::HeapQueue;
@@ -249,7 +250,7 @@ impl<W: World> Simulation<W> {
     /// ```
     pub fn with_event_queue(
         world: W,
-        queue: impl EventQueue<W::Event> + Clone + Send + std::fmt::Debug + 'static,
+        queue: impl EventQueue<W::Event> + Clone + Send + Sync + std::fmt::Debug + 'static,
     ) -> Self {
         Simulation {
             world,

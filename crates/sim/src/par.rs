@@ -109,9 +109,9 @@ where
 /// before it takes any work.
 ///
 /// This is the seam for thread-local state that must follow the fan-out:
-/// `cdna-model` uses it to mirror the active protocol mutation (a
-/// `thread_local` switch in `cdna-mem`) onto each worker, so a mutated
-/// exploration behaves identically at any worker count. On the
+/// `cdna-model` uses it to copy the calling thread's profiling hook (a
+/// `thread_local` in `cdna_system::phase`) onto each worker, so a
+/// `--profile` run times every cell at any worker count. On the
 /// `jobs == 1` inline path `init` runs on the caller's thread, which by
 /// construction already carries its own thread-local state — callers
 /// must keep `init` idempotent there.

@@ -392,13 +392,13 @@ pub(crate) enum QueueImpl<E> {
 }
 
 /// A caller-supplied queue behind the `Custom` box: any `Clone + Send +
-/// Debug` [`EventQueue`], cloned into a fresh box.
-pub(crate) trait CustomQueue<E>: EventQueue<E> + Send + std::fmt::Debug {
+/// Sync + Debug` [`EventQueue`], cloned into a fresh box.
+pub(crate) trait CustomQueue<E>: EventQueue<E> + Send + Sync + std::fmt::Debug {
     fn clone_box(&self) -> Box<dyn CustomQueue<E>>;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-impl<E, Q: EventQueue<E> + Clone + Send + std::fmt::Debug + 'static> CustomQueue<E> for Q {
+impl<E, Q: EventQueue<E> + Clone + Send + Sync + std::fmt::Debug + 'static> CustomQueue<E> for Q {
     fn clone_box(&self) -> Box<dyn CustomQueue<E>> {
         Box::new(self.clone())
     }

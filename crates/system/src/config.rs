@@ -1,6 +1,7 @@
 //! Testbed configuration.
 
 use cdna_core::DmaPolicy;
+use cdna_mem::mutation::MutationKind;
 use cdna_ricenic::RiceNicConfig;
 use cdna_sim::{QueueKind, SimTime};
 
@@ -132,6 +133,10 @@ pub struct TestbedConfig {
     /// It also turns on every protection engine's pin journal, which
     /// feeds the mirror; no simulated outcome changes.
     pub shadow_check: bool,
+    /// A seeded protocol bug ([`cdna_mem::mutation`]) built into the
+    /// pool, engines and event channels, so every clone of the world
+    /// carries it. `None` (the default) is the correct protocol.
+    pub mutation: Option<MutationKind>,
     /// The cost model (override for ablations).
     pub costs: CostModel,
     /// RiceNIC firmware configuration (override for ablations, e.g. the
@@ -163,6 +168,7 @@ impl TestbedConfig {
             inter_guest: false,
             idle_guests: 0,
             shadow_check: false,
+            mutation: None,
             costs: CostModel::default(),
             ricenic: RiceNicConfig::default(),
             queue: QueueKind::default(),
@@ -185,6 +191,12 @@ impl TestbedConfig {
     /// Sets the run label ([`TestbedConfig::seed`]).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self
+    }
+
+    /// Sets the seeded bug ([`TestbedConfig::mutation`]).
+    pub fn with_mutation(mut self, m: Option<MutationKind>) -> Self {
+        self.mutation = m;
         self
     }
 

@@ -2,11 +2,10 @@
 //!
 //! The `cdna-model` explorer and [`crate::SystemWorld::shadow_sync`]
 //! mark the [`Phase`] they enter. Nothing listens unless a binary calls
-//! [`set_hook`]: like the `cdna_mem::mutation` switch, the hook is a
-//! per-thread setting that is off by default, so a mark costs one
-//! thread-local read and no simulated output can depend on it. The
-//! clock lives in the hook, in the binary that installs it, because
-//! library code never reads the wall clock.
+//! [`set_hook`]: the hook is a per-thread setting that is off by
+//! default, so a mark costs one thread-local read and no simulated
+//! output can depend on it. The clock lives in the hook, in the binary
+//! that installs it, because library code never reads the wall clock.
 
 use std::cell::Cell;
 

@@ -582,6 +582,7 @@ impl SystemWorld {
         let nic_count = cfg.nics as usize;
         let pages = 60_000 + guests as u32 * nic_count as u32 * 1600;
         let mut mem = PhysMem::new(pages);
+        mem.set_mutation(cfg.mutation);
         let mut rings = RingTable::new();
         let mut engines = Vec::new();
         let mut vec_rings = Vec::new();
@@ -730,8 +731,11 @@ impl SystemWorld {
         let mut registry = Registry::new();
         let hot = HotIds::new(&mut registry);
         let shadow = cfg.shadow_check.then(ShadowHarness::default);
-        if shadow.is_some() {
-            for engine in &mut engines {
+        let mut evt = EventChannels::new();
+        evt.set_mutation(cfg.mutation);
+        for engine in &mut engines {
+            engine.set_mutation(cfg.mutation);
+            if shadow.is_some() {
                 engine.enable_pin_journal();
             }
         }
@@ -746,7 +750,7 @@ impl SystemWorld {
             vec_rings,
             bridge,
             channels,
-            evt: EventChannels::new(),
+            evt,
             runq: RunQueue::new(),
             ledger: CpuLedger::new(),
             domains,

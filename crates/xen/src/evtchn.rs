@@ -1,5 +1,6 @@
 //! Event channels — Xen's virtual interrupts.
 
+use cdna_mem::mutation::MutationKind;
 use cdna_mem::DomainId;
 
 /// The virtual interrupt lines a domain can receive.
@@ -120,12 +121,20 @@ pub struct EventChannels {
     sent: u64,
     coalesced: u64,
     collected: u64,
+    /// The seeded bug [`EventChannels::set_mutation`] armed, if any.
+    mutation: Option<MutationKind>,
 }
 
 impl EventChannels {
     /// No channels pending.
     pub fn new() -> Self {
         EventChannels::default()
+    }
+
+    /// Arms the seeded bug `m` ([`cdna_mem::mutation`]), or none; the
+    /// channels act on [`MutationKind::IrqDoublePost`] only.
+    pub fn set_mutation(&mut self, m: Option<MutationKind>) {
+        self.mutation = m;
     }
 
     /// Marks `irq` pending for `dom`. Returns `true` if it was newly
@@ -141,8 +150,7 @@ impl EventChannels {
             self.sent += 1;
             true
         } else {
-            #[cfg(feature = "mutations")]
-            if cdna_mem::mutation::is_active(cdna_mem::mutation::MutationKind::IrqDoublePost) {
+            if self.mutation == Some(MutationKind::IrqDoublePost) {
                 // Seeded bug: count a coalesced send as a fresh delivery,
                 // breaking `sent == collected + pending`.
                 self.sent += 1;

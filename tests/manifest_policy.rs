@@ -4,7 +4,9 @@
 //! "deny"`, `wildcard_enum_match_arm = "deny"`), so a new crate cannot
 //! opt out of any by omission, and `clippy.toml` keeps the hash-map,
 //! wall-clock, lock, thread, channel, thread-identity and core-count
-//! bans that `cdna-check` relies on instead of rules of its own.
+//! bans that `cdna-check` relies on instead of rules of its own. No
+//! manifest declares or turns on a cargo feature, so every command line
+//! builds the same program.
 
 use std::path::{Path, PathBuf};
 
@@ -102,6 +104,26 @@ fn every_manifest_inherits_the_workspace_lints() {
             "{} must inherit `[lints] workspace = true`",
             path.display()
         );
+    }
+}
+
+#[test]
+fn no_manifest_declares_or_enables_a_feature() {
+    // Cargo unifies features only over the packages one command builds,
+    // so a feature would let `cargo run -p X` and a workspace build
+    // compile different programs from the same source.
+    for path in member_manifests() {
+        let text = read(&path);
+        for line in text.lines() {
+            let line = line.split('#').next().unwrap_or_default();
+            let keys: String = line.split('"').step_by(2).collect();
+            assert!(
+                !keys.contains("features"),
+                "{}: `{}` declares or enables a cargo feature",
+                path.display(),
+                line.trim()
+            );
+        }
     }
 }
 
